@@ -3,7 +3,8 @@
 Commands: validate, analyze, sweep, examples, oracle-check.  All output is
 machine-readable (JSON, or CSV for sweeps) and byte-deterministic for given
 inputs and flags.  Exit codes: 0 ok, 1 input/validation error, 2 point
-outside the polytope, 3 internal invariant failure (oracle disagreement).
+outside the polytope, 3 internal invariant failure (oracle disagreement or
+InternalError).
 """
 
 import argparse
@@ -167,20 +168,11 @@ def _pick_selection(p, point):
     """First zero pattern (lexicographic) whose coordinates are feasible at
     the point, preferring strictly positive complements."""
     first_feasible = None
-    k = p.kernel_dim()
-    for combo in itertools.combinations(range(1, p.n + 1), k):
-        try:
-            sc = co.simplicial_coords(p, point, combo)
-        except BarypolyError:
-            continue
-        if not sc.feasible:
-            continue
+    for combo, sigma in co._feasible_patterns(p, point):
+        if sum(1 for x in sigma if x) == p.d + 1:
+            return frozenset(combo)
         if first_feasible is None:
             first_feasible = combo
-        strict = all(sc.sigma[j - 1] > 0
-                     for j in range(1, p.n + 1) if j not in set(combo))
-        if strict:
-            return frozenset(combo)
     if first_feasible is None:
         raise ParseError("no feasible selection pattern at this point")
     return frozenset(first_feasible)

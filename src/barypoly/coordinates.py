@@ -22,7 +22,6 @@ from .errors import (
     InfeasibleError,
     NotAnIntervalError,
     NotMemberError,
-    SingularMatrixError,
     SingularPatternError,
     UnboundedDirectionError,
 )
@@ -107,18 +106,46 @@ def circular_windows(n: int, d: int) -> list:
     return [frozenset(((i + k) % n) + 1 for k in range(size)) for i in range(n)]
 
 
-def _pattern_system(p: Polytope, zero_set):
-    """Stacked (d+1)x(d+1) system on the columns not in the 1-based zero set."""
+def _pattern_system(p: Polytope, zero_set) -> list:
+    """0-based columns kept by a 1-based zero set of n-d-1 entries in 1..n."""
     zero0 = {j - 1 for j in zero_set}
     if not all(1 <= j <= p.n for j in zero_set):
         raise ValueError(f"zero set entries must lie in 1..{p.n}")
     if len(zero0) != p.kernel_dim():
         raise ValueError(
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zero0)}")
-    keep = [j for j in range(p.n) if j not in zero0]
-    rows = [[p.vertices[j][l] for j in keep] for l in range(p.d)]
-    rows.append([_ONE] * len(keep))
-    return keep, rows
+    return [j for j in range(p.n) if j not in zero0]
+
+
+def _integer_system(p: Polytope, pt) -> tuple:
+    """Integer form of every pattern system at ``pt``: (L·V rows, right side).
+
+    With L and D the lcms of the vertex and point denominators, the pattern
+    on columns ``keep`` solves [1 … 1; L·V_keep]·x = [D; L·D·pt], whose
+    solution is x = D·sigma_keep (scaling by positive constants keeps signs).
+    """
+    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
+    den, (prow,) = linalg.integer_rows([pt])
+    return vrows, [[den]] + [[scale * x] for x in prow]
+
+
+def _solve_pattern(vrows, keep, rhs) -> tuple:
+    """(den, nums) with sigma_keep = nums / den; den is 0 when singular.
+
+    Solves [1 … 1; L·V_keep]·x = rhs with ``linalg.bareiss``, the all-ones
+    row first so that the first pivot is 1, and returns den = det·D.
+    """
+    rows = [[1] * len(keep) + rhs[0]]
+    rows += [[vr[j] for j in keep] + b for vr, b in zip(vrows, rhs[1:])]
+    det, nums = linalg.bareiss(rows, len(keep))
+    return det * rhs[0][0], nums
+
+
+def _sigma(n, keep, nums, den) -> tuple:
+    sigma = [_ZERO] * n
+    for j, (x,) in zip(keep, nums):
+        sigma[j] = Fraction(x, den)
+    return tuple(sigma)
 
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
@@ -128,47 +155,51 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     dependent.
     """
     pt = linalg.vec(point)
-    keep, rows = _pattern_system(p, zero_set)
-    try:
-        sol = linalg.solve_linear(rows, list(pt) + [_ONE])
-    except SingularMatrixError as exc:
+    keep = _pattern_system(p, zero_set)
+    vrows, rhs = _integer_system(p, pt)
+    den, nums = _solve_pattern(vrows, keep, rhs)
+    if not den:
         raise SingularPatternError(
-            f"columns outside {sorted(zero_set)} are affinely dependent") from exc
-    sigma = [_ZERO] * p.n
-    for j, val in zip(keep, sol):
-        sigma[j] = val
+            f"columns outside {sorted(zero_set)} are affinely dependent")
+    sigma = _sigma(p.n, keep, nums, den)
     return SimplicialCoordinate(
         zero_set=frozenset(zero_set),
-        sigma=tuple(sigma),
+        sigma=sigma,
         feasible=all(x >= 0 for x in sigma),
     )
 
 
-def _support_affinely_independent(p: Polytope, lam) -> bool:
-    support = [j for j, x in enumerate(lam) if x != 0]
-    pts = [p.vertices[j] for j in support]
-    return linalg.affine_dim(pts) == len(pts) - 1
+def _feasible_patterns(p: Polytope, pt):
+    """Yield (zero set, sigma) for every feasible nonsingular zero pattern.
+
+    Zero sets are 1-based tuples in lexicographic order.  Each pattern is
+    one fraction-free elimination of its integer system (``_integer_system``):
+    a zero pivot marks a singular pattern, otherwise sigma_keep = num / den
+    and the pattern is feasible iff every num·den >= 0, a test on plain ints.
+    Fractions are built only for feasible patterns.
+    """
+    vrows, rhs = _integer_system(p, pt)
+    for combo in itertools.combinations(range(1, p.n + 1), p.kernel_dim()):
+        keep = [j for j in range(p.n) if j + 1 not in combo]
+        den, nums = _solve_pattern(vrows, keep, rhs)
+        if den and all(x * den >= 0 for (x,) in nums):
+            yield combo, _sigma(p.n, keep, nums, den)
 
 
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     """Enumerate the vertex set of the coordinate polytope at ``point``.
 
-    Scans every size-(n-d-1) zero pattern, keeps feasible solutions whose
-    support columns are affinely independent, deduplicates exactly and sorts
-    lexicographically.  Raises InfeasibleError when the point is outside.
+    Scans every size-(n-d-1) zero pattern with an exact integer elimination
+    (``_feasible_patterns``), deduplicates the feasible solutions exactly and
+    sorts them lexicographically.  A nonsingular pattern's support columns
+    are affinely independent, so every feasible solution is a vertex.  Raises
+    InfeasibleError when the point is outside.
     """
     pt = linalg.vec(point)
-    k = p.kernel_dim()
     found = {}
-    for combo in itertools.combinations(range(1, p.n + 1), k):
-        try:
-            sc = simplicial_coords(p, pt, combo)
-        except SingularPatternError:
-            continue
-        if sc.feasible and sc.sigma not in found:
-            if _support_affinely_independent(p, sc.sigma):
-                found[sc.sigma] = frozenset(
-                    j + 1 for j, x in enumerate(sc.sigma) if x != 0)
+    for _, sigma in _feasible_patterns(p, pt):
+        if sigma not in found:
+            found[sigma] = frozenset(j + 1 for j, x in enumerate(sigma) if x != 0)
     if not found:
         raise InfeasibleError("point is outside the polytope")
     ordered = sorted(found)

@@ -84,6 +84,13 @@ class InfeasibleSelectionError(BarypolyError):
     code = "InfeasibleSelection"
 
 
+class InternalError(BarypolyError):
+    """An invariant failed (an ``assert`` would vanish under python -O)."""
+
+    code = "InternalError"
+    exit_code = 3
+
+
 class OracleMismatchError(BarypolyError):
     """Two independent computation routes disagreed; exit code 3."""
 

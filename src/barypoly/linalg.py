@@ -4,9 +4,11 @@ All combinatorial computations in this package run over ``fractions.Fraction``
 (arbitrary-precision rationals); floating point only appears in the probe
 layer.  Matrices are plain lists of row lists, vectors plain sequences.
 Elimination uses partial pivoting on absolute value with lowest-row-index tie
-breaking, so every function is deterministic.
+breaking, so every function is deterministic.  ``bareiss`` is the integer
+(fraction-free) kernel for systems scaled to integers by ``integer_rows``.
 """
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -113,6 +115,45 @@ def solve_linear(a: Mat, b: Vec) -> list:
                 f = aug[k][c]
                 aug[k] = [x - f * y for x, y in zip(aug[k], aug[c])]
     return [row[n] for row in aug]
+
+
+def integer_rows(a: Mat) -> tuple:
+    """(L, rows): ``a`` times L, the lcm of its denominators, as int rows.
+
+    L is positive, so every entry keeps its sign.
+    """
+    scale = math.lcm(*(x.denominator for row in a for x in row))
+    return scale, [[x.numerator * (scale // x.denominator) for x in row]
+                   for row in a]
+
+
+def bareiss(rows, m: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of an integer system.
+
+    ``rows`` holds m int rows [a_i | b_i]: a square m x m matrix a followed by
+    one or more right-hand-side columns.  Each step replaces every other row
+    r by (pivot·r - r_k·pivot_row) / previous pivot, a division that is exact
+    (Bareiss 1968), so no intermediate leaves the integers.  Returns
+    (det, nums): a·x = b is solved by x[i][c] = nums[i][c] / det, where det is
+    det(a) up to sign.  A singular a gives (0, None).
+    """
+    a = list(rows)
+    prev = 1
+    for k in range(m):
+        # rows hold columns k.. only: earlier columns are never read again
+        for i in range(k, m):
+            if a[i][0]:
+                break
+        else:
+            return 0, None
+        a[k], a[i] = a[i], a[k]
+        piv = a[k]
+        pk, tail = piv[0], piv[1:]
+        a = [tail if j == k else
+             [(pk * x - r[0] * y) // prev for x, y in zip(r[1:], tail)]
+             for j, r in enumerate(a)]
+        prev = pk
+    return prev, a
 
 
 def nullspace_basis(a: Mat) -> list:

@@ -16,7 +16,12 @@ from itertools import combinations, product
 
 from . import linalg
 from .coordinates import BarycentricVector, feasible_tau, nullbasis
-from .errors import BarypolyError, OracleMismatchError, SingularMatrixError
+from .errors import (
+    BarypolyError,
+    InternalError,
+    OracleMismatchError,
+    SingularMatrixError,
+)
 from .polytope import Polytope, validate
 
 _ZERO = Fraction(0)
@@ -108,7 +113,8 @@ def _dd_reduced(nbasis_rows, tau_lam, k):
             merged[pt] = merged.get(pt, 0) | m
         verts = list(merged)
         act = [merged[v] for v in verts]
-        assert verts, "reduced polytope lost the origin"
+        if not verts:
+            raise InternalError("reduced polytope lost the origin")
     box_mask = (1 << nbox) - 1
     if any(m & box_mask for m in act):
         raise OracleMismatchError("bounding box was not strict")

@@ -17,6 +17,7 @@ from . import linalg
 from .errors import (
     DimensionMismatchError,
     DuplicateVertexError,
+    InternalError,
     NonExtremeVertexError,
     ParseError,
     RankDeficientError,
@@ -114,8 +115,9 @@ def locate(p: Polytope, point: Sequence) -> PointLocation:
     if feas.status == "infeasible":
         y = feas.farkas
         a, b = tuple(y[: p.d]), -y[p.d]
-        assert all(linalg.dot(a, v) <= b for v in p.vertices)
-        assert linalg.dot(a, pt) > b
+        if not (all(linalg.dot(a, v) <= b for v in p.vertices)
+                and linalg.dot(a, pt) > b):
+            raise InternalError("Farkas certificate does not separate the point")
         return PointLocation(Location.OUTSIDE, separator=(a, b))
     # max s via variables (mu_1..mu_n, s+, s-), lam = mu + s·1
     col_sums = [sum(row, Fraction(0)) for row in stacked]
@@ -123,7 +125,8 @@ def locate(p: Polytope, point: Sequence) -> PointLocation:
               for i, row in enumerate(stacked)]
     c = [Fraction(0)] * p.n + [Fraction(-1), Fraction(1)]
     res = solve_lp(a_rows, rhs, c)
-    assert res.status == "optimal"
+    if res.status != "optimal":
+        raise InternalError(f"max-slack LP of a feasible point is {res.status}")
     s_star = res.x[p.n] - res.x[p.n + 1]
     lam = tuple(res.x[j] + s_star for j in range(p.n))
     tag = Location.INTERIOR if s_star > 0 else Location.BOUNDARY

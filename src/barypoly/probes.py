@@ -19,7 +19,6 @@ from .errors import (
     DimensionMismatchError,
     InfeasibleSelectionError,
     LeavesPolytopeError,
-    SingularMatrixError,
     SingularPatternError,
 )
 from .polytope import Location, Polytope, locate
@@ -242,18 +241,19 @@ def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
     keep = [j for j in range(p.n) if j not in set(zero0)]
     if len(keep) != p.d + 1:
         raise ValueError(f"zero set must have size n-d-1 = {p.kernel_dim()}")
-    rows = [[p.vertices[j][l] for j in keep] for l in range(p.d)]
-    rows.append([Fraction(1)] * len(keep))
+    # column l solves [1 … 1; L·V_keep]·x = [0; L·e_l], the integer scaling
+    # of [1 … 1; V_keep]·x = [0; e_l]
+    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
+    rows = [[1] * len(keep) + [0] * p.d]
+    rows += [[vr[j] for j in keep] + [scale if c == l else 0 for c in range(p.d)]
+             for l, vr in enumerate(vrows)]
+    det, nums = linalg.bareiss(rows, len(keep))
+    if not det:
+        raise SingularPatternError(
+            f"columns outside {sorted(zero_set)} are affinely dependent")
     jac = [[Fraction(0)] * p.d for _ in range(p.n)]
-    for l in range(p.d):
-        e = [Fraction(1) if i == l else Fraction(0) for i in range(p.d + 1)]
-        try:
-            col = linalg.solve_linear(rows, e)
-        except SingularMatrixError as exc:
-            raise SingularPatternError(
-                f"columns outside {sorted(zero_set)} are affinely dependent") from exc
-        for j, val in zip(keep, col):
-            jac[j][l] = val
+    for j, row in zip(keep, nums):
+        jac[j] = [Fraction(x, det) for x in row]
     return jac
 
 

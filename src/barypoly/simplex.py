@@ -10,6 +10,7 @@ impossible.  Infeasibility comes with an exact Farkas certificate.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import InternalError
 from .linalg import dot
 
 _ZERO = Fraction(0)
@@ -100,7 +101,8 @@ def _phase_one(tab: _Tableau):
     c = [_ZERO] * n + [_ONE] * m
     allowed = [True] * tab.ncols
     status = tab._bland(c, allowed)
-    assert status == "optimal"  # artificial objective is bounded below by 0
+    if status != "optimal":  # the artificial objective is bounded below by 0
+        raise InternalError(f"phase one is {status}")
     cbar, obj = tab._reduced_costs(c)
     if obj > 0:
         # y_i = 1 - cbar(artificial_i), unflipped back to the original rows

@@ -74,6 +74,19 @@ def test_analyze_outside_exit_2(square_file, capsys):
     assert a[0] * 2 + a[1] * 2 > b
 
 
+def test_internal_error_exit_3(square_file, capsys, monkeypatch):
+    from barypoly import cli
+    from barypoly.errors import InternalError
+
+    def broken(*args):
+        raise InternalError("invariant violated")
+
+    monkeypatch.setattr(cli, "locate", broken)
+    code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+    assert code == 3
+    assert json.loads(out)["error"] == "InternalError"
+
+
 def test_analyze_bad_point(square_file, capsys):
     code, out = run(capsys, "analyze", square_file, "--point", "1/2")
     assert code == 1

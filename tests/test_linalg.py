@@ -43,6 +43,36 @@ def test_solve_roundtrip_random():
         solved += 1
 
 
+def test_bareiss_matches_solve_linear():
+    rng = random.Random(4321)
+    singular = 0
+    for trial in range(300):
+        n = rng.randint(1, 7)
+        a = random_square_matrix(rng, n)
+        if trial % 3 == 0:  # make row i a multiple of row j (or zero, n = 1)
+            i, j = rng.randrange(n), rng.randrange(n)
+            c = F(rng.randint(-3, 3), rng.randint(1, 4)) if i != j else F(0)
+            a[i] = [c * x for x in a[j]]
+        b = [F(rng.randint(-20, 20), 7) for _ in range(n)]
+        eye = [[F(int(r == c)) for c in range(n)] for r in range(n)]
+        scale, rows = linalg.integer_rows(
+            [list(row) + [bb] + e for row, bb, e in zip(a, b, eye)])
+        assert scale > 0 and all(isinstance(x, int) for row in rows for x in row)
+        det, nums = linalg.bareiss(rows, n)
+        try:
+            x = linalg.solve_linear(a, b)
+        except SingularMatrixError:
+            assert (det, nums) == (0, None)
+            singular += 1
+            continue
+        assert det != 0
+        assert [F(row[0], det) for row in nums] == x
+        # the identity columns give the inverse (L scales both sides)
+        inv = [[F(v, det) for v in row[1:]] for row in nums]
+        assert linalg.mat_mul(a, inv) == eye
+    assert singular >= 50
+
+
 def _unit_square_stacked():
     return [
         [F(0), F(1), F(1), F(0)],

@@ -8,6 +8,7 @@ from barypoly import linalg
 from barypoly.errors import (
     DimensionMismatchError,
     DuplicateVertexError,
+    InternalError,
     NonExtremeVertexError,
     ParseError,
     RankDeficientError,
@@ -109,6 +110,17 @@ def test_interior_certificate_is_strictly_positive():
     assert loc.tag is Location.INTERIOR
     assert all(x > 0 for x in loc.barycentric)
     assert sum(loc.barycentric) == 1
+
+
+def test_locate_bad_certificate_is_internal_error(square, monkeypatch):
+    from barypoly import polytope
+    from barypoly.simplex import LPResult
+
+    bogus = LPResult("infeasible", farkas=[F(0)] * 3)
+    monkeypatch.setattr(polytope, "feasible_point", lambda *a: bogus)
+    with pytest.raises(InternalError) as exc:
+        locate(square, (F(5), F(5)))
+    assert exc.value.exit_code == 3
 
 
 def test_parse_exact_decimals(tmp_path):

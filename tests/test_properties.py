@@ -1,0 +1,117 @@
+"""Property tests: the integer pattern scan against an independent route.
+
+``lambda_vertices`` scans zero patterns with fraction-free integer
+elimination; ``helpers.brute_force_vertices`` solves every pattern with
+Fraction Gauss-Jordan.  Both must give the same vertex set at interior,
+boundary and large-bit-size points of random polytopes.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+from barypoly.coordinates import _feasible_patterns, lambda_vertices, simplicial_coords
+from barypoly.errors import SingularPatternError
+from barypoly.fixtures import get_fixture
+from barypoly.oracle import random_polytope
+from barypoly.polytope import Location, locate, validate
+from helpers import brute_force_vertices
+
+F = Fraction
+BIG = 1 << 64
+
+PROPERTY = settings(max_examples=25, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+@st.composite
+def polytopes(draw):
+    d = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(d + 1, 9))
+    return random_polytope(d, n, seed=draw(st.integers(0, 10**6)))
+
+
+def _combination(vertices, weights):
+    total = sum(weights)
+    d = len(vertices[0])
+    return tuple(sum((F(w) / total * v[l] for w, v in zip(weights, vertices)), F(0))
+                 for l in range(d))
+
+
+def _check_against_brute_force(p, q):
+    lam = lambda_vertices(p, q)
+    brute = sorted(brute_force_vertices(p, q))
+    assert [v.lam for v in lam.vertices] == brute
+    assert lam.vertex_supports == tuple(
+        frozenset(j + 1 for j, x in enumerate(v) if x != 0) for v in brute)
+    return lam
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_interior_points(p, data):
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    q = _combination(p.vertices, weights)
+    _check_against_brute_force(p, q)
+    # the scan yields exactly the feasible patterns, in lexicographic order
+    expected = []
+    for combo in combinations(range(1, p.n + 1), p.kernel_dim()):
+        try:
+            sc = simplicial_coords(p, q, combo)
+        except SingularPatternError:
+            continue
+        if sc.feasible:
+            expected.append((combo, sc.sigma))
+    assert list(_feasible_patterns(p, q)) == expected
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_boundary_points(p, data):
+    i = data.draw(st.integers(0, p.n - 1))
+    lam = _check_against_brute_force(p, p.vertices[i])
+    assert [v.lam for v in lam.vertices] == [tuple(F(int(j == i)) for j in range(p.n))]
+    # midpoints of boundary segments between two vertices (edges, face diagonals)
+    mids = [tuple((x + y) / 2 for x, y in zip(p.vertices[a], p.vertices[b]))
+            for a, b in combinations(range(p.n), 2)]
+    mids = [m for m in mids if locate(p, m).tag == Location.BOUNDARY]
+    assert mids
+    _check_against_brute_force(p, data.draw(st.sampled_from(mids)))
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_large_bit_size_rationals(p, data):
+    big = st.integers(BIG >> 1, BIG)
+    weights = data.draw(st.lists(big, min_size=p.n, max_size=p.n))
+    q = _combination(p.vertices, weights)
+    assume(max(x.denominator for x in q) > BIG)  # not shrunk to equal weights
+    lam = _check_against_brute_force(p, q)
+    # an affine map with ~64-bit denominators keeps the coordinates
+    scale = F(data.draw(big), data.draw(big))
+    shift = [F(data.draw(st.integers(-BIG, BIG)), data.draw(big)) for _ in range(p.d)]
+    moved = [tuple(scale * x + s for x, s in zip(v, shift)) for v in p.vertices]
+    pm = validate([[v[l] for v in moved] for l in range(p.d)], p.d)
+    qm = tuple(scale * x + s for x, s in zip(q, shift))
+    lam_moved = _check_against_brute_force(pm, qm)
+    assert lam_moved.vertices == tuple(
+        type(v)(lam=v.lam, point=qm) for v in lam.vertices)
+
+
+@pytest.mark.parametrize("name, point, patterns, vertices", [
+    ("square", (F(1, 2), F(1, 2)), 4, 2),         # each diagonal from 2 patterns
+    ("prism8", (F(1, 2),) * 3, 50, 6),            # cube centre: 50 patterns
+    ("pentagon", (F(0), F(0)), 5, 5),             # no diagonal through the centre
+])
+def test_duplicate_patterns_are_deduplicated(name, point, patterns, vertices):
+    p = get_fixture(name)
+    found = list(_feasible_patterns(p, point))
+    assert len(found) == patterns
+    assert [z for z, _ in found] == sorted(z for z, _ in found)
+    lam = lambda_vertices(p, point)
+    assert len(lam.vertices) == vertices
+    assert ([v.lam for v in lam.vertices] == sorted({s for _, s in found})
+            == sorted(brute_force_vertices(p, point)))

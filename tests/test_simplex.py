@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from barypoly import simplex
+from barypoly.errors import InternalError
 from barypoly.linalg import dot, mat_vec
 from barypoly.simplex import convex_membership, feasible_point, solve_lp
 
@@ -20,6 +22,12 @@ def test_feasible_point_square_center():
     assert res.status == "optimal"
     assert mat_vec(a, res.x) == b
     assert all(x >= 0 for x in res.x)
+
+
+def test_unbounded_phase_one_is_internal_error(monkeypatch):
+    monkeypatch.setattr(simplex._Tableau, "_bland", lambda *a: "unbounded")
+    with pytest.raises(InternalError):
+        feasible_point([[F(1), F(1)]], [F(1)])
 
 
 def test_feasible_point_deterministic():
