@@ -13,7 +13,6 @@ import json
 import os
 import re
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -50,7 +49,6 @@ def _parse_rationals(text):
 
 def _analysis_report(p: Polytope, point) -> tuple:
     """(report, location) after the full pipeline at an inside point."""
-    start = time.perf_counter()
     loc = locate(p, point)
     if loc.tag == Location.OUTSIDE:
         return None, loc
@@ -63,7 +61,6 @@ def _analysis_report(p: Polytope, point) -> tuple:
         support = tuple(sorted(supp))
         zeros = tuple(j for j in range(1, p.n + 1) if j not in supp)
         entries.append(LambdaVertexEntry(lam=v.lam, support=support, zeros=zeros))
-    elapsed = time.perf_counter() - start
     rep = AnalysisReport(
         polytope_dim=p.d,
         polytope_vertices=p.vertices,
@@ -75,7 +72,6 @@ def _analysis_report(p: Polytope, point) -> tuple:
         gamma_vertices=gam.vertices,
         dim=lam.dim,
         theorem_count_match=lam.theorem_count_match,
-        timing=elapsed,
     )
     return rep, loc
 
@@ -135,7 +131,12 @@ def _load_points(path, d):
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != d:
             raise ParseError(f"point {i + 1} must list {d} coordinates")
-        pts.append(tuple(fr(x) for x in row))
+        if any(isinstance(x, bool) for x in row):
+            raise ParseError(f"point {i + 1}: bad coordinate (boolean)")
+        try:
+            pts.append(tuple(fr(x) for x in row))
+        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            raise ParseError(f"point {i + 1}: bad coordinate ({exc})") from exc
     return pts
 
 
@@ -184,11 +185,16 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
     if (grid is None) == (points_file is None):
         raise ParseError("exactly one of --grid or --points is required")
     pts = _grid_points(p, grid) if grid is not None else _load_points(points_file, p.d)
-    t0_frac = fr(t0)
+    try:
+        t0_frac = fr(t0)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad --t0 {t0!r}: {exc}") from exc
     hvec = None
     if mode in ("continuity", "semidiff"):
         if h is None:
             raise ParseError(f"--h is required for mode {mode}")
+        if t0_frac <= 0 or steps < 3:
+            raise ParseError(f"mode {mode} needs --t0 > 0 and --steps >= 3")
         hvec = _parse_rationals(h)
         if len(hvec) != p.d:
             raise ParseError(f"direction must have {p.d} coordinates")
@@ -225,11 +231,15 @@ def run_oracle_check(path, point_text, samples) -> int:
     point = _parse_rationals(point_text)
     if len(point) != p.d:
         raise ParseError(f"point must have {p.d} coordinates")
+    seed_text = os.environ.get(_SEED_ENV, "0")
+    try:
+        seed = int(seed_text)
+    except ValueError as exc:
+        raise ParseError(f"{_SEED_ENV} must be an integer, got {seed_text!r}") from exc
     loc = locate(p, point)
     if loc.tag == Location.OUTSIDE:
         _emit_error("Infeasible", "point is outside the polytope")
         return 2
-    seed = int(os.environ.get(_SEED_ENV, "0"))
     lam = co.lambda_vertices(p, point)
     ora = orc.dd_vertices(p, point)
     agree = orc.vertices_agree(ora.vertices, lam.vertex_arrays())

@@ -22,6 +22,7 @@ from .errors import (
     InfeasibleError,
     NotAnIntervalError,
     NotMemberError,
+    SingularMatrixError,
     SingularPatternError,
     UnboundedDirectionError,
 )
@@ -194,6 +195,12 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     sorts them lexicographically.  A nonsingular pattern's support columns
     are affinely independent, so every feasible solution is a vertex.  Raises
     InfeasibleError when the point is outside.
+
+    ``dim`` is |S| - 1 - dim aff{v_j : j in S}, S the union of the vertex
+    supports.  The barycentre of the vertex list is positive exactly on S,
+    so it lies in the relative interior of the coordinate polytope, which
+    therefore has the dimension of the slice {lam in R^S : V_S·lam = p,
+    sum(lam) = 1}: |S| - rank [V_S; 1].
     """
     pt = linalg.vec(point)
     found = {}
@@ -205,11 +212,13 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     ordered = sorted(found)
     vertices = tuple(BarycentricVector(lam=v, point=pt) for v in ordered)
     supports = tuple(found[v] for v in ordered)
+    support = frozenset().union(*supports)
+    used = [v for j, v in enumerate(p.vertices, 1) if j in support]
     return LambdaPolytope(
         point=pt,
         vertices=vertices,
         vertex_supports=supports,
-        dim=linalg.affine_dim(ordered),
+        dim=len(support) - 1 - linalg.affine_dim(used),
         theorem_count_match=(len(ordered) == p.n - p.d),
     )
 
@@ -218,24 +227,21 @@ def gamma_polytope(p: Polytope, point, tau: BarycentricVector, nbasis_rows,
                    lam: LambdaPolytope) -> GammaPolytope:
     """Reduced polytope of ``lam`` in the kernel coordinates of ``nbasis_rows``.
 
-    Each vertex c solves N·c = lam_vertex - tau exactly (via rational normal
-    equations, N has full column rank).  Raises InconsistentInputsError when
-    some difference is outside the column span of N.
+    One exact elimination of [N | v_1 - tau | … | v_m - tau] solves every
+    N·c = v_j - tau at once: c is read off the first k rows of column k + j.
+    Raises SingularMatrixError when N lacks full column rank and
+    InconsistentInputsError when some difference is outside its column span.
     """
-    pt = linalg.vec(point)
     k = p.kernel_dim()
     rows = linalg.mat(nbasis_rows)
-    nt = linalg.transpose(rows) if k else []
-    gram = linalg.mat_mul(nt, rows) if k else []
+    diffs = [[a - b for a, b in zip(v.lam, tau.lam)] for v in lam.vertices]
+    red, pivots = linalg.rref([row + [diff[i] for diff in diffs]
+                               for i, row in enumerate(rows)])
+    if pivots[:k] != list(range(k)):
+        raise SingularMatrixError("kernel basis lacks full column rank")
     gvertices = []
-    for v in lam.vertices:
-        diff = [a - b for a, b in zip(v.lam, tau.lam)]
-        if k == 0:
-            if any(x != 0 for x in diff):
-                raise InconsistentInputsError("tau does not match the vertex list")
-            gvertices.append(())
-            continue
-        c = linalg.solve_linear(gram, linalg.mat_vec(nt, diff))
+    for j, diff in enumerate(diffs):
+        c = [row[k + j] for row in red[:k]]
         if linalg.mat_vec(rows, c) != diff:
             raise InconsistentInputsError(
                 "vertex - tau is not in the column span of the kernel basis")

@@ -3,8 +3,9 @@
 All combinatorial computations in this package run over ``fractions.Fraction``
 (arbitrary-precision rationals); floating point only appears in the probe
 layer.  Matrices are plain lists of row lists, vectors plain sequences.
-Elimination uses partial pivoting on absolute value with lowest-row-index tie
-breaking, so every function is deterministic.  ``bareiss`` is the integer
+``rref`` is the one Fraction elimination: rank, kernel basis and every solve
+read their result off the reduced row-echelon form, which is unique, so the
+choice of pivot row changes no output.  ``bareiss`` is the integer
 (fraction-free) kernel for systems scaled to integers by ``integer_rows``.
 """
 
@@ -50,39 +51,35 @@ def mat_mul(a: Mat, b: Mat) -> list:
     return [[dot(row, col) for col in bt] for row in a]
 
 
-def _pivot_row(rows, col, start):
-    """Largest |entry| in ``col`` at or below ``start``; lowest index on ties."""
-    best, best_val = -1, Fraction(0)
-    for i in range(start, len(rows)):
-        v = abs(rows[i][col])
-        if v > best_val:
-            best, best_val = i, v
-    return best if best_val != 0 else -1
+def pivot(rows, r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row r to a 1 in column c, then
+    clear column c from every other row.  rows[r][c] must be nonzero."""
+    inv = 1 / rows[r][c]
+    piv = rows[r] = [x * inv for x in rows[r]]
+    for k, row in enumerate(rows):
+        f = row[c]
+        if f and k != r:
+            rows[k] = [x - f * y for x, y in zip(row, piv)]
 
 
-def _rref(a: Mat):
-    """Reduced row-echelon form. Returns (rref rows, pivot column list)."""
+def rref(a: Mat) -> tuple:
+    """Reduced row-echelon form. Returns (rref rows, pivot column list).
+
+    Each column pivots on its first nonzero entry at or below the next
+    pivot row.
+    """
     rows = [list(r) for r in a]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
     pivots = []
-    r = 0
-    for c in range(ncols):
-        if r >= len(rows):
-            break
-        i = _pivot_row(rows, c, r)
-        if i < 0:
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for k in range(len(rows)):
-            if k != r and rows[k][c] != 0:
-                f = rows[k][c]
-                rows[k] = [x - f * y for x, y in zip(rows[k], rows[r])]
+        pivot(rows, r, c)
         pivots.append(c)
-        r += 1
+        if r + 1 == len(rows):
+            break
     return rows, pivots
 
 
@@ -90,7 +87,7 @@ def rank(a: Mat) -> int:
     """Exact rank via rational elimination."""
     if not a or not a[0]:
         return 0
-    _, pivots = _rref(a)
+    _, pivots = rref(a)
     return len(pivots)
 
 
@@ -102,19 +99,10 @@ def solve_linear(a: Mat, b: Vec) -> list:
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise SingularMatrixError("solve_linear expects a square system")
-    aug = [list(row) + [bb] for row, bb in zip(a, b)]
-    for c in range(n):
-        i = _pivot_row(aug, c, c)
-        if i < 0:
-            raise SingularMatrixError(f"matrix is singular (rank < {n})")
-        aug[c], aug[i] = aug[i], aug[c]
-        inv = 1 / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for k in range(n):
-            if k != c and aug[k][c] != 0:
-                f = aug[k][c]
-                aug[k] = [x - f * y for x, y in zip(aug[k], aug[c])]
-    return [row[n] for row in aug]
+    rows, pivots = rref([list(row) + [bb] for row, bb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError(f"matrix is singular (rank < {n})")
+    return [row[n] for row in rows]
 
 
 def integer_rows(a: Mat) -> tuple:
@@ -166,14 +154,14 @@ def nullspace_basis(a: Mat) -> list:
     if not a:
         return []
     ncols = len(a[0])
-    rref, pivots = _rref(a)
+    red, pivots = rref(a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
+            v[c] = -red[r][f]
         basis.append(v)
     return basis
 

@@ -47,12 +47,11 @@ def _bounding_rows(nbasis_rows, k):
     """
     nt = linalg.transpose(nbasis_rows)
     gram = linalg.mat_mul(nt, nbasis_rows)
-    bounds = []
-    for j in range(k):
-        e = [_ONE if i == j else _ZERO for i in range(k)]
-        col = linalg.solve_linear(gram, e)
-        pinv_row = linalg.mat_vec(nbasis_rows, col)  # j-th row of (N^T N)^-1 N^T
-        bounds.append(sum((abs(x) for x in pinv_row), _ZERO) + 1)
+    # the RREF of [N^T N | N^T] is [I | (N^T N)^-1 N^T]
+    red, pivots = linalg.rref([g + row for g, row in zip(gram, nt)])
+    if pivots[:k] != list(range(k)):
+        raise SingularMatrixError("kernel basis lacks full column rank")
+    bounds = [sum((abs(x) for x in row[k:]), _ZERO) + 1 for row in red]
     rows = []
     for j in range(k):
         plus = tuple(_ONE if i == j else _ZERO for i in range(k))

@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import linalg
-from .coordinates import lambda_vertices, simplicial_coords
+from .coordinates import _pattern_system, lambda_vertices, simplicial_coords
 from .errors import (
     DimensionMismatchError,
     InfeasibleSelectionError,
@@ -237,10 +237,7 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
 
 def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
     """Exact n x d Jacobian of the simplicial-coordinate map for ``zero_set``."""
-    zero0 = sorted(j - 1 for j in zero_set)
-    keep = [j for j in range(p.n) if j not in set(zero0)]
-    if len(keep) != p.d + 1:
-        raise ValueError(f"zero set must have size n-d-1 = {p.kernel_dim()}")
+    keep = _pattern_system(p, zero_set)
     # column l solves [1 … 1; L·V_keep]·x = [0; L·e_l], the integer scaling
     # of [1 … 1; V_keep]·x = [0; e_l]
     scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])

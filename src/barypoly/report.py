@@ -1,8 +1,8 @@
 """Lossless analysis report: exact values serialize as 'p/q' strings.
 
-Re-parsing a serialized report reproduces the original exactly; floats (the
-timing field and probe data elsewhere) are written with 17 significant
-digits, which round-trips IEEE doubles.
+Re-parsing a serialized report reproduces the original exactly; floats
+(probe data elsewhere) are written with 17 significant digits, which
+round-trips IEEE doubles.
 """
 
 import json
@@ -43,7 +43,6 @@ class AnalysisReport:
     gamma_vertices: tuple
     dim: int
     theorem_count_match: bool
-    timing: float
 
     def to_dict(self) -> dict:
         return {
@@ -66,7 +65,6 @@ class AnalysisReport:
             "gamma_vertices": [_rvec(v) for v in self.gamma_vertices],
             "dim": self.dim,
             "theorem_count_match": self.theorem_count_match,
-            "timing": format_float(self.timing),
         }
 
     def to_json(self) -> str:
@@ -94,7 +92,6 @@ class AnalysisReport:
                 gamma_vertices=tuple(_parse_rvec(v) for v in doc["gamma_vertices"]),
                 dim=doc["dim"],
                 theorem_count_match=doc["theorem_count_match"],
-                timing=float(doc["timing"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad report document: {exc}") from exc

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError
-from .linalg import dot
+from .linalg import dot, pivot
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -42,14 +42,7 @@ class _Tableau:
         self.ncols = n + m
 
     def _pivot(self, r, j):
-        rows = self.rows
-        inv = 1 / rows[r][j]
-        rows[r] = [x * inv for x in rows[r]]
-        piv_row = rows[r]
-        for k in range(len(rows)):
-            if k != r and rows[k][j] != 0:
-                f = rows[k][j]
-                rows[k] = [x - f * y for x, y in zip(rows[k], piv_row)]
+        pivot(self.rows, r, j)
         self.basis[r] = j
 
     def _reduced_costs(self, c):

@@ -180,6 +180,27 @@ def test_sweep_requires_h(square_file, capsys):
     assert json.loads(out)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("options", [
+    ["--mode", "census", "--t0", "abc"],
+    ["--mode", "continuity", "--h", "1/64,0", "--t0", "0"],
+    ["--mode", "continuity", "--h", "1/64,0", "--steps", "2"],
+])
+def test_sweep_bad_options(square_file, capsys, options):
+    code, out = run(capsys, "sweep", square_file, "--grid", "2", *options)
+    assert code == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
+@pytest.mark.parametrize("row", [["a", "1/2"], [True, "1/2"], [None, "1/2"]])
+def test_sweep_bad_point_coordinate(square_file, tmp_path, capsys, row):
+    pf = tmp_path / "pts.json"
+    pf.write_text(json.dumps([row]))
+    code, out = run(capsys, "sweep", square_file, "--mode", "census",
+                    "--points", str(pf))
+    assert code == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
 def test_sweep_grid_xor_points(square_file, capsys):
     code, out = run(capsys, "sweep", square_file, "--mode", "census")
     assert code == 1
@@ -196,6 +217,13 @@ def test_oracle_check_agreement(square_file, capsys, monkeypatch):
     assert doc["lambda_vertices"] == doc["oracle_vertices"]
 
 
+def test_oracle_check_bad_seed(square_file, capsys, monkeypatch):
+    monkeypatch.setenv("BARYPOLY_SEED", "x")
+    code, out = run(capsys, "oracle-check", square_file, "--point", "1/2,1/2")
+    assert code == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
 def test_oracle_check_outside(square_file, capsys):
     code, out = run(capsys, "oracle-check", square_file, "--point", "9,9")
     assert code == 2
@@ -210,3 +238,12 @@ def test_cli_determinism_and_workers(square_file):
     r3 = subprocess.run(cmd + ["--workers", "3"], capture_output=True, env=env)
     assert r1.returncode == r2.returncode == r3.returncode == 0
     assert r1.stdout == r2.stdout == r3.stdout
+
+
+def test_analyze_stdout_is_deterministic(square_file):
+    cmd = [sys.executable, "-m", "barypoly", "analyze", square_file,
+           "--point", "1/3,1/2"]
+    r1 = subprocess.run(cmd, capture_output=True)
+    r2 = subprocess.run(cmd, capture_output=True)
+    assert r1.returncode == r2.returncode == 0
+    assert r1.stdout == r2.stdout

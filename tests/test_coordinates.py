@@ -21,6 +21,7 @@ from barypoly.errors import (
     InfeasibleError,
     NotAnIntervalError,
     NotMemberError,
+    SingularMatrixError,
     SingularPatternError,
     UnboundedDirectionError,
 )
@@ -255,6 +256,16 @@ def test_gamma_simplex(triangle):
     lam = lambda_vertices(triangle, q)
     gam = gamma_polytope(triangle, q, tau, nullbasis(triangle), lam)
     assert gam.vertices == ((),)
+
+
+def test_gamma_rank_deficient_basis(pentagon):
+    q = (F(0), F(0))
+    tau = feasible_tau(pentagon, q)
+    lam = lambda_vertices(pentagon, q)
+    # both columns equal: N has rank 1 < n-d-1 = 2
+    bad_nb = [[row[0], row[0]] for row in nullbasis(pentagon)]
+    with pytest.raises(SingularMatrixError):
+        gamma_polytope(pentagon, q, tau, bad_nb, lam)
 
 
 def test_gamma_inconsistent_inputs(square):

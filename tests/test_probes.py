@@ -151,6 +151,15 @@ def test_selection_jacobian_singular(prism8):
         selection_jacobian(prism8, {5, 6, 7, 8})
 
 
+@pytest.mark.parametrize("zero_set", [{0, 1}, {1, 5}, {1, 2}, set()])
+def test_selection_jacobian_bad_zero_set(square, zero_set):
+    with pytest.raises(ValueError) as jac_err:
+        selection_jacobian(square, zero_set)
+    with pytest.raises(ValueError) as sc_err:
+        simplicial_coords(square, CENTER, zero_set)
+    assert str(jac_err.value) == str(sc_err.value)
+
+
 def test_selection_jacobian_kernel_consistency(square, pentagon, pyramid, prism8):
     rng = random.Random(3)
     from itertools import combinations

@@ -3,7 +3,9 @@
 ``lambda_vertices`` scans zero patterns with fraction-free integer
 elimination; ``helpers.brute_force_vertices`` solves every pattern with
 Fraction Gauss-Jordan.  Both must give the same vertex set at interior,
-boundary and large-bit-size points of random polytopes.
+boundary and large-bit-size points of random polytopes.  At the same points
+``dim`` must equal the affine dimension of the vertex list, and every Gamma
+vertex c must map back to its Lambda vertex as tau + N·c.
 """
 
 from fractions import Fraction
@@ -13,7 +15,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from barypoly.coordinates import _feasible_patterns, lambda_vertices, simplicial_coords
+from barypoly import linalg
+from barypoly.coordinates import (
+    _feasible_patterns,
+    feasible_tau,
+    gamma_polytope,
+    lambda_vertices,
+    nullbasis,
+    simplicial_coords,
+)
 from barypoly.errors import SingularPatternError
 from barypoly.fixtures import get_fixture
 from barypoly.oracle import random_polytope
@@ -47,6 +57,11 @@ def _check_against_brute_force(p, q):
     assert [v.lam for v in lam.vertices] == brute
     assert lam.vertex_supports == tuple(
         frozenset(j + 1 for j, x in enumerate(v) if x != 0) for v in brute)
+    assert lam.dim == linalg.affine_dim(lam.vertex_arrays())
+    tau, nb = feasible_tau(p, q), nullbasis(p)
+    gam = gamma_polytope(p, q, tau, nb, lam)
+    assert [tuple(t + linalg.dot(row, c) for t, row in zip(tau.lam, nb))
+            for c in gam.vertices] == brute
     return lam
 
 
