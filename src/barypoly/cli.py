@@ -30,6 +30,12 @@ _SEED_ENV = "BARYPOLY_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # "--point -1/2,0": argparse reads a token as a value, not a flag, when
+        # this matches; its default accepts only plain numbers like -1 or -.5
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     def error(self, message):
         _emit_error("ParseError", message)
         raise SystemExit(1)
@@ -55,7 +61,7 @@ def _analysis_report(p: Polytope, point) -> tuple:
     tau = co.feasible_tau(p, point)
     nb = co.nullbasis(p)
     lam = co.lambda_vertices(p, point)
-    gam = co.gamma_polytope(p, point, tau, nb, lam)
+    gam = co.gamma_polytope(p, tau, nb, lam)
     entries = []
     for v, supp in zip(lam.vertices, lam.vertex_supports):
         support = tuple(sorted(supp))
@@ -184,6 +190,10 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
     p = load_polytope(path)
     if (grid is None) == (points_file is None):
         raise ParseError("exactly one of --grid or --points is required")
+    if grid is not None and grid < 1:
+        raise ParseError(f"--grid must be >= 1, got {grid}")
+    if workers < 1:
+        raise ParseError(f"--workers must be >= 1, got {workers}")
     pts = _grid_points(p, grid) if grid is not None else _load_points(points_file, p.d)
     try:
         t0_frac = fr(t0)
@@ -227,6 +237,8 @@ def run_examples(name) -> int:
 
 
 def run_oracle_check(path, point_text, samples) -> int:
+    if samples < 0:
+        raise ParseError(f"--samples must be >= 0, got {samples}")
     p = load_polytope(path)
     point = _parse_rationals(point_text)
     if len(point) != p.d:
@@ -236,15 +248,11 @@ def run_oracle_check(path, point_text, samples) -> int:
         seed = int(seed_text)
     except ValueError as exc:
         raise ParseError(f"{_SEED_ENV} must be an integer, got {seed_text!r}") from exc
-    loc = locate(p, point)
-    if loc.tag == Location.OUTSIDE:
-        _emit_error("Infeasible", "point is outside the polytope")
-        return 2
     lam = co.lambda_vertices(p, point)
     ora = orc.dd_vertices(p, point)
     agree = orc.vertices_agree(ora.vertices, lam.vertex_arrays())
     samples_ok = True
-    for s in orc.random_feasible_sample(p, point, samples, seed):
+    for s in orc.random_feasible_sample(ora.vertices, point, samples, seed):
         feas = (all(x >= 0 for x in s.lam)
                 and convex_membership(list(ora.vertices), s.lam) is not None)
         samples_ok = samples_ok and feas

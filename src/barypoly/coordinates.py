@@ -223,7 +223,7 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     )
 
 
-def gamma_polytope(p: Polytope, point, tau: BarycentricVector, nbasis_rows,
+def gamma_polytope(p: Polytope, tau: BarycentricVector, nbasis_rows,
                    lam: LambdaPolytope) -> GammaPolytope:
     """Reduced polytope of ``lam`` in the kernel coordinates of ``nbasis_rows``.
 

@@ -178,12 +178,12 @@ def vertices_agree(a, b) -> bool:
     return set(a) == set(b)
 
 
-def random_feasible_sample(p: Polytope, point, count: int, seed: int) -> list:
-    """Deterministic random convex combinations of the oracle's vertex list.
+def random_feasible_sample(verts, point, count: int, seed: int) -> list:
+    """Deterministic random convex combinations of the vertex list ``verts``
+    of the coordinate polytope at ``point`` (e.g. ``dd_vertices(...).vertices``).
 
     Every output is exactly feasible (rational weights over exact vertices).
     """
-    verts = dd_vertices(p, point).vertices
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -192,9 +192,8 @@ def random_feasible_sample(p: Polytope, point, count: int, seed: int) -> list:
             raw[0] = 1
         total = Fraction(sum(raw))
         weights = [Fraction(r) / total for r in raw]
-        lam = tuple(
-            sum((w * v[i] for w, v in zip(weights, verts)), _ZERO)
-            for i in range(p.n))
+        lam = tuple(sum((w * x for w, x in zip(weights, col)), _ZERO)
+                    for col in zip(*verts))
         out.append(BarycentricVector(lam=lam, point=linalg.vec(point)))
     return out
 

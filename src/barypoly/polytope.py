@@ -23,7 +23,7 @@ from .errors import (
     RankDeficientError,
     TooFewVerticesError,
 )
-from .simplex import convex_membership, feasible_point, solve_lp
+from .simplex import convex_membership, feasible_point
 
 _ONE = Fraction(1)
 
@@ -102,35 +102,34 @@ def validate(v_rows: Sequence[Sequence], d: int, labels=None) -> Polytope:
 def locate(p: Polytope, point: Sequence) -> PointLocation:
     """Classify ``point`` as Interior / Boundary / Outside with a certificate.
 
-    Outside comes with an exact separating functional from the Farkas dual of
-    the feasibility system; otherwise the exact LP max s s.t. V·lam = p,
-    sum(lam) = 1, lam >= s decides Interior (s* > 0) vs Boundary (s* = 0).
+    The point is interior iff some lam > 0 has V·lam = p and sum(lam) = 1.
+    Such a lam exists iff mu >= 0 solves (V - p·1^T)·mu = n·p - V·1: then
+    lam = (mu + 1) / (sum(mu) + n), and conversely mu = lam / min(lam) - 1.
+    One phase one on these d rows decides Interior, and its lam is the
+    strictly positive ``barycentric``.  Otherwise phase one on [V; 1^T]
+    gives either a basic feasible lam (Boundary) or the Farkas dual of that
+    system as an exact separating functional (Outside).
     """
     pt = linalg.vec(point)
     if len(pt) != p.d:
         raise DimensionMismatchError(f"point has length {len(pt)}, expected {p.d}")
     stacked = p.stacked_rows()
-    rhs = list(pt) + [_ONE]
-    feas = feasible_point(stacked, rhs)
-    if feas.status == "infeasible":
-        y = feas.farkas
-        a, b = tuple(y[: p.d]), -y[p.d]
-        if not (all(linalg.dot(a, v) <= b for v in p.vertices)
-                and linalg.dot(a, pt) > b):
-            raise InternalError("Farkas certificate does not separate the point")
-        return PointLocation(Location.OUTSIDE, separator=(a, b))
-    # max s via variables (mu_1..mu_n, s+, s-), lam = mu + s·1
-    col_sums = [sum(row, Fraction(0)) for row in stacked]
-    a_rows = [list(row) + [col_sums[i], -col_sums[i]]
-              for i, row in enumerate(stacked)]
-    c = [Fraction(0)] * p.n + [Fraction(-1), Fraction(1)]
-    res = solve_lp(a_rows, rhs, c)
-    if res.status != "optimal":
-        raise InternalError(f"max-slack LP of a feasible point is {res.status}")
-    s_star = res.x[p.n] - res.x[p.n + 1]
-    lam = tuple(res.x[j] + s_star for j in range(p.n))
-    tag = Location.INTERIOR if s_star > 0 else Location.BOUNDARY
-    return PointLocation(tag, barycentric=lam)
+    coords = list(zip(stacked[: p.d], pt))
+    inner = feasible_point([[x - c for x in row] for row, c in coords],
+                           [p.n * c - sum(row, Fraction(0)) for row, c in coords])
+    if inner.status == "optimal":
+        total = sum(inner.x, Fraction(p.n))
+        lam = tuple((mu + 1) / total for mu in inner.x)
+        return PointLocation(Location.INTERIOR, barycentric=lam)
+    feas = feasible_point(stacked, list(pt) + [_ONE])
+    if feas.status == "optimal":
+        return PointLocation(Location.BOUNDARY, barycentric=tuple(feas.x))
+    y = feas.farkas
+    a, b = tuple(y[: p.d]), -y[p.d]
+    if not (all(linalg.dot(a, v) <= b for v in p.vertices)
+            and linalg.dot(a, pt) > b):
+        raise InternalError("Farkas certificate does not separate the point")
+    return PointLocation(Location.OUTSIDE, separator=(a, b))
 
 
 def parse_polytope(doc) -> Polytope:

@@ -183,13 +183,14 @@ def _probe_samples(p: Polytope, point, h, t0, steps):
     t0 = Fraction(t0)
     if t0 <= 0 or steps < 3:
         raise ValueError("need t0 > 0 and steps >= 3")
-    if locate(p, pt).tag == Location.OUTSIDE:
+    tag = locate(p, pt).tag
+    if tag == Location.OUTSIDE:
         raise LeavesPolytopeError("basepoint is outside the polytope")
     far = tuple(a + t0 * b for a, b in zip(pt, hv))
     if locate(p, far).tag == Location.OUTSIDE:
         raise LeavesPolytopeError("p + t0*h leaves the polytope")
     ts = [t0 / (1 << k) for k in range(steps)]
-    return pt, hv, ts
+    return pt, hv, ts, tag
 
 
 def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
@@ -207,7 +208,7 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     is Converges only when the final distance is below ``tolerance`` and the
     tail is nonincreasing.
     """
-    pt, hv, ts = _probe_samples(p, point, h, t0, steps)
+    pt, hv, ts, _ = _probe_samples(p, point, h, t0, steps)
     base = FloatPolytope.from_exact(lambda_vertices(p, pt).vertex_arrays())
     steps_out = []
     all_met = True
@@ -278,8 +279,8 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     settle, which is not implied (they grow without bound whenever the
     coordinate polytope at p is not the single point sigma_Z(p)).
     """
-    pt, hv, ts = _probe_samples(p, point, h, t0, steps)
-    if locate(p, pt).tag != Location.INTERIOR:
+    pt, hv, ts, tag = _probe_samples(p, point, h, t0, steps)
+    if tag != Location.INTERIOR:
         raise LeavesPolytopeError("basepoint must be interior")
     sel = simplicial_coords(p, pt, zero_set)
     if not sel.feasible:

@@ -1,17 +1,19 @@
-"""Exact two-phase simplex over rationals with Bland's anti-cycling rule.
+"""Exact phase-one simplex over rationals with Bland's anti-cycling rule.
 
-Solves min c·x subject to A x = b, x >= 0 in exact Fraction arithmetic.
-Entering variable: lowest index with negative reduced cost.  Leaving
-variable: minimum ratio, ties broken by lowest basic-variable index.
-Both rules are index-based, so results are deterministic and cycling is
-impossible.  Infeasibility comes with an exact Farkas certificate.
+Decides feasibility of A x = b, x >= 0 in exact Fraction arithmetic by
+minimizing the sum of artificial variables.  A feasible system yields a
+basic feasible solution; an infeasible one yields an exact Farkas
+certificate y with y·A_j <= 0 for every column j and y·b > 0.  Entering
+variable: lowest index with negative reduced cost.  Leaving variable:
+minimum ratio, ties broken by lowest basic-variable index.  Both rules are
+index-based, so results are deterministic and cycling is impossible.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError
-from .linalg import dot, pivot
+from .linalg import pivot
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -19,9 +21,8 @@ _ONE = Fraction(1)
 
 @dataclass
 class LPResult:
-    status: str                 # "optimal" | "infeasible" | "unbounded"
+    status: str                 # "optimal" | "infeasible"
     x: list | None = None
-    objective: Fraction | None = None
     farkas: list | None = None  # y with y·A_j <= 0 for all j and y·b > 0
 
 
@@ -58,13 +59,13 @@ class _Tableau:
         obj = sum((cb[i] * row[-1] for i, row in enumerate(self.rows)), _ZERO)
         return cbar, obj
 
-    def _bland(self, c, allowed):
+    def _bland(self, c):
         """Run Bland-rule simplex for costs c; returns final status."""
         while True:
             cbar, _ = self._reduced_costs(c)
             enter = -1
             for j in range(self.ncols):
-                if allowed[j] and j not in self.basis and cbar[j] < 0:
+                if j not in self.basis and cbar[j] < 0:
                     enter = j
                     break
             if enter < 0:
@@ -92,8 +93,7 @@ def _phase_one(tab: _Tableau):
     """Minimize the artificial sum.  Returns (feasible, farkas_or_none)."""
     n, m = tab.n_orig, len(tab.rows)
     c = [_ZERO] * n + [_ONE] * m
-    allowed = [True] * tab.ncols
-    status = tab._bland(c, allowed)
+    status = tab._bland(c)
     if status != "optimal":  # the artificial objective is bounded below by 0
         raise InternalError(f"phase one is {status}")
     cbar, obj = tab._reduced_costs(c)
@@ -120,22 +120,7 @@ def feasible_point(a_rows, b) -> LPResult:
     ok, farkas = _phase_one(tab)
     if not ok:
         return LPResult("infeasible", farkas=farkas)
-    return LPResult("optimal", x=tab.solution(), objective=_ZERO)
-
-
-def solve_lp(a_rows, b, c) -> LPResult:
-    """Minimize c·x subject to A x = b, x >= 0, exactly."""
-    tab = _Tableau(a_rows, b)
-    ok, farkas = _phase_one(tab)
-    if not ok:
-        return LPResult("infeasible", farkas=farkas)
-    full_c = [Fraction(ci) for ci in c] + [_ZERO] * (tab.ncols - tab.n_orig)
-    allowed = [j < tab.n_orig for j in range(tab.ncols)]
-    status = tab._bland(full_c, allowed)
-    if status == "unbounded":
-        return LPResult("unbounded")
-    x = tab.solution()
-    return LPResult("optimal", x=x, objective=dot(c, x))
+    return LPResult("optimal", x=tab.solution())
 
 
 def convex_membership(points, target) -> list | None:

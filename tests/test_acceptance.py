@@ -107,7 +107,8 @@ def test_criterion_2_pentagon_triangle(pentagon):
             assert lam.dim == 2 == pentagon.kernel_dim()
         q = qs[0]
         lam = lambda_vertices(pentagon, q)
-        for s in random_feasible_sample(pentagon, q, 10, seed=202):
+        for s in random_feasible_sample(dd_vertices(pentagon, q).vertices, q, 10,
+                                        seed=202):
             pairs = caratheodory_decompose(lam, s)
             assert len(pairs) <= 3
             assert sum(w for _, w in pairs) == 1

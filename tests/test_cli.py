@@ -227,6 +227,48 @@ def test_oracle_check_bad_seed(square_file, capsys, monkeypatch):
 def test_oracle_check_outside(square_file, capsys):
     code, out = run(capsys, "oracle-check", square_file, "--point", "9,9")
     assert code == 2
+    assert json.loads(out) == {"error": "Infeasible",
+                               "detail": "point is outside the polytope"}
+
+
+def test_oracle_check_runs_the_oracle_once(square_file, capsys, monkeypatch):
+    from barypoly import cli
+
+    calls = []
+    real = cli.orc.dd_vertices
+    monkeypatch.setattr(cli.orc, "dd_vertices",
+                        lambda p, q: calls.append(q) or real(p, q))
+    code, _ = run(capsys, "oracle-check", square_file, "--point", "1/3,1/2")
+    assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--point", "-1/2,0"], 2),
+    (["sweep", "--mode", "continuity", "--grid", "2", "--h", "-1/64,0"], 0),
+    (["sweep", "--mode", "census", "--grid", "2", "--t0", "-1/8"], 0),
+], ids=["point", "h", "t0"])
+def test_option_value_with_leading_minus(square_file, capsys, argv, code):
+    joined = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    spaced = run(capsys, argv[0], square_file, *argv[1:])
+    assert spaced == run(capsys, joined[0], square_file, *joined[1:])
+    assert spaced[0] == code
+    if argv[0] == "analyze":
+        assert json.loads(spaced[1])["error"] == "Outside"
+    else:
+        assert spaced[1].count("\n") == 5  # header and 4 grid rows
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle-check", "--point", "1/2,1/2", "--samples", "-3"],
+    ["sweep", "--mode", "census", "--grid", "-2"],
+    ["sweep", "--mode", "census", "--grid", "0"],
+    ["sweep", "--mode", "census", "--grid", "2", "--workers", "-4"],
+], ids=["samples", "grid-negative", "grid-zero", "workers"])
+def test_bad_counts(square_file, capsys, argv):
+    code, out = run(capsys, argv[0], square_file, *argv[1:])
+    assert code == 1
+    assert json.loads(out)["error"] == "ParseError"
 
 
 def test_cli_determinism_and_workers(square_file):

@@ -25,7 +25,7 @@ from barypoly.errors import (
     SingularPatternError,
     UnboundedDirectionError,
 )
-from barypoly.oracle import random_feasible_sample, random_polytope
+from barypoly.oracle import dd_vertices, random_feasible_sample, random_polytope
 from barypoly.polytope import validate
 from barypoly.simplex import convex_membership
 from helpers import brute_force_vertices, interior_point, pentagon_edge_region_point
@@ -203,7 +203,7 @@ def test_lambda_vertices_random_properties():
             if sc.feasible:
                 assert sc.sigma in verts
         # random feasible samples stay inside the hull of the vertex list
-        for s in random_feasible_sample(p, q, 3, seed=seed):
+        for s in random_feasible_sample(dd_vertices(p, q).vertices, q, 3, seed=seed):
             assert convex_membership(sorted(verts), s.lam) is not None
 
 
@@ -236,7 +236,7 @@ def test_gamma_square(square):
     tau = feasible_tau(square, CENTER)
     nb = nullbasis(square)
     lam = lambda_vertices(square, CENTER)
-    gam = gamma_polytope(square, CENTER, tau, nb, lam)
+    gam = gamma_polytope(square, tau, nb, lam)
     assert len(gam.vertices) == 2
     assert all(len(c) == 1 for c in gam.vertices)
     assert (F(0),) in gam.vertices
@@ -254,7 +254,7 @@ def test_gamma_simplex(triangle):
     q = (F(1, 3), F(1, 3))
     tau = feasible_tau(triangle, q)
     lam = lambda_vertices(triangle, q)
-    gam = gamma_polytope(triangle, q, tau, nullbasis(triangle), lam)
+    gam = gamma_polytope(triangle, tau, nullbasis(triangle), lam)
     assert gam.vertices == ((),)
 
 
@@ -265,7 +265,7 @@ def test_gamma_rank_deficient_basis(pentagon):
     # both columns equal: N has rank 1 < n-d-1 = 2
     bad_nb = [[row[0], row[0]] for row in nullbasis(pentagon)]
     with pytest.raises(SingularMatrixError):
-        gamma_polytope(pentagon, q, tau, bad_nb, lam)
+        gamma_polytope(pentagon, tau, bad_nb, lam)
 
 
 def test_gamma_inconsistent_inputs(square):
@@ -274,7 +274,7 @@ def test_gamma_inconsistent_inputs(square):
     # a kernel basis of a different polytope spans the wrong directions
     bad_nb = [[F(1)], [F(0)], [F(0)], [F(-1)]]
     with pytest.raises(InconsistentInputsError):
-        gamma_polytope(square, CENTER, tau_wrong, bad_nb, lam)
+        gamma_polytope(square, tau_wrong, bad_nb, lam)
 
 
 def test_tau_independence_fixtures(square, pentagon, pyramid):
@@ -286,8 +286,8 @@ def test_tau_independence_fixtures(square, pentagon, pyramid):
         tau2 = BarycentricVector(lam=locate(p, q).barycentric, point=tau.point)
         nb = nullbasis(p)
         lam = lambda_vertices(p, q)
-        g1 = gamma_polytope(p, q, tau, nb, lam)
-        g2 = gamma_polytope(p, q, tau2, nb, lam)
+        g1 = gamma_polytope(p, tau, nb, lam)
+        g2 = gamma_polytope(p, tau2, nb, lam)
         if tau.lam == tau2.lam:
             continue
         # reduced vertex sets are translates by the unique c' with N c' = tau - tau2
@@ -360,7 +360,8 @@ def test_caratheodory_pentagon_samples(pentagon):
     q = pentagon_edge_region_point(pentagon, 1, rng)
     lam = lambda_vertices(pentagon, q)
     assert len(lam.vertices) == 3
-    for s in random_feasible_sample(pentagon, q, 10, seed=9):
+    for s in random_feasible_sample(dd_vertices(pentagon, q).vertices, q, 10,
+                                    seed=9):
         pairs = caratheodory_decompose(lam, s)
         assert len(pairs) <= 3
         assert sum(w for _, w in pairs) == 1

@@ -107,30 +107,31 @@ def test_dd_random_agreement():
 
 
 def test_random_feasible_sample_deterministic(square):
-    a = random_feasible_sample(square, CENTER, 5, seed=4)
-    b = random_feasible_sample(square, CENTER, 5, seed=4)
+    verts = dd_vertices(square, CENTER).vertices
+    a = random_feasible_sample(verts, CENTER, 5, seed=4)
+    b = random_feasible_sample(verts, CENTER, 5, seed=4)
     assert [s.lam for s in a] == [s.lam for s in b]
-    c = random_feasible_sample(square, CENTER, 5, seed=5)
+    c = random_feasible_sample(verts, CENTER, 5, seed=5)
     assert [s.lam for s in a] != [s.lam for s in c]
 
 
 def test_random_feasible_sample_exact(square):
-    samples = random_feasible_sample(square, CENTER, 10, seed=0)
-    assert len(samples) == 10
     verts = dd_vertices(square, CENTER).vertices
+    samples = random_feasible_sample(verts, CENTER, 10, seed=0)
+    assert len(samples) == 10
     for s in samples:
         assert sum(s.lam) == 1 and all(x >= 0 for x in s.lam)
         for l in range(2):
             assert sum(w * v[l] for w, v in zip(s.lam, square.vertices)) \
                 == CENTER[l]
         assert convex_membership(list(verts), s.lam) is not None
-    assert random_feasible_sample(square, CENTER, 0, seed=1) == []
+    assert random_feasible_sample(verts, CENTER, 0, seed=1) == []
 
 
 def test_random_feasible_sample_simplex_constant():
     tri = validate([[F(0), F(1), F(0)], [F(0), F(0), F(1)]], 2)
     q = (F(1, 3), F(1, 6))
-    samples = random_feasible_sample(tri, q, 4, seed=2)
+    samples = random_feasible_sample(dd_vertices(tri, q).vertices, q, 4, seed=2)
     assert len({s.lam for s in samples}) == 1
 
 

@@ -165,3 +165,20 @@ def test_load_malformed_json(tmp_path):
     f.write_text("{not json")
     with pytest.raises(ParseError):
         load_polytope(f)
+
+
+def test_locate_interior_is_one_feasibility_solve(monkeypatch):
+    from barypoly import polytope, simplex
+
+    p = random_polytope(3, 8, seed=5)
+    systems, tableaus = [], []
+    real_feasible, real_phase_one = polytope.feasible_point, simplex._phase_one
+    monkeypatch.setattr(polytope, "feasible_point",
+                        lambda a, b: systems.append(a) or real_feasible(a, b))
+    monkeypatch.setattr(simplex, "_phase_one",
+                        lambda tab: tableaus.append(tab) or real_phase_one(tab))
+    loc = locate(p, p.centroid())
+    assert loc.tag is Location.INTERIOR
+    # one phase one on the d-row homogenised system, no other LP
+    assert len(systems) == len(tableaus) == 1
+    assert len(systems[0]) == p.d

@@ -249,3 +249,19 @@ def test_semidiff_infeasible_selection(square):
 def test_semidiff_leaves_polytope(square):
     with pytest.raises(LeavesPolytopeError):
         semidiff_probe(square, CENTER, {4}, (F(100), F(0)), t0=F(1), steps=4)
+
+
+def test_semidiff_locates_each_point_once(square, monkeypatch):
+    from barypoly import probes
+
+    located = []
+    real = probes.locate
+    monkeypatch.setattr(probes, "locate",
+                        lambda p, q: located.append(q) or real(p, q))
+    semidiff_probe(square, CENTER, {4}, (F(1), F(0)), t0=F(1, 16), steps=3)
+    assert located == [CENTER, (F(9, 16), F(1, 2))]  # basepoint, p + t0*h
+    located.clear()
+    with pytest.raises(LeavesPolytopeError, match="basepoint must be interior"):
+        semidiff_probe(square, (F(1, 2), F(0)), {4}, (F(0), F(1)),
+                       t0=F(1, 16), steps=3)
+    assert len(located) == 2

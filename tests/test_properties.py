@@ -5,7 +5,9 @@ elimination; ``helpers.brute_force_vertices`` solves every pattern with
 Fraction Gauss-Jordan.  Both must give the same vertex set at interior,
 boundary and large-bit-size points of random polytopes.  At the same points
 ``dim`` must equal the affine dimension of the vertex list, and every Gamma
-vertex c must map back to its Lambda vertex as tau + N·c.
+vertex c must map back to its Lambda vertex as tau + N·c.  ``locate``, which
+decides by feasibility alone, must agree with the supports of those vertex
+lists.
 """
 
 from fractions import Fraction
@@ -24,7 +26,7 @@ from barypoly.coordinates import (
     nullbasis,
     simplicial_coords,
 )
-from barypoly.errors import SingularPatternError
+from barypoly.errors import InfeasibleError, SingularPatternError
 from barypoly.fixtures import get_fixture
 from barypoly.oracle import random_polytope
 from barypoly.polytope import Location, locate, validate
@@ -59,7 +61,7 @@ def _check_against_brute_force(p, q):
         frozenset(j + 1 for j, x in enumerate(v) if x != 0) for v in brute)
     assert lam.dim == linalg.affine_dim(lam.vertex_arrays())
     tau, nb = feasible_tau(p, q), nullbasis(p)
-    gam = gamma_polytope(p, q, tau, nb, lam)
+    gam = gamma_polytope(p, tau, nb, lam)
     assert [tuple(t + linalg.dot(row, c) for t, row in zip(tau.lam, nb))
             for c in gam.vertices] == brute
     return lam
@@ -130,3 +132,37 @@ def test_duplicate_patterns_are_deduplicated(name, point, patterns, vertices):
     assert len(lam.vertices) == vertices
     assert ([v.lam for v in lam.vertices] == sorted({s for _, s in found})
             == sorted(brute_force_vertices(p, point)))
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_locate_agrees_with_vertex_supports(p, data):
+    kind = data.draw(st.sampled_from(["interior", "vertex", "midpoint", "outside"]))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    if kind == "interior":
+        weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+        q = _combination(p.vertices, weights)
+    elif kind == "vertex":
+        q = p.vertices[i]
+    elif kind == "midpoint":
+        q = tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j]))
+    else:  # pushed out past vertex i, away from the centroid
+        t = F(data.draw(st.integers(1, 64)), 64)
+        q = tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
+    loc = locate(p, q)
+    try:
+        lam = lambda_vertices(p, q)
+    except InfeasibleError:
+        assert loc.tag is Location.OUTSIDE
+        a, b = loc.separator
+        assert all(linalg.dot(a, v) <= b for v in p.vertices)
+        assert linalg.dot(a, q) > b
+        return
+    assert kind != "outside"
+    covered = frozenset().union(*lam.vertex_supports) == set(range(1, p.n + 1))
+    assert (loc.tag is Location.INTERIOR) == covered
+    assert loc.tag is not Location.OUTSIDE
+    x = loc.barycentric
+    assert linalg.mat_vec(p.stacked_rows(), x) == list(q) + [1]
+    assert all(xj > 0 if covered else xj >= 0 for xj in x)

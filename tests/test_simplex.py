@@ -5,8 +5,8 @@ import pytest
 
 from barypoly import simplex
 from barypoly.errors import InternalError
-from barypoly.linalg import dot, mat_vec
-from barypoly.simplex import convex_membership, feasible_point, solve_lp
+from barypoly.linalg import dot, mat_vec, rank
+from barypoly.simplex import convex_membership, feasible_point
 
 F = Fraction
 
@@ -65,30 +65,35 @@ def test_farkas_outside_square():
     assert dot(y, b) > 0
 
 
-def test_solve_lp_simple_min():
-    # min x1 subject to x1 + x2 = 1
-    res = solve_lp([[F(1), F(1)]], [F(1)], [F(1), F(0)])
+def _is_basic(a, x):
+    """The columns of ``a`` on the support of ``x`` are linearly independent."""
+    support = [j for j, xj in enumerate(x) if xj != 0]
+    return rank([[row[j] for j in support] for row in a]) == len(support)
+
+
+def test_feasible_point_basic_solution():
+    # x1 + x2 = 1: phase one stops at the vertex (1, 0) of the segment
+    res = feasible_point([[F(1), F(1)]], [F(1)])
     assert res.status == "optimal"
-    assert res.objective == 0
-    assert res.x == [F(0), F(1)]
+    assert res.x == [F(1), F(0)]
 
 
-def test_solve_lp_transport_like():
-    # min x1 + 2 x2 + 3 x3 s.t. x1 + x2 + x3 = 1, x2 + 2 x3 = 1
+def test_feasible_point_transport_like():
+    # x1 + x2 + x3 = 1, x2 + 2 x3 = 1: a vertex of the feasible segment
     a = [[F(1), F(1), F(1)], [F(0), F(1), F(2)]]
     b = [F(1), F(1)]
-    res = solve_lp(a, b, [F(1), F(2), F(3)])
+    res = feasible_point(a, b)
     assert res.status == "optimal"
     assert mat_vec(a, res.x) == b
-    # optimum at x = (1/2, 0, 1/2): objective 2; beats (0,1,0) with 2? equal;
-    # simplex must return an optimal basic solution with objective exactly 2
-    assert res.objective == F(2)
+    assert all(x >= 0 for x in res.x)
+    assert _is_basic(a, res.x)
 
 
-def test_solve_lp_unbounded():
-    # min -x1 subject to x1 - x2 = 0: both can grow without bound
-    res = solve_lp([[F(1), F(-1)]], [F(0)], [F(-1), F(0)])
-    assert res.status == "unbounded"
+def test_feasible_point_unbounded_region():
+    # x1 - x2 = 0 has an unbounded feasible ray; phase one stays bounded
+    res = feasible_point([[F(1), F(-1)]], [F(0)])
+    assert res.status == "optimal"
+    assert res.x == [F(0), F(0)]
 
 
 def test_redundant_rows():
@@ -113,26 +118,36 @@ def test_degenerate_systems_random():
         assert all(x >= 0 for x in res.x)
 
 
-def test_solve_lp_against_scipy():
+def test_feasible_point_against_scipy():
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = random.Random(64)
-    for _ in range(100):
+    statuses = set()
+    for trial in range(200):
         m, n = rng.randint(1, 4), rng.randint(2, 7)
         a = [[F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
              for _ in range(m)]
-        x0 = [F(rng.randint(0, 4), 2) for _ in range(n)]
-        b = mat_vec(a, x0)  # feasible by construction
-        c = [F(rng.randint(-6, 6), 2) for _ in range(n)]
-        mine = solve_lp(a, b, c)
-        ref = linprog([float(x) for x in c],
+        if trial % 2:
+            x0 = [F(rng.randint(0, 4), 2) for _ in range(n)]
+            b = mat_vec(a, x0)  # feasible by construction
+        else:
+            b = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(m)]
+        mine = feasible_point(a, b)
+        ref = linprog([0.0] * n,
                       A_eq=[[float(x) for x in r] for r in a],
                       b_eq=[float(x) for x in b],
                       bounds=(0, None), method="highs")
+        statuses.add(mine.status)
         if mine.status == "optimal":
             assert ref.status == 0
-            assert abs(float(mine.objective) - ref.fun) < 1e-7
+            assert mat_vec(a, mine.x) == b
+            assert all(x >= 0 for x in mine.x)
+            assert _is_basic(a, mine.x)
         else:
-            assert mine.status == "unbounded" and ref.status == 3
+            assert mine.status == "infeasible" and ref.status == 2
+            y = mine.farkas
+            assert all(dot(y, col) <= 0 for col in zip(*a))
+            assert dot(y, b) > 0
+    assert statuses == {"optimal", "infeasible"}
 
 
 def test_convex_membership():
