@@ -21,7 +21,7 @@ from . import oracle as orc
 from . import probes
 from .errors import BarypolyError, ParseError
 from .fixtures import fixture_document, fixture_names
-from .linalg import fr
+from .linalg import fr, vec
 from .polytope import Location, Polytope, load_polytope, locate
 from .report import AnalysisReport, LambdaVertexEntry, format_float
 from .simplex import convex_membership
@@ -58,7 +58,11 @@ def _analysis_report(p: Polytope, point) -> tuple:
     loc = locate(p, point)
     if loc.tag == Location.OUTSIDE:
         return None, loc
-    tau = co.feasible_tau(p, point)
+    if loc.tag == Location.BOUNDARY:
+        # locate's second phase one is feasible_tau's, on the same system
+        tau = co.BarycentricVector(lam=loc.barycentric, point=vec(point))
+    else:
+        tau = co.feasible_tau(p, point)
     nb = co.nullbasis(p)
     lam = co.lambda_vertices(p, point)
     gam = co.gamma_polytope(p, tau, nb, lam)

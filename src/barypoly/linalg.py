@@ -6,7 +6,8 @@ layer.  Matrices are plain lists of row lists, vectors plain sequences.
 ``rref`` is the one Fraction elimination: rank, kernel basis and every solve
 read their result off the reduced row-echelon form, which is unique, so the
 choice of pivot row changes no output.  ``bareiss`` is the integer
-(fraction-free) kernel for systems scaled to integers by ``integer_rows``.
+(fraction-free) kernel for systems scaled to integers by ``integer_rows``;
+its row update ``bareiss_row`` is also the simplex pivot.
 """
 
 import math
@@ -115,6 +116,12 @@ def integer_rows(a: Mat) -> tuple:
                    for row in a]
 
 
+def bareiss_row(row, f: int, piv, pk: int, prev: int) -> list:
+    """One fraction-free row update (pk·row - f·piv) / prev, f = row's entry
+    in the pivot column.  The division is exact (Bareiss 1968)."""
+    return [(pk * x - f * y) // prev for x, y in zip(row, piv)]
+
+
 def bareiss(rows, m: int) -> tuple:
     """Fraction-free Gauss-Jordan elimination of an integer system.
 
@@ -137,8 +144,7 @@ def bareiss(rows, m: int) -> tuple:
         a[k], a[i] = a[i], a[k]
         piv = a[k]
         pk, tail = piv[0], piv[1:]
-        a = [tail if j == k else
-             [(pk * x - r[0] * y) // prev for x, y in zip(r[1:], tail)]
+        a = [tail if j == k else bareiss_row(r[1:], r[0], tail, pk, prev)
              for j, r in enumerate(a)]
         prev = pk
     return prev, a

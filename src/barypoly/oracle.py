@@ -99,11 +99,10 @@ def _dd_reduced(nbasis_rows, tau_lam, k):
                     continue  # not an edge of the current polytope
                 t = vals[i] / (vals[i] - vals[j])
                 pt = tuple(a + t * (b - a) for a, b in zip(verts[i], verts[j]))
-                mask = 1 << r
-                for rr in range(r):
-                    if _row_value(rows[rr][0], rows[rr][1], pt) == 0:
-                        mask |= 1 << rr
-                new_pts.append((pt, mask))
+                # pt is strictly inside the edge, where each earlier row is
+                # linear and >= 0 at both ends: it is tight exactly on the
+                # rows tight at both ends
+                new_pts.append((pt, common | 1 << r))
         merged = {}
         for i in keep_idx:
             m = act[i] | (1 << r) if vals[i] == 0 else act[i]
@@ -158,19 +157,6 @@ def dd_vertices(p: Polytope, point) -> OracleResult:
         lam = tuple(t + linalg.dot(row, c) for t, row in zip(tau.lam, nb))
         verts.append(lam)
     return OracleResult(vertices=tuple(sorted(verts)), method="DoubleDescription")
-
-
-def scan_vertices(p: Polytope, point) -> OracleResult:
-    """Active-set scan route only (kernel dimension <= 2)."""
-    k = p.kernel_dim()
-    if k > 2:
-        raise ValueError("active-set scan is limited to kernel dimension <= 2")
-    tau = feasible_tau(p, point)
-    nb = nullbasis(p)
-    verts = []
-    for c in _scan_reduced(nb, tau.lam, k):
-        verts.append(tuple(t + linalg.dot(row, c) for t, row in zip(tau.lam, nb)))
-    return OracleResult(vertices=tuple(sorted(verts)), method="PatternScan")
 
 
 def vertices_agree(a, b) -> bool:

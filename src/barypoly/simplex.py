@@ -1,19 +1,31 @@
-"""Exact phase-one simplex over rationals with Bland's anti-cycling rule.
+"""Exact phase-one simplex on a fraction-free integer tableau, Bland's rule.
 
-Decides feasibility of A x = b, x >= 0 in exact Fraction arithmetic by
-minimizing the sum of artificial variables.  A feasible system yields a
-basic feasible solution; an infeasible one yields an exact Farkas
-certificate y with y·A_j <= 0 for every column j and y·b > 0.  Entering
-variable: lowest index with negative reduced cost.  Leaving variable:
-minimum ratio, ties broken by lowest basic-variable index.  Both rules are
-index-based, so results are deterministic and cycling is impossible.
+Decides feasibility of A x = b, x >= 0 by minimizing the sum of artificial
+variables.  A feasible system yields a basic feasible solution; an
+infeasible one yields an exact Farkas certificate y with y·A_j <= 0 for
+every column j and y·b > 0.  Entering variable: lowest index with negative
+reduced cost.  Leaving variable: minimum ratio, ties broken by lowest
+basic-variable index.  Both rules are index-based, so results are
+deterministic and cycling is impossible.
+
+The tableau holds integers only (Bareiss 1968; Avis 2000, lrs).  Column j
+of A is multiplied by c_j, the lcm of its own denominators, and b by s, the
+lcm of its denominators.  That is the positive change of variables
+x'_j = s·x_j / c_j: it multiplies every reduced cost of column j by c_j and
+every ratio of one ratio test by the same s / c_e, so each sign test, each
+ratio order and each tie-break is the one the rational tableau would see,
+and the pivots are the same.  The integer tableau is D times the rational
+one, D the last pivot: a pivot on p = T[r][e] replaces every other row T_i,
+the carried phase-one cost row included, by (p·T_i - T_i[e]·T_r) / D, an
+exact division, and then sets D = p.  Reading x_j = T_i[rhs]·c_j / (D·s)
+and y_i = 1 - cost[n+i] / D back gives the rational tableau's outputs.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError
-from .linalg import pivot
+from .linalg import bareiss_row, integer_rows
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -32,76 +44,77 @@ class _Tableau:
         n = len(a_rows[0]) if m else 0
         self.n_orig = n
         # flip rows so the right-hand side is nonnegative
-        self.flips = [(-_ONE if bb < 0 else _ONE) for bb in b]
+        self.flips = [-1 if bb < 0 else 1 for bb in b]
+        # scale each column, and b, by the lcm of its own denominators
+        cols = [integer_rows([col]) for col in zip(*a_rows)]
+        self.scales = [scale for scale, _ in cols]
+        self.rhs_scale, (rhs,) = integer_rows([b])
         self.rows = []
-        for i, row in enumerate(a_rows):
-            f = self.flips[i]
-            self.rows.append([f * x for x in row] + [_ZERO] * m + [f * b[i]])
-        for i in range(m):
-            self.rows[i][n + i] = _ONE
+        for i, f in enumerate(self.flips):
+            unit = [0] * m
+            unit[i] = 1
+            self.rows.append([f * col[i] for _, (col,) in cols] + unit + [f * rhs[i]])
+        # phase-one reduced costs of the artificial basis: 1^T on the
+        # artificials minus the column sums, which is 0 on the artificials
+        self.cost = [-sum(row[j] for row in self.rows) for j in range(n + m + 1)]
+        self.cost[n:n + m] = [0] * m
         self.basis = [n + i for i in range(m)]
         self.ncols = n + m
+        self.det = 1
 
     def _pivot(self, r, j):
-        pivot(self.rows, r, j)
+        piv, d = self.rows[r], self.det
+        p = piv[j]
+        for k, row in enumerate(self.rows):
+            if k != r and (row[j] or p != d):
+                self.rows[k] = bareiss_row(row, row[j], piv, p, d)
+        self.cost = bareiss_row(self.cost, self.cost[j], piv, p, d)
+        self.det = p
         self.basis[r] = j
 
-    def _reduced_costs(self, c):
-        # cbar_j = c_j - sum_i c_{basis_i} * T[i][j]
-        cb = [c[v] for v in self.basis]
-        cbar = list(c[: self.ncols])
-        for i, row in enumerate(self.rows):
-            if cb[i] != 0:
-                f = cb[i]
-                for j in range(self.ncols):
-                    if row[j] != 0:
-                        cbar[j] -= f * row[j]
-        obj = sum((cb[i] * row[-1] for i, row in enumerate(self.rows)), _ZERO)
-        return cbar, obj
-
-    def _bland(self, c):
-        """Run Bland-rule simplex for costs c; returns final status."""
+    def _bland(self):
+        """Run the Bland-rule simplex on the carried cost row; returns the
+        final status.  Every pivot is positive, so D stays positive."""
         while True:
-            cbar, _ = self._reduced_costs(c)
-            enter = -1
-            for j in range(self.ncols):
-                if j not in self.basis and cbar[j] < 0:
-                    enter = j
-                    break
+            # basic columns have reduced cost exactly 0
+            enter = next((j for j in range(self.ncols) if self.cost[j] < 0), -1)
             if enter < 0:
                 return "optimal"
-            leave, best_ratio, best_var = -1, None, None
+            # ratios T[i][rhs] / T[i][enter] compared by cross-multiplication
+            leave, best_rhs, best_col = -1, 0, 1
             for i, row in enumerate(self.rows):
-                if row[enter] > 0:
-                    ratio = row[-1] / row[enter]
-                    if (best_ratio is None or ratio < best_ratio
-                            or (ratio == best_ratio and self.basis[i] < best_var)):
-                        leave, best_ratio, best_var = i, ratio, self.basis[i]
+                a = row[enter]
+                if a > 0:
+                    lhs, rhs = row[-1] * best_col, best_rhs * a
+                    if (leave < 0 or lhs < rhs
+                            or (lhs == rhs and self.basis[i] < self.basis[leave])):
+                        leave, best_rhs, best_col = i, row[-1], a
             if leave < 0:
                 return "unbounded"
             self._pivot(leave, enter)
 
     def solution(self):
         x = [_ZERO] * self.n_orig
-        for i, v in enumerate(self.basis):
+        den = self.det * self.rhs_scale
+        for row, v in zip(self.rows, self.basis):
             if v < self.n_orig:
-                x[v] = self.rows[i][-1]
+                x[v] = Fraction(row[-1] * self.scales[v], den)
         return x
 
 
 def _phase_one(tab: _Tableau):
     """Minimize the artificial sum.  Returns (feasible, farkas_or_none)."""
     n, m = tab.n_orig, len(tab.rows)
-    c = [_ZERO] * n + [_ONE] * m
-    status = tab._bland(c)
+    status = tab._bland()
     if status != "optimal":  # the artificial objective is bounded below by 0
         raise InternalError(f"phase one is {status}")
-    cbar, obj = tab._reduced_costs(c)
-    if obj > 0:
+    if tab.cost[-1]:  # -D·s times the artificial sum
         # y_i = 1 - cbar(artificial_i), unflipped back to the original rows
-        y = [tab.flips[i] * (_ONE - cbar[n + i]) for i in range(m)]
+        d = tab.det
+        y = [Fraction(f * (d - c), d) for f, c in zip(tab.flips, tab.cost[n:n + m])]
         return False, y
-    # drive any remaining artificial variables out of the basis
+    # drive any remaining artificial variables out of the basis; a pivot
+    # here may be negative, and D with it
     for i in range(m - 1, -1, -1):
         if tab.basis[i] >= n:
             enter = next((j for j in range(n) if tab.rows[i][j] != 0), -1)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from barypoly import linalg
 from barypoly.errors import SingularMatrixError
+from barypoly.simplex import LPResult
 from barypoly.polytope import Polytope
 
 
@@ -84,3 +85,82 @@ def brute_force_vertices(p: Polytope, point):
                 full[jj] = val
             out.add(tuple(full))
     return out
+
+
+class _FractionTableau:
+    """Rational phase-one tableau, Bland's rule: the reference that the
+    library's integer tableau must reproduce exactly."""
+
+    def __init__(self, a_rows, b):
+        m = len(a_rows)
+        n = len(a_rows[0]) if m else 0
+        self.n_orig = n
+        # flip rows so the right-hand side is nonnegative
+        self.flips = [Fraction(-1 if bb < 0 else 1) for bb in b]
+        self.rows = []
+        for i, row in enumerate(a_rows):
+            f = self.flips[i]
+            self.rows.append([f * x for x in row] + [Fraction(0)] * m + [f * b[i]])
+        for i in range(m):
+            self.rows[i][n + i] = Fraction(1)
+        self.basis = [n + i for i in range(m)]
+        self.ncols = n + m
+
+    def pivot(self, r, j):
+        linalg.pivot(self.rows, r, j)
+        self.basis[r] = j
+
+    def reduced_costs(self, c):
+        # cbar_j = c_j - sum_i c_{basis_i} * T[i][j]
+        cb = [c[v] for v in self.basis]
+        cbar = list(c[: self.ncols])
+        for f, row in zip(cb, self.rows):
+            if f:
+                for j in range(self.ncols):
+                    cbar[j] -= f * row[j]
+        obj = sum((f * row[-1] for f, row in zip(cb, self.rows)), Fraction(0))
+        return cbar, obj
+
+    def bland(self, c):
+        while True:
+            cbar, _ = self.reduced_costs(c)
+            enter = next((j for j in range(self.ncols)
+                          if j not in self.basis and cbar[j] < 0), -1)
+            if enter < 0:
+                return
+            leave, best_ratio, best_var = -1, None, None
+            for i, row in enumerate(self.rows):
+                if row[enter] > 0:
+                    ratio = row[-1] / row[enter]
+                    if (best_ratio is None or ratio < best_ratio
+                            or (ratio == best_ratio and self.basis[i] < best_var)):
+                        leave, best_ratio, best_var = i, ratio, self.basis[i]
+            assert leave >= 0, "phase one is bounded"
+            self.pivot(leave, enter)
+
+
+def reference_feasible_point(a_rows, b) -> LPResult:
+    """Phase one on the rational tableau, with the library's pivot rules."""
+    tab = _FractionTableau(a_rows, b)
+    n, m = tab.n_orig, len(tab.rows)
+    c = [Fraction(0)] * n + [Fraction(1)] * m
+    tab.bland(c)
+    cbar, obj = tab.reduced_costs(c)
+    if obj > 0:
+        # y_i = 1 - cbar(artificial_i), unflipped back to the original rows
+        return LPResult("infeasible", farkas=[
+            tab.flips[i] * (1 - cbar[n + i]) for i in range(m)])
+    # drive any remaining artificial variables out of the basis
+    for i in range(m - 1, -1, -1):
+        if tab.basis[i] >= n:
+            enter = next((j for j in range(n) if tab.rows[i][j] != 0), -1)
+            if enter >= 0:
+                tab.pivot(i, enter)
+            else:  # redundant constraint row
+                del tab.rows[i]
+                del tab.basis[i]
+    x = [Fraction(0)] * n
+    for row, v in zip(tab.rows, tab.basis):
+        if v < n:
+            x[v] = row[-1]
+    return LPResult("optimal", x=x)

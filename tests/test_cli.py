@@ -243,6 +243,30 @@ def test_oracle_check_runs_the_oracle_once(square_file, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("point, location, tau", [
+    ("1/2,0", "Boundary", ["1/2", "1/2", "0", "0"]),
+    ("1/3,1/2", "Interior", None),
+], ids=["boundary", "interior"])
+def test_analyze_phase_one_count(square_file, capsys, monkeypatch,
+                                 point, location, tau):
+    from barypoly import coordinates, polytope
+
+    rows = []
+    for module in (coordinates, polytope):
+        real = module.feasible_point
+        monkeypatch.setattr(module, "feasible_point",
+                            lambda a, b, real=real: rows.append(len(a)) or real(a, b))
+    code, out = run(capsys, "analyze", square_file, "--point", point)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["location"] == location
+    # boundary: locate's d-row and [V; 1] solves, whose basic solution is
+    # tau; interior: locate's d-row solve, then tau's own [V; 1] solve
+    assert rows == [2, 3]
+    if tau is not None:
+        assert doc["tau"] == tau
+
+
 @pytest.mark.parametrize("argv, code", [
     (["analyze", "--point", "-1/2,0"], 2),
     (["sweep", "--mode", "continuity", "--grid", "2", "--h", "-1/64,0"], 0),

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from barypoly.coordinates import lambda_vertices
+from barypoly.coordinates import feasible_tau, lambda_vertices, nullbasis
 from barypoly.errors import InfeasibleError
 from barypoly.oracle import (
+    _dd_reduced,
+    _scan_reduced,
     dd_vertices,
     random_feasible_sample,
     random_polytope,
-    scan_vertices,
     vertices_agree,
 )
 from barypoly.polytope import validate
@@ -51,15 +52,11 @@ def test_dd_outside(square):
 def test_scan_route_agrees_low_kernel_dim(square, pentagon, pyramid):
     for p, q in ((square, CENTER), (pentagon, (F(0), F(0))),
                  (pyramid, (F(1), F(1), F(1, 2)))):
-        scan = scan_vertices(p, q)
-        dd = dd_vertices(p, q)
-        assert scan.method == "PatternScan"
-        assert vertices_agree(scan.vertices, dd.vertices)
-
-
-def test_scan_rejects_high_kernel_dim(prism8):
-    with pytest.raises(ValueError):
-        scan_vertices(prism8, (F(1, 2), F(1, 2), F(1, 2)))
+        k = p.kernel_dim()
+        assert k <= 2
+        tau, nb = feasible_tau(p, q).lam, nullbasis(p)
+        scan = _scan_reduced(nb, tau, k)
+        assert scan and scan == _dd_reduced(nb, tau, k)
 
 
 def test_dd_cube_center_degenerate(prism8):

@@ -7,7 +7,7 @@ boundary and large-bit-size points of random polytopes.  At the same points
 ``dim`` must equal the affine dimension of the vertex list, and every Gamma
 vertex c must map back to its Lambda vertex as tau + N·c.  ``locate``, which
 decides by feasibility alone, must agree with the supports of those vertex
-lists.
+lists, and the double-description oracle must give the same vertex lists.
 """
 
 from fractions import Fraction
@@ -28,7 +28,7 @@ from barypoly.coordinates import (
 )
 from barypoly.errors import InfeasibleError, SingularPatternError
 from barypoly.fixtures import get_fixture
-from barypoly.oracle import random_polytope
+from barypoly.oracle import dd_vertices, random_polytope
 from barypoly.polytope import Location, locate, validate
 from helpers import brute_force_vertices
 
@@ -166,3 +166,15 @@ def test_locate_agrees_with_vertex_supports(p, data):
     x = loc.barycentric
     assert linalg.mat_vec(p.stacked_rows(), x) == list(q) + [1]
     assert all(xj > 0 if covered else xj >= 0 for xj in x)
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_oracle_agrees_with_scan(p, data):
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    mid = tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j]))
+    for q in (_combination(p.vertices, weights), p.vertices[i], mid):
+        lam = lambda_vertices(p, q)
+        assert dd_vertices(p, q).vertices == tuple(v.lam for v in lam.vertices)

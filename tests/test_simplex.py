@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
 from barypoly import simplex
 from barypoly.errors import InternalError
 from barypoly.linalg import dot, mat_vec, rank
 from barypoly.simplex import convex_membership, feasible_point
+from helpers import reference_feasible_point
 
 F = Fraction
 
@@ -158,3 +161,58 @@ def test_convex_membership():
     assert sum(wi * v[0] for wi, v in zip(w, square)) == F(1, 4)
     assert sum(wi * v[1] for wi, v in zip(w, square)) == F(1, 4)
     assert convex_membership(square, (F(2), F(0))) is None
+
+
+BIG = 1 << 64
+SMALL_DENS = st.sampled_from([1, 1, 2, 3, 4, 6, 7])
+NEAR_BIG_DENS = st.integers(BIG - (1 << 20), BIG + (1 << 20))
+
+
+@st.composite
+def lp_systems(draw):
+    """A x = b with m <= 5, n <= 9: small rationals, ~2^64 denominators in
+    some columns, one row mixing ~50 denominators, zero columns, duplicate
+    and redundant rows, and negative, zero or feasible right sides."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 9))
+    big_cols = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    a = [[F(draw(st.integers(-6, 6)),
+            draw(NEAR_BIG_DENS if j in big_cols else SMALL_DENS))
+          for j in range(n)] for _ in range(m)]
+    if draw(st.booleans()):  # one row that mixes ~50 distinct denominators
+        first = draw(st.integers(2, 10**4))
+        dens = range(first, first + 50 * 7, 7)
+        a[draw(st.integers(0, m - 1))] = [
+            sum((F(draw(st.integers(-3, 3)), q) for q in dens), F(0))
+            for _ in range(n)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):  # zero columns
+        for row in a:
+            row[j] = F(0)
+    if m > 1 and draw(st.booleans()):  # a duplicate or redundant row
+        i, k = draw(st.lists(st.integers(0, m - 1), min_size=2, max_size=2,
+                             unique=True))
+        c = F(draw(st.integers(-3, 3)), draw(SMALL_DENS))
+        a[k] = [c * x + (y if draw(st.booleans()) else 0)
+                for x, y in zip(a[i], a[(i + 1) % m])]
+    rhs = draw(st.sampled_from(["feasible", "zero", "free"]))
+    if rhs == "free":
+        b = [F(draw(st.integers(-6, 6)), draw(SMALL_DENS)) for _ in range(m)]
+    else:
+        x0 = [F(draw(st.integers(0, 4)), draw(SMALL_DENS)) if rhs == "feasible"
+              else F(0) for _ in range(n)]
+        b = mat_vec(a, x0)
+    return a, b
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(lp_systems())
+def test_integer_tableau_matches_fraction_tableau(system):
+    a, b = system
+    mine, ref = feasible_point(a, b), reference_feasible_point(a, b)
+    event(mine.status)
+    assert (mine.status, mine.x, mine.farkas) == (ref.status, ref.x, ref.farkas)
+    if mine.status == "optimal":
+        assert mat_vec(a, mine.x) == b and all(x >= 0 for x in mine.x)
+    else:
+        assert all(dot(mine.farkas, col) <= 0 for col in zip(*a))
+        assert dot(mine.farkas, b) > 0
