@@ -13,13 +13,12 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import coordinates as co
 from . import oracle as orc
 from . import probes
-from .errors import BarypolyError, ParseError
+from .errors import BarypolyError, InfeasibleError, OracleMismatchError, ParseError
 from .fixtures import fixture_document, fixture_names
 from .linalg import fr, vec
 from .polytope import Location, Polytope, load_polytope, locate
@@ -218,12 +217,8 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
         header += [f"dist_{k}" for k in range(steps)]
     header.append("error")
     lines = [",".join(header)]
-    row = lambda pt: _sweep_row(p, mode, pt, hvec, t0_frac, steps)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            lines.extend(pool.map(row, pts))
-    else:
-        lines.extend(map(row, pts))
+    # rows are computed serially for every --workers value
+    lines += [_sweep_row(p, mode, pt, hvec, t0_frac, steps) for pt in pts]
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -253,7 +248,12 @@ def run_oracle_check(path, point_text, samples) -> int:
     except ValueError as exc:
         raise ParseError(f"{_SEED_ENV} must be an integer, got {seed_text!r}") from exc
     lam = co.lambda_vertices(p, point)
-    ora = orc.dd_vertices(p, point)
+    try:
+        ora = orc.dd_vertices(p, point)
+    except InfeasibleError as exc:
+        # the enumeration found the point inside: the routes disagree
+        raise OracleMismatchError(
+            f"oracle found no vertex, enumeration found {len(lam.vertices)}") from exc
     agree = orc.vertices_agree(ora.vertices, lam.vertex_arrays())
     samples_ok = True
     for s in orc.random_feasible_sample(ora.vertices, point, samples, seed):
@@ -295,7 +295,8 @@ def _build_parser():
     s.add_argument("--t0", default="1/8", help="initial step (rational)")
     s.add_argument("--steps", type=int, default=8)
     s.add_argument("--h", default=None, help="probe direction, comma-separated")
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; rows are computed serially")
 
     e = sub.add_parser("examples", help="print a built-in polytope file")
     e.add_argument("name", nargs="?", default=None)

@@ -43,15 +43,6 @@ def mat_vec(a: Mat, x: Vec) -> list:
     return [dot(row, x) for row in a]
 
 
-def transpose(a: Mat) -> list:
-    return [list(col) for col in zip(*a)]
-
-
-def mat_mul(a: Mat, b: Mat) -> list:
-    bt = transpose(b)
-    return [[dot(row, col) for col in bt] for row in a]
-
-
 def pivot(rows, r: int, c: int) -> None:
     """One Gauss-Jordan step in place: scale row r to a 1 in column c, then
     clear column c from every other row.  rows[r][c] must be nonzero."""

@@ -3,21 +3,24 @@
 The main path enumerates zero patterns in R^n; this oracle instead works in
 the reduced space R^(n-d-1), converting the inequality description
 { c : tau + N c >= 0 } to vertices by the double-description method
-(incremental halfspace insertion over exact rationals, inside a strictly
-larger bounding box).  For kernel dimension <= 2 a direct active-set scan
-over tight rows provides a second independent path and the two must agree.
+(incremental halfspace insertion over exact rationals).  tau and N come from
+one exact kernel basis, and insertion starts at a k-simplex that contains
+the reduced polytope by construction.  For kernel dimension <= 2 a direct
+active-set scan over tight rows provides a second independent path and the
+two must agree.
 """
 
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 
 from . import linalg
-from .coordinates import BarycentricVector, feasible_tau, nullbasis
+from .coordinates import BarycentricVector
 from .errors import (
     BarypolyError,
+    InfeasibleError,
     InternalError,
     OracleMismatchError,
     SingularMatrixError,
@@ -31,64 +34,55 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class OracleResult:
     vertices: tuple          # coordinate vectors in R^n, sorted lexicographically
-    method: str              # "DoubleDescription" | "PatternScan"
-    agreement: bool | None = None
+    method: str              # "DoubleDescription"
 
 
 def _row_value(coeffs, offset, c):
     return offset + linalg.dot(coeffs, c)
 
 
-def _bounding_rows(nbasis_rows, k):
-    """Box |c_j| <= M_j strictly containing the reduced polytope.
+def _reduced_system(p: Polytope, point) -> tuple:
+    """(tau, N) from one kernel basis of [V; 1^T | -(p; 1)].
 
-    Any feasible lam lies in [0,1]^n, so N c = lam - tau has entries in
-    [-1, 1]; pushing through the exact pseudoinverse bounds each c_j.
+    [V; 1^T] has full row rank, so the last column is free, with basis
+    vector (tau, 1): [V; 1^T] tau = [p; 1], tau 0 on the free columns.  The
+    other basis vectors end in 0 and are the columns of ``nullbasis``.
     """
-    nt = linalg.transpose(nbasis_rows)
-    gram = linalg.mat_mul(nt, nbasis_rows)
-    # the RREF of [N^T N | N^T] is [I | (N^T N)^-1 N^T]
-    red, pivots = linalg.rref([g + row for g, row in zip(gram, nt)])
-    if pivots[:k] != list(range(k)):
-        raise SingularMatrixError("kernel basis lacks full column rank")
-    bounds = [sum((abs(x) for x in row[k:]), _ZERO) + 1 for row in red]
-    rows = []
-    for j in range(k):
-        plus = tuple(_ONE if i == j else _ZERO for i in range(k))
-        minus = tuple(-_ONE if i == j else _ZERO for i in range(k))
-        rows.append((plus, bounds[j]))   # c_j >= -M_j
-        rows.append((minus, bounds[j]))  # c_j <= M_j
-    corners = []
-    for signs in product((-1, 1), repeat=k):
-        corners.append(tuple(s * bounds[j] for j, s in enumerate(signs)))
-    return rows, corners
+    rhs = list(linalg.vec(point)) + [_ONE]
+    *cols, last = linalg.nullspace_basis(
+        [row + [-b] for row, b in zip(p.stacked_rows(), rhs)])
+    if last[p.n] != 1:
+        raise InternalError("[V; 1^T] lacks full row rank")
+    return last[:p.n], [[col[i] for col in cols] for i in range(p.n)]
 
 
 def _dd_reduced(nbasis_rows, tau_lam, k):
-    """Vertices of { c in R^k : tau + N c >= 0 } by double description."""
-    if k == 0:
-        return [()]
-    box_rows, verts = _bounding_rows(nbasis_rows, k)
-    rows = list(box_rows) + [(tuple(r), t) for r, t in zip(nbasis_rows, tau_lam)]
-    nbox = len(box_rows)
-    # active-set bitmasks over the rows processed so far
-    act = []
-    for v in verts:
-        mask = 0
-        for r in range(nbox):
-            if _row_value(rows[r][0], rows[r][1], v) == 0:
-                mask |= 1 << r
-        act.append(mask)
-    for r in range(nbox, len(rows)):
-        coeffs, off = rows[r]
+    """Vertices of { c in R^k : tau + N c >= 0 } by double description.
+
+    Some row i_j of N is e_j, so c_j = lam_{i_j} - tau_{i_j}, and lam >= 0,
+    sum(lam) = 1 put every feasible c in the simplex c_j >= -tau_{i_j},
+    sum_j (c_j + tau_{i_j}) <= 1, for any particular solution tau.
+    Insertion starts at its k + 1 vertices and runs over the other rows; an
+    empty result means the system has no solution.
+    """
+    rows = [tuple(r) for r in nbasis_rows]
+    try:
+        units = [rows.index(tuple(int(i == j) for i in range(k))) for j in range(k)]
+    except ValueError:
+        raise InternalError("kernel basis lacks a unit row") from None
+    # active-set bitmasks: bit i for row i, bit n for the sum row, which is
+    # tight at every simplex vertex but the corner
+    corner = tuple(-tau_lam[i] for i in units)
+    verts = [corner] + [corner[:j] + (corner[j] + 1,) + corner[j + 1:]
+                        for j in range(k)]
+    tight = sum(1 << i for i in units)
+    act = [tight] + [tight & ~(1 << i) | 1 << len(rows) for i in units]
+    for r, (coeffs, off) in enumerate(zip(rows, tau_lam)):
+        if r in units:
+            continue
         vals = [_row_value(coeffs, off, v) for v in verts]
         keep_idx = [i for i, val in enumerate(vals) if val >= 0]
         neg_idx = [i for i, val in enumerate(vals) if val < 0]
-        if not neg_idx:
-            for i in keep_idx:
-                if vals[i] == 0:
-                    act[i] |= 1 << r
-            continue
         new_pts = []
         pos_idx = [i for i in keep_idx if vals[i] > 0]
         for i in pos_idx:
@@ -103,19 +97,12 @@ def _dd_reduced(nbasis_rows, tau_lam, k):
                 # linear and >= 0 at both ends: it is tight exactly on the
                 # rows tight at both ends
                 new_pts.append((pt, common | 1 << r))
-        merged = {}
-        for i in keep_idx:
-            m = act[i] | (1 << r) if vals[i] == 0 else act[i]
-            merged[verts[i]] = m
+        merged = {verts[i]: act[i] | (1 << r if vals[i] == 0 else 0)
+                  for i in keep_idx}
         for pt, m in new_pts:
             merged[pt] = merged.get(pt, 0) | m
         verts = list(merged)
         act = [merged[v] for v in verts]
-        if not verts:
-            raise InternalError("reduced polytope lost the origin")
-    box_mask = (1 << nbox) - 1
-    if any(m & box_mask for m in act):
-        raise OracleMismatchError("bounding box was not strict")
     return sorted(verts)
 
 
@@ -143,20 +130,19 @@ def dd_vertices(p: Polytope, point) -> OracleResult:
     Raises InfeasibleError for points outside the polytope and
     OracleMismatchError if the two internal routes disagree (kernel dim <= 2).
     """
-    tau = feasible_tau(p, point)
-    nb = nullbasis(p)
+    tau, nb = _reduced_system(p, point)
     k = p.kernel_dim()
-    reduced = _dd_reduced(nb, tau.lam, k)
+    reduced = _dd_reduced(nb, tau, k)
+    if not reduced:
+        raise InfeasibleError("point is outside the polytope")
     if k <= 2:
-        scan = _scan_reduced(nb, tau.lam, k)
+        scan = _scan_reduced(nb, tau, k)
         if scan != reduced:
             raise OracleMismatchError(
                 "double description and active-set scan disagree")
-    verts = []
-    for c in reduced:
-        lam = tuple(t + linalg.dot(row, c) for t, row in zip(tau.lam, nb))
-        verts.append(lam)
-    return OracleResult(vertices=tuple(sorted(verts)), method="DoubleDescription")
+    verts = sorted(tuple(t + linalg.dot(row, c) for t, row in zip(tau, nb))
+                   for c in reduced)
+    return OracleResult(vertices=tuple(verts), method="DoubleDescription")
 
 
 def vertices_agree(a, b) -> bool:
@@ -176,9 +162,8 @@ def random_feasible_sample(verts, point, count: int, seed: int) -> list:
         raw = [rng.randint(0, 999) for _ in verts]
         if sum(raw) == 0:
             raw[0] = 1
-        total = Fraction(sum(raw))
-        weights = [Fraction(r) / total for r in raw]
-        lam = tuple(sum((w * x for w, x in zip(weights, col)), _ZERO)
+        total = sum(raw)
+        lam = tuple(sum((r * x for r, x in zip(raw, col)), _ZERO) / total
                     for col in zip(*verts))
         out.append(BarycentricVector(lam=lam, point=linalg.vec(point)))
     return out
@@ -218,8 +203,6 @@ def random_polytope(d: int, n: int, seed: int) -> Polytope:
 def random_interior_point(p: Polytope, rng: random.Random) -> tuple:
     """Exact interior point: strictly positive random combination of vertices."""
     raw = [rng.randint(1, 999) for _ in range(p.n)]
-    total = Fraction(sum(raw))
-    weights = [Fraction(r) / total for r in raw]
-    return tuple(
-        sum((w * v[l] for w, v in zip(weights, p.vertices)), _ZERO)
-        for l in range(p.d))
+    total = sum(raw)
+    return tuple(sum((r * v[l] for r, v in zip(raw, p.vertices)), _ZERO) / total
+                 for l in range(p.d))

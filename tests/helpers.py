@@ -9,6 +9,11 @@ from barypoly.simplex import LPResult
 from barypoly.polytope import Polytope
 
 
+def mat_mul(a, b):
+    """Exact matrix product of two row-list matrices."""
+    return [[linalg.dot(row, col) for col in zip(*b)] for row in a]
+
+
 def random_square_matrix(rng, n, den=12):
     return [[Fraction(rng.randint(-24, 24), den) for _ in range(n)]
             for _ in range(n)]

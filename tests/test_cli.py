@@ -231,6 +231,17 @@ def test_oracle_check_outside(square_file, capsys):
                                "detail": "point is outside the polytope"}
 
 
+def test_oracle_check_empty_oracle_is_a_mismatch(square_file, capsys, monkeypatch):
+    # the enumeration finds the centre inside, so an oracle that finds no
+    # vertex disagrees with it: exit 3, not the outside code 2
+    from barypoly import oracle
+
+    monkeypatch.setattr(oracle, "_dd_reduced", lambda nb, tau, k: [])
+    code, out = run(capsys, "oracle-check", square_file, "--point", "1/2,1/2")
+    assert code == 3
+    assert json.loads(out)["error"] == "OracleMismatch"
+
+
 def test_oracle_check_runs_the_oracle_once(square_file, capsys, monkeypatch):
     from barypoly import cli
 

@@ -28,7 +28,12 @@ from barypoly.errors import (
 from barypoly.oracle import dd_vertices, random_feasible_sample, random_polytope
 from barypoly.polytope import validate
 from barypoly.simplex import convex_membership
-from helpers import brute_force_vertices, interior_point, pentagon_edge_region_point
+from helpers import (
+    brute_force_vertices,
+    interior_point,
+    mat_mul,
+    pentagon_edge_region_point,
+)
 
 F = Fraction
 CENTER = (F(1, 2), F(1, 2))
@@ -292,8 +297,8 @@ def test_tau_independence_fixtures(square, pentagon, pyramid):
             continue
         # reduced vertex sets are translates by the unique c' with N c' = tau - tau2
         k = p.kernel_dim()
-        nt = linalg.transpose(nb)
-        gram = linalg.mat_mul(nt, nb)
+        nt = [list(col) for col in zip(*nb)]
+        gram = mat_mul(nt, nb)
         diff = [a - b for a, b in zip(tau.lam, tau2.lam)]
         shift = linalg.solve_linear(gram, linalg.mat_vec(nt, diff))
         assert linalg.mat_vec(nb, shift) == diff

@@ -5,7 +5,7 @@ import pytest
 
 from barypoly import linalg
 from barypoly.errors import EmptyInputError, SingularMatrixError
-from helpers import random_square_matrix
+from helpers import mat_mul, random_square_matrix
 
 F = Fraction
 
@@ -69,7 +69,7 @@ def test_bareiss_matches_solve_linear():
         assert [F(row[0], det) for row in nums] == x
         # the identity columns give the inverse (L scales both sides)
         inv = [[F(v, det) for v in row[1:]] for row in nums]
-        assert linalg.mat_mul(a, inv) == eye
+        assert mat_mul(a, inv) == eye
     assert singular >= 50
 
 

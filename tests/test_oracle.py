@@ -1,12 +1,16 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from barypoly import linalg, simplex
 from barypoly.coordinates import feasible_tau, lambda_vertices, nullbasis
-from barypoly.errors import InfeasibleError
+from barypoly.errors import InfeasibleError, InternalError
+from barypoly.fixtures import fixture_names, get_fixture
 from barypoly.oracle import (
     _dd_reduced,
+    _reduced_system,
     _scan_reduced,
     dd_vertices,
     random_feasible_sample,
@@ -44,9 +48,71 @@ def test_dd_pentagon_center(pentagon):
     assert vertices_agree(ora.vertices, [v.lam for v in lam.vertices])
 
 
-def test_dd_outside(square):
+def test_dd_outside(square, pentagon):
+    tri = validate([[F(0), F(1), F(0)], [F(0), F(0), F(1)]], 2)
+    # the triangle has k = 0: its one candidate () survives exactly when
+    # tau >= 0, i.e. when the point is inside
+    for p, q in ((square, (F(5), F(5))), (pentagon, (F(3), F(0))),
+                 (tri, (F(2, 3), F(2, 3))), (tri, (F(-1, 8), F(0)))):
+        with pytest.raises(InfeasibleError, match="outside the polytope"):
+            dd_vertices(p, q)
+    assert dd_vertices(tri, (F(1, 2), F(1, 2))).vertices == ((F(0), F(1, 2), F(1, 2)),)
+
+
+def test_dd_makes_no_simplex_call(square, prism8, monkeypatch):
+    # the oracle reads tau off a kernel basis; the phase-one simplex is the
+    # other route's tool
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = simplex.feasible_point
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("barypoly") \
+                and getattr(mod, "feasible_point", None) is real:
+            monkeypatch.setattr(mod, "feasible_point", counting)
+    dd_vertices(square, CENTER)
+    dd_vertices(prism8, (F(1, 3), F(1, 4), F(1, 5)))
     with pytest.raises(InfeasibleError):
         dd_vertices(square, (F(5), F(5)))
+    assert calls == []
+    feasible_tau(square, CENTER)   # the counter does see simplex calls
+    assert len(calls) == 1
+
+
+def test_reduced_system_is_tau_and_nullbasis(square, pentagon, prism8):
+    for p in (square, pentagon, prism8):
+        q = p.centroid()
+        tau, nb = _reduced_system(p, q)
+        assert nb == nullbasis(p)
+        assert linalg.mat_vec(p.stacked_rows(), tau) == list(q) + [1]
+
+
+def test_dd_reduced_any_particular_solution(square, pentagon, pyramid, prism8):
+    # feasible_tau's tau and the kernel's tau give translated reduced
+    # polytopes with the same coordinate vertices
+    rng = random.Random(3)
+    differ = 0
+    for p in (square, pentagon, pyramid, prism8):
+        q = interior_point(p, rng)
+        k = p.kernel_dim()
+        nb = nullbasis(p)
+        taus = (feasible_tau(p, q).lam, tuple(_reduced_system(p, q)[0]))
+        differ += taus[0] != taus[1]
+        lams = [{tuple(t + linalg.dot(row, c) for t, row in zip(tau, nb))
+                 for c in _dd_reduced(nb, tau, k)} for tau in taus]
+        assert lams[0] == lams[1] == set(dd_vertices(p, q).vertices)
+    assert differ  # the basepoints differ on some of the polytopes
+
+
+def test_dd_reduced_needs_unit_rows(pentagon):
+    nb = nullbasis(pentagon)
+    bad = [[a + b, a - b] for a, b in nb]   # the same kernel, no unit row
+    tau = feasible_tau(pentagon, (F(0), F(0))).lam
+    with pytest.raises(InternalError, match="unit row"):
+        _dd_reduced(bad, tau, 2)
 
 
 def test_scan_route_agrees_low_kernel_dim(square, pentagon, pyramid):
@@ -130,6 +196,28 @@ def test_random_feasible_sample_simplex_constant():
     q = (F(1, 3), F(1, 6))
     samples = random_feasible_sample(dd_vertices(tri, q).vertices, q, 4, seed=2)
     assert len({s.lam for s in samples}) == 1
+
+
+def test_random_feasible_sample_matches_weighted_formula():
+    # one integer-weighted sum per coordinate equals the Fraction weights w·x
+    for name in fixture_names():
+        p = get_fixture(name)
+        q = p.centroid()
+        verts = dd_vertices(p, q).vertices
+        for seed in range(10):
+            rng = random.Random(seed)
+            expected = []
+            for _ in range(4):
+                raw = [rng.randint(0, 999) for _ in verts]
+                if sum(raw) == 0:
+                    raw[0] = 1
+                total = Fraction(sum(raw))
+                weights = [Fraction(r) / total for r in raw]
+                expected.append(tuple(sum((w * x for w, x in zip(weights, col)), F(0))
+                                      for col in zip(*verts)))
+            samples = random_feasible_sample(verts, q, 4, seed)
+            assert [s.lam for s in samples] == expected
+            assert all(s.point == q for s in samples)
 
 
 def test_random_polytope_deterministic_and_valid():

@@ -7,7 +7,8 @@ boundary and large-bit-size points of random polytopes.  At the same points
 ``dim`` must equal the affine dimension of the vertex list, and every Gamma
 vertex c must map back to its Lambda vertex as tau + N·c.  ``locate``, which
 decides by feasibility alone, must agree with the supports of those vertex
-lists, and the double-description oracle must give the same vertex lists.
+lists, and the double-description oracle must give the same vertex lists
+and refuse the same outside points.
 """
 
 from fractions import Fraction
@@ -40,9 +41,9 @@ PROPERTY = settings(max_examples=25, deadline=None,
 
 
 @st.composite
-def polytopes(draw):
+def polytopes(draw, max_n=9):
     d = draw(st.sampled_from([2, 3]))
-    n = draw(st.integers(d + 1, 9))
+    n = draw(st.integers(d + 1, max_n))
     return random_polytope(d, n, seed=draw(st.integers(0, 10**6)))
 
 
@@ -169,7 +170,7 @@ def test_locate_agrees_with_vertex_supports(p, data):
 
 
 @PROPERTY
-@given(polytopes(), st.data())
+@given(polytopes(max_n=11), st.data())
 def test_oracle_agrees_with_scan(p, data):
     weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
     i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
@@ -177,4 +178,20 @@ def test_oracle_agrees_with_scan(p, data):
     mid = tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j]))
     for q in (_combination(p.vertices, weights), p.vertices[i], mid):
         lam = lambda_vertices(p, q)
+        assert dd_vertices(p, q).vertices == tuple(v.lam for v in lam.vertices)
+    # pushed out past vertex i, away from the centroid: both routes refuse
+    t = F(data.draw(st.integers(1, 64)), 64)
+    out = tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
+    for route in (lambda_vertices, dd_vertices):
+        with pytest.raises(InfeasibleError):
+            route(p, out)
+
+
+def test_oracle_agrees_with_scan_kernel_dim_11():
+    # d = 2, n = 14: k = 11, where a start from 2^k box corners would stall
+    p = random_polytope(2, 14, seed=14)
+    mid = tuple((x + y) / 2 for x, y in zip(p.vertices[0], p.vertices[7]))
+    for q in (p.centroid(), mid):
+        lam = lambda_vertices(p, q)
+        assert len(lam.vertices) > 1
         assert dd_vertices(p, q).vertices == tuple(v.lam for v in lam.vertices)
