@@ -20,10 +20,9 @@ from . import oracle as orc
 from . import probes
 from .errors import BarypolyError, InfeasibleError, OracleMismatchError, ParseError
 from .fixtures import fixture_document, fixture_names
-from .linalg import fr, vec
+from .linalg import fr, mat_vec, vec
 from .polytope import Location, Polytope, load_polytope, locate
 from .report import AnalysisReport, LambdaVertexEntry, format_float
-from .simplex import convex_membership
 
 _SEED_ENV = "BARYPOLY_SEED"
 
@@ -255,11 +254,12 @@ def run_oracle_check(path, point_text, samples) -> int:
         raise OracleMismatchError(
             f"oracle found no vertex, enumeration found {len(lam.vertices)}") from exc
     agree = orc.vertices_agree(ora.vertices, lam.vertex_arrays())
-    samples_ok = True
-    for s in orc.random_feasible_sample(ora.vertices, point, samples, seed):
-        feas = (all(x >= 0 for x in s.lam)
-                and convex_membership(list(ora.vertices), s.lam) is not None)
-        samples_ok = samples_ok and feas
+    # a sample is feasible when it is a coordinate vector of the point:
+    # [V; 1ᵀ]·λ = [p; 1] and λ ≥ 0, tested exactly
+    rows, rhs = p.stacked_rows(), list(point) + [1]
+    samples_ok = all(
+        all(x >= 0 for x in s.lam) and mat_vec(rows, s.lam) == rhs
+        for s in orc.random_feasible_sample(ora.vertices, point, samples, seed))
     print(json.dumps({
         "agreement": agree,
         "method": ora.method,

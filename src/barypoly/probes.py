@@ -2,9 +2,10 @@
 
 The combinatorial structure is never approximated: vertex lists are computed
 exactly at every sample point and only the metric evaluation runs in floats.
-Distances to convex hulls use a minimum-norm-point iteration (Frank-Wolfe
-with away steps) over simplex weights, followed by an exact affine polish on
-the final support.
+Distances to convex hulls use Wolfe's finite corral method for the minimum
+norm point.  It stops at the Frank-Wolfe gap, at a point already in the
+corral or at a rounding stall; a distance that met none of these within the
+cycle cap is not converged, and makes the probe's verdict "Inconclusive".
 """
 
 import math
@@ -62,70 +63,59 @@ class ProbeReport:
 
 
 def _min_norm_point(b_arr: np.ndarray, x: np.ndarray, tol: float):
-    """min_w || w·B - x || over the simplex; returns (distance, gap_met)."""
-    m = b_arr.shape[0]
-    d0 = ((b_arr - x) ** 2).sum(axis=1)
-    w = np.zeros(m)
-    w[int(np.argmin(d0))] = 1.0
-    y = w @ b_arr
-    scale = 1.0 + float(d0.max())
-    thresh = max(tol * tol / 2.0, 1e-15 * scale)
-    gap_met = False
+    """Distance from ``x`` to the hull of the rows of ``b_arr``; returns
+    (distance, converged).
+
+    Wolfe's corral method (Wolfe 1976, "Finding the nearest point in a
+    polytope") on the points p_j = b_j - x, starting at the point nearest x.
+    Each major cycle adds the point minimising p_j·y to the corral.  Each
+    minor cycle solves the corral's affine min-norm KKT system; while a weight
+    is <= 1e-12 it walks from the current weights toward that solution up to
+    the first zero weight and drops that point.  The loop stops converged when
+    the Frank-Wolfe gap y·y - min_j p_j·y is at most
+    max(tol²/2, 1e-15·(1 + max_j |p_j|²)), when the minimising point is already
+    in the corral, or when |y|² fails to fall strictly over a major cycle
+    (exact arithmetic always lowers it, so that is a rounding stall).  Only
+    ``_MAX_ITER`` major cycles without a stop return converged False.
+    """
+    pts = b_arr - x
+    d0 = (pts ** 2).sum(axis=1)
+    thresh = max(tol * tol / 2.0, 1e-15 * (1.0 + float(d0.max())))
+    corral = [int(np.argmin(d0))]
+    w = np.ones(1)
+    y = pts[corral[0]]
+    yy = float(y @ y)
     for _ in range(_MAX_ITER):
-        g = b_arr @ (y - x)
-        s = int(np.argmin(g))
-        wg = float(w @ g)
-        fw_gap = wg - float(g[s])
-        if fw_gap <= thresh:
-            gap_met = True
-            break
-        support = np.flatnonzero(w > 0)
-        a = int(support[np.argmax(g[support])])
-        away_gap = float(g[a]) - wg
-        if fw_gap >= away_gap:
-            direction = b_arr[s] - y
-            gamma_max = 1.0
-            toward, away = s, None
-        else:
-            direction = y - b_arr[a]
-            gamma_max = w[a] / (1.0 - w[a]) if w[a] < 1.0 else 0.0
-            toward, away = None, a
-        denom = float(direction @ direction)
-        if denom == 0.0 or gamma_max == 0.0:
-            gap_met = True
-            break
-        gamma = min(max(-float((y - x) @ direction) / denom, 0.0), gamma_max)
-        if toward is not None:
-            w *= 1.0 - gamma
-            w[toward] += gamma
-        else:
-            w *= 1.0 + gamma
-            w[away] -= gamma
-            if w[away] < 1e-18:
-                w[away] = 0.0
-        w = np.maximum(w, 0.0)
-        w /= w.sum()
-        y = w @ b_arr
-    dist = float(np.linalg.norm(y - x))
-    # exact affine polish on the final support (kills the sqrt(eps) floor)
-    support = np.flatnonzero(w > 1e-12)
-    if 1 < len(support) <= b_arr.shape[1] + 1:
-        bs = b_arr[support]
-        k = len(support)
-        kkt = np.zeros((k + 1, k + 1))
-        kkt[:k, :k] = bs @ bs.T
-        kkt[:k, k] = 1.0
-        kkt[k, :k] = 1.0
-        rhs = np.append(bs @ x, 1.0)
-        try:
-            sol = np.linalg.solve(kkt, rhs)
-        except np.linalg.LinAlgError:
-            sol = None
-        if sol is not None and np.all(sol[:k] >= -1e-12):
-            cand = float(np.linalg.norm(sol[:k] @ bs - x))
-            if cand < dist:
-                dist = cand
-    return dist, gap_met
+        g = pts @ y
+        j = int(np.argmin(g))
+        if yy - float(g[j]) <= thresh or j in corral:
+            return math.sqrt(yy), True
+        corral.append(j)
+        w = np.append(w, 0.0)
+        while True:
+            # [G 1; 1ᵀ 0]·(v, μ) = (0, 1), G the corral's Gram matrix
+            k = len(corral)
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = pts[corral] @ pts[corral].T
+            kkt[k, k] = 0.0
+            v = np.linalg.lstsq(kkt, np.eye(k + 1)[k], rcond=None)[0][:k]
+            small = v <= 1e-12
+            if not small.any():
+                break
+            # walk from w toward v up to the first weight that reaches zero
+            # (a v_i in (0, 1e-12] counts as zero) and drop that point
+            theta = np.where(small, w / np.maximum(w - np.minimum(v, 0.0), 1e-300),
+                             np.inf)
+            drop = int(np.argmin(theta))
+            w = np.maximum(w + theta[drop] * (v - w), 0.0)
+            del corral[drop]
+            w = np.delete(w, drop)
+        w = v
+        y = w @ pts[corral]
+        if float(y @ y) >= yy:
+            return math.sqrt(yy), True
+        yy = float(y @ y)
+    return math.sqrt(yy), False
 
 
 def point_polytope_distance(x, b: FloatPolytope, tol: float = 1e-9) -> float:
@@ -141,9 +131,6 @@ def _point_distance_status(x, b: FloatPolytope, tol: float):
     if xv.shape != (b.ambient_dim,):
         raise DimensionMismatchError(
             f"point has dim {xv.shape}, polytope ambient dim {b.ambient_dim}")
-    for row in b.vertices:
-        if np.array_equal(row, xv):
-            return 0.0, True
     return _min_norm_point(b.vertices, xv, tol)
 
 

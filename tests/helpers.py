@@ -169,3 +169,33 @@ def reference_feasible_point(a_rows, b) -> LPResult:
         if v < n:
             x[v] = row[-1]
     return LPResult("optimal", x=x)
+
+
+def min_norm_sq_reference(points, x) -> Fraction:
+    """Exact squared distance from ``x`` to the convex hull of ``points``.
+
+    Brute force, independent of the library's iteration: the nearest point
+    lies in the relative interior of a face spanned by affinely independent
+    points, where it is their affine min-norm point.  So the answer is the
+    smallest |y|² over the affine minimisers y = Σ w_i (p_i - x), Σ w_i = 1,
+    of all affinely independent subsets whose weights are nonnegative.  The
+    bordered Gram system [G 1; 1ᵀ 0] is singular exactly for dependent ones.
+    """
+    from itertools import combinations
+    ps = [[Fraction(a) - Fraction(b) for a, b in zip(pt, x)] for pt in points]
+    best = None
+    for k in range(1, min(len(ps), len(x) + 1) + 1):
+        for sub in combinations(ps, k):
+            rows = [[linalg.dot(a, b) for b in sub] + [Fraction(1)] for a in sub]
+            rows.append([Fraction(1)] * k + [Fraction(0)])
+            try:
+                w = linalg.solve_linear(rows, [Fraction(0)] * k + [Fraction(1)])[:k]
+            except SingularMatrixError:
+                continue
+            if min(w) < 0:
+                continue
+            y = [linalg.dot(w, col) for col in zip(*sub)]
+            sq = linalg.dot(y, y)
+            if best is None or sq < best:
+                best = sq
+    return best

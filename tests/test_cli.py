@@ -254,6 +254,46 @@ def test_oracle_check_runs_the_oracle_once(square_file, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_oracle_check_samples_need_no_lp(square_file, capsys, monkeypatch):
+    # samples are tested exactly, so every phase one left is validation's
+    from barypoly import coordinates, polytope, simplex
+
+    rows = []
+    for module in (simplex, polytope, coordinates):
+        real = module.feasible_point
+        monkeypatch.setattr(module, "feasible_point",
+                            lambda a, b, real=real: rows.append(len(a)) or real(a, b))
+    assert run(capsys, "validate", square_file)[0] == 0
+    validation = list(rows)
+    rows.clear()
+    code, out = run(capsys, "oracle-check", square_file, "--point=1/3,1/2",
+                    "--samples", "5")
+    assert code == 0
+    assert json.loads(out)["samples_feasible"] is True
+    assert len(rows) == 4
+    assert rows == validation
+
+
+@pytest.mark.parametrize("lam", [
+    (F(1), F(0), F(0), F(0)),               # λ ≥ 0, Σλ = 1, V·λ ≠ p
+    (F(0), F(1, 2), F(-1, 6), F(2, 3)),     # V·λ = p, Σλ = 1, λ_3 < 0
+], ids=["wrong-point", "negative"])
+def test_oracle_check_infeasible_sample(square_file, capsys, monkeypatch, lam):
+    from barypoly import cli
+    from barypoly.coordinates import BarycentricVector
+
+    point = (F(1, 3), F(1, 2))
+    monkeypatch.setattr(cli.orc, "random_feasible_sample",
+                        lambda verts, q, count, seed: [
+                            BarycentricVector(lam=lam, point=point)])
+    code, out = run(capsys, "oracle-check", square_file, "--point=1/3,1/2",
+                    "--samples", "1")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["agreement"] is True
+    assert doc["samples_feasible"] is False
+
+
 @pytest.mark.parametrize("point, location, tau", [
     ("1/2,0", "Boundary", ["1/2", "1/2", "0", "0"]),
     ("1/3,1/2", "Interior", None),

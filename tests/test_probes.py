@@ -15,6 +15,7 @@ from barypoly.errors import (
 )
 from barypoly.probes import (
     FloatPolytope,
+    _min_norm_point,
     _selection_jacobian_exact,
     continuity_probe,
     hausdorff,
@@ -68,6 +69,61 @@ def test_distance_interior_point_zero():
     b = fp((0, 0), (1, 0), (1, 1), (0, 1))
     d = point_polytope_distance(np.array([0.3, 0.6]), b, tol=1e-9)
     assert d < 1e-9
+
+
+def test_min_norm_point_matches_exact_reference():
+    # the corral method against the brute-force Fraction minimiser, with x
+    # outside, inside, at a vertex and on an edge of a seeded point set; the
+    # dyadic inputs are exact floats, so both see the same points
+    from helpers import min_norm_sq_reference
+
+    rng = random.Random(2024)
+    for d in (2, 3, 4):
+        for trial in range(24):
+            m = rng.randint(1, 7)
+            pts = np.array([[rng.randint(-1024, 1024) / 256 for _ in range(d)]
+                            for _ in range(m)])
+            kind = trial % 4
+            if kind == 0:    # |x_1| > 4 >= every |b_1|
+                x = np.array([rng.choice((-1, 1)) * rng.randint(1100, 4096) / 256]
+                             + [rng.randint(-4096, 4096) / 256 for _ in range(d - 1)])
+            elif kind == 1:
+                w = [rng.randint(1, 99) for _ in range(m)]
+                x = np.array(w, dtype=float) @ pts / sum(w)
+            elif kind == 2:
+                x = pts[rng.randrange(m)].copy()
+            else:
+                x = (pts[rng.randrange(m)] + pts[rng.randrange(m)]) / 2
+            dist, converged = _min_norm_point(pts, x, 1e-9)
+            ref = math.sqrt(min_norm_sq_reference(
+                [tuple(map(F, row)) for row in pts], tuple(map(F, x))))
+            assert converged
+            assert abs(dist - ref) <= 1e-12 + 1e-9 * ref, (d, trial, dist, ref)
+            if kind == 0:
+                assert ref > 0
+            if kind == 2:
+                assert dist == 0.0
+
+
+def test_continuity_probe_meets_every_stop(prism8, monkeypatch):
+    # Frank-Wolfe with away steps ran out of iterations on one of this row's
+    # 224 distance calls; the corral method stops on its own on all of them
+    from barypoly import probes
+
+    met = []
+    real = probes._min_norm_point
+
+    def traced(b_arr, x, tol):
+        dist, ok = real(b_arr, x, tol)
+        met.append(ok)
+        return dist, ok
+
+    monkeypatch.setattr(probes, "_min_norm_point", traced)
+    rep = continuity_probe(prism8, (F(1772, 3347), F(1711, 3347), F(1778, 3347)),
+                           (F(-1, 128), F(1, 32), F(-3, 256)))
+    assert len(met) == 224
+    assert all(met)
+    assert rep.verdict == "Inconclusive"  # the last distance is ~5e-5 > 1e-7
 
 
 def test_hausdorff_basics():

@@ -16,10 +16,9 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_oracle_is_independent_of_the_scan():
-    # two independent routes: the oracle shares linalg with the pattern scan,
-    # but neither the simplex nor anything of coordinates but its result type
-    path = Path(barypoly.__file__).parent / "oracle.py"
+def _imported_names(module):
+    """Dotted names a package module imports, relative imports resolved."""
+    path = Path(barypoly.__file__).parent / f"{module}.py"
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
         if isinstance(node, ast.Import):
@@ -28,9 +27,25 @@ def test_oracle_is_independent_of_the_scan():
             base = ".".join(filter(None, ["barypoly" if node.level else "",
                                           node.module]))
             names |= {f"{base}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_oracle_is_independent_of_the_scan():
+    # two independent routes: the oracle shares linalg with the pattern scan,
+    # but neither the simplex nor anything of coordinates but its result type
+    names = _imported_names("oracle")
     assert "barypoly.coordinates.BarycentricVector" in names
     bad = sorted(name for name in names
                  if name.startswith("barypoly.simplex")
                  or name.startswith("barypoly.coordinates")
                  and name != "barypoly.coordinates.BarycentricVector")
     assert bad == []
+
+
+def test_cli_solves_no_lp():
+    # oracle-check tests its samples exactly against [V; 1ᵀ]λ = [p; 1],
+    # λ ≥ 0, so the front door imports nothing from the simplex
+    names = _imported_names("cli")
+    assert "barypoly.oracle" in names
+    assert sorted(name for name in names
+                  if name.startswith("barypoly.simplex")) == []
