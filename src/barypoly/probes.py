@@ -3,9 +3,9 @@
 The combinatorial structure is never approximated: vertex lists are computed
 exactly at every sample point and only the metric evaluation runs in floats.
 Distances to convex hulls use Wolfe's finite corral method for the minimum
-norm point.  It stops at the Frank-Wolfe gap, at a point already in the
-corral or at a rounding stall; a distance that met none of these within the
-cycle cap is not converged, and makes the probe's verdict "Inconclusive".
+norm point.  It runs until it reaches the optimum or rounding stops its
+progress; the distance is converged when the Frank-Wolfe gap there is within
+a threshold, and an unconverged distance makes the verdict "Inconclusive".
 """
 
 import math
@@ -69,14 +69,17 @@ def _min_norm_point(b_arr: np.ndarray, x: np.ndarray, tol: float):
     Wolfe's corral method (Wolfe 1976, "Finding the nearest point in a
     polytope") on the points p_j = b_j - x, starting at the point nearest x.
     Each major cycle adds the point minimising p_j·y to the corral.  Each
-    minor cycle solves the corral's affine min-norm KKT system; while a weight
-    is <= 1e-12 it walks from the current weights toward that solution up to
-    the first zero weight and drops that point.  The loop stops converged when
-    the Frank-Wolfe gap y·y - min_j p_j·y is at most
-    max(tol²/2, 1e-15·(1 + max_j |p_j|²)), when the minimising point is already
-    in the corral, or when |y|² fails to fall strictly over a major cycle
-    (exact arithmetic always lowers it, so that is a rounding stall).  Only
-    ``_MAX_ITER`` major cycles without a stop return converged False.
+    minor cycle solves the corral's affine min-norm problem by least squares;
+    while a weight is <= 1e-12 (<= 0 for the point that just entered) it
+    walks from the current weights toward that solution up to the first zero
+    weight and drops that point.  The loop stops at the first of: the
+    Frank-Wolfe gap y·y - min_j p_j·y is <= 0, the minimising point is already
+    in the corral, the walk would drop the entering point, or |y|² fails to
+    fall strictly over a major cycle.  Exact arithmetic reaches only the first
+    two, at the optimum; the others are rounding stalls.  Every stop returns
+    the smallest |y| found, and converged means that its gap is at most
+    max(tol²/2, 1e-15·(1 + max_j |p_j|²)).  ``_MAX_ITER`` major cycles
+    without a stop return converged False.
     """
     pts = b_arr - x
     d0 = (pts ** 2).sum(axis=1)
@@ -88,32 +91,41 @@ def _min_norm_point(b_arr: np.ndarray, x: np.ndarray, tol: float):
     for _ in range(_MAX_ITER):
         g = pts @ y
         j = int(np.argmin(g))
-        if yy - float(g[j]) <= thresh or j in corral:
-            return math.sqrt(yy), True
+        gap = yy - float(g[j])
+        if gap <= 0.0 or j in corral:
+            return math.sqrt(yy), gap <= thresh
         corral.append(j)
         w = np.append(w, 0.0)
         while True:
-            # [G 1; 1ᵀ 0]·(v, μ) = (0, 1), G the corral's Gram matrix
-            k = len(corral)
-            kkt = np.ones((k + 1, k + 1))
-            kkt[:k, :k] = pts[corral] @ pts[corral].T
-            kkt[k, k] = 0.0
-            v = np.linalg.lstsq(kkt, np.eye(k + 1)[k], rcond=None)[0][:k]
+            # v = (1 - Σu, u) with u minimising |c_0 + Σ u_i (c_i - c_0)|
+            # over the corral points c; least squares on the points, not on
+            # their Gram matrix, whose condition number is the square
+            c = pts[corral]
+            u = np.linalg.lstsq((c[1:] - c[0]).T, -c[0], rcond=None)[0]
+            v = np.concatenate(([1.0 - u.sum()], u))
+            # a v_i in (0, 1e-12] counts as zero, except for the entering
+            # point: its weight may be that small when the gap is
+            new = corral.index(j)
             small = v <= 1e-12
+            small[new] = v[new] <= 0.0
             if not small.any():
                 break
             # walk from w toward v up to the first weight that reaches zero
-            # (a v_i in (0, 1e-12] counts as zero) and drop that point
+            # and drop that point; exact arithmetic never drops the entering
+            # point, so a walk that would is a rounding stall
             theta = np.where(small, w / np.maximum(w - np.minimum(v, 0.0), 1e-300),
                              np.inf)
             drop = int(np.argmin(theta))
+            if drop == new:
+                return math.sqrt(yy), gap <= thresh
             w = np.maximum(w + theta[drop] * (v - w), 0.0)
             del corral[drop]
             w = np.delete(w, drop)
         w = v
-        y = w @ pts[corral]
-        if float(y @ y) >= yy:
-            return math.sqrt(yy), True
+        y_next = w @ pts[corral]
+        if float(y_next @ y_next) >= yy:
+            return math.sqrt(yy), gap <= thresh
+        y = y_next
         yy = float(y @ y)
     return math.sqrt(yy), False
 

@@ -103,11 +103,56 @@ def test_min_norm_point_matches_exact_reference():
                 assert ref > 0
             if kind == 2:
                 assert dist == 0.0
+    # x on a segment of the set and one more point within 1e-7..1e-6 of x,
+    # where the corral starts; the distance is 0.  In the first case the gap
+    # there is 1e-14, five times the threshold, and the entering point's
+    # weight is 1e-14, below the 1e-12 that drops a point already in the corral
+    cases = [(np.array([(0.0, 1e-7), (1.0, 0.0), (-1.0, 0.0)]), np.zeros(2))]
+    for trial in range(30):
+        d = 2 + trial % 3
+        m = rng.randint(2, 6)
+        pts = np.array([[rng.randint(-1024, 1024) / 256 for _ in range(d)]
+                        for _ in range(m)])
+        a, b = rng.sample(range(m), 2)
+        x = (pts[a] + pts[b]) / 2
+        step = np.array([rng.uniform(-1, 1) for _ in range(d)])
+        step *= rng.uniform(1e-7, 1e-6) / np.linalg.norm(step)
+        pts = np.insert(pts, rng.randint(0, m), x + step, axis=0)
+        cases.append((pts, x))
+    for pts, x in cases:
+        dist, converged = _min_norm_point(pts, x, 1e-9)
+        assert min_norm_sq_reference([tuple(map(F, row)) for row in pts],
+                                     tuple(map(F, x))) == 0
+        assert converged
+        assert dist <= 1e-12, (pts, x, dist)
+
+
+@pytest.mark.parametrize("fill, solves", [(0.0, 1), (1.0, 2)])
+def test_min_norm_point_stall_far_from_the_gap_is_not_converged(
+        monkeypatch, fill, solves):
+    # a faulty minor-cycle solve stalls the first major cycle at y = (2, 1),
+    # where the gap is 2, far above the threshold of 1.7e-14.  Weights (1, 0)
+    # would drop the entering point; weights (0, 1) walk to the corral {(2, -1)},
+    # where |y|² does not fall.  Either stall stops at once, not converged.
+    from barypoly import probes
+
+    calls = []
+
+    def solve(a, b, rcond=None):
+        calls.append(a.shape)
+        return (np.full(a.shape[1], fill),)
+
+    monkeypatch.setattr(probes.np.linalg, "lstsq", solve)
+    pts = np.array([(2.0, 1.0), (2.0, -1.0), (4.0, 0.0)])
+    dist, converged = _min_norm_point(pts, np.zeros(2), 1e-9)
+    assert dist == math.sqrt(5.0)
+    assert not converged
+    assert len(calls) == solves
 
 
 def test_continuity_probe_meets_every_stop(prism8, monkeypatch):
     # Frank-Wolfe with away steps ran out of iterations on one of this row's
-    # 224 distance calls; the corral method stops on its own on all of them
+    # 224 distance calls; the corral method meets its gap on all of them
     from barypoly import probes
 
     met = []
