@@ -21,7 +21,7 @@ from . import probes
 from .errors import BarypolyError, InfeasibleError, OracleMismatchError, ParseError
 from .fixtures import fixture_document, fixture_names
 from .linalg import fr, mat_vec, vec
-from .polytope import Location, Polytope, load_polytope, locate
+from .polytope import Location, Polytope, load_polytope, locate, read_json
 from .report import AnalysisReport, LambdaVertexEntry, format_float
 
 _SEED_ENV = "BARYPOLY_SEED"
@@ -124,13 +124,7 @@ def _grid_points(p: Polytope, k: int):
 
 
 def _load_points(path, d):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh, parse_float=Fraction)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON ({exc})") from exc
+    doc = read_json(path)
     if isinstance(doc, dict):
         doc = doc.get("points")
     if not isinstance(doc, list):

@@ -107,27 +107,17 @@ def circular_windows(n: int, d: int) -> list:
     return [frozenset(((i + k) % n) + 1 for k in range(size)) for i in range(n)]
 
 
-def _pattern_system(p: Polytope, zero_set) -> list:
-    """0-based columns kept by a 1-based zero set of n-d-1 entries in 1..n."""
-    zero0 = {j - 1 for j in zero_set}
-    if not all(1 <= j <= p.n for j in zero_set):
-        raise ValueError(f"zero set entries must lie in 1..{p.n}")
-    if len(zero0) != p.kernel_dim():
-        raise ValueError(
-            f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zero0)}")
-    return [j for j in range(p.n) if j not in zero0]
-
-
-def _integer_system(p: Polytope, pt) -> tuple:
+def _integer_system(p: Polytope, pt, *hs) -> tuple:
     """Integer form of every pattern system at ``pt``: (L·V rows, right side).
 
-    With L and D the lcms of the vertex and point denominators, the pattern
-    on columns ``keep`` solves [1 … 1; L·V_keep]·x = [D; L·D·pt], whose
-    solution is x = D·sigma_keep (scaling by positive constants keeps signs).
+    With L and D the lcms of the vertex and of the point and direction
+    denominators, the pattern on columns ``keep`` solves [1 … 1; L·V_keep]·x
+    = [D; L·D·pt], whose solution is x = D·sigma_keep (scaling by positive
+    constants keeps signs); a direction h adds [0; L·D·h], solved by D·J_keep·h.
     """
     scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
-    den, (prow,) = linalg.integer_rows([pt])
-    return vrows, [[den]] + [[scale * x] for x in prow]
+    den, rows = linalg.integer_rows([pt, *hs])
+    return vrows, [[den] + [0] * len(hs)] + [[scale * x for x in c] for c in zip(*rows)]
 
 
 def _solve_pattern(vrows, keep, rhs) -> tuple:
@@ -142,11 +132,29 @@ def _solve_pattern(vrows, keep, rhs) -> tuple:
     return det * rhs[0][0], nums
 
 
-def _sigma(n, keep, nums, den) -> tuple:
+def _sigma(n, keep, xs, den) -> tuple:
     sigma = [_ZERO] * n
-    for j, (x,) in zip(keep, nums):
+    for j, x in zip(keep, xs):
         sigma[j] = Fraction(x, den)
     return tuple(sigma)
+
+
+def _solve_zero_set(p: Polytope, zero_set, pt, *hs) -> tuple:
+    """(keep, den, nums) as ``_patterns`` yields them, for a 1-based zero set of
+    n-d-1 entries in 1..n; raises SingularPatternError when it is singular."""
+    zero0 = {j - 1 for j in zero_set}
+    if not all(1 <= j <= p.n for j in zero_set):
+        raise ValueError(f"zero set entries must lie in 1..{p.n}")
+    if len(zero0) != p.kernel_dim():
+        raise ValueError(
+            f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zero0)}")
+    keep = [j for j in range(p.n) if j not in zero0]
+    vrows, rhs = _integer_system(p, pt, *hs)
+    den, nums = _solve_pattern(vrows, keep, rhs)
+    if not den:
+        raise SingularPatternError(
+            f"columns outside {sorted(zero_set)} are affinely dependent")
+    return keep, den, nums
 
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
@@ -155,14 +163,8 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     Raises SingularPatternError when the complementary columns are affinely
     dependent.
     """
-    pt = linalg.vec(point)
-    keep = _pattern_system(p, zero_set)
-    vrows, rhs = _integer_system(p, pt)
-    den, nums = _solve_pattern(vrows, keep, rhs)
-    if not den:
-        raise SingularPatternError(
-            f"columns outside {sorted(zero_set)} are affinely dependent")
-    sigma = _sigma(p.n, keep, nums, den)
+    keep, den, nums = _solve_zero_set(p, zero_set, linalg.vec(point))
+    sigma = _sigma(p.n, keep, (x for x, in nums), den)
     return SimplicialCoordinate(
         zero_set=frozenset(zero_set),
         sigma=sigma,
@@ -170,21 +172,38 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     )
 
 
-def _feasible_patterns(p: Polytope, pt):
-    """Yield (zero set, sigma) for every feasible nonsingular zero pattern.
-
-    Zero sets are 1-based tuples in lexicographic order.  Each pattern is
-    one fraction-free elimination of its integer system (``_integer_system``):
-    a zero pivot marks a singular pattern, otherwise sigma_keep = num / den
-    and the pattern is feasible iff every num·den >= 0, a test on plain ints.
-    Fractions are built only for feasible patterns.
+def _patterns(p: Polytope, pt, *hs):
+    """Yield (zero set, keep, den, nums) for every nonsingular zero pattern, in
+    the one loop over them: row i of nums / den is sigma_keep[i] at ``pt``,
+    then (J·h)_keep[i] per direction h.  Zero sets are 1-based, lexicographic.
     """
-    vrows, rhs = _integer_system(p, pt)
+    vrows, rhs = _integer_system(p, pt, *hs)
     for combo in itertools.combinations(range(1, p.n + 1), p.kernel_dim()):
         keep = [j for j in range(p.n) if j + 1 not in combo]
         den, nums = _solve_pattern(vrows, keep, rhs)
-        if den and all(x * den >= 0 for (x,) in nums):
-            yield combo, _sigma(p.n, keep, nums, den)
+        if den:
+            yield combo, keep, den, nums
+
+
+def _feasible_patterns(p: Polytope, pt):
+    """Yield (zero set, sigma) for every feasible nonsingular zero pattern,
+    tested on plain ints (every num·den >= 0) before any Fraction is built."""
+    for combo, keep, den, nums in _patterns(p, pt):
+        if all(x * den >= 0 for (x,) in nums):
+            yield combo, _sigma(p.n, keep, (x for x, in nums), den)
+
+
+def _ray_vertices(p: Polytope, table, t) -> list:
+    """Sorted distinct vertices of the coordinate polytope at pt + t·h (none
+    outside), read from ``table`` = list(_patterns(p, pt, h)): sigma is affine,
+    so for t = tn/td, td > 0, a row [a, b] has sigma = (td·a + tn·b)/(den·td)."""
+    tn, td = Fraction(t).as_integer_ratio()
+    found = set()
+    for _, keep, den, nums in table:
+        xs = [td * a + tn * b for a, b in nums]
+        if all(x * den >= 0 for x in xs):
+            found.add(_sigma(p.n, keep, xs, den * td))
+    return sorted(found)
 
 
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:

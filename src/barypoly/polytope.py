@@ -166,16 +166,20 @@ def parse_polytope(doc) -> Polytope:
     return validate(rows, d, labels=labels)
 
 
-def load_polytope(path) -> Polytope:
-    """Parse and validate a polytope file (see parse_polytope for the schema)."""
+def read_json(path):
+    """A JSON file's value, decimals as exact Fractions; ParseError if unreadable."""
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_float=Fraction)
+            return json.load(fh, parse_float=Fraction)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_polytope(doc)
+
+
+def load_polytope(path) -> Polytope:
+    """Parse and validate a polytope file (see parse_polytope for the schema)."""
+    return parse_polytope(read_json(path))
 
 
 def polytope_document(p: Polytope) -> dict:

@@ -1,7 +1,8 @@
 """Floating-point probes of the set-valued coordinate map.
 
-The combinatorial structure is never approximated: vertex lists are computed
-exactly at every sample point and only the metric evaluation runs in floats.
+The combinatorial structure is never approximated: the exact vertex lists at
+the basepoint and at every step are read from one pattern table along the ray,
+and only the metric evaluation runs in floats.
 Distances to convex hulls use Wolfe's finite corral method for the minimum
 norm point.  It runs until it reaches the optimum or rounding stops its
 progress; the distance is converged when the Frank-Wolfe gap there is within
@@ -14,15 +15,14 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import coordinates as co
 from . import linalg
-from .coordinates import _pattern_system, lambda_vertices, simplicial_coords
 from .errors import (
     DimensionMismatchError,
     InfeasibleSelectionError,
     LeavesPolytopeError,
-    SingularPatternError,
 )
-from .polytope import Location, Polytope, locate
+from .polytope import Polytope
 
 _MAX_ITER = 10_000
 
@@ -175,21 +175,23 @@ def _tail_nonincreasing(xs, slack=1e-12):
 
 
 def _probe_samples(p: Polytope, point, h, t0, steps):
+    """(pt, h, t_k, Lambda(pt), each Lambda(pt + t_k·h)) from one pattern table."""
     pt = linalg.vec(point)
     hv = linalg.vec(h)
-    if len(hv) != p.d:
-        raise DimensionMismatchError("direction length must equal d")
+    if len(pt) != p.d or len(hv) != p.d:
+        raise DimensionMismatchError("point and direction lengths must equal d")
     t0 = Fraction(t0)
     if t0 <= 0 or steps < 3:
         raise ValueError("need t0 > 0 and steps >= 3")
-    tag = locate(p, pt).tag
-    if tag == Location.OUTSIDE:
-        raise LeavesPolytopeError("basepoint is outside the polytope")
-    far = tuple(a + t0 * b for a, b in zip(pt, hv))
-    if locate(p, far).tag == Location.OUTSIDE:
-        raise LeavesPolytopeError("p + t0*h leaves the polytope")
+    table = list(co._patterns(p, pt, hv))
     ts = [t0 / (1 << k) for k in range(steps)]
-    return pt, hv, ts, tag
+    base, *lams = [co._ray_vertices(p, table, t) for t in [0] + ts]
+    if not base:
+        raise LeavesPolytopeError("basepoint is outside the polytope")
+    # the polytope is convex, so every step between pt and pt + t0·h is inside
+    if not lams[0]:
+        raise LeavesPolytopeError("p + t0*h leaves the polytope")
+    return pt, hv, ts, base, lams
 
 
 def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
@@ -207,13 +209,12 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     is Converges only when the final distance is below ``tolerance`` and the
     tail is nonincreasing.
     """
-    pt, hv, ts, _ = _probe_samples(p, point, h, t0, steps)
-    base = FloatPolytope.from_exact(lambda_vertices(p, pt).vertex_arrays())
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
+    base = FloatPolytope.from_exact(base)
     steps_out = []
     all_met = True
-    for t in ts:
-        q = tuple(a + t * b for a, b in zip(pt, hv))
-        cur = FloatPolytope.from_exact(lambda_vertices(p, q).vertex_arrays())
+    for t, lam in zip(ts, lams):
+        cur = FloatPolytope.from_exact(lam)
         d, met = _hausdorff_status(cur, base, distance_tol)
         all_met = all_met and met
         steps_out.append(ProbeStep(t=float(t), distance=d, ratio=d / float(t)))
@@ -237,20 +238,12 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
 
 def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
     """Exact n x d Jacobian of the simplicial-coordinate map for ``zero_set``."""
-    keep = _pattern_system(p, zero_set)
-    # column l solves [1 … 1; L·V_keep]·x = [0; L·e_l], the integer scaling
-    # of [1 … 1; V_keep]·x = [0; e_l]
-    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
-    rows = [[1] * len(keep) + [0] * p.d]
-    rows += [[vr[j] for j in keep] + [scale if c == l else 0 for c in range(p.d)]
-             for l, vr in enumerate(vrows)]
-    det, nums = linalg.bareiss(rows, len(keep))
-    if not det:
-        raise SingularPatternError(
-            f"columns outside {sorted(zero_set)} are affinely dependent")
+    # the system at the point 0 along e_1..e_d: column l + 1 solves to J·e_l
+    units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
+    keep, den, nums = co._solve_zero_set(p, zero_set, [0] * p.d, *units)
     jac = [[Fraction(0)] * p.d for _ in range(p.n)]
     for j, row in zip(keep, nums):
-        jac[j] = [Fraction(x, det) for x in row]
+        jac[j] = [Fraction(x, den) for x in row[1:]]
     return jac
 
 
@@ -278,10 +271,11 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     settle, which is not implied (they grow without bound whenever the
     coordinate polytope at p is not the single point sigma_Z(p)).
     """
-    pt, hv, ts, tag = _probe_samples(p, point, h, t0, steps)
-    if tag != Location.INTERIOR:
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
+    # interior iff the vertex supports of Lambda(p) cover 1..n
+    if len({j for lam in base for j, x in enumerate(lam) if x}) < p.n:
         raise LeavesPolytopeError("basepoint must be interior")
-    sel = simplicial_coords(p, pt, zero_set)
+    sel = co.simplicial_coords(p, pt, zero_set)
     if not sel.feasible:
         raise InfeasibleSelectionError(
             f"sigma with zero set {sorted(zero_set)} is infeasible at the basepoint")
@@ -291,12 +285,10 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     quotient_sets = []
     witness = []
     all_met = True
-    for t in ts:
-        q = tuple(a + t * b for a, b in zip(pt, hv))
-        lam = lambda_vertices(p, q)
+    for t, lam in zip(ts, lams):
         sk = FloatPolytope.from_exact([tuple((m - s) / t
                                              for m, s in zip(vert, sel.sigma))
-                                       for vert in lam.vertex_arrays()])
+                                       for vert in lam])
         quotient_sets.append(sk)
         d, met = _point_distance_status(v_float, sk, distance_tol)
         all_met = all_met and met

@@ -201,6 +201,22 @@ def test_sweep_bad_point_coordinate(square_file, tmp_path, capsys, row):
     assert json.loads(out)["error"] == "ParseError"
 
 
+@pytest.mark.parametrize("text, detail", [
+    (None, "cannot read {}: [Errno 2] No such file or directory: '{}'"),
+    ("{oops", "{}: invalid JSON (Expecting property name enclosed in double "
+              "quotes: line 1 column 2 (char 1))"),
+])
+def test_sweep_unreadable_points_file(square_file, tmp_path, capsys, text, detail):
+    pf = tmp_path / "pts.json"
+    if text is not None:
+        pf.write_text(text)
+    code, out = run(capsys, "sweep", square_file, "--mode", "census",
+                    "--points", str(pf))
+    assert code == 1
+    assert json.loads(out) == {"error": "ParseError",
+                               "detail": detail.format(pf, pf)}
+
+
 def test_sweep_grid_xor_points(square_file, capsys):
     code, out = run(capsys, "sweep", square_file, "--mode", "census")
     assert code == 1

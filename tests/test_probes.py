@@ -352,17 +352,32 @@ def test_semidiff_leaves_polytope(square):
         semidiff_probe(square, CENTER, {4}, (F(100), F(0)), t0=F(1), steps=4)
 
 
-def test_semidiff_locates_each_point_once(square, monkeypatch):
-    from barypoly import probes
+def test_probes_read_one_pattern_table(square, pyramid, prism8, monkeypatch):
+    # each probe eliminates every zero pattern once, along its ray, and reads
+    # Lambda at the basepoint and at every step from that table: no phase one,
+    # and C(8, 4) = 70 eliminations for a prism8 continuity row (a scan at the
+    # basepoint and at each of 8 steps made 630)
+    from barypoly import coordinates, polytope, simplex
 
-    located = []
-    real = probes.locate
-    monkeypatch.setattr(probes, "locate",
-                        lambda p, q: located.append(q) or real(p, q))
+    phase_ones, solves = [], []
+    real_fp, real_solve = simplex.feasible_point, coordinates._solve_pattern
+    for mod in (simplex, coordinates, polytope):
+        monkeypatch.setattr(mod, "feasible_point",
+                            lambda *a: phase_ones.append(a) or real_fp(*a))
+    monkeypatch.setattr(coordinates, "_solve_pattern",
+                        lambda *a: solves.append(a) or real_solve(*a))
+    continuity_probe(prism8, (F(1, 2),) * 3, (F(1, 64), F(-1, 32), F(1, 128)))
+    assert len(solves) == math.comb(8, 4) == 70
+    solves.clear()
+    # the table's 4 patterns, then sigma_Z(p) and the Jacobian
     semidiff_probe(square, CENTER, {4}, (F(1), F(0)), t0=F(1, 16), steps=3)
-    assert located == [CENTER, (F(9, 16), F(1, 2))]  # basepoint, p + t0*h
-    located.clear()
+    assert len(solves) == 4 + 2
+    # boundary basepoints: on a square's edge, and on the pyramid's base,
+    # where the vertex supports cover 4 of the 5 indices
     with pytest.raises(LeavesPolytopeError, match="basepoint must be interior"):
         semidiff_probe(square, (F(1, 2), F(0)), {4}, (F(0), F(1)),
                        t0=F(1, 16), steps=3)
-    assert len(located) == 2
+    with pytest.raises(LeavesPolytopeError, match="basepoint must be interior"):
+        semidiff_probe(pyramid, (F(1), F(1, 2), F(0)), {5}, (F(0), F(0), F(1)),
+                       t0=F(1, 16), steps=3)
+    assert phase_ones == []

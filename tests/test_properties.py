@@ -5,10 +5,11 @@ elimination; ``helpers.brute_force_vertices`` solves every pattern with
 Fraction Gauss-Jordan.  Both must give the same vertex set at interior,
 boundary and large-bit-size points of random polytopes.  At the same points
 ``dim`` must equal the affine dimension of the vertex list, and every Gamma
-vertex c must map back to its Lambda vertex as tau + N·c.  ``locate``, which
-decides by feasibility alone, must agree with the supports of those vertex
-lists, and the double-description oracle must give the same vertex lists
-and refuse the same outside points.
+vertex c must map back to its Lambda vertex as tau + N·c.  Along a ray, the
+vertex lists read from one pattern table must equal the scan's at every t.
+``locate``, which decides by feasibility alone, must agree with the supports
+of those vertex lists, and the double-description oracle must give the same
+vertex lists and refuse the same outside points.
 """
 
 from fractions import Fraction
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from barypoly import linalg
 from barypoly.coordinates import (
     _feasible_patterns,
+    _patterns,
+    _ray_vertices,
     feasible_tau,
     gamma_polytope,
     lambda_vertices,
@@ -84,6 +87,47 @@ def test_interior_points(p, data):
         if sc.feasible:
             expected.append((combo, sc.sigma))
     assert list(_feasible_patterns(p, q)) == expected
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_ray_table_matches_the_scan(p, data):
+    # Lambda(q + t·h) read from one table of _patterns(p, q, h) equals the
+    # scan at q + t·h, and is empty exactly where the scan finds it outside:
+    # at 0 and the probe steps t0/2^k, at chamber walls (zeros of some
+    # sigma_Z(q + t·h)), between walls, and past the last wall either way
+    kind = data.draw(st.sampled_from(["interior", "vertex", "midpoint"]))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    if kind == "interior":
+        weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+        q = _combination(p.vertices, weights)
+    elif kind == "vertex":
+        q = p.vertices[i]
+    else:
+        q = tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j]))
+    h = tuple(F(x) for x in data.draw(st.lists(st.integers(-3, 3), min_size=p.d,
+                                               max_size=p.d)))
+    table = list(_patterns(p, q, h))
+    walls = sorted({F(-a, b) for _, _, _, nums in table for a, b in nums if b})
+    ts = [F(0)] + [F(1, 8) / (1 << k) for k in range(4)]
+    if walls:
+        between = [(x + y) / 2 for x, y in zip(walls, walls[1:])]
+        ts += data.draw(st.lists(st.sampled_from(walls + between), min_size=2,
+                                 max_size=4))
+        ts += [walls[0] - 1, walls[-1] + 1]
+    for t in ts:
+        try:
+            want = lambda_vertices(p, tuple(a + t * b for a, b in zip(q, h)))
+        except InfeasibleError:
+            assert _ray_vertices(p, table, t) == []
+        else:
+            assert _ray_vertices(p, table, t) == want.vertex_arrays()
+    # a nonzero direction leaves the polytope both ways, and the exit is a wall
+    assert bool(walls) == any(h)
+    if walls:
+        assert _ray_vertices(p, table, walls[0] - 1) == []
+        assert _ray_vertices(p, table, walls[-1] + 1) == []
 
 
 @PROPERTY

@@ -49,3 +49,19 @@ def test_cli_solves_no_lp():
     assert "barypoly.oracle" in names
     assert sorted(name for name in names
                   if name.startswith("barypoly.simplex")) == []
+
+
+def test_probes_read_the_pattern_table():
+    # probes read every vertex list and the Jacobian from coordinates' pattern
+    # system: no phase one, no point location, no elimination of their own
+    names = _imported_names("probes")
+    path = Path(barypoly.__file__).parent / "probes.py"
+    names |= {f"barypoly.linalg.{node.attr}"
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id == "linalg"}
+    assert any(name.startswith("barypoly.coordinates") for name in names)
+    assert sorted(name for name in names
+                  if name.startswith("barypoly.simplex")
+                  or name in ("barypoly.polytope.locate", "barypoly.linalg.bareiss",
+                              "barypoly.linalg.integer_rows")) == []
