@@ -21,7 +21,8 @@ from . import probes
 from .errors import BarypolyError, InfeasibleError, OracleMismatchError, ParseError
 from .fixtures import fixture_document, fixture_names
 from .linalg import fr, mat_vec, vec
-from .polytope import Location, Polytope, load_polytope, locate, read_json
+from .polytope import (Location, Polytope, load_polytope, locate, parse_coordinates,
+                       read_json)
 from .report import AnalysisReport, LambdaVertexEntry, format_float
 
 _SEED_ENV = "BARYPOLY_SEED"
@@ -129,17 +130,7 @@ def _load_points(path, d):
         doc = doc.get("points")
     if not isinstance(doc, list):
         raise ParseError("points file must hold a list of points")
-    pts = []
-    for i, row in enumerate(doc):
-        if not isinstance(row, list) or len(row) != d:
-            raise ParseError(f"point {i + 1} must list {d} coordinates")
-        if any(isinstance(x, bool) for x in row):
-            raise ParseError(f"point {i + 1}: bad coordinate (boolean)")
-        try:
-            pts.append(tuple(fr(x) for x in row))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ParseError(f"point {i + 1}: bad coordinate ({exc})") from exc
-    return pts
+    return [parse_coordinates(row, d, f"point {i + 1}") for i, row in enumerate(doc)]
 
 
 def _census_cells(p, point):
@@ -171,7 +162,7 @@ def _pick_selection(p, point):
     """First zero pattern (lexicographic) whose coordinates are feasible at
     the point, preferring strictly positive complements."""
     first_feasible = None
-    for combo, sigma in co._feasible_patterns(p, point):
+    for combo, sigma in co._feasible_rows(p, co._patterns(p, point), 0):
         if sum(1 for x in sigma if x) == p.d + 1:
             return frozenset(combo)
         if first_feasible is None:
@@ -199,8 +190,9 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
     if mode in ("continuity", "semidiff"):
         if h is None:
             raise ParseError(f"--h is required for mode {mode}")
-        if t0_frac <= 0 or steps < 3:
-            raise ParseError(f"mode {mode} needs --t0 > 0 and --steps >= 3")
+        if t0_frac <= 0 or steps < 3 or not probes._float_steps(t0_frac, steps):
+            raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 and "
+                             "--t0/2^(steps-1) in [float min, float max]")
         hvec = _parse_rationals(h)
         if len(hvec) != p.d:
             raise ParseError(f"direction must have {p.d} coordinates")

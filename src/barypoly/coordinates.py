@@ -185,33 +185,30 @@ def _patterns(p: Polytope, pt, *hs):
             yield combo, keep, den, nums
 
 
-def _feasible_patterns(p: Polytope, pt):
-    """Yield (zero set, sigma) for every feasible nonsingular zero pattern,
-    tested on plain ints (every num·den >= 0) before any Fraction is built."""
-    for combo, keep, den, nums in _patterns(p, pt):
-        if all(x * den >= 0 for (x,) in nums):
-            yield combo, _sigma(p.n, keep, (x for x, in nums), den)
+def _feasible_rows(p: Polytope, table, t):
+    """Yield (zero set, sigma) for every row of ``table`` whose sigma is
+    feasible at pt + t·h, in table order; ``table`` is _patterns(p, pt, h), or
+    _patterns(p, pt) read at t = 0.  sigma is affine, so for t = tn/td, td > 0,
+    a row [a, …, b] has sigma = (td·a + tn·b)/(den·td), tested on plain ints
+    (every num·den >= 0) before any Fraction is built."""
+    tn, td = Fraction(t).as_integer_ratio()
+    for combo, keep, den, nums in table:
+        xs = [td * row[0] + tn * row[-1] for row in nums]
+        if all(x * den >= 0 for x in xs):
+            yield combo, _sigma(p.n, keep, xs, den * td)
 
 
 def _ray_vertices(p: Polytope, table, t) -> list:
-    """Sorted distinct vertices of the coordinate polytope at pt + t·h (none
-    outside), read from ``table`` = list(_patterns(p, pt, h)): sigma is affine,
-    so for t = tn/td, td > 0, a row [a, b] has sigma = (td·a + tn·b)/(den·td)."""
-    tn, td = Fraction(t).as_integer_ratio()
-    found = set()
-    for _, keep, den, nums in table:
-        xs = [td * a + tn * b for a, b in nums]
-        if all(x * den >= 0 for x in xs):
-            found.add(_sigma(p.n, keep, xs, den * td))
-    return sorted(found)
+    """Sorted distinct vertices of Lambda(pt + t·h) read by _feasible_rows."""
+    return sorted({sigma for _, sigma in _feasible_rows(p, table, t)})
 
 
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     """Enumerate the vertex set of the coordinate polytope at ``point``.
 
     Scans every size-(n-d-1) zero pattern with an exact integer elimination
-    (``_feasible_patterns``), deduplicates the feasible solutions exactly and
-    sorts them lexicographically.  A nonsingular pattern's support columns
+    (``_patterns``) and reads the sorted distinct feasible solutions off it
+    with ``_ray_vertices`` at t = 0.  A nonsingular pattern's support columns
     are affinely independent, so every feasible solution is a vertex.  Raises
     InfeasibleError when the point is outside.
 
@@ -222,15 +219,11 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     sum(lam) = 1}: |S| - rank [V_S; 1].
     """
     pt = linalg.vec(point)
-    found = {}
-    for _, sigma in _feasible_patterns(p, pt):
-        if sigma not in found:
-            found[sigma] = frozenset(j + 1 for j, x in enumerate(sigma) if x != 0)
-    if not found:
+    ordered = _ray_vertices(p, _patterns(p, pt), 0)
+    if not ordered:
         raise InfeasibleError("point is outside the polytope")
-    ordered = sorted(found)
     vertices = tuple(BarycentricVector(lam=v, point=pt) for v in ordered)
-    supports = tuple(found[v] for v in ordered)
+    supports = tuple(frozenset(j + 1 for j, x in enumerate(v) if x) for v in ordered)
     support = frozenset().union(*supports)
     used = [v for j, v in enumerate(p.vertices, 1) if j in support]
     return LambdaPolytope(

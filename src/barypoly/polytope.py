@@ -149,16 +149,7 @@ def parse_polytope(doc) -> Polytope:
     verts = doc["vertices"]
     if not isinstance(verts, list) or not verts:
         raise ParseError('"vertices" must be a nonempty list')
-    cols = []
-    for i, v in enumerate(verts):
-        if not isinstance(v, list) or len(v) != d:
-            raise ParseError(f"vertex {i + 1} must be a list of {d} coordinates")
-        if any(isinstance(x, bool) for x in v):
-            raise ParseError(f"vertex {i + 1}: bad coordinate (boolean)")
-        try:
-            cols.append([linalg.fr(x) for x in v])
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
-            raise ParseError(f"vertex {i + 1}: bad coordinate ({exc})") from exc
+    cols = [parse_coordinates(v, d, f"vertex {i + 1}") for i, v in enumerate(verts)]
     rows = [[col[l] for col in cols] for l in range(d)]
     labels = doc.get("labels")
     if labels is not None and (not isinstance(labels, list) or len(labels) != len(cols)):
@@ -166,14 +157,29 @@ def parse_polytope(doc) -> Polytope:
     return validate(rows, d, labels=labels)
 
 
-def read_json(path):
-    """A JSON file's value, decimals as exact Fractions; ParseError if unreadable."""
+def parse_coordinates(row, d, what) -> tuple:
+    """A JSON list of d coordinates as exact Fractions: numbers (exact from
+    their decimal expansion) or strings "p/q"; ParseError names ``what``."""
+    if not isinstance(row, list) or len(row) != d:
+        raise ParseError(f"{what} must be a list of {d} coordinates")
+    if any(isinstance(x, bool) for x in row):
+        raise ParseError(f"{what}: bad coordinate (boolean)")
     try:
-        with open(path) as fh:
-            return json.load(fh, parse_float=Fraction)
+        return tuple(linalg.fr(x) for x in row)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        raise ParseError(f"{what}: bad coordinate ({exc})") from exc
+
+
+def read_json(path):
+    """A UTF-8 JSON file's value, decimals as exact Fractions; ParseError if
+    unreadable, undecodable, not JSON or holding NaN or (-)Infinity."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            # Fraction("NaN") and Fraction("Infinity") raise ValueError
+            return json.load(fh, parse_float=Fraction, parse_constant=Fraction)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 

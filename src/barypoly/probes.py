@@ -10,6 +10,7 @@ a threshold, and an unconverged distance makes the verdict "Inconclusive".
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -174,15 +175,23 @@ def _tail_nonincreasing(xs, slack=1e-12):
     return all(b <= a + slack for a, b in zip(tail, tail[1:]))
 
 
+def _float_steps(t0, steps) -> bool:
+    """For t0 > 0, whether t0 and t0/2^(steps-1) lie in [float min, float max];
+    exact, as floor(t0/float min) >= 2^(steps-1), building no 2^(steps-1)."""
+    return (t0 <= sys.float_info.max
+            and math.floor(t0 / Fraction(sys.float_info.min)).bit_length() >= steps)
+
+
 def _probe_samples(p: Polytope, point, h, t0, steps):
-    """(pt, h, t_k, Lambda(pt), each Lambda(pt + t_k·h)) from one pattern table."""
+    """(pt, h, t_k, list(_patterns(p, pt, h)), Lambda(pt), each Lambda(pt + t_k·h))."""
     pt = linalg.vec(point)
     hv = linalg.vec(h)
     if len(pt) != p.d or len(hv) != p.d:
         raise DimensionMismatchError("point and direction lengths must equal d")
     t0 = Fraction(t0)
-    if t0 <= 0 or steps < 3:
-        raise ValueError("need t0 > 0 and steps >= 3")
+    if t0 <= 0 or steps < 3 or not _float_steps(t0, steps):
+        raise ValueError("need t0 > 0, steps >= 3, and t0 and t0/2^(steps-1) "
+                         "in [float min, float max]")
     table = list(co._patterns(p, pt, hv))
     ts = [t0 / (1 << k) for k in range(steps)]
     base, *lams = [co._ray_vertices(p, table, t) for t in [0] + ts]
@@ -191,7 +200,7 @@ def _probe_samples(p: Polytope, point, h, t0, steps):
     # the polytope is convex, so every step between pt and pt + t0·h is inside
     if not lams[0]:
         raise LeavesPolytopeError("p + t0*h leaves the polytope")
-    return pt, hv, ts, base, lams
+    return pt, hv, ts, table, base, lams
 
 
 def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
@@ -209,7 +218,7 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     is Converges only when the final distance is below ``tolerance`` and the
     tail is nonincreasing.
     """
-    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
+    pt, hv, ts, _, base, lams = _probe_samples(p, point, h, t0, steps)
     base = FloatPolytope.from_exact(base)
     steps_out = []
     all_met = True
@@ -241,10 +250,8 @@ def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
     # the system at the point 0 along e_1..e_d: column l + 1 solves to J·e_l
     units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
     keep, den, nums = co._solve_zero_set(p, zero_set, [0] * p.d, *units)
-    jac = [[Fraction(0)] * p.d for _ in range(p.n)]
-    for j, row in zip(keep, nums):
-        jac[j] = [Fraction(x, den) for x in row[1:]]
-    return jac
+    cols = [co._sigma(p.n, keep, col, den) for col in list(zip(*nums))[1:]]
+    return [list(row) for row in zip(*cols)]
 
 
 def selection_jacobian(p: Polytope, zero_set) -> np.ndarray:
@@ -269,25 +276,29 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     distance must vanish when the map is semidifferentiable at the selection;
     the consecutive-set series indicates whether the quotient sets themselves
     settle, which is not implied (they grow without bound whenever the
-    coordinate polytope at p is not the single point sigma_Z(p)).
+    coordinate polytope at p is not the single point sigma_Z(p)).  sigma_Z(p)
+    and J·h are read off row Z of the probe's pattern table; a zero set with no
+    row raises ValueError if malformed, else SingularPatternError.
     """
-    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
+    pt, hv, ts, table, base, lams = _probe_samples(p, point, h, t0, steps)
     # interior iff the vertex supports of Lambda(p) cover 1..n
     if len({j for lam in base for j, x in enumerate(lam) if x}) < p.n:
         raise LeavesPolytopeError("basepoint must be interior")
-    sel = co.simplicial_coords(p, pt, zero_set)
-    if not sel.feasible:
+    row = next((r for r in table if r[0] == tuple(sorted(zero_set))), None)
+    if row is None:  # the table has every nonsingular pattern, so this raises
+        co._solve_zero_set(p, zero_set, pt)
+    _, keep, den, nums = row
+    sigma, jh = (co._sigma(p.n, keep, col, den) for col in zip(*nums))
+    if any(x < 0 for x in sigma):
         raise InfeasibleSelectionError(
             f"sigma with zero set {sorted(zero_set)} is infeasible at the basepoint")
-    jac = _selection_jacobian_exact(p, zero_set)
-    v = [linalg.dot(row, hv) for row in jac]
-    v_float = np.array([float(x) for x in v], dtype=float)
+    v_float = np.array([float(x) for x in jh], dtype=float)
     quotient_sets = []
     witness = []
     all_met = True
     for t, lam in zip(ts, lams):
         sk = FloatPolytope.from_exact([tuple((m - s) / t
-                                             for m, s in zip(vert, sel.sigma))
+                                             for m, s in zip(vert, sigma))
                                        for vert in lam])
         quotient_sets.append(sk)
         d, met = _point_distance_status(v_float, sk, distance_tol)

@@ -1,11 +1,11 @@
 """Exact phase-one simplex on a fraction-free integer tableau, Bland's rule.
 
 Decides feasibility of A x = b, x >= 0 by minimizing the sum of artificial
-variables.  A feasible system yields a basic feasible solution; an
-infeasible one yields an exact Farkas certificate y with y·A_j <= 0 for
-every column j and y·b > 0.  Entering variable: lowest index with negative
-reduced cost.  Leaving variable: minimum ratio, ties broken by lowest
-basic-variable index.  Both rules are index-based, so results are
+variables; there is no phase two.  A feasible system yields a basic feasible
+solution; an infeasible one yields an exact Farkas certificate y with
+y·A_j <= 0 for every column j and y·b > 0.  Entering variable: lowest index
+with negative reduced cost.  Leaving variable: minimum ratio, ties broken by
+lowest basic-variable index.  Both rules are index-based, so results are
 deterministic and cycling is impossible.
 
 The tableau holds integers only (Bareiss 1968; Avis 2000, lrs).  Column j
@@ -103,27 +103,17 @@ class _Tableau:
 
 
 def _phase_one(tab: _Tableau):
-    """Minimize the artificial sum.  Returns (feasible, farkas_or_none)."""
-    n, m = tab.n_orig, len(tab.rows)
+    """Minimize the artificial sum; returns (feasible, farkas_or_none) when
+    Bland's loop stops.  An artificial may stay basic at 0: x is still a basic
+    solution, its support in the basic columns of A, linearly independent."""
     status = tab._bland()
     if status != "optimal":  # the artificial objective is bounded below by 0
         raise InternalError(f"phase one is {status}")
     if tab.cost[-1]:  # -D·s times the artificial sum
         # y_i = 1 - cbar(artificial_i), unflipped back to the original rows
-        d = tab.det
-        y = [Fraction(f * (d - c), d) for f, c in zip(tab.flips, tab.cost[n:n + m])]
+        d, n = tab.det, tab.n_orig
+        y = [Fraction(f * (d - c), d) for f, c in zip(tab.flips, tab.cost[n:-1])]
         return False, y
-    # drive any remaining artificial variables out of the basis; a pivot
-    # here may be negative, and D with it
-    for i in range(m - 1, -1, -1):
-        if tab.basis[i] >= n:
-            enter = next((j for j in range(n) if tab.rows[i][j] != 0), -1)
-            if enter >= 0:
-                tab._pivot(i, enter)
-            else:
-                # redundant constraint row
-                del tab.rows[i]
-                del tab.basis[i]
     return True, None
 
 

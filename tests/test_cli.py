@@ -217,6 +217,65 @@ def test_sweep_unreadable_points_file(square_file, tmp_path, capsys, text, detai
                                "detail": detail.format(pf, pf)}
 
 
+SQUARE_TEXT = '{"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [%s, 1]]}'
+
+
+def _bad_input(square_file, tmp_path, kind, data):
+    """argv reading ``data`` as a polytope file or as a points file."""
+    f = tmp_path / "in.json"
+    f.write_bytes(data)
+    if kind == "polytope":
+        return f, ["validate", str(f)]
+    return f, ["sweep", square_file, "--mode", "census", "--points", str(f)]
+
+
+@pytest.mark.parametrize("kind", ["polytope", "points"])
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_constant(square_file, tmp_path, capsys, kind, constant):
+    text = SQUARE_TEXT % constant if kind == "polytope" else f"[[{constant}, 0.5]]"
+    f, argv = _bad_input(square_file, tmp_path, kind, text.encode())
+    code, out = run(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ParseError",
+        "detail": f"{f}: invalid JSON (Invalid literal for Fraction: '{constant}')"}
+
+
+@pytest.mark.parametrize("kind", ["polytope", "points"])
+def test_non_utf8_file(square_file, tmp_path, capsys, kind):
+    data = (SQUARE_TEXT % 0 if kind == "polytope" else "[[0.5, 0.5]]").encode()
+    f, argv = _bad_input(square_file, tmp_path, kind, data[:-1] + b" \xff" + data[-1:])
+    code, out = run(capsys, *argv)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "ParseError"
+    assert doc["detail"].startswith(f"{f}: invalid JSON ('utf-8' codec can't decode")
+
+
+def test_point_and_vertex_messages_match(square_file, tmp_path, capsys):
+    # one coordinate parser reads polytope and points files
+    f, argv = _bad_input(square_file, tmp_path, "points", b"[[0.5, 0.5], [1]]")
+    assert json.loads(run(capsys, *argv)[1])["detail"] == (
+        "point 2 must be a list of 2 coordinates")
+    f, argv = _bad_input(square_file, tmp_path, "polytope",
+                         (SQUARE_TEXT % 0).replace("[1, 0]", "[1]").encode())
+    assert json.loads(run(capsys, *argv)[1])["detail"] == (
+        "vertex 2 must be a list of 2 coordinates")
+
+
+@pytest.mark.parametrize("mode", ["continuity", "semidiff"])
+@pytest.mark.parametrize("options", [
+    ["--h", "1/64,0", "--steps", "1100"],     # the last step underflows
+    ["--h", "1/64,0", "--t0", "1e-400"],      # below the smallest normal float
+    ["--h", "0,0", "--t0", "1e400"],          # above the largest float
+], ids=["steps", "t0-small", "t0-large"])
+def test_sweep_steps_outside_the_float_range(square_file, capsys, mode, options):
+    code, out = run(capsys, "sweep", square_file, "--mode", mode, "--grid", "2",
+                    *options)
+    assert code == 1
+    assert json.loads(out)["error"] == "ParseError"
+
+
 def test_sweep_grid_xor_points(square_file, capsys):
     code, out = run(capsys, "sweep", square_file, "--mode", "census")
     assert code == 1

@@ -347,6 +347,37 @@ def test_semidiff_infeasible_selection(square):
                        t0=F(1, 16), steps=4)
 
 
+@pytest.mark.parametrize("name, zero_set, error", [
+    ("prism8", {5, 6, 7, 8}, SingularPatternError),   # vertices 1-4 coplanar
+    ("prism8", {1, 2, 3, 9}, ValueError),
+    ("square", {1, 2}, ValueError),
+    ("square", set(), ValueError),
+])
+def test_semidiff_zero_set_without_a_row(name, zero_set, error, square, prism8):
+    # a zero set with no row in the probe's table raises what solving it
+    # raises, with the same message
+    p = {"square": square, "prism8": prism8}[name]
+    q = p.centroid()
+    with pytest.raises(error) as want:
+        simplicial_coords(p, q, zero_set)
+    with pytest.raises(error) as got:
+        semidiff_probe(p, q, zero_set, (F(1, 64),) * p.d, t0=F(1, 16), steps=3)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("t0, steps", [
+    (F(1, 8), 1100),           # the last step underflows to 0.0
+    (F(1, 10**400), 8),        # below the smallest normal float
+    (F(10**400), 8),           # above the largest float
+])
+def test_probe_steps_outside_the_float_range(square, t0, steps):
+    h = (F(0), F(0))
+    with pytest.raises(ValueError, match="float min, float max"):
+        continuity_probe(square, CENTER, h, t0=t0, steps=steps)
+    with pytest.raises(ValueError, match="float min, float max"):
+        semidiff_probe(square, CENTER, {4}, h, t0=t0, steps=steps)
+
+
 def test_semidiff_leaves_polytope(square):
     with pytest.raises(LeavesPolytopeError):
         semidiff_probe(square, CENTER, {4}, (F(100), F(0)), t0=F(1), steps=4)
@@ -369,9 +400,9 @@ def test_probes_read_one_pattern_table(square, pyramid, prism8, monkeypatch):
     continuity_probe(prism8, (F(1, 2),) * 3, (F(1, 64), F(-1, 32), F(1, 128)))
     assert len(solves) == math.comb(8, 4) == 70
     solves.clear()
-    # the table's 4 patterns, then sigma_Z(p) and the Jacobian
+    # the table's 4 patterns; sigma_Z(p) and J_Z·h are read off row Z
     semidiff_probe(square, CENTER, {4}, (F(1), F(0)), t0=F(1, 16), steps=3)
-    assert len(solves) == 4 + 2
+    assert len(solves) == 4
     # boundary basepoints: on a square's edge, and on the pyramid's base,
     # where the vertex supports cover 4 of the 5 indices
     with pytest.raises(LeavesPolytopeError, match="basepoint must be interior"):

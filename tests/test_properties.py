@@ -6,7 +6,8 @@ Fraction Gauss-Jordan.  Both must give the same vertex set at interior,
 boundary and large-bit-size points of random polytopes.  At the same points
 ``dim`` must equal the affine dimension of the vertex list, and every Gamma
 vertex c must map back to its Lambda vertex as tau + N·c.  Along a ray, the
-vertex lists read from one pattern table must equal the scan's at every t.
+vertex lists read from one pattern table must equal the scan's at every t,
+and row Z of that table must hold sigma_Z and J_Z·h exactly.
 ``locate``, which decides by feasibility alone, must agree with the supports
 of those vertex lists, and the double-description oracle must give the same
 vertex lists and refuse the same outside points.
@@ -21,12 +22,13 @@ from hypothesis import strategies as st
 
 from barypoly import linalg
 from barypoly.coordinates import (
-    _feasible_patterns,
+    _feasible_rows,
     _patterns,
     _ray_vertices,
     feasible_tau,
     gamma_polytope,
     lambda_vertices,
+    _sigma,
     nullbasis,
     simplicial_coords,
 )
@@ -34,6 +36,7 @@ from barypoly.errors import InfeasibleError, SingularPatternError
 from barypoly.fixtures import get_fixture
 from barypoly.oracle import dd_vertices, random_polytope
 from barypoly.polytope import Location, locate, validate
+from barypoly.probes import _selection_jacobian_exact
 from helpers import brute_force_vertices
 
 F = Fraction
@@ -86,7 +89,7 @@ def test_interior_points(p, data):
             continue
         if sc.feasible:
             expected.append((combo, sc.sigma))
-    assert list(_feasible_patterns(p, q)) == expected
+    assert list(_feasible_rows(p, _patterns(p, q), 0)) == expected
 
 
 @PROPERTY
@@ -132,6 +135,31 @@ def test_ray_table_matches_the_scan(p, data):
 
 @PROPERTY
 @given(polytopes(), st.data())
+def test_pattern_rows_hold_sigma_and_jacobian(p, data):
+    # row Z of _patterns(p, q, h) holds sigma_Z(q) and J_Z·h, which
+    # semidiff_probe reads off it, at any q, inside or not; the rows are
+    # exactly the nonsingular zero sets, in lexicographic order
+    coords = st.lists(st.integers(-9, 9), min_size=p.d, max_size=p.d)
+    q = tuple(F(x, 4) for x in data.draw(coords))
+    h = tuple(F(x, 3) for x in data.draw(coords))
+    table = list(_patterns(p, q, h))
+    nonsingular = []
+    for combo in combinations(range(1, p.n + 1), p.kernel_dim()):
+        try:
+            simplicial_coords(p, q, combo)
+        except SingularPatternError:
+            continue
+        nonsingular.append(combo)
+    assert [row[0] for row in table] == nonsingular
+    for combo, keep, den, nums in table:
+        sigma, jh = (_sigma(p.n, keep, col, den) for col in zip(*nums))
+        assert sigma == simplicial_coords(p, q, combo).sigma
+        jac = _selection_jacobian_exact(p, combo)
+        assert list(jh) == [linalg.dot(row, h) for row in jac]
+
+
+@PROPERTY
+@given(polytopes(), st.data())
 def test_boundary_points(p, data):
     i = data.draw(st.integers(0, p.n - 1))
     lam = _check_against_brute_force(p, p.vertices[i])
@@ -170,7 +198,7 @@ def test_large_bit_size_rationals(p, data):
 ])
 def test_duplicate_patterns_are_deduplicated(name, point, patterns, vertices):
     p = get_fixture(name)
-    found = list(_feasible_patterns(p, point))
+    found = list(_feasible_rows(p, _patterns(p, point), 0))
     assert len(found) == patterns
     assert [z for z, _ in found] == sorted(z for z, _ in found)
     lam = lambda_vertices(p, point)

@@ -33,6 +33,29 @@ def test_unbounded_phase_one_is_internal_error(monkeypatch):
         feasible_point([[F(1), F(1)]], [F(1)])
 
 
+def test_phase_one_stops_with_blands_loop(monkeypatch):
+    # x1 + x2 = 1, x1 - x2 = 1: Bland's loop ends with the second artificial
+    # basic at 0 and a nonzero x2 entry in its row; phase one returns there,
+    # pivoting no more, and x = (1, 0) is the basic feasible solution
+    tableaus, pivots = [], []
+    real_bland, real_pivot = simplex._Tableau._bland, simplex._Tableau._pivot
+
+    def bland(tab):
+        status = real_bland(tab)
+        tableaus.append(tab)
+        return status
+
+    monkeypatch.setattr(simplex._Tableau, "_bland", bland)
+    monkeypatch.setattr(simplex._Tableau, "_pivot",
+                        lambda tab, r, j: pivots.append(len(tableaus))
+                        or real_pivot(tab, r, j))
+    res = feasible_point([[F(1), F(1)], [F(1), F(-1)]], [F(1), F(1)])
+    assert (res.status, res.x) == ("optimal", [F(1), F(0)])
+    assert pivots == [0]
+    (tab,) = tableaus
+    assert tab.basis[1] >= tab.n_orig and tab.rows[1][-1] == 0 != tab.rows[1][1]
+
+
 def test_feasible_point_deterministic():
     a = [[F(0), F(1), F(1), F(0)],
          [F(0), F(0), F(1), F(1)],
