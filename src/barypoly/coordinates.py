@@ -8,13 +8,17 @@ form a polytope of dimension at most n-d-1.  This module computes a feasible
 basepoint tau(p), an exact kernel basis N of [V; 1^T], the simplicial
 coordinates obtained by zeroing a prescribed index set, the full vertex list
 of the coordinate polytope, and its reduced form { c : tau + N c >= 0 } in
-kernel coordinates.  All arithmetic is exact; index sets are 1-based to match
-the vertex order of the input file.
+kernel coordinates.  Each zero pattern's coordinates are an affine map of the
+point, so a polytope eliminates every pattern once, into a table that each
+point reads with integer multiply-adds.  All arithmetic is exact; index sets
+are 1-based to match the vertex order of the input file.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -22,6 +26,7 @@ from .errors import (
     InfeasibleError,
     NotAnIntervalError,
     NotMemberError,
+    PatternLimitError,
     SingularMatrixError,
     SingularPatternError,
     UnboundedDirectionError,
@@ -31,6 +36,8 @@ from .simplex import convex_membership, feasible_point
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+# the most zero patterns C(n, n-d-1) a pattern table is built for
+MAX_PATTERNS = 100_000
 
 
 @dataclass(frozen=True)
@@ -107,19 +114,6 @@ def circular_windows(n: int, d: int) -> list:
     return [frozenset(((i + k) % n) + 1 for k in range(size)) for i in range(n)]
 
 
-def _integer_system(p: Polytope, pt, *hs) -> tuple:
-    """Integer form of every pattern system at ``pt``: (L·V rows, right side).
-
-    With L and D the lcms of the vertex and of the point and direction
-    denominators, the pattern on columns ``keep`` solves [1 … 1; L·V_keep]·x
-    = [D; L·D·pt], whose solution is x = D·sigma_keep (scaling by positive
-    constants keeps signs); a direction h adds [0; L·D·h], solved by D·J_keep·h.
-    """
-    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
-    den, rows = linalg.integer_rows([pt, *hs])
-    return vrows, [[den] + [0] * len(hs)] + [[scale * x for x in c] for c in zip(*rows)]
-
-
 def _solve_pattern(vrows, keep, rhs) -> tuple:
     """(den, nums) with sigma_keep = nums / den; den is 0 when singular.
 
@@ -139,31 +133,84 @@ def _sigma(n, keep, xs, den) -> tuple:
     return tuple(sigma)
 
 
-def _solve_zero_set(p: Polytope, zero_set, pt, *hs) -> tuple:
-    """(keep, den, nums) as ``_patterns`` yields them, for a 1-based zero set of
-    n-d-1 entries in 1..n; raises SingularPatternError when it is singular."""
-    zero0 = {j - 1 for j in zero_set}
-    if not all(1 <= j <= p.n for j in zero_set):
+def _patterns(p: Polytope, pt, *hs):
+    """Yield (zero set, keep, den, nums) for every nonsingular zero pattern, in
+    the one loop over them: row i of nums / den is sigma_keep[i] at ``pt``,
+    then (J·h)_keep[i] per direction h.  Zero sets are 1-based, lexicographic.
+
+    With L and D the lcms of the vertex and of the point and direction
+    denominators, the pattern on columns ``keep`` solves [1 … 1; L·V_keep]·x
+    = [D; L·D·pt], whose solution is x = D·sigma_keep (scaling by positive
+    constants keeps signs); a direction h adds [0; L·D·h], solved by D·J_keep·h.
+    """
+    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
+    pscale, rows = linalg.integer_rows([pt, *hs])
+    rhs = [[pscale] + [0] * len(hs)] + [[scale * x for x in c] for c in zip(*rows)]
+    for combo in itertools.combinations(range(1, p.n + 1), p.kernel_dim()):
+        keep = [j for j in range(p.n) if j + 1 not in combo]
+        den, nums = _solve_pattern(vrows, keep, rhs)
+        if den:
+            yield combo, keep, den, nums
+
+
+def _table(p: Polytope) -> dict:
+    """Zero set -> row of _patterns(p, 0, e_1, …, e_d), built once per ``p``
+    and kept on it.
+
+    Each sigma_Z is affine on R^d, so row i of nums / den, [a | b_1 … b_d],
+    holds sigma_Z(0)_keep[i] and (J_Z)_keep[i], and fixes sigma_Z at every
+    point.  Raises PatternLimitError, before any elimination, when there are
+    more than MAX_PATTERNS zero patterns.
+    """
+    table = p._pattern_table
+    if not table:  # a full-dimensional polytope has a nonsingular pattern
+        count = math.comb(p.n, p.kernel_dim())
+        if count > MAX_PATTERNS:
+            raise PatternLimitError(
+                f"{count} zero patterns exceed the limit of {MAX_PATTERNS}")
+        units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
+        table.update({row[0]: row for row in _patterns(p, [0] * p.d, *units)})
+    return table
+
+
+def _pattern_row(p: Polytope, zero_set) -> tuple:
+    """Row of _table(p) for a 1-based zero set of n-d-1 entries in 1..n;
+    raises SingularPatternError when it is singular."""
+    zeros = set(zero_set)
+    if not all(1 <= j <= p.n for j in zeros):
         raise ValueError(f"zero set entries must lie in 1..{p.n}")
-    if len(zero0) != p.kernel_dim():
+    if len(zeros) != p.kernel_dim():
         raise ValueError(
-            f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zero0)}")
-    keep = [j for j in range(p.n) if j not in zero0]
-    vrows, rhs = _integer_system(p, pt, *hs)
-    den, nums = _solve_pattern(vrows, keep, rhs)
-    if not den:
+            f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
+    row = _table(p).get(tuple(sorted(zeros)))
+    if row is None:
         raise SingularPatternError(
             f"columns outside {sorted(zero_set)} are affinely dependent")
-    return keep, den, nums
+    return row
+
+
+def _rows_at(p: Polytope, pt, *hs, zero_set=None):
+    """Yield the rows of _patterns(p, pt, *hs), or only the row of
+    ``zero_set`` (errors as _pattern_row), read off _table(p) without an
+    elimination: with E the lcm of the point and direction denominators, row
+    [a | b] over den becomes [E·a + b·(E·pt), b·(E·h) …] over den·E.
+    """
+    scale, ints = linalg.integer_rows([pt, *hs])
+    vecs = [(scale, *ints[0])] + [(0, *h) for h in ints[1:]]
+    rows = _table(p).values() if zero_set is None else [_pattern_row(p, zero_set)]
+    for combo, keep, den, nums in rows:
+        yield combo, keep, den * scale, [[sum(map(mul, row, v)) for v in vecs]
+                                         for row in nums]
 
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
-    """Solve for the coordinates of ``point`` with ``zero_set`` forced to zero.
+    """The coordinates of ``point`` with ``zero_set`` forced to zero, read off
+    row ``zero_set`` of the pattern table.
 
     Raises SingularPatternError when the complementary columns are affinely
     dependent.
     """
-    keep, den, nums = _solve_zero_set(p, zero_set, linalg.vec(point))
+    (_, keep, den, nums), = _rows_at(p, linalg.vec(point), zero_set=zero_set)
     sigma = _sigma(p.n, keep, (x for x, in nums), den)
     return SimplicialCoordinate(
         zero_set=frozenset(zero_set),
@@ -172,23 +219,11 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     )
 
 
-def _patterns(p: Polytope, pt, *hs):
-    """Yield (zero set, keep, den, nums) for every nonsingular zero pattern, in
-    the one loop over them: row i of nums / den is sigma_keep[i] at ``pt``,
-    then (J·h)_keep[i] per direction h.  Zero sets are 1-based, lexicographic.
-    """
-    vrows, rhs = _integer_system(p, pt, *hs)
-    for combo in itertools.combinations(range(1, p.n + 1), p.kernel_dim()):
-        keep = [j for j in range(p.n) if j + 1 not in combo]
-        den, nums = _solve_pattern(vrows, keep, rhs)
-        if den:
-            yield combo, keep, den, nums
-
-
 def _feasible_rows(p: Polytope, table, t):
     """Yield (zero set, sigma) for every row of ``table`` whose sigma is
-    feasible at pt + t·h, in table order; ``table`` is _patterns(p, pt, h), or
-    _patterns(p, pt) read at t = 0.  sigma is affine, so for t = tn/td, td > 0,
+    feasible at pt + t·h, in table order; ``table`` holds the rows of
+    _patterns(p, pt, h), or of _patterns(p, pt) read at t = 0, as _rows_at reads
+    them.  sigma is affine, so for t = tn/td, td > 0,
     a row [a, …, b] has sigma = (td·a + tn·b)/(den·td), tested on plain ints
     (every num·den >= 0) before any Fraction is built."""
     tn, td = Fraction(t).as_integer_ratio()
@@ -206,11 +241,12 @@ def _ray_vertices(p: Polytope, table, t) -> list:
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     """Enumerate the vertex set of the coordinate polytope at ``point``.
 
-    Scans every size-(n-d-1) zero pattern with an exact integer elimination
-    (``_patterns``) and reads the sorted distinct feasible solutions off it
-    with ``_ray_vertices`` at t = 0.  A nonsingular pattern's support columns
-    are affinely independent, so every feasible solution is a vertex.  Raises
-    InfeasibleError when the point is outside.
+    Reads every nonsingular size-(n-d-1) zero pattern at ``point`` off the
+    polytope's pattern table (``_rows_at``) and the sorted distinct feasible
+    solutions off those rows with ``_ray_vertices`` at t = 0.  A nonsingular
+    pattern's support columns are affinely independent, so every feasible
+    solution is a vertex.  Raises InfeasibleError when the point is outside
+    and PatternLimitError when the polytope has too many zero patterns.
 
     ``dim`` is |S| - 1 - dim aff{v_j : j in S}, S the union of the vertex
     supports.  The barycentre of the vertex list is positive exactly on S,
@@ -219,7 +255,7 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     sum(lam) = 1}: |S| - rank [V_S; 1].
     """
     pt = linalg.vec(point)
-    ordered = _ray_vertices(p, _patterns(p, pt), 0)
+    ordered = _ray_vertices(p, _rows_at(p, pt), 0)
     if not ordered:
         raise InfeasibleError("point is outside the polytope")
     vertices = tuple(BarycentricVector(lam=v, point=pt) for v in ordered)

@@ -57,6 +57,12 @@ class SingularPatternError(BarypolyError):
     code = "SingularPattern"
 
 
+class PatternLimitError(BarypolyError):
+    """The zero-pattern count C(n, n-d-1) exceeds the work limit."""
+
+    code = "TooManyPatterns"
+
+
 class InconsistentInputsError(BarypolyError):
     code = "InconsistentInputs"
 

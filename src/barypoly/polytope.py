@@ -8,7 +8,7 @@ every other module.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -34,6 +34,9 @@ class Polytope:
     n: int
     vertices: tuple          # n vertex tuples, each of length d
     labels: tuple | None = None
+    # coordinates' zero-pattern table, built on first use; not part of the value
+    _pattern_table: dict = field(default_factory=dict, init=False, repr=False,
+                                 compare=False)
 
     def stacked_rows(self) -> list:
         """Rows of [V; 1^T]: d coordinate rows plus the all-ones row."""

@@ -183,7 +183,8 @@ def _float_steps(t0, steps) -> bool:
 
 
 def _probe_samples(p: Polytope, point, h, t0, steps):
-    """(pt, h, t_k, list(_patterns(p, pt, h)), Lambda(pt), each Lambda(pt + t_k·h))."""
+    """(pt, h, t_k, Lambda(pt), each Lambda(pt + t_k·h)), read at the t_k off the
+    rows of _patterns(p, pt, h) that co._rows_at derives from p's table."""
     pt = linalg.vec(point)
     hv = linalg.vec(h)
     if len(pt) != p.d or len(hv) != p.d:
@@ -192,7 +193,7 @@ def _probe_samples(p: Polytope, point, h, t0, steps):
     if t0 <= 0 or steps < 3 or not _float_steps(t0, steps):
         raise ValueError("need t0 > 0, steps >= 3, and t0 and t0/2^(steps-1) "
                          "in [float min, float max]")
-    table = list(co._patterns(p, pt, hv))
+    table = list(co._rows_at(p, pt, hv))
     ts = [t0 / (1 << k) for k in range(steps)]
     base, *lams = [co._ray_vertices(p, table, t) for t in [0] + ts]
     if not base:
@@ -200,7 +201,7 @@ def _probe_samples(p: Polytope, point, h, t0, steps):
     # the polytope is convex, so every step between pt and pt + t0·h is inside
     if not lams[0]:
         raise LeavesPolytopeError("p + t0*h leaves the polytope")
-    return pt, hv, ts, table, base, lams
+    return pt, hv, ts, base, lams
 
 
 def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
@@ -218,7 +219,7 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     is Converges only when the final distance is below ``tolerance`` and the
     tail is nonincreasing.
     """
-    pt, hv, ts, _, base, lams = _probe_samples(p, point, h, t0, steps)
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
     base = FloatPolytope.from_exact(base)
     steps_out = []
     all_met = True
@@ -246,10 +247,9 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
 
 
 def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
-    """Exact n x d Jacobian of the simplicial-coordinate map for ``zero_set``."""
-    # the system at the point 0 along e_1..e_d: column l + 1 solves to J·e_l
-    units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
-    keep, den, nums = co._solve_zero_set(p, zero_set, [0] * p.d, *units)
+    """Exact n x d Jacobian of the simplicial-coordinate map for ``zero_set``:
+    column l + 1 of its pattern-table row is J·e_l."""
+    _, keep, den, nums = co._pattern_row(p, zero_set)
     cols = [co._sigma(p.n, keep, col, den) for col in list(zip(*nums))[1:]]
     return [list(row) for row in zip(*cols)]
 
@@ -277,17 +277,14 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     the consecutive-set series indicates whether the quotient sets themselves
     settle, which is not implied (they grow without bound whenever the
     coordinate polytope at p is not the single point sigma_Z(p)).  sigma_Z(p)
-    and J·h are read off row Z of the probe's pattern table; a zero set with no
-    row raises ValueError if malformed, else SingularPatternError.
+    and J·h are read off row Z of the polytope's pattern table; a zero set with
+    no row raises ValueError if malformed, else SingularPatternError.
     """
-    pt, hv, ts, table, base, lams = _probe_samples(p, point, h, t0, steps)
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
     # interior iff the vertex supports of Lambda(p) cover 1..n
     if len({j for lam in base for j, x in enumerate(lam) if x}) < p.n:
         raise LeavesPolytopeError("basepoint must be interior")
-    row = next((r for r in table if r[0] == tuple(sorted(zero_set))), None)
-    if row is None:  # the table has every nonsingular pattern, so this raises
-        co._solve_zero_set(p, zero_set, pt)
-    _, keep, den, nums = row
+    (_, keep, den, nums), = co._rows_at(p, pt, hv, zero_set=zero_set)
     sigma, jh = (co._sigma(p.n, keep, col, den) for col in zip(*nums))
     if any(x < 0 for x in sigma):
         raise InfeasibleSelectionError(

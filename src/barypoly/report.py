@@ -98,8 +98,11 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
+        """Parse a report; decimals are exact Fractions, and NaN or (-)Infinity
+        raise ParseError, as in ``polytope.read_json``."""
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            # Fraction("NaN") and Fraction("Infinity") raise ValueError
+            doc = json.loads(text, parse_float=Fraction, parse_constant=Fraction)
+        except ValueError as exc:  # JSONDecodeError too
             raise ParseError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(doc)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from barypoly.cli import main
+from barypoly.errors import ParseError
 from barypoly.report import AnalysisReport
 
 F = Fraction
@@ -62,6 +64,25 @@ def test_analyze_square_center(square_file, capsys):
     rep = AnalysisReport.from_dict(doc)
     assert rep.to_dict() == doc  # lossless round-trip
     assert AnalysisReport.from_json(out) == rep
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_report_non_finite_number(square_file, capsys, value):
+    # json writes these as Infinity, -Infinity and NaN; a report holding one
+    # is a ParseError, as an input file holding one is
+    code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+    doc = json.loads(out)
+    doc["point"][0] = value
+    with pytest.raises(ParseError, match="invalid JSON"):
+        AnalysisReport.from_json(json.dumps(doc))
+
+
+def test_report_decimals_are_exact(square_file, capsys):
+    # a decimal beyond the float range reads as its exact value
+    code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+    text = out.replace('"point": [\n    "1/2"', '"point": [\n    1e400', 1)
+    assert text != out
+    assert AnalysisReport.from_json(text).point == (F(10) ** 400, F(1, 2))
 
 
 def test_analyze_outside_exit_2(square_file, capsys):
@@ -439,3 +460,56 @@ def test_analyze_stdout_is_deterministic(square_file):
     r2 = subprocess.run(cmd, capture_output=True)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def test_too_many_patterns(tmp_path, capsys, monkeypatch):
+    # the polygon on the parabola (i, i²), i = 0..85, validates, but it has
+    # C(86, 3) = 102340 zero patterns: every reader of its pattern table stops
+    # before the first elimination with an error naming the count and limit
+    from barypoly import coordinates
+
+    solves = []
+    real_solve = coordinates._solve_pattern
+    monkeypatch.setattr(coordinates, "_solve_pattern",
+                        lambda *a: solves.append(a) or real_solve(*a))
+    f = tmp_path / "parabola.json"
+    f.write_text(json.dumps({"dim": 2, "vertices": [[i, i * i] for i in range(86)]}))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([[1, 2], [2, 9]]))
+    code, out = run(capsys, "validate", str(f))
+    assert (code, json.loads(out)["n"]) == (0, 86)
+    want = {"error": "TooManyPatterns",
+            "detail": "102340 zero patterns exceed the limit of 100000"}
+    for command in ("analyze", "oracle-check"):
+        code, out = run(capsys, command, str(f), "--point", "1,2")
+        assert (code, json.loads(out)) == (1, want)
+    code, out = run(capsys, "sweep", str(f), "--mode", "census", "--points", str(pts))
+    assert code == 0
+    assert out.split("\n")[1:] == ["1,2,,,,TooManyPatterns",
+                                   "2,9,,,,TooManyPatterns", ""]
+    assert solves == []
+
+
+def test_sweep_rows_share_one_pattern_table(monkeypatch):
+    # one pattern table per polytope object: a 5-point census sweep on a
+    # freshly parsed prism8 makes C(8, 4) = 70 eliminations (a scan per point
+    # made 350), and continuity and semidiff rows on it make none
+    from barypoly import cli, coordinates
+    from barypoly.fixtures import fixture_document
+    from barypoly.polytope import parse_polytope
+
+    p = parse_polytope(fixture_document("prism8"))
+    solves = []
+    real_solve = coordinates._solve_pattern
+    monkeypatch.setattr(coordinates, "_solve_pattern",
+                        lambda *a: solves.append(a) or real_solve(*a))
+    pts = [(F(1, 2),) * 3, (F(1, 3), F(2, 5), F(1, 2)), (F(1, 4), F(1, 4), F(3, 4)),
+           (F(1, 2), F(0), F(1, 2)), (F(2), F(0), F(0))]
+    h = (F(1, 64), F(-1, 32), F(1, 128))
+    rows = [cli._sweep_row(p, "census", pt, None, F(1, 8), 8) for pt in pts]
+    assert len(solves) == math.comb(8, 4) == 70
+    assert [row.rsplit(",", 1)[1] for row in rows] == ["", "", "", "", "Infeasible"]
+    for mode in ("continuity", "semidiff"):
+        row = cli._sweep_row(p, mode, pts[1], h, F(1, 8), 8)
+        assert row.endswith(",")  # no error
+    assert len(solves) == 70

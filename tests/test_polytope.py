@@ -182,3 +182,15 @@ def test_locate_interior_is_one_feasibility_solve(monkeypatch):
     # one phase one on the d-row homogenised system, no other LP
     assert len(systems) == len(tableaus) == 1
     assert len(systems[0]) == p.d
+
+
+def test_pattern_table_is_not_part_of_the_value():
+    # the pattern table a polytope object keeps changes no comparison
+    from barypoly.coordinates import lambda_vertices
+    from barypoly.fixtures import fixture_document
+
+    a, b = (parse_polytope(fixture_document("pentagon")) for _ in range(2))
+    lambda_vertices(a, a.centroid())
+    assert a._pattern_table and not b._pattern_table
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert {b: "b"}[a] == "b"

@@ -383,13 +383,18 @@ def test_semidiff_leaves_polytope(square):
         semidiff_probe(square, CENTER, {4}, (F(100), F(0)), t0=F(1), steps=4)
 
 
-def test_probes_read_one_pattern_table(square, pyramid, prism8, monkeypatch):
-    # each probe eliminates every zero pattern once, along its ray, and reads
-    # Lambda at the basepoint and at every step from that table: no phase one,
-    # and C(8, 4) = 70 eliminations for a prism8 continuity row (a scan at the
-    # basepoint and at each of 8 steps made 630)
+def test_probes_read_one_pattern_table(monkeypatch):
+    # each polytope object eliminates every zero pattern once, into its
+    # pattern table, and the probes read Lambda at the basepoint and at every
+    # step off it: no phase one, and C(8, 4) = 70 eliminations for a first
+    # prism8 continuity row, none for a second one (a scan at the basepoint
+    # and at each of 8 steps made 630 a row).  Fresh objects: the session
+    # fixtures may already hold their tables.
     from barypoly import coordinates, polytope, simplex
+    from barypoly.fixtures import fixture_document
 
+    prism8, square, pyramid = (polytope.parse_polytope(fixture_document(name))
+                               for name in ("prism8", "square", "pyramid"))
     phase_ones, solves = [], []
     real_fp, real_solve = simplex.feasible_point, coordinates._solve_pattern
     for mod in (simplex, coordinates, polytope):
@@ -399,9 +404,13 @@ def test_probes_read_one_pattern_table(square, pyramid, prism8, monkeypatch):
                         lambda *a: solves.append(a) or real_solve(*a))
     continuity_probe(prism8, (F(1, 2),) * 3, (F(1, 64), F(-1, 32), F(1, 128)))
     assert len(solves) == math.comb(8, 4) == 70
+    continuity_probe(prism8, (F(1, 3), F(2, 5), F(1, 2)), (F(0), F(1, 16), F(0)))
+    assert len(solves) == 70
     solves.clear()
-    # the table's 4 patterns; sigma_Z(p) and J_Z·h are read off row Z
+    # the square's 4 patterns; sigma_Z(p) and J_Z·h are read off row Z
     semidiff_probe(square, CENTER, {4}, (F(1), F(0)), t0=F(1, 16), steps=3)
+    assert len(solves) == 4
+    semidiff_probe(square, CENTER, {3}, (F(0), F(1)), t0=F(1, 16), steps=3)
     assert len(solves) == 4
     # boundary basepoints: on a square's edge, and on the pyramid's base,
     # where the vertex supports cover 4 of the 5 indices

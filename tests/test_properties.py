@@ -7,7 +7,8 @@ boundary and large-bit-size points of random polytopes.  At the same points
 ``dim`` must equal the affine dimension of the vertex list, and every Gamma
 vertex c must map back to its Lambda vertex as tau + N·c.  Along a ray, the
 vertex lists read from one pattern table must equal the scan's at every t,
-and row Z of that table must hold sigma_Z and J_Z·h exactly.
+and row Z of that table must hold sigma_Z and J_Z·h exactly; the rows read
+off a polytope's affine table must equal that elimination's.
 ``locate``, which decides by feasibility alone, must agree with the supports
 of those vertex lists, and the double-description oracle must give the same
 vertex lists and refuse the same outside points.
@@ -25,6 +26,7 @@ from barypoly.coordinates import (
     _feasible_rows,
     _patterns,
     _ray_vertices,
+    _rows_at,
     feasible_tau,
     gamma_polytope,
     lambda_vertices,
@@ -156,6 +158,39 @@ def test_pattern_rows_hold_sigma_and_jacobian(p, data):
         assert sigma == simplicial_coords(p, q, combo).sigma
         jac = _selection_jacobian_exact(p, combo)
         assert list(jh) == [linalg.dot(row, h) for row in jac]
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_table_rows_match_the_elimination(p, data):
+    # the rows _rows_at reads off the polytope's affine table, with no
+    # elimination, equal those of _patterns(p, q, h) row for row: the same
+    # zero sets in the same order and the same sigma_Z(q) and J_Z·h as
+    # rationals, at interior points, on vertex-pair segments and outside
+    kind = data.draw(st.sampled_from(["interior", "segment", "outside"]))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    if kind == "interior":
+        weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+        q = _combination(p.vertices, weights)
+    elif kind == "segment":
+        w = data.draw(st.integers(0, 8))
+        q = _combination([p.vertices[i], p.vertices[j]], [w, 8 - w])
+    else:
+        # past vertex i, away from the centroid: outside, as v_i is extreme
+        s = F(data.draw(st.integers(1, 9)), 4)
+        q = tuple(v + s * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
+    h = tuple(F(x, 3) for x in data.draw(st.lists(st.integers(-9, 9), min_size=p.d,
+                                                  max_size=p.d)))
+
+    def rationals(rows):
+        return [(combo, [_sigma(p.n, keep, col, den) for col in zip(*nums)])
+                for combo, keep, den, nums in rows]
+
+    assert rationals(_rows_at(p, q, h)) == rationals(_patterns(p, q, h))
+    assert rationals(_rows_at(p, q)) == rationals(_patterns(p, q))
+    if kind == "outside":
+        assert _ray_vertices(p, list(_rows_at(p, q)), 0) == []
 
 
 @PROPERTY

@@ -42,6 +42,36 @@ def test_oracle_is_independent_of_the_scan():
     assert bad == []
 
 
+def _identifiers(path):
+    """Every name, attribute, imported name and string constant in a module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.add(node.value)
+    return found
+
+
+def test_only_coordinates_eliminates_patterns():
+    # coordinates' pattern table is the one caller of the elimination loop,
+    # and the oracle stays an independent route: it never reads that table,
+    # although the table lives on the Polytope object it is given
+    src = Path(barypoly.__file__).parent
+    names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
+    assert {"_patterns", "_solve_pattern"} <= names["coordinates"]
+    assert sorted(mod for mod, found in names.items() if mod != "coordinates"
+                  and found & {"_patterns", "_solve_pattern"}) == []
+    assert "_pattern_table" in names["polytope"]
+    table = {"_pattern_table", "_table", "_pattern_row", "_rows_at",
+             "_feasible_rows", "_ray_vertices"}
+    assert sorted(names["oracle"] & table) == []
+
+
 def test_cli_solves_no_lp():
     # oracle-check tests its samples exactly against [V; 1ᵀ]λ = [p; 1],
     # λ ≥ 0, so the front door imports nothing from the simplex
