@@ -162,8 +162,8 @@ def _pick_selection(p, point):
     """First zero pattern (lexicographic) whose coordinates are feasible at
     the point, preferring strictly positive complements."""
     first_feasible = None
-    for combo, sigma in co._feasible_rows(p, co._rows_at(p, point), 0):
-        if sum(1 for x in sigma if x) == p.d + 1:
+    for combo, _, xs, _ in co._feasible_rows(p, point):
+        if all(xs):  # all d + 1 entries outside the zero set are positive
             return frozenset(combo)
         if first_feasible is None:
             first_feasible = combo

@@ -9,9 +9,9 @@ basepoint tau(p), an exact kernel basis N of [V; 1^T], the simplicial
 coordinates obtained by zeroing a prescribed index set, the full vertex list
 of the coordinate polytope, and its reduced form { c : tau + N c >= 0 } in
 kernel coordinates.  Each zero pattern's coordinates are an affine map of the
-point, so a polytope eliminates every pattern once, into a table that each
-point reads with integer multiply-adds.  All arithmetic is exact; index sets
-are 1-based to match the vertex order of the input file.
+point, so a polytope eliminates every pattern once, into a table that is read
+only at points, with integer multiply-adds.  All arithmetic is exact; index
+sets are 1-based to match the vertex order of the input file.
 """
 
 import itertools
@@ -173,9 +173,21 @@ def _table(p: Polytope) -> dict:
     return table
 
 
-def _pattern_row(p: Polytope, zero_set) -> tuple:
-    """Row of _table(p) for a 1-based zero set of n-d-1 entries in 1..n;
-    raises SingularPatternError when it is singular."""
+def _evaluate(rows, point):
+    """Yield (zero set, keep, xs, den), sigma_keep = xs / den, for ``rows`` of
+    the pattern table at ``point``: with E the lcm of the point's denominators,
+    row [a | b] over den gives xs = E·a + b·(E·point) over den·E."""
+    scale, (ints,) = linalg.integer_rows([point])
+    vec = (scale, *ints)
+    for combo, keep, den, nums in rows:
+        yield combo, keep, [sum(map(mul, row, vec)) for row in nums], den * scale
+
+
+def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
+    """The coordinates of ``point`` with ``zero_set`` (n-d-1 entries in 1..n)
+    forced to zero, read off row ``zero_set`` of the pattern table; raises
+    SingularPatternError when the complementary columns are affinely dependent.
+    """
     zeros = set(zero_set)
     if not all(1 <= j <= p.n for j in zeros):
         raise ValueError(f"zero set entries must lie in 1..{p.n}")
@@ -186,67 +198,41 @@ def _pattern_row(p: Polytope, zero_set) -> tuple:
     if row is None:
         raise SingularPatternError(
             f"columns outside {sorted(zero_set)} are affinely dependent")
-    return row
+    (_, keep, xs, den), = _evaluate([row], linalg.vec(point))
+    sigma = _sigma(p.n, keep, xs, den)
+    return SimplicialCoordinate(zero_set=frozenset(zero_set), sigma=sigma,
+                                feasible=all(x >= 0 for x in sigma))
 
 
-def _rows_at(p: Polytope, pt, *hs, zero_set=None):
-    """Yield the rows of _patterns(p, pt, *hs), or only the row of
-    ``zero_set`` (errors as _pattern_row), read off _table(p) without an
-    elimination: with E the lcm of the point and direction denominators, row
-    [a | b] over den becomes [E·a + b·(E·pt), b·(E·h) …] over den·E.
-    """
-    scale, ints = linalg.integer_rows([pt, *hs])
-    vecs = [(scale, *ints[0])] + [(0, *h) for h in ints[1:]]
-    rows = _table(p).values() if zero_set is None else [_pattern_row(p, zero_set)]
-    for combo, keep, den, nums in rows:
-        yield combo, keep, den * scale, [[sum(map(mul, row, v)) for v in vecs]
-                                         for row in nums]
-
-
-def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
-    """The coordinates of ``point`` with ``zero_set`` forced to zero, read off
-    row ``zero_set`` of the pattern table.
-
-    Raises SingularPatternError when the complementary columns are affinely
-    dependent.
-    """
-    (_, keep, den, nums), = _rows_at(p, linalg.vec(point), zero_set=zero_set)
-    sigma = _sigma(p.n, keep, (x for x, in nums), den)
-    return SimplicialCoordinate(
-        zero_set=frozenset(zero_set),
-        sigma=sigma,
-        feasible=all(x >= 0 for x in sigma),
-    )
-
-
-def _feasible_rows(p: Polytope, table, t):
-    """Yield (zero set, sigma) for every row of ``table`` whose sigma is
-    feasible at pt + t·h, in table order; ``table`` holds the rows of
-    _patterns(p, pt, h), or of _patterns(p, pt) read at t = 0, as _rows_at reads
-    them.  sigma is affine, so for t = tn/td, td > 0,
-    a row [a, …, b] has sigma = (td·a + tn·b)/(den·td), tested on plain ints
-    (every num·den >= 0) before any Fraction is built."""
-    tn, td = Fraction(t).as_integer_ratio()
-    for combo, keep, den, nums in table:
-        xs = [td * row[0] + tn * row[-1] for row in nums]
+def _feasible_rows(p: Polytope, point):
+    """Yield (zero set, keep, xs, den) for every row of _table(p) whose
+    sigma_keep = xs / den is feasible at ``point``, in table order; tested on
+    plain ints (every x·den >= 0) before any Fraction is built."""
+    for combo, keep, xs, den in _evaluate(_table(p).values(), point):
         if all(x * den >= 0 for x in xs):
-            yield combo, _sigma(p.n, keep, xs, den * td)
+            yield combo, keep, xs, den
 
 
-def _ray_vertices(p: Polytope, table, t) -> list:
-    """Sorted distinct vertices of Lambda(pt + t·h) read by _feasible_rows."""
-    return sorted({sigma for _, sigma in _feasible_rows(p, table, t)})
+def _vertices_at(p: Polytope, point) -> list:
+    """Sorted distinct vertices of Lambda(point): feasible rows are told apart
+    on their integers over the gcd, den made positive, before any Fraction."""
+    distinct = {}
+    for _, keep, xs, den in _feasible_rows(p, point):
+        g = math.gcd(den, *xs) if den > 0 else -math.gcd(den, *xs)
+        key = (den // g, *((j, x // g) for j, x in zip(keep, xs) if x))
+        distinct.setdefault(key, (keep, xs, den))
+    return sorted(_sigma(p.n, *row) for row in distinct.values())
 
 
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     """Enumerate the vertex set of the coordinate polytope at ``point``.
 
     Reads every nonsingular size-(n-d-1) zero pattern at ``point`` off the
-    polytope's pattern table (``_rows_at``) and the sorted distinct feasible
-    solutions off those rows with ``_ray_vertices`` at t = 0.  A nonsingular
-    pattern's support columns are affinely independent, so every feasible
-    solution is a vertex.  Raises InfeasibleError when the point is outside
-    and PatternLimitError when the polytope has too many zero patterns.
+    polytope's pattern table and keeps the sorted distinct feasible
+    solutions (``_vertices_at``).  A nonsingular pattern's support columns
+    are affinely independent, so every feasible solution is a vertex.  Raises
+    InfeasibleError when the point is outside and PatternLimitError when the
+    polytope has too many zero patterns.
 
     ``dim`` is |S| - 1 - dim aff{v_j : j in S}, S the union of the vertex
     supports.  The barycentre of the vertex list is positive exactly on S,
@@ -255,7 +241,7 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     sum(lam) = 1}: |S| - rank [V_S; 1].
     """
     pt = linalg.vec(point)
-    ordered = _ray_vertices(p, _rows_at(p, pt), 0)
+    ordered = _vertices_at(p, pt)
     if not ordered:
         raise InfeasibleError("point is outside the polytope")
     vertices = tuple(BarycentricVector(lam=v, point=pt) for v in ordered)

@@ -11,19 +11,28 @@ its row update ``bareiss_row`` is also the simplex pivot.
 """
 
 import math
+import re
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import EmptyInputError, SingularMatrixError
+
+MAX_EXPONENT = 4300  # fr's largest |decimal exponent|, as Python's int digits
+_EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
 
 Vec = Sequence[Fraction]
 Mat = Sequence[Sequence[Fraction]]
 
 
 def fr(x) -> Fraction:
-    """Convert ints, floats, strings like '3/4' or '0.25' to an exact Fraction."""
+    """Convert ints, floats, strings like '3/4' or '0.25' to an exact Fraction;
+    ValueError beyond MAX_EXPONENT, where Fraction would build 10**exponent."""
     if isinstance(x, Fraction):
         return x
+    # int() refuses an exponent of more than 4300 digits, as Fraction would
+    exp = _EXPONENT.search(x.replace("_", "")) if isinstance(x, str) else None
+    if exp and int(exp[1]) > MAX_EXPONENT:
+        raise ValueError(f"decimal exponent beyond ±{MAX_EXPONENT}")
     return Fraction(x)
 
 

@@ -174,12 +174,12 @@ def parse_coordinates(row, d, what) -> tuple:
 
 
 def read_json(path):
-    """A UTF-8 JSON file's value, decimals as exact Fractions; ParseError if
-    unreadable, undecodable, not JSON or holding NaN or (-)Infinity."""
+    """A UTF-8 JSON file's value, decimals as exact Fractions (``linalg.fr``);
+    ParseError if unreadable, undecodable, not JSON or a number fr refuses."""
     try:
         with open(path, encoding="utf-8") as fh:
-            # Fraction("NaN") and Fraction("Infinity") raise ValueError
-            return json.load(fh, parse_float=Fraction, parse_constant=Fraction)
+            # fr("NaN"), fr("Infinity") and fr("1e99999") raise ValueError
+            return json.load(fh, parse_float=linalg.fr, parse_constant=linalg.fr)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too

@@ -1,8 +1,8 @@
 """Floating-point probes of the set-valued coordinate map.
 
 The combinatorial structure is never approximated: the exact vertex lists at
-the basepoint and at every step are read from one pattern table along the ray,
-and only the metric evaluation runs in floats.
+the basepoint and at every step are read off the polytope's pattern table at
+each point, and only the metric evaluation runs in floats.
 Distances to convex hulls use Wolfe's finite corral method for the minimum
 norm point.  It runs until it reaches the optimum or rounding stops its
 progress; the distance is converged when the Frank-Wolfe gap there is within
@@ -183,8 +183,8 @@ def _float_steps(t0, steps) -> bool:
 
 
 def _probe_samples(p: Polytope, point, h, t0, steps):
-    """(pt, h, t_k, Lambda(pt), each Lambda(pt + t_k·h)), read at the t_k off the
-    rows of _patterns(p, pt, h) that co._rows_at derives from p's table."""
+    """(pt, h, t_k, Lambda(pt), each Lambda(pt + t_k·h)), each vertex list read
+    off p's pattern table at its point by co._vertices_at."""
     pt = linalg.vec(point)
     hv = linalg.vec(h)
     if len(pt) != p.d or len(hv) != p.d:
@@ -193,9 +193,9 @@ def _probe_samples(p: Polytope, point, h, t0, steps):
     if t0 <= 0 or steps < 3 or not _float_steps(t0, steps):
         raise ValueError("need t0 > 0, steps >= 3, and t0 and t0/2^(steps-1) "
                          "in [float min, float max]")
-    table = list(co._rows_at(p, pt, hv))
     ts = [t0 / (1 << k) for k in range(steps)]
-    base, *lams = [co._ray_vertices(p, table, t) for t in [0] + ts]
+    base, *lams = [co._vertices_at(p, [a + t * b for a, b in zip(pt, hv)])
+                   for t in [0] + ts]
     if not base:
         raise LeavesPolytopeError("basepoint is outside the polytope")
     # the polytope is convex, so every step between pt and pt + t0·h is inside
@@ -248,10 +248,11 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
 
 def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
     """Exact n x d Jacobian of the simplicial-coordinate map for ``zero_set``:
-    column l + 1 of its pattern-table row is J·e_l."""
-    _, keep, den, nums = co._pattern_row(p, zero_set)
-    cols = [co._sigma(p.n, keep, col, den) for col in list(zip(*nums))[1:]]
-    return [list(row) for row in zip(*cols)]
+    sigma_Z is affine, so column l is sigma_Z(e_l) - sigma_Z(0)."""
+    base = co.simplicial_coords(p, [0] * p.d, zero_set).sigma
+    units = [co.simplicial_coords(p, [int(c == l) for c in range(p.d)], zero_set).sigma
+             for l in range(p.d)]
+    return [[u[i] - b for u in units] for i, b in enumerate(base)]
 
 
 def selection_jacobian(p: Polytope, zero_set) -> np.ndarray:
@@ -277,15 +278,16 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     the consecutive-set series indicates whether the quotient sets themselves
     settle, which is not implied (they grow without bound whenever the
     coordinate polytope at p is not the single point sigma_Z(p)).  sigma_Z(p)
-    and J·h are read off row Z of the polytope's pattern table; a zero set with
-    no row raises ValueError if malformed, else SingularPatternError.
+    and J·h = sigma_Z(p + h) - sigma_Z(p) come from ``simplicial_coords``, so a
+    malformed zero set raises ValueError and a singular one SingularPatternError.
     """
     pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
     # interior iff the vertex supports of Lambda(p) cover 1..n
     if len({j for lam in base for j, x in enumerate(lam) if x}) < p.n:
         raise LeavesPolytopeError("basepoint must be interior")
-    (_, keep, den, nums), = co._rows_at(p, pt, hv, zero_set=zero_set)
-    sigma, jh = (co._sigma(p.n, keep, col, den) for col in zip(*nums))
+    sigma = co.simplicial_coords(p, pt, zero_set).sigma
+    moved = co.simplicial_coords(p, [a + b for a, b in zip(pt, hv)], zero_set).sigma
+    jh = [x - y for x, y in zip(moved, sigma)]
     if any(x < 0 for x in sigma):
         raise InfeasibleSelectionError(
             f"sigma with zero set {sorted(zero_set)} is infeasible at the basepoint")

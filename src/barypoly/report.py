@@ -7,9 +7,10 @@ round-trips IEEE doubles.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ParseError
+from .linalg import fr
+from .polytope import parse_coordinates
 
 
 def format_float(x: float) -> str:
@@ -21,7 +22,7 @@ def _rvec(xs) -> list:
 
 
 def _parse_rvec(xs) -> tuple:
-    return tuple(Fraction(x) for x in xs)
+    return parse_coordinates(xs, len(xs), "report vector")
 
 
 @dataclass(frozen=True)
@@ -98,11 +99,11 @@ class AnalysisReport:
 
     @classmethod
     def from_json(cls, text: str) -> "AnalysisReport":
-        """Parse a report; decimals are exact Fractions, and NaN or (-)Infinity
-        raise ParseError, as in ``polytope.read_json``."""
+        """Parse a report; numbers are read as ``polytope.read_json`` and
+        ``parse_coordinates`` read them, and a bad one raises ParseError."""
         try:
-            # Fraction("NaN") and Fraction("Infinity") raise ValueError
-            doc = json.loads(text, parse_float=Fraction, parse_constant=Fraction)
+            # fr("NaN"), fr("Infinity") and fr("1e99999") raise ValueError
+            doc = json.loads(text, parse_float=fr, parse_constant=fr)
         except ValueError as exc:  # JSONDecodeError too
             raise ParseError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(doc)

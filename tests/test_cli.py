@@ -85,6 +85,61 @@ def test_report_decimals_are_exact(square_file, capsys):
     assert AnalysisReport.from_json(text).point == (F(10) ** 400, F(1, 2))
 
 
+@pytest.mark.parametrize("value", ["1/0", True])
+def test_report_bad_number(square_file, capsys, value):
+    # a report vector is read as a vertex is: "1/0" is a ParseError, not a
+    # ZeroDivisionError traceback, and a boolean is not the integer 1
+    code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+    doc = json.loads(out)
+    doc["tau"][1] = value
+    with pytest.raises(ParseError, match="report vector: bad coordinate"):
+        AnalysisReport.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("exponent", ["1e99999999", "1e-99999999"])
+@pytest.mark.parametrize("entry", ["--point", "--h", "--t0", "polytope", "points",
+                                   "report"])
+def test_decimal_exponent_is_bounded(square_file, tmp_path, capsys, entry, exponent):
+    # Fraction would build 10**99999999 and not return; every way a decimal
+    # reaches the program refuses an exponent beyond linalg.MAX_EXPONENT
+    # with a ParseError, at once
+    why = "decimal exponent beyond ±4300"
+    if entry == "report":
+        code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+        text = out.replace('"point": [\n    "1/2"', f'"point": [\n    {exponent}', 1)
+        assert text != out
+        with pytest.raises(ParseError, match=f"invalid JSON: {why}"):
+            AnalysisReport.from_json(text)
+        return
+    sweep = ["sweep", square_file, "--mode", "continuity", "--grid", "1"]
+    argv = {"--point": ["analyze", square_file, "--point", f"{exponent},1/2"],
+            "--h": sweep + ["--h", f"{exponent},0"],
+            "--t0": sweep + ["--h", "1,0", "--t0", exponent]}.get(entry)
+    if argv is None:
+        text = SQUARE_TEXT % exponent if entry == "polytope" else f"[[{exponent}, 0.5]]"
+        f, argv = _bad_input(square_file, tmp_path, entry[:-1] if entry == "points"
+                             else entry, text.encode())
+    code, out = run(capsys, *argv)
+    doc = json.loads(out)
+    assert (code, doc["error"]) == (1, "ParseError")
+    assert doc["detail"].endswith(f"{why})" if entry in ("polytope", "points")
+                                  else why)
+
+
+def test_decimal_exponent_at_the_bound_is_exact(square_file, tmp_path, capsys):
+    # exponents within the bound still read exactly, from a points file and
+    # from a report (values printed as p/q stay within Python's 4300 digits)
+    f = tmp_path / "points.json"
+    f.write_text("[[1e-4299, 0.5]]")
+    code, out = run(capsys, "sweep", square_file, "--mode", "census",
+                    "--points", str(f))
+    assert code == 0
+    assert out.split("\n")[1] == f"1/{10 ** 4299},1/2,2,1,true,"
+    code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+    text = out.replace('"point": [\n    "1/2"', '"point": [\n    -25E+4298', 1)
+    assert AnalysisReport.from_json(text).point == (-25 * F(10) ** 4298, F(1, 2))
+
+
 def test_analyze_outside_exit_2(square_file, capsys):
     code, out = run(capsys, "analyze", square_file, "--point", "2,2")
     assert code == 2

@@ -144,3 +144,21 @@ def test_affine_dim_invariances():
     w = [F(1, 5)] * 5
     extra = tuple(sum(wi * p[l] for wi, p in zip(w, pts)) for l in range(3))
     assert linalg.affine_dim(pts + [extra]) == base
+
+
+@pytest.mark.parametrize("text, value", [
+    ("1e4300", Fraction(10) ** 4300),
+    ("-2.5E-4300", Fraction(-25, 10 ** 4301)),
+    ("3e+0_4300 ", 3 * Fraction(10) ** 4300),
+    ("1e00000000000000000000000004300", Fraction(10) ** 4300),
+])
+def test_fr_reads_exponents_up_to_the_bound(text, value):
+    assert linalg.MAX_EXPONENT == 4300
+    assert linalg.fr(text) == value
+
+
+@pytest.mark.parametrize("text", ["1e4301", "1E-4301", "1e4_301", "1e99999999",
+                                  "-1.5e-99999999"])
+def test_fr_refuses_exponents_past_the_bound(text):
+    with pytest.raises(ValueError, match="decimal exponent beyond ±4300"):
+        linalg.fr(text)

@@ -6,9 +6,10 @@ Fraction Gauss-Jordan.  Both must give the same vertex set at interior,
 boundary and large-bit-size points of random polytopes.  At the same points
 ``dim`` must equal the affine dimension of the vertex list, and every Gamma
 vertex c must map back to its Lambda vertex as tau + N·c.  Along a ray, the
-vertex lists read from one pattern table must equal the scan's at every t,
-and row Z of that table must hold sigma_Z and J_Z·h exactly; the rows read
-off a polytope's affine table must equal that elimination's.
+vertex lists read off a polytope's pattern table must equal a fresh
+elimination's at every t, and row Z of that elimination must hold sigma_Z
+and J_Z·h exactly; the rows read off the table at a point must equal the
+elimination's there.
 ``locate``, which decides by feasibility alone, must agree with the supports
 of those vertex lists, and the double-description oracle must give the same
 vertex lists and refuse the same outside points.
@@ -23,14 +24,15 @@ from hypothesis import strategies as st
 
 from barypoly import linalg
 from barypoly.coordinates import (
+    _evaluate,
     _feasible_rows,
     _patterns,
-    _ray_vertices,
-    _rows_at,
+    _sigma,
+    _table,
+    _vertices_at,
     feasible_tau,
     gamma_polytope,
     lambda_vertices,
-    _sigma,
     nullbasis,
     simplicial_coords,
 )
@@ -62,6 +64,22 @@ def _combination(vertices, weights):
                  for l in range(d))
 
 
+def _rationals(p, rows):
+    """(zero set, sigma) per row of (zero set, keep, xs, den)."""
+    return [(combo, _sigma(p.n, keep, xs, den)) for combo, keep, xs, den in rows]
+
+
+def _eliminated(p, q):
+    """(zero set, sigma) per row of a fresh elimination at q, in its order."""
+    return [(combo, _sigma(p.n, keep, [x for x, in nums], den))
+            for combo, keep, den, nums in _patterns(p, q)]
+
+
+def _feasible_eliminated(p, q):
+    return [(combo, sigma) for combo, sigma in _eliminated(p, q)
+            if all(x >= 0 for x in sigma)]
+
+
 def _check_against_brute_force(p, q):
     lam = lambda_vertices(p, q)
     brute = sorted(brute_force_vertices(p, q))
@@ -91,16 +109,17 @@ def test_interior_points(p, data):
             continue
         if sc.feasible:
             expected.append((combo, sc.sigma))
-    assert list(_feasible_rows(p, _patterns(p, q), 0)) == expected
+    assert _rationals(p, _feasible_rows(p, q)) == expected == _feasible_eliminated(p, q)
 
 
 @PROPERTY
 @given(polytopes(), st.data())
 def test_ray_table_matches_the_scan(p, data):
-    # Lambda(q + t·h) read from one table of _patterns(p, q, h) equals the
-    # scan at q + t·h, and is empty exactly where the scan finds it outside:
-    # at 0 and the probe steps t0/2^k, at chamber walls (zeros of some
-    # sigma_Z(q + t·h)), between walls, and past the last wall either way
+    # Lambda(q + t·h) read off the polytope's table by _vertices_at equals
+    # the distinct feasible rows of a fresh elimination at q + t·h, and is
+    # empty exactly where those are: at 0 and the probe steps t0/2^k, at
+    # chamber walls (zeros of some sigma_Z(q + t·h)), between walls, and past
+    # the last wall either way
     kind = data.draw(st.sampled_from(["interior", "vertex", "midpoint"]))
     i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
                               unique=True))
@@ -121,26 +140,27 @@ def test_ray_table_matches_the_scan(p, data):
         ts += data.draw(st.lists(st.sampled_from(walls + between), min_size=2,
                                  max_size=4))
         ts += [walls[0] - 1, walls[-1] + 1]
+
+    def at(t):
+        return tuple(a + t * b for a, b in zip(q, h))
+
     for t in ts:
-        try:
-            want = lambda_vertices(p, tuple(a + t * b for a, b in zip(q, h)))
-        except InfeasibleError:
-            assert _ray_vertices(p, table, t) == []
-        else:
-            assert _ray_vertices(p, table, t) == want.vertex_arrays()
+        want = sorted({sigma for _, sigma in _feasible_eliminated(p, at(t))})
+        assert _vertices_at(p, at(t)) == want
     # a nonzero direction leaves the polytope both ways, and the exit is a wall
     assert bool(walls) == any(h)
     if walls:
-        assert _ray_vertices(p, table, walls[0] - 1) == []
-        assert _ray_vertices(p, table, walls[-1] + 1) == []
+        assert _vertices_at(p, at(walls[0] - 1)) == []
+        assert _vertices_at(p, at(walls[-1] + 1)) == []
 
 
 @PROPERTY
 @given(polytopes(), st.data())
 def test_pattern_rows_hold_sigma_and_jacobian(p, data):
     # row Z of _patterns(p, q, h) holds sigma_Z(q) and J_Z·h, which
-    # semidiff_probe reads off it, at any q, inside or not; the rows are
-    # exactly the nonsingular zero sets, in lexicographic order
+    # semidiff_probe reads as simplicial_coords at q and at q + h, at any q,
+    # inside or not; the rows are exactly the nonsingular zero sets, in
+    # lexicographic order
     coords = st.lists(st.integers(-9, 9), min_size=p.d, max_size=p.d)
     q = tuple(F(x, 4) for x in data.draw(coords))
     h = tuple(F(x, 3) for x in data.draw(coords))
@@ -156,6 +176,8 @@ def test_pattern_rows_hold_sigma_and_jacobian(p, data):
     for combo, keep, den, nums in table:
         sigma, jh = (_sigma(p.n, keep, col, den) for col in zip(*nums))
         assert sigma == simplicial_coords(p, q, combo).sigma
+        moved = simplicial_coords(p, tuple(a + b for a, b in zip(q, h)), combo).sigma
+        assert [x - y for x, y in zip(moved, sigma)] == list(jh)
         jac = _selection_jacobian_exact(p, combo)
         assert list(jh) == [linalg.dot(row, h) for row in jac]
 
@@ -163,10 +185,11 @@ def test_pattern_rows_hold_sigma_and_jacobian(p, data):
 @PROPERTY
 @given(polytopes(), st.data())
 def test_table_rows_match_the_elimination(p, data):
-    # the rows _rows_at reads off the polytope's affine table, with no
-    # elimination, equal those of _patterns(p, q, h) row for row: the same
-    # zero sets in the same order and the same sigma_Z(q) and J_Z·h as
-    # rationals, at interior points, on vertex-pair segments and outside
+    # the rows read off the polytope's affine table at q, with no
+    # elimination, equal those of _patterns(p, q) row for row: the same zero
+    # sets in the same order and the same sigma_Z(q) as rationals, at
+    # interior points, on vertex-pair segments and outside; so do the
+    # feasible ones, and Lambda(q) is empty outside
     kind = data.draw(st.sampled_from(["interior", "segment", "outside"]))
     i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
                               unique=True))
@@ -180,17 +203,9 @@ def test_table_rows_match_the_elimination(p, data):
         # past vertex i, away from the centroid: outside, as v_i is extreme
         s = F(data.draw(st.integers(1, 9)), 4)
         q = tuple(v + s * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
-    h = tuple(F(x, 3) for x in data.draw(st.lists(st.integers(-9, 9), min_size=p.d,
-                                                  max_size=p.d)))
-
-    def rationals(rows):
-        return [(combo, [_sigma(p.n, keep, col, den) for col in zip(*nums)])
-                for combo, keep, den, nums in rows]
-
-    assert rationals(_rows_at(p, q, h)) == rationals(_patterns(p, q, h))
-    assert rationals(_rows_at(p, q)) == rationals(_patterns(p, q))
-    if kind == "outside":
-        assert _ray_vertices(p, list(_rows_at(p, q)), 0) == []
+    assert _rationals(p, _evaluate(_table(p).values(), q)) == _eliminated(p, q)
+    assert _rationals(p, _feasible_rows(p, q)) == _feasible_eliminated(p, q)
+    assert (_vertices_at(p, q) == []) == (kind == "outside")
 
 
 @PROPERTY
@@ -233,7 +248,8 @@ def test_large_bit_size_rationals(p, data):
 ])
 def test_duplicate_patterns_are_deduplicated(name, point, patterns, vertices):
     p = get_fixture(name)
-    found = list(_feasible_rows(p, _patterns(p, point), 0))
+    found = _rationals(p, _feasible_rows(p, point))
+    assert found == _feasible_eliminated(p, point)
     assert len(found) == patterns
     assert [z for z, _ in found] == sorted(z for z, _ in found)
     lam = lambda_vertices(p, point)

@@ -60,16 +60,22 @@ def _identifiers(path):
 def test_only_coordinates_eliminates_patterns():
     # coordinates' pattern table is the one caller of the elimination loop,
     # and the oracle stays an independent route: it never reads that table,
-    # although the table lives on the Polytope object it is given
+    # although the table lives on the Polytope object it is given.  The
+    # probes and the CLI read it only at points, through coordinates'
+    # readers, and never see its row layout
     src = Path(barypoly.__file__).parent
     names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
     assert {"_patterns", "_solve_pattern"} <= names["coordinates"]
     assert sorted(mod for mod, found in names.items() if mod != "coordinates"
                   and found & {"_patterns", "_solve_pattern"}) == []
     assert "_pattern_table" in names["polytope"]
-    table = {"_pattern_table", "_table", "_pattern_row", "_rows_at",
-             "_feasible_rows", "_ray_vertices"}
+    table = {"_pattern_table", "_table", "_evaluate", "_feasible_rows",
+             "_vertices_at"}
+    assert table <= names["coordinates"] | names["polytope"]
     assert sorted(names["oracle"] & table) == []
+    layout = {"_pattern_table", "_table", "_sigma", "_evaluate"}
+    assert {mod: sorted(names[mod] & layout) for mod in ("probes", "cli")} == {
+        "probes": [], "cli": []}
 
 
 def test_cli_solves_no_lp():
