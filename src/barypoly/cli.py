@@ -20,7 +20,7 @@ from . import oracle as orc
 from . import probes
 from .errors import BarypolyError, InfeasibleError, OracleMismatchError, ParseError
 from .fixtures import fixture_document, fixture_names
-from .linalg import fr, mat_vec, vec
+from .linalg import fr, mat_vec, rational_str, vec
 from .polytope import (Location, Polytope, load_polytope, locate, parse_coordinates,
                        read_json)
 from .report import AnalysisReport, LambdaVertexEntry, format_float
@@ -107,7 +107,8 @@ def run_analyze(path, point_text) -> int:
         print(json.dumps({
             "error": "Outside",
             "detail": "point is outside the polytope",
-            "certificate": {"normal": [str(x) for x in a], "offset": str(b)},
+            "certificate": {"normal": [rational_str(x) for x in a],
+                            "offset": rational_str(b)},
         }, indent=2))
         return 2
     print(rep.to_json())
@@ -140,10 +141,13 @@ def _census_cells(p, point):
 
 
 def _sweep_row(p, mode, point, h, t0, steps):
-    width = 3 if mode == "census" else 3 + steps
+    """One CSV row; an error leaves the rest of the row empty and puts its code
+    in the last cell (a point too long to print leaves its own cells empty)."""
+    width = len(point) + (3 if mode == "census" else 3 + steps)
     cells = []
     error = ""
     try:
+        cells += [rational_str(x) for x in point]
         cells += _census_cells(p, point)
         if mode == "continuity":
             rep = probes.continuity_probe(p, point, h, t0=t0, steps=steps)
@@ -155,7 +159,7 @@ def _sweep_row(p, mode, point, h, t0, steps):
     except BarypolyError as exc:
         error = exc.code
     cells += [""] * (width - len(cells))
-    return ",".join([str(x) for x in point] + cells + [error])
+    return ",".join(cells + [error])
 
 
 def _pick_selection(p, point):
@@ -250,8 +254,8 @@ def run_oracle_check(path, point_text, samples) -> int:
         "agreement": agree,
         "method": ora.method,
         "vertex_count": len(lam.vertices),
-        "lambda_vertices": [[str(x) for x in v] for v in lam.vertex_arrays()],
-        "oracle_vertices": [[str(x) for x in v] for v in ora.vertices],
+        "lambda_vertices": [[rational_str(x) for x in v] for v in lam.vertex_arrays()],
+        "oracle_vertices": [[rational_str(x) for x in v] for v in ora.vertices],
         "samples": samples,
         "samples_feasible": samples_ok,
         "seed": seed,

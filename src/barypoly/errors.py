@@ -63,6 +63,13 @@ class PatternLimitError(BarypolyError):
     code = "TooManyPatterns"
 
 
+class DigitLimitError(BarypolyError):
+    """An exact output value has more digits than Python converts to a
+    string (``sys.get_int_max_str_digits()``, 4300 by default)."""
+
+    code = "TooManyDigits"
+
+
 class InconsistentInputsError(BarypolyError):
     code = "InconsistentInputs"
 

@@ -12,10 +12,11 @@ its row update ``bareiss_row`` is also the simplex pivot.
 
 import math
 import re
+import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyInputError, SingularMatrixError
+from .errors import DigitLimitError, EmptyInputError, SingularMatrixError
 
 MAX_EXPONENT = 4300  # fr's largest |decimal exponent|, as Python's int digits
 _EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
@@ -34,6 +35,17 @@ def fr(x) -> Fraction:
     if exp and int(exp[1]) > MAX_EXPONENT:
         raise ValueError(f"decimal exponent beyond ±{MAX_EXPONENT}")
     return Fraction(x)
+
+
+def rational_str(x) -> str:
+    """'p/q' (or 'p') of an exact value; DigitLimitError where p or q has more
+    digits than ``int`` converts to a string.  The limit stays in force: fr's
+    input bound relies on int() refusing longer strings."""
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise DigitLimitError(f"an output value has more than "
+                              f"{sys.get_int_max_str_digits()} digits") from exc
 
 
 def vec(xs) -> tuple:

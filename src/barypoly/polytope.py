@@ -193,7 +193,8 @@ def load_polytope(path) -> Polytope:
 
 def polytope_document(p: Polytope) -> dict:
     """Lossless JSON document for a polytope (rationals as 'p/q' strings)."""
-    doc = {"dim": p.d, "vertices": [[str(x) for x in v] for v in p.vertices]}
+    doc = {"dim": p.d,
+           "vertices": [[linalg.rational_str(x) for x in v] for v in p.vertices]}
     if p.labels is not None:
         doc["labels"] = list(p.labels)
     return doc

@@ -2,19 +2,22 @@
 
 The combinatorial structure is never approximated: the exact vertex lists at
 the basepoint and at every step are read off the polytope's pattern table at
-each point, and only the metric evaluation runs in floats.
+each point, and only the metric evaluation runs in floats: plain Python
+floats and tuples, as the point sets are small (the vertices of one
+coordinate polytope, in R^n).
 Distances to convex hulls use Wolfe's finite corral method for the minimum
-norm point.  It runs until it reaches the optimum or rounding stops its
-progress; the distance is converged when the Frank-Wolfe gap there is within
-a threshold, and an unconverged distance makes the verdict "Inconclusive".
+norm point, whose minor cycles solve least squares by Householder QR.  It
+runs until it reaches the optimum or rounding stops its progress; the
+distance is converged when the Frank-Wolfe gap there is within a threshold,
+and an unconverged distance makes the verdict "Inconclusive".
 """
 
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
 
 from . import coordinates as co
 from . import linalg
@@ -26,26 +29,24 @@ from .errors import (
 from .polytope import Polytope
 
 _MAX_ITER = 10_000
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True, eq=False)
 class FloatPolytope:
-    """Convex hull of finitely many float vectors."""
+    """Convex hull of finitely many float vectors, a tuple of float tuples."""
 
-    vertices: np.ndarray
+    vertices: tuple
     ambient_dim: int
 
     @classmethod
     def from_exact(cls, points) -> "FloatPolytope":
-        arr = np.array([[float(x) for x in pt] for pt in points], dtype=float)
-        return cls(vertices=arr, ambient_dim=arr.shape[1])
+        verts = tuple(tuple(float(x) for x in pt) for pt in points)
+        return cls(vertices=verts, ambient_dim=len(verts[0]))
 
     def diameter(self) -> float:
-        v = self.vertices
-        if len(v) < 2:
-            return 0.0
-        diffs = v[:, None, :] - v[None, :, :]
-        return float(np.sqrt((diffs ** 2).sum(-1)).max())
+        return max((math.dist(a, b) for a, b in itertools.combinations(self.vertices, 2)),
+                   default=0.0)
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,57 @@ class ProbeReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _min_norm_point(b_arr: np.ndarray, x: np.ndarray, tol: float):
-    """Distance from ``x`` to the hull of the rows of ``b_arr``; returns
+def _dot(a, b) -> float:
+    return sum(map(operator.mul, a, b))
+
+
+def _argmin(xs) -> int:
+    """Index of the first smallest entry."""
+    return min(range(len(xs)), key=xs.__getitem__)
+
+
+def _lstsq(cols, rhs) -> list:
+    """Weights u minimising |rhs - Σ u_i cols_i|, by Householder QR.
+
+    Columns are taken in order; a column whose norm outside the span of the
+    columns before it is at most eps·max(n, m)·(largest column norm) gets
+    weight 0: the usual relative rank cut-off of least-squares solvers, with
+    the largest column norm for the largest singular value.  On full-rank
+    columns this is the least-squares solution; on dependent ones it is a
+    basic solution, not the minimum-norm one.
+    """
+    m = len(rhs)
+    cols = [list(c) for c in cols]
+    r = list(rhs)
+    cut = _EPS * max(len(cols), m) * max((math.hypot(*c) for c in cols), default=0.0)
+    pivots = []  # column pivots[k] has its reflection, and R's diagonal, at row k
+    for j, c in enumerate(cols):
+        k = len(pivots)
+        if k == m:
+            break
+        s = math.hypot(*c[k:])
+        if s <= cut:
+            continue
+        # the reflection I - beta·v·vᵀ maps c[k:] to (alpha, 0, ..., 0)
+        alpha = -s if c[k] >= 0.0 else s
+        v = c[k:]
+        v[0] -= alpha
+        beta = 1.0 / (s * (s + abs(c[k])))
+        for other in cols[j + 1:] + [r]:
+            tail = other[k:]
+            f = beta * _dot(v, tail)
+            other[k:] = [o - f * vi for o, vi in zip(tail, v)]
+        c[k] = alpha
+        pivots.append(j)
+    u = [0.0] * len(cols)
+    for k in reversed(range(len(pivots))):
+        j = pivots[k]
+        u[j] = (r[k] - sum(cols[i][k] * u[i] for i in pivots[k + 1:])) / cols[j][k]
+    return u
+
+
+def _min_norm_point(b_rows, x, tol: float):
+    """Distance from ``x`` to the hull of the points ``b_rows``; returns
     (distance, converged).
 
     Wolfe's corral method (Wolfe 1976, "Finding the nearest point in a
@@ -82,52 +132,53 @@ def _min_norm_point(b_arr: np.ndarray, x: np.ndarray, tol: float):
     max(tol²/2, 1e-15·(1 + max_j |p_j|²)).  ``_MAX_ITER`` major cycles
     without a stop return converged False.
     """
-    pts = b_arr - x
-    d0 = (pts ** 2).sum(axis=1)
-    thresh = max(tol * tol / 2.0, 1e-15 * (1.0 + float(d0.max())))
-    corral = [int(np.argmin(d0))]
-    w = np.ones(1)
+    pts = [tuple(map(operator.sub, row, x)) for row in b_rows]
+    d0 = [_dot(q, q) for q in pts]
+    thresh = max(tol * tol / 2.0, 1e-15 * (1.0 + max(d0)))
+    corral = [_argmin(d0)]
+    w = [1.0]
     y = pts[corral[0]]
-    yy = float(y @ y)
+    yy = _dot(y, y)
     for _ in range(_MAX_ITER):
-        g = pts @ y
-        j = int(np.argmin(g))
-        gap = yy - float(g[j])
+        g = [_dot(q, y) for q in pts]
+        j = _argmin(g)
+        gap = yy - g[j]
         if gap <= 0.0 or j in corral:
             return math.sqrt(yy), gap <= thresh
         corral.append(j)
-        w = np.append(w, 0.0)
+        w.append(0.0)
         while True:
             # v = (1 - Σu, u) with u minimising |c_0 + Σ u_i (c_i - c_0)|
             # over the corral points c; least squares on the points, not on
             # their Gram matrix, whose condition number is the square
-            c = pts[corral]
-            u = np.linalg.lstsq((c[1:] - c[0]).T, -c[0], rcond=None)[0]
-            v = np.concatenate(([1.0 - u.sum()], u))
+            c0, *rest = [pts[i] for i in corral]
+            u = _lstsq([list(map(operator.sub, ci, c0)) for ci in rest],
+                       [-a for a in c0])
+            v = [1.0 - sum(u)] + u
             # a v_i in (0, 1e-12] counts as zero, except for the entering
             # point: its weight may be that small when the gap is
             new = corral.index(j)
-            small = v <= 1e-12
+            small = [vi <= 1e-12 for vi in v]
             small[new] = v[new] <= 0.0
-            if not small.any():
+            if not any(small):
                 break
             # walk from w toward v up to the first weight that reaches zero
             # and drop that point; exact arithmetic never drops the entering
             # point, so a walk that would is a rounding stall
-            theta = np.where(small, w / np.maximum(w - np.minimum(v, 0.0), 1e-300),
-                             np.inf)
-            drop = int(np.argmin(theta))
+            theta = [wi / max(wi - min(vi, 0.0), 1e-300) if si else math.inf
+                     for wi, vi, si in zip(w, v, small)]
+            drop = _argmin(theta)
             if drop == new:
                 return math.sqrt(yy), gap <= thresh
-            w = np.maximum(w + theta[drop] * (v - w), 0.0)
+            w = [max(wi + theta[drop] * (vi - wi), 0.0) for wi, vi in zip(w, v)]
             del corral[drop]
-            w = np.delete(w, drop)
+            del w[drop]
         w = v
-        y_next = w @ pts[corral]
-        if float(y_next @ y_next) >= yy:
+        y_next = tuple(_dot(w, col) for col in zip(*[pts[i] for i in corral]))
+        if _dot(y_next, y_next) >= yy:
             return math.sqrt(yy), gap <= thresh
         y = y_next
-        yy = float(y @ y)
+        yy = _dot(y, y)
     return math.sqrt(yy), False
 
 
@@ -138,12 +189,12 @@ def point_polytope_distance(x, b: FloatPolytope, tol: float = 1e-9) -> float:
 
 
 def _point_distance_status(x, b: FloatPolytope, tol: float):
-    xv = np.asarray(x, dtype=float)
+    xv = tuple(map(float, x))
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if xv.shape != (b.ambient_dim,):
+    if len(xv) != b.ambient_dim:
         raise DimensionMismatchError(
-            f"point has dim {xv.shape}, polytope ambient dim {b.ambient_dim}")
+            f"point has dim {len(xv)}, polytope ambient dim {b.ambient_dim}")
     return _min_norm_point(b.vertices, xv, tol)
 
 
@@ -238,8 +289,8 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     else:
         verdict = "Inconclusive"
     meta = {
-        "basepoint": [str(x) for x in pt],
-        "direction": [str(x) for x in hv],
+        "basepoint": [linalg.rational_str(x) for x in pt],
+        "direction": [linalg.rational_str(x) for x in hv],
         "distance_tol": distance_tol,
     }
     return ProbeReport(steps=tuple(steps_out), verdict=verdict,
@@ -255,15 +306,14 @@ def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
     return [[u[i] - b for u in units] for i, b in enumerate(base)]
 
 
-def selection_jacobian(p: Polytope, zero_set) -> np.ndarray:
+def selection_jacobian(p: Polytope, zero_set) -> list:
     """Constant Jacobian of p -> sigma_Z(p), zero rows on the zero set.
 
     The map solves a fixed linear system with p on the right side, so the
     Jacobian is the first d columns of the system inverse scattered to the
-    complement rows.  Computed exactly, returned as a float n x d matrix.
+    complement rows.  Computed exactly, returned as n float rows of length d.
     """
-    jac = _selection_jacobian_exact(p, zero_set)
-    return np.array([[float(x) for x in row] for row in jac], dtype=float)
+    return [[float(x) for x in row] for row in _selection_jacobian_exact(p, zero_set)]
 
 
 def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
@@ -291,7 +341,7 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     if any(x < 0 for x in sigma):
         raise InfeasibleSelectionError(
             f"sigma with zero set {sorted(zero_set)} is infeasible at the basepoint")
-    v_float = np.array([float(x) for x in jh], dtype=float)
+    v_float = tuple(float(x) for x in jh)
     quotient_sets = []
     witness = []
     all_met = True
@@ -324,8 +374,8 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     else:
         verdict = "Inconclusive"
     meta = {
-        "basepoint": [str(x) for x in pt],
-        "direction": [str(x) for x in hv],
+        "basepoint": [linalg.rational_str(x) for x in pt],
+        "direction": [linalg.rational_str(x) for x in hv],
         "zero_set": sorted(zero_set),
         "diameters": diameters,
         "pairwise_hausdorff": pair,

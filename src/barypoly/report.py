@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import ParseError
-from .linalg import fr
+from .linalg import fr, rational_str
 from .polytope import parse_coordinates
 
 
@@ -18,7 +18,7 @@ def format_float(x: float) -> str:
 
 
 def _rvec(xs) -> list:
-    return [str(x) for x in xs]
+    return [rational_str(x) for x in xs]
 
 
 def _parse_rvec(xs) -> tuple:

@@ -545,6 +545,30 @@ def test_too_many_patterns(tmp_path, capsys, monkeypatch):
     assert solves == []
 
 
+def test_output_past_the_int_digit_limit(square_file, tmp_path, capsys):
+    # 1e-4300 is in fr's input range, but its denominator 10**4300 has 4301
+    # digits, more than str() of an int gives: a typed error, not a traceback,
+    # and the process-wide limit that fr's input bound relies on stays
+    limit = sys.get_int_max_str_digits()
+    want = {"error": "TooManyDigits",
+            "detail": f"an output value has more than {limit} digits"}
+    for command in ("analyze", "oracle-check"):
+        code, out = run(capsys, command, square_file, "--point=1e-4300,1/2")
+        assert (code, json.loads(out)) == (1, want)
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([["1e-4300", "0.5"], ["1/3", "1/2"]]))
+    code, out = run(capsys, "sweep", square_file, "--mode", "census", "--points", str(pts))
+    assert code == 0
+    assert out.split("\n")[1:] == [",,,,,TooManyDigits", "1/3,1/2,2,1,true,", ""]
+    code, out = run(capsys, "sweep", square_file, "--mode", "continuity",
+                    "--points", str(pts), "--h=1/64,0", "--steps=3")
+    assert code == 0
+    assert out.split("\n")[1] == ",,,,,,,,TooManyDigits"
+    assert sys.get_int_max_str_digits() == limit
+    code, out = run(capsys, "analyze", square_file, "--point=1" + "0" * limit + ",0")
+    assert (code, json.loads(out)["error"]) == (1, "ParseError")
+
+
 def test_sweep_rows_share_one_pattern_table(monkeypatch):
     # one pattern table per polytope object: a 5-point census sweep on a
     # freshly parsed prism8 makes C(8, 4) = 70 eliminations (a scan per point

@@ -15,6 +15,7 @@ from barypoly.errors import (
 )
 from barypoly.probes import (
     FloatPolytope,
+    _lstsq,
     _min_norm_point,
     _selection_jacobian_exact,
     continuity_probe,
@@ -138,16 +139,65 @@ def test_min_norm_point_stall_far_from_the_gap_is_not_converged(
 
     calls = []
 
-    def solve(a, b, rcond=None):
-        calls.append(a.shape)
-        return (np.full(a.shape[1], fill),)
+    def solve(cols, rhs):
+        calls.append((len(rhs), len(cols)))
+        return [fill] * len(cols)
 
-    monkeypatch.setattr(probes.np.linalg, "lstsq", solve)
-    pts = np.array([(2.0, 1.0), (2.0, -1.0), (4.0, 0.0)])
-    dist, converged = _min_norm_point(pts, np.zeros(2), 1e-9)
+    monkeypatch.setattr(probes, "_lstsq", solve)
+    pts = [(2.0, 1.0), (2.0, -1.0), (4.0, 0.0)]
+    dist, converged = _min_norm_point(pts, (0.0, 0.0), 1e-9)
     assert dist == math.sqrt(5.0)
     assert not converged
     assert len(calls) == solves
+
+
+def test_lstsq_matches_numpy_on_full_rank_systems():
+    # seeded m x n systems, n <= m <= 10, against the SVD least squares;
+    # the error is relative to the largest weight
+    rng = np.random.default_rng(7)
+    worst = 0.0
+    for _ in range(2000):
+        m = int(rng.integers(1, 11))
+        n = int(rng.integers(1, m + 1))
+        a = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-3, 4)
+        b = rng.standard_normal(m)
+        want = np.linalg.lstsq(a, b, rcond=None)[0]
+        got = _lstsq(a.T.tolist(), b.tolist())
+        assert all(type(x) is float for x in got)
+        worst = max(worst, float(np.abs(np.array(got) - want).max()
+                                 / max(np.abs(want).max(), 1e-300)))
+    assert worst < 1e-10
+
+
+def test_lstsq_dependent_columns_give_finite_weights():
+    # repeated and parallel columns, and more columns than rows: a basic
+    # solution (dependent columns weigh 0), finite, with numpy's residual
+    cases = [
+        ([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]], [1.0, -1.0]),
+        ([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 2.0, 0.0]], [3.0, 1.0, 4.0]),
+        ([[1.0, 2.0], [0.0, 1.0], [1.0, 1.0], [5.0, -3.0]], [2.0, 7.0]),
+        ([[0.0, 0.0], [1.0, 1.0]], [1.0, 2.0]),
+    ]
+    for cols, rhs in cases:
+        u = _lstsq(cols, rhs)
+        assert all(math.isfinite(x) for x in u)
+        a = np.array(cols).T
+        want = np.linalg.lstsq(a, np.array(rhs), rcond=None)[0]
+        got_res = np.linalg.norm(a @ np.array(u) - rhs)
+        want_res = np.linalg.norm(a @ want - rhs)
+        assert abs(got_res - want_res) <= 1e-12 * (1.0 + want_res)
+    u = _lstsq([[1.0, 1.0], [2.0, 2.0]], [3.0, 3.0])
+    assert u[1] == 0.0 and abs(u[0] - 3.0) < 1e-15
+    assert _lstsq([], [1.0, 2.0]) == []
+
+
+def test_min_norm_point_collinear_points():
+    # three collinear points on a ray from x; the nearest point is (1, 0),
+    # on the edge from (1, 1) to (1, -1)
+    dist, converged = _min_norm_point([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (1.0, -1.0)],
+                                      (0.0, 0.0), 1e-9)
+    assert converged
+    assert dist == 1.0
 
 
 def test_continuity_probe_meets_every_stop(prism8, monkeypatch):
@@ -178,6 +228,11 @@ def test_hausdorff_basics():
     seg1 = fp((0, 0), (1, 0))
     seg2 = fp((0, 1), (1, 1))
     assert abs(hausdorff(seg1, seg2) - 1.0) < 1e-9
+    # vertices given as any sequence of rows, a numpy array too
+    seg3 = FloatPolytope(vertices=np.array([(0.0, 1.0), (1.0, 1.0)]), ambient_dim=2)
+    assert hausdorff(seg1, seg3) == hausdorff(seg1, seg2)
+    assert hausdorff(seg3, FloatPolytope(vertices=[[0, 0], [1, 0]], ambient_dim=2)) \
+        == hausdorff(seg2, seg1)
 
 
 def test_hausdorff_mismatch():
@@ -238,7 +293,7 @@ def test_selection_jacobian_triangle():
     tri = validate([[F(0), F(1), F(0)], [F(0), F(0), F(1)]], 2)
     jac = selection_jacobian(tri, frozenset())
     assert np.allclose(jac, np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]))
-    assert np.allclose(jac.sum(axis=0), 0.0)
+    assert all(abs(sum(col)) < 1e-12 for col in zip(*jac))
 
 
 def test_selection_jacobian_square(square):

@@ -101,3 +101,33 @@ def test_probes_read_the_pattern_table():
                   if name.startswith("barypoly.simplex")
                   or name in ("barypoly.polytope.locate", "barypoly.linalg.bareiss",
                               "barypoly.linalg.integer_rows")) == []
+
+
+def test_no_numpy_in_the_package():
+    # the probes run on plain floats: numpy is a test dependency only
+    src = Path(barypoly.__file__).parent
+    found = sorted(f"{path.name}: {name}"
+                   for path in src.glob("*.py")
+                   for name in _imported_names(path.stem)
+                   if name.split(".")[0] == "numpy")
+    assert found == []
+
+
+def test_cli_does_not_load_numpy(tmp_path):
+    # a cold start imports no numpy, nor does a whole analyze call
+    import subprocess
+    import sys
+
+    f = tmp_path / "square.json"
+    f.write_text('{"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}')
+    script = (
+        "import sys\n"
+        "import barypoly.cli\n"
+        "print('numpy' in sys.modules)\n"
+        f"rc = barypoly.cli.main(['analyze', {str(f)!r}, '--point=1/3,1/2'])\n"
+        "print(rc, 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("False", "0 False")
