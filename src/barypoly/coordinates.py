@@ -261,25 +261,36 @@ def gamma_polytope(p: Polytope, tau: BarycentricVector, nbasis_rows,
                    lam: LambdaPolytope) -> GammaPolytope:
     """Reduced polytope of ``lam`` in the kernel coordinates of ``nbasis_rows``.
 
-    One exact elimination of [N | v_1 - tau | … | v_m - tau] solves every
-    N·c = v_j - tau at once: c is read off the first k rows of column k + j.
-    Raises SingularMatrixError when N lacks full column rank and
-    InconsistentInputsError when some difference is outside its column span.
+    ``nullbasis`` builds N from the RREF's free columns, so N has a row
+    u_j equal to e_j for each j = 1..k, and the only solution of
+    N·c = v - tau is c_j = (v - tau)[u_j]: no elimination.  On the unit rows
+    N·c = v - tau holds by construction, so consistency is tested on the
+    d + 1 other rows i only, as N_i·v[u] - v_i == N_i·tau[u] - tau_i, over
+    the nonzero entries of v[u] (a vertex of Lambda has at most d + 1).
+    Raises SingularMatrixError when N lacks one of the unit rows (a
+    rank-deficient N always does) and InconsistentInputsError when some
+    v - tau is outside the column span of N.
     """
     k = p.kernel_dim()
     rows = linalg.mat(nbasis_rows)
-    diffs = [[a - b for a, b in zip(v.lam, tau.lam)] for v in lam.vertices]
-    red, pivots = linalg.rref([row + [diff[i] for diff in diffs]
-                               for i, row in enumerate(rows)])
-    if pivots[:k] != list(range(k)):
-        raise SingularMatrixError("kernel basis lacks full column rank")
+    try:
+        units = [rows.index([int(i == j) for i in range(k)]) for j in range(k)]
+    except ValueError:
+        raise SingularMatrixError(
+            "kernel basis lacks a unit row e_j (nullbasis has all k)") from None
+    others = [(row, i) for i, row in enumerate(rows) if i not in units]
+
+    def residuals(x):
+        nonzero = [(j, x[u]) for j, u in enumerate(units) if x[u]]
+        return [sum((row[j] * a for j, a in nonzero), -x[i]) for row, i in others]
+
+    base = residuals(tau.lam)
     gvertices = []
-    for j, diff in enumerate(diffs):
-        c = [row[k + j] for row in red[:k]]
-        if linalg.mat_vec(rows, c) != diff:
+    for v in lam.vertices:
+        if residuals(v.lam) != base:
             raise InconsistentInputsError(
                 "vertex - tau is not in the column span of the kernel basis")
-        gvertices.append(tuple(c))
+        gvertices.append(tuple(v.lam[u] - tau.lam[u] for u in units))
     hrep = tuple((tuple(row), tau.lam[j]) for j, row in enumerate(rows))
     return GammaPolytope(
         tau=tau,

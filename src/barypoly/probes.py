@@ -61,7 +61,7 @@ class ProbeReport:
     steps: tuple
     verdict: str              # "Converges" | "Inconclusive" | "Diverges"
     tolerance: float
-    metadata: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)  # basepoint, direction: exact tuples
 
 
 def _dot(a, b) -> float:
@@ -289,8 +289,8 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     else:
         verdict = "Inconclusive"
     meta = {
-        "basepoint": [linalg.rational_str(x) for x in pt],
-        "direction": [linalg.rational_str(x) for x in hv],
+        "basepoint": pt,
+        "direction": hv,
         "distance_tol": distance_tol,
     }
     return ProbeReport(steps=tuple(steps_out), verdict=verdict,
@@ -374,8 +374,8 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     else:
         verdict = "Inconclusive"
     meta = {
-        "basepoint": [linalg.rational_str(x) for x in pt],
-        "direction": [linalg.rational_str(x) for x in hv],
+        "basepoint": pt,
+        "direction": hv,
         "zero_set": sorted(zero_set),
         "diameters": diameters,
         "pairwise_hausdorff": pair,

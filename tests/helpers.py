@@ -4,7 +4,8 @@ import random
 from fractions import Fraction
 
 from barypoly import linalg
-from barypoly.errors import SingularMatrixError
+from barypoly.coordinates import GammaPolytope
+from barypoly.errors import InconsistentInputsError, SingularMatrixError
 from barypoly.simplex import LPResult
 from barypoly.polytope import Polytope
 
@@ -90,6 +91,32 @@ def brute_force_vertices(p: Polytope, point):
                 full[jj] = val
             out.add(tuple(full))
     return out
+
+
+def reference_gamma_polytope(p: Polytope, tau, nbasis_rows, lam) -> GammaPolytope:
+    """Gamma by elimination, the reference for ``gamma_polytope``'s unit-row
+    reading: one rref of [N | v_1 - tau | … | v_m - tau] solves every
+    N·c = v_j - tau, and N·c is checked on all n rows."""
+    k = p.kernel_dim()
+    rows = linalg.mat(nbasis_rows)
+    diffs = [[a - b for a, b in zip(v.lam, tau.lam)] for v in lam.vertices]
+    red, pivots = linalg.rref([row + [diff[i] for diff in diffs]
+                               for i, row in enumerate(rows)])
+    if pivots[:k] != list(range(k)):
+        raise SingularMatrixError("kernel basis lacks full column rank")
+    gvertices = []
+    for j, diff in enumerate(diffs):
+        c = [row[k + j] for row in red[:k]]
+        if linalg.mat_vec(rows, c) != diff:
+            raise InconsistentInputsError(
+                "vertex - tau is not in the column span of the kernel basis")
+        gvertices.append(tuple(c))
+    return GammaPolytope(
+        tau=tau,
+        nbasis=tuple(tuple(r) for r in rows),
+        hrep_rows=tuple((tuple(row), tau.lam[j]) for j, row in enumerate(rows)),
+        vertices=tuple(gvertices),
+    )
 
 
 class _FractionTableau:

@@ -569,6 +569,21 @@ def test_output_past_the_int_digit_limit(square_file, tmp_path, capsys):
     assert (code, json.loads(out)["error"]) == (1, "ParseError")
 
 
+@pytest.mark.parametrize("mode", ["continuity", "semidiff"])
+def test_probe_rows_with_a_tiny_direction(square_file, tmp_path, capsys, mode):
+    # h = (1e-4300, 0) is exact with a 4301-digit denominator, which no row
+    # prints: the probes keep it exact and the row gets its 8 distances
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([["1/3", "1/2"]]))
+    code, out = run(capsys, "sweep", square_file, "--mode", mode,
+                    "--points", str(pts), "--h=1e-4300,0")
+    assert code == 0
+    cells = out.split("\n")[1].split(",")
+    assert cells[:5] == ["1/3", "1/2", "2", "1", "true"]
+    assert [math.isfinite(float(x)) for x in cells[5:13]] == [True] * 8
+    assert cells[13:] == [""]
+
+
 def test_sweep_rows_share_one_pattern_table(monkeypatch):
     # one pattern table per polytope object: a 5-point census sweep on a
     # freshly parsed prism8 makes C(8, 4) = 70 eliminations (a scan per point

@@ -33,6 +33,7 @@ from helpers import (
     interior_point,
     mat_mul,
     pentagon_edge_region_point,
+    reference_gamma_polytope,
 )
 
 F = Fraction
@@ -271,6 +272,19 @@ def test_gamma_rank_deficient_basis(pentagon):
     bad_nb = [[row[0], row[0]] for row in nullbasis(pentagon)]
     with pytest.raises(SingularMatrixError):
         gamma_polytope(pentagon, tau, bad_nb, lam)
+
+
+def test_gamma_needs_the_unit_rows(pentagon):
+    # declared narrowing: Gamma reads c off N's unit rows, so a full-rank
+    # basis without them is refused, which elimination used to accept
+    q = (F(0), F(0))
+    tau = feasible_tau(pentagon, q)
+    lam = lambda_vertices(pentagon, q)
+    mixed = mat_mul(nullbasis(pentagon), [[F(1), F(1)], [F(0), F(1)]])
+    assert linalg.rank(mixed) == 2
+    assert len(reference_gamma_polytope(pentagon, tau, mixed, lam).vertices) == 5
+    with pytest.raises(SingularMatrixError):
+        gamma_polytope(pentagon, tau, mixed, lam)
 
 
 def test_gamma_inconsistent_inputs(square):

@@ -3,9 +3,11 @@
 ``lambda_vertices`` scans zero patterns with fraction-free integer
 elimination; ``helpers.brute_force_vertices`` solves every pattern with
 Fraction Gauss-Jordan.  Both must give the same vertex set at interior,
-boundary and large-bit-size points of random polytopes.  At the same points
-``dim`` must equal the affine dimension of the vertex list, and every Gamma
-vertex c must map back to its Lambda vertex as tau + N·c.  Along a ray, the
+boundary, chamber-wall and large-bit-size points of random polytopes.  At the
+same points ``dim`` must equal the affine dimension of the vertex list, every
+Gamma vertex c must map back to its Lambda vertex as tau + N·c, and Gamma,
+read off N's unit rows, must equal ``helpers.reference_gamma_polytope``'s
+elimination; both must refuse the same inconsistent inputs.  Along a ray, the
 vertex lists read off a polytope's pattern table must equal a fresh
 elimination's at every t, and row Z of that elimination must hold sigma_Z
 and J_Z·h exactly; the rows read off the table at a point must equal the
@@ -36,12 +38,16 @@ from barypoly.coordinates import (
     nullbasis,
     simplicial_coords,
 )
-from barypoly.errors import InfeasibleError, SingularPatternError
+from barypoly.errors import (
+    InconsistentInputsError,
+    InfeasibleError,
+    SingularPatternError,
+)
 from barypoly.fixtures import get_fixture
 from barypoly.oracle import dd_vertices, random_polytope
 from barypoly.polytope import Location, locate, validate
 from barypoly.probes import _selection_jacobian_exact
-from helpers import brute_force_vertices
+from helpers import brute_force_vertices, reference_gamma_polytope
 
 F = Fraction
 BIG = 1 << 64
@@ -91,6 +97,7 @@ def _check_against_brute_force(p, q):
     gam = gamma_polytope(p, tau, nb, lam)
     assert [tuple(t + linalg.dot(row, c) for t, row in zip(tau.lam, nb))
             for c in gam.vertices] == brute
+    assert gam == reference_gamma_polytope(p, tau, nb, lam)
     return lam
 
 
@@ -239,6 +246,55 @@ def test_large_bit_size_rationals(p, data):
     lam_moved = _check_against_brute_force(pm, qm)
     assert lam_moved.vertices == tuple(
         type(v)(lam=v.lam, point=qm) for v in lam.vertices)
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_chamber_wall_points(p, data):
+    # a strictly positive combination of d vertices lies on a chamber wall
+    # (for d = 3, on a vertex triangle, where many zero patterns give the
+    # same sigma) or on the boundary
+    idx = data.draw(st.lists(st.integers(0, p.n - 1), min_size=p.d,
+                             max_size=p.d, unique=True))
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.d, max_size=p.d))
+    _check_against_brute_force(p, _combination([p.vertices[i] for i in idx],
+                                               weights))
+
+
+@PROPERTY
+@given(polytopes())
+def test_nullbasis_has_unit_rows_on_free_columns(p):
+    # the contract Gamma and the oracle rely on: row f_j of N is e_j, f_j the
+    # j-th free column of the RREF of [V; 1^T]
+    _, pivots = linalg.rref(p.stacked_rows())
+    free = [c for c in range(p.n) if c not in pivots]
+    k, nb = p.kernel_dim(), nullbasis(p)
+    assert len(free) == k
+    assert [nb[f] for f in free] == [[int(i == j) for i in range(k)]
+                                     for j in range(k)]
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_gamma_refuses_inconsistent_inputs_as_the_elimination_did(p, data):
+    # a basepoint tau from another point, and an N with one non-unit row
+    # perturbed: both versions raise InconsistentInputsError
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    q = _combination(p.vertices, weights)
+    i = data.draw(st.integers(0, p.n - 1))
+    lam, nb = lambda_vertices(p, q), nullbasis(p)
+    cases = [(feasible_tau(p, p.vertices[i]), nb)]
+    if p.kernel_dim():
+        # q is interior, so Lambda(q) spans R^k and some vertex has c_1 != 0
+        _, pivots = linalg.rref(p.stacked_rows())
+        r = data.draw(st.sampled_from(pivots))
+        bumped = [list(row) for row in nb]
+        bumped[r][0] += data.draw(st.sampled_from([-1, F(1, 3), 2]))
+        cases.append((feasible_tau(p, q), bumped))
+    for tau, basis in cases:
+        for route in (gamma_polytope, reference_gamma_polytope):
+            with pytest.raises(InconsistentInputsError):
+                route(p, tau, basis, lam)
 
 
 @pytest.mark.parametrize("name, point, patterns, vertices", [

@@ -78,6 +78,19 @@ def test_only_coordinates_eliminates_patterns():
         "probes": [], "cli": []}
 
 
+def test_gamma_runs_no_elimination():
+    # Gamma reads each vertex off N's unit rows and checks the other d + 1
+    # rows: no solve, no elimination, no product with all n rows
+    path = Path(barypoly.__file__).parent / "coordinates.py"
+    tree = ast.parse(path.read_text(), str(path))
+    func, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "gamma_polytope"]
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(names & {"rref", "mat_vec", "solve_linear", "bareiss"}) == []
+
+
 def test_cli_solves_no_lp():
     # oracle-check tests its samples exactly against [V; 1ᵀ]λ = [p; 1],
     # λ ≥ 0, so the front door imports nothing from the simplex
