@@ -26,6 +26,8 @@ from .polytope import (Location, Polytope, load_polytope, locate, parse_coordina
 from .report import AnalysisReport, LambdaVertexEntry, format_float
 
 _SEED_ENV = "BARYPOLY_SEED"
+# the most points --grid may build: the pattern table's budget
+MAX_GRID_POINTS = co.MAX_PATTERNS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,6 +187,9 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
         raise ParseError(f"--grid must be >= 1, got {grid}")
     if workers < 1:
         raise ParseError(f"--workers must be >= 1, got {workers}")
+    if grid is not None and grid ** p.d > MAX_GRID_POINTS:
+        raise ParseError(f"--grid {grid} gives {grid}^{p.d} points, more than "
+                         f"the limit of {MAX_GRID_POINTS}")
     pts = _grid_points(p, grid) if grid is not None else _load_points(points_file, p.d)
     try:
         t0_frac = fr(t0)
@@ -270,10 +275,12 @@ def _build_parser():
 
     v = sub.add_parser("validate", help="validate a polytope file")
     v.add_argument("file")
+    v.set_defaults(run=lambda ns: run_validate(ns.file))
 
     a = sub.add_parser("analyze", help="full analysis at one point")
     a.add_argument("file")
     a.add_argument("--point", required=True, help="comma-separated rationals")
+    a.set_defaults(run=lambda ns: run_analyze(ns.file, ns.point))
 
     s = sub.add_parser("sweep", help="batch census or probe runs, CSV on stdout")
     s.add_argument("file")
@@ -287,38 +294,34 @@ def _build_parser():
     s.add_argument("--h", default=None, help="probe direction, comma-separated")
     s.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility; rows are computed serially")
+    s.set_defaults(run=lambda ns: run_sweep(
+        ns.file, ns.mode, grid=ns.grid, points_file=ns.points, t0=ns.t0,
+        steps=ns.steps, h=ns.h, workers=ns.workers))
 
     e = sub.add_parser("examples", help="print a built-in polytope file")
     e.add_argument("name", nargs="?", default=None)
+    e.set_defaults(run=lambda ns: run_examples(ns.name))
 
     o = sub.add_parser("oracle-check",
                        help="cross-check enumeration against the oracle")
     o.add_argument("file")
     o.add_argument("--point", required=True)
     o.add_argument("--samples", type=int, default=10)
+    o.set_defaults(run=lambda ns: run_oracle_check(ns.file, ns.point, ns.samples))
     return ap
 
 
+# built once per process; each call of main only parses
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    ap = _build_parser()
     try:
-        ns = ap.parse_args(argv)
+        ns = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if ns.command == "validate":
-            return run_validate(ns.file)
-        if ns.command == "analyze":
-            return run_analyze(ns.file, ns.point)
-        if ns.command == "sweep":
-            return run_sweep(ns.file, ns.mode, grid=ns.grid,
-                             points_file=ns.points, t0=ns.t0, steps=ns.steps,
-                             h=ns.h, workers=ns.workers)
-        if ns.command == "examples":
-            return run_examples(ns.name)
-        if ns.command == "oracle-check":
-            return run_oracle_check(ns.file, ns.point, ns.samples)
-        raise AssertionError(ns.command)
+        return ns.run(ns)
     except BarypolyError as exc:
         _emit_error(exc.code, exc)
         return exc.exit_code

@@ -318,47 +318,17 @@ def segment_interval(tau: BarycentricVector, n_col) -> tuple:
     return max(lower), min(upper)
 
 
-def _affine_dependency(points):
-    """A nonzero (gamma_i) with sum gamma = 0 and sum gamma_i·points_i = 0."""
-    rows = [[pt[l] for pt in points] for l in range(len(points[0]))]
-    rows.append([_ONE] * len(points))
-    basis = linalg.nullspace_basis(rows)
-    return basis[0] if basis else None
-
-
-def reduce_convex_combination(points, weights):
-    """Prune a convex combination until its support is affinely independent.
-
-    Repeatedly finds an affine dependency among the positively weighted
-    points and moves along it until a weight hits zero.  Returns a list of
-    (index, weight) pairs with positive weights summing to 1, representing
-    the same point exactly.
-    """
-    w = {i: Fraction(x) for i, x in enumerate(weights) if x != 0}
-    while True:
-        idx = sorted(w)
-        gamma = _affine_dependency([points[i] for i in idx])
-        if gamma is None:
-            break
-        if not any(g > 0 for g in gamma):
-            gamma = [-g for g in gamma]
-        step = min(w[i] / g for i, g in zip(idx, gamma) if g > 0)
-        for i, g in zip(idx, gamma):
-            w[i] -= step * g
-            if w[i] == 0:
-                del w[i]
-    return sorted(w.items())
-
-
 def caratheodory_decompose(lam: LambdaPolytope, x: BarycentricVector) -> list:
     """Write ``x`` as a convex combination of at most n-d vertices of ``lam``.
 
-    Returns (vertex index, weight) pairs with positive rational weights
-    summing to one; raises NotMemberError when x is not in the convex hull of
-    the vertex list.
+    Returns (vertex index, weight) pairs, in index order, with positive
+    rational weights summing to one: the nonzero entries of the one basic
+    solution that ``convex_membership`` finds.  Its support points are
+    affinely independent, so there are at most dim Lambda + 1 <= n-d of them
+    (Caratheodory).  Raises NotMemberError when x is not in the convex hull
+    of the vertex list.
     """
-    verts = lam.vertex_arrays()
-    weights = convex_membership(verts, x.lam)
+    weights = convex_membership(lam.vertex_arrays(), x.lam)
     if weights is None:
         raise NotMemberError("x is not in the convex hull of the vertices")
-    return reduce_convex_combination(verts, weights)
+    return [(i, w) for i, w in enumerate(weights) if w]

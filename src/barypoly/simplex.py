@@ -130,7 +130,9 @@ def convex_membership(points, target) -> list | None:
     """Exact convex-combination weights of ``target`` over ``points``.
 
     Returns weights (one per point, nonnegative, summing to 1) or None when
-    target is outside the convex hull.
+    target is outside the convex hull.  The weights are a basic solution of
+    [points; 1ᵀ]·w = [target; 1], so the points they weight positively are
+    affinely independent.
     """
     if not points:
         return None

@@ -607,3 +607,54 @@ def test_sweep_rows_share_one_pattern_table(monkeypatch):
         row = cli._sweep_row(p, mode, pts[1], h, F(1, 8), 8)
         assert row.endswith(",")  # no error
     assert len(solves) == 70
+
+
+def test_main_builds_no_parser(square_file, capsys, monkeypatch):
+    # the argparse tree is built once, at import: a call of main only parses
+    import argparse
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["analyze", square_file, "--point", "1/3,1/2"],
+                 ["sweep", square_file, "--mode", "census", "--grid", "2"],
+                 ["oracle-check", square_file, "--point", "1/2,1/2"]):
+        code, out = run(capsys, *argv)
+        assert code == 0, out
+    assert built == []
+
+
+def test_sweep_grid_is_bounded(tmp_path, capsys, monkeypatch):
+    # --grid 100 on prism8 asks for 100^3 = 10^6 points: a ParseError naming
+    # the count and the limit before any point is built, not a silent hang
+    from barypoly import cli
+    from barypoly.fixtures import fixture_document
+
+    f = tmp_path / "prism8.json"
+    f.write_text(json.dumps(fixture_document("prism8")))
+    real_grid = cli._grid_points
+    built = []
+
+    def grid_points(p, k):
+        built.append(k)
+        if k ** p.d > 100_000:  # fail at once where the bound is missing
+            raise AssertionError(f"built a grid of {k}^{p.d} points")
+        return real_grid(p, k)
+
+    monkeypatch.setattr(cli, "_grid_points", grid_points)
+    code, out = run(capsys, "sweep", str(f), "--mode", "census", "--grid", "100")
+    assert (code, json.loads(out)) == (1, {
+        "error": "ParseError",
+        "detail": "--grid 100 gives 100^3 points, more than the limit of 100000"})
+    assert built == []
+    # the limit is inclusive: k^d at the limit runs, one more k does not
+    monkeypatch.setattr(cli, "MAX_GRID_POINTS", 8)
+    code, out = run(capsys, "sweep", str(f), "--mode", "census", "--grid", "2")
+    assert (code, len(out.splitlines()), built) == (0, 9, [2])
+    code, out = run(capsys, "sweep", str(f), "--mode", "census", "--grid", "3")
+    assert (code, json.loads(out)["error"], built) == (1, "ParseError", [2])

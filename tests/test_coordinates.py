@@ -12,7 +12,6 @@ from barypoly.coordinates import (
     gamma_polytope,
     lambda_vertices,
     nullbasis,
-    reduce_convex_combination,
     segment_interval,
     simplicial_coords,
 )
@@ -379,8 +378,13 @@ def test_caratheodory_pentagon_samples(pentagon):
     q = pentagon_edge_region_point(pentagon, 1, rng)
     lam = lambda_vertices(pentagon, q)
     assert len(lam.vertices) == 3
-    for s in random_feasible_sample(dd_vertices(pentagon, q).vertices, q, 10,
-                                    seed=9):
+    cases = [(lam, s) for s in random_feasible_sample(
+        dd_vertices(pentagon, q).vertices, q, 10, seed=9)]
+    # the uniform mix of all five centre vertices comes back as <= 3 points
+    centre = lambda_vertices(pentagon, (F(0), F(0)))
+    mix = tuple(sum(c) / 5 for c in zip(*centre.vertex_arrays()))
+    cases.append((centre, BarycentricVector(lam=mix, point=centre.point)))
+    for lam, s in cases:
         pairs = caratheodory_decompose(lam, s)
         assert len(pairs) <= 3
         assert sum(w for _, w in pairs) == 1
@@ -390,18 +394,3 @@ def test_caratheodory_pentagon_samples(pentagon):
             for l in range(pentagon.n)
         ]
         assert tuple(recon) == s.lam
-
-
-def test_reduce_convex_combination_fat_input(pentagon):
-    # uniform mix of all five center vertices must prune to <= 3 points
-    lam = lambda_vertices(pentagon, (F(0), F(0)))
-    pts = [v.lam for v in lam.vertices]
-    target = tuple(sum(c[l] for c in pts) / 5 for l in range(pentagon.n))
-    pairs = reduce_convex_combination(pts, [F(1, 5)] * 5)
-    assert len(pairs) <= 3
-    recon = [
-        sum((w * pts[i][l] for i, w in pairs), F(0))
-        for l in range(pentagon.n)
-    ]
-    assert tuple(recon) == target
-    assert sum(w for _, w in pairs) == 1

@@ -12,6 +12,7 @@ vertex lists read off a polytope's pattern table must equal a fresh
 elimination's at every t, and row Z of that elimination must hold sigma_Z
 and J_Z·h exactly; the rows read off the table at a point must equal the
 elimination's there.
+``caratheodory_decompose``'s support points must be affinely independent.
 ``locate``, which decides by feasibility alone, must agree with the supports
 of those vertex lists, and the double-description oracle must give the same
 vertex lists and refuse the same outside points.
@@ -26,12 +27,14 @@ from hypothesis import strategies as st
 
 from barypoly import linalg
 from barypoly.coordinates import (
+    BarycentricVector,
     _evaluate,
     _feasible_rows,
     _patterns,
     _sigma,
     _table,
     _vertices_at,
+    caratheodory_decompose,
     feasible_tau,
     gamma_polytope,
     lambda_vertices,
@@ -44,7 +47,7 @@ from barypoly.errors import (
     SingularPatternError,
 )
 from barypoly.fixtures import get_fixture
-from barypoly.oracle import dd_vertices, random_polytope
+from barypoly.oracle import dd_vertices, random_feasible_sample, random_polytope
 from barypoly.polytope import Location, locate, validate
 from barypoly.probes import _selection_jacobian_exact
 from helpers import brute_force_vertices, reference_gamma_polytope
@@ -227,6 +230,35 @@ def test_boundary_points(p, data):
     mids = [m for m in mids if locate(p, m).tag == Location.BOUNDARY]
     assert mids
     _check_against_brute_force(p, data.draw(st.sampled_from(mids)))
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_caratheodory_support_is_affinely_independent(p, data):
+    # caratheodory_decompose keeps the basic solution of its one phase one:
+    # at interior and vertex-pair midpoints, over feasible samples and the
+    # barycentre of all vertices, the support points are affinely independent,
+    # at most n - d, positively weighted, and rebuild x exactly
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    mid = tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j]))
+    seed = data.draw(st.integers(0, 10**6))
+    for q in (_combination(p.vertices, weights), mid):
+        lam = lambda_vertices(p, q)
+        verts = lam.vertex_arrays()
+        xs = random_feasible_sample(verts, q, 3, seed)
+        xs.append(BarycentricVector(lam=tuple(sum(c) / len(verts) for c in zip(*verts)),
+                                    point=lam.point))
+        for x in xs:
+            pairs = caratheodory_decompose(lam, x)
+            support = [verts[k] for k, _ in pairs]
+            assert linalg.affine_dim(support) == len(pairs) - 1
+            assert len(pairs) <= p.n - p.d
+            assert all(w > 0 for _, w in pairs)
+            assert sum(w for _, w in pairs) == 1
+            assert tuple(sum((w * v[l] for (_, w), v in zip(pairs, support)), F(0))
+                         for l in range(p.n)) == x.lam
 
 
 @PROPERTY

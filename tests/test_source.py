@@ -91,6 +91,23 @@ def test_gamma_runs_no_elimination():
     assert sorted(names & {"rref", "mat_vec", "solve_linear", "bareiss"}) == []
 
 
+def test_caratheodory_reads_the_basic_solution():
+    # one phase one gives a basic solution, whose support is already
+    # affinely independent: no reduction loop, no elimination after it
+    path = Path(barypoly.__file__).parent / "coordinates.py"
+    tree = ast.parse(path.read_text(), str(path))
+    func, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == "caratheodory_decompose"]
+    calls = [node.func.id for node in ast.walk(func) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)]
+    assert calls.count("convex_membership") == 1
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(func)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(names & {"reduce_convex_combination", "nullspace_basis", "rref",
+                           "rank", "affine_dim", "solve_linear", "bareiss"}) == []
+
+
 def test_cli_solves_no_lp():
     # oracle-check tests its samples exactly against [V; 1ᵀ]λ = [p; 1],
     # λ ≥ 0, so the front door imports nothing from the simplex
