@@ -12,7 +12,6 @@ import itertools
 import json
 import os
 import re
-import sys
 from fractions import Fraction
 
 from . import coordinates as co
@@ -26,8 +25,8 @@ from .polytope import (Location, Polytope, load_polytope, locate, parse_coordina
 from .report import AnalysisReport, LambdaVertexEntry, format_float
 
 _SEED_ENV = "BARYPOLY_SEED"
-# the most points --grid may build: the pattern table's budget
-MAX_GRID_POINTS = co.MAX_PATTERNS
+# the most points --grid may build and --samples draw: the table's budget
+MAX_GRID_POINTS = MAX_SAMPLES = co.MAX_PATTERNS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -210,10 +209,10 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
     if mode in ("continuity", "semidiff"):
         header += [f"dist_{k}" for k in range(steps)]
     header.append("error")
-    lines = [",".join(header)]
-    # rows are computed serially for every --workers value
-    lines += [_sweep_row(p, mode, pt, hvec, t0_frac, steps) for pt in pts]
-    sys.stdout.write("\n".join(lines) + "\n")
+    print(",".join(header), flush=True)
+    # rows are computed serially for every --workers value, each written at once
+    for pt in pts:
+        print(_sweep_row(p, mode, pt, hvec, t0_frac, steps), flush=True)
     return 0
 
 
@@ -232,6 +231,8 @@ def run_examples(name) -> int:
 def run_oracle_check(path, point_text, samples) -> int:
     if samples < 0:
         raise ParseError(f"--samples must be >= 0, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ParseError(f"--samples {samples} is over the limit of {MAX_SAMPLES}")
     p = load_polytope(path)
     point = _parse_rationals(point_text)
     if len(point) != p.d:

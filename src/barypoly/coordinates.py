@@ -5,7 +5,7 @@ For a point p inside a validated polytope the feasible coordinate vectors
     { lam >= 0 : V·lam = p, sum(lam) = 1 }
 
 form a polytope of dimension at most n-d-1.  This module computes a feasible
-basepoint tau(p), an exact kernel basis N of [V; 1^T], the simplicial
+basepoint tau(p), validation's kernel basis N of [V; 1^T], the simplicial
 coordinates obtained by zeroing a prescribed index set, the full vertex list
 of the coordinate polytope, and its reduced form { c : tau + N c >= 0 } in
 kernel coordinates.  Each zero pattern's coordinates are an affine map of the
@@ -86,9 +86,9 @@ class GammaPolytope:
 
 
 def nullbasis(p: Polytope) -> list:
-    """Exact n x (n-d-1) kernel basis of [V; 1^T], as a list of rows."""
-    cols = linalg.nullspace_basis(p.stacked_rows())
-    return [[col[i] for col in cols] for i in range(p.n)]
+    """Exact n x (n-d-1) kernel basis of [V; 1^T], as fresh lists of the rows
+    validation kept from the RREF's free columns (``nullspace_basis``)."""
+    return [list(row) for row in p._kernel_rows]
 
 
 def feasible_tau(p: Polytope, point) -> BarycentricVector:
@@ -234,11 +234,11 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     InfeasibleError when the point is outside and PatternLimitError when the
     polytope has too many zero patterns.
 
-    ``dim`` is |S| - 1 - dim aff{v_j : j in S}, S the union of the vertex
-    supports.  The barycentre of the vertex list is positive exactly on S,
-    so it lies in the relative interior of the coordinate polytope, which
-    therefore has the dimension of the slice {lam in R^S : V_S·lam = p,
-    sum(lam) = 1}: |S| - rank [V_S; 1].
+    ``dim`` is k - rank N_out, N_out the rows of N (n x k) off S, the union of
+    the vertex supports.  Lambda is zero off S and its vertices' barycentre is
+    positive on S, so aff Lambda = {tau + N·c : N_out·c = 0}, and N has full
+    column rank: |S| - 1 - dim aff{v_j : j in S} by rank-nullity.  At an
+    interior point S is all of 1..n: N_out is empty, no elimination.
     """
     pt = linalg.vec(point)
     ordered = _vertices_at(p, pt)
@@ -247,12 +247,12 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     vertices = tuple(BarycentricVector(lam=v, point=pt) for v in ordered)
     supports = tuple(frozenset(j + 1 for j, x in enumerate(v) if x) for v in ordered)
     support = frozenset().union(*supports)
-    used = [v for j, v in enumerate(p.vertices, 1) if j in support]
+    outside = [row for j, row in enumerate(p._kernel_rows, 1) if j not in support]
     return LambdaPolytope(
         point=pt,
         vertices=vertices,
         vertex_supports=supports,
-        dim=len(support) - 1 - linalg.affine_dim(used),
+        dim=p.kernel_dim() - linalg.rank(outside),
         theorem_count_match=(len(ordered) == p.n - p.d),
     )
 
@@ -261,7 +261,7 @@ def gamma_polytope(p: Polytope, tau: BarycentricVector, nbasis_rows,
                    lam: LambdaPolytope) -> GammaPolytope:
     """Reduced polytope of ``lam`` in the kernel coordinates of ``nbasis_rows``.
 
-    ``nullbasis`` builds N from the RREF's free columns, so N has a row
+    ``nullbasis`` reads N off the RREF's free columns, so N has a row
     u_j equal to e_j for each j = 1..k, and the only solution of
     N·c = v - tau is c_j = (v - tau)[u_j]: no elimination.  On the unit rows
     N·c = v - tau holds by construction, so consistency is tested on the

@@ -33,7 +33,8 @@ class Polytope:
     d: int
     n: int
     vertices: tuple          # n vertex tuples, each of length d
-    labels: tuple | None = None
+    # N's n rows, from validation's one elimination; not part of the value
+    _kernel_rows: tuple = field(repr=False, compare=False)
     # coordinates' zero-pattern table, built on first use; not part of the value
     _pattern_table: dict = field(default_factory=dict, init=False, repr=False,
                                  compare=False)
@@ -68,11 +69,12 @@ class PointLocation:
     separator: tuple | None = None
 
 
-def validate(v_rows: Sequence[Sequence], d: int, labels=None) -> Polytope:
-    """Validate a d x n vertex matrix (column i = vertex i) into a Polytope.
+def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:
+    """Validate a d x n vertex matrix (column i = vertex i) into a Polytope
+    that keeps the rows of N, the kernel basis of [V; 1^T] (its one rref).
 
-    Raises TooFewVerticesError, DuplicateVertexError, RankDeficientError or
-    NonExtremeVertexError (with a 1-based index).
+    Raises TooFewVerticesError, DuplicateVertexError, RankDeficientError (N
+    has more than n-d-1 columns) or NonExtremeVertexError (1-based index).
     """
     rows = linalg.mat(v_rows)
     if len(rows) != d or any(len(r) != len(rows[0]) for r in rows):
@@ -88,18 +90,16 @@ def validate(v_rows: Sequence[Sequence], d: int, labels=None) -> Polytope:
                 f"vertices {seen[v] + 1} and {i + 1} coincide")
         seen[v] = i
     stacked = rows + [[_ONE] * n]
-    if linalg.rank(stacked) != d + 1:
+    kernel = linalg.nullspace_basis(stacked)
+    if len(kernel) != n - d - 1:
         raise RankDeficientError(
             "hull is not full-dimensional (rank [V;1] < d+1)")
     for i in range(n):
         others = verts[:i] + verts[i + 1:]
         if convex_membership(others, verts[i]) is not None:
             raise NonExtremeVertexError(i + 1)
-    if labels is not None:
-        labels = tuple(str(s) for s in labels)
-        if len(labels) != n:
-            raise DimensionMismatchError("labels length must equal n")
-    return Polytope(d=d, n=n, vertices=tuple(verts), labels=labels)
+    return Polytope(d=d, n=n, vertices=tuple(verts), _kernel_rows=tuple(
+        tuple(col[i] for col in kernel) for i in range(n)))
 
 
 def locate(p: Polytope, point: Sequence) -> PointLocation:
@@ -154,10 +154,7 @@ def parse_polytope(doc) -> Polytope:
         raise ParseError('"vertices" must be a nonempty list')
     cols = [parse_coordinates(v, d, f"vertex {i + 1}") for i, v in enumerate(verts)]
     rows = [[col[l] for col in cols] for l in range(d)]
-    labels = doc.get("labels")
-    if labels is not None and (not isinstance(labels, list) or len(labels) != len(cols)):
-        raise ParseError('"labels" must list one string per vertex')
-    return validate(rows, d, labels=labels)
+    return validate(rows, d)
 
 
 def parse_coordinates(row, d, what) -> tuple:
@@ -193,8 +190,5 @@ def load_polytope(path) -> Polytope:
 
 def polytope_document(p: Polytope) -> dict:
     """Lossless JSON document for a polytope (rationals as 'p/q' strings)."""
-    doc = {"dim": p.d,
-           "vertices": [[linalg.rational_str(x) for x in v] for v in p.vertices]}
-    if p.labels is not None:
-        doc["labels"] = list(p.labels)
-    return doc
+    return {"dim": p.d,
+            "vertices": [[linalg.rational_str(x) for x in v] for v in p.vertices]}

@@ -490,11 +490,22 @@ def test_option_value_with_leading_minus(square_file, capsys, argv, code):
     ["sweep", "--mode", "census", "--grid", "-2"],
     ["sweep", "--mode", "census", "--grid", "0"],
     ["sweep", "--mode", "census", "--grid", "2", "--workers", "-4"],
-], ids=["samples", "grid-negative", "grid-zero", "workers"])
+    ["oracle-check", "--point", "1/2,1/2", "--samples", "100001"],
+], ids=["samples", "grid-negative", "grid-zero", "workers", "samples-over-limit"])
 def test_bad_counts(square_file, capsys, argv):
     code, out = run(capsys, argv[0], square_file, *argv[1:])
     assert code == 1
     assert json.loads(out)["error"] == "ParseError"
+
+
+def test_oracle_check_samples_are_bounded(tmp_path, capsys):
+    # 10^8 samples would run for hours: a ParseError naming the count and the
+    # limit, before the polytope file is read
+    code, out = run(capsys, "oracle-check", str(tmp_path / "missing.json"),
+                    "--point", "1/2,1/2", "--samples", "100000000")
+    assert (code, json.loads(out)) == (1, {
+        "error": "ParseError",
+        "detail": "--samples 100000000 is over the limit of 100000"})
 
 
 def test_cli_determinism_and_workers(square_file):
@@ -658,3 +669,49 @@ def test_sweep_grid_is_bounded(tmp_path, capsys, monkeypatch):
     assert (code, len(out.splitlines()), built) == (0, 9, [2])
     code, out = run(capsys, "sweep", str(f), "--mode", "census", "--grid", "3")
     assert (code, json.loads(out)["error"], built) == (1, "ParseError", [2])
+
+
+def test_one_fraction_elimination_per_polytope(tmp_path, capsys, monkeypatch):
+    # validation's kernel basis gives the rank test, N and dim Λ: analyze at
+    # an interior point and a census sweep over interior points run its one
+    # rref; oracle-check adds the oracle's own
+    from barypoly import linalg
+    from barypoly.fixtures import fixture_document
+
+    f = tmp_path / "prism8.json"
+    f.write_text(json.dumps(fixture_document("prism8")))
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([["1/2", "1/2", "1/2"], ["1/3", "2/5", "1/2"],
+                               ["1/4", "1/4", "3/4"], ["2/3", "1/3", "1/4"]]))
+    calls, real_rref = [], linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or real_rref(a))
+    code, out = run(capsys, "analyze", str(f), "--point", "1/3,2/5,1/2")
+    assert (code, json.loads(out)["location"], len(calls)) == (0, "Interior", 1)
+    calls.clear()
+    code, out = run(capsys, "sweep", str(f), "--mode", "census", "--points", str(pts))
+    rows = out.splitlines()[1:]
+    assert (code, len(rows), len(calls)) == (0, 4, 1)
+    assert all(row.endswith(",") for row in rows)  # empty error column
+    calls.clear()
+    code, out = run(capsys, "oracle-check", str(f), "--point", "1/3,2/5,1/2")
+    assert (code, len(calls)) == (0, 2)
+
+
+def test_sweep_writes_each_row_as_it_is_computed(square_file, capsys, monkeypatch):
+    # a failure at row k leaves the header and rows 1 … k-1 already on stdout
+    from barypoly import cli
+
+    code, full = run(capsys, "sweep", square_file, "--mode", "census", "--grid", "3")
+    assert code == 0 and full.count("\n") == 10
+    real_row, rows = cli._sweep_row, []
+
+    def sweep_row(*args):
+        if len(rows) == 4:
+            raise RuntimeError("row 5")
+        rows.append(args)
+        return real_row(*args)
+
+    monkeypatch.setattr(cli, "_sweep_row", sweep_row)
+    with pytest.raises(RuntimeError, match="row 5"):
+        main(["sweep", square_file, "--mode", "census", "--grid", "3"])
+    assert capsys.readouterr().out == "".join(full.splitlines(True)[:5])

@@ -185,7 +185,10 @@ def test_locate_interior_is_one_feasibility_solve(monkeypatch):
 
 
 def test_pattern_table_is_not_part_of_the_value():
-    # the pattern table a polytope object keeps changes no comparison
+    # the pattern table and the kernel rows a polytope object keeps change no
+    # comparison
+    from dataclasses import replace
+
     from barypoly.coordinates import lambda_vertices
     from barypoly.fixtures import fixture_document
 
@@ -194,3 +197,16 @@ def test_pattern_table_is_not_part_of_the_value():
     assert a._pattern_table and not b._pattern_table
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert {b: "b"}[a] == "b"
+    assert len(a._kernel_rows) == a.n and a._kernel_rows[0]
+    c = replace(b, _kernel_rows=())
+    assert c == b and hash(c) == hash(b) and repr(c) == repr(b)
+    assert "_kernel_rows" not in repr(a)
+
+
+def test_labels_is_an_unknown_key():
+    # "labels" is ignored like any other key the format does not list
+    doc = {"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]], "labels": 5}
+    p = parse_polytope(doc)
+    assert p == validate([[F(0), F(1), F(0)], [F(0), F(0), F(1)]], 2)
+    assert polytope_document(p) == {"dim": 2,
+                                    "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}

@@ -304,6 +304,9 @@ def test_nullbasis_has_unit_rows_on_free_columns(p):
     assert len(free) == k
     assert [nb[f] for f in free] == [[int(i == j) for i in range(k)]
                                      for j in range(k)]
+    # validation's kept rows are the kernel basis of [V; 1^T], transposed
+    cols = linalg.nullspace_basis(p.stacked_rows())
+    assert nb == [[col[i] for col in cols] for i in range(p.n)]
 
 
 @PROPERTY

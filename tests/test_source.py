@@ -108,6 +108,28 @@ def test_caratheodory_reads_the_basic_solution():
                            "rank", "affine_dim", "solve_linear", "bareiss"}) == []
 
 
+def _names_in(module, function):
+    """Every name and attribute used in one top-level function of a module."""
+    path = Path(barypoly.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), str(path))
+    func, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+             and node.name == function]
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(func)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_one_elimination_of_the_stacked_matrix():
+    # validation eliminates [V; 1ᵀ] once, for its kernel basis, whose column
+    # count is the rank test; nullbasis returns the kept rows and dim Λ reads
+    # the rank of N's rows off the support, so neither eliminates [V; 1ᵀ]
+    validate = _names_in("polytope", "validate")
+    assert "nullspace_basis" in validate and "rank" not in validate
+    assert sorted(_names_in("coordinates", "nullbasis")
+                  & {"nullspace_basis", "rref"}) == []
+    assert "affine_dim" not in _names_in("coordinates", "lambda_vertices")
+
+
 def test_cli_solves_no_lp():
     # oracle-check tests its samples exactly against [V; 1ᵀ]λ = [p; 1],
     # λ ≥ 0, so the front door imports nothing from the simplex
