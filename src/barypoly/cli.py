@@ -12,6 +12,7 @@ import itertools
 import json
 import os
 import re
+import sys
 from fractions import Fraction
 
 from . import coordinates as co
@@ -198,7 +199,7 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
     if mode in ("continuity", "semidiff"):
         if h is None:
             raise ParseError(f"--h is required for mode {mode}")
-        if t0_frac <= 0 or steps < 3 or not probes._float_steps(t0_frac, steps):
+        if not probes._float_steps(t0_frac, steps):
             raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 and "
                              "--t0/2^(steps-1) in [float min, float max]")
         hvec = _parse_rationals(h)
@@ -322,10 +323,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return ns.run(ns)
-    except BarypolyError as exc:
-        _emit_error(exc.code, exc)
-        return exc.exit_code
+        try:
+            code = ns.run(ns)
+        except BarypolyError as exc:
+            _emit_error(exc.code, exc)
+            code = exc.exit_code
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: rows already written stay, and stdout goes
+        # to devnull so that the interpreter's last flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

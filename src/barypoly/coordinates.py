@@ -115,15 +115,14 @@ def circular_windows(n: int, d: int) -> list:
 
 
 def _solve_pattern(vrows, keep, rhs) -> tuple:
-    """(den, nums) with sigma_keep = nums / den; den is 0 when singular.
+    """(den, nums) with x = nums / den; den is 0 when singular.
 
     Solves [1 … 1; L·V_keep]·x = rhs with ``linalg.bareiss``, the all-ones
-    row first so that the first pivot is 1, and returns den = det·D.
+    row first so that the first pivot is 1.
     """
     rows = [[1] * len(keep) + rhs[0]]
     rows += [[vr[j] for j in keep] + b for vr, b in zip(vrows, rhs[1:])]
-    det, nums = linalg.bareiss(rows, len(keep))
-    return det * rhs[0][0], nums
+    return linalg.bareiss(rows, len(keep))
 
 
 def _sigma(n, keep, xs, den) -> tuple:
@@ -133,19 +132,19 @@ def _sigma(n, keep, xs, den) -> tuple:
     return tuple(sigma)
 
 
-def _patterns(p: Polytope, pt, *hs):
+def _patterns(p: Polytope):
     """Yield (zero set, keep, den, nums) for every nonsingular zero pattern, in
-    the one loop over them: row i of nums / den is sigma_keep[i] at ``pt``,
-    then (J·h)_keep[i] per direction h.  Zero sets are 1-based, lexicographic.
+    the one loop over them: row i of nums / den is sigma_keep[i] at 0, then
+    (J·e_l)_keep[i] for l = 1..d.  Zero sets are 1-based, lexicographic.
 
-    With L and D the lcms of the vertex and of the point and direction
-    denominators, the pattern on columns ``keep`` solves [1 … 1; L·V_keep]·x
-    = [D; L·D·pt], whose solution is x = D·sigma_keep (scaling by positive
-    constants keeps signs); a direction h adds [0; L·D·h], solved by D·J_keep·h.
+    With L the lcm of the vertex denominators, the pattern on columns ``keep``
+    solves [1 … 1; L·V_keep]·X = [1, 0; 0, L·I]: the first column of X is
+    sigma_keep(0) and column l + 1 is J_keep·e_l, as L·V_keep·J_keep·e_l =
+    L·e_l.
     """
     scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
-    pscale, rows = linalg.integer_rows([pt, *hs])
-    rhs = [[pscale] + [0] * len(hs)] + [[scale * x for x in c] for c in zip(*rows)]
+    rhs = [[1] + [0] * p.d]
+    rhs += [[0] + [scale * (c == l) for c in range(p.d)] for l in range(p.d)]
     for combo in itertools.combinations(range(1, p.n + 1), p.kernel_dim()):
         keep = [j for j in range(p.n) if j + 1 not in combo]
         den, nums = _solve_pattern(vrows, keep, rhs)
@@ -154,8 +153,7 @@ def _patterns(p: Polytope, pt, *hs):
 
 
 def _table(p: Polytope) -> dict:
-    """Zero set -> row of _patterns(p, 0, e_1, …, e_d), built once per ``p``
-    and kept on it.
+    """Zero set -> row of _patterns(p), built once per ``p`` and kept on it.
 
     Each sigma_Z is affine on R^d, so row i of nums / den, [a | b_1 … b_d],
     holds sigma_Z(0)_keep[i] and (J_Z)_keep[i], and fixes sigma_Z at every
@@ -168,8 +166,7 @@ def _table(p: Polytope) -> dict:
         if count > MAX_PATTERNS:
             raise PatternLimitError(
                 f"{count} zero patterns exceed the limit of {MAX_PATTERNS}")
-        units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
-        table.update({row[0]: row for row in _patterns(p, [0] * p.d, *units)})
+        table.update({row[0]: row for row in _patterns(p)})
     return table
 
 

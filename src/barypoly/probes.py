@@ -184,8 +184,7 @@ def _min_norm_point(b_rows, x, tol: float):
 
 def point_polytope_distance(x, b: FloatPolytope, tol: float = 1e-9) -> float:
     """Euclidean distance from ``x`` to the hull of ``b`` within additive tol."""
-    dist, _ = _point_distance_status(x, b, tol)
-    return dist
+    return _point_distance_status(x, b, tol)[0]
 
 
 def _point_distance_status(x, b: FloatPolytope, tol: float):
@@ -204,8 +203,7 @@ def hausdorff(a: FloatPolytope, b: FloatPolytope, tol: float = 1e-9) -> float:
     Correct for convex sets: x -> d(x, hull) is convex, hence maximized at a
     vertex of the other polytope.
     """
-    dist, _ = _hausdorff_status(a, b, tol)
-    return dist
+    return _hausdorff_status(a, b, tol)[0]
 
 
 def _hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
@@ -221,16 +219,31 @@ def _hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
     return worst, ok
 
 
-def _tail_nonincreasing(xs, slack=1e-12):
-    tail = xs[-3:] if len(xs) >= 3 else xs
-    return all(b <= a + slack for a, b in zip(tail, tail[1:]))
+def _tail_nonincreasing(xs):
+    """Whether the last three entries are nonincreasing, up to 1e-12."""
+    tail = xs[-3:]
+    return all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
 
 def _float_steps(t0, steps) -> bool:
-    """For t0 > 0, whether t0 and t0/2^(steps-1) lie in [float min, float max];
-    exact, as floor(t0/float min) >= 2^(steps-1), building no 2^(steps-1)."""
-    return (t0 <= sys.float_info.max
+    """The probes' step rule: t0 > 0, steps >= 3, and t0 and t0/2^(steps-1) in
+    [float min, float max]; exact, as floor(t0/float min) >= 2^(steps-1),
+    building no 2^(steps-1)."""
+    return (0 < t0 <= sys.float_info.max and steps >= 3
             and math.floor(t0 / Fraction(sys.float_info.min)).bit_length() >= steps)
+
+
+def _report(steps, tolerance, met, converges, diverges, **metadata) -> ProbeReport:
+    """The probes' one verdict rule: Inconclusive unless every distance ``met``
+    its stop; then Converges when the probe's convergence test holds, Diverges
+    when its divergence test holds, else Inconclusive."""
+    verdict = "Inconclusive"
+    if met and converges:
+        verdict = "Converges"
+    elif met and diverges:
+        verdict = "Diverges"
+    return ProbeReport(steps=tuple(steps), verdict=verdict, tolerance=tolerance,
+                       metadata=metadata)
 
 
 def _probe_samples(p: Polytope, point, h, t0, steps):
@@ -241,7 +254,7 @@ def _probe_samples(p: Polytope, point, h, t0, steps):
     if len(pt) != p.d or len(hv) != p.d:
         raise DimensionMismatchError("point and direction lengths must equal d")
     t0 = Fraction(t0)
-    if t0 <= 0 or steps < 3 or not _float_steps(t0, steps):
+    if not _float_steps(t0, steps):
         raise ValueError("need t0 > 0, steps >= 3, and t0 and t0/2^(steps-1) "
                          "in [float min, float max]")
     ts = [t0 / (1 << k) for k in range(steps)]
@@ -266,35 +279,25 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     tolerance : verdict threshold on the final distance.
     distance_tol : additive tolerance of the underlying distance evaluations.
 
-    Returns a ProbeReport whose steps carry (t_k, d_k, d_k / t_k); the verdict
-    is Converges only when the final distance is below ``tolerance`` and the
-    tail is nonincreasing.
+    Returns a ProbeReport whose steps carry (t_k, d_k, d_k / t_k), with the
+    verdict of ``_report``'s rule: Converges needs the last distance below
+    ``tolerance`` on a nonincreasing tail, Diverges a last distance above the
+    first and ``tolerance`` on a tail that is not.
     """
     pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
     base = FloatPolytope.from_exact(base)
     steps_out = []
     all_met = True
     for t, lam in zip(ts, lams):
-        cur = FloatPolytope.from_exact(lam)
-        d, met = _hausdorff_status(cur, base, distance_tol)
+        d, met = _hausdorff_status(FloatPolytope.from_exact(lam), base, distance_tol)
         all_met = all_met and met
         steps_out.append(ProbeStep(t=float(t), distance=d, ratio=d / float(t)))
     dists = [s.distance for s in steps_out]
-    if not all_met:
-        verdict = "Inconclusive"
-    elif dists[-1] < tolerance and _tail_nonincreasing(dists):
-        verdict = "Converges"
-    elif dists[-1] > max(dists[0], tolerance) and not _tail_nonincreasing(dists):
-        verdict = "Diverges"
-    else:
-        verdict = "Inconclusive"
-    meta = {
-        "basepoint": pt,
-        "direction": hv,
-        "distance_tol": distance_tol,
-    }
-    return ProbeReport(steps=tuple(steps_out), verdict=verdict,
-                       tolerance=tolerance, metadata=meta)
+    tail_ok = _tail_nonincreasing(dists)
+    return _report(steps_out, tolerance, all_met,
+                   converges=dists[-1] < tolerance and tail_ok,
+                   diverges=dists[-1] > max(dists[0], tolerance) and not tail_ok,
+                   basepoint=pt, direction=hv, distance_tol=distance_tol)
 
 
 def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
@@ -330,6 +333,9 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     coordinate polytope at p is not the single point sigma_Z(p)).  sigma_Z(p)
     and J·h = sigma_Z(p + h) - sigma_Z(p) come from ``simplicial_coords``, so a
     malformed zero set raises ValueError and a singular one SingularPatternError.
+    The verdict is ``_report``'s rule: Converges needs the witness below
+    ``tolerance`` and both tails nonincreasing, Diverges a failed witness test
+    and quotient-set diameters that more than double from a nonzero start.
     """
     pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
     # interior iff the vertex supports of Lambda(p) cover 1..n
@@ -358,28 +364,13 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
         d, met = _hausdorff_status(a, b, distance_tol)
         all_met = all_met and met
         pair.append(d)
-    steps_out = tuple(
-        ProbeStep(t=float(t), distance=w,
-                  ratio=pair[i] if i < len(pair) else math.nan)
-        for i, (t, w) in enumerate(zip(ts, witness)))
+    steps_out = [ProbeStep(t=float(t), distance=w, ratio=r)
+                 for t, w, r in zip(ts, witness, pair + [math.nan])]
     diameters = [s.diameter() for s in quotient_sets]
     witness_ok = witness[-1] < tolerance and _tail_nonincreasing(witness)
-    sets_settle = _tail_nonincreasing(pair) if pair else True
-    if not all_met:
-        verdict = "Inconclusive"
-    elif witness_ok and sets_settle:
-        verdict = "Converges"
-    elif not witness_ok and diameters[-1] > 2.0 * diameters[0] > 0.0:
-        verdict = "Diverges"
-    else:
-        verdict = "Inconclusive"
-    meta = {
-        "basepoint": pt,
-        "direction": hv,
-        "zero_set": sorted(zero_set),
-        "diameters": diameters,
-        "pairwise_hausdorff": pair,
-        "distance_tol": distance_tol,
-    }
-    return ProbeReport(steps=steps_out, verdict=verdict,
-                       tolerance=tolerance, metadata=meta)
+    return _report(steps_out, tolerance, all_met,
+                   converges=witness_ok and _tail_nonincreasing(pair),
+                   diverges=not witness_ok and diameters[-1] > 2.0 * diameters[0] > 0.0,
+                   basepoint=pt, direction=hv, zero_set=sorted(zero_set),
+                   diameters=diameters, pairwise_hausdorff=pair,
+                   distance_tol=distance_tol)

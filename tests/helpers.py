@@ -93,6 +93,30 @@ def brute_force_vertices(p: Polytope, point):
     return out
 
 
+def reference_patterns(p: Polytope, pt, *hs):
+    """A fresh elimination of every zero pattern at ``pt``, the reference for
+    the polytope's pattern table: yields (zero set, keep, den, nums) per
+    nonsingular pattern, lexicographic, where row i of nums / den holds
+    sigma_keep[i] at ``pt``, then (J·h)_keep[i] per direction h.
+
+    With L and D the lcms of the vertex and of the point and direction
+    denominators, the pattern on columns ``keep`` solves [1 … 1; L·V_keep]·x
+    = [D; L·D·pt] by ``linalg.bareiss``, whose solution is x = D·sigma_keep;
+    a direction h adds [0; L·D·h], solved by D·J_keep·h.
+    """
+    from itertools import combinations
+    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
+    pscale, rows = linalg.integer_rows([pt, *hs])
+    rhs = [[scale * x for x in c] for c in zip(*rows)]
+    for combo in combinations(range(1, p.n + 1), p.kernel_dim()):
+        keep = [j for j in range(p.n) if j + 1 not in combo]
+        system = [[1] * len(keep) + [pscale] + [0] * len(hs)]
+        system += [[vr[j] for j in keep] + b for vr, b in zip(vrows, rhs)]
+        det, nums = linalg.bareiss(system, len(keep))
+        if det:
+            yield combo, keep, det * pscale, nums
+
+
 def reference_gamma_polytope(p: Polytope, tau, nbasis_rows, lam) -> GammaPolytope:
     """Gamma by elimination, the reference for ``gamma_polytope``'s unit-row
     reading: one rref of [N | v_1 - tau | … | v_m - tau] solves every

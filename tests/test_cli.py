@@ -715,3 +715,33 @@ def test_sweep_writes_each_row_as_it_is_computed(square_file, capsys, monkeypatc
     with pytest.raises(RuntimeError, match="row 5"):
         main(["sweep", square_file, "--mode", "census", "--grid", "3"])
     assert capsys.readouterr().out == "".join(full.splitlines(True)[:5])
+
+
+def test_closed_stdout_ends_the_sweep_quietly(square_file):
+    # a reader that stops early (``| head``) closes the pipe: the sweep ends
+    # with exit 1 and no traceback, after the rows the reader took.  300^2
+    # rows are far more than a pipe buffer holds, so a write meets the closed
+    # pipe
+    with subprocess.Popen([sys.executable, "-m", "barypoly", "sweep", square_file,
+                           "--mode", "census", "--grid", "300"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in proc.stderr.read()
+    assert header == b"p1,p2,vertex_count,dim,theorem_count_match,error\n"
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["analyze", "{}"], "the following arguments are required: --point"),
+    (["oracle-check", "{}", "--point", "1/2"], "point must have 2 coordinates"),
+    (["sweep", "{}", "--mode", "continuity", "--grid", "2", "--h", "1"],
+     "direction must have 2 coordinates"),
+    (["sweep", "{}", "--mode", "census", "--points", "{points}"],
+     "points file must hold a list of points"),
+], ids=["missing-point", "oracle-point", "direction", "points-dict"])
+def test_parse_error_details(square_file, tmp_path, capsys, argv, detail):
+    points = tmp_path / "pts.json"
+    points.write_text(json.dumps({"x": 1}))
+    code, out = run(capsys, *(a.format(square_file, points=points) for a in argv))
+    assert (code, json.loads(out)) == (1, {"error": "ParseError", "detail": detail})

@@ -221,6 +221,45 @@ def test_continuity_probe_meets_every_stop(prism8, monkeypatch):
     assert rep.verdict == "Inconclusive"  # the last distance is ~5e-5 > 1e-7
 
 
+def test_unmet_stop_makes_both_probes_inconclusive(square, monkeypatch):
+    # a distance that missed its stop makes the verdict Inconclusive, whatever
+    # the probe's own tests say: here Converges and Diverges without the patch
+    from barypoly import probes
+
+    h = (F(1, 64), F(0))
+    calls = [lambda: continuity_probe(square, CENTER, h, tolerance=10.0),
+             lambda: semidiff_probe(square, CENTER, {2}, h)]
+    assert [call().verdict for call in calls] == ["Converges", "Diverges"]
+    real = probes._min_norm_point
+    monkeypatch.setattr(probes, "_min_norm_point",
+                        lambda *a: (real(*a)[0], False))
+    assert [call().verdict for call in calls] == ["Inconclusive", "Inconclusive"]
+
+
+def test_growing_distances_make_continuity_diverge(square, monkeypatch):
+    # the final distance above the first and the tolerance, on a tail that
+    # grows, is continuity's divergence test
+    from barypoly import probes
+
+    dists = iter(1e-3 * 2.0 ** k for k in range(8))
+    monkeypatch.setattr(probes, "_hausdorff_status", lambda *a: (next(dists), True))
+    rep = continuity_probe(square, CENTER, (F(1, 64), F(0)))
+    assert rep.verdict == "Diverges"
+    assert [s.distance for s in rep.steps] == [1e-3 * 2.0 ** k for k in range(8)]
+
+
+def test_min_norm_point_iteration_cap(monkeypatch):
+    # x = (2, 1/2) is nearest the square's edge x = 1: the first major cycle
+    # reaches distance 1 but meets no stop, so a cap of one cycle returns
+    # converged False
+    from barypoly import probes
+
+    verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    assert probes._min_norm_point(verts, (2.0, 0.5), 1e-9) == (1.0, True)
+    monkeypatch.setattr(probes, "_MAX_ITER", 1)
+    assert probes._min_norm_point(verts, (2.0, 0.5), 1e-9) == (1.0, False)
+
+
 def test_hausdorff_basics():
     a = fp((0, 0), (1, 0), (1, 1))
     assert hausdorff(a, a) == 0.0

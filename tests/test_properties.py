@@ -50,7 +50,7 @@ from barypoly.fixtures import get_fixture
 from barypoly.oracle import dd_vertices, random_feasible_sample, random_polytope
 from barypoly.polytope import Location, locate, validate
 from barypoly.probes import _selection_jacobian_exact
-from helpers import brute_force_vertices, reference_gamma_polytope
+from helpers import brute_force_vertices, reference_gamma_polytope, reference_patterns
 
 F = Fraction
 BIG = 1 << 64
@@ -81,7 +81,7 @@ def _rationals(p, rows):
 def _eliminated(p, q):
     """(zero set, sigma) per row of a fresh elimination at q, in its order."""
     return [(combo, _sigma(p.n, keep, [x for x, in nums], den))
-            for combo, keep, den, nums in _patterns(p, q)]
+            for combo, keep, den, nums in reference_patterns(p, q)]
 
 
 def _feasible_eliminated(p, q):
@@ -142,7 +142,7 @@ def test_ray_table_matches_the_scan(p, data):
         q = tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j]))
     h = tuple(F(x) for x in data.draw(st.lists(st.integers(-3, 3), min_size=p.d,
                                                max_size=p.d)))
-    table = list(_patterns(p, q, h))
+    table = list(reference_patterns(p, q, h))
     walls = sorted({F(-a, b) for _, _, _, nums in table for a, b in nums if b})
     ts = [F(0)] + [F(1, 8) / (1 << k) for k in range(4)]
     if walls:
@@ -167,14 +167,14 @@ def test_ray_table_matches_the_scan(p, data):
 @PROPERTY
 @given(polytopes(), st.data())
 def test_pattern_rows_hold_sigma_and_jacobian(p, data):
-    # row Z of _patterns(p, q, h) holds sigma_Z(q) and J_Z·h, which
+    # row Z of reference_patterns(p, q, h) holds sigma_Z(q) and J_Z·h, which
     # semidiff_probe reads as simplicial_coords at q and at q + h, at any q,
     # inside or not; the rows are exactly the nonsingular zero sets, in
     # lexicographic order
     coords = st.lists(st.integers(-9, 9), min_size=p.d, max_size=p.d)
     q = tuple(F(x, 4) for x in data.draw(coords))
     h = tuple(F(x, 3) for x in data.draw(coords))
-    table = list(_patterns(p, q, h))
+    table = list(reference_patterns(p, q, h))
     nonsingular = []
     for combo in combinations(range(1, p.n + 1), p.kernel_dim()):
         try:
@@ -190,15 +190,19 @@ def test_pattern_rows_hold_sigma_and_jacobian(p, data):
         assert [x - y for x, y in zip(moved, sigma)] == list(jh)
         jac = _selection_jacobian_exact(p, combo)
         assert list(jh) == [linalg.dot(row, h) for row in jac]
+    # the table's own system is the reference's at 0 with the unit directions,
+    # integer for integer
+    units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
+    assert list(_patterns(p)) == list(reference_patterns(p, [0] * p.d, *units))
 
 
 @PROPERTY
 @given(polytopes(), st.data())
 def test_table_rows_match_the_elimination(p, data):
     # the rows read off the polytope's affine table at q, with no
-    # elimination, equal those of _patterns(p, q) row for row: the same zero
-    # sets in the same order and the same sigma_Z(q) as rationals, at
-    # interior points, on vertex-pair segments and outside; so do the
+    # elimination, equal those of reference_patterns(p, q) row for row: the
+    # same zero sets in the same order and the same sigma_Z(q) as rationals,
+    # at interior points, on vertex-pair segments and outside; so do the
     # feasible ones, and Lambda(q) is empty outside
     kind = data.draw(st.sampled_from(["interior", "segment", "outside"]))
     i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,

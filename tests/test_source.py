@@ -183,3 +183,21 @@ def test_cli_does_not_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "0 False")
+
+
+def test_one_verdict_rule_and_one_step_rule():
+    # one function of probes.py chooses "Converges" and "Diverges", and the
+    # CLI asks the probes' step rule instead of comparing --steps itself
+    src = Path(barypoly.__file__).parent
+    tree = ast.parse((src / "probes.py").read_text(), "probes.py")
+    owners = [getattr(top, "name", type(top).__name__) for top in tree.body
+              if any(isinstance(node, ast.Constant)
+                     and node.value in ("Converges", "Diverges")
+                     for node in ast.walk(top))]
+    assert owners == ["_report"]
+    tree = ast.parse((src / "cli.py").read_text(), "cli.py")
+    compared = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and any(isinstance(x, ast.Name) and x.id == "steps"
+                        for x in [node.left, *node.comparators])]
+    assert compared == []
+    assert "_float_steps" in _names_in("cli", "run_sweep")
