@@ -18,7 +18,8 @@ from fractions import Fraction
 from . import coordinates as co
 from . import oracle as orc
 from . import probes
-from .errors import BarypolyError, InfeasibleError, OracleMismatchError, ParseError
+from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismatchError,
+                     ParseError)
 from .fixtures import fixture_document, fixture_names
 from .linalg import fr, mat_vec, rational_str, vec
 from .polytope import (Location, Polytope, load_polytope, locate, parse_coordinates,
@@ -174,7 +175,8 @@ def _pick_selection(p, point):
         if first_feasible is None:
             first_feasible = combo
     if first_feasible is None:
-        raise ParseError("no feasible selection pattern at this point")
+        # _census_cells found Lambda(p) non-empty on the same reading
+        raise InternalError("no feasible selection pattern at this point")
     return frozenset(first_feasible)
 
 

@@ -3,11 +3,12 @@
 The main path enumerates zero patterns in R^n; this oracle instead works in
 the reduced space R^(n-d-1), converting the inequality description
 { c : tau + N c >= 0 } to vertices by the double-description method
-(incremental halfspace insertion over exact rationals).  tau and N come from
-one exact kernel basis, and insertion starts at a k-simplex that contains
-the reduced polytope by construction.  For kernel dimension <= 2 a direct
-active-set scan over tight rows provides a second independent path and the
-two must agree.
+(incremental halfspace insertion over exact rationals).  One RREF of
+[V; 1^T | -(p; 1)] gives tau, N and the free columns, on which N's rows are
+the unit vectors; insertion starts at a k-simplex that contains the reduced
+polytope by construction, and vertices are carried as lam = tau + N c.  For
+kernel dimension <= 2 a direct active-set scan over tight rows provides a
+second independent path and the two must agree.
 """
 
 import math
@@ -37,55 +38,49 @@ class OracleResult:
     method: str              # "DoubleDescription"
 
 
-def _row_value(coeffs, offset, c):
-    return offset + linalg.dot(coeffs, c)
-
-
 def _reduced_system(p: Polytope, point) -> tuple:
-    """(tau, N) from one kernel basis of [V; 1^T | -(p; 1)].
+    """(tau, N, free) from one RREF R of [V; 1^T | -(p; 1)].
 
-    [V; 1^T] has full row rank, so the last column is free, with basis
-    vector (tau, 1): [V; 1^T] tau = [p; 1], tau 0 on the free columns.  The
-    other basis vectors end in 0 and are the columns of ``nullbasis``.
+    [V; 1^T] has full row rank, so every pivot lies left of the last column.
+    Pivot row r with pivot column c gives tau[c] = -R[r][n] and
+    N[c] = -R[r][free]; on the free columns tau is 0 and N's rows are e_j.
     """
     rhs = list(linalg.vec(point)) + [_ONE]
-    *cols, last = linalg.nullspace_basis(
-        [row + [-b] for row, b in zip(p.stacked_rows(), rhs)])
-    if last[p.n] != 1:
+    red, pivots = linalg.rref([row + [-b] for row, b in zip(p.stacked_rows(), rhs)])
+    if pivots[-1] == p.n:
         raise InternalError("[V; 1^T] lacks full row rank")
-    return last[:p.n], [[col[i] for col in cols] for i in range(p.n)]
+    free = [c for c in range(p.n) if c not in pivots]
+    tau = [_ZERO] * p.n
+    nb = [[_ONE if j == i else _ZERO for j in free] for i in range(p.n)]
+    for r, c in enumerate(pivots):
+        tau[c] = -red[r][p.n]
+        nb[c] = [-red[r][f] for f in free]
+    return tau, nb, free
 
 
-def _dd_reduced(nbasis_rows, tau_lam, k):
-    """Vertices of { c in R^k : tau + N c >= 0 } by double description.
+def _dd_reduced(tau, nbasis_rows, free):
+    """Vertices lam = tau + N c of { c : tau + N c >= 0 } by double description.
 
-    Some row i_j of N is e_j, so c_j = lam_{i_j} - tau_{i_j}, and lam >= 0,
-    sum(lam) = 1 put every feasible c in the simplex c_j >= -tau_{i_j},
-    sum_j (c_j + tau_{i_j}) <= 1, for any particular solution tau.
-    Insertion starts at its k + 1 vertices and runs over the other rows; an
-    empty result means the system has no solution.
+    Row free[j] of N is e_j, so lam >= 0, sum(lam) = 1 put every feasible c
+    in the simplex lam_{free[j]} >= 0, sum_j lam_{free[j]} <= 1, for any
+    particular solution tau.  Insertion starts at its corner lam0 = tau -
+    N tau[free] and at lam0 + N e_j, and runs over the other rows, whose value
+    at a vertex v is v[r]; an empty result means the system has no solution.
     """
-    rows = [tuple(r) for r in nbasis_rows]
-    try:
-        units = [rows.index(tuple(int(i == j) for i in range(k))) for j in range(k)]
-    except ValueError:
-        raise InternalError("kernel basis lacks a unit row") from None
+    n = len(tau)
+    shift = [tau[f] for f in free]
+    corner = tuple(t - linalg.dot(row, shift) for t, row in zip(tau, nbasis_rows))
+    verts = [corner] + [tuple(x + row[j] for x, row in zip(corner, nbasis_rows))
+                        for j in range(len(free))]
     # active-set bitmasks: bit i for row i, bit n for the sum row, which is
     # tight at every simplex vertex but the corner
-    corner = tuple(-tau_lam[i] for i in units)
-    verts = [corner] + [corner[:j] + (corner[j] + 1,) + corner[j + 1:]
-                        for j in range(k)]
-    tight = sum(1 << i for i in units)
-    act = [tight] + [tight & ~(1 << i) | 1 << len(rows) for i in units]
-    for r, (coeffs, off) in enumerate(zip(rows, tau_lam)):
-        if r in units:
-            continue
-        vals = [_row_value(coeffs, off, v) for v in verts]
-        keep_idx = [i for i, val in enumerate(vals) if val >= 0]
-        neg_idx = [i for i, val in enumerate(vals) if val < 0]
+    tight = sum(1 << i for i in free)
+    act = [tight] + [tight & ~(1 << i) | 1 << n for i in free]
+    for r in sorted(set(range(n)).difference(free)):
+        vals = [v[r] for v in verts]
+        neg_idx = [j for j, val in enumerate(vals) if val < 0]
         new_pts = []
-        pos_idx = [i for i in keep_idx if vals[i] > 0]
-        for i in pos_idx:
+        for i in (i for i, val in enumerate(vals) if val > 0):
             for j in neg_idx:
                 common = act[i] & act[j]
                 on_face = sum(1 for m in act if (m & common) == common)
@@ -97,8 +92,8 @@ def _dd_reduced(nbasis_rows, tau_lam, k):
                 # linear and >= 0 at both ends: it is tight exactly on the
                 # rows tight at both ends
                 new_pts.append((pt, common | 1 << r))
-        merged = {verts[i]: act[i] | (1 << r if vals[i] == 0 else 0)
-                  for i in keep_idx}
+        merged = {v: m | (1 << r if v[r] == 0 else 0)
+                  for v, m in zip(verts, act) if v[r] >= 0}
         for pt, m in new_pts:
             merged[pt] = merged.get(pt, 0) | m
         verts = list(merged)
@@ -106,21 +101,19 @@ def _dd_reduced(nbasis_rows, tau_lam, k):
     return sorted(verts)
 
 
-def _scan_reduced(nbasis_rows, tau_lam, k):
-    """Active-set scan over k-subsets of tight rows (independent path, k <= 2)."""
-    if k == 0:
-        return [()]
-    rows = [(tuple(r), t) for r, t in zip(nbasis_rows, tau_lam)]
+def _scan_reduced(tau, nbasis_rows, k):
+    """Active-set scan over k-subsets of tight rows (independent path, k <= 2):
+    each solution c of N_S c = -tau_S with lam = tau + N c >= 0."""
     out = set()
-    for subset in combinations(range(len(rows)), k):
-        sys_rows = [list(rows[i][0]) for i in subset]
-        rhs = [-rows[i][1] for i in subset]
+    for subset in combinations(range(len(tau)), k):
         try:
-            c = linalg.solve_linear(sys_rows, rhs)
+            c = linalg.solve_linear([nbasis_rows[i] for i in subset],
+                                    [-tau[i] for i in subset])
         except SingularMatrixError:
             continue
-        if all(_row_value(co, off, c) >= 0 for co, off in rows):
-            out.add(tuple(c))
+        lam = tuple(t + linalg.dot(row, c) for t, row in zip(tau, nbasis_rows))
+        if all(x >= 0 for x in lam):
+            out.add(lam)
     return sorted(out)
 
 
@@ -130,18 +123,12 @@ def dd_vertices(p: Polytope, point) -> OracleResult:
     Raises InfeasibleError for points outside the polytope and
     OracleMismatchError if the two internal routes disagree (kernel dim <= 2).
     """
-    tau, nb = _reduced_system(p, point)
-    k = p.kernel_dim()
-    reduced = _dd_reduced(nb, tau, k)
-    if not reduced:
+    tau, nb, free = _reduced_system(p, point)
+    verts = _dd_reduced(tau, nb, free)
+    if not verts:
         raise InfeasibleError("point is outside the polytope")
-    if k <= 2:
-        scan = _scan_reduced(nb, tau, k)
-        if scan != reduced:
-            raise OracleMismatchError(
-                "double description and active-set scan disagree")
-    verts = sorted(tuple(t + linalg.dot(row, c) for t, row in zip(tau, nb))
-                   for c in reduced)
+    if len(free) <= 2 and _scan_reduced(tau, nb, len(free)) != verts:
+        raise OracleMismatchError("double description and active-set scan disagree")
     return OracleResult(vertices=tuple(verts), method="DoubleDescription")
 
 

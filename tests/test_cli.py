@@ -745,3 +745,19 @@ def test_parse_error_details(square_file, tmp_path, capsys, argv, detail):
     points.write_text(json.dumps({"x": 1}))
     code, out = run(capsys, *(a.format(square_file, points=points) for a in argv))
     assert (code, json.loads(out)) == (1, {"error": "ParseError", "detail": detail})
+
+
+def test_report_without_fields_is_a_parse_error():
+    with pytest.raises(ParseError, match="bad report document"):
+        AnalysisReport.from_dict({})
+
+
+def test_pick_selection_without_a_feasible_pattern_is_internal(square):
+    # sweep rows pick a selection only after their census cells found Lambda(p)
+    # non-empty on the same table reading, so finding none is an invariant
+    # violation, not a bad input
+    from barypoly import cli
+    from barypoly.errors import InternalError
+
+    with pytest.raises(InternalError, match="no feasible selection pattern"):
+        cli._pick_selection(square, (2, 2))

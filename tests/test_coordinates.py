@@ -394,3 +394,8 @@ def test_caratheodory_pentagon_samples(pentagon):
             for l in range(pentagon.n)
         ]
         assert tuple(recon) == s.lam
+
+
+def test_circular_windows_need_more_vertices_than_dimensions():
+    with pytest.raises(ValueError, match="need n > d"):
+        circular_windows(2, 2)

@@ -162,3 +162,12 @@ def test_fr_reads_exponents_up_to_the_bound(text, value):
 def test_fr_refuses_exponents_past_the_bound(text):
     with pytest.raises(ValueError, match="decimal exponent beyond ±4300"):
         linalg.fr(text)
+
+
+def test_solve_non_square_system():
+    with pytest.raises(SingularMatrixError, match="square system"):
+        linalg.solve_linear([[F(1), F(2)]], [F(1)])
+
+
+def test_nullspace_of_no_rows():
+    assert linalg.nullspace_basis([]) == []

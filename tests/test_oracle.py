@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from barypoly import linalg, simplex
+from barypoly import linalg, oracle, simplex
 from barypoly.coordinates import feasible_tau, lambda_vertices, nullbasis
-from barypoly.errors import InfeasibleError, InternalError
+from barypoly.errors import InfeasibleError, OracleMismatchError
 from barypoly.fixtures import fixture_names, get_fixture
 from barypoly.oracle import (
     _dd_reduced,
@@ -14,10 +14,11 @@ from barypoly.oracle import (
     _scan_reduced,
     dd_vertices,
     random_feasible_sample,
+    random_interior_point,
     random_polytope,
     vertices_agree,
 )
-from barypoly.polytope import validate
+from barypoly.polytope import Location, locate, validate
 from barypoly.simplex import convex_membership
 from helpers import interior_point
 
@@ -85,8 +86,8 @@ def test_dd_makes_no_simplex_call(square, prism8, monkeypatch):
 def test_reduced_system_is_tau_and_nullbasis(square, pentagon, prism8):
     for p in (square, pentagon, prism8):
         q = p.centroid()
-        tau, nb = _reduced_system(p, q)
-        assert nb == nullbasis(p)
+        tau, nb, free = _reduced_system(p, q)
+        assert nb == nullbasis(p) and len(free) == p.kernel_dim()
         assert linalg.mat_vec(p.stacked_rows(), tau) == list(q) + [1]
 
 
@@ -97,22 +98,35 @@ def test_dd_reduced_any_particular_solution(square, pentagon, pyramid, prism8):
     differ = 0
     for p in (square, pentagon, pyramid, prism8):
         q = interior_point(p, rng)
-        k = p.kernel_dim()
-        nb = nullbasis(p)
-        taus = (feasible_tau(p, q).lam, tuple(_reduced_system(p, q)[0]))
+        tau, nb, free = _reduced_system(p, q)
+        taus = (feasible_tau(p, q).lam, tuple(tau))
         differ += taus[0] != taus[1]
-        lams = [{tuple(t + linalg.dot(row, c) for t, row in zip(tau, nb))
-                 for c in _dd_reduced(nb, tau, k)} for tau in taus]
-        assert lams[0] == lams[1] == set(dd_vertices(p, q).vertices)
+        lams = [_dd_reduced(t, nb, free) for t in taus]
+        assert lams[0] == lams[1] == list(dd_vertices(p, q).vertices)
     assert differ  # the basepoints differ on some of the polytopes
 
 
-def test_dd_reduced_needs_unit_rows(pentagon):
-    nb = nullbasis(pentagon)
-    bad = [[a + b, a - b] for a, b in nb]   # the same kernel, no unit row
-    tau = feasible_tau(pentagon, (F(0), F(0))).lam
-    with pytest.raises(InternalError, match="unit row"):
-        _dd_reduced(bad, tau, 2)
+def test_reduced_system_has_unit_rows_on_free_columns():
+    # the RREF's free columns carry N's unit rows and a zero tau, which the
+    # double description's starting simplex reads
+    rng = random.Random(18)
+    polys = [get_fixture(name) for name in fixture_names()]
+    polys += [random_polytope(2 + s % 2, rng.randint(4 + s % 2, 8), seed=300 + s)
+              for s in range(10)]
+    for p in polys:
+        tau, nb, free = _reduced_system(p, interior_point(p, rng))
+        assert len(free) == p.kernel_dim()
+        for j, f in enumerate(free):
+            assert nb[f] == [int(i == j) for i in range(len(free))]
+            assert tau[f] == 0
+
+
+def test_scan_route_mismatch_raises(square, monkeypatch):
+    # an active-set scan that misses a vertex is an invariant violation
+    real = oracle._scan_reduced
+    monkeypatch.setattr(oracle, "_scan_reduced", lambda *args: real(*args)[1:])
+    with pytest.raises(OracleMismatchError, match="disagree"):
+        dd_vertices(square, CENTER)
 
 
 def test_scan_route_agrees_low_kernel_dim(square, pentagon, pyramid):
@@ -120,9 +134,9 @@ def test_scan_route_agrees_low_kernel_dim(square, pentagon, pyramid):
                  (pyramid, (F(1), F(1), F(1, 2)))):
         k = p.kernel_dim()
         assert k <= 2
-        tau, nb = feasible_tau(p, q).lam, nullbasis(p)
-        scan = _scan_reduced(nb, tau, k)
-        assert scan and scan == _dd_reduced(nb, tau, k)
+        tau, (_, nb, free) = feasible_tau(p, q).lam, _reduced_system(p, q)
+        scan = _scan_reduced(tau, nb, k)
+        assert scan and scan == _dd_reduced(tau, nb, free)
 
 
 def test_dd_cube_center_degenerate(prism8):
@@ -227,3 +241,11 @@ def test_random_polytope_deterministic_and_valid():
     assert p1.n == 6 and p1.d == 2
     p3 = random_polytope(3, 7, seed=10)
     assert p3.n == 7 and p3.d == 3
+
+
+def test_random_interior_point_is_seeded_and_interior(pentagon, prism8):
+    for p in (pentagon, prism8):
+        q = random_interior_point(p, random.Random(7))
+        assert q == random_interior_point(p, random.Random(7))
+        assert q != random_interior_point(p, random.Random(8))
+        assert locate(p, q).tag == Location.INTERIOR

@@ -210,3 +210,9 @@ def test_labels_is_an_unknown_key():
     assert p == validate([[F(0), F(1), F(0)], [F(0), F(0), F(1)]], 2)
     assert polytope_document(p) == {"dim": 2,
                                     "vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+
+
+def test_validate_needs_d_coordinate_rows():
+    # one coordinate row for d = 2 fails before any rank or extremality test
+    with pytest.raises(DimensionMismatchError, match="expected 2 coordinate rows"):
+        validate([[0, 1, 2]], 2)

@@ -515,3 +515,14 @@ def test_probes_read_one_pattern_table(monkeypatch):
         semidiff_probe(pyramid, (F(1), F(1, 2), F(0)), {5}, (F(0), F(0), F(1)),
                        t0=F(1, 16), steps=3)
     assert phase_ones == []
+
+
+def test_probe_point_must_have_d_coordinates(square):
+    with pytest.raises(DimensionMismatchError, match="lengths must equal d"):
+        continuity_probe(square, (F(1, 2), F(1, 2), F(1, 2)), (F(1), F(0)))
+
+
+def test_distance_tolerance_must_be_positive():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        point_polytope_distance(np.array([0.5, 0.5]), fp((0, 0), (1, 0), (0, 1)),
+                                tol=0)

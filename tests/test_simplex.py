@@ -239,3 +239,7 @@ def test_integer_tableau_matches_fraction_tableau(system):
     else:
         assert all(dot(mine.farkas, col) <= 0 for col in zip(*a))
         assert dot(mine.farkas, b) > 0
+
+
+def test_convex_membership_over_no_points():
+    assert convex_membership([], (F(0), F(0))) is None

@@ -201,3 +201,14 @@ def test_one_verdict_rule_and_one_step_rule():
                         for x in [node.left, *node.comparators])]
     assert compared == []
     assert "_float_steps" in _names_in("cli", "run_sweep")
+
+
+def test_oracle_reads_one_rref():
+    # the oracle reads tau, N and the free columns, where N's rows are the
+    # unit vectors, off one rref: no kernel basis to transpose, no search for
+    # unit rows, no row-value helper, and double description carries each
+    # vertex as its coordinate vector, which dd_vertices returns as it is
+    names = _identifiers(Path(barypoly.__file__).parent / "oracle.py")
+    assert sorted(names & {"nullspace_basis", "index", "_row_value"}) == []
+    assert "rref" in _names_in("oracle", "_reduced_system")
+    assert sorted(_names_in("oracle", "dd_vertices") & {"dot", "mat_vec", "zip"}) == []
