@@ -21,9 +21,8 @@ from . import probes
 from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismatchError,
                      ParseError)
 from .fixtures import fixture_document, fixture_names
-from .linalg import fr, mat_vec, rational_str, vec
-from .polytope import (Location, Polytope, load_polytope, locate, parse_coordinates,
-                       read_json)
+from .linalg import fr, mat_vec, rational_str
+from .polytope import Polytope, load_polytope, locate, parse_coordinates, read_json
 from .report import AnalysisReport, LambdaVertexEntry, format_float
 
 _SEED_ENV = "BARYPOLY_SEED"
@@ -47,24 +46,26 @@ def _emit_error(code, detail):
     print(json.dumps({"error": code, "detail": str(detail)}))
 
 
-def _parse_rationals(text):
+def _parse_vector(text, d, what):
+    """d rationals, comma- or space-separated; ParseError names ``what``."""
     toks = [t for t in re.split(r"[,\s]+", text.strip()) if t]
     try:
-        return tuple(fr(t) for t in toks)
+        xs = tuple(fr(t) for t in toks)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational list {text!r}: {exc}") from exc
+    if len(xs) != d:
+        raise ParseError(f"{what} must have {d} coordinates")
+    return xs
 
 
 def _analysis_report(p: Polytope, point) -> tuple:
-    """(report, location) after the full pipeline at an inside point."""
-    loc = locate(p, point)
-    if loc.tag == Location.OUTSIDE:
-        return None, loc
-    if loc.tag == Location.BOUNDARY:
-        # locate's second phase one is feasible_tau's, on the same system
-        tau = co.BarycentricVector(lam=loc.barycentric, point=vec(point))
-    else:
+    """(report, None) at an inside point, else (None, locate's separator).
+    The point is interior iff Lambda(p) holds a lam > 0, that is iff the
+    supports of Lambda(p)'s vertices cover 1..n."""
+    try:
         tau = co.feasible_tau(p, point)
+    except InfeasibleError:
+        return None, locate(p, point).separator
     nb = co.nullbasis(p)
     lam = co.lambda_vertices(p, point)
     gam = co.gamma_polytope(p, tau, nb, lam)
@@ -77,7 +78,8 @@ def _analysis_report(p: Polytope, point) -> tuple:
         polytope_dim=p.d,
         polytope_vertices=p.vertices,
         point=tuple(point),
-        location=loc.tag.value,
+        location=("Interior" if len(frozenset().union(*lam.vertex_supports)) == p.n
+                  else "Boundary"),
         tau=tau.lam,
         nbasis=gam.nbasis,
         lambda_vertices=tuple(entries),
@@ -85,7 +87,7 @@ def _analysis_report(p: Polytope, point) -> tuple:
         dim=lam.dim,
         theorem_count_match=lam.theorem_count_match,
     )
-    return rep, loc
+    return rep, None
 
 
 def run_validate(path) -> int:
@@ -101,12 +103,10 @@ def run_validate(path) -> int:
 
 def run_analyze(path, point_text) -> int:
     p = load_polytope(path)
-    point = _parse_rationals(point_text)
-    if len(point) != p.d:
-        raise ParseError(f"point must have {p.d} coordinates")
-    rep, loc = _analysis_report(p, point)
+    point = _parse_vector(point_text, p.d, "point")
+    rep, separator = _analysis_report(p, point)
     if rep is None:
-        a, b = loc.separator
+        a, b = separator
         print(json.dumps({
             "error": "Outside",
             "detail": "point is outside the polytope",
@@ -204,9 +204,7 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
         if not probes._float_steps(t0_frac, steps):
             raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 and "
                              "--t0/2^(steps-1) in [float min, float max]")
-        hvec = _parse_rationals(h)
-        if len(hvec) != p.d:
-            raise ParseError(f"direction must have {p.d} coordinates")
+        hvec = _parse_vector(h, p.d, "direction")
     header = [f"p{i + 1}" for i in range(p.d)]
     header += ["vertex_count", "dim", "theorem_count_match"]
     if mode in ("continuity", "semidiff"):
@@ -237,9 +235,7 @@ def run_oracle_check(path, point_text, samples) -> int:
     if samples > MAX_SAMPLES:
         raise ParseError(f"--samples {samples} is over the limit of {MAX_SAMPLES}")
     p = load_polytope(path)
-    point = _parse_rationals(point_text)
-    if len(point) != p.d:
-        raise ParseError(f"point must have {p.d} coordinates")
+    point = _parse_vector(point_text, p.d, "point")
     seed_text = os.environ.get(_SEED_ENV, "0")
     try:
         seed = int(seed_text)

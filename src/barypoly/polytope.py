@@ -172,14 +172,15 @@ def parse_coordinates(row, d, what) -> tuple:
 
 def read_json(path):
     """A UTF-8 JSON file's value, decimals as exact Fractions (``linalg.fr``);
-    ParseError if unreadable, undecodable, not JSON or a number fr refuses."""
+    ParseError if unreadable, undecodable, not JSON, nested too deep to decode
+    or a number fr refuses."""
     try:
         with open(path, encoding="utf-8") as fh:
             # fr("NaN"), fr("Infinity") and fr("1e99999") raise ValueError
             return json.load(fh, parse_float=linalg.fr, parse_constant=linalg.fr)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError too
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -104,6 +104,6 @@ class AnalysisReport:
         try:
             # fr("NaN"), fr("Infinity") and fr("1e99999") raise ValueError
             doc = json.loads(text, parse_float=fr, parse_constant=fr)
-        except ValueError as exc:  # JSONDecodeError too
+        except (ValueError, RecursionError) as exc:  # and JSONDecodeError
             raise ParseError(f"invalid JSON: {exc}") from exc
         return cls.from_dict(doc)

@@ -85,6 +85,13 @@ def test_report_decimals_are_exact(square_file, capsys):
     assert AnalysisReport.from_json(text).point == (F(10) ** 400, F(1, 2))
 
 
+def test_report_nested_too_deep():
+    # deeper than the interpreter's recursion limit: a ParseError, as a bad
+    # number is, not a bare RecursionError
+    with pytest.raises(ParseError, match="invalid JSON: maximum recursion depth"):
+        AnalysisReport.from_json("[" * 100000 + "]" * 100000)
+
+
 @pytest.mark.parametrize("value", ["1/0", True])
 def test_report_bad_number(square_file, capsys, value):
     # a report vector is read as a vertex is: "1/0" is a ParseError, not a
@@ -157,7 +164,7 @@ def test_internal_error_exit_3(square_file, capsys, monkeypatch):
     def broken(*args):
         raise InternalError("invariant violated")
 
-    monkeypatch.setattr(cli, "locate", broken)
+    monkeypatch.setattr(cli.co, "feasible_tau", broken)
     code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
     assert code == 3
     assert json.loads(out)["error"] == "InternalError"
@@ -317,6 +324,22 @@ def test_non_finite_json_constant(square_file, tmp_path, capsys, kind, constant)
         "detail": f"{f}: invalid JSON (Invalid literal for Fraction: '{constant}')"}
 
 
+@pytest.mark.parametrize("command", ["validate", "analyze", "sweep"])
+def test_json_nested_too_deep(square_file, tmp_path, capsys, command):
+    # a file nested deeper than the recursion limit is a ParseError on stdout
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100000 + "]" * 100000)
+    argv = {"validate": ["validate", str(f)],
+            "analyze": ["analyze", str(f), "--point", "0,0"],
+            "sweep": ["sweep", square_file, "--mode", "census", "--points", str(f)]}
+    code, out = run(capsys, *argv[command])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": "ParseError",
+        "detail": f"{f}: invalid JSON (maximum recursion depth exceeded while "
+                  "decoding a JSON array from a unicode string)"}
+
+
 @pytest.mark.parametrize("kind", ["polytope", "points"])
 def test_non_utf8_file(square_file, tmp_path, capsys, kind):
     data = (SQUARE_TEXT % 0 if kind == "polytope" else "[[0.5, 0.5]]").encode()
@@ -445,12 +468,13 @@ def test_oracle_check_infeasible_sample(square_file, capsys, monkeypatch, lam):
     assert doc["samples_feasible"] is False
 
 
-@pytest.mark.parametrize("point, location, tau", [
-    ("1/2,0", "Boundary", ["1/2", "1/2", "0", "0"]),
-    ("1/3,1/2", "Interior", None),
-], ids=["boundary", "interior"])
+@pytest.mark.parametrize("point, location, tau, solves", [
+    ("1/2,0", "Boundary", ["1/2", "1/2", "0", "0"], [3]),
+    ("1/3,1/2", "Interior", None, [3]),
+    ("2,2", "Outside", None, [3, 2, 3]),
+], ids=["boundary", "interior", "outside"])
 def test_analyze_phase_one_count(square_file, capsys, monkeypatch,
-                                 point, location, tau):
+                                 point, location, tau, solves):
     from barypoly import coordinates, polytope
 
     rows = []
@@ -459,12 +483,16 @@ def test_analyze_phase_one_count(square_file, capsys, monkeypatch,
         monkeypatch.setattr(module, "feasible_point",
                             lambda a, b, real=real: rows.append(len(a)) or real(a, b))
     code, out = run(capsys, "analyze", square_file, "--point", point)
-    assert code == 0
     doc = json.loads(out)
+    # inside: tau's one [V; 1] solve, the location read off Lambda's vertex
+    # supports; outside: then locate's d-row and [V; 1] solves, for the
+    # separator
+    assert rows == solves
+    if location == "Outside":
+        assert (code, doc["error"]) == (2, "Outside")
+        return
+    assert code == 0
     assert doc["location"] == location
-    # boundary: locate's d-row and [V; 1] solves, whose basic solution is
-    # tau; interior: locate's d-row solve, then tau's own [V; 1] solve
-    assert rows == [2, 3]
     if tau is not None:
         assert doc["tau"] == tau
 

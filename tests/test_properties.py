@@ -14,8 +14,9 @@ and J_Z·h exactly; the rows read off the table at a point must equal the
 elimination's there.
 ``caratheodory_decompose``'s support points must be affinely independent.
 ``locate``, which decides by feasibility alone, must agree with the supports
-of those vertex lists, and the double-description oracle must give the same
-vertex lists and refuse the same outside points.
+of those vertex lists, and so with ``analyze``'s location, which reads them,
+and the double-description oracle must give the same vertex lists and refuse
+the same outside points.
 """
 
 from fractions import Fraction
@@ -26,6 +27,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from barypoly import linalg
+from barypoly.cli import _analysis_report
 from barypoly.coordinates import (
     BarycentricVector,
     _evaluate,
@@ -385,6 +387,25 @@ def test_locate_agrees_with_vertex_supports(p, data):
     x = loc.barycentric
     assert linalg.mat_vec(p.stacked_rows(), x) == list(q) + [1]
     assert all(xj > 0 if covered else xj >= 0 for xj in x)
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_analyze_location_agrees_with_locate(p, data):
+    # analyze reads Interior/Boundary off Lambda's vertex supports, locate
+    # decides it by its own d-row phase one: the two must agree
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    idx = data.draw(st.lists(st.integers(0, p.n - 1), min_size=p.d, max_size=p.d,
+                             unique=True))
+    points = [_combination(p.vertices, weights),
+              tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j])),
+              p.vertices[i],
+              _combination([p.vertices[k] for k in idx], weights[:p.d])]
+    for q in points:
+        report, _ = _analysis_report(p, q)
+        assert report.location == locate(p, q).tag.value
 
 
 @PROPERTY

@@ -108,14 +108,19 @@ def test_caratheodory_reads_the_basic_solution():
                            "rank", "affine_dim", "solve_linear", "bareiss"}) == []
 
 
-def _names_in(module, function):
-    """Every name and attribute used in one top-level function of a module."""
+def _function(module, function):
+    """The AST of one top-level function of a module."""
     path = Path(barypoly.__file__).parent / f"{module}.py"
     tree = ast.parse(path.read_text(), str(path))
     func, = [node for node in tree.body if isinstance(node, ast.FunctionDef)
              and node.name == function]
+    return func
+
+
+def _names_in(module, function):
+    """Every name and attribute used in one top-level function of a module."""
     return {node.id if isinstance(node, ast.Name) else node.attr
-            for node in ast.walk(func)
+            for node in ast.walk(_function(module, function))
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
@@ -128,6 +133,24 @@ def test_one_elimination_of_the_stacked_matrix():
     assert sorted(_names_in("coordinates", "nullbasis")
                   & {"nullspace_basis", "rref"}) == []
     assert "affine_dim" not in _names_in("coordinates", "lambda_vertices")
+
+
+def test_analyze_locates_only_outside():
+    # analyze reads Interior/Boundary off Λ(p)'s vertex supports after tau's
+    # one phase one; locate runs only for the separator, once feasible_tau
+    # has found the point outside
+    func = _function("cli", "_analysis_report")
+    assert "feasible_tau" in _names_in("cli", "_analysis_report")
+    handlers = [node for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)
+                and isinstance(node.type, ast.Name) and node.type.id == "InfeasibleError"]
+
+    def calls_locate(nodes):
+        return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "locate"
+                   for top in nodes for node in ast.walk(top))
+
+    assert len(handlers) == 1 and calls_locate(handlers) == 1
+    assert calls_locate([func]) == 1
 
 
 def test_cli_solves_no_lp():
