@@ -2,9 +2,10 @@
 
 Commands: validate, analyze, sweep, examples, oracle-check.  All output is
 machine-readable (JSON, or CSV for sweeps) and byte-deterministic for given
-inputs and flags.  Exit codes: 0 ok, 1 input/validation error, 2 point
-outside the polytope, 3 internal invariant failure (oracle disagreement or
-InternalError).
+inputs and flags, on every supported Python version: floats are added left
+to right (linalg.float_sum), not with sum, whose rounding changed in 3.12.
+Exit codes: 0 ok, 1 input/validation error, 2 point outside the polytope,
+3 internal invariant failure (oracle disagreement or InternalError).
 """
 
 import argparse
@@ -21,7 +22,7 @@ from . import probes
 from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismatchError,
                      ParseError)
 from .fixtures import fixture_document, fixture_names
-from .linalg import fr, mat_vec, rational_str
+from .linalg import fr, integer_rows, rational_str
 from .polytope import Polytope, load_polytope, locate, parse_coordinates, read_json
 from .report import AnalysisReport, LambdaVertexEntry, format_float
 
@@ -250,11 +251,10 @@ def run_oracle_check(path, point_text, samples) -> int:
             f"oracle found no vertex, enumeration found {len(lam.vertices)}") from exc
     agree = orc.vertices_agree(ora.vertices, lam.vertex_arrays())
     # a sample is feasible when it is a coordinate vector of the point:
-    # [V; 1ᵀ]·λ = [p; 1] and λ ≥ 0, tested exactly
-    rows, rhs = p.stacked_rows(), list(point) + [1]
-    samples_ok = all(
-        all(x >= 0 for x in s.lam) and mat_vec(rows, s.lam) == rhs
-        for s in orc.random_feasible_sample(ora.vertices, point, samples, seed))
+    # [V; 1ᵀ]·λ = [p; 1] and λ ≥ 0, tested exactly on integers
+    _, rows = integer_rows([row + [b] for row, b in zip(p.stacked_rows(), [*point, 1])])
+    samples_ok = all(orc.solves(rows, s.lam) for s in
+                     orc.random_feasible_sample(ora.vertices, point, samples, seed))
     print(json.dumps({
         "agreement": agree,
         "method": ora.method,

@@ -2,7 +2,8 @@
 
 All combinatorial computations in this package run over ``fractions.Fraction``
 (arbitrary-precision rationals); floating point only appears in the probe
-layer.  Matrices are plain lists of row lists, vectors plain sequences.
+layer and the seeded polytope generator, which add floats with ``float_sum``.
+Matrices are plain lists of row lists, vectors plain sequences.
 ``rref`` is the one Fraction elimination: rank, kernel basis and every solve
 read their result off the reduced row-echelon form, which is unique, so the
 choice of pivot row changes no output.  ``bareiss`` is the integer
@@ -58,6 +59,16 @@ def mat(rows) -> list:
 
 def dot(a: Vec, b: Vec) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+
+def float_sum(xs) -> float:
+    """Left-to-right float addition from 0.0: the same bits on every Python
+    (3.12 made ``sum`` of floats compensated), and inf or nan past the float
+    range, as IEEE addition gives, where ``math.fsum`` raises."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
 
 
 def mat_vec(a: Mat, x: Vec) -> list:

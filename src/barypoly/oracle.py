@@ -3,15 +3,17 @@
 The main path enumerates zero patterns in R^n; this oracle instead works in
 the reduced space R^(n-d-1), converting the inequality description
 { c : tau + N c >= 0 } to vertices by the double-description method
-(incremental halfspace insertion over exact rationals).  One RREF of
+(incremental halfspace insertion on homogenized integer rays).  One RREF of
 [V; 1^T | -(p; 1)] gives tau, N and the free columns, on which N's rows are
 the unit vectors; insertion starts at a k-simplex that contains the reduced
-polytope by construction, and vertices are carried as lam = tau + N c.  For
+polytope by construction, and each vertex lam = tau + N c is carried as its
+primitive integer ray (a, D), lam = a / D, until the sorted output.  For
 kernel dimension <= 2 a direct active-set scan over tight rows provides a
 second independent path and the two must agree.
 """
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,47 +60,68 @@ def _reduced_system(p: Polytope, point) -> tuple:
     return tau, nb, free
 
 
+def _ray(lam) -> tuple:
+    """The primitive integer ray (a_0, ..., a_{n-1}, D) of lam = a / D: D is
+    the lcm of lam's denominators, so D > 0 and gcd(a, D) = 1, which makes
+    the tuple canonical for lam."""
+    den, (nums,) = linalg.integer_rows([lam])
+    return (*nums, den)
+
+
+def solves(rows, lam) -> bool:
+    """Whether lam >= 0 and v.lam = b for each integer row (v; b), tested
+    exactly on lam's ray (a, D): a >= 0 and v.a = b D."""
+    *a, den = _ray(lam)
+    return min(a) >= 0 and all(sum(map(operator.mul, row, a)) == row[-1] * den
+                               for row in rows)
+
+
 def _dd_reduced(tau, nbasis_rows, free):
     """Vertices lam = tau + N c of { c : tau + N c >= 0 } by double description.
 
     Row free[j] of N is e_j, so lam >= 0, sum(lam) = 1 put every feasible c
     in the simplex lam_{free[j]} >= 0, sum_j lam_{free[j]} <= 1, for any
     particular solution tau.  Insertion starts at its corner lam0 = tau -
-    N tau[free] and at lam0 + N e_j, and runs over the other rows, whose value
-    at a vertex v is v[r]; an empty result means the system has no solution.
+    N tau[free] and at lam0 + N e_j, and runs over the other rows on integer
+    rays (a, D), lam = a / D, whose value at row r has the sign of a[r]; an
+    empty result means the system has no solution.
     """
     n = len(tau)
     shift = [tau[f] for f in free]
     corner = tuple(t - linalg.dot(row, shift) for t, row in zip(tau, nbasis_rows))
-    verts = [corner] + [tuple(x + row[j] for x, row in zip(corner, nbasis_rows))
-                        for j in range(len(free))]
+    rays = [_ray(corner)] + [_ray([x + row[j] for x, row in zip(corner, nbasis_rows)])
+                             for j in range(len(free))]
     # active-set bitmasks: bit i for row i, bit n for the sum row, which is
     # tight at every simplex vertex but the corner
     tight = sum(1 << i for i in free)
     act = [tight] + [tight & ~(1 << i) | 1 << n for i in free]
     for r in sorted(set(range(n)).difference(free)):
-        vals = [v[r] for v in verts]
-        neg_idx = [j for j, val in enumerate(vals) if val < 0]
-        new_pts = []
-        for i in (i for i, val in enumerate(vals) if val > 0):
+        neg_idx = [j for j, ray in enumerate(rays) if ray[r] < 0]
+        new_rays = []
+        for i, pos in enumerate(rays):
+            if pos[r] <= 0:
+                continue
             for j in neg_idx:
                 common = act[i] & act[j]
                 on_face = sum(1 for m in act if (m & common) == common)
                 if on_face != 2:
                     continue  # not an edge of the current polytope
-                t = vals[i] / (vals[i] - vals[j])
-                pt = tuple(a + t * (b - a) for a, b in zip(verts[i], verts[j]))
-                # pt is strictly inside the edge, where each earlier row is
-                # linear and >= 0 at both ends: it is tight exactly on the
-                # rows tight at both ends
-                new_pts.append((pt, common | 1 << r))
-        merged = {v: m | (1 << r if v[r] == 0 else 0)
-                  for v, m in zip(verts, act) if v[r] >= 0}
-        for pt, m in new_pts:
-            merged[pt] = merged.get(pt, 0) | m
-        verts = list(merged)
-        act = [merged[v] for v in verts]
-    return sorted(verts)
+                # a_i[r]·ray_j - a_j[r]·ray_i is 0 at row r and, as a positive
+                # combination, has D > 0; gcd-reduced, it is the new vertex
+                neg = rays[j]
+                ray = [pos[r] * y - neg[r] * x for x, y in zip(pos, neg)]
+                g = math.gcd(*ray)
+                # the point is strictly inside the edge, where each earlier
+                # row is linear and >= 0 at both ends: it is tight exactly on
+                # the rows tight at both ends
+                new_rays.append((tuple(x // g for x in ray), common | 1 << r))
+        merged = {ray: m | (1 << r if ray[r] == 0 else 0)
+                  for ray, m in zip(rays, act) if ray[r] >= 0}
+        for ray, m in new_rays:
+            merged[ray] = merged.get(ray, 0) | m
+        rays = list(merged)
+        act = [merged[ray] for ray in rays]
+    return sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays)
 
 
 def _scan_reduced(tau, nbasis_rows, k):
@@ -144,15 +167,18 @@ def random_feasible_sample(verts, point, count: int, seed: int) -> list:
     Every output is exactly feasible (rational weights over exact vertices).
     """
     rng = random.Random(seed)
+    # with L the lcm of the vertices' denominators, a coordinate is
+    # (sum of weight x L·entry) / (weight total x L): one Fraction each
+    den, cols = linalg.integer_rows(list(zip(*verts)))
+    pt = linalg.vec(point)
     out = []
     for _ in range(count):
         raw = [rng.randint(0, 999) for _ in verts]
         if sum(raw) == 0:
             raw[0] = 1
-        total = sum(raw)
-        lam = tuple(sum((r * x for r, x in zip(raw, col)), _ZERO) / total
-                    for col in zip(*verts))
-        out.append(BarycentricVector(lam=lam, point=linalg.vec(point)))
+        total = sum(raw) * den
+        lam = tuple(Fraction(sum(map(operator.mul, raw, col)), total) for col in cols)
+        out.append(BarycentricVector(lam=lam, point=pt))
     return out
 
 
@@ -169,7 +195,7 @@ def random_polytope(d: int, n: int, seed: int) -> Polytope:
         pts = []
         for _ in range(n):
             raw = [rng.gauss(0.0, 1.0) for _ in range(d)]
-            norm = sum(x * x for x in raw) ** 0.5
+            norm = linalg.float_sum(x * x for x in raw) ** 0.5
             if norm == 0:
                 break
             pts.append(tuple(Fraction(round(x / norm * scale), scale) for x in raw))

@@ -65,7 +65,7 @@ class ProbeReport:
 
 
 def _dot(a, b) -> float:
-    return sum(map(operator.mul, a, b))
+    return linalg.float_sum(map(operator.mul, a, b))
 
 
 def _argmin(xs) -> int:
@@ -109,7 +109,8 @@ def _lstsq(cols, rhs) -> list:
     u = [0.0] * len(cols)
     for k in reversed(range(len(pivots))):
         j = pivots[k]
-        u[j] = (r[k] - sum(cols[i][k] * u[i] for i in pivots[k + 1:])) / cols[j][k]
+        rest = linalg.float_sum(cols[i][k] * u[i] for i in pivots[k + 1:])
+        u[j] = (r[k] - rest) / cols[j][k]
     return u
 
 
@@ -154,7 +155,7 @@ def _min_norm_point(b_rows, x, tol: float):
             c0, *rest = [pts[i] for i in corral]
             u = _lstsq([list(map(operator.sub, ci, c0)) for ci in rest],
                        [-a for a in c0])
-            v = [1.0 - sum(u)] + u
+            v = [1.0 - linalg.float_sum(u)] + u
             # a v_i in (0, 1e-12] counts as zero, except for the entering
             # point: its weight may be that small when the gap is
             new = corral.index(j)

@@ -143,6 +143,40 @@ def reference_gamma_polytope(p: Polytope, tau, nbasis_rows, lam) -> GammaPolytop
     )
 
 
+def reference_dd_reduced(tau, nbasis_rows, free):
+    """Double description over Fractions, the reference for the oracle's
+    integer rays: the same simplex start, insertion order and bitmask
+    adjacency test, with each vertex carried as its coordinate vector and
+    each new one interpolated on its edge as v_i + t·(v_j - v_i)."""
+    n = len(tau)
+    shift = [tau[f] for f in free]
+    corner = tuple(t - linalg.dot(row, shift) for t, row in zip(tau, nbasis_rows))
+    verts = [corner] + [tuple(x + row[j] for x, row in zip(corner, nbasis_rows))
+                        for j in range(len(free))]
+    tight = sum(1 << i for i in free)
+    act = [tight] + [tight & ~(1 << i) | 1 << n for i in free]
+    for r in sorted(set(range(n)).difference(free)):
+        vals = [v[r] for v in verts]
+        neg_idx = [j for j, val in enumerate(vals) if val < 0]
+        new_pts = []
+        for i in (i for i, val in enumerate(vals) if val > 0):
+            for j in neg_idx:
+                common = act[i] & act[j]
+                on_face = sum(1 for m in act if (m & common) == common)
+                if on_face != 2:
+                    continue
+                t = vals[i] / (vals[i] - vals[j])
+                pt = tuple(a + t * (b - a) for a, b in zip(verts[i], verts[j]))
+                new_pts.append((pt, common | 1 << r))
+        merged = {v: m | (1 << r if v[r] == 0 else 0)
+                  for v, m in zip(verts, act) if v[r] >= 0}
+        for pt, m in new_pts:
+            merged[pt] = merged.get(pt, 0) | m
+        verts = list(merged)
+        act = [merged[v] for v in verts]
+    return sorted(verts)
+
+
 class _FractionTableau:
     """Rational phase-one tableau, Bland's rule: the reference that the
     library's integer tableau must reproduce exactly."""

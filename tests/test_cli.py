@@ -256,6 +256,19 @@ def test_sweep_semidiff_center_witness(square_file, capsys):
     assert all(x < 1e-6 for x in dists)
 
 
+def test_sweep_semidiff_tiny_t0(square_file, capsys):
+    # the quotient sets divide by t, so t0 = 5e-155 puts coordinates near
+    # 1e154, whose squares add up past the float range: every row still
+    # prints, with its witness distances
+    code, out = run(capsys, "sweep", square_file, "--mode", "semidiff",
+                    "--grid", "2", "--h", "1,0", "--steps", "3",
+                    "--t0", "5e-155")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "1/3,1/3,2,1,true,0,0,0,", "1/3,2/3,2,1,true,0,0,0,",
+        "2/3,1/3,2,1,true,0,0,0,", "2/3,2/3,2,1,true,0,0,0,"]
+
+
 def test_sweep_requires_h(square_file, capsys):
     code, out = run(capsys, "sweep", square_file, "--mode", "continuity",
                     "--grid", "2")
@@ -451,7 +464,8 @@ def test_oracle_check_samples_need_no_lp(square_file, capsys, monkeypatch):
 @pytest.mark.parametrize("lam", [
     (F(1), F(0), F(0), F(0)),               # λ ≥ 0, Σλ = 1, V·λ ≠ p
     (F(0), F(1, 2), F(-1, 6), F(2, 3)),     # V·λ = p, Σλ = 1, λ_3 < 0
-], ids=["wrong-point", "negative"])
+    (F(0), F(1, 3), F(0), F(1, 2)),         # V·λ = p, λ ≥ 0, Σλ = 5/6
+], ids=["wrong-point", "negative", "wrong-sum"])
 def test_oracle_check_infeasible_sample(square_file, capsys, monkeypatch, lam):
     from barypoly import cli
     from barypoly.coordinates import BarycentricVector

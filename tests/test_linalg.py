@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -171,3 +172,13 @@ def test_solve_non_square_system():
 
 def test_nullspace_of_no_rows():
     assert linalg.nullspace_basis([]) == []
+
+
+def test_float_sum_adds_left_to_right():
+    # the same bits on every Python (3.12's sum of floats is compensated),
+    # and inf or nan past the float range, where math.fsum raises
+    assert linalg.float_sum([0.1] * 10) == 0.9999999999999999
+    assert linalg.float_sum([1e16, 1.0, -1e16]) == 0.0
+    assert linalg.float_sum([]) == 0.0
+    assert linalg.float_sum([1.44e308, 1.44e308]) == math.inf
+    assert math.isnan(linalg.float_sum([math.inf, -math.inf]))

@@ -234,6 +234,25 @@ def test_random_feasible_sample_matches_weighted_formula():
             assert all(s.point == q for s in samples)
 
 
+def test_random_feasible_sample_pinned(pentagon):
+    # the integer-weighted sums keep the draws and the values: seed 11's
+    # samples at the pentagon's (1/10, 1/5), as the Fraction sums w·x gave them
+    q = (F(1, 10), F(1, 5))
+    samples = random_feasible_sample(dd_vertices(pentagon, q).vertices, q, 3, seed=11)
+    assert [s.lam for s in samples] == [tuple(F(x) for x in row) for row in [
+        ["211441475428/686073407535", "5232562151111/29249945857860",
+         "25307576324727833/263091313881076590", "130717690617616/681583714717815",
+         "253967528484035/1129047910113396"],
+        ["1160017671257/4016414789532", "1482318312019/8154057002832",
+         "871209755664403/7858115535719358", "26894771697541/162862498149624",
+         "132920811420361/524577667182192"],
+        ["963988520336/2989228248531", "120544538139/674297817284",
+         "13444317141034441/163755901911025242", "91090254519239/424238087852397",
+         "236508569563387/1171255308622308"],
+    ]]
+    assert all(type(x) is F for s in samples for x in s.lam)
+
+
 def test_random_polytope_deterministic_and_valid():
     p1 = random_polytope(2, 6, seed=9)
     p2 = random_polytope(2, 6, seed=9)

@@ -66,6 +66,13 @@ def test_distance_dimension_mismatch():
         point_polytope_distance(np.array([0.0, 0.0, 0.0]), fp((0, 0), (1, 0)))
 
 
+def test_distance_past_the_float_range_is_inf():
+    # |q|^2 overflows: the distance reads inf, as IEEE addition gives
+    q = (1.2e154, 1.2e154)
+    assert point_polytope_distance(q, fp((0, 0))) == math.inf
+    assert point_polytope_distance(q, fp((0, 0), (1, 0), (0, 1))) == math.inf
+
+
 def test_distance_interior_point_zero():
     b = fp((0, 0), (1, 0), (1, 1), (0, 1))
     d = point_polytope_distance(np.array([0.3, 0.6]), b, tol=1e-9)

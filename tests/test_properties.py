@@ -16,7 +16,9 @@ elimination's there.
 ``locate``, which decides by feasibility alone, must agree with the supports
 of those vertex lists, and so with ``analyze``'s location, which reads them,
 and the double-description oracle must give the same vertex lists and refuse
-the same outside points.
+the same outside points.  The oracle's integer rays must give the list of
+``helpers.reference_dd_reduced``, the same insertion over Fractions, for
+d = 2, 3 and 4.
 """
 
 from fractions import Fraction
@@ -49,10 +51,21 @@ from barypoly.errors import (
     SingularPatternError,
 )
 from barypoly.fixtures import get_fixture
-from barypoly.oracle import dd_vertices, random_feasible_sample, random_polytope
+from barypoly.oracle import (
+    _dd_reduced,
+    _reduced_system,
+    dd_vertices,
+    random_feasible_sample,
+    random_polytope,
+)
 from barypoly.polytope import Location, locate, validate
 from barypoly.probes import _selection_jacobian_exact
-from helpers import brute_force_vertices, reference_gamma_polytope, reference_patterns
+from helpers import (
+    brute_force_vertices,
+    reference_dd_reduced,
+    reference_gamma_polytope,
+    reference_patterns,
+)
 
 F = Fraction
 BIG = 1 << 64
@@ -62,8 +75,8 @@ PROPERTY = settings(max_examples=25, deadline=None,
 
 
 @st.composite
-def polytopes(draw, max_n=9):
-    d = draw(st.sampled_from([2, 3]))
+def polytopes(draw, max_n=9, dims=(2, 3)):
+    d = draw(st.sampled_from(dims))
     n = draw(st.integers(d + 1, max_n))
     return random_polytope(d, n, seed=draw(st.integers(0, 10**6)))
 
@@ -424,6 +437,31 @@ def test_oracle_agrees_with_scan(p, data):
     for route in (lambda_vertices, dd_vertices):
         with pytest.raises(InfeasibleError):
             route(p, out)
+
+
+@PROPERTY
+@given(polytopes(max_n=8, dims=(2, 3, 4)), st.data())
+def test_dd_matches_the_fraction_reference(p, data):
+    # the oracle's integer rays give the Fraction double description's list
+    # at interior points, vertex-pair midpoints, vertices, chamber-wall
+    # points, points with ~2^64 denominators, and outside points (empty)
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    big = data.draw(st.lists(st.integers(BIG >> 1, BIG), min_size=p.n, max_size=p.n))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    idx = data.draw(st.lists(st.integers(0, p.n - 1), min_size=p.d, max_size=p.d,
+                             unique=True))
+    t = F(data.draw(st.integers(1, 64)), 64)
+    points = [_combination(p.vertices, weights),
+              tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j])),
+              p.vertices[i],
+              _combination([p.vertices[k] for k in idx], weights[:p.d]),
+              _combination(p.vertices, big),
+              tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))]
+    for q in points:
+        tau, nb, free = _reduced_system(p, q)
+        assert _dd_reduced(tau, nb, free) == reference_dd_reduced(tau, nb, free)
+    assert _dd_reduced(*_reduced_system(p, points[-1])) == []
 
 
 def test_oracle_agrees_with_scan_kernel_dim_11():

@@ -1,6 +1,7 @@
 """Guards on the package source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import barypoly
@@ -235,3 +236,34 @@ def test_oracle_reads_one_rref():
     assert sorted(names & {"nullspace_basis", "index", "_row_value"}) == []
     assert "rref" in _names_in("oracle", "_reduced_system")
     assert sorted(_names_in("oracle", "dd_vertices") & {"dot", "mat_vec", "zip"}) == []
+
+
+def test_oracle_check_runs_on_integers():
+    # double description inserts each row on integer rays, so its per-row
+    # loop calls no linalg kernel, builds no Fraction and divides only
+    # exactly (by a gcd, with //); oracle-check tests its samples on integer
+    # rows, with no Fraction matrix-vector product
+    from barypoly import linalg
+
+    kernels = {name for name, obj in vars(linalg).items()
+               if inspect.isfunction(obj) and obj.__module__ == linalg.__name__}
+    loop, = [node for node in _function("oracle", "_dd_reduced").body
+             if isinstance(node, ast.For)]
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(loop) if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "dot" in kernels
+    assert sorted(names & (kernels | {"linalg", "Fraction"})) == []
+    assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                   for node in ast.walk(loop))
+    assert "integer_rows" in _names_in("cli", "run_oracle_check")
+    assert "mat_vec" not in _identifiers(Path(barypoly.__file__).parent / "cli.py")
+
+
+def test_floats_add_left_to_right():
+    # sum of floats rounds differently from Python 3.12 on and math.fsum
+    # raises past the float range: the probes and the seeded polytope
+    # generator add floats with linalg.float_sum only
+    probes = _identifiers(Path(barypoly.__file__).parent / "probes.py")
+    assert sorted(probes & {"sum", "fsum"}) == []
+    assert "float_sum" in probes
+    assert "float_sum" in _names_in("oracle", "random_polytope")

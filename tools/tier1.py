@@ -7,7 +7,9 @@ repository root with ``src`` on PYTHONPATH, writing a JUnit XML report.
 Exits 0 only when the failures are exactly the two acceptance criteria that
 fail on purpose (the classical n-d vertex count and Hausdorff settling of
 quotient sets are false, see README) and nothing errors; otherwise prints
-the counts and the unexpected names, and exits 1.
+the counts and the unexpected names, and exits 1.  After the counts it prints
+the suite's wall time and its three slowest tests, read off the report's
+``time`` attributes.
 """
 
 import os
@@ -50,6 +52,17 @@ def outcomes(xml_path) -> dict:
     return found
 
 
+def timings(xml_path, slowest=3) -> tuple:
+    """(suite seconds, [(seconds, test id)] of the slowest tests, slowest
+    first) from a JUnit report."""
+    root = ET.parse(xml_path).getroot()
+    cases = sorted(((float(case.get("time", 0)),
+                     f"{case.get('classname')}::{case.get('name')}")
+                    for case in root.iter("testcase")), reverse=True)
+    return (sum(float(suite.get("time", 0)) for suite in root.iter("testsuite")),
+            cases[:slowest])
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         xml_path = Path(tmp) / "tier1.xml"
@@ -58,7 +71,11 @@ def main() -> int:
             print("tier1: pytest wrote no report")
             return 1
         found = outcomes(xml_path)
+        wall, slowest = timings(xml_path)
     print("tier1: " + ", ".join(f"{len(v)} {k}" for k, v in found.items()))
+    print(f"tier1: wall time {wall:.1f} s")
+    for seconds, name in slowest:
+        print(f"tier1: slow {seconds:.2f} s {name}")
     unexpected = sorted(set(found["failed"]) - EXPECTED_FAILURES)
     missing = sorted(EXPECTED_FAILURES - set(found["failed"]))
     for name in unexpected:
