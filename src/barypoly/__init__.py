@@ -23,7 +23,7 @@ from .coordinates import (
     simplicial_coords,
 )
 from .fixtures import fixture_names, get_fixture
-from .linalg import affine_dim, nullspace_basis, rank, solve_linear
+from .linalg import affine_dim, nullspace_basis, rank
 from .oracle import OracleResult, dd_vertices, random_feasible_sample
 from .polytope import (
     Location,
@@ -82,6 +82,5 @@ __all__ = [
     "selection_jacobian",
     "semidiff_probe",
     "simplicial_coords",
-    "solve_linear",
     "validate",
 ]

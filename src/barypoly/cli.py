@@ -60,9 +60,8 @@ def _parse_vector(text, d, what):
 
 
 def _analysis_report(p: Polytope, point) -> tuple:
-    """(report, None) at an inside point, else (None, locate's separator).
-    The point is interior iff Lambda(p) holds a lam > 0, that is iff the
-    supports of Lambda(p)'s vertices cover 1..n."""
+    """(report, None) at an inside point, else (None, locate's separator);
+    Interior or Boundary is read off Lambda(p)'s vertices (``is_interior``)."""
     try:
         tau = co.feasible_tau(p, point)
     except InfeasibleError:
@@ -79,8 +78,7 @@ def _analysis_report(p: Polytope, point) -> tuple:
         polytope_dim=p.d,
         polytope_vertices=p.vertices,
         point=tuple(point),
-        location=("Interior" if len(frozenset().union(*lam.vertex_supports)) == p.n
-                  else "Boundary"),
+        location="Interior" if co.is_interior(lam.vertex_arrays()) else "Boundary",
         tau=tau.lam,
         nbasis=gam.nbasis,
         lambda_vertices=tuple(entries),
@@ -183,32 +181,32 @@ def _pick_selection(p, point):
 
 def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
               h=None, workers=1) -> int:
-    p = load_polytope(path)
+    # flags that need no polytope are checked before the file is read
     if (grid is None) == (points_file is None):
         raise ParseError("exactly one of --grid or --points is required")
     if grid is not None and grid < 1:
         raise ParseError(f"--grid must be >= 1, got {grid}")
     if workers < 1:
         raise ParseError(f"--workers must be >= 1, got {workers}")
-    if grid is not None and grid ** p.d > MAX_GRID_POINTS:
-        raise ParseError(f"--grid {grid} gives {grid}^{p.d} points, more than "
-                         f"the limit of {MAX_GRID_POINTS}")
-    pts = _grid_points(p, grid) if grid is not None else _load_points(points_file, p.d)
     try:
         t0_frac = fr(t0)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad --t0 {t0!r}: {exc}") from exc
-    hvec = None
-    if mode in ("continuity", "semidiff"):
-        if h is None:
-            raise ParseError(f"--h is required for mode {mode}")
-        if not probes._float_steps(t0_frac, steps):
-            raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 and "
-                             "--t0/2^(steps-1) in [float min, float max]")
-        hvec = _parse_vector(h, p.d, "direction")
+    probe = mode in ("continuity", "semidiff")
+    if probe and h is None:
+        raise ParseError(f"--h is required for mode {mode}")
+    if probe and not probes._float_steps(t0_frac, steps):
+        raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 and "
+                         "--t0/2^(steps-1) in [float min, float max]")
+    p = load_polytope(path)
+    if grid is not None and grid ** p.d > MAX_GRID_POINTS:
+        raise ParseError(f"--grid {grid} gives {grid}^{p.d} points, more than "
+                         f"the limit of {MAX_GRID_POINTS}")
+    pts = _grid_points(p, grid) if grid is not None else _load_points(points_file, p.d)
+    hvec = _parse_vector(h, p.d, "direction") if probe else None
     header = [f"p{i + 1}" for i in range(p.d)]
     header += ["vertex_count", "dim", "theorem_count_match"]
-    if mode in ("continuity", "semidiff"):
+    if probe:
         header += [f"dist_{k}" for k in range(steps)]
     header.append("error")
     print(",".join(header), flush=True)

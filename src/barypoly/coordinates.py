@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import index, mul
 
 from . import linalg
 from .errors import (
@@ -181,11 +181,14 @@ def _evaluate(rows, point):
 
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
-    """The coordinates of ``point`` with ``zero_set`` (n-d-1 entries in 1..n)
-    forced to zero, read off row ``zero_set`` of the pattern table; raises
-    SingularPatternError when the complementary columns are affinely dependent.
-    """
-    zeros = set(zero_set)
+    """The coordinates of ``point`` with ``zero_set`` (n-d-1 integers in 1..n,
+    else ValueError) forced to zero, read off row ``zero_set`` of the pattern
+    table; SingularPatternError when the complementary columns are affinely
+    dependent."""
+    try:
+        zeros = frozenset(map(index, zero_set))
+    except TypeError as exc:
+        raise ValueError(f"zero set entries must be integers: {exc}") from exc
     if not all(1 <= j <= p.n for j in zeros):
         raise ValueError(f"zero set entries must lie in 1..{p.n}")
     if len(zeros) != p.kernel_dim():
@@ -194,10 +197,10 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     row = _table(p).get(tuple(sorted(zeros)))
     if row is None:
         raise SingularPatternError(
-            f"columns outside {sorted(zero_set)} are affinely dependent")
+            f"columns outside {sorted(zeros)} are affinely dependent")
     (_, keep, xs, den), = _evaluate([row], linalg.vec(point))
     sigma = _sigma(p.n, keep, xs, den)
-    return SimplicialCoordinate(zero_set=frozenset(zero_set), sigma=sigma,
+    return SimplicialCoordinate(zero_set=zeros, sigma=sigma,
                                 feasible=all(x >= 0 for x in sigma))
 
 
@@ -219,6 +222,11 @@ def _vertices_at(p: Polytope, point) -> list:
         key = (den // g, *((j, x // g) for j, x in zip(keep, xs) if x))
         distinct.setdefault(key, (keep, xs, den))
     return sorted(_sigma(p.n, *row) for row in distinct.values())
+
+
+def is_interior(vertices) -> bool:
+    """Interior iff Lambda holds a lam > 0: iff its vertices' supports cover 1..n."""
+    return all(map(any, zip(*vertices)))
 
 
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:

@@ -4,11 +4,11 @@ All combinatorial computations in this package run over ``fractions.Fraction``
 (arbitrary-precision rationals); floating point only appears in the probe
 layer and the seeded polytope generator, which add floats with ``float_sum``.
 Matrices are plain lists of row lists, vectors plain sequences.
-``rref`` is the one Fraction elimination: rank, kernel basis and every solve
-read their result off the reduced row-echelon form, which is unique, so the
-choice of pivot row changes no output.  ``bareiss`` is the integer
-(fraction-free) kernel for systems scaled to integers by ``integer_rows``;
-its row update ``bareiss_row`` is also the simplex pivot.
+``rref`` is the one Fraction elimination: rank, the kernel basis and the
+oracle's tau read their result off the reduced row-echelon form, which is
+unique, so the choice of pivot row changes no output.  ``bareiss`` is the
+integer (fraction-free) kernel for systems scaled to integers by
+``integer_rows``; its row update ``bareiss_row`` is also the simplex pivot.
 """
 
 import math
@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DigitLimitError, EmptyInputError, SingularMatrixError
+from .errors import DigitLimitError, EmptyInputError
 
 MAX_EXPONENT = 4300  # fr's largest |decimal exponent|, as Python's int digits
 _EXPONENT = re.compile(r"[eE][-+]?(\d+)\s*\Z")
@@ -113,20 +113,6 @@ def rank(a: Mat) -> int:
         return 0
     _, pivots = rref(a)
     return len(pivots)
-
-
-def solve_linear(a: Mat, b: Vec) -> list:
-    """Solve the square system a·x = b exactly.
-
-    Raises SingularMatrixError when rank(a) < len(a).
-    """
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise SingularMatrixError("solve_linear expects a square system")
-    rows, pivots = rref([list(row) + [bb] for row, bb in zip(a, b)])
-    if pivots[:n] != list(range(n)):
-        raise SingularMatrixError(f"matrix is singular (rank < {n})")
-    return [row[n] for row in rows]
 
 
 def integer_rows(a: Mat) -> tuple:

@@ -8,8 +8,9 @@ the reduced space R^(n-d-1), converting the inequality description
 the unit vectors; insertion starts at a k-simplex that contains the reduced
 polytope by construction, and each vertex lam = tau + N c is carried as its
 primitive integer ray (a, D), lam = a / D, until the sorted output.  For
-kernel dimension <= 2 a direct active-set scan over tight rows provides a
-second independent path and the two must agree.
+kernel dimension <= 2 an active-set scan provides a second independent path,
+reading each subset's tight point off integer cross products of the same
+rows with no elimination, and the two must agree.
 """
 
 import math
@@ -26,7 +27,6 @@ from .errors import (
     InfeasibleError,
     InternalError,
     OracleMismatchError,
-    SingularMatrixError,
 )
 from .polytope import Polytope, validate
 
@@ -125,19 +125,27 @@ def _dd_reduced(tau, nbasis_rows, free):
 
 
 def _scan_reduced(tau, nbasis_rows, k):
-    """Active-set scan over k-subsets of tight rows (independent path, k <= 2):
-    each solution c of N_S c = -tau_S with lam = tau + N c >= 0."""
-    out = set()
-    for subset in combinations(range(len(tau)), k):
-        try:
-            c = linalg.solve_linear([nbasis_rows[i] for i in subset],
-                                    [-tau[i] for i in subset])
-        except SingularMatrixError:
-            continue
-        lam = tuple(t + linalg.dot(row, c) for t, row in zip(tau, nbasis_rows))
-        if all(x >= 0 for x in lam):
-            out.add(lam)
-    return sorted(out)
+    """Active-set scan over k-subsets of tight rows (independent path, k <= 2).
+
+    With rows g_i = L (N_i, tau_i) scaled to integers, a subset's rows are
+    tight at x ~ (c, 1): x = (1), (g_i1, -g_i0) or g_i x g_j for k = 0, 1, 2,
+    where lam_r = g_r.x / (L x_k) and x_k = 0 marks a singular subset.  Each
+    lam >= 0 is kept as its primitive integer ray until the sorted output.
+    """
+    scale, rows = linalg.integer_rows([[*row, t] for row, t in zip(nbasis_rows, tau)])
+    rays = set()
+    for subset in combinations(rows, k):
+        if k < 2:
+            x = (subset[0][1], -subset[0][0]) if k else (1,)
+        else:
+            (a0, a1, a2), (b0, b1, b2) = subset
+            x = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        den = scale * x[-1]
+        vals = [sum(map(operator.mul, g, x)) for g in rows]
+        if den and all(v * den >= 0 for v in vals):
+            common = math.gcd(den, *vals) if den > 0 else -math.gcd(den, *vals)
+            rays.add((den // common, *(v // common for v in vals)))
+    return sorted(tuple(Fraction(v, den) for v in vals) for den, *vals in rays)
 
 
 def dd_vertices(p: Polytope, point) -> OracleResult:

@@ -339,8 +339,7 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     and quotient-set diameters that more than double from a nonzero start.
     """
     pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
-    # interior iff the vertex supports of Lambda(p) cover 1..n
-    if len({j for lam in base for j, x in enumerate(lam) if x}) < p.n:
+    if not co.is_interior(base):
         raise LeavesPolytopeError("basepoint must be interior")
     sigma = co.simplicial_coords(p, pt, zero_set).sigma
     moved = co.simplicial_coords(p, [a + b for a, b in zip(pt, hv)], zero_set).sigma

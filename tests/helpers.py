@@ -20,6 +20,20 @@ def random_square_matrix(rng, n, den=12):
             for _ in range(n)]
 
 
+def solve_linear(a, b) -> list:
+    """Solve the square system a·x = b exactly.
+
+    Raises SingularMatrixError when rank(a) < len(a).
+    """
+    n = len(a)
+    if any(len(row) != n for row in a) or len(b) != n:
+        raise SingularMatrixError("solve_linear expects a square system")
+    rows, pivots = linalg.rref([list(row) + [bb] for row, bb in zip(a, b)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrixError(f"matrix is singular (rank < {n})")
+    return [row[n] for row in rows]
+
+
 def triangle_solve(va, vb, vc, q):
     """Exact barycentric coordinates of q in the triangle (va, vb, vc)."""
     rows = [
@@ -27,7 +41,7 @@ def triangle_solve(va, vb, vc, q):
         [va[1], vb[1], vc[1]],
         [Fraction(1)] * 3,
     ]
-    return linalg.solve_linear(rows, [q[0], q[1], Fraction(1)])
+    return solve_linear(rows, [q[0], q[1], Fraction(1)])
 
 
 def triangle_contains_strict(va, vb, vc, q):
@@ -82,7 +96,7 @@ def brute_force_vertices(p: Polytope, point):
         rows = [[p.vertices[j][l] for j in keep] for l in range(p.d)]
         rows.append([Fraction(1)] * len(keep))
         try:
-            sol = linalg.solve_linear(rows, list(point) + [Fraction(1)])
+            sol = solve_linear(rows, list(point) + [Fraction(1)])
         except SingularMatrixError:
             continue
         if all(x >= 0 for x in sol):
@@ -175,6 +189,23 @@ def reference_dd_reduced(tau, nbasis_rows, free):
         verts = list(merged)
         act = [merged[v] for v in verts]
     return sorted(verts)
+
+
+def reference_scan_reduced(tau, nbasis_rows, k):
+    """Active-set scan over k-subsets of tight rows (independent path, k <= 2):
+    each solution c of N_S c = -tau_S with lam = tau + N c >= 0."""
+    from itertools import combinations
+    out = set()
+    for subset in combinations(range(len(tau)), k):
+        try:
+            c = solve_linear([nbasis_rows[i] for i in subset],
+                             [-tau[i] for i in subset])
+        except SingularMatrixError:
+            continue
+        lam = tuple(t + linalg.dot(row, c) for t, row in zip(tau, nbasis_rows))
+        if all(x >= 0 for x in lam):
+            out.add(lam)
+    return sorted(out)
 
 
 class _FractionTableau:
@@ -274,7 +305,7 @@ def min_norm_sq_reference(points, x) -> Fraction:
             rows = [[linalg.dot(a, b) for b in sub] + [Fraction(1)] for a in sub]
             rows.append([Fraction(1)] * k + [Fraction(0)])
             try:
-                w = linalg.solve_linear(rows, [Fraction(0)] * k + [Fraction(1)])[:k]
+                w = solve_linear(rows, [Fraction(0)] * k + [Fraction(1)])[:k]
             except SingularMatrixError:
                 continue
             if min(w) < 0:

@@ -682,6 +682,38 @@ def test_main_builds_no_parser(square_file, capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("options, detail", [
+    (["--mode", "census"], "exactly one of --grid or --points is required"),
+    (["--mode", "census", "--grid", "0"], "--grid must be >= 1, got 0"),
+    (["--mode", "census", "--grid", "2", "--workers", "0"],
+     "--workers must be >= 1, got 0"),
+    (["--mode", "census", "--grid", "2", "--t0", "abc"],
+     "bad --t0 'abc': Invalid literal for Fraction: 'abc'"),
+    (["--mode", "continuity", "--grid", "2"], "--h is required for mode continuity"),
+    (["--mode", "semidiff", "--grid", "2", "--h", "1,0", "--steps", "2"],
+     "mode semidiff needs --t0 > 0, --steps >= 3, and --t0 and "
+     "--t0/2^(steps-1) in [float min, float max]"),
+], ids=["grid-xor-points", "grid-zero", "workers", "t0", "h", "steps"])
+def test_sweep_checks_flags_before_reading_the_file(tmp_path, capsys, monkeypatch,
+                                                    options, detail):
+    # a flag that needs no polytope is checked first: a bad flag on an
+    # invalid file reports the flag, and the file is never read
+    from barypoly import cli
+
+    f = tmp_path / "flat.json"
+    f.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}))
+
+    def load(path):
+        raise AssertionError("read the polytope file before checking the flags")
+
+    monkeypatch.setattr(cli, "load_polytope", load)
+    code, out = run(capsys, "sweep", str(f), *options)
+    assert (code, json.loads(out)) == (1, {"error": "ParseError", "detail": detail})
+    monkeypatch.undo()
+    code, out = run(capsys, "sweep", str(f), "--mode", "census", "--grid", "2")
+    assert (code, json.loads(out)["error"]) == (1, "RankDeficient")
+
+
 def test_sweep_grid_is_bounded(tmp_path, capsys, monkeypatch):
     # --grid 100 on prism8 asks for 100^3 = 10^6 points: a ParseError naming
     # the count and the limit before any point is built, not a silent hang

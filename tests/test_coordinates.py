@@ -10,6 +10,7 @@ from barypoly.coordinates import (
     circular_windows,
     feasible_tau,
     gamma_polytope,
+    is_interior,
     lambda_vertices,
     nullbasis,
     segment_interval,
@@ -33,6 +34,7 @@ from helpers import (
     mat_mul,
     pentagon_edge_region_point,
     reference_gamma_polytope,
+    solve_linear,
 )
 
 F = Fraction
@@ -124,6 +126,26 @@ def test_simplicial_coords_bad_zero_set(square):
         simplicial_coords(square, CENTER, {1, 2})
     with pytest.raises(ValueError):
         simplicial_coords(square, CENTER, {9})
+
+
+@pytest.mark.parametrize("zero_set", [[F(3, 2)], [1.5], ["1"], [2.0]],
+                         ids=["fraction", "float", "string", "integral-float"])
+def test_simplicial_coords_non_integer_zero_set(square, zero_set):
+    # an entry that is not an integer is a malformed zero set, as an entry out
+    # of range is: ValueError, not a singular pattern or a TypeError, and 2.0
+    # is refused although it equals the valid entry 2
+    with pytest.raises(ValueError, match="zero set entries must be integers"):
+        simplicial_coords(square, CENTER, zero_set)
+
+
+def test_is_interior_reads_the_vertex_supports(square, prism8):
+    # interior iff the supports of Lambda's vertices cover 1..n
+    for p, q, inside in ((square, CENTER, True),
+                         (square, (F(1, 2), F(0)), False),
+                         (square, (F(0), F(0)), False),
+                         (prism8, (F(1, 2),) * 3, True),
+                         (prism8, (F(0), F(1, 3), F(1, 2)), False)):
+        assert is_interior(lambda_vertices(p, q).vertex_arrays()) is inside
 
 
 def test_lambda_vertices_square_center(square):
@@ -313,7 +335,7 @@ def test_tau_independence_fixtures(square, pentagon, pyramid):
         nt = [list(col) for col in zip(*nb)]
         gram = mat_mul(nt, nb)
         diff = [a - b for a, b in zip(tau.lam, tau2.lam)]
-        shift = linalg.solve_linear(gram, linalg.mat_vec(nt, diff))
+        shift = solve_linear(gram, linalg.mat_vec(nt, diff))
         assert linalg.mat_vec(nb, shift) == diff
         translated = {tuple(a + s for a, s in zip(c, shift)) for c in g1.vertices}
         assert translated == set(g2.vertices)

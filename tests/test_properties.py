@@ -18,7 +18,9 @@ of those vertex lists, and so with ``analyze``'s location, which reads them,
 and the double-description oracle must give the same vertex lists and refuse
 the same outside points.  The oracle's integer rays must give the list of
 ``helpers.reference_dd_reduced``, the same insertion over Fractions, for
-d = 2, 3 and 4.
+d = 2, 3 and 4, and its k <= 2 scan on integer cross products must give the
+list of ``helpers.reference_scan_reduced``, which solves each subset over
+Fractions, from either basepoint tau.
 """
 
 from fractions import Fraction
@@ -54,6 +56,7 @@ from barypoly.fixtures import get_fixture
 from barypoly.oracle import (
     _dd_reduced,
     _reduced_system,
+    _scan_reduced,
     dd_vertices,
     random_feasible_sample,
     random_polytope,
@@ -65,6 +68,7 @@ from helpers import (
     reference_dd_reduced,
     reference_gamma_polytope,
     reference_patterns,
+    reference_scan_reduced,
 )
 
 F = Fraction
@@ -462,6 +466,37 @@ def test_dd_matches_the_fraction_reference(p, data):
         tau, nb, free = _reduced_system(p, q)
         assert _dd_reduced(tau, nb, free) == reference_dd_reduced(tau, nb, free)
     assert _dd_reduced(*_reduced_system(p, points[-1])) == []
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3, 4)), st.data())
+def test_scan_matches_the_fraction_reference(d, data):
+    # kernel dimension k = 0, 1 or 2: the integer scan gives the Fraction
+    # scan's list from the RREF's tau and from feasible_tau's, at interior
+    # points, vertices, vertex-pair midpoints, chamber-wall points, points
+    # with ~2^64 denominators, and outside points (empty)
+    k = data.draw(st.integers(0, 2))
+    p = random_polytope(d, d + 1 + k, seed=data.draw(st.integers(0, 10**6)))
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    big = data.draw(st.lists(st.integers(BIG >> 1, BIG), min_size=p.n, max_size=p.n))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    idx = data.draw(st.lists(st.integers(0, p.n - 1), min_size=d, max_size=d,
+                             unique=True))
+    t = F(data.draw(st.integers(1, 64)), 64)
+    points = [_combination(p.vertices, weights),
+              p.vertices[i],
+              tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j])),
+              _combination([p.vertices[m] for m in idx], weights[:d]),
+              _combination(p.vertices, big)]
+    for q in points:
+        tau, nb, _ = _reduced_system(p, q)
+        for basepoint in (tau, feasible_tau(p, q).lam):
+            scan = _scan_reduced(basepoint, nb, k)
+            assert scan and scan == reference_scan_reduced(basepoint, nb, k)
+    out = tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
+    tau, nb, _ = _reduced_system(p, out)
+    assert _scan_reduced(tau, nb, k) == reference_scan_reduced(tau, nb, k) == []
 
 
 def test_oracle_agrees_with_scan_kernel_dim_11():

@@ -154,6 +154,15 @@ def test_analyze_locates_only_outside():
     assert calls_locate([func]) == 1
 
 
+def test_one_interior_rule():
+    # analyze's location and semidiff's basepoint test ask one function of
+    # coordinates whether Lambda's vertex supports cover 1..n
+    for module, function in (("cli", "_analysis_report"), ("probes", "semidiff_probe")):
+        names = _names_in(module, function)
+        assert "is_interior" in names
+        assert sorted(names & {"union", "enumerate"}) == []
+
+
 def test_cli_solves_no_lp():
     # oracle-check tests its samples exactly against [V; 1ᵀ]λ = [p; 1],
     # λ ≥ 0, so the front door imports nothing from the simplex
@@ -267,3 +276,21 @@ def test_floats_add_left_to_right():
     assert sorted(probes & {"sum", "fsum"}) == []
     assert "float_sum" in probes
     assert "float_sum" in _names_in("oracle", "random_polytope")
+
+
+def test_scan_runs_on_integer_cross_products():
+    # the oracle's k <= 2 cross-check reads each tight point off integer
+    # cross products of the scaled rows: no solve, no elimination, no
+    # exception to catch and only exact (//) division; linalg keeps no
+    # square solver, which only this scan called
+    from barypoly import linalg
+
+    func = _function("oracle", "_scan_reduced")
+    names = _names_in("oracle", "_scan_reduced")
+    assert "integer_rows" in names
+    assert sorted(names & {"solve_linear", "rref", "bareiss"}) == []
+    assert not any(isinstance(node, ast.Try) for node in ast.walk(func))
+    assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                   for node in ast.walk(func))
+    assert not hasattr(linalg, "solve_linear")
+    assert "solve_linear" not in barypoly.__all__

@@ -8,8 +8,9 @@ Exits 0 only when the failures are exactly the two acceptance criteria that
 fail on purpose (the classical n-d vertex count and Hausdorff settling of
 quotient sets are false, see README) and nothing errors; otherwise prints
 the counts and the unexpected names, and exits 1.  After the counts it prints
-the suite's wall time and its three slowest tests, read off the report's
-``time`` attributes.
+the suite's wall time, the line count of the package source under ``src/``
+and the suite's three slowest tests, read off the report's ``time``
+attributes.
 """
 
 import os
@@ -63,6 +64,12 @@ def timings(xml_path, slowest=3) -> tuple:
             cases[:slowest])
 
 
+def source_lines() -> int:
+    """Lines of the Python files under src/, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in sorted((ROOT / "src").rglob("*.py")))
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         xml_path = Path(tmp) / "tier1.xml"
@@ -74,6 +81,7 @@ def main() -> int:
         wall, slowest = timings(xml_path)
     print("tier1: " + ", ".join(f"{len(v)} {k}" for k, v in found.items()))
     print(f"tier1: wall time {wall:.1f} s")
+    print(f"tier1: src/ is {source_lines()} lines")
     for seconds, name in slowest:
         print(f"tier1: slow {seconds:.2f} s {name}")
     unexpected = sorted(set(found["failed"]) - EXPECTED_FAILURES)
