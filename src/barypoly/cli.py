@@ -23,7 +23,8 @@ from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismat
                      ParseError)
 from .fixtures import fixture_document, fixture_names
 from .linalg import fr, integer_rows, rational_str
-from .polytope import Polytope, load_polytope, locate, parse_coordinates, read_json
+from .polytope import (Polytope, load_polytope, locate, parse_coordinates,
+                       polytope_rows, read_json, validate)
 from .report import AnalysisReport, LambdaVertexEntry, format_float
 
 _SEED_ENV = "BARYPOLY_SEED"
@@ -155,9 +156,10 @@ def _sweep_row(p, mode, point, h, t0, steps):
             rep = probes.continuity_probe(p, point, h, t0=t0, steps=steps)
             cells += [format_float(s.distance) for s in rep.steps]
         elif mode == "semidiff":
+            # the witness distances alone: the row prints nothing else
             zero_set = _pick_selection(p, point)
-            rep = probes.semidiff_probe(p, point, zero_set, h, t0=t0, steps=steps)
-            cells += [format_float(s.distance) for s in rep.steps]
+            *_, witness, _ = probes._semidiff_witness(p, point, zero_set, h, t0, steps)
+            cells += [format_float(d) for d in witness]
     except BarypolyError as exc:
         error = exc.code
     cells += [""] * (width - len(cells))
@@ -198,13 +200,17 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
     if probe and not probes._float_steps(t0_frac, steps):
         raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 and "
                          "--t0/2^(steps-1) in [float min, float max]")
-    p = load_polytope(path)
-    if grid is not None and grid ** p.d > MAX_GRID_POINTS:
-        raise ParseError(f"--grid {grid} gives {grid}^{p.d} points, more than "
+    # the file's shape, then what needs only its d, then validation's phase ones
+    rows, d = polytope_rows(read_json(path))
+    if grid is not None and grid ** d > MAX_GRID_POINTS:
+        raise ParseError(f"--grid {grid} gives {grid}^{d} points, more than "
                          f"the limit of {MAX_GRID_POINTS}")
-    pts = _grid_points(p, grid) if grid is not None else _load_points(points_file, p.d)
-    hvec = _parse_vector(h, p.d, "direction") if probe else None
-    header = [f"p{i + 1}" for i in range(p.d)]
+    pts = _load_points(points_file, d) if grid is None else None
+    hvec = _parse_vector(h, d, "direction") if probe else None
+    p = validate(rows, d)
+    if pts is None:
+        pts = _grid_points(p, grid)
+    header = [f"p{i + 1}" for i in range(d)]
     header += ["vertex_count", "dim", "theorem_count_match"]
     if probe:
         header += [f"dist_{k}" for k in range(steps)]

@@ -136,7 +136,14 @@ def locate(p: Polytope, point: Sequence) -> PointLocation:
 
 
 def parse_polytope(doc) -> Polytope:
-    """Build a validated Polytope from a parsed JSON document.
+    """Build a validated Polytope from a parsed JSON document: its shape is
+    checked by ``polytope_rows``, its vertices by ``validate``."""
+    return validate(*polytope_rows(doc))
+
+
+def polytope_rows(doc) -> tuple:
+    """(rows, d) of a parsed JSON document, the d x n vertex matrix that
+    ``validate`` takes; shape errors are ParseErrors, and nothing is validated.
 
     Expected shape: {"dim": d, "vertices": [[x, ...], ...]} where each
     coordinate is a number (converted exactly from its decimal expansion) or a
@@ -153,8 +160,7 @@ def parse_polytope(doc) -> Polytope:
     if not isinstance(verts, list) or not verts:
         raise ParseError('"vertices" must be a nonempty list')
     cols = [parse_coordinates(v, d, f"vertex {i + 1}") for i, v in enumerate(verts)]
-    rows = [[col[l] for col in cols] for l in range(d)]
-    return validate(rows, d)
+    return [[col[l] for col in cols] for l in range(d)], d
 
 
 def parse_coordinates(row, d, what) -> tuple:

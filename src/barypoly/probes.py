@@ -10,6 +10,8 @@ norm point, whose minor cycles solve least squares by Householder QR.  It
 runs until it reaches the optimum or rounding stops its progress; the
 distance is converged when the Frank-Wolfe gap there is within a threshold,
 and an unconverged distance makes the verdict "Inconclusive".
+A semidiff sweep row runs only the semidiff probe's witness half
+(``_semidiff_witness``), without the consecutive-set Hausdorff series.
 """
 
 import itertools
@@ -320,6 +322,37 @@ def selection_jacobian(p: Polytope, zero_set) -> list:
     return [[float(x) for x in row] for row in _selection_jacobian_exact(p, zero_set)]
 
 
+def _quotients(xs, sigma, t) -> tuple:
+    """Floats of (x_i - sigma_i) / t, each the correctly rounded value of the
+    rational: with x = a/b, sigma = c/e and t = u/w (b, e, u, w > 0) it is
+    (a·e - c·b)·w / (b·e·u), an int true division, which rounds as
+    float(Fraction) does."""
+    u, w = t.numerator, t.denominator
+    return tuple((x.numerator * s.denominator - s.numerator * x.denominator) * w
+                 / (x.denominator * s.denominator * u) for x, s in zip(xs, sigma))
+
+
+def _semidiff_witness(p: Polytope, point, zero_set, h, t0, steps,
+                      distance_tol: float = 1e-9):
+    """The witness half of ``semidiff_probe``, which ``sweep --mode semidiff``
+    runs alone: (pt, h, t_k, S_k, d_k, all met), with S_k the quotient set
+    (Lambda(p + t_k h) - sigma_Z(p)) / t_k, built on integers, and d_k the
+    distance from J·h to it."""
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
+    if not co.is_interior(base):
+        raise LeavesPolytopeError("basepoint must be interior")
+    sigma = co.simplicial_coords(p, pt, zero_set).sigma
+    moved = co.simplicial_coords(p, [a + b for a, b in zip(pt, hv)], zero_set).sigma
+    if any(x < 0 for x in sigma):
+        raise InfeasibleSelectionError(
+            f"sigma with zero set {sorted(zero_set)} is infeasible at the basepoint")
+    v_float = _quotients(moved, sigma, 1)
+    quotient_sets = [FloatPolytope(tuple(_quotients(vert, sigma, t) for vert in lam), p.n)
+                     for t, lam in zip(ts, lams)]
+    status = [_point_distance_status(v_float, sk, distance_tol) for sk in quotient_sets]
+    return pt, hv, ts, quotient_sets, [d for d, _ in status], all(m for _, m in status)
+
+
 def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
                    steps: int = 8, tolerance: float = 1e-6,
                    distance_tol: float = 1e-9) -> ProbeReport:
@@ -334,31 +367,15 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
     coordinate polytope at p is not the single point sigma_Z(p)).  sigma_Z(p)
     and J·h = sigma_Z(p + h) - sigma_Z(p) come from ``simplicial_coords``, so a
     malformed zero set raises ValueError and a singular one SingularPatternError.
+    The witness distances are ``_semidiff_witness``'s, which a semidiff sweep
+    row prints without the rest; the consecutive-set series, the diameters
+    and the verdict are computed here only.
     The verdict is ``_report``'s rule: Converges needs the witness below
     ``tolerance`` and both tails nonincreasing, Diverges a failed witness test
     and quotient-set diameters that more than double from a nonzero start.
     """
-    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
-    if not co.is_interior(base):
-        raise LeavesPolytopeError("basepoint must be interior")
-    sigma = co.simplicial_coords(p, pt, zero_set).sigma
-    moved = co.simplicial_coords(p, [a + b for a, b in zip(pt, hv)], zero_set).sigma
-    jh = [x - y for x, y in zip(moved, sigma)]
-    if any(x < 0 for x in sigma):
-        raise InfeasibleSelectionError(
-            f"sigma with zero set {sorted(zero_set)} is infeasible at the basepoint")
-    v_float = tuple(float(x) for x in jh)
-    quotient_sets = []
-    witness = []
-    all_met = True
-    for t, lam in zip(ts, lams):
-        sk = FloatPolytope.from_exact([tuple((m - s) / t
-                                             for m, s in zip(vert, sigma))
-                                       for vert in lam])
-        quotient_sets.append(sk)
-        d, met = _point_distance_status(v_float, sk, distance_tol)
-        all_met = all_met and met
-        witness.append(d)
+    pt, hv, ts, quotient_sets, witness, all_met = _semidiff_witness(
+        p, point, zero_set, h, t0, steps, distance_tol)
     pair = []
     for a, b in zip(quotient_sets, quotient_sets[1:]):
         d, met = _hausdorff_status(a, b, distance_tol)

@@ -1,11 +1,28 @@
 """Shared test utilities: independent mini-oracles and samplers."""
 
+import math
 import random
 from fractions import Fraction
 
+from barypoly import coordinates as co
 from barypoly import linalg
 from barypoly.coordinates import GammaPolytope
-from barypoly.errors import InconsistentInputsError, SingularMatrixError
+from barypoly.errors import (
+    InconsistentInputsError,
+    InfeasibleSelectionError,
+    LeavesPolytopeError,
+    SingularMatrixError,
+)
+from barypoly.probes import (
+    FloatPolytope,
+    ProbeReport,
+    ProbeStep,
+    _hausdorff_status,
+    _point_distance_status,
+    _probe_samples,
+    _report,
+    _tail_nonincreasing,
+)
 from barypoly.simplex import LPResult
 from barypoly.polytope import Polytope
 
@@ -315,3 +332,63 @@ def min_norm_sq_reference(points, x) -> Fraction:
             if best is None or sq < best:
                 best = sq
     return best
+
+
+def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
+                             steps: int = 8, tolerance: float = 1e-6,
+                             distance_tol: float = 1e-9) -> ProbeReport:
+    """``probes.semidiff_probe`` as it was before the witness loop became
+    ``probes._semidiff_witness`` and the quotient sets were built on
+    integers: the reference its reports must equal.
+
+    Difference-quotient sets S_k = (Lambda(p + t_k h) - sigma_Z(p)) / t_k.
+
+    Reports, per step, the distance of the candidate limit direction
+    v = J·h to S_k (``distance``) and the Hausdorff distance between
+    consecutive quotient sets (``ratio``; NaN at the last step).  The witness
+    distance must vanish when the map is semidifferentiable at the selection;
+    the consecutive-set series indicates whether the quotient sets themselves
+    settle, which is not implied (they grow without bound whenever the
+    coordinate polytope at p is not the single point sigma_Z(p)).  sigma_Z(p)
+    and J·h = sigma_Z(p + h) - sigma_Z(p) come from ``simplicial_coords``, so a
+    malformed zero set raises ValueError and a singular one SingularPatternError.
+    The verdict is ``_report``'s rule: Converges needs the witness below
+    ``tolerance`` and both tails nonincreasing, Diverges a failed witness test
+    and quotient-set diameters that more than double from a nonzero start.
+    """
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
+    if not co.is_interior(base):
+        raise LeavesPolytopeError("basepoint must be interior")
+    sigma = co.simplicial_coords(p, pt, zero_set).sigma
+    moved = co.simplicial_coords(p, [a + b for a, b in zip(pt, hv)], zero_set).sigma
+    jh = [x - y for x, y in zip(moved, sigma)]
+    if any(x < 0 for x in sigma):
+        raise InfeasibleSelectionError(
+            f"sigma with zero set {sorted(zero_set)} is infeasible at the basepoint")
+    v_float = tuple(float(x) for x in jh)
+    quotient_sets = []
+    witness = []
+    all_met = True
+    for t, lam in zip(ts, lams):
+        sk = FloatPolytope.from_exact([tuple((m - s) / t
+                                             for m, s in zip(vert, sigma))
+                                       for vert in lam])
+        quotient_sets.append(sk)
+        d, met = _point_distance_status(v_float, sk, distance_tol)
+        all_met = all_met and met
+        witness.append(d)
+    pair = []
+    for a, b in zip(quotient_sets, quotient_sets[1:]):
+        d, met = _hausdorff_status(a, b, distance_tol)
+        all_met = all_met and met
+        pair.append(d)
+    steps_out = [ProbeStep(t=float(t), distance=w, ratio=r)
+                 for t, w, r in zip(ts, witness, pair + [math.nan])]
+    diameters = [s.diameter() for s in quotient_sets]
+    witness_ok = witness[-1] < tolerance and _tail_nonincreasing(witness)
+    return _report(steps_out, tolerance, all_met,
+                   converges=witness_ok and _tail_nonincreasing(pair),
+                   diverges=not witness_ok and diameters[-1] > 2.0 * diameters[0] > 0.0,
+                   basepoint=pt, direction=hv, zero_set=sorted(zero_set),
+                   diameters=diameters, pairwise_hausdorff=pair,
+                   distance_tol=distance_tol)

@@ -703,13 +703,53 @@ def test_sweep_checks_flags_before_reading_the_file(tmp_path, capsys, monkeypatc
     f = tmp_path / "flat.json"
     f.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}))
 
-    def load(path):
+    def read(path):
         raise AssertionError("read the polytope file before checking the flags")
 
-    monkeypatch.setattr(cli, "load_polytope", load)
+    monkeypatch.setattr(cli, "read_json", read)
     code, out = run(capsys, "sweep", str(f), *options)
     assert (code, json.loads(out)) == (1, {"error": "ParseError", "detail": detail})
     monkeypatch.undo()
+    code, out = run(capsys, "sweep", str(f), "--mode", "census", "--grid", "2")
+    assert (code, json.loads(out)["error"]) == (1, "RankDeficient")
+
+
+@pytest.mark.parametrize("options, detail", [
+    (["--mode", "census", "--grid", "400"],
+     "--grid 400 gives 400^2 points, more than the limit of 100000"),
+    (["--mode", "census", "--points", "{bad}"], "points file must hold a list of points"),
+    (["--mode", "census", "--points", "{missing}"],
+     "cannot read {missing}: [Errno 2] No such file or directory: '{missing}'"),
+    (["--mode", "semidiff", "--grid", "2", "--h", "1"],
+     "direction must have 2 coordinates"),
+], ids=["grid-bound", "points-shape", "points-missing", "h-length"])
+def test_sweep_checks_what_needs_only_d_before_validating(tmp_path, capsys, monkeypatch,
+                                                          options, detail):
+    # the grid bound, the points file and --h need only the file's dim: they
+    # are checked after its shape and before validation's n phase ones, so a
+    # bad one on an invalid polytope reports the flag
+    from barypoly import cli
+
+    f = tmp_path / "flat.json"
+    f.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}))
+    bad, missing = tmp_path / "bad.json", tmp_path / "missing.json"
+    bad.write_text(json.dumps({"x": 1}))
+    options = [x.format(bad=bad, missing=missing) for x in options]
+
+    def validate(rows, d):
+        raise AssertionError("validated the polytope before the checks that need d")
+
+    monkeypatch.setattr(cli, "validate", validate)
+    code, out = run(capsys, "sweep", str(f), *options)
+    assert (code, json.loads(out)) == (1, {"error": "ParseError",
+                                           "detail": detail.format(missing=missing)})
+    # the file's own shape errors still come first
+    f.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1]]}))
+    code, out = run(capsys, "sweep", str(f), *options)
+    assert (code, json.loads(out)) == (1, {
+        "error": "ParseError", "detail": "vertex 2 must be a list of 2 coordinates"})
+    monkeypatch.undo()
+    f.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 1], [2, 2]]}))
     code, out = run(capsys, "sweep", str(f), "--mode", "census", "--grid", "2")
     assert (code, json.loads(out)["error"]) == (1, "RankDeficient")
 

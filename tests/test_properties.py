@@ -20,9 +20,13 @@ the same outside points.  The oracle's integer rays must give the list of
 ``helpers.reference_dd_reduced``, the same insertion over Fractions, for
 d = 2, 3 and 4, and its k <= 2 scan on integer cross products must give the
 list of ``helpers.reference_scan_reduced``, which solves each subset over
-Fractions, from either basepoint tau.
+Fractions, from either basepoint tau.  ``semidiff_probe``, which runs the
+witness half the sweep runs and builds its quotient sets on integers, must
+give ``helpers.reference_semidiff_probe``'s report, and a semidiff sweep row
+the row formatted from that report's witness distances.
 """
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -31,7 +35,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from barypoly import linalg
-from barypoly.cli import _analysis_report
+from barypoly.cli import _analysis_report, _census_cells, _pick_selection, _sweep_row
 from barypoly.coordinates import (
     BarycentricVector,
     _evaluate,
@@ -48,6 +52,7 @@ from barypoly.coordinates import (
     simplicial_coords,
 )
 from barypoly.errors import (
+    BarypolyError,
     InconsistentInputsError,
     InfeasibleError,
     SingularPatternError,
@@ -62,13 +67,20 @@ from barypoly.oracle import (
     random_polytope,
 )
 from barypoly.polytope import Location, locate, validate
-from barypoly.probes import _selection_jacobian_exact
+from barypoly.probes import (
+    ProbeReport,
+    ProbeStep,
+    _selection_jacobian_exact,
+    semidiff_probe,
+)
+from barypoly.report import format_float
 from helpers import (
     brute_force_vertices,
     reference_dd_reduced,
     reference_gamma_polytope,
     reference_patterns,
     reference_scan_reduced,
+    reference_semidiff_probe,
 )
 
 F = Fraction
@@ -507,3 +519,132 @@ def test_oracle_agrees_with_scan_kernel_dim_11():
         lam = lambda_vertices(p, q)
         assert len(lam.vertices) > 1
         assert dd_vertices(p, q).vertices == tuple(v.lam for v in lam.vertices)
+
+
+def _comparable(x):
+    """Reports, steps and their containers as nested values with NaN read as
+    the string "nan", so that == compares NaN as NaN."""
+    if isinstance(x, float) and math.isnan(x):
+        return "nan"
+    if isinstance(x, (ProbeReport, ProbeStep)):
+        return type(x).__name__, _comparable(vars(x))
+    if isinstance(x, dict):
+        return [(k, _comparable(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return type(x)(map(_comparable, x))
+    return x
+
+
+def _outcome(probe, *args, **kwargs):
+    """The probe's report, made comparable, or the type and text it raised."""
+    try:
+        return _comparable(probe(*args, **kwargs))
+    except (BarypolyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_row(p, point, h, t0, steps):
+    """A semidiff sweep row formatted from the reference probe's witness
+    distances, as the sweep formatted it before the witness function."""
+    prefix = ",".join([linalg.rational_str(x) for x in point] + _census_cells(p, point))
+    try:
+        rep = reference_semidiff_probe(p, point, _pick_selection(p, point), h,
+                                       t0=t0, steps=steps)
+    except BarypolyError as exc:
+        return prefix + "," * (steps + 1) + exc.code
+    return ",".join([prefix, *(format_float(s.distance) for s in rep.steps), ""])
+
+
+FIXTURES = ("square", "pentagon", "pyramid", "prism8")
+# the test_cli rows with t0 = 5e-155 and with h = (1e-4300, 0), and rows
+# whose witness distances are nonzero (the pentagon and prism8 rows are the
+# CI workflow's)
+SEMIDIFF_ROWS = [
+    ("square", (F(1, 3), F(2, 3)), (F(1), F(0)), F("5e-155"), 3),
+    ("square", (F(2, 3), F(1, 3)), (F(1), F(0)), F("5e-155"), 3),
+    ("square", (F(1, 3), F(1, 2)), (F("1e-4300"), F(0)), F(1, 8), 8),
+    ("square", (F(1, 2), F(1, 2)), (F(-7, 32), F(5, 32)), F(1, 2), 4),
+    ("pentagon", (F(-121, 9000), F(776, 3375)), (F(-1, 32), F(7, 32)), F(1, 2), 5),
+    ("pentagon", (F(-951, 5000), F(309, 1000)), (F(-1, 32), F(7, 32)), F(1, 2), 5),
+    ("prism8", (F(5, 8), F(5, 8), F(9, 20)), (F(3, 16), F(-3, 16), F(-1, 8)), F(1, 2), 5),
+]
+SEMIDIFF_BASEPOINTS = ["interior", "wall", "midpoint", "big"]
+
+
+@st.composite
+def semidiff_cases(draw):
+    """(p, point, h, t0, steps) on a fixture or a seeded d = 2 or 3 polytope:
+    interior points, chamber-wall points (a positive combination of d
+    vertices, on a wall or the boundary), vertex-pair midpoints (inside or on
+    an edge) and points with ~2^64 denominators, with steps from 1/2 (where
+    many rays cross a wall and the witness distance is nonzero) down to
+    5e-155, and directions down to 1e-4300."""
+    p = draw(st.one_of(st.sampled_from(FIXTURES).map(get_fixture),
+                       polytopes(max_n=8)))
+    kind = draw(st.sampled_from(SEMIDIFF_BASEPOINTS))
+    i, j = draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2, unique=True))
+    if kind == "interior":
+        q = _combination(p.vertices, draw(st.lists(st.integers(1, 999), min_size=p.n,
+                                                   max_size=p.n)))
+    elif kind == "wall":
+        idx = draw(st.lists(st.integers(0, p.n - 1), min_size=p.d, max_size=p.d,
+                            unique=True))
+        q = _combination([p.vertices[k] for k in idx],
+                         draw(st.lists(st.integers(1, 999), min_size=p.d, max_size=p.d)))
+    elif kind == "midpoint":
+        q = tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j]))
+    else:
+        q = _combination(p.vertices, draw(st.lists(st.integers(BIG >> 1, BIG),
+                                                   min_size=p.n, max_size=p.n)))
+    scale = draw(st.sampled_from([F(1, 64), F(1, 10**4300)]))
+    h = tuple(scale * x for x in draw(st.lists(st.integers(-64, 64), min_size=p.d,
+                                               max_size=p.d)))
+    t0 = draw(st.sampled_from([F(1, 2), F(1, 8), F(1, 1 << 20), F("5e-155")]))
+    return p, q, h, t0, draw(st.integers(3, 6))
+
+
+def _check_semidiff(p, q, h, t0, steps, zero_set):
+    # the probe's report is the reference's, and the sweep row is the one
+    # formatted from the reference's witness distances
+    assert _outcome(semidiff_probe, p, q, zero_set, h, t0=t0, steps=steps) == \
+        _outcome(reference_semidiff_probe, p, q, zero_set, h, t0=t0, steps=steps)
+    assert _sweep_row(p, "semidiff", q, h, t0, steps) == _reference_row(p, q, h, t0, steps)
+
+
+@pytest.mark.parametrize("name, q, h, t0, steps", SEMIDIFF_ROWS)
+def test_semidiff_rows_match_the_reference(name, q, h, t0, steps):
+    p = get_fixture(name)
+    _check_semidiff(p, q, h, t0, steps, _pick_selection(p, q))
+
+
+def test_the_semidiff_rows_include_nonzero_witness_distances():
+    # rows whose witness distances are all 0 would hide a rounding change in
+    # the quotient sets: four of the fixed rows have nonzero ones
+    def witness(name, q, h, t0, steps):
+        p = get_fixture(name)
+        rep = reference_semidiff_probe(p, q, _pick_selection(p, q), h, t0=t0, steps=steps)
+        return [s.distance for s in rep.steps]
+
+    assert [row[0] for row in SEMIDIFF_ROWS if any(witness(*row))] == [
+        "square", "pentagon", "pentagon", "prism8"]
+
+
+@PROPERTY
+@given(semidiff_cases(), st.data())
+def test_semidiff_probe_matches_the_reference(case, data):
+    # the sweep's selection, any zero set that is feasible at the point, and
+    # any zero set at all (infeasible or singular)
+    p, q, h, t0, steps = case
+    zero_set = data.draw(st.one_of(
+        st.just(_pick_selection(p, q)),
+        st.sampled_from([combo for combo, *_ in _feasible_rows(p, q)]),
+        st.sampled_from(list(combinations(range(1, p.n + 1), p.kernel_dim())))))
+    assert _outcome(semidiff_probe, p, q, zero_set, h, t0=t0, steps=steps) == \
+        _outcome(reference_semidiff_probe, p, q, zero_set, h, t0=t0, steps=steps)
+
+
+@PROPERTY
+@given(semidiff_cases())
+def test_semidiff_sweep_rows_match_the_reference(case):
+    p, q, h, t0, steps = case
+    _check_semidiff(p, q, h, t0, steps, _pick_selection(p, q))

@@ -157,7 +157,7 @@ def test_analyze_locates_only_outside():
 def test_one_interior_rule():
     # analyze's location and semidiff's basepoint test ask one function of
     # coordinates whether Lambda's vertex supports cover 1..n
-    for module, function in (("cli", "_analysis_report"), ("probes", "semidiff_probe")):
+    for module, function in (("cli", "_analysis_report"), ("probes", "_semidiff_witness")):
         names = _names_in(module, function)
         assert "is_interior" in names
         assert sorted(names & {"union", "enumerate"}) == []
@@ -294,3 +294,17 @@ def test_scan_runs_on_integer_cross_products():
                    for node in ast.walk(func))
     assert not hasattr(linalg, "solve_linear")
     assert "solve_linear" not in barypoly.__all__
+
+
+def test_semidiff_rows_compute_only_what_they_print():
+    # a semidiff sweep row prints the witness distances: it runs the witness
+    # function, not the probe with its consecutive-set Hausdorff series, and
+    # the witness function builds its quotient sets on integers, with no
+    # Fraction and no FloatPolytope.from_exact
+    row = _names_in("cli", "_sweep_row")
+    assert "_semidiff_witness" in row
+    assert sorted(row & {"semidiff_probe", "_hausdorff_status", "hausdorff"}) == []
+    assert "_semidiff_witness" in _names_in("probes", "semidiff_probe")
+    witness = _names_in("probes", "_semidiff_witness") | _names_in("probes", "_quotients")
+    assert "_point_distance_status" in witness
+    assert sorted(witness & {"Fraction", "from_exact", "_hausdorff_status"}) == []
