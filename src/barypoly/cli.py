@@ -239,13 +239,17 @@ def run_oracle_check(path, point_text, samples) -> int:
         raise ParseError(f"--samples must be >= 0, got {samples}")
     if samples > MAX_SAMPLES:
         raise ParseError(f"--samples {samples} is over the limit of {MAX_SAMPLES}")
-    p = load_polytope(path)
-    point = _parse_vector(point_text, p.d, "point")
+    # the file's shape, the point, the seed and the pattern budget, which
+    # need only d and n, then validation's n phase ones
+    rows, d = polytope_rows(read_json(path))
+    point = _parse_vector(point_text, d, "point")
     seed_text = os.environ.get(_SEED_ENV, "0")
     try:
         seed = int(seed_text)
     except ValueError as exc:
         raise ParseError(f"{_SEED_ENV} must be an integer, got {seed_text!r}") from exc
+    co.check_pattern_count(len(rows[0]), d)
+    p = validate(rows, d)
     lam = co.lambda_vertices(p, point)
     try:
         ora = orc.dd_vertices(p, point)

@@ -152,20 +152,29 @@ def _patterns(p: Polytope):
             yield combo, keep, den, nums
 
 
+def check_pattern_count(n: int, d: int) -> None:
+    """The pattern table's budget: raises PatternLimitError when n vertices
+    in R^d have more than MAX_PATTERNS zero patterns C(n, n-d-1).  It needs
+    only n and d, so callers may run it before validation; n <= d, which
+    validation refuses, passes."""
+    if n > d:
+        count = math.comb(n, n - d - 1)
+        if count > MAX_PATTERNS:
+            raise PatternLimitError(
+                f"{count} zero patterns exceed the limit of {MAX_PATTERNS}")
+
+
 def _table(p: Polytope) -> dict:
     """Zero set -> row of _patterns(p), built once per ``p`` and kept on it.
 
     Each sigma_Z is affine on R^d, so row i of nums / den, [a | b_1 … b_d],
     holds sigma_Z(0)_keep[i] and (J_Z)_keep[i], and fixes sigma_Z at every
-    point.  Raises PatternLimitError, before any elimination, when there are
-    more than MAX_PATTERNS zero patterns.
+    point.  Raises PatternLimitError (``check_pattern_count``) before any
+    elimination.
     """
     table = p._pattern_table
     if not table:  # a full-dimensional polytope has a nonsingular pattern
-        count = math.comb(p.n, p.kernel_dim())
-        if count > MAX_PATTERNS:
-            raise PatternLimitError(
-                f"{count} zero patterns exceed the limit of {MAX_PATTERNS}")
+        check_pattern_count(p.n, p.d)
         table.update({row[0]: row for row in _patterns(p)})
     return table
 

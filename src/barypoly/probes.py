@@ -10,6 +10,13 @@ norm point, whose minor cycles solve least squares by Householder QR.  It
 runs until it reaches the optimum or rounding stops its progress; the
 distance is converged when the Frank-Wolfe gap there is within a threshold,
 and an unconverged distance makes the verdict "Inconclusive".
+A Hausdorff distance is the largest of its vertex distances, and only the
+ones that can still raise it run to their stop: the vertices go in order of
+falling nearest-vertex bound, each with the largest distance so far as the
+cutoff at which its run stops.  |y| only falls over a run, so a run cut off
+there cannot raise the maximum, which is bit for bit the one of all runs to
+their stops; the distance's flag says that every vertex distance that could
+set it met its stop.
 A semidiff sweep row runs only the semidiff probe's witness half
 (``_semidiff_witness``), without the consecutive-set Hausdorff series.
 """
@@ -67,7 +74,11 @@ class ProbeReport:
 
 
 def _dot(a, b) -> float:
-    return linalg.float_sum(map(operator.mul, a, b))
+    # linalg.float_sum's order, left to right from 0.0, inlined
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
 
 
 def _argmin(xs) -> int:
@@ -116,7 +127,13 @@ def _lstsq(cols, rhs) -> list:
     return u
 
 
-def _min_norm_point(b_rows, x, tol: float):
+def _differences(b_rows, x) -> tuple:
+    """(p_j, |p_j|²) for p_j = b_j - x: the points ``_min_norm_point`` runs on."""
+    pts = [tuple(map(operator.sub, row, x)) for row in b_rows]
+    return pts, [_dot(q, q) for q in pts]
+
+
+def _min_norm_point(b_rows, x, tol: float, cutoff: float = math.nan, diffs=None):
     """Distance from ``x`` to the hull of the points ``b_rows``; returns
     (distance, converged).
 
@@ -134,20 +151,29 @@ def _min_norm_point(b_rows, x, tol: float):
     the smallest |y| found, and converged means that its gap is at most
     max(tol²/2, 1e-15·(1 + max_j |p_j|²)).  ``_MAX_ITER`` major cycles
     without a stop return converged False.
+
+    |y|² only falls, so the returned distance is at most |y| at every point
+    of the run.  With a ``cutoff``, the run stops as soon as |y| <= cutoff
+    and returns (|y|, True): the distance is then known to be at most the
+    cutoff, which is all ``_hausdorff_status`` needs.  The default NaN never
+    compares, so the run goes to its own stop.  ``diffs``, when given, is
+    ``_differences(b_rows, x)``, built once by the caller.
     """
-    pts = [tuple(map(operator.sub, row, x)) for row in b_rows]
-    d0 = [_dot(q, q) for q in pts]
+    pts, d0 = diffs or _differences(b_rows, x)
     thresh = max(tol * tol / 2.0, 1e-15 * (1.0 + max(d0)))
     corral = [_argmin(d0)]
     w = [1.0]
     y = pts[corral[0]]
     yy = _dot(y, y)
     for _ in range(_MAX_ITER):
+        dist = math.sqrt(yy)
+        if dist <= cutoff:
+            return dist, True
         g = [_dot(q, y) for q in pts]
         j = _argmin(g)
         gap = yy - g[j]
         if gap <= 0.0 or j in corral:
-            return math.sqrt(yy), gap <= thresh
+            return dist, gap <= thresh
         corral.append(j)
         w.append(0.0)
         while True:
@@ -172,14 +198,14 @@ def _min_norm_point(b_rows, x, tol: float):
                      for wi, vi, si in zip(w, v, small)]
             drop = _argmin(theta)
             if drop == new:
-                return math.sqrt(yy), gap <= thresh
+                return dist, gap <= thresh
             w = [max(wi + theta[drop] * (vi - wi), 0.0) for wi, vi in zip(w, v)]
             del corral[drop]
             del w[drop]
         w = v
         y_next = tuple(_dot(w, col) for col in zip(*[pts[i] for i in corral]))
         if _dot(y_next, y_next) >= yy:
-            return math.sqrt(yy), gap <= thresh
+            return dist, gap <= thresh
         y = y_next
         yy = _dot(y, y)
     return math.sqrt(yy), False
@@ -191,34 +217,55 @@ def point_polytope_distance(x, b: FloatPolytope, tol: float = 1e-9) -> float:
 
 
 def _point_distance_status(x, b: FloatPolytope, tol: float):
+    return _min_norm_point(b.vertices, _checked_point(x, b, tol), tol)
+
+
+def _checked_point(x, b: FloatPolytope, tol: float) -> tuple:
+    """``x`` as a float tuple, once tol > 0 and its length fit ``b``."""
     xv = tuple(map(float, x))
     if tol <= 0:
         raise ValueError("tol must be positive")
     if len(xv) != b.ambient_dim:
         raise DimensionMismatchError(
             f"point has dim {len(xv)}, polytope ambient dim {b.ambient_dim}")
-    return _min_norm_point(b.vertices, xv, tol)
+    return xv
 
 
 def hausdorff(a: FloatPolytope, b: FloatPolytope, tol: float = 1e-9) -> float:
     """Hausdorff distance between two convex hulls given by vertices.
 
     Correct for convex sets: x -> d(x, hull) is convex, hence maximized at a
-    vertex of the other polytope.
+    vertex of the other polytope.  Only the vertex distances that can still
+    raise the maximum run to their stop (``_hausdorff_status``).
     """
     return _hausdorff_status(a, b, tol)[0]
 
 
 def _hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
+    """(the largest distance from a vertex of one set to the hull of the
+    other, whether every distance that could set it met its stop).
+
+    Vertices run by falling nearest-vertex bound (a stable sort: ties keep
+    their order), each cut off at the largest distance so far while that is
+    finite; a run cut off cannot raise the maximum, so it is bit for bit the
+    one of all runs to their stops.  A NaN distance never raises it.
+    """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
-    worst, ok = 0.0, True
+    runs = []
     for src, dst in ((a, b), (b, a)):
         for row in src.vertices:
-            d, met = _point_distance_status(row, dst, tol)
-            worst = max(worst, d)
-            ok = ok and met
+            xv = _checked_point(row, dst, tol)
+            pts, d0 = _differences(dst.vertices, xv)
+            runs.append((min(d0), dst.vertices, xv, (pts, d0)))
+    runs.sort(key=operator.itemgetter(0), reverse=True)
+    worst, ok = 0.0, True
+    for _, rows, xv, diffs in runs:
+        d, met = _min_norm_point(rows, xv, tol,
+                                 worst if math.isfinite(worst) else math.nan, diffs)
+        worst = max(worst, d)
+        ok = ok and met
     return worst, ok
 
 
@@ -237,9 +284,11 @@ def _float_steps(t0, steps) -> bool:
 
 
 def _report(steps, tolerance, met, converges, diverges, **metadata) -> ProbeReport:
-    """The probes' one verdict rule: Inconclusive unless every distance ``met``
-    its stop; then Converges when the probe's convergence test holds, Diverges
-    when its divergence test holds, else Inconclusive."""
+    """The probes' one verdict rule: Inconclusive unless every distance that
+    could set a reported value ``met`` its stop (a Hausdorff vertex distance
+    cut off below the maximum cannot); then Converges when the probe's
+    convergence test holds, Diverges when its divergence test holds, else
+    Inconclusive."""
     verdict = "Inconclusive"
     if met and converges:
         verdict = "Converges"

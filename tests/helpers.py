@@ -8,6 +8,7 @@ from barypoly import coordinates as co
 from barypoly import linalg
 from barypoly.coordinates import GammaPolytope
 from barypoly.errors import (
+    DimensionMismatchError,
     InconsistentInputsError,
     InfeasibleSelectionError,
     LeavesPolytopeError,
@@ -17,7 +18,6 @@ from barypoly.probes import (
     FloatPolytope,
     ProbeReport,
     ProbeStep,
-    _hausdorff_status,
     _point_distance_status,
     _probe_samples,
     _report,
@@ -334,12 +334,54 @@ def min_norm_sq_reference(points, x) -> Fraction:
     return best
 
 
+def reference_hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
+    """``probes._hausdorff_status`` as it was before it skipped the vertex
+    distances that cannot raise the maximum: every vertex's distance to the
+    other hull runs to its stop, in vertex order, and the flag says that all
+    of them met it.  The reference the pruned maximum must equal."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError(
+            f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
+    worst, ok = 0.0, True
+    for src, dst in ((a, b), (b, a)):
+        for row in src.vertices:
+            d, met = _point_distance_status(row, dst, tol)
+            worst = max(worst, d)
+            ok = ok and met
+    return worst, ok
+
+
+def reference_continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
+                               tolerance: float = 1e-7,
+                               distance_tol: float = 1e-9) -> ProbeReport:
+    """``probes.continuity_probe`` with each Hausdorff distance from
+    ``reference_hausdorff_status``: the report whose steps its steps must
+    equal."""
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
+    base = FloatPolytope.from_exact(base)
+    steps_out = []
+    all_met = True
+    for t, lam in zip(ts, lams):
+        d, met = reference_hausdorff_status(FloatPolytope.from_exact(lam), base,
+                                            distance_tol)
+        all_met = all_met and met
+        steps_out.append(ProbeStep(t=float(t), distance=d, ratio=d / float(t)))
+    dists = [s.distance for s in steps_out]
+    tail_ok = _tail_nonincreasing(dists)
+    return _report(steps_out, tolerance, all_met,
+                   converges=dists[-1] < tolerance and tail_ok,
+                   diverges=dists[-1] > max(dists[0], tolerance) and not tail_ok,
+                   basepoint=pt, direction=hv, distance_tol=distance_tol)
+
+
 def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
                              steps: int = 8, tolerance: float = 1e-6,
                              distance_tol: float = 1e-9) -> ProbeReport:
     """``probes.semidiff_probe`` as it was before the witness loop became
-    ``probes._semidiff_witness`` and the quotient sets were built on
-    integers: the reference its reports must equal.
+    ``probes._semidiff_witness``, the quotient sets were built on integers
+    and the Hausdorff distances skipped vertices (its consecutive-set series
+    runs ``reference_hausdorff_status``): the reference its reports must
+    equal.
 
     Difference-quotient sets S_k = (Lambda(p + t_k h) - sigma_Z(p)) / t_k.
 
@@ -379,7 +421,7 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
         witness.append(d)
     pair = []
     for a, b in zip(quotient_sets, quotient_sets[1:]):
-        d, met = _hausdorff_status(a, b, distance_tol)
+        d, met = reference_hausdorff_status(a, b, distance_tol)
         all_met = all_met and met
         pair.append(d)
     steps_out = [ProbeStep(t=float(t), distance=w, ratio=r)

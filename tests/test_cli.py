@@ -598,6 +598,35 @@ def test_too_many_patterns(tmp_path, capsys, monkeypatch):
     assert solves == []
 
 
+def test_oracle_check_refuses_the_pattern_count_before_validating(tmp_path, capsys,
+                                                                  monkeypatch):
+    # the count C(n, n-d-1) needs only n and d: oracle-check reads the file's
+    # shape, the point and the seed, and refuses a polytope past the budget
+    # without validation's n phase ones, also when the polytope is invalid
+    # (here, a repeated vertex)
+    from barypoly import cli
+
+    def validate(*args):
+        raise AssertionError("validate ran")
+
+    monkeypatch.setattr(cli, "validate", validate)
+    want = {"error": "TooManyPatterns",
+            "detail": "102340 zero patterns exceed the limit of 100000"}
+    parabola = [[i, i * i] for i in range(86)]
+    for verts in (parabola, parabola[:85] + [parabola[0]]):
+        f = tmp_path / "parabola.json"
+        f.write_text(json.dumps({"dim": 2, "vertices": verts}))
+        code, out = run(capsys, "oracle-check", str(f), "--point", "1,2")
+        assert (code, json.loads(out)) == (1, want)
+        code, out = run(capsys, "oracle-check", str(f), "--point", "1,2,3")
+        assert (code, json.loads(out)["error"]) == (1, "ParseError")
+    # n <= d has no pattern count: validation refuses it
+    monkeypatch.undo()
+    f.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 0]]}))
+    code, out = run(capsys, "oracle-check", str(f), "--point", "0,0")
+    assert (code, json.loads(out)["error"]) == (1, "TooFewVertices")
+
+
 def test_output_past_the_int_digit_limit(square_file, tmp_path, capsys):
     # 1e-4300 is in fr's input range, but its denominator 10**4300 has 4301
     # digits, more than str() of an int gives: a typed error, not a traceback,

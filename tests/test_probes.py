@@ -209,15 +209,19 @@ def test_min_norm_point_collinear_points():
 
 def test_continuity_probe_meets_every_stop(prism8, monkeypatch):
     # Frank-Wolfe with away steps ran out of iterations on one of this row's
-    # 224 distance calls; the corral method meets its gap on all of them
+    # 224 distance calls; the corral method meets its gap on all of them.
+    # Every vertex still goes through _min_norm_point, and all but the first
+    # of each step's 28 come back within the largest distance before them,
+    # their cutoff, so they cannot raise it
     from barypoly import probes
 
-    met = []
+    met, bounded = [], []
     real = probes._min_norm_point
 
-    def traced(b_arr, x, tol):
-        dist, ok = real(b_arr, x, tol)
+    def traced(b_arr, x, tol, *rest):
+        dist, ok = real(b_arr, x, tol, *rest)
         met.append(ok)
+        bounded.append(dist <= rest[0])
         return dist, ok
 
     monkeypatch.setattr(probes, "_min_norm_point", traced)
@@ -225,6 +229,7 @@ def test_continuity_probe_meets_every_stop(prism8, monkeypatch):
                            (F(-1, 128), F(1, 32), F(-3, 256)))
     assert len(met) == 224
     assert all(met)
+    assert sum(bounded) == 216
     assert rep.verdict == "Inconclusive"  # the last distance is ~5e-5 > 1e-7
 
 

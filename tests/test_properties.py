@@ -23,7 +23,12 @@ list of ``helpers.reference_scan_reduced``, which solves each subset over
 Fractions, from either basepoint tau.  ``semidiff_probe``, which runs the
 witness half the sweep runs and builds its quotient sets on integers, must
 give ``helpers.reference_semidiff_probe``'s report, and a semidiff sweep row
-the row formatted from that report's witness distances.
+the row formatted from that report's witness distances.  The Hausdorff
+distance, which skips the vertices that cannot raise its maximum, must give
+``helpers.reference_hausdorff_status``'s value bit for bit, with its flag True
+wherever the reference's is, on coordinate polytopes along rays, quotient
+sets and raw float vertex sets; ``continuity_probe`` must give the steps of
+``helpers.reference_continuity_probe``.
 """
 
 import math
@@ -69,15 +74,21 @@ from barypoly.oracle import (
 from barypoly.polytope import Location, locate, validate
 from barypoly.probes import (
     ProbeReport,
+    FloatPolytope,
     ProbeStep,
+    _hausdorff_status,
+    _semidiff_witness,
     _selection_jacobian_exact,
+    continuity_probe,
     semidiff_probe,
 )
 from barypoly.report import format_float
 from helpers import (
     brute_force_vertices,
     reference_dd_reduced,
+    reference_continuity_probe,
     reference_gamma_polytope,
+    reference_hausdorff_status,
     reference_patterns,
     reference_scan_reduced,
     reference_semidiff_probe,
@@ -648,3 +659,72 @@ def test_semidiff_probe_matches_the_reference(case, data):
 def test_semidiff_sweep_rows_match_the_reference(case):
     p, q, h, t0, steps = case
     _check_semidiff(p, q, h, t0, steps, _pick_selection(p, q))
+
+
+def _quotient_sets(name, q, h, t0, steps):
+    p = get_fixture(name)
+    return _semidiff_witness(p, q, _pick_selection(p, q), h, t0, steps)[3]
+
+
+@st.composite
+def hausdorff_pairs(draw):
+    """(a, b, tol): Lambda at two points of a semidiff case's ray (its
+    basepoint or a step), a pair of quotient sets of a fixed semidiff row
+    (t0 = 5e-155, where |y|² overflows, and the 1e-4300 direction among
+    them), or raw float vertex sets of dimension 1 to 4 at a scale from
+    1e-150 to 1e150, drawn from a small pool so that vertices repeat, bounds
+    tie, sets have one vertex and distances are 0."""
+    kind = draw(st.sampled_from(["lambda", "quotient", "raw"]))
+    if kind == "lambda":
+        p, q, h, t0, steps = draw(semidiff_cases())
+        ts = [F(0)] + [t0 / (1 << k) for k in range(steps)]
+        s, t = draw(st.lists(st.sampled_from(ts), min_size=2, max_size=2, unique=True))
+        a, b = (_vertices_at(p, [x + u * y for x, y in zip(q, h)]) for u in (s, t))
+        assume(a and b)
+        sets = FloatPolytope.from_exact(a), FloatPolytope.from_exact(b)
+    elif kind == "quotient":
+        sk = _quotient_sets(*draw(st.sampled_from(SEMIDIFF_ROWS)))
+        i, j = draw(st.lists(st.integers(0, len(sk) - 1), min_size=2, max_size=2,
+                             unique=True))
+        sets = sk[i], sk[j]
+    else:
+        dim = draw(st.integers(1, 4))
+        scale = 10.0 ** draw(st.integers(-150, 150))
+        coord = st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-3.0, 3.0, allow_nan=False))
+        pool = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=5))
+        vertex_sets = st.lists(st.sampled_from(pool), min_size=1, max_size=6)
+        a = FloatPolytope(tuple(tuple(x * scale for x in v) for v in draw(vertex_sets)), dim)
+        b = a if draw(st.integers(0, 4)) == 0 else FloatPolytope(
+            tuple(tuple(x * scale for x in v) for v in draw(vertex_sets)), dim)
+        sets = a, b
+    return (*sets, draw(st.sampled_from([1e-9, 1e-3])))
+
+
+@PROPERTY
+@given(hausdorff_pairs())
+def test_hausdorff_matches_the_reference(pair):
+    # the pruned maximum is the reference's bit for bit (NaN and inf
+    # included), either way round, and a True reference flag stays True
+    a, b, tol = pair
+    for x, y in ((a, b), (b, a)):
+        got, want = _hausdorff_status(x, y, tol), reference_hausdorff_status(x, y, tol)
+        assert got[0].hex() == want[0].hex()
+        assert got[1] or not want[1]
+
+
+@PROPERTY
+@given(semidiff_cases())
+def test_continuity_probe_matches_the_reference(case):
+    # the steps are the reference's exactly; a verdict can only leave
+    # "Inconclusive", where the reference had a cut-off distance miss its stop
+    p, q, h, t0, steps = case
+    got = _outcome(continuity_probe, p, q, h, t0=t0, steps=steps)
+    want = _outcome(reference_continuity_probe, p, q, h, t0=t0, steps=steps)
+    if want[0] != "ProbeReport":
+        assert got == want
+        return
+    got, want = dict(got[1]), dict(want[1])
+    assert got.pop("verdict") == want["verdict"] or want["verdict"] == "Inconclusive"
+    del want["verdict"]
+    assert got == want

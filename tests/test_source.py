@@ -308,3 +308,15 @@ def test_semidiff_rows_compute_only_what_they_print():
     witness = _names_in("probes", "_semidiff_witness") | _names_in("probes", "_quotients")
     assert "_point_distance_status" in witness
     assert sorted(witness & {"Fraction", "from_exact", "_hausdorff_status"}) == []
+
+
+def test_hausdorff_runs_each_vertex_with_a_cutoff():
+    # the Hausdorff distance prints only the largest vertex distance: every
+    # vertex runs _min_norm_point with the largest distance so far as its
+    # cutoff, not _point_distance_status, which runs each to its stop
+    func = _function("probes", "_hausdorff_status")
+    calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "_min_norm_point"]
+    assert calls and all(len(call.args) + len(call.keywords) >= 4 for call in calls)
+    assert "_point_distance_status" not in _names_in("probes", "_hausdorff_status")
+    assert "cutoff" in _names_in("probes", "_min_norm_point")
