@@ -98,10 +98,10 @@ def feasible_tau(p: Polytope, point) -> BarycentricVector:
     outside the polytope.
     """
     pt = linalg.vec(point)
-    res = feasible_point(p.stacked_rows(), list(pt) + [_ONE])
-    if res.status != "optimal":
+    lam = feasible_point(p.stacked_rows(), list(pt) + [_ONE])[0]
+    if lam is None:
         raise InfeasibleError("point is outside the polytope")
-    return BarycentricVector(lam=tuple(res.x), point=pt)
+    return BarycentricVector(lam=tuple(lam), point=pt)
 
 
 def circular_windows(n: int, d: int) -> list:

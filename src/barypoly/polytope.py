@@ -118,16 +118,15 @@ def locate(p: Polytope, point: Sequence) -> PointLocation:
         raise DimensionMismatchError(f"point has length {len(pt)}, expected {p.d}")
     stacked = p.stacked_rows()
     coords = list(zip(stacked[: p.d], pt))
-    inner = feasible_point([[x - c for x in row] for row, c in coords],
+    mu, _ = feasible_point([[x - c for x in row] for row, c in coords],
                            [p.n * c - sum(row, Fraction(0)) for row, c in coords])
-    if inner.status == "optimal":
-        total = sum(inner.x, Fraction(p.n))
-        lam = tuple((mu + 1) / total for mu in inner.x)
-        return PointLocation(Location.INTERIOR, barycentric=lam)
-    feas = feasible_point(stacked, list(pt) + [_ONE])
-    if feas.status == "optimal":
-        return PointLocation(Location.BOUNDARY, barycentric=tuple(feas.x))
-    y = feas.farkas
+    if mu is not None:
+        total = sum(mu, Fraction(p.n))
+        return PointLocation(Location.INTERIOR,
+                             barycentric=tuple((m + 1) / total for m in mu))
+    lam, y = feasible_point(stacked, list(pt) + [_ONE])
+    if y is None:
+        return PointLocation(Location.BOUNDARY, barycentric=tuple(lam))
     a, b = tuple(y[: p.d]), -y[p.d]
     if not (all(linalg.dot(a, v) <= b for v in p.vertices)
             and linalg.dot(a, pt) > b):

@@ -32,6 +32,7 @@ from . import coordinates as co
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    EmptyInputError,
     InfeasibleSelectionError,
     LeavesPolytopeError,
 )
@@ -43,15 +44,21 @@ _EPS = sys.float_info.epsilon
 
 @dataclass(frozen=True, eq=False)
 class FloatPolytope:
-    """Convex hull of finitely many float vectors, a tuple of float tuples."""
+    """Convex hull of one or more float vectors of length ``ambient_dim``."""
 
     vertices: tuple
     ambient_dim: int
 
+    def __post_init__(self):
+        if len(self.vertices) == 0:
+            raise EmptyInputError("a float polytope needs at least one vertex")
+        if any(len(v) != self.ambient_dim for v in self.vertices):
+            raise DimensionMismatchError(f"a vertex's length is not {self.ambient_dim}")
+
     @classmethod
     def from_exact(cls, points) -> "FloatPolytope":
         verts = tuple(tuple(float(x) for x in pt) for pt in points)
-        return cls(vertices=verts, ambient_dim=len(verts[0]))
+        return cls(vertices=verts, ambient_dim=len(verts[0]) if verts else 0)
 
     def diameter(self) -> float:
         return max((math.dist(a, b) for a, b in itertools.combinations(self.vertices, 2)),
@@ -133,9 +140,9 @@ def _differences(b_rows, x) -> tuple:
     return pts, [_dot(q, q) for q in pts]
 
 
-def _min_norm_point(b_rows, x, tol: float, cutoff: float = math.nan, diffs=None):
-    """Distance from ``x`` to the hull of the points ``b_rows``; returns
-    (distance, converged).
+def _min_norm_point(pts, sq, tol: float, cutoff: float = math.nan):
+    """Distance from x to the hull of the points b_j, run on
+    ``pts, sq = _differences(b_rows, x)``; returns (distance, converged).
 
     Wolfe's corral method (Wolfe 1976, "Finding the nearest point in a
     polytope") on the points p_j = b_j - x, starting at the point nearest x.
@@ -156,12 +163,10 @@ def _min_norm_point(b_rows, x, tol: float, cutoff: float = math.nan, diffs=None)
     of the run.  With a ``cutoff``, the run stops as soon as |y| <= cutoff
     and returns (|y|, True): the distance is then known to be at most the
     cutoff, which is all ``_hausdorff_status`` needs.  The default NaN never
-    compares, so the run goes to its own stop.  ``diffs``, when given, is
-    ``_differences(b_rows, x)``, built once by the caller.
+    compares, so the run goes to its own stop.
     """
-    pts, d0 = diffs or _differences(b_rows, x)
-    thresh = max(tol * tol / 2.0, 1e-15 * (1.0 + max(d0)))
-    corral = [_argmin(d0)]
+    thresh = max(tol * tol / 2.0, 1e-15 * (1.0 + max(sq)))
+    corral = [_argmin(sq)]
     w = [1.0]
     y = pts[corral[0]]
     yy = _dot(y, y)
@@ -217,7 +222,7 @@ def point_polytope_distance(x, b: FloatPolytope, tol: float = 1e-9) -> float:
 
 
 def _point_distance_status(x, b: FloatPolytope, tol: float):
-    return _min_norm_point(b.vertices, _checked_point(x, b, tol), tol)
+    return _min_norm_point(*_differences(b.vertices, _checked_point(x, b, tol)), tol)
 
 
 def _checked_point(x, b: FloatPolytope, tol: float) -> tuple:
@@ -256,14 +261,13 @@ def _hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
     runs = []
     for src, dst in ((a, b), (b, a)):
         for row in src.vertices:
-            xv = _checked_point(row, dst, tol)
-            pts, d0 = _differences(dst.vertices, xv)
-            runs.append((min(d0), dst.vertices, xv, (pts, d0)))
+            pts, sq = _differences(dst.vertices, _checked_point(row, dst, tol))
+            runs.append((min(sq), pts, sq))
     runs.sort(key=operator.itemgetter(0), reverse=True)
     worst, ok = 0.0, True
-    for _, rows, xv, diffs in runs:
-        d, met = _min_norm_point(rows, xv, tol,
-                                 worst if math.isfinite(worst) else math.nan, diffs)
+    for _, pts, sq in runs:
+        d, met = _min_norm_point(pts, sq, tol,
+                                 worst if math.isfinite(worst) else math.nan)
         worst = max(worst, d)
         ok = ok and met
     return worst, ok

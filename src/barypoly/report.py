@@ -25,6 +25,13 @@ def _parse_rvec(xs) -> tuple:
     return parse_coordinates(xs, len(xs), "report vector")
 
 
+def _exact(value, kind):
+    """``value`` if its type is ``kind`` itself (a bool is no int)."""
+    if type(value) is not kind:
+        raise ValueError(f"{value!r} is not of type {kind.__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class LambdaVertexEntry:
     lam: tuple
@@ -74,8 +81,10 @@ class AnalysisReport:
     @classmethod
     def from_dict(cls, doc: dict) -> "AnalysisReport":
         try:
+            if doc["location"] not in ("Interior", "Boundary"):
+                raise ValueError(f"location {doc['location']!r} is not Interior or Boundary")
             return cls(
-                polytope_dim=doc["polytope"]["dim"],
+                polytope_dim=_exact(doc["polytope"]["dim"], int),
                 polytope_vertices=tuple(
                     _parse_rvec(v) for v in doc["polytope"]["vertices"]),
                 point=_parse_rvec(doc["point"]),
@@ -85,14 +94,14 @@ class AnalysisReport:
                 lambda_vertices=tuple(
                     LambdaVertexEntry(
                         lam=_parse_rvec(e["lambda"]),
-                        support=tuple(e["support"]),
-                        zeros=tuple(e["zeros"]),
+                        support=tuple(_exact(i, int) for i in e["support"]),
+                        zeros=tuple(_exact(i, int) for i in e["zeros"]),
                     )
                     for e in doc["lambda_vertices"]
                 ),
                 gamma_vertices=tuple(_parse_rvec(v) for v in doc["gamma_vertices"]),
-                dim=doc["dim"],
-                theorem_count_match=doc["theorem_count_match"],
+                dim=_exact(doc["dim"], int),
+                theorem_count_match=_exact(doc["theorem_count_match"], bool),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad report document: {exc}") from exc

@@ -21,7 +21,6 @@ exact division, and then sets D = p.  Reading x_j = T_i[rhs]·c_j / (D·s)
 and y_i = 1 - cost[n+i] / D back gives the rational tableau's outputs.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalError
@@ -29,13 +28,6 @@ from .linalg import bareiss_row, integer_rows
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-
-
-@dataclass
-class LPResult:
-    status: str                 # "optimal" | "infeasible"
-    x: list | None = None
-    farkas: list | None = None  # y with y·A_j <= 0 for all j and y·b > 0
 
 
 class _Tableau:
@@ -73,13 +65,15 @@ class _Tableau:
         self.basis[r] = j
 
     def _bland(self):
-        """Run the Bland-rule simplex on the carried cost row; returns the
-        final status.  Every pivot is positive, so D stays positive."""
+        """Run the Bland-rule simplex on the carried cost row until no reduced
+        cost is negative.  Every pivot is positive, so D stays positive; the
+        artificial sum is bounded below by 0, so an entering column always
+        has a leaving row."""
         while True:
             # basic columns have reduced cost exactly 0
             enter = next((j for j in range(self.ncols) if self.cost[j] < 0), -1)
             if enter < 0:
-                return "optimal"
+                return
             # ratios T[i][rhs] / T[i][enter] compared by cross-multiplication
             leave, best_rhs, best_col = -1, 0, 1
             for i, row in enumerate(self.rows):
@@ -90,7 +84,7 @@ class _Tableau:
                             or (lhs == rhs and self.basis[i] < self.basis[leave])):
                         leave, best_rhs, best_col = i, row[-1], a
             if leave < 0:
-                return "unbounded"
+                raise InternalError("phase one is unbounded")
             self._pivot(leave, enter)
 
     def solution(self):
@@ -102,28 +96,19 @@ class _Tableau:
         return x
 
 
-def _phase_one(tab: _Tableau):
-    """Minimize the artificial sum; returns (feasible, farkas_or_none) when
-    Bland's loop stops.  An artificial may stay basic at 0: x is still a basic
-    solution, its support in the basic columns of A, linearly independent."""
-    status = tab._bland()
-    if status != "optimal":  # the artificial objective is bounded below by 0
-        raise InternalError(f"phase one is {status}")
+def feasible_point(a_rows, b) -> tuple:
+    """Phase one on A x = b, x >= 0: ``(x, None)`` with x a basic feasible
+    solution, or ``(None, y)`` with y a Farkas certificate, y·A_j <= 0 for
+    every column j and y·b > 0.  An artificial may stay basic at 0: x is
+    still a basic solution, its support in the basic columns of A, linearly
+    independent."""
+    tab = _Tableau(a_rows, b)
+    tab._bland()
     if tab.cost[-1]:  # -D·s times the artificial sum
         # y_i = 1 - cbar(artificial_i), unflipped back to the original rows
         d, n = tab.det, tab.n_orig
-        y = [Fraction(f * (d - c), d) for f, c in zip(tab.flips, tab.cost[n:-1])]
-        return False, y
-    return True, None
-
-
-def feasible_point(a_rows, b) -> LPResult:
-    """Find a basic feasible solution of A x = b, x >= 0 (phase one only)."""
-    tab = _Tableau(a_rows, b)
-    ok, farkas = _phase_one(tab)
-    if not ok:
-        return LPResult("infeasible", farkas=farkas)
-    return LPResult("optimal", x=tab.solution())
+        return None, [Fraction(f * (d - c), d) for f, c in zip(tab.flips, tab.cost[n:-1])]
+    return tab.solution(), None
 
 
 def convex_membership(points, target) -> list | None:
@@ -139,5 +124,4 @@ def convex_membership(points, target) -> list | None:
     dim = len(target)
     a_rows = [[p[l] for p in points] for l in range(dim)]
     a_rows.append([_ONE] * len(points))
-    res = feasible_point(a_rows, list(target) + [_ONE])
-    return res.x if res.status == "optimal" else None
+    return feasible_point(a_rows, list(target) + [_ONE])[0]

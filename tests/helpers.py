@@ -23,7 +23,6 @@ from barypoly.probes import (
     _report,
     _tail_nonincreasing,
 )
-from barypoly.simplex import LPResult
 from barypoly.polytope import Polytope
 
 
@@ -277,8 +276,10 @@ class _FractionTableau:
             self.pivot(leave, enter)
 
 
-def reference_feasible_point(a_rows, b) -> LPResult:
-    """Phase one on the rational tableau, with the library's pivot rules."""
+def reference_feasible_point(a_rows, b) -> tuple:
+    """Phase one on the rational tableau, with the library's pivot rules:
+    ``(x, None)`` with x a basic feasible solution, or ``(None, y)`` with y a
+    Farkas certificate."""
     tab = _FractionTableau(a_rows, b)
     n, m = tab.n_orig, len(tab.rows)
     c = [Fraction(0)] * n + [Fraction(1)] * m
@@ -286,8 +287,7 @@ def reference_feasible_point(a_rows, b) -> LPResult:
     cbar, obj = tab.reduced_costs(c)
     if obj > 0:
         # y_i = 1 - cbar(artificial_i), unflipped back to the original rows
-        return LPResult("infeasible", farkas=[
-            tab.flips[i] * (1 - cbar[n + i]) for i in range(m)])
+        return None, [tab.flips[i] * (1 - cbar[n + i]) for i in range(m)]
     # drive any remaining artificial variables out of the basis
     for i in range(m - 1, -1, -1):
         if tab.basis[i] >= n:
@@ -301,7 +301,7 @@ def reference_feasible_point(a_rows, b) -> LPResult:
     for row, v in zip(tab.rows, tab.basis):
         if v < n:
             x[v] = row[-1]
-    return LPResult("optimal", x=x)
+    return x, None
 
 
 def min_norm_sq_reference(points, x) -> Fraction:

@@ -895,6 +895,31 @@ def test_report_without_fields_is_a_parse_error():
         AnalysisReport.from_dict({})
 
 
+@pytest.mark.parametrize("path, value", [
+    (("dim",), "x"), (("dim",), True), (("dim",), 1.0), (("polytope", "dim"), "2"),
+    (("polytope", "dim"), False), (("location",), 5), (("location",), "Outside"),
+    (("theorem_count_match",), "yes"), (("theorem_count_match",), 1),
+    (("lambda_vertices", 0, "support"), "ab"),
+    (("lambda_vertices", 0, "support"), [2, True]),
+    (("lambda_vertices", 0, "zeros"), ["1"]),
+    (("lambda_vertices", 0, "zeros"), [1.0]),
+])
+def test_report_malformed_field_is_a_parse_error(square_file, capsys, path, value):
+    # each field has one type: dims and support and zeros entries are ints
+    # (no bools, no floats), the count match a bool, the location Interior or
+    # Boundary; a string support is not read as its characters
+    code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+    doc = json.loads(out)
+    AnalysisReport.from_dict(doc)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ParseError, match="bad report document"):
+        AnalysisReport.from_dict(doc)
+
+
 def test_pick_selection_without_a_feasible_pattern_is_internal(square):
     # sweep rows pick a selection only after their census cells found Lambda(p)
     # non-empty on the same table reading, so finding none is an invariant

@@ -114,10 +114,9 @@ def test_interior_certificate_is_strictly_positive():
 
 def test_locate_bad_certificate_is_internal_error(square, monkeypatch):
     from barypoly import polytope
-    from barypoly.simplex import LPResult
 
-    bogus = LPResult("infeasible", farkas=[F(0)] * 3)
-    monkeypatch.setattr(polytope, "feasible_point", lambda *a: bogus)
+    # no basic solution and a "certificate" y = 0, which separates nothing
+    monkeypatch.setattr(polytope, "feasible_point", lambda *a: (None, [F(0)] * 3))
     with pytest.raises(InternalError) as exc:
         locate(square, (F(5), F(5)))
     assert exc.value.exit_code == 3
@@ -172,11 +171,11 @@ def test_locate_interior_is_one_feasibility_solve(monkeypatch):
 
     p = random_polytope(3, 8, seed=5)
     systems, tableaus = [], []
-    real_feasible, real_phase_one = polytope.feasible_point, simplex._phase_one
+    real_feasible, real_bland = polytope.feasible_point, simplex._Tableau._bland
     monkeypatch.setattr(polytope, "feasible_point",
                         lambda a, b: systems.append(a) or real_feasible(a, b))
-    monkeypatch.setattr(simplex, "_phase_one",
-                        lambda tab: tableaus.append(tab) or real_phase_one(tab))
+    monkeypatch.setattr(simplex._Tableau, "_bland",
+                        lambda tab: tableaus.append(tab) or real_bland(tab))
     loc = locate(p, p.centroid())
     assert loc.tag is Location.INTERIOR
     # one phase one on the d-row homogenised system, no other LP

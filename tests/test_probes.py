@@ -9,12 +9,14 @@ from barypoly import linalg
 from barypoly.coordinates import simplicial_coords
 from barypoly.errors import (
     DimensionMismatchError,
+    EmptyInputError,
     InfeasibleSelectionError,
     LeavesPolytopeError,
     SingularPatternError,
 )
 from barypoly.probes import (
     FloatPolytope,
+    _differences,
     _lstsq,
     _min_norm_point,
     _selection_jacobian_exact,
@@ -32,6 +34,11 @@ CENTER = (F(1, 2), F(1, 2))
 
 def fp(*pts):
     return FloatPolytope.from_exact([tuple(map(F, p)) for p in pts])
+
+
+def wolfe(b_rows, x, tol=1e-9):
+    """``_min_norm_point`` from x to the hull of ``b_rows``, run to its stop."""
+    return _min_norm_point(*_differences(b_rows, x), tol)
 
 
 def test_distance_vertex_short_circuit():
@@ -102,7 +109,7 @@ def test_min_norm_point_matches_exact_reference():
                 x = pts[rng.randrange(m)].copy()
             else:
                 x = (pts[rng.randrange(m)] + pts[rng.randrange(m)]) / 2
-            dist, converged = _min_norm_point(pts, x, 1e-9)
+            dist, converged = wolfe(pts, x)
             ref = math.sqrt(min_norm_sq_reference(
                 [tuple(map(F, row)) for row in pts], tuple(map(F, x))))
             assert converged
@@ -128,7 +135,7 @@ def test_min_norm_point_matches_exact_reference():
         pts = np.insert(pts, rng.randint(0, m), x + step, axis=0)
         cases.append((pts, x))
     for pts, x in cases:
-        dist, converged = _min_norm_point(pts, x, 1e-9)
+        dist, converged = wolfe(pts, x)
         assert min_norm_sq_reference([tuple(map(F, row)) for row in pts],
                                      tuple(map(F, x))) == 0
         assert converged
@@ -152,7 +159,7 @@ def test_min_norm_point_stall_far_from_the_gap_is_not_converged(
 
     monkeypatch.setattr(probes, "_lstsq", solve)
     pts = [(2.0, 1.0), (2.0, -1.0), (4.0, 0.0)]
-    dist, converged = _min_norm_point(pts, (0.0, 0.0), 1e-9)
+    dist, converged = wolfe(pts, (0.0, 0.0))
     assert dist == math.sqrt(5.0)
     assert not converged
     assert len(calls) == solves
@@ -201,8 +208,8 @@ def test_lstsq_dependent_columns_give_finite_weights():
 def test_min_norm_point_collinear_points():
     # three collinear points on a ray from x; the nearest point is (1, 0),
     # on the edge from (1, 1) to (1, -1)
-    dist, converged = _min_norm_point([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (1.0, -1.0)],
-                                      (0.0, 0.0), 1e-9)
+    dist, converged = wolfe([(1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (1.0, -1.0)],
+                            (0.0, 0.0))
     assert converged
     assert dist == 1.0
 
@@ -218,8 +225,8 @@ def test_continuity_probe_meets_every_stop(prism8, monkeypatch):
     met, bounded = [], []
     real = probes._min_norm_point
 
-    def traced(b_arr, x, tol, *rest):
-        dist, ok = real(b_arr, x, tol, *rest)
+    def traced(pts, sq, tol, *rest):
+        dist, ok = real(pts, sq, tol, *rest)
         met.append(ok)
         bounded.append(dist <= rest[0])
         return dist, ok
@@ -267,9 +274,9 @@ def test_min_norm_point_iteration_cap(monkeypatch):
     from barypoly import probes
 
     verts = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    assert probes._min_norm_point(verts, (2.0, 0.5), 1e-9) == (1.0, True)
+    assert wolfe(verts, (2.0, 0.5)) == (1.0, True)
     monkeypatch.setattr(probes, "_MAX_ITER", 1)
-    assert probes._min_norm_point(verts, (2.0, 0.5), 1e-9) == (1.0, False)
+    assert wolfe(verts, (2.0, 0.5)) == (1.0, False)
 
 
 def test_hausdorff_basics():
@@ -289,6 +296,28 @@ def test_hausdorff_basics():
 def test_hausdorff_mismatch():
     with pytest.raises(DimensionMismatchError):
         hausdorff(fp((0, 0)), fp((0, 0, 0)))
+
+
+def test_float_polytope_vertex_longer_than_its_dim():
+    # zip would drop the third coordinate and measure the distance as 0.0
+    with pytest.raises(DimensionMismatchError):
+        point_polytope_distance((0, 0), FloatPolytope(((0.0, 0.0, 5.0),), 2))
+    with pytest.raises(DimensionMismatchError):
+        FloatPolytope(np.array([(0.0, 1.0), (1.0, 1.0)]), 3)
+
+
+def test_float_polytope_without_vertices():
+    # hausdorff would raise a bare ValueError from min() over no distances
+    with pytest.raises(EmptyInputError):
+        hausdorff(fp((0, 0)), FloatPolytope((), 2))
+    with pytest.raises(EmptyInputError):
+        FloatPolytope(np.empty((0, 2)), 2)
+
+
+def test_float_polytope_from_no_exact_points():
+    # from_exact read the dim off a first vertex that is not there (IndexError)
+    with pytest.raises(EmptyInputError):
+        FloatPolytope.from_exact([])
 
 
 def test_hausdorff_pseudometric_random():

@@ -58,6 +58,20 @@ def _identifiers(path):
     return found
 
 
+def test_phase_one_returns_its_answer():
+    # phase one has two answers, a basic solution or a Farkas certificate, and
+    # feasible_point returns them as a pair: no result record, no status
+    # string for any module to compare
+    from barypoly import simplex
+
+    assert not hasattr(simplex, "LPResult") and not hasattr(simplex, "_phase_one")
+    src = Path(barypoly.__file__).parent
+    found = {path.stem: sorted(_identifiers(path) & {
+        "LPResult", "_phase_one", "optimal", "infeasible", "unbounded"})
+        for path in sorted(src.glob("*.py"))}
+    assert {mod: names for mod, names in found.items() if names} == {}
+
+
 def test_only_coordinates_eliminates_patterns():
     # coordinates' pattern table is the one caller of the elimination loop,
     # and the oracle stays an independent route: it never reads that table,
