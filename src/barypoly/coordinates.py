@@ -8,17 +8,25 @@ form a polytope of dimension at most n-d-1.  This module computes a feasible
 basepoint tau(p), validation's kernel basis N of [V; 1^T], the simplicial
 coordinates obtained by zeroing a prescribed index set, the full vertex list
 of the coordinate polytope, and its reduced form { c : tau + N c >= 0 } in
-kernel coordinates.  Each zero pattern's coordinates are an affine map of the
-point, so a polytope eliminates every pattern once, into a table that is read
-only at points, with integer multiply-adds.  All arithmetic is exact; index
-sets are 1-based to match the vertex order of the input file.
+kernel coordinates.  All arithmetic is exact; index sets are 1-based to match
+the vertex order of the input file.
+
+A zero pattern keeps d + 1 vertices K, and its coordinates are the simplicial
+ones of K: by Cramer's rule the entry at k in K is a ratio of signed volumes,
+f_{K∖k}(p) / f_{K∖k}(v_k), with f_S(x) = det[1 … 1 1; V_S x].  The numerator
+depends only on the wall S = K∖k, the d vertices opposite k, an affine
+function of p.  So a polytope's table holds C(n, d) walls, each an integer
+cofactor vector built once, and one row per nonsingular pattern naming its
+d + 1 walls, their signs and the denominator |f_{K∖k_0}(v_{k_0})|; at a
+point every wall is read once, with integer multiply-adds, and every row is
+a lookup.  The sign vector of the wall values is the point's chamber key.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import index, mul
+from operator import index, itemgetter, mul
 
 from . import linalg
 from .errors import (
@@ -114,17 +122,6 @@ def circular_windows(n: int, d: int) -> list:
     return [frozenset(((i + k) % n) + 1 for k in range(size)) for i in range(n)]
 
 
-def _solve_pattern(vrows, keep, rhs) -> tuple:
-    """(den, nums) with x = nums / den; den is 0 when singular.
-
-    Solves [1 … 1; L·V_keep]·x = rhs with ``linalg.bareiss``, the all-ones
-    row first so that the first pivot is 1.
-    """
-    rows = [[1] * len(keep) + rhs[0]]
-    rows += [[vr[j] for j in keep] + b for vr, b in zip(vrows, rhs[1:])]
-    return linalg.bareiss(rows, len(keep))
-
-
 def _sigma(n, keep, xs, den) -> tuple:
     sigma = [_ZERO] * n
     for j, x in zip(keep, xs):
@@ -132,24 +129,44 @@ def _sigma(n, keep, xs, den) -> tuple:
     return tuple(sigma)
 
 
-def _patterns(p: Polytope):
-    """Yield (zero set, keep, den, nums) for every nonsingular zero pattern, in
-    the one loop over them: row i of nums / den is sigma_keep[i] at 0, then
-    (J·e_l)_keep[i] for l = 1..d.  Zero sets are 1-based, lexicographic.
+def _patterns(p: Polytope) -> tuple:
+    """(walls, rows): the one loop over zero patterns, on wall functionals.
 
-    With L the lcm of the vertex denominators, the pattern on columns ``keep``
-    solves [1 … 1; L·V_keep]·X = [1, 0; 0, L·I]: the first column of X is
-    sigma_keep(0) and column l + 1 is J_keep·e_l, as L·V_keep·J_keep·e_l =
-    L·e_l.
+    With L the lcm of the vertex denominators, the wall of d vertices S is
+    the cofactor vector c_S of the rows (1, L·v_s), s in S
+    (``linalg.cofactors``): f_S(x) = c_S·(1, L·x) = det[(1, L·x); (1, L·v_s)].
+    ``walls`` lists w_S = (c_0, L·c_1, …, L·c_d) at S's id, so that
+    w_S·(E, E·x) = E·f_S(x); an affinely dependent S (c_S = 0, possible from
+    d = 4 on) gets no id.  ``rows`` maps each nonsingular zero set (1-based,
+    lexicographic) to (zero set, keep, den, ids).  With keep k_0 < … < k_d,
+    det = f_{keep∖k_0}(v_{k_0}) = det[1^T; L·V_keep] is 0 exactly when the
+    pattern is singular; den = |det|, and ids[i] is the id w of the wall
+    keep∖k_i, or ~w where sign(det)·(-1)^i is negative, so that
+    sigma_keep[i](x) = ±f_{keep∖k_i}(x) / den (Cramer's rule).
     """
     scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
-    rhs = [[1] + [0] * p.d]
-    rhs += [[0] + [scale * (c == l) for c in range(p.d)] for l in range(p.d)]
-    for combo in itertools.combinations(range(1, p.n + 1), p.kernel_dim()):
-        keep = [j for j in range(p.n) if j + 1 not in combo]
-        den, nums = _solve_pattern(vrows, keep, rhs)
-        if den:
-            yield combo, keep, den, nums
+    points = [(1, *col) for col in zip(*vrows)]
+    cofactors = {}
+    for s in itertools.combinations(range(p.n), p.d):
+        c = linalg.cofactors([points[j] for j in s])
+        if any(c):
+            cofactors[s] = len(cofactors), c
+    rows = {}
+    # complements reverse the lexicographic order: the keep sets in falling
+    # order pair with the zero sets in rising order
+    zero_sets = itertools.combinations(range(1, p.n + 1), p.kernel_dim())
+    keeps = reversed(list(itertools.combinations(range(p.n), p.d + 1)))
+    for combo, keep in zip(zero_sets, keeps):
+        first = cofactors.get(keep[1:])
+        det = sum(map(mul, first[1], points[keep[0]])) if first else 0
+        if det:
+            opposite = [cofactors[keep[:i] + keep[i + 1:]][0]
+                        for i in range(p.d + 1)]
+            ids = tuple(w if (det > 0) == (i % 2 == 0) else ~w
+                        for i, w in enumerate(opposite))
+            rows[combo] = combo, list(keep), abs(det), ids
+    walls = [(c[0], *(scale * x for x in c[1:])) for _, c in cofactors.values()]
+    return walls, rows
 
 
 def check_pattern_count(n: int, d: int) -> None:
@@ -164,29 +181,33 @@ def check_pattern_count(n: int, d: int) -> None:
                 f"{count} zero patterns exceed the limit of {MAX_PATTERNS}")
 
 
-def _table(p: Polytope) -> dict:
-    """Zero set -> row of _patterns(p), built once per ``p`` and kept on it.
+def _table(p: Polytope) -> tuple:
+    """(walls, rows) of _patterns(p), built once per ``p`` and kept on it.
 
-    Each sigma_Z is affine on R^d, so row i of nums / den, [a | b_1 … b_d],
-    holds sigma_Z(0)_keep[i] and (J_Z)_keep[i], and fixes sigma_Z at every
-    point.  Raises PatternLimitError (``check_pattern_count``) before any
-    elimination.
+    Each sigma_Z is affine on R^d, and its entry at k in keep is a ratio of
+    wall values, f_{keep∖k}(x) / f_{keep∖k}(v_k), so C(n, d) walls carry
+    every row: C(n, d) = C(n, d+1)·(d+1)/(n-d) <= (d+1)·MAX_PATTERNS.
+    Raises PatternLimitError (``check_pattern_count``) before any wall is
+    built.
     """
     table = p._pattern_table
-    if not table:  # a full-dimensional polytope has a nonsingular pattern
+    if not table:  # not built yet
         check_pattern_count(p.n, p.d)
-        table.update({row[0]: row for row in _patterns(p)})
+        table[:] = _patterns(p)
     return table
 
 
-def _evaluate(rows, point):
+def _evaluate(walls, rows, point):
     """Yield (zero set, keep, xs, den), sigma_keep = xs / den, for ``rows`` of
-    the pattern table at ``point``: with E the lcm of the point's denominators,
-    row [a | b] over den gives xs = E·a + b·(E·point) over den·E."""
+    the pattern table at ``point``, den > 0: with E the lcm of the point's
+    denominators, each of ``walls`` is read once, w·(E, E·point) =
+    E·f(point), and a row's xs are the values at its ids over den·E."""
     scale, (ints,) = linalg.integer_rows([point])
     vec = (scale, *ints)
-    for combo, keep, den, nums in rows:
-        yield combo, keep, [sum(map(mul, row, vec)) for row in nums], den * scale
+    vals = [sum(map(mul, wall, vec)) for wall in walls]
+    vals += [-v for v in reversed(vals)]  # vals[~w] = -vals[w]
+    for combo, keep, den, ids in rows:
+        yield combo, keep, itemgetter(*ids)(vals), den * scale
 
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
@@ -203,31 +224,37 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     if len(zeros) != p.kernel_dim():
         raise ValueError(
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
-    row = _table(p).get(tuple(sorted(zeros)))
+    walls, rows = _table(p)
+    row = rows.get(tuple(sorted(zeros)))
     if row is None:
         raise SingularPatternError(
             f"columns outside {sorted(zeros)} are affinely dependent")
-    (_, keep, xs, den), = _evaluate([row], linalg.vec(point))
+    # the row alone, on its own d + 1 walls
+    combo, keep, den, ids = row
+    own = [walls[w if w >= 0 else ~w] for w in ids]
+    local = tuple(i if w >= 0 else ~i for i, w in enumerate(ids))
+    (_, _, xs, den), = _evaluate(own, [(combo, keep, den, local)],
+                                 linalg.vec(point))
     sigma = _sigma(p.n, keep, xs, den)
-    return SimplicialCoordinate(zero_set=zeros, sigma=sigma,
-                                feasible=all(x >= 0 for x in sigma))
+    return SimplicialCoordinate(zero_set=zeros, sigma=sigma, feasible=min(xs) >= 0)
 
 
 def _feasible_rows(p: Polytope, point):
     """Yield (zero set, keep, xs, den) for every row of _table(p) whose
     sigma_keep = xs / den is feasible at ``point``, in table order; tested on
-    plain ints (every x·den >= 0) before any Fraction is built."""
-    for combo, keep, xs, den in _evaluate(_table(p).values(), point):
-        if all(x * den >= 0 for x in xs):
+    plain ints (den > 0, every x >= 0) before any Fraction is built."""
+    walls, rows = _table(p)
+    for combo, keep, xs, den in _evaluate(walls, rows.values(), point):
+        if min(xs) >= 0:
             yield combo, keep, xs, den
 
 
 def _vertices_at(p: Polytope, point) -> list:
     """Sorted distinct vertices of Lambda(point): feasible rows are told apart
-    on their integers over the gcd, den made positive, before any Fraction."""
+    on their integers over the gcd before any Fraction is built."""
     distinct = {}
     for _, keep, xs, den in _feasible_rows(p, point):
-        g = math.gcd(den, *xs) if den > 0 else -math.gcd(den, *xs)
+        g = math.gcd(den, *xs)
         key = (den // g, *((j, x // g) for j, x in zip(keep, xs) if x))
         distinct.setdefault(key, (keep, xs, den))
     return sorted(_sigma(p.n, *row) for row in distinct.values())

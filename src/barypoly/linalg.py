@@ -6,9 +6,10 @@ layer and the seeded polytope generator, which add floats with ``float_sum``.
 Matrices are plain lists of row lists, vectors plain sequences.
 ``rref`` is the one Fraction elimination: rank, the kernel basis and the
 oracle's tau read their result off the reduced row-echelon form, which is
-unique, so the choice of pivot row changes no output.  ``bareiss`` is the
-integer (fraction-free) kernel for systems scaled to integers by
-``integer_rows``; its row update ``bareiss_row`` is also the simplex pivot.
+unique, so the choice of pivot row changes no output.  ``bareiss_row`` is
+the integer (fraction-free) row update of rows scaled to integers by
+``integer_rows``: the simplex pivot, and the elimination step of
+``cofactors``, the pattern table's wall kernel.
 """
 
 import math
@@ -131,32 +132,42 @@ def bareiss_row(row, f: int, piv, pk: int, prev: int) -> list:
     return [(pk * x - f * y) // prev for x, y in zip(row, piv)]
 
 
-def bareiss(rows, m: int) -> tuple:
-    """Fraction-free Gauss-Jordan elimination of an integer system.
+def cofactors(rows) -> list:
+    """The cofactor vector c of m int rows of length m + 1, c_j = (-1)^j times
+    the minor without column j, so that c·y = det[y; rows] for every y.
 
-    ``rows`` holds m int rows [a_i | b_i]: a square m x m matrix a followed by
-    one or more right-hand-side columns.  Each step replaces every other row
-    r by (pivot·r - r_k·pivot_row) / previous pivot, a division that is exact
-    (Bareiss 1968), so no intermediate leaves the integers.  Returns
-    (det, nums): a·x = b is solved by x[i][c] = nums[i][c] / det, where det is
-    det(a) up to sign.  A singular a gives (0, None).
+    Fraction-free Gauss-Jordan elimination (Bareiss 1968) with a pivot-column
+    search: every other row r becomes (pivot·r - r_c·pivot_row) / previous
+    pivot, an exact division.  At rank m one column stays free and each
+    pivot row holds D, the last pivot, at its pivot column; the kernel
+    vector (-D at the free column, the rows' free-column entries at the
+    pivot columns) times (-1)^(free+1) and the parity of the row swaps is c.
+    Rank < m gives zeros.  O(m^3) operations.
     """
-    a = list(rows)
-    prev = 1
-    for k in range(m):
-        # rows hold columns k.. only: earlier columns are never read again
+    a = list(rows)  # rows are replaced, never changed in place
+    m = len(a)
+    free, k, prev, parity = None, 0, 1, 1
+    for c in range(m + 1):
         for i in range(k, m):
-            if a[i][0]:
+            if a[i][c]:
                 break
-        else:
-            return 0, None
-        a[k], a[i] = a[i], a[k]
+        else:  # no pivot in column c
+            if free is not None:
+                return [0] * (m + 1)
+            free = c
+            continue
+        if i != k:
+            a[k], a[i], parity = a[i], a[k], -parity
         piv = a[k]
-        pk, tail = piv[0], piv[1:]
-        a = [tail if j == k else bareiss_row(r[1:], r[0], tail, pk, prev)
-             for j, r in enumerate(a)]
-        prev = pk
-    return prev, a
+        pk = piv[c]
+        for j, r in enumerate(a):
+            if j != k and (r[c] or pk != prev):
+                a[j] = bareiss_row(r, r[c], piv, pk, prev)
+        prev, k = pk, k + 1
+    sign = parity if free % 2 else -parity
+    out = [sign * r[free] for r in a]
+    out.insert(free, -sign * prev)
+    return out
 
 
 def nullspace_basis(a: Mat) -> list:

@@ -35,8 +35,9 @@ class Polytope:
     vertices: tuple          # n vertex tuples, each of length d
     # N's n rows, from validation's one elimination; not part of the value
     _kernel_rows: tuple = field(repr=False, compare=False)
-    # coordinates' zero-pattern table, built on first use; not part of the value
-    _pattern_table: dict = field(default_factory=dict, init=False, repr=False,
+    # coordinates' pattern table (walls, rows), built on first use; not part
+    # of the value
+    _pattern_table: list = field(default_factory=list, init=False, repr=False,
                                  compare=False)
 
     def stacked_rows(self) -> list:

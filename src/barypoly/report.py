@@ -32,6 +32,10 @@ def _exact(value, kind):
     return value
 
 
+def _ascending(indices) -> bool:
+    return all(a < b for a, b in zip(indices, indices[1:]))
+
+
 @dataclass(frozen=True)
 class LambdaVertexEntry:
     lam: tuple
@@ -78,12 +82,33 @@ class AnalysisReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
 
+    def _check_shapes(self) -> None:
+        """ValueError unless the lengths fit the polytope's d and n."""
+        d, n = self.polytope_dim, len(self.polytope_vertices)
+        k = n - d - 1
+        if any(len(v) != d for v in (*self.polytope_vertices, self.point)):
+            raise ValueError(f"the vertices and the point need dim = {d} entries")
+        if any(len(v) != n for v in (self.tau, *(e.lam for e in self.lambda_vertices))):
+            raise ValueError(f"tau and every lambda need n = {n} entries")
+        if len(self.nbasis) != n or any(len(row) != k for row in self.nbasis):
+            raise ValueError(f"nullspace_basis must be {n} rows of {k}")
+        if (len(self.gamma_vertices) != len(self.lambda_vertices)
+                or any(len(v) != k for v in self.gamma_vertices)):
+            raise ValueError(f"gamma_vertices must be one vector of {k} per lambda")
+        if not 0 <= self.dim <= k:
+            raise ValueError(f"dim {self.dim} is outside 0..{k}")
+        for e in self.lambda_vertices:
+            if not (_ascending(e.support) and _ascending(e.zeros)
+                    and sorted(e.support + e.zeros) == list(range(1, n + 1))):
+                raise ValueError("support and zeros must be ascending complements "
+                                 f"in 1..{n}")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "AnalysisReport":
         try:
             if doc["location"] not in ("Interior", "Boundary"):
                 raise ValueError(f"location {doc['location']!r} is not Interior or Boundary")
-            return cls(
+            report = cls(
                 polytope_dim=_exact(doc["polytope"]["dim"], int),
                 polytope_vertices=tuple(
                     _parse_rvec(v) for v in doc["polytope"]["vertices"]),
@@ -103,6 +128,8 @@ class AnalysisReport:
                 dim=_exact(doc["dim"], int),
                 theorem_count_match=_exact(doc["theorem_count_match"], bool),
             )
+            report._check_shapes()
+            return report
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad report document: {exc}") from exc
 

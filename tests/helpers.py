@@ -50,6 +50,34 @@ def solve_linear(a, b) -> list:
     return [row[n] for row in rows]
 
 
+def bareiss(rows, m: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination of an integer system.
+
+    ``rows`` holds m int rows [a_i | b_i]: a square m x m matrix a followed by
+    one or more right-hand-side columns.  Each step replaces every other row
+    r by (pivot·r - r_k·pivot_row) / previous pivot, a division that is exact
+    (Bareiss 1968), so no intermediate leaves the integers.  Returns
+    (det, nums): a·x = b is solved by x[i][c] = nums[i][c] / det, where det is
+    det(a) up to sign.  A singular a gives (0, None).
+    """
+    a = list(rows)
+    prev = 1
+    for k in range(m):
+        # rows hold columns k.. only: earlier columns are never read again
+        for i in range(k, m):
+            if a[i][0]:
+                break
+        else:
+            return 0, None
+        a[k], a[i] = a[i], a[k]
+        piv = a[k]
+        pk, tail = piv[0], piv[1:]
+        a = [tail if j == k else linalg.bareiss_row(r[1:], r[0], tail, pk, prev)
+             for j, r in enumerate(a)]
+        prev = pk
+    return prev, a
+
+
 def triangle_solve(va, vb, vc, q):
     """Exact barycentric coordinates of q in the triangle (va, vb, vc)."""
     rows = [
@@ -131,7 +159,7 @@ def reference_patterns(p: Polytope, pt, *hs):
 
     With L and D the lcms of the vertex and of the point and direction
     denominators, the pattern on columns ``keep`` solves [1 … 1; L·V_keep]·x
-    = [D; L·D·pt] by ``linalg.bareiss``, whose solution is x = D·sigma_keep;
+    = [D; L·D·pt] by ``bareiss``, whose solution is x = D·sigma_keep;
     a direction h adds [0; L·D·h], solved by D·J_keep·h.
     """
     from itertools import combinations
@@ -142,7 +170,7 @@ def reference_patterns(p: Polytope, pt, *hs):
         keep = [j for j in range(p.n) if j + 1 not in combo]
         system = [[1] * len(keep) + [pscale] + [0] * len(hs)]
         system += [[vr[j] for j in keep] + b for vr, b in zip(vrows, rhs)]
-        det, nums = linalg.bareiss(system, len(keep))
+        det, nums = bareiss(system, len(keep))
         if det:
             yield combo, keep, det * pscale, nums
 

@@ -573,13 +573,13 @@ def test_analyze_stdout_is_deterministic(square_file):
 def test_too_many_patterns(tmp_path, capsys, monkeypatch):
     # the polygon on the parabola (i, i²), i = 0..85, validates, but it has
     # C(86, 3) = 102340 zero patterns: every reader of its pattern table stops
-    # before the first elimination with an error naming the count and limit
-    from barypoly import coordinates
+    # before the first wall is built with an error naming the count and limit
+    from barypoly import linalg
 
-    solves = []
-    real_solve = coordinates._solve_pattern
-    monkeypatch.setattr(coordinates, "_solve_pattern",
-                        lambda *a: solves.append(a) or real_solve(*a))
+    walls = []
+    real_cofactors = linalg.cofactors
+    monkeypatch.setattr(linalg, "cofactors",
+                        lambda rows: walls.append(rows) or real_cofactors(rows))
     f = tmp_path / "parabola.json"
     f.write_text(json.dumps({"dim": 2, "vertices": [[i, i * i] for i in range(86)]}))
     pts = tmp_path / "pts.json"
@@ -595,7 +595,7 @@ def test_too_many_patterns(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert out.split("\n")[1:] == ["1,2,,,,TooManyPatterns",
                                    "2,9,,,,TooManyPatterns", ""]
-    assert solves == []
+    assert walls == []
 
 
 def test_oracle_check_refuses_the_pattern_count_before_validating(tmp_path, capsys,
@@ -668,27 +668,28 @@ def test_probe_rows_with_a_tiny_direction(square_file, tmp_path, capsys, mode):
 
 def test_sweep_rows_share_one_pattern_table(monkeypatch):
     # one pattern table per polytope object: a 5-point census sweep on a
-    # freshly parsed prism8 makes C(8, 4) = 70 eliminations (a scan per point
-    # made 350), and continuity and semidiff rows on it make none
-    from barypoly import cli, coordinates
+    # freshly parsed prism8 builds its C(8, 3) = 56 walls once (a scan per
+    # point made 350 eliminations), and continuity and semidiff rows on it
+    # build none
+    from barypoly import cli, linalg
     from barypoly.fixtures import fixture_document
     from barypoly.polytope import parse_polytope
 
     p = parse_polytope(fixture_document("prism8"))
-    solves = []
-    real_solve = coordinates._solve_pattern
-    monkeypatch.setattr(coordinates, "_solve_pattern",
-                        lambda *a: solves.append(a) or real_solve(*a))
+    walls = []
+    real_cofactors = linalg.cofactors
+    monkeypatch.setattr(linalg, "cofactors",
+                        lambda rows: walls.append(rows) or real_cofactors(rows))
     pts = [(F(1, 2),) * 3, (F(1, 3), F(2, 5), F(1, 2)), (F(1, 4), F(1, 4), F(3, 4)),
            (F(1, 2), F(0), F(1, 2)), (F(2), F(0), F(0))]
     h = (F(1, 64), F(-1, 32), F(1, 128))
     rows = [cli._sweep_row(p, "census", pt, None, F(1, 8), 8) for pt in pts]
-    assert len(solves) == math.comb(8, 4) == 70
+    assert len(walls) == math.comb(8, 3) == 56
     assert [row.rsplit(",", 1)[1] for row in rows] == ["", "", "", "", "Infeasible"]
     for mode in ("continuity", "semidiff"):
         row = cli._sweep_row(p, mode, pts[1], h, F(1, 8), 8)
         assert row.endswith(",")  # no error
-    assert len(solves) == 70
+    assert len(walls) == 56
 
 
 def test_main_builds_no_parser(square_file, capsys, monkeypatch):
@@ -908,6 +909,42 @@ def test_report_malformed_field_is_a_parse_error(square_file, capsys, path, valu
     # each field has one type: dims and support and zeros entries are ints
     # (no bools, no floats), the count match a bool, the location Interior or
     # Boundary; a string support is not read as its characters
+    code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+    doc = json.loads(out)
+    AnalysisReport.from_dict(doc)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    with pytest.raises(ParseError, match="bad report document"):
+        AnalysisReport.from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("polytope", "vertices", 1), ["1"]),
+    (("point",), ["1", "2", "3"]),
+    (("tau",), ["1"]),
+    (("lambda_vertices", 0, "lambda"), ["0", "1/2", "1/2"]),
+    (("nullspace_basis",), [["-1"], ["1"], ["-1"]]),
+    (("nullspace_basis", 2), ["-1", "0"]),
+    (("gamma_vertices", 1), []),
+    (("gamma_vertices",), [["1/2"]]),
+    (("dim",), -7),
+    (("dim",), 2),
+    (("lambda_vertices", 0, "support"), [9, 9]),
+    (("lambda_vertices", 0, "support"), [4, 2]),
+    (("lambda_vertices", 0, "zeros"), [0, 1, 3]),
+    (("lambda_vertices", 0, "zeros"), [1, 2]),
+], ids=["vertex-length", "point-length", "tau-length", "lambda-length",
+        "nbasis-rows", "nbasis-columns", "gamma-length", "gamma-count",
+        "dim-negative", "dim-above-kernel", "support-repeated",
+        "support-descending", "zeros-outside", "not-complements"])
+def test_report_bad_shape_is_a_parse_error(square_file, capsys, path, value):
+    # lengths must fit the square's d = 2 and n = 4: the vertices and the
+    # point have d entries, tau and each lambda n, N is n rows of n - d - 1,
+    # Gamma one vector of n - d - 1 per lambda, dim lies in 0..n - d - 1,
+    # and support and zeros are strictly ascending complements in 1..n
     code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
     doc = json.loads(out)
     AnalysisReport.from_dict(doc)

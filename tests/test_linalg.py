@@ -6,7 +6,7 @@ import pytest
 
 from barypoly import linalg
 from barypoly.errors import EmptyInputError, SingularMatrixError
-from helpers import mat_mul, random_square_matrix, solve_linear
+from helpers import bareiss, mat_mul, random_square_matrix, solve_linear
 
 F = Fraction
 
@@ -59,7 +59,7 @@ def test_bareiss_matches_solve_linear():
         scale, rows = linalg.integer_rows(
             [list(row) + [bb] + e for row, bb, e in zip(a, b, eye)])
         assert scale > 0 and all(isinstance(x, int) for row in rows for x in row)
-        det, nums = linalg.bareiss(rows, n)
+        det, nums = bareiss(rows, n)
         try:
             x = solve_linear(a, b)
         except SingularMatrixError:
@@ -72,6 +72,70 @@ def test_bareiss_matches_solve_linear():
         inv = [[F(v, det) for v in row[1:]] for row in nums]
         assert mat_mul(a, inv) == eye
     assert singular >= 50
+
+
+def _signed_minor(a, j):
+    """(-1)^j det(a without column j) over Fractions: the product of the
+    pivots of a Gaussian elimination with row swaps, 0 where a column has
+    no pivot."""
+    rows = [[F(x) for k, x in enumerate(row) if k != j] for row in a]
+    det = F((-1) ** j)
+    for c in range(len(rows)):
+        i = next((i for i in range(c, len(rows)) if rows[i][c]), None)
+        if i is None:
+            return F(0)
+        if i != c:
+            rows[c], rows[i], det = rows[i], rows[c], -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
+
+
+def test_cofactors_are_signed_minors():
+    # c_j = (-1)^j det(a without column j) on random int m x (m + 1) rows:
+    # full rank, rank deficient, and full rank with the first m columns
+    # dependent, where the elimination must search for a pivot column
+    rng = random.Random(2718)
+    kinds = {"full": 0, "deficient": 0, "pivot search": 0}
+    for trial in range(300):
+        m = rng.randint(1, 6)
+        a = [[rng.randint(-9, 9) for _ in range(m + 1)] for _ in range(m)]
+        kind = ("full", "deficient", "pivot search")[trial % 3]
+        if kind == "deficient" and m > 1:
+            i, j = rng.sample(range(m), 2)
+            k = rng.randint(-2, 2)
+            a[i] = [k * x for x in a[j]]
+        elif kind == "pivot search" and m > 1:
+            # column c a combination of the earlier ones
+            c = rng.randrange(1, m)
+            w = [rng.randint(-2, 2) for _ in range(c)]
+            for row in a:
+                row[c] = sum(x * y for x, y in zip(w, row))
+        c = linalg.cofactors(a)
+        assert c == [_signed_minor(a, j) for j in range(m + 1)]
+        assert all(isinstance(x, int) for x in c)
+        rank = linalg.rank([[F(x) for x in row] for row in a])
+        assert any(c) == (rank == m)
+        if rank == m:  # c spans the kernel the Fraction rref reads off
+            basis, = linalg.nullspace_basis([[F(x) for x in row] for row in a])
+            f = next(x for x in basis if x)
+            k = next(x for x in c if x)
+            assert [x * f for x in c] == [k * x for x in basis]
+        kinds[kind] += rank < m if kind == "deficient" else rank == m
+    assert min(kinds.values()) >= 50
+
+
+def test_cofactors_small_cases():
+    # d = 1: the wall of one point (1, x) is (x, -1), so c·(1, y) = x - y
+    assert linalg.cofactors([[1, 5]]) == [5, -1]
+    # d = 2: the line through (0, 0) and (1, 0), sign det[y; rows]
+    assert linalg.cofactors([[1, 0, 0], [1, 1, 0]]) == [0, 0, 1]
+    # a zero first column: the only free column is 0, reached by the search
+    assert linalg.cofactors([[0, 1, 0], [0, 0, 1]]) == [1, 0, 0]
+    # two equal points span no line: rank 1, zeros
+    assert linalg.cofactors([[1, 2, 3], [1, 2, 3]]) == [0, 0, 0]
 
 
 def _unit_square_stacked():

@@ -519,34 +519,34 @@ def test_semidiff_leaves_polytope(square):
 
 
 def test_probes_read_one_pattern_table(monkeypatch):
-    # each polytope object eliminates every zero pattern once, into its
-    # pattern table, and the probes read Lambda at the basepoint and at every
-    # step off it: no phase one, and C(8, 4) = 70 eliminations for a first
-    # prism8 continuity row, none for a second one (a scan at the basepoint
-    # and at each of 8 steps made 630 a row).  Fresh objects: the session
-    # fixtures may already hold their tables.
-    from barypoly import coordinates, polytope, simplex
+    # each polytope object builds the walls of its pattern table once, and
+    # the probes read Lambda at the basepoint and at every step off it: no
+    # phase one, and C(8, 3) = 56 walls for a first prism8 continuity row,
+    # none for a second one (a scan at the basepoint and at each of 8 steps
+    # made 630 eliminations a row).  Fresh objects: the session fixtures may
+    # already hold their tables.
+    from barypoly import coordinates, linalg, polytope, simplex
     from barypoly.fixtures import fixture_document
 
     prism8, square, pyramid = (polytope.parse_polytope(fixture_document(name))
                                for name in ("prism8", "square", "pyramid"))
-    phase_ones, solves = [], []
-    real_fp, real_solve = simplex.feasible_point, coordinates._solve_pattern
+    phase_ones, walls = [], []
+    real_fp, real_cofactors = simplex.feasible_point, linalg.cofactors
     for mod in (simplex, coordinates, polytope):
         monkeypatch.setattr(mod, "feasible_point",
                             lambda *a: phase_ones.append(a) or real_fp(*a))
-    monkeypatch.setattr(coordinates, "_solve_pattern",
-                        lambda *a: solves.append(a) or real_solve(*a))
+    monkeypatch.setattr(linalg, "cofactors",
+                        lambda rows: walls.append(rows) or real_cofactors(rows))
     continuity_probe(prism8, (F(1, 2),) * 3, (F(1, 64), F(-1, 32), F(1, 128)))
-    assert len(solves) == math.comb(8, 4) == 70
+    assert len(walls) == math.comb(8, 3) == 56
     continuity_probe(prism8, (F(1, 3), F(2, 5), F(1, 2)), (F(0), F(1, 16), F(0)))
-    assert len(solves) == 70
-    solves.clear()
-    # the square's 4 patterns; sigma_Z(p) and J_Z·h are read off row Z
+    assert len(walls) == 56
+    walls.clear()
+    # the square's C(4, 2) = 6 walls; sigma_Z(p) and J_Z·h are read off row Z
     semidiff_probe(square, CENTER, {4}, (F(1), F(0)), t0=F(1, 16), steps=3)
-    assert len(solves) == 4
+    assert len(walls) == 6
     semidiff_probe(square, CENTER, {3}, (F(0), F(1)), t0=F(1, 16), steps=3)
-    assert len(solves) == 4
+    assert len(walls) == 6
     # boundary basepoints: on a square's edge, and on the pyramid's base,
     # where the vertex supports cover 4 of the 5 indices
     with pytest.raises(LeavesPolytopeError, match="basepoint must be interior"):

@@ -31,9 +31,10 @@ sets and raw float vertex sets; ``continuity_probe`` must give the steps of
 ``helpers.reference_continuity_probe``.
 """
 
+import functools
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -45,7 +46,6 @@ from barypoly.coordinates import (
     BarycentricVector,
     _evaluate,
     _feasible_rows,
-    _patterns,
     _sigma,
     _table,
     _vertices_at,
@@ -232,10 +232,20 @@ def test_pattern_rows_hold_sigma_and_jacobian(p, data):
         assert [x - y for x, y in zip(moved, sigma)] == list(jh)
         jac = _selection_jacobian_exact(p, combo)
         assert list(jh) == [linalg.dot(row, h) for row in jac]
-    # the table's own system is the reference's at 0 with the unit directions,
-    # integer for integer
-    units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
-    assert list(_patterns(p)) == list(reference_patterns(p, [0] * p.d, *units))
+    # the table holds the reference's rows at 0 with the unit directions:
+    # the same zero sets, and sigma_Z(0) and J_Z, read off the table at 0
+    # and at the unit vectors, equal as rationals
+    units = [tuple(F(int(c == l)) for c in range(p.d)) for l in range(p.d)]
+    reference = list(reference_patterns(p, [0] * p.d, *units))
+    walls, rows = _table(p)
+    assert list(rows) == [row[0] for row in reference]
+    at_zero, *at_units = (_rationals(p, _evaluate(walls, rows.values(), x))
+                          for x in [(F(0),) * p.d, *units])
+    for i, (combo, keep, den, nums) in enumerate(reference):
+        sigma, *jac = (_sigma(p.n, keep, col, den) for col in zip(*nums))
+        assert at_zero[i] == (combo, sigma)
+        for read, column in zip(at_units, jac):
+            assert read[i] == (combo, tuple(a + b for a, b in zip(sigma, column)))
 
 
 @PROPERTY
@@ -259,9 +269,80 @@ def test_table_rows_match_the_elimination(p, data):
         # past vertex i, away from the centroid: outside, as v_i is extreme
         s = F(data.draw(st.integers(1, 9)), 4)
         q = tuple(v + s * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
-    assert _rationals(p, _evaluate(_table(p).values(), q)) == _eliminated(p, q)
+    walls, rows = _table(p)
+    assert _rationals(p, _evaluate(walls, rows.values(), q)) == _eliminated(p, q)
     assert _rationals(p, _feasible_rows(p, q)) == _feasible_eliminated(p, q)
     assert (_vertices_at(p, q) == []) == (kind == "outside")
+
+
+@functools.cache
+def _wall_polytope(kind, seed):
+    """A segment, the 4-cube {0,1}^4 (16 vertices, C(16, 11) = 4368 zero
+    patterns, and affinely dependent 4-subsets: four vertices of a square
+    2-face) or a seeded polytope with d = 2, 3 or 4."""
+    if kind == "segment":
+        return validate([[F(-1, 3), F(5, 2)]], 1)
+    if kind == "cube4":
+        cube = list(product((0, 1), repeat=4))
+        return validate([[v[l] for v in cube] for l in range(4)], 4)
+    d, n = {"d2": (2, 7), "d3": (3, 8), "d4": (4, 7)}[kind]
+    return random_polytope(d, n, seed=seed)
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
+       st.integers(0, 3), st.data())
+def test_wall_table_matches_the_elimination(kind, seed, data):
+    # the rows the wall table gives at q equal those of a fresh elimination
+    # of every zero pattern at q, reference_patterns: the same zero sets in
+    # lexicographic order and the same sigma_Z(q) as rationals, for d = 1..4,
+    # at interior points, vertices, on vertex-pair segments, on a wall (the
+    # affine hull of d vertices, inside or outside) and outside; a row read
+    # alone by simplicial_coords, on its own d + 1 walls, agrees
+    p = _wall_polytope(kind, seed)
+    where = data.draw(st.sampled_from(["interior", "vertex", "segment", "wall",
+                                       "outside"]))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    if where == "interior":
+        weights = data.draw(st.lists(st.integers(1, 99), min_size=p.n, max_size=p.n))
+        q = _combination(p.vertices, weights)
+    elif where == "vertex":
+        q = p.vertices[i]
+    elif where == "segment":
+        w = data.draw(st.integers(0, 8))
+        q = _combination([p.vertices[i], p.vertices[j]], [w, 8 - w])
+    elif where == "wall":
+        s = data.draw(st.lists(st.integers(0, p.n - 1), min_size=p.d,
+                               max_size=p.d, unique=True))
+        weights = data.draw(st.lists(st.integers(-3, 9), min_size=p.d,
+                                     max_size=p.d).filter(sum))
+        q = _combination([p.vertices[k] for k in s], weights)
+    else:
+        t = F(data.draw(st.integers(1, 9)), 4)
+        q = tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
+    walls, rows = _table(p)
+    expected = _eliminated(p, q)
+    assert _rationals(p, _evaluate(walls, rows.values(), q)) == expected
+    combo, sigma = data.draw(st.sampled_from(expected))
+    assert simplicial_coords(p, q, combo).sigma == sigma
+
+
+@pytest.mark.parametrize("kind, seed", [("cube4", 0), ("d4", 1), ("d3", 2)])
+def test_walls_are_the_independent_d_subsets(kind, seed):
+    # one wall per affinely independent d-subset of the vertices: the 4-cube
+    # has dependent ones (four vertices of a square 2-face), whose zero
+    # cofactor vectors get no wall, and no pattern through them has a row
+    p = _wall_polytope(kind, seed)
+    walls, rows = _table(p)
+    independent = [s for s in combinations(range(p.n), p.d)
+                   if linalg.affine_dim([p.vertices[k] for k in s]) == p.d - 1]
+    assert len(walls) == len(independent) <= math.comb(p.n, p.d)
+    assert (len(walls) < math.comb(p.n, p.d)) == (kind == "cube4")
+    assert len(rows) == sum(
+        1 for keep in combinations(range(p.n), p.d + 1)
+        if linalg.affine_dim([p.vertices[k] for k in keep]) == p.d)
 
 
 @PROPERTY

@@ -73,16 +73,17 @@ def test_phase_one_returns_its_answer():
 
 
 def test_only_coordinates_eliminates_patterns():
-    # coordinates' pattern table is the one caller of the elimination loop,
+    # coordinates' pattern table is the one caller of the wall kernel,
     # and the oracle stays an independent route: it never reads that table,
     # although the table lives on the Polytope object it is given.  The
     # probes and the CLI read it only at points, through coordinates'
     # readers, and never see its row layout
     src = Path(barypoly.__file__).parent
     names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
-    assert {"_patterns", "_solve_pattern"} <= names["coordinates"]
-    assert sorted(mod for mod, found in names.items() if mod != "coordinates"
-                  and found & {"_patterns", "_solve_pattern"}) == []
+    # _patterns is the one caller of linalg's wall kernel
+    assert {"_patterns", "cofactors"} <= names["coordinates"]
+    assert sorted(mod for mod, found in names.items()
+                  if found & {"_patterns", "cofactors"}) == ["coordinates"]
     assert "_pattern_table" in names["polytope"]
     table = {"_pattern_table", "_table", "_evaluate", "_feasible_rows",
              "_vertices_at"}
@@ -91,6 +92,24 @@ def test_only_coordinates_eliminates_patterns():
     layout = {"_pattern_table", "_table", "_sigma", "_evaluate"}
     assert {mod: sorted(names[mod] & layout) for mod in ("probes", "cli")} == {
         "probes": [], "cli": []}
+
+
+def test_pattern_table_is_built_from_walls():
+    # the table's one kernel is linalg.cofactors, one call per wall in
+    # _patterns; no module defines or calls the per-pattern elimination
+    # (bareiss) or its system (_solve_pattern), and the evaluator reads
+    # wall values at a point with no elimination
+    from barypoly import coordinates, linalg
+
+    assert not hasattr(linalg, "bareiss") and not hasattr(coordinates, "_solve_pattern")
+    src = Path(barypoly.__file__).parent
+    found = {path.stem: sorted(_identifiers(path) & {"bareiss", "_solve_pattern"})
+             for path in sorted(src.glob("*.py"))}
+    assert {mod: names for mod, names in found.items() if names} == {}
+    assert "cofactors" in _names_in("coordinates", "_patterns")
+    evaluate = _names_in("coordinates", "_evaluate")
+    assert sorted(evaluate & {"cofactors", "bareiss_row", "rref", "pivot",
+                              "_patterns", "_table"}) == []
 
 
 def test_gamma_runs_no_elimination():
