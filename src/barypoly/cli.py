@@ -79,7 +79,7 @@ def _analysis_report(p: Polytope, point) -> tuple:
         polytope_dim=p.d,
         polytope_vertices=p.vertices,
         point=tuple(point),
-        location="Interior" if co.is_interior(lam.vertex_arrays()) else "Boundary",
+        location="Interior" if co.is_interior(p.n, lam.vertex_supports) else "Boundary",
         tau=tau.lam,
         nbasis=gam.nbasis,
         lambda_vertices=tuple(entries),
@@ -137,10 +137,11 @@ def _load_points(path, d):
     return [parse_coordinates(row, d, f"point {i + 1}") for i, row in enumerate(doc)]
 
 
-def _census_cells(p, point):
-    lam = co.lambda_vertices(p, point)
-    return [str(len(lam.vertices)), str(lam.dim),
-            "true" if lam.theorem_count_match else "false"]
+def _census_cells(p, keys):
+    """vertex_count, dim and theorem_count_match of Lambda at a point, read off
+    its vertex keys (``co._vertex_keys``): the cells build no Fraction."""
+    count, dim, match = co._census(p, keys)
+    return [str(count), str(dim), "true" if match else "false"]
 
 
 def _sweep_row(p, mode, point, h, t0, steps):
@@ -151,14 +152,19 @@ def _sweep_row(p, mode, point, h, t0, steps):
     error = ""
     try:
         cells += [rational_str(x) for x in point]
-        cells += _census_cells(p, point)
+        # the table is read once at the basepoint: the census cells, the
+        # selection and the probe's basepoint all come from these rows
+        rows = list(co._feasible_rows(p, point))
+        keys = co._vertex_keys(rows)
+        cells += _census_cells(p, keys)
         if mode == "continuity":
-            rep = probes.continuity_probe(p, point, h, t0=t0, steps=steps)
+            rep = probes.continuity_probe(p, point, h, t0=t0, steps=steps, base=keys)
             cells += [format_float(s.distance) for s in rep.steps]
         elif mode == "semidiff":
             # the witness distances alone: the row prints nothing else
-            zero_set = _pick_selection(p, point)
-            *_, witness, _ = probes._semidiff_witness(p, point, zero_set, h, t0, steps)
+            zero_set = _pick_selection(rows)
+            *_, witness, _ = probes._semidiff_witness(p, point, zero_set, h, t0, steps,
+                                                      base=keys)
             cells += [format_float(d) for d in witness]
     except BarypolyError as exc:
         error = exc.code
@@ -166,17 +172,18 @@ def _sweep_row(p, mode, point, h, t0, steps):
     return ",".join(cells + [error])
 
 
-def _pick_selection(p, point):
-    """First zero pattern (lexicographic) whose coordinates are feasible at
-    the point, preferring strictly positive complements."""
+def _pick_selection(rows):
+    """First zero pattern (lexicographic) among the feasible ``rows`` of
+    ``co._feasible_rows`` at a point, preferring strictly positive
+    complements."""
     first_feasible = None
-    for combo, _, xs, _ in co._feasible_rows(p, point):
+    for combo, _, xs, _ in rows:
         if all(xs):  # all d + 1 entries outside the zero set are positive
             return frozenset(combo)
         if first_feasible is None:
             first_feasible = combo
     if first_feasible is None:
-        # _census_cells found Lambda(p) non-empty on the same reading
+        # _census_cells found Lambda(p) non-empty on the same rows
         raise InternalError("no feasible selection pattern at this point")
     return frozenset(first_feasible)
 

@@ -20,6 +20,13 @@ cofactor vector built once, and one row per nonsingular pattern naming its
 d + 1 walls, their signs and the denominator |f_{K∖k_0}(v_{k_0})|; at a
 point every wall is read once, with integer multiply-adds, and every row is
 a lookup.  The sign vector of the wall values is the point's chamber key.
+
+Lambda's vertices at a point are read in two passes.  The integer pass
+(``_vertex_keys``) tells the feasible rows apart on gcd-reduced integer keys,
+each with its vertex's support; the vertex count, dim Lambda and the n-d test
+(``_census``) need nothing more, so census rows build no Fraction.  The
+Fraction pass (``_vertex_list``) builds and sorts the rationals, only for
+vertices that are printed or probed.
 """
 
 import itertools
@@ -249,52 +256,86 @@ def _feasible_rows(p: Polytope, point):
             yield combo, keep, xs, den
 
 
-def _vertices_at(p: Polytope, point) -> list:
-    """Sorted distinct vertices of Lambda(point): feasible rows are told apart
-    on their integers over the gcd before any Fraction is built."""
-    distinct = {}
-    for _, keep, xs, den in _feasible_rows(p, point):
+def _vertex_keys(rows) -> dict:
+    """The integer pass: {key: support} for the distinct vertices of Lambda
+    among the feasible ``rows`` (zero set, keep, xs, den) of ``_feasible_rows``
+    at one point.  With g the gcd of den and the xs, a vertex's key is
+    (den/g, (j, x/g) for each x != 0), j 0-based: lam_j = (x/g) / (den/g).  It
+    is canonical, so equal keys are equal vertices; the support is the set of
+    1-based j in the key.  No Fraction is built."""
+    keys = {}
+    for _, keep, xs, den in rows:
         g = math.gcd(den, *xs)
         key = (den // g, *((j, x // g) for j, x in zip(keep, xs) if x))
-        distinct.setdefault(key, (keep, xs, den))
-    return sorted(_sigma(p.n, *row) for row in distinct.values())
+        if key not in keys:
+            keys[key] = frozenset(j + 1 for j, _ in key[1:])
+    return keys
 
 
-def is_interior(vertices) -> bool:
-    """Interior iff Lambda holds a lam > 0: iff its vertices' supports cover 1..n."""
-    return all(map(any, zip(*vertices)))
+def _vertex_list(n: int, keys) -> list:
+    """The Fraction pass: (lam, support) per key of ``_vertex_keys``, lam as n
+    Fractions, sorted by lam (lexicographically)."""
+    pairs = []
+    for (den, *entries), support in keys.items():
+        keep, xs = zip(*entries)
+        pairs.append((_sigma(n, keep, xs, den), support))
+    pairs.sort(key=itemgetter(0))
+    return pairs
+
+
+def _vertices_at(p: Polytope, point) -> dict:
+    """The integer pass at ``point``: the vertex keys of Lambda(point) over
+    every feasible row of the table there."""
+    return _vertex_keys(_feasible_rows(p, point))
+
+
+def _census(p: Polytope, keys) -> tuple:
+    """(vertex count, dim, whether the count is n - d) of Lambda at a point,
+    from its vertex keys (``_vertex_keys``) alone; InfeasibleError when there
+    are none, i.e. the point is outside.
+
+    dim is k - rank N_out, N_out the rows of N (n x k) off S, the union of
+    the vertex supports.  Lambda is zero off S and its vertices' barycentre is
+    positive on S, so aff Lambda = {tau + N·c : N_out·c = 0}, and N has full
+    column rank: |S| - 1 - dim aff{v_j : j in S} by rank-nullity.  At an
+    interior point S is all of 1..n: N_out is empty, no elimination.
+    """
+    if not keys:
+        raise InfeasibleError("point is outside the polytope")
+    support = frozenset().union(*keys.values())
+    outside = [row for j, row in enumerate(p._kernel_rows, 1) if j not in support]
+    count = len(keys)
+    return count, p.kernel_dim() - linalg.rank(outside), count == p.n - p.d
+
+
+def is_interior(n: int, supports) -> bool:
+    """Interior iff Lambda holds a lam > 0: iff its vertices' ``supports``
+    (sets of 1-based indices) cover 1..n."""
+    return len(frozenset().union(*supports)) == n
 
 
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     """Enumerate the vertex set of the coordinate polytope at ``point``.
 
     Reads every nonsingular size-(n-d-1) zero pattern at ``point`` off the
-    polytope's pattern table and keeps the sorted distinct feasible
-    solutions (``_vertices_at``).  A nonsingular pattern's support columns
+    polytope's pattern table and keeps the distinct feasible solutions, told
+    apart on integers (``_vertex_keys``), then builds and sorts their
+    Fractions (``_vertex_list``).  A nonsingular pattern's support columns
     are affinely independent, so every feasible solution is a vertex.  Raises
     InfeasibleError when the point is outside and PatternLimitError when the
-    polytope has too many zero patterns.
-
-    ``dim`` is k - rank N_out, N_out the rows of N (n x k) off S, the union of
-    the vertex supports.  Lambda is zero off S and its vertices' barycentre is
-    positive on S, so aff Lambda = {tau + N·c : N_out·c = 0}, and N has full
-    column rank: |S| - 1 - dim aff{v_j : j in S} by rank-nullity.  At an
-    interior point S is all of 1..n: N_out is empty, no elimination.
+    polytope has too many zero patterns; ``dim`` and the count are
+    ``_census``'s, read off the keys.
     """
     pt = linalg.vec(point)
-    ordered = _vertices_at(p, pt)
-    if not ordered:
-        raise InfeasibleError("point is outside the polytope")
-    vertices = tuple(BarycentricVector(lam=v, point=pt) for v in ordered)
-    supports = tuple(frozenset(j + 1 for j, x in enumerate(v) if x) for v in ordered)
-    support = frozenset().union(*supports)
-    outside = [row for j, row in enumerate(p._kernel_rows, 1) if j not in support]
+    keys = _vertices_at(p, pt)
+    count, dim, match = _census(p, keys)
+    ordered = _vertex_list(p.n, keys)
     return LambdaPolytope(
         point=pt,
-        vertices=vertices,
-        vertex_supports=supports,
-        dim=p.kernel_dim() - linalg.rank(outside),
-        theorem_count_match=(len(ordered) == p.n - p.d),
+        vertices=tuple(BarycentricVector(lam=lam, point=pt) for lam, _ in ordered),
+        vertex_supports=tuple(support for _, support in ordered),
+        dim=dim,
+        theorem_count_match=match,
     )
 
 

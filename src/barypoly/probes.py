@@ -302,9 +302,16 @@ def _report(steps, tolerance, met, converges, diverges, **metadata) -> ProbeRepo
                        metadata=metadata)
 
 
-def _probe_samples(p: Polytope, point, h, t0, steps):
-    """(pt, h, t_k, Lambda(pt), each Lambda(pt + t_k·h)), each vertex list read
-    off p's pattern table at its point by co._vertices_at."""
+def _fractions(p: Polytope, keys) -> list:
+    """The sorted Fraction vertices of Lambda from its vertex keys."""
+    return [lam for lam, _ in co._vertex_list(p.n, keys)]
+
+
+def _probe_samples(p: Polytope, point, h, t0, steps, base=None):
+    """(pt, h, t_k, Lambda(pt)'s vertex keys, each Lambda(pt + t_k·h)): the
+    keys are ``base`` when the caller has read them, else read here, and each
+    step's sorted Fraction vertex list is built from its own keys, all read
+    off p's pattern table by co._vertices_at."""
     pt = linalg.vec(point)
     hv = linalg.vec(h)
     if len(pt) != p.d or len(hv) != p.d:
@@ -314,8 +321,10 @@ def _probe_samples(p: Polytope, point, h, t0, steps):
         raise ValueError("need t0 > 0, steps >= 3, and t0 and t0/2^(steps-1) "
                          "in [float min, float max]")
     ts = [t0 / (1 << k) for k in range(steps)]
-    base, *lams = [co._vertices_at(p, [a + t * b for a, b in zip(pt, hv)])
-                   for t in [0] + ts]
+    if base is None:
+        base = co._vertices_at(p, pt)
+    lams = [_fractions(p, co._vertices_at(p, [a + t * b for a, b in zip(pt, hv)]))
+            for t in ts]
     if not base:
         raise LeavesPolytopeError("basepoint is outside the polytope")
     # the polytope is convex, so every step between pt and pt + t0·h is inside
@@ -325,7 +334,8 @@ def _probe_samples(p: Polytope, point, h, t0, steps):
 
 
 def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
-                     tolerance: float = 1e-7, distance_tol: float = 1e-9) -> ProbeReport:
+                     tolerance: float = 1e-7, distance_tol: float = 1e-9,
+                     base=None) -> ProbeReport:
     """Hausdorff distances between coordinate polytopes along p + t·h, t -> 0.
 
     Parameters
@@ -334,14 +344,16 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     t0, steps : geometric step sequence t_k = t0 / 2^k, k = 0..steps-1.
     tolerance : verdict threshold on the final distance.
     distance_tol : additive tolerance of the underlying distance evaluations.
+    base : the vertex keys of Lambda(point) (``coordinates._vertex_keys``),
+        when the caller has read the table at ``point``; read here if None.
 
     Returns a ProbeReport whose steps carry (t_k, d_k, d_k / t_k), with the
     verdict of ``_report``'s rule: Converges needs the last distance below
     ``tolerance`` on a nonincreasing tail, Diverges a last distance above the
     first and ``tolerance`` on a tail that is not.
     """
-    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
-    base = FloatPolytope.from_exact(base)
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps, base)
+    base = FloatPolytope.from_exact(_fractions(p, base))
     steps_out = []
     all_met = True
     for t, lam in zip(ts, lams):
@@ -386,13 +398,15 @@ def _quotients(xs, sigma, t) -> tuple:
 
 
 def _semidiff_witness(p: Polytope, point, zero_set, h, t0, steps,
-                      distance_tol: float = 1e-9):
+                      distance_tol: float = 1e-9, base=None):
     """The witness half of ``semidiff_probe``, which ``sweep --mode semidiff``
     runs alone: (pt, h, t_k, S_k, d_k, all met), with S_k the quotient set
     (Lambda(p + t_k h) - sigma_Z(p)) / t_k, built on integers, and d_k the
-    distance from J·h to it."""
-    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
-    if not co.is_interior(base):
+    distance from J·h to it.  ``base`` is as in ``continuity_probe``; the
+    basepoint's vertices are tested only for interiority, on their supports,
+    so no Fraction of them is built."""
+    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps, base)
+    if not co.is_interior(p.n, base.values()):
         raise LeavesPolytopeError("basepoint must be interior")
     sigma = co.simplicial_coords(p, pt, zero_set).sigma
     moved = co.simplicial_coords(p, [a + b for a, b in zip(pt, hv)], zero_set).sigma

@@ -175,6 +175,15 @@ def reference_patterns(p: Polytope, pt, *hs):
             yield combo, keep, det * pscale, nums
 
 
+def reference_census(p: Polytope, point) -> tuple:
+    """(vertex count, dim, count == n - d) of Lambda(point) from the distinct
+    Fraction vertices of ``lambda_vertices``, dim as their affine dimension:
+    the reference the census cells read off the integer pass must equal.
+    Raises InfeasibleError outside, as ``lambda_vertices`` does."""
+    verts = list(set(co.lambda_vertices(p, point).vertex_arrays()))
+    return len(verts), linalg.affine_dim(verts), len(verts) == p.n - p.d
+
+
 def reference_gamma_polytope(p: Polytope, tau, nbasis_rows, lam) -> GammaPolytope:
     """Gamma by elimination, the reference for ``gamma_polytope``'s unit-row
     reading: one rref of [N | v_1 - tau | … | v_m - tau] solves every
@@ -385,8 +394,8 @@ def reference_continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: 
     """``probes.continuity_probe`` with each Hausdorff distance from
     ``reference_hausdorff_status``: the report whose steps its steps must
     equal."""
-    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
-    base = FloatPolytope.from_exact(base)
+    pt, hv, ts, _, lams = _probe_samples(p, point, h, t0, steps)
+    base = FloatPolytope.from_exact(co.lambda_vertices(p, pt).vertex_arrays())
     steps_out = []
     all_met = True
     for t, lam in zip(ts, lams):
@@ -426,8 +435,9 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
     ``tolerance`` and both tails nonincreasing, Diverges a failed witness test
     and quotient-set diameters that more than double from a nonzero start.
     """
-    pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps)
-    if not co.is_interior(base):
+    pt, hv, ts, _, lams = _probe_samples(p, point, h, t0, steps)
+    # interior iff some entry of every index is nonzero at a Fraction vertex
+    if not all(map(any, zip(*co.lambda_vertices(p, pt).vertex_arrays()))):
         raise LeavesPolytopeError("basepoint must be interior")
     sigma = co.simplicial_coords(p, pt, zero_set).sigma
     moved = co.simplicial_coords(p, [a + b for a, b in zip(pt, hv)], zero_set).sigma

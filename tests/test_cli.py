@@ -962,7 +962,8 @@ def test_pick_selection_without_a_feasible_pattern_is_internal(square):
     # non-empty on the same table reading, so finding none is an invariant
     # violation, not a bad input
     from barypoly import cli
+    from barypoly.coordinates import _feasible_rows
     from barypoly.errors import InternalError
 
     with pytest.raises(InternalError, match="no feasible selection pattern"):
-        cli._pick_selection(square, (2, 2))
+        cli._pick_selection(_feasible_rows(square, (2, 2)))

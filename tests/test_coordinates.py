@@ -145,7 +145,7 @@ def test_is_interior_reads_the_vertex_supports(square, prism8):
                          (square, (F(0), F(0)), False),
                          (prism8, (F(1, 2),) * 3, True),
                          (prism8, (F(0), F(1, 3), F(1, 2)), False)):
-        assert is_interior(lambda_vertices(p, q).vertex_arrays()) is inside
+        assert is_interior(p.n, lambda_vertices(p, q).vertex_supports) is inside
 
 
 def test_lambda_vertices_square_center(square):

@@ -16,11 +16,13 @@ elimination's there.
 ``locate``, which decides by feasibility alone, must agree with the supports
 of those vertex lists, and so with ``analyze``'s location, which reads them,
 and the double-description oracle must give the same vertex lists and refuse
-the same outside points.  The oracle's integer rays must give the list of
-``helpers.reference_dd_reduced``, the same insertion over Fractions, for
-d = 2, 3 and 4, and its k <= 2 scan on integer cross products must give the
-list of ``helpers.reference_scan_reduced``, which solves each subset over
-Fractions, from either basepoint tau.  ``semidiff_probe``, which runs the
+the same outside points.  The census cells, read off the integer pass's
+vertex keys, must equal the count, affine dimension and n - d test of the
+Fraction vertices (``helpers.reference_census``).  The oracle's integer
+rays must give the list of ``helpers.reference_dd_reduced``, the same
+insertion over Fractions, for d = 2, 3 and 4, and its k <= 2 scan on integer
+cross products must give the list of ``helpers.reference_scan_reduced``,
+which solves each subset over Fractions, from either basepoint tau.  ``semidiff_probe``, which runs the
 witness half the sweep runs and builds its quotient sets on integers, must
 give ``helpers.reference_semidiff_probe``'s report, and a semidiff sweep row
 the row formatted from that report's witness distances.  The Hausdorff
@@ -44,10 +46,13 @@ from barypoly import linalg
 from barypoly.cli import _analysis_report, _census_cells, _pick_selection, _sweep_row
 from barypoly.coordinates import (
     BarycentricVector,
+    _census,
     _evaluate,
     _feasible_rows,
     _sigma,
     _table,
+    _vertex_keys,
+    _vertex_list,
     _vertices_at,
     caratheodory_decompose,
     feasible_tau,
@@ -86,6 +91,7 @@ from barypoly.report import format_float
 from helpers import (
     brute_force_vertices,
     reference_dd_reduced,
+    reference_census,
     reference_continuity_probe,
     reference_gamma_polytope,
     reference_hausdorff_status,
@@ -118,6 +124,11 @@ def _combination(vertices, weights):
 def _rationals(p, rows):
     """(zero set, sigma) per row of (zero set, keep, xs, den)."""
     return [(combo, _sigma(p.n, keep, xs, den)) for combo, keep, xs, den in rows]
+
+
+def _fractions_at(p, q):
+    """Lambda(q)'s sorted Fraction vertices, from both passes of the table."""
+    return [lam for lam, _ in _vertex_list(p.n, _vertices_at(p, q))]
 
 
 def _eliminated(p, q):
@@ -198,12 +209,12 @@ def test_ray_table_matches_the_scan(p, data):
 
     for t in ts:
         want = sorted({sigma for _, sigma in _feasible_eliminated(p, at(t))})
-        assert _vertices_at(p, at(t)) == want
+        assert _fractions_at(p, at(t)) == want
     # a nonzero direction leaves the polytope both ways, and the exit is a wall
     assert bool(walls) == any(h)
     if walls:
-        assert _vertices_at(p, at(walls[0] - 1)) == []
-        assert _vertices_at(p, at(walls[-1] + 1)) == []
+        assert _fractions_at(p, at(walls[0] - 1)) == []
+        assert _fractions_at(p, at(walls[-1] + 1)) == []
 
 
 @PROPERTY
@@ -272,7 +283,7 @@ def test_table_rows_match_the_elimination(p, data):
     walls, rows = _table(p)
     assert _rationals(p, _evaluate(walls, rows.values(), q)) == _eliminated(p, q)
     assert _rationals(p, _feasible_rows(p, q)) == _feasible_eliminated(p, q)
-    assert (_vertices_at(p, q) == []) == (kind == "outside")
+    assert (_fractions_at(p, q) == []) == (kind == "outside")
 
 
 @functools.cache
@@ -301,6 +312,17 @@ def test_wall_table_matches_the_elimination(kind, seed, data):
     # affine hull of d vertices, inside or outside) and outside; a row read
     # alone by simplicial_coords, on its own d + 1 walls, agrees
     p = _wall_polytope(kind, seed)
+    q = _wall_point(p, data)
+    walls, rows = _table(p)
+    expected = _eliminated(p, q)
+    assert _rationals(p, _evaluate(walls, rows.values(), q)) == expected
+    combo, sigma = data.draw(st.sampled_from(expected))
+    assert simplicial_coords(p, q, combo).sigma == sigma
+
+
+def _wall_point(p, data):
+    """An interior point, a vertex, a point on a vertex-pair segment, on a
+    wall (the affine hull of d vertices, inside or outside) or outside."""
     where = data.draw(st.sampled_from(["interior", "vertex", "segment", "wall",
                                        "outside"]))
     i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
@@ -322,11 +344,36 @@ def test_wall_table_matches_the_elimination(kind, seed, data):
     else:
         t = F(data.draw(st.integers(1, 9)), 4)
         q = tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
-    walls, rows = _table(p)
-    expected = _eliminated(p, q)
-    assert _rationals(p, _evaluate(walls, rows.values(), q)) == expected
-    combo, sigma = data.draw(st.sampled_from(expected))
-    assert simplicial_coords(p, q, combo).sigma == sigma
+    return q
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(polytopes(), st.builds(_wall_polytope, st.just("cube4"), st.just(0))),
+       st.data())
+def test_census_reads_the_integer_pass(p, data):
+    # the census cells, read off the integer pass's vertex keys with no
+    # Fraction, equal the count, affine dimension and n - d test of the
+    # Fraction lambda_vertices at the same point (helpers.reference_census),
+    # on seeded d = 2, 3 polytopes and the 4-cube, whose zero walls leave
+    # patterns out; both refuse an outside point with InfeasibleError, and
+    # the supports lambda_vertices takes from the keys are the nonzero
+    # indices of its Fraction vertices
+    q = _wall_point(p, data)
+    keys = _vertex_keys(_feasible_rows(p, q))
+    try:
+        want = reference_census(p, q)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            _census_cells(p, keys)
+        assert locate(p, q).tag == Location.OUTSIDE
+        return
+    count, dim, match = want
+    assert _census(p, keys) == want
+    assert _census_cells(p, keys) == [str(count), str(dim), "true" if match else "false"]
+    lam = lambda_vertices(p, q)
+    assert lam.vertex_supports == tuple(frozenset(j + 1 for j, x in enumerate(v) if x)
+                                        for v in lam.vertex_arrays())
 
 
 @pytest.mark.parametrize("kind, seed", [("cube4", 0), ("d4", 1), ("d3", 2)])
@@ -635,12 +682,19 @@ def _outcome(probe, *args, **kwargs):
         return type(exc), str(exc)
 
 
+def _selection(p, q):
+    """The sweep's selection at q, from the table's feasible rows there."""
+    return _pick_selection(_feasible_rows(p, q))
+
+
 def _reference_row(p, point, h, t0, steps):
     """A semidiff sweep row formatted from the reference probe's witness
     distances, as the sweep formatted it before the witness function."""
-    prefix = ",".join([linalg.rational_str(x) for x in point] + _census_cells(p, point))
+    count, dim, match = reference_census(p, point)
+    prefix = ",".join([linalg.rational_str(x) for x in point]
+                      + [str(count), str(dim), "true" if match else "false"])
     try:
-        rep = reference_semidiff_probe(p, point, _pick_selection(p, point), h,
+        rep = reference_semidiff_probe(p, point, _selection(p, point), h,
                                        t0=t0, steps=steps)
     except BarypolyError as exc:
         return prefix + "," * (steps + 1) + exc.code
@@ -706,7 +760,7 @@ def _check_semidiff(p, q, h, t0, steps, zero_set):
 @pytest.mark.parametrize("name, q, h, t0, steps", SEMIDIFF_ROWS)
 def test_semidiff_rows_match_the_reference(name, q, h, t0, steps):
     p = get_fixture(name)
-    _check_semidiff(p, q, h, t0, steps, _pick_selection(p, q))
+    _check_semidiff(p, q, h, t0, steps, _selection(p, q))
 
 
 def test_the_semidiff_rows_include_nonzero_witness_distances():
@@ -714,7 +768,7 @@ def test_the_semidiff_rows_include_nonzero_witness_distances():
     # the quotient sets: four of the fixed rows have nonzero ones
     def witness(name, q, h, t0, steps):
         p = get_fixture(name)
-        rep = reference_semidiff_probe(p, q, _pick_selection(p, q), h, t0=t0, steps=steps)
+        rep = reference_semidiff_probe(p, q, _selection(p, q), h, t0=t0, steps=steps)
         return [s.distance for s in rep.steps]
 
     assert [row[0] for row in SEMIDIFF_ROWS if any(witness(*row))] == [
@@ -728,7 +782,7 @@ def test_semidiff_probe_matches_the_reference(case, data):
     # any zero set at all (infeasible or singular)
     p, q, h, t0, steps = case
     zero_set = data.draw(st.one_of(
-        st.just(_pick_selection(p, q)),
+        st.just(_selection(p, q)),
         st.sampled_from([combo for combo, *_ in _feasible_rows(p, q)]),
         st.sampled_from(list(combinations(range(1, p.n + 1), p.kernel_dim())))))
     assert _outcome(semidiff_probe, p, q, zero_set, h, t0=t0, steps=steps) == \
@@ -739,12 +793,12 @@ def test_semidiff_probe_matches_the_reference(case, data):
 @given(semidiff_cases())
 def test_semidiff_sweep_rows_match_the_reference(case):
     p, q, h, t0, steps = case
-    _check_semidiff(p, q, h, t0, steps, _pick_selection(p, q))
+    _check_semidiff(p, q, h, t0, steps, _selection(p, q))
 
 
 def _quotient_sets(name, q, h, t0, steps):
     p = get_fixture(name)
-    return _semidiff_witness(p, q, _pick_selection(p, q), h, t0, steps)[3]
+    return _semidiff_witness(p, q, _selection(p, q), h, t0, steps)[3]
 
 
 @st.composite
@@ -760,7 +814,7 @@ def hausdorff_pairs(draw):
         p, q, h, t0, steps = draw(semidiff_cases())
         ts = [F(0)] + [t0 / (1 << k) for k in range(steps)]
         s, t = draw(st.lists(st.sampled_from(ts), min_size=2, max_size=2, unique=True))
-        a, b = (_vertices_at(p, [x + u * y for x, y in zip(q, h)]) for u in (s, t))
+        a, b = (_fractions_at(p, [x + u * y for x, y in zip(q, h)]) for u in (s, t))
         assume(a and b)
         sets = FloatPolytope.from_exact(a), FloatPolytope.from_exact(b)
     elif kind == "quotient":

@@ -353,3 +353,26 @@ def test_hausdorff_runs_each_vertex_with_a_cutoff():
     assert calls and all(len(call.args) + len(call.keywords) >= 4 for call in calls)
     assert "_point_distance_status" not in _names_in("probes", "_hausdorff_status")
     assert "cutoff" in _names_in("probes", "_min_norm_point")
+
+
+def test_census_rows_build_no_fraction():
+    # a census row prints Lambda's vertex count and dim, which the integer
+    # pass's vertex keys give: its cells read no Fraction vertex list, and
+    # _sigma, which builds a coordinate vector's Fractions, runs only in the
+    # Fraction pass and for simplicial_coords' one row, never in the
+    # integer pass or the count
+    cells = _names_in("cli", "_census_cells")
+    assert "_census" in cells
+    assert sorted(cells & {"lambda_vertices", "_vertices_at", "_vertex_list",
+                           "_sigma", "Fraction"}) == []
+    path = Path(barypoly.__file__).parent / "coordinates.py"
+    tree = ast.parse(path.read_text(), str(path))
+    callers = sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                     and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                             and node.func.id == "_sigma" for node in ast.walk(top)))
+    assert callers == ["_vertex_list", "simplicial_coords"]
+    for function in ("_vertex_keys", "_census"):
+        assert sorted(_names_in("coordinates", function) & {"_sigma", "Fraction"}) == []
+    src = Path(barypoly.__file__).parent
+    assert sorted(path.stem for path in src.glob("*.py")
+                  if "_sigma" in _identifiers(path)) == ["coordinates"]
