@@ -24,9 +24,11 @@ a lookup.  The sign vector of the wall values is the point's chamber key.
 Lambda's vertices at a point are read in two passes.  The integer pass
 (``_vertex_keys``) tells the feasible rows apart on gcd-reduced integer keys,
 each with its vertex's support; the vertex count, dim Lambda and the n-d test
-(``_census``) need nothing more, so census rows build no Fraction.  The
-Fraction pass (``_vertex_list``) builds and sorts the rationals, only for
-vertices that are printed or probed.
+(``_census``) need nothing more, so census rows build no Fraction.
+``_vertex_rows`` sorts the keys as dense int rows over one denominator, in
+the Fraction order; the probes round those rows to floats, and the Fraction
+pass (``_vertex_list``) builds the rationals from them, only for vertices
+that are printed.
 """
 
 import itertools
@@ -272,14 +274,32 @@ def _vertex_keys(rows) -> dict:
     return keys
 
 
+def _vertex_rows(n: int, keys) -> tuple:
+    """(M, rows): each vertex of ``_vertex_keys`` as a dense row of n ints
+    over M, the lcm of the keys' denominators, so that lam_j = row[j] / M;
+    the rows sorted.  They share the denominator M > 0, so their order is
+    the lexicographic order of the Fraction vertices."""
+    scale = math.lcm(*(den for den, *_ in keys))
+    rows = []
+    for den, *entries in keys:
+        row = [0] * n
+        f = scale // den
+        for j, x in entries:
+            row[j] = x * f
+        rows.append(row)
+    rows.sort()
+    return scale, rows
+
+
 def _vertex_list(n: int, keys) -> list:
     """The Fraction pass: (lam, support) per key of ``_vertex_keys``, lam as n
-    Fractions, sorted by lam (lexicographically)."""
+    Fractions, in the order of ``_vertex_rows``."""
+    scale, rows = _vertex_rows(n, keys)
     pairs = []
-    for (den, *entries), support in keys.items():
-        keep, xs = zip(*entries)
-        pairs.append((_sigma(n, keep, xs, den), support))
-    pairs.sort(key=itemgetter(0))
+    for row in rows:
+        keep = [j for j, x in enumerate(row) if x]
+        pairs.append((_sigma(n, keep, [row[j] for j in keep], scale),
+                      frozenset(j + 1 for j in keep)))
     return pairs
 
 
@@ -319,12 +339,12 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
 
     Reads every nonsingular size-(n-d-1) zero pattern at ``point`` off the
     polytope's pattern table and keeps the distinct feasible solutions, told
-    apart on integers (``_vertex_keys``), then builds and sorts their
-    Fractions (``_vertex_list``).  A nonsingular pattern's support columns
-    are affinely independent, so every feasible solution is a vertex.  Raises
-    InfeasibleError when the point is outside and PatternLimitError when the
-    polytope has too many zero patterns; ``dim`` and the count are
-    ``_census``'s, read off the keys.
+    apart and sorted on integers (``_vertex_keys``, ``_vertex_rows``), then
+    builds their Fractions (``_vertex_list``).  A nonsingular pattern's
+    support columns are affinely independent, so every feasible solution is
+    a vertex.  Raises InfeasibleError when the point is outside and
+    PatternLimitError when the polytope has too many zero patterns; ``dim``
+    and the count are ``_census``'s, read off the keys.
     """
     pt = linalg.vec(point)
     keys = _vertices_at(p, pt)

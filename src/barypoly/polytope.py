@@ -3,8 +3,9 @@
 A polytope is given by its n vertices in R^d (n > d) and must be
 full-dimensional: the stacked matrix [V; 1^T] has rank d+1, equivalently its
 kernel has dimension n-d-1.  Every listed vertex must be an extreme point of
-the hull.  Vertex order in the input fixes the 1-based index order used by
-every other module.
+the hull: in the plane an integer hull walk tests that, in higher dimensions
+one phase one per vertex.  Vertex order in the input fixes the 1-based index
+order used by every other module.
 """
 
 import json
@@ -75,7 +76,9 @@ def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:
     that keeps the rows of N, the kernel basis of [V; 1^T] (its one rref).
 
     Raises TooFewVerticesError, DuplicateVertexError, RankDeficientError (N
-    has more than n-d-1 columns) or NonExtremeVertexError (1-based index).
+    has more than n-d-1 columns) or NonExtremeVertexError at the first
+    vertex (1-based index) in the hull of the others: by one hull walk in
+    the plane (``_plane_hull``), by one phase one per vertex from d = 3 on.
     """
     rows = linalg.mat(v_rows)
     if len(rows) != d or any(len(r) != len(rows[0]) for r in rows):
@@ -95,12 +98,39 @@ def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:
     if len(kernel) != n - d - 1:
         raise RankDeficientError(
             "hull is not full-dimensional (rank [V;1] < d+1)")
-    for i in range(n):
-        others = verts[:i] + verts[i + 1:]
-        if convex_membership(others, verts[i]) is not None:
-            raise NonExtremeVertexError(i + 1)
+    if d == 2:
+        hull = _plane_hull(list(zip(*linalg.integer_rows(rows)[1])))
+        inner = (i for i in range(n) if i not in hull)
+    else:
+        inner = (i for i in range(n)
+                 if convex_membership(verts[:i] + verts[i + 1:], verts[i]) is not None)
+    first = next(inner, None)
+    if first is not None:
+        raise NonExtremeVertexError(first + 1)
     return Polytope(d=d, n=n, vertices=tuple(verts), _kernel_rows=tuple(
         tuple(col[i] for col in kernel) for i in range(n)))
+
+
+def _plane_hull(points) -> set:
+    """Indices of the extreme points among distinct integer points (x, y):
+    Andrew's monotone chain (Andrew 1979) over the points sorted by (x, y),
+    whose lower and upper chains keep only strict left turns, so a point on
+    a hull edge is dropped.  Distinct points lie in the hull of the others
+    exactly when they are not extreme.  Integer cross products only."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    hull = set()
+    for chain in (order, order[::-1]):
+        kept = []
+        for i in chain:
+            cx, cy = points[i]
+            while len(kept) > 1:
+                (ax, ay), (bx, by) = points[kept[-2]], points[kept[-1]]
+                if (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) > 0:
+                    break
+                kept.pop()
+            kept.append(i)
+        hull.update(kept)
+    return hull
 
 
 def locate(p: Polytope, point: Sequence) -> PointLocation:

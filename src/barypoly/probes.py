@@ -302,16 +302,18 @@ def _report(steps, tolerance, met, converges, diverges, **metadata) -> ProbeRepo
                        metadata=metadata)
 
 
-def _fractions(p: Polytope, keys) -> list:
-    """The sorted Fraction vertices of Lambda from its vertex keys."""
-    return [lam for lam, _ in co._vertex_list(p.n, keys)]
+def _floats(scale, rows) -> tuple:
+    """Int rows over ``scale`` as float tuples x / scale: an int true
+    division, which rounds as float(Fraction) does."""
+    return tuple(tuple(x / scale for x in row) for row in rows)
 
 
 def _probe_samples(p: Polytope, point, h, t0, steps, base=None):
-    """(pt, h, t_k, Lambda(pt)'s vertex keys, each Lambda(pt + t_k·h)): the
-    keys are ``base`` when the caller has read them, else read here, and each
-    step's sorted Fraction vertex list is built from its own keys, all read
-    off p's pattern table by co._vertices_at."""
+    """(pt, h, t_k, Lambda(pt)'s vertex keys, (M, rows) of each
+    Lambda(pt + t_k·h)): the keys are ``base`` when the caller has read them,
+    else read here, and each step's vertices are int rows over M in the
+    Fraction order (``co._vertex_rows``), all read off p's pattern table by
+    co._vertices_at."""
     pt = linalg.vec(point)
     hv = linalg.vec(h)
     if len(pt) != p.d or len(hv) != p.d:
@@ -323,12 +325,12 @@ def _probe_samples(p: Polytope, point, h, t0, steps, base=None):
     ts = [t0 / (1 << k) for k in range(steps)]
     if base is None:
         base = co._vertices_at(p, pt)
-    lams = [_fractions(p, co._vertices_at(p, [a + t * b for a, b in zip(pt, hv)]))
+    lams = [co._vertex_rows(p.n, co._vertices_at(p, [a + t * b for a, b in zip(pt, hv)]))
             for t in ts]
     if not base:
         raise LeavesPolytopeError("basepoint is outside the polytope")
     # the polytope is convex, so every step between pt and pt + t0·h is inside
-    if not lams[0]:
+    if not lams[0][1]:
         raise LeavesPolytopeError("p + t0*h leaves the polytope")
     return pt, hv, ts, base, lams
 
@@ -353,11 +355,12 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
     first and ``tolerance`` on a tail that is not.
     """
     pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps, base)
-    base = FloatPolytope.from_exact(_fractions(p, base))
+    base = FloatPolytope(_floats(*co._vertex_rows(p.n, base)), p.n)
     steps_out = []
     all_met = True
-    for t, lam in zip(ts, lams):
-        d, met = _hausdorff_status(FloatPolytope.from_exact(lam), base, distance_tol)
+    for t, (scale, rows) in zip(ts, lams):
+        d, met = _hausdorff_status(FloatPolytope(_floats(scale, rows), p.n), base,
+                                   distance_tol)
         all_met = all_met and met
         steps_out.append(ProbeStep(t=float(t), distance=d, ratio=d / float(t)))
     dists = [s.distance for s in steps_out]
@@ -387,14 +390,16 @@ def selection_jacobian(p: Polytope, zero_set) -> list:
     return [[float(x) for x in row] for row in _selection_jacobian_exact(p, zero_set)]
 
 
-def _quotients(xs, sigma, t) -> tuple:
-    """Floats of (x_i - sigma_i) / t, each the correctly rounded value of the
-    rational: with x = a/b, sigma = c/e and t = u/w (b, e, u, w > 0) it is
-    (a·e - c·b)·w / (b·e·u), an int true division, which rounds as
-    float(Fraction) does."""
+def _quotients(scale, rows, sigma, t) -> tuple:
+    """Float tuples of (x_i - sigma_i) / t for each int row over ``scale``
+    (x_i = row[i] / scale), each the correctly rounded value of the rational:
+    with sigma_i = c/e given as the pair (c, e) and t = u/w (scale, e, u, w >
+    0) it is (row[i]·e·w - c·scale·w) / (scale·e·u), an int true division,
+    which rounds as float(Fraction) does."""
     u, w = t.numerator, t.denominator
-    return tuple((x.numerator * s.denominator - s.numerator * x.denominator) * w
-                 / (x.denominator * s.denominator * u) for x, s in zip(xs, sigma))
+    terms = [(e * w, c * scale * w, scale * e * u) for c, e in sigma]
+    return tuple(tuple((a * ew - cw) / den for a, (ew, cw, den) in zip(row, terms))
+                 for row in rows)
 
 
 def _semidiff_witness(p: Polytope, point, zero_set, h, t0, steps,
@@ -404,18 +409,23 @@ def _semidiff_witness(p: Polytope, point, zero_set, h, t0, steps,
     (Lambda(p + t_k h) - sigma_Z(p)) / t_k, built on integers, and d_k the
     distance from J·h to it.  ``base`` is as in ``continuity_probe``; the
     basepoint's vertices are tested only for interiority, on their supports,
-    so no Fraction of them is built."""
+    so no Fraction of them is built.  sigma_Z(p) is split into integer pairs
+    once, and J·h = sigma_Z(p + h) - sigma_Z(p) is the quotient at t = 1 of
+    sigma_Z(p + h) over the lcm of its denominators."""
     pt, hv, ts, base, lams = _probe_samples(p, point, h, t0, steps, base)
     if not co.is_interior(p.n, base.values()):
         raise LeavesPolytopeError("basepoint must be interior")
-    sigma = co.simplicial_coords(p, pt, zero_set).sigma
+    sigma = [(x.numerator, x.denominator)
+             for x in co.simplicial_coords(p, pt, zero_set).sigma]
     moved = co.simplicial_coords(p, [a + b for a, b in zip(pt, hv)], zero_set).sigma
-    if any(x < 0 for x in sigma):
+    if any(c < 0 for c, _ in sigma):
         raise InfeasibleSelectionError(
             f"sigma with zero set {sorted(zero_set)} is infeasible at the basepoint")
-    v_float = _quotients(moved, sigma, 1)
-    quotient_sets = [FloatPolytope(tuple(_quotients(vert, sigma, t) for vert in lam), p.n)
-                     for t, lam in zip(ts, lams)]
+    den = math.lcm(*(x.denominator for x in moved))
+    (v_float,) = _quotients(den, [[x.numerator * (den // x.denominator)
+                                   for x in moved]], sigma, 1)
+    quotient_sets = [FloatPolytope(_quotients(scale, rows, sigma, t), p.n)
+                     for t, (scale, rows) in zip(ts, lams)]
     status = [_point_distance_status(v_float, sk, distance_tol) for sk in quotient_sets]
     return pt, hv, ts, quotient_sets, [d for d, _ in status], all(m for _, m in status)
 

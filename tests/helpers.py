@@ -9,10 +9,14 @@ from barypoly import linalg
 from barypoly.coordinates import GammaPolytope
 from barypoly.errors import (
     DimensionMismatchError,
+    DuplicateVertexError,
     InconsistentInputsError,
     InfeasibleSelectionError,
     LeavesPolytopeError,
+    NonExtremeVertexError,
+    RankDeficientError,
     SingularMatrixError,
+    TooFewVerticesError,
 )
 from barypoly.probes import (
     FloatPolytope,
@@ -24,6 +28,7 @@ from barypoly.probes import (
     _tail_nonincreasing,
 )
 from barypoly.polytope import Polytope
+from barypoly.simplex import convex_membership
 
 
 def mat_mul(a, b):
@@ -76,6 +81,37 @@ def bareiss(rows, m: int) -> tuple:
              for j, r in enumerate(a)]
         prev = pk
     return prev, a
+
+
+def reference_validate(v_rows, d: int) -> Polytope:
+    """``polytope.validate`` as it was before the plane's hull walk: every
+    vertex, in every dimension, tested by one phase one against the hull of
+    the others.  The reference whose exception, index and kernel rows
+    ``validate`` must reproduce."""
+    rows = linalg.mat(v_rows)
+    if len(rows) != d or any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatchError(f"expected {d} coordinate rows of equal length")
+    n = len(rows[0]) if rows else 0
+    if n <= d:
+        raise TooFewVerticesError(f"need n > d, got n={n}, d={d}")
+    verts = [tuple(rows[l][i] for l in range(d)) for i in range(n)]
+    seen = {}
+    for i, v in enumerate(verts):
+        if v in seen:
+            raise DuplicateVertexError(
+                f"vertices {seen[v] + 1} and {i + 1} coincide")
+        seen[v] = i
+    stacked = rows + [[Fraction(1)] * n]
+    kernel = linalg.nullspace_basis(stacked)
+    if len(kernel) != n - d - 1:
+        raise RankDeficientError(
+            "hull is not full-dimensional (rank [V;1] < d+1)")
+    for i in range(n):
+        others = verts[:i] + verts[i + 1:]
+        if convex_membership(others, verts[i]) is not None:
+            raise NonExtremeVertexError(i + 1)
+    return Polytope(d=d, n=n, vertices=tuple(verts), _kernel_rows=tuple(
+        tuple(col[i] for col in kernel) for i in range(n)))
 
 
 def triangle_solve(va, vb, vc, q):
@@ -388,17 +424,25 @@ def reference_hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
     return worst, ok
 
 
+def _step_vertices(p: Polytope, pt, hv, ts) -> list:
+    """Lambda(pt + t·h)'s sorted Fraction vertices at each t of ``ts``, from
+    ``lambda_vertices``: the probe references' exact route to every step."""
+    return [co.lambda_vertices(p, [a + t * b for a, b in zip(pt, hv)]).vertex_arrays()
+            for t in ts]
+
+
 def reference_continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
                                tolerance: float = 1e-7,
                                distance_tol: float = 1e-9) -> ProbeReport:
     """``probes.continuity_probe`` with each Hausdorff distance from
-    ``reference_hausdorff_status``: the report whose steps its steps must
+    ``reference_hausdorff_status`` and every vertex list from the Fraction
+    route (``lambda_vertices``): the report whose steps its steps must
     equal."""
-    pt, hv, ts, _, lams = _probe_samples(p, point, h, t0, steps)
+    pt, hv, ts, _, _ = _probe_samples(p, point, h, t0, steps)
     base = FloatPolytope.from_exact(co.lambda_vertices(p, pt).vertex_arrays())
     steps_out = []
     all_met = True
-    for t, lam in zip(ts, lams):
+    for t, lam in zip(ts, _step_vertices(p, pt, hv, ts)):
         d, met = reference_hausdorff_status(FloatPolytope.from_exact(lam), base,
                                             distance_tol)
         all_met = all_met and met
@@ -417,8 +461,8 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
     """``probes.semidiff_probe`` as it was before the witness loop became
     ``probes._semidiff_witness``, the quotient sets were built on integers
     and the Hausdorff distances skipped vertices (its consecutive-set series
-    runs ``reference_hausdorff_status``): the reference its reports must
-    equal.
+    runs ``reference_hausdorff_status``, and every vertex list comes from
+    ``lambda_vertices``): the reference its reports must equal.
 
     Difference-quotient sets S_k = (Lambda(p + t_k h) - sigma_Z(p)) / t_k.
 
@@ -435,7 +479,7 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
     ``tolerance`` and both tails nonincreasing, Diverges a failed witness test
     and quotient-set diameters that more than double from a nonzero start.
     """
-    pt, hv, ts, _, lams = _probe_samples(p, point, h, t0, steps)
+    pt, hv, ts, _, _ = _probe_samples(p, point, h, t0, steps)
     # interior iff some entry of every index is nonzero at a Fraction vertex
     if not all(map(any, zip(*co.lambda_vertices(p, pt).vertex_arrays()))):
         raise LeavesPolytopeError("basepoint must be interior")
@@ -449,7 +493,7 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
     quotient_sets = []
     witness = []
     all_met = True
-    for t, lam in zip(ts, lams):
+    for t, lam in zip(ts, _step_vertices(p, pt, hv, ts)):
         sk = FloatPolytope.from_exact([tuple((m - s) / t
                                              for m, s in zip(vert, sigma))
                                        for vert in lam])

@@ -14,6 +14,7 @@ from barypoly.errors import (
     RankDeficientError,
     TooFewVerticesError,
 )
+from barypoly.fixtures import fixture_document
 from barypoly.oracle import random_polytope
 from barypoly.polytope import (
     Location,
@@ -42,6 +43,36 @@ def test_validate_non_extreme_centroid():
     with pytest.raises(NonExtremeVertexError) as exc:
         validate(rows, 2)
     assert exc.value.index == 4
+
+
+def test_validate_edge_midpoint_is_not_extreme():
+    # the midpoint makes no turn with the square's edge: a hull walk that
+    # kept points on a straight line would accept it
+    rows = [row + [x] for row, x in zip(SQUARE_ROWS, (F(1, 2), F(0)))]
+    with pytest.raises(NonExtremeVertexError) as exc:
+        validate(rows, 2)
+    assert exc.value.index == 5
+    # listed first, it is still the vertex reported
+    rows = [[x] + row for row, x in zip(SQUARE_ROWS, (F(1, 2), F(0)))]
+    with pytest.raises(NonExtremeVertexError) as exc:
+        validate(rows, 2)
+    assert exc.value.index == 1
+
+
+def test_plane_validation_runs_no_phase_one(monkeypatch):
+    # the plane's extreme-point test is a hull walk; from d = 3 on every
+    # vertex still gets its phase one
+    from barypoly import polytope
+
+    calls = []
+    real = polytope.convex_membership
+    monkeypatch.setattr(polytope, "convex_membership",
+                        lambda pts, x: calls.append(x) or real(pts, x))
+    for name, d, n in (("pentagon", 2, 0), ("pyramid", 3, 5), ("prism8", 3, 8)):
+        calls.clear()
+        doc = fixture_document(name)
+        validate([[v[l] for v in doc["vertices"]] for l in range(d)], d)
+        assert len(calls) == n
 
 
 def test_validate_collinear_rank_deficient():

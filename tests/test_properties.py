@@ -30,7 +30,10 @@ distance, which skips the vertices that cannot raise its maximum, must give
 ``helpers.reference_hausdorff_status``'s value bit for bit, with its flag True
 wherever the reference's is, on coordinate polytopes along rays, quotient
 sets and raw float vertex sets; ``continuity_probe`` must give the steps of
-``helpers.reference_continuity_probe``.
+``helpers.reference_continuity_probe``.  Both probe references read every
+vertex list off the Fraction route, ``lambda_vertices``.  On d = 2 point
+sets ``validate``'s hull walk must raise the error, at the vertex index, or
+give the kernel rows of ``helpers.reference_validate``'s phase ones.
 """
 
 import functools
@@ -98,6 +101,7 @@ from helpers import (
     reference_patterns,
     reference_scan_reduced,
     reference_semidiff_probe,
+    reference_validate,
 )
 
 F = Fraction
@@ -574,6 +578,61 @@ def test_analyze_location_agrees_with_locate(p, data):
     for q in points:
         report, _ = _analysis_report(p, q)
         assert report.location == locate(p, q).tag.value
+
+
+_GRID = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2]))
+
+
+@st.composite
+def _circle_point(draw):
+    # ((1 - s²)/(1 + s²), 2s/(1 + s²)) is on the unit circle for every s
+    s = F(draw(st.integers(-40, 40)), draw(st.integers(1, 9)))
+    return (1 - s * s) / (1 + s * s), 2 * s / (1 + s * s)
+
+
+@st.composite
+def plane_point_sets(draw):
+    """d = 2 point sets for validation: small-grid rationals (points on hull
+    edges and inside), rational unit-circle points with chord midpoints,
+    collinear points with at most one point off their line, and any of these
+    with a point repeated; in a drawn order."""
+    kind = draw(st.sampled_from(["grid", "circle", "collinear", "duplicate"]))
+    if kind == "collinear":
+        a, b = draw(_GRID), draw(_GRID)
+        ts = draw(st.lists(_GRID, min_size=3, max_size=6, unique=True))
+        pts = [(t, a + b * t) for t in ts]
+        pts += draw(st.lists(st.tuples(_GRID, _GRID), max_size=1))
+    elif kind == "circle":
+        pts = draw(st.lists(_circle_point(), min_size=3, max_size=12, unique=True))
+        for _ in range(draw(st.integers(0, 2))):
+            i, j = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2,
+                                 max_size=2, unique=True))
+            pts.append(tuple((x + y) / 2 for x, y in zip(pts[i], pts[j])))
+    else:
+        pts = draw(st.lists(st.tuples(_GRID, _GRID), min_size=3, max_size=10,
+                            unique=True))
+        if kind == "duplicate":
+            pts.append(draw(st.sampled_from(pts)))
+    return draw(st.permutations(pts))
+
+
+def _validation(check, pts):
+    """What ``check`` (validate or its reference) makes of the points: the
+    error's type and vertex index, or the vertices and kernel rows."""
+    try:
+        p = check([[q[0] for q in pts], [q[1] for q in pts]], 2)
+    except BarypolyError as exc:
+        return type(exc), getattr(exc, "index", None)
+    return p.vertices, p._kernel_rows
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(plane_point_sets())
+def test_plane_validation_matches_the_phase_ones(pts):
+    # the hull walk reports the first vertex in the hull of the others, the
+    # one the per-vertex phase ones reported, and accepts the same polygons
+    assert _validation(validate, pts) == _validation(reference_validate, pts)
 
 
 @PROPERTY

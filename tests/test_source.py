@@ -376,3 +376,31 @@ def test_census_rows_build_no_fraction():
     src = Path(barypoly.__file__).parent
     assert sorted(path.stem for path in src.glob("*.py")
                   if "_sigma" in _identifiers(path)) == ["coordinates"]
+
+
+def test_probe_steps_round_integer_rows():
+    # each probe step reads its vertices as int rows over one denominator and
+    # rounds them to floats (or quotients) itself: no Fraction vertex list,
+    # no float(Fraction); the Fraction pass serves lambda_vertices alone
+    for function in ("_probe_samples", "continuity_probe", "_semidiff_witness",
+                     "_quotients"):
+        assert sorted(_names_in("probes", function)
+                      & {"_vertex_list", "from_exact", "_fractions"}) == []
+    assert "_vertex_rows" in _names_in("probes", "_probe_samples")
+    src = Path(barypoly.__file__).parent
+    assert sorted(path.stem for path in src.glob("*.py")
+                  if "_vertex_list" in _identifiers(path)) == ["coordinates"]
+    path = src / "coordinates.py"
+    callers = sorted(top.name for top in ast.parse(path.read_text(), str(path)).body
+                     if isinstance(top, ast.FunctionDef)
+                     and "_vertex_list" in _names_in("coordinates", top.name))
+    assert callers == ["lambda_vertices"]
+
+
+def test_plane_validation_is_a_hull_walk():
+    # validate's d = 2 extreme-point test walks the hull on integer cross
+    # products: no phase one, no Fraction
+    assert "_plane_hull" in _names_in("polytope", "validate")
+    assert sorted(_names_in("polytope", "_plane_hull")
+                  & {"convex_membership", "feasible_point", "Fraction", "_ONE", "fr",
+                     "vec", "mat"}) == []
