@@ -20,6 +20,8 @@ cofactor vector built once, and one row per nonsingular pattern naming its
 d + 1 walls, their signs and the denominator |f_{K∖k_0}(v_{k_0})|; at a
 point every wall is read once, with integer multiply-adds, and every row is
 a lookup.  The sign vector of the wall values is the point's chamber key.
+Along a ray p + t·h every wall value is affine in t, so ``_ray_keys`` reads
+each wall once at p and once along h, and each step once more on integers.
 
 Lambda's vertices at a point are read in two passes.  The integer pass
 (``_vertex_keys``) tells the feasible rows apart on gcd-reduced integer keys,
@@ -213,8 +215,14 @@ def _evaluate(walls, rows, point):
     E·f(point), and a row's xs are the values at its ids over den·E."""
     scale, (ints,) = linalg.integer_rows([point])
     vec = (scale, *ints)
-    vals = [sum(map(mul, wall, vec)) for wall in walls]
-    vals += [-v for v in reversed(vals)]  # vals[~w] = -vals[w]
+    return _read_rows(rows, [sum(map(mul, wall, vec)) for wall in walls], scale)
+
+
+def _read_rows(rows, vals, scale):
+    """Yield (zero set, keep, xs, den·scale) for ``rows``, given the walls'
+    values ``vals`` at a point, each ``scale`` > 0 times the wall's value:
+    a row's xs are the values at its ids, negated at ~w."""
+    vals = vals + [-v for v in reversed(vals)]  # vals[~w] = -vals[w]
     for combo, keep, den, ids in rows:
         yield combo, keep, itemgetter(*ids)(vals), den * scale
 
@@ -249,11 +257,17 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
 
 
 def _feasible_rows(p: Polytope, point):
-    """Yield (zero set, keep, xs, den) for every row of _table(p) whose
-    sigma_keep = xs / den is feasible at ``point``, in table order; tested on
-    plain ints (den > 0, every x >= 0) before any Fraction is built."""
+    """(zero set, keep, xs, den) for every row of _table(p) whose
+    sigma_keep = xs / den is feasible at ``point``, in table order."""
     walls, rows = _table(p)
-    for combo, keep, xs, den in _evaluate(walls, rows.values(), point):
+    return _feasible(_evaluate(walls, rows.values(), point))
+
+
+def _feasible(evaluated):
+    """The rows of ``evaluated`` (``_read_rows``) whose xs / den is feasible,
+    tested on plain ints (den > 0, every x >= 0) before any Fraction is
+    built."""
+    for combo, keep, xs, den in evaluated:
         if min(xs) >= 0:
             yield combo, keep, xs, den
 
@@ -307,6 +321,25 @@ def _vertices_at(p: Polytope, point) -> dict:
     """The integer pass at ``point``: the vertex keys of Lambda(point) over
     every feasible row of the table there."""
     return _vertex_keys(_feasible_rows(p, point))
+
+
+def _ray_keys(p: Polytope, point, h, ts):
+    """Yield the vertex keys of Lambda(point + t·h) for each positive
+    rational t in ``ts``, read off p's table on integers.  Every wall value
+    is affine along the ray: with E and F the lcms of the denominators of
+    ``point`` and ``h``, at = w·(E, E·point) and slope = w[1:]·(F·h) are
+    read once per wall, and at t = u/v the wall's value times E·v·F is
+    at·v·F + slope·u·E.  The keys are gcd-canonical, so they are the ones
+    ``_vertices_at`` reads at each point + t·h."""
+    walls, rows = _table(p)
+    e, (pt,) = linalg.integer_rows([point])
+    f, (hv,) = linalg.integer_rows([h])
+    at = [sum(map(mul, wall, (e, *pt))) for wall in walls]
+    slope = [sum(map(mul, wall[1:], hv)) for wall in walls]
+    for t in ts:
+        a, b = t.denominator * f, t.numerator * e
+        vals = [x * a + y * b for x, y in zip(at, slope)]
+        yield _vertex_keys(_feasible(_read_rows(rows.values(), vals, e * a)))
 
 
 def _census(p: Polytope, keys) -> tuple:

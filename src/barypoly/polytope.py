@@ -3,15 +3,17 @@
 A polytope is given by its n vertices in R^d (n > d) and must be
 full-dimensional: the stacked matrix [V; 1^T] has rank d+1, equivalently its
 kernel has dimension n-d-1.  Every listed vertex must be an extreme point of
-the hull: in the plane an integer hull walk tests that, in higher dimensions
-one phase one per vertex.  Vertex order in the input fixes the 1-based index
-order used by every other module.
+the hull: in the plane an integer hull walk tests that; in other dimensions
+one integer functional per vertex certifies most of them, and the rest get one
+phase one each.  Vertex order in the input fixes the 1-based index order used
+by every other module.
 """
 
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import linalg
@@ -78,7 +80,9 @@ def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:
     Raises TooFewVerticesError, DuplicateVertexError, RankDeficientError (N
     has more than n-d-1 columns) or NonExtremeVertexError at the first
     vertex (1-based index) in the hull of the others: by one hull walk in
-    the plane (``_plane_hull``), by one phase one per vertex from d = 3 on.
+    the plane (``_plane_hull``); in other dimensions by one phase one per
+    vertex that ``_certified`` leaves, in index order.  A certified vertex
+    is extreme, so it can never be the first hit.
     """
     rows = linalg.mat(v_rows)
     if len(rows) != d or any(len(r) != len(rows[0]) for r in rows):
@@ -98,12 +102,14 @@ def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:
     if len(kernel) != n - d - 1:
         raise RankDeficientError(
             "hull is not full-dimensional (rank [V;1] < d+1)")
+    points = list(zip(*linalg.integer_rows(rows)[1]))
     if d == 2:
-        hull = _plane_hull(list(zip(*linalg.integer_rows(rows)[1])))
+        hull = _plane_hull(points)
         inner = (i for i in range(n) if i not in hull)
     else:
-        inner = (i for i in range(n)
-                 if convex_membership(verts[:i] + verts[i + 1:], verts[i]) is not None)
+        sure = _certified(points)
+        inner = (i for i in range(n) if i not in sure and convex_membership(
+            verts[:i] + verts[i + 1:], verts[i]) is not None)
     first = next(inner, None)
     if first is not None:
         raise NonExtremeVertexError(first + 1)
@@ -131,6 +137,23 @@ def _plane_hull(points) -> set:
             kept.append(i)
         hull.update(kept)
     return hull
+
+
+def _certified(points) -> set:
+    """Indices of distinct integer points that one linear functional proves
+    extreme: i is certified when a_i = n·v_i - Σ_j v_j (n times the direction
+    from the centroid) has a_i·v_i > a_i·v_j for every j != i.  The unique
+    maximiser of a linear functional over distinct points is extreme; a point
+    left out may be extreme or not.  O(n²·d) integer multiply-adds."""
+    n = len(points)
+    total = [sum(xs) for xs in zip(*points)]
+    sure = set()
+    for i, v in enumerate(points):
+        a = [n * x - s for x, s in zip(v, total)]
+        top = sum(map(mul, a, v))
+        if all(sum(map(mul, a, q)) < top for q in points[:i] + points[i + 1:]):
+            sure.add(i)
+    return sure
 
 
 def locate(p: Polytope, point: Sequence) -> PointLocation:

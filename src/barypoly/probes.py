@@ -1,8 +1,9 @@
 """Floating-point probes of the set-valued coordinate map.
 
 The combinatorial structure is never approximated: the exact vertex lists at
-the basepoint and at every step are read off the polytope's pattern table at
-each point, and only the metric evaluation runs in floats: plain Python
+the basepoint and at every step are read off the polytope's pattern table,
+the steps' along the ray on integers, and only the metric evaluation runs in
+floats: plain Python
 floats and tuples, as the point sets are small (the vertices of one
 coordinate polytope, in R^n).
 Distances to convex hulls use Wolfe's finite corral method for the minimum
@@ -311,9 +312,9 @@ def _floats(scale, rows) -> tuple:
 def _probe_samples(p: Polytope, point, h, t0, steps, base=None):
     """(pt, h, t_k, Lambda(pt)'s vertex keys, (M, rows) of each
     Lambda(pt + t_k·h)): the keys are ``base`` when the caller has read them,
-    else read here, and each step's vertices are int rows over M in the
-    Fraction order (``co._vertex_rows``), all read off p's pattern table by
-    co._vertices_at."""
+    else read here by co._vertices_at, and each step's vertices are int rows
+    over M in the Fraction order (``co._vertex_rows``) of the keys that
+    co._ray_keys reads along the ray on integers."""
     pt = linalg.vec(point)
     hv = linalg.vec(h)
     if len(pt) != p.d or len(hv) != p.d:
@@ -325,8 +326,7 @@ def _probe_samples(p: Polytope, point, h, t0, steps, base=None):
     ts = [t0 / (1 << k) for k in range(steps)]
     if base is None:
         base = co._vertices_at(p, pt)
-    lams = [co._vertex_rows(p.n, co._vertices_at(p, [a + t * b for a, b in zip(pt, hv)]))
-            for t in ts]
+    lams = [co._vertex_rows(p.n, keys) for keys in co._ray_keys(p, pt, hv, ts)]
     if not base:
         raise LeavesPolytopeError("basepoint is outside the polytope")
     # the polytope is convex, so every step between pt and pt + t0·h is inside

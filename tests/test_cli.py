@@ -443,25 +443,26 @@ def test_oracle_check_runs_the_oracle_once(square_file, capsys, monkeypatch):
 
 def test_oracle_check_samples_need_no_lp(tmp_path, capsys, monkeypatch):
     # samples are tested exactly, so every phase one left is validation's:
-    # one per vertex of the pyramid (d = 3; the plane's hull walk has none)
+    # one for the tetrahedron's fifth vertex, which no integer functional
+    # certifies (the plane's hull walk and the certified vertices have none)
     from barypoly import coordinates, polytope, simplex
-    from barypoly.fixtures import fixture_document
 
-    pyramid_file = tmp_path / "pyramid.json"
-    pyramid_file.write_text(json.dumps(fixture_document("pyramid")))
+    solid_file = tmp_path / "tetrahedron-plus.json"
+    solid_file.write_text(json.dumps({"dim": 3, "vertices": [
+        [0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4], ["3/2", "3/2", "11/10"]]}))
     rows = []
     for module in (simplex, polytope, coordinates):
         real = module.feasible_point
         monkeypatch.setattr(module, "feasible_point",
                             lambda a, b, real=real: rows.append(len(a)) or real(a, b))
-    assert run(capsys, "validate", str(pyramid_file))[0] == 0
+    assert run(capsys, "validate", str(solid_file))[0] == 0
     validation = list(rows)
     rows.clear()
-    code, out = run(capsys, "oracle-check", str(pyramid_file), "--point=6/5,4/5,2/5",
+    code, out = run(capsys, "oracle-check", str(solid_file), "--point=1,1,1/2",
                     "--samples", "5")
     assert code == 0
     assert json.loads(out)["samples_feasible"] is True
-    assert len(rows) == 5
+    assert len(rows) == 1
     assert rows == validation
 
 

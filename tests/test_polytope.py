@@ -59,20 +59,53 @@ def test_validate_edge_midpoint_is_not_extreme():
     assert exc.value.index == 1
 
 
-def test_plane_validation_runs_no_phase_one(monkeypatch):
-    # the plane's extreme-point test is a hull walk; from d = 3 on every
-    # vertex still gets its phase one
+def _count_phase_ones(monkeypatch):
+    """The list that every convex_membership call of validate appends to."""
     from barypoly import polytope
 
     calls = []
     real = polytope.convex_membership
     monkeypatch.setattr(polytope, "convex_membership",
                         lambda pts, x: calls.append(x) or real(pts, x))
-    for name, d, n in (("pentagon", 2, 0), ("pyramid", 3, 5), ("prism8", 3, 8)):
+    return calls
+
+
+def test_plane_validation_runs_no_phase_one(monkeypatch):
+    # the plane's extreme-point test is a hull walk; from d = 3 on a phase
+    # one runs only for the vertices no integer functional certifies: none on
+    # the pyramid and prism8, vertices 3, 5, 6 and 7 of a seeded census d3n8
+    calls = _count_phase_ones(monkeypatch)
+    for name, d, n in (("pentagon", 2, 0), ("pyramid", 3, 0), ("prism8", 3, 0)):
         calls.clear()
         doc = fixture_document(name)
         validate([[v[l] for v in doc["vertices"]] for l in range(d)], d)
         assert len(calls) == n
+    calls.clear()
+    census = random_polytope(3, 8, seed=9032)
+    assert len(calls) == 4
+    assert calls == [census.vertices[i] for i in (2, 4, 5, 6)]
+
+
+# a tetrahedron and a fifth point above the centre of its slanted face
+TETRAHEDRON = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
+
+
+@pytest.mark.parametrize("z, extreme", [(F(11, 10), True), (F(9, 10), False)])
+def test_solid_validation_falls_back_to_a_phase_one(monkeypatch, z, extreme):
+    # (3/2, 3/2, z) maximises no functional n·v_5 - Σ v_j over the five
+    # points (vertex 2 beats it), so it alone runs a phase one: past the
+    # face x + y + z = 4 (z = 11/10) it is extreme, below it (z = 9/10) it
+    # is the first vertex in the hull of the others
+    calls = _count_phase_ones(monkeypatch)
+    pts = TETRAHEDRON + [(F(3, 2), F(3, 2), z)]
+    rows = [[F(v[l]) for v in pts] for l in range(3)]
+    if extreme:
+        assert validate(rows, 3).n == 5
+    else:
+        with pytest.raises(NonExtremeVertexError) as exc:
+            validate(rows, 3)
+        assert exc.value.index == 5
+    assert calls == [pts[4]]
 
 
 def test_validate_collinear_rank_deficient():

@@ -32,8 +32,10 @@ wherever the reference's is, on coordinate polytopes along rays, quotient
 sets and raw float vertex sets; ``continuity_probe`` must give the steps of
 ``helpers.reference_continuity_probe``.  Both probe references read every
 vertex list off the Fraction route, ``lambda_vertices``.  On d = 2 point
-sets ``validate``'s hull walk must raise the error, at the vertex index, or
-give the kernel rows of ``helpers.reference_validate``'s phase ones.
+sets ``validate``'s hull walk, and on d = 3 and d = 4 point sets its integer
+certificates with phase ones for the rest, must raise the error, at the
+vertex index, or give the kernel rows of ``helpers.reference_validate``'s
+phase ones.
 """
 
 import functools
@@ -619,8 +621,9 @@ def plane_point_sets(draw):
 def _validation(check, pts):
     """What ``check`` (validate or its reference) makes of the points: the
     error's type and vertex index, or the vertices and kernel rows."""
+    d = len(pts[0])
     try:
-        p = check([[q[0] for q in pts], [q[1] for q in pts]], 2)
+        p = check([[q[l] for q in pts] for l in range(d)], d)
     except BarypolyError as exc:
         return type(exc), getattr(exc, "index", None)
     return p.vertices, p._kernel_rows
@@ -632,6 +635,54 @@ def _validation(check, pts):
 def test_plane_validation_matches_the_phase_ones(pts):
     # the hull walk reports the first vertex in the hull of the others, the
     # one the per-vertex phase ones reported, and accepts the same polygons
+    assert _validation(validate, pts) == _validation(reference_validate, pts)
+
+
+_SMALL = st.integers(0, 2)
+
+
+@st.composite
+def solid_point_sets(draw):
+    """d = 3 and d = 4 point sets for validation: a seeded polytope's
+    vertices with its centroid, an edge midpoint or a convex combination of
+    three vertices inserted at a drawn index; small-grid integer points
+    (points on facets and edges); points on one hyperplane with at most one
+    point off it; and grid points with a point repeated."""
+    d = draw(st.sampled_from([3, 4]))
+    kind = draw(st.sampled_from(["seeded", "grid", "coplanar", "duplicate"]))
+    if kind == "seeded":
+        p = random_polytope(d, draw(st.integers(d + 1, 12 - d)),
+                            seed=draw(st.integers(0, 10**6)))
+        pts = list(p.vertices)
+        # the centroid of all vertices, of two or of three
+        size = draw(st.sampled_from([p.n, 2, 3]))
+        chosen = draw(st.lists(st.sampled_from(pts), min_size=size,
+                               max_size=size, unique=True))
+        pts.insert(draw(st.integers(0, p.n)),
+                   tuple(sum(xs) / size for xs in zip(*chosen)))
+        return pts
+    grid = st.tuples(*[_SMALL] * d)
+    if kind == "coplanar":
+        # the last coordinate an affine function of the others
+        coeffs = draw(st.lists(st.integers(-2, 2), min_size=d, max_size=d))
+        pts = [(*q, sum(c * x for c, x in zip(coeffs, q)) + coeffs[-1])
+               for q in draw(st.lists(st.tuples(*[_SMALL] * (d - 1)),
+                                      min_size=d + 1, max_size=9, unique=True))]
+        pts += draw(st.lists(grid, max_size=1))
+    else:
+        pts = draw(st.lists(grid, min_size=d + 1, max_size=10, unique=True))
+        if kind == "duplicate":
+            pts.append(draw(st.sampled_from(pts)))
+    return [tuple(map(F, q)) for q in draw(st.permutations(pts))]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(solid_point_sets())
+def test_solid_validation_matches_the_phase_ones(pts):
+    # vertices certified by one integer functional are never the first hit,
+    # so running the phase ones on the rest reports the reference's first
+    # vertex in the hull of the others, and accepts the same polytopes
     assert _validation(validate, pts) == _validation(reference_validate, pts)
 
 

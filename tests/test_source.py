@@ -89,7 +89,7 @@ def test_only_coordinates_eliminates_patterns():
              "_vertices_at"}
     assert table <= names["coordinates"] | names["polytope"]
     assert sorted(names["oracle"] & table) == []
-    layout = {"_pattern_table", "_table", "_sigma", "_evaluate"}
+    layout = {"_pattern_table", "_table", "_sigma", "_evaluate", "_read_rows"}
     assert {mod: sorted(names[mod] & layout) for mod in ("probes", "cli")} == {
         "probes": [], "cli": []}
 
@@ -404,3 +404,31 @@ def test_plane_validation_is_a_hull_walk():
     assert sorted(_names_in("polytope", "_plane_hull")
                   & {"convex_membership", "feasible_point", "Fraction", "_ONE", "fr",
                      "vec", "mat"}) == []
+
+
+def test_solid_validation_certifies_before_any_phase_one():
+    # from d = 3 on, validate runs a phase one only for the vertices that one
+    # integer functional each does not prove extreme: no Fraction, no phase
+    # one in the certificate
+    assert "_certified" in _names_in("polytope", "validate")
+    assert sorted(_names_in("polytope", "_certified")
+                  & {"convex_membership", "feasible_point", "Fraction", "_ONE", "fr",
+                     "vec", "mat"}) == []
+
+
+def test_probe_steps_read_the_ray_on_integers():
+    # the walls are read once at the basepoint and once along h, and each
+    # step's values are integer multiply-adds of the two: no step builds its
+    # point pt + t·h, and the ray shares _evaluate's row lookup
+    func = _function("probes", "_probe_samples")
+    loops = [node for node in ast.walk(func)
+             if isinstance(node, (ast.For, ast.ListComp, ast.GeneratorExp))]
+    assert loops and all(
+        "_vertices_at" not in {n.attr for n in ast.walk(loop)
+                               if isinstance(n, ast.Attribute)}
+        for loop in loops)
+    assert "_ray_keys" in _names_in("probes", "_probe_samples")
+    ray = _names_in("coordinates", "_ray_keys")
+    assert "_read_rows" in ray and "_read_rows" in _names_in("coordinates", "_evaluate")
+    assert sorted(ray & {"_evaluate", "_vertices_at", "Fraction", "fr", "vec",
+                         "_sigma"}) == []
