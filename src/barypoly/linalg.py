@@ -4,12 +4,15 @@ All combinatorial computations in this package run over ``fractions.Fraction``
 (arbitrary-precision rationals); floating point only appears in the probe
 layer and the seeded polytope generator, which add floats with ``float_sum``.
 Matrices are plain lists of row lists, vectors plain sequences.
-``rref`` is the one Fraction elimination: rank, the kernel basis and the
-oracle's tau read their result off the reduced row-echelon form, which is
-unique, so the choice of pivot row changes no output.  ``bareiss_row`` is
-the integer (fraction-free) row update of rows scaled to integers by
-``integer_rows``: the simplex pivot, and the elimination step of
-``cofactors``, the pattern table's wall kernel.
+``rref`` is the DD oracle's Fraction elimination, kept apart from the
+enumeration route: the oracle reads tau, N and its free columns off the
+reduced row-echelon form of [V; 1^T | -(p; 1)].  ``bareiss_row`` is the
+integer (fraction-free) row update of rows scaled to integers by
+``integer_rows``: the simplex pivot, and the step of ``eliminate``, the one
+fraction-free Gauss-Jordan loop, under ``cofactors`` (the pattern table's
+wall kernel), ``nullspace_basis`` (validation's N) and ``rank``.  The RREF
+is unique, so the kernel basis read off ``eliminate`` is the one ``rref``
+gives, Fraction for Fraction.
 """
 
 import math
@@ -88,7 +91,8 @@ def pivot(rows, r: int, c: int) -> None:
 
 
 def rref(a: Mat) -> tuple:
-    """Reduced row-echelon form. Returns (rref rows, pivot column list).
+    """Reduced row-echelon form over Fractions, for the DD oracle. Returns
+    (rref rows, pivot column list).
 
     Each column pivots on its first nonzero entry at or below the next
     pivot row.
@@ -109,11 +113,11 @@ def rref(a: Mat) -> tuple:
 
 
 def rank(a: Mat) -> int:
-    """Exact rank via rational elimination."""
+    """Exact rank: the pivot count of ``eliminate`` on ``a`` scaled to
+    integers."""
     if not a or not a[0]:
         return 0
-    _, pivots = rref(a)
-    return len(pivots)
+    return len(eliminate(integer_rows(a)[1])[1])
 
 
 def integer_rows(a: Mat) -> tuple:
@@ -132,29 +136,27 @@ def bareiss_row(row, f: int, piv, pk: int, prev: int) -> list:
     return [(pk * x - f * y) // prev for x, y in zip(row, piv)]
 
 
-def cofactors(rows) -> list:
-    """The cofactor vector c of m int rows of length m + 1, c_j = (-1)^j times
-    the minor without column j, so that c·y = det[y; rows] for every y.
+def eliminate(rows) -> tuple:
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968) of int rows,
+    with a pivot-column search: (rows, pivot columns, D, parity).
 
-    Fraction-free Gauss-Jordan elimination (Bareiss 1968) with a pivot-column
-    search: every other row r becomes (pivot·r - r_c·pivot_row) / previous
-    pivot, an exact division.  At rank m one column stays free and each
-    pivot row holds D, the last pivot, at its pivot column; the kernel
-    vector (-D at the free column, the rows' free-column entries at the
-    pivot columns) times (-1)^(free+1) and the parity of the row swaps is c.
-    Rank < m gives zeros.  O(m^3) operations.
+    Each column pivots on its first nonzero entry at or below the next pivot
+    row, and every other row r becomes (pivot·r - r_c·pivot_row) / previous
+    pivot, an exact division, so every entry stays a minor of the input.
+    Each pivot row then holds D, the last pivot, at its pivot column and 0
+    at the other pivot columns: row r / D is row r of the RREF.  parity is
+    (-1) to the number of row swaps.  O(m^2 n) operations.
     """
     a = list(rows)  # rows are replaced, never changed in place
     m = len(a)
-    free, k, prev, parity = None, 0, 1, 1
-    for c in range(m + 1):
+    pivots, k, prev, parity = [], 0, 1, 1
+    for c in range(len(a[0]) if a else 0):
+        if k == m:
+            break
         for i in range(k, m):
             if a[i][c]:
                 break
         else:  # no pivot in column c
-            if free is not None:
-                return [0] * (m + 1)
-            free = c
             continue
         if i != k:
             a[k], a[i], parity = a[i], a[k], -parity
@@ -164,6 +166,24 @@ def cofactors(rows) -> list:
             if j != k and (r[c] or pk != prev):
                 a[j] = bareiss_row(r, r[c], piv, pk, prev)
         prev, k = pk, k + 1
+        pivots.append(c)
+    return a, pivots, prev, parity
+
+
+def cofactors(rows) -> list:
+    """The cofactor vector c of m int rows of length m + 1, c_j = (-1)^j times
+    the minor without column j, so that c·y = det[y; rows] for every y.
+
+    At rank m ``eliminate`` leaves one column free and each pivot row holds
+    D at its pivot column; the kernel vector (-D at the free column, the
+    rows' free-column entries at the pivot columns) times (-1)^(free+1) and
+    the parity of the row swaps is c.  Rank < m gives zeros.
+    """
+    m = len(rows)
+    a, pivots, prev, parity = eliminate(rows)
+    if len(pivots) < m:
+        return [0] * (m + 1)
+    free = m * (m + 1) // 2 - sum(pivots)  # the one column of 0..m left out
     sign = parity if free % 2 else -parity
     out = [sign * r[free] for r in a]
     out.insert(free, -sign * prev)
@@ -175,19 +195,21 @@ def nullspace_basis(a: Mat) -> list:
 
     Returns a list of kernel vectors (each of length a.cols); the list is
     empty when the kernel is trivial.  Basis vectors come from the RREF's
-    free columns, so the output is canonical for a given input.
+    free columns, so the output is canonical for a given input: ``a`` scaled
+    to integers (the same RREF) is ``eliminate``d, and the vector of free
+    column f is 1 at f and -row_r[f] / D at pivot column c_r.
     """
     if not a:
         return []
     ncols = len(a[0])
-    red, pivots = rref(a)
+    red, pivots, last, _ = eliminate(integer_rows(a)[1])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
         v = [Fraction(0)] * ncols
         v[f] = Fraction(1)
         for r, c in enumerate(pivots):
-            v[c] = -red[r][f]
+            v[c] = Fraction(-red[r][f], last)
         basis.append(v)
     return basis
 

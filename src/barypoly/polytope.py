@@ -75,7 +75,8 @@ class PointLocation:
 
 def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:
     """Validate a d x n vertex matrix (column i = vertex i) into a Polytope
-    that keeps the rows of N, the kernel basis of [V; 1^T] (its one rref).
+    that keeps the rows of N, the kernel basis of [V; 1^T] (its one
+    fraction-free elimination, under ``linalg.nullspace_basis``).
 
     Raises TooFewVerticesError, DuplicateVertexError, RankDeficientError (N
     has more than n-d-1 columns) or NonExtremeVertexError at the first

@@ -55,6 +55,35 @@ def solve_linear(a, b) -> list:
     return [row[n] for row in rows]
 
 
+def reference_rank(a) -> int:
+    """``linalg.rank`` as it was before the fraction-free loop: the pivot
+    count of the Fraction rref.  The reference the integer rank must equal."""
+    if not a or not a[0]:
+        return 0
+    _, pivots = linalg.rref(a)
+    return len(pivots)
+
+
+def reference_nullspace_basis(a) -> list:
+    """``linalg.nullspace_basis`` as it was before the fraction-free loop: one
+    vector per free column of the Fraction rref, 1 there and minus the
+    reduced rows' entries at the pivot columns.  The reference the integer
+    kernel basis must equal, Fraction for Fraction."""
+    if not a:
+        return []
+    ncols = len(a[0])
+    red, pivots = linalg.rref(a)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
 def bareiss(rows, m: int) -> tuple:
     """Fraction-free Gauss-Jordan elimination of an integer system.
 
@@ -86,8 +115,9 @@ def bareiss(rows, m: int) -> tuple:
 def reference_validate(v_rows, d: int) -> Polytope:
     """``polytope.validate`` as it was before the plane's hull walk: every
     vertex, in every dimension, tested by one phase one against the hull of
-    the others.  The reference whose exception, index and kernel rows
-    ``validate`` must reproduce."""
+    the others, and N from the Fraction rref (``reference_nullspace_basis``).
+    The reference whose exception, index and kernel rows ``validate`` must
+    reproduce."""
     rows = linalg.mat(v_rows)
     if len(rows) != d or any(len(r) != len(rows[0]) for r in rows):
         raise DimensionMismatchError(f"expected {d} coordinate rows of equal length")
@@ -102,7 +132,7 @@ def reference_validate(v_rows, d: int) -> Polytope:
                 f"vertices {seen[v] + 1} and {i + 1} coincide")
         seen[v] = i
     stacked = rows + [[Fraction(1)] * n]
-    kernel = linalg.nullspace_basis(stacked)
+    kernel = reference_nullspace_basis(stacked)
     if len(kernel) != n - d - 1:
         raise RankDeficientError(
             "hull is not full-dimensional (rank [V;1] < d+1)")

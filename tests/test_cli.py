@@ -820,10 +820,11 @@ def test_sweep_grid_is_bounded(tmp_path, capsys, monkeypatch):
     assert (code, json.loads(out)["error"], built) == (1, "ParseError", [2])
 
 
-def test_one_fraction_elimination_per_polytope(tmp_path, capsys, monkeypatch):
+def test_one_integer_elimination_per_polytope(tmp_path, capsys, monkeypatch):
     # validation's kernel basis gives the rank test, N and dim Λ: analyze at
-    # an interior point and a census sweep over interior points run its one
-    # rref; oracle-check adds the oracle's own
+    # an interior point and a census sweep over interior points each run the
+    # integer loop once on [V; 1ᵀ] and once per wall, and no rref; only
+    # oracle-check runs one, the oracle's own
     from barypoly import linalg
     from barypoly.fixtures import fixture_document
 
@@ -832,18 +833,38 @@ def test_one_fraction_elimination_per_polytope(tmp_path, capsys, monkeypatch):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps([["1/2", "1/2", "1/2"], ["1/3", "2/5", "1/2"],
                                ["1/4", "1/4", "3/4"], ["2/3", "1/3", "1/4"]]))
-    calls, real_rref = [], linalg.rref
-    monkeypatch.setattr(linalg, "rref", lambda a: calls.append(a) or real_rref(a))
+    rrefs, eliminations, walls = [], [], []
+    real_rref, real_eliminate, real_cofactors = (linalg.rref, linalg.eliminate,
+                                                 linalg.cofactors)
+    monkeypatch.setattr(linalg, "rref", lambda a: rrefs.append(a) or real_rref(a))
+    monkeypatch.setattr(linalg, "eliminate",
+                        lambda rows: eliminations.append(rows) or real_eliminate(rows))
+    monkeypatch.setattr(linalg, "cofactors",
+                        lambda rows: walls.append(rows) or real_cofactors(rows))
+
+    def stacked_eliminations():
+        # the eliminations that are not a wall's: d + 1 rows of n entries
+        return [rows for rows in eliminations if not any(rows is w for w in walls)]
+
     code, out = run(capsys, "analyze", str(f), "--point", "1/3,2/5,1/2")
-    assert (code, json.loads(out)["location"], len(calls)) == (0, "Interior", 1)
-    calls.clear()
+    assert (code, json.loads(out)["location"], len(rrefs)) == (0, "Interior", 0)
+    stacked, = stacked_eliminations()
+    assert (len(stacked), {len(row) for row in stacked}, len(set(stacked[-1]))) \
+        == (4, {8}, 1)  # the last row is 1ᵀ scaled to integers
+    assert len(eliminations) == 1 + len(walls) and len(walls) == 56
+    for log in (rrefs, eliminations, walls):
+        log.clear()
     code, out = run(capsys, "sweep", str(f), "--mode", "census", "--points", str(pts))
     rows = out.splitlines()[1:]
-    assert (code, len(rows), len(calls)) == (0, 4, 1)
+    assert (code, len(rows), len(rrefs)) == (0, 4, 0)
     assert all(row.endswith(",") for row in rows)  # empty error column
-    calls.clear()
+    stacked, = stacked_eliminations()
+    assert (len(stacked), {len(row) for row in stacked}, len(set(stacked[-1]))) \
+        == (4, {8}, 1)
+    assert len(eliminations) == 1 + len(walls) and len(walls) == 56
+    rrefs.clear()
     code, out = run(capsys, "oracle-check", str(f), "--point", "1/3,2/5,1/2")
-    assert (code, len(calls)) == (0, 2)
+    assert (code, len(rrefs)) == (0, 1)
 
 
 def test_sweep_writes_each_row_as_it_is_computed(square_file, capsys, monkeypatch):

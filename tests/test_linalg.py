@@ -3,12 +3,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barypoly import linalg
 from barypoly.errors import EmptyInputError, SingularMatrixError
-from helpers import bareiss, mat_mul, random_square_matrix, solve_linear
+from helpers import (
+    bareiss,
+    mat_mul,
+    random_square_matrix,
+    reference_nullspace_basis,
+    reference_rank,
+    solve_linear,
+)
 
 F = Fraction
+BIG = 1 << 64
 
 
 def test_solve_identity():
@@ -116,10 +126,10 @@ def test_cofactors_are_signed_minors():
         c = linalg.cofactors(a)
         assert c == [_signed_minor(a, j) for j in range(m + 1)]
         assert all(isinstance(x, int) for x in c)
-        rank = linalg.rank([[F(x) for x in row] for row in a])
+        rank = reference_rank([[F(x) for x in row] for row in a])
         assert any(c) == (rank == m)
         if rank == m:  # c spans the kernel the Fraction rref reads off
-            basis, = linalg.nullspace_basis([[F(x) for x in row] for row in a])
+            basis, = reference_nullspace_basis([[F(x) for x in row] for row in a])
             f = next(x for x in basis if x)
             k = next(x for x in c if x)
             assert [x * f for x in c] == [k * x for x in basis]
@@ -136,6 +146,54 @@ def test_cofactors_small_cases():
     assert linalg.cofactors([[0, 1, 0], [0, 0, 1]]) == [1, 0, 0]
     # two equal points span no line: rank 1, zeros
     assert linalg.cofactors([[1, 2, 3], [1, 2, 3]]) == [0, 0, 0]
+
+
+@st.composite
+def _rationals(draw, big):
+    """A small rational, or one whose denominator is within 999 of 2^64."""
+    if big:
+        return F(draw(st.integers(-BIG, BIG)), BIG - draw(st.integers(0, 999)))
+    return F(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+
+
+@st.composite
+def _matrices(draw, shape):
+    """A rational m x n matrix of the given shape, with zero rows, zero
+    columns and a row that combines the others drawn in."""
+    m = 1 if shape == "1x1" else draw(st.integers(2, 6))
+    if shape == "wide":
+        n = draw(st.integers(m + 1, 7))
+    elif shape == "tall":
+        n = draw(st.integers(1, m - 1))
+    else:
+        n = m
+    big = draw(st.booleans())
+    a = [[draw(_rationals(big)) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        a[i] = [F(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in a:
+            row[j] = F(0)
+    if m > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        ws = [draw(_rationals(big)) for _ in range(m)]
+        a[i] = [sum((w * row[j] for k, (w, row) in enumerate(zip(ws, a)) if k != i),
+                    F(0)) for j in range(n)]
+    return a
+
+
+@pytest.mark.parametrize("shape", ["1x1", "wide", "square", "tall"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_kernel_and_rank_equal_the_fraction_references(shape, data):
+    # the fraction-free loop's N and rank equal the Fraction rref's, entry
+    # for entry: m < n, m = n, m > n and 1 x 1, with zero rows and columns,
+    # a dependent row and denominators near 2^64
+    a = data.draw(_matrices(shape))
+    basis = linalg.nullspace_basis(a)
+    assert basis == reference_nullspace_basis(a)
+    assert all(type(x) is F for v in basis for x in v)
+    assert linalg.rank(a) == reference_rank(a) == len(a[0]) - len(basis)
 
 
 def _unit_square_stacked():

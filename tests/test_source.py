@@ -432,3 +432,31 @@ def test_probe_steps_read_the_ray_on_integers():
     assert "_read_rows" in ray and "_read_rows" in _names_in("coordinates", "_evaluate")
     assert sorted(ray & {"_evaluate", "_vertices_at", "Fraction", "fr", "vec",
                          "_sigma"}) == []
+
+
+def test_one_integer_loop_under_the_kernels():
+    # the wall cofactors, validation's kernel basis and the rank read one
+    # fraction-free loop, linalg.eliminate; the Fraction rref is left to the
+    # DD oracle, so the oracle's elimination stays apart from the scan's
+    src = Path(barypoly.__file__).parent
+    naming = []
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = {n.id if isinstance(n, ast.Name) else n.attr
+                         for n in ast.walk(node)
+                         if isinstance(n, (ast.Name, ast.Attribute))}
+                if "rref" in names:
+                    naming.append(f"{path.stem}.{node.name}")
+            elif isinstance(node, ast.alias) and node.name == "rref":
+                naming.append(f"{path.stem}: import")
+    assert naming == ["oracle._reduced_system"]
+    for kernel in ("cofactors", "nullspace_basis", "rank"):
+        names = _names_in("linalg", kernel)
+        assert "eliminate" in names
+        assert sorted(names & {"rref", "pivot", "bareiss_row"}) == []
+    for kernel in ("eliminate", "cofactors", "rank"):
+        assert sorted(_names_in("linalg", kernel)
+                      & {"Fraction", "_ZERO", "_ONE", "fr", "vec", "mat"}) == []
+    assert "bareiss_row" in _names_in("linalg", "eliminate")
