@@ -22,7 +22,7 @@ from . import probes
 from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismatchError,
                      ParseError)
 from .fixtures import fixture_document, fixture_names
-from .linalg import fr, integer_rows, rational_str
+from .linalg import fr, rational_str
 from .polytope import (Polytope, load_polytope, locate, parse_coordinates,
                        polytope_rows, read_json, validate)
 from .report import AnalysisReport, LambdaVertexEntry, format_float
@@ -207,7 +207,8 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
     if probe and not probes._float_steps(t0_frac, steps):
         raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 and "
                          "--t0/2^(steps-1) in [float min, float max]")
-    # the file's shape, then what needs only its d, then validation's phase ones
+    # the file's shape, then what needs only its d, then validation (a hull
+    # walk at d = 2, else phase ones only for uncertified vertices)
     rows, d = polytope_rows(read_json(path))
     if grid is not None and grid ** d > MAX_GRID_POINTS:
         raise ParseError(f"--grid {grid} gives {grid}^{d} points, more than "
@@ -247,7 +248,7 @@ def run_oracle_check(path, point_text, samples) -> int:
     if samples > MAX_SAMPLES:
         raise ParseError(f"--samples {samples} is over the limit of {MAX_SAMPLES}")
     # the file's shape, the point, the seed and the pattern budget, which
-    # need only d and n, then validation's n phase ones
+    # need only d and n, then validation (see run_sweep)
     rows, d = polytope_rows(read_json(path))
     point = _parse_vector(point_text, d, "point")
     seed_text = os.environ.get(_SEED_ENV, "0")
@@ -264,12 +265,9 @@ def run_oracle_check(path, point_text, samples) -> int:
         # the enumeration found the point inside: the routes disagree
         raise OracleMismatchError(
             f"oracle found no vertex, enumeration found {len(lam.vertices)}") from exc
-    agree = orc.vertices_agree(ora.vertices, lam.vertex_arrays())
-    # a sample is feasible when it is a coordinate vector of the point:
-    # [V; 1ᵀ]·λ = [p; 1] and λ ≥ 0, tested exactly on integers
-    _, rows = integer_rows([row + [b] for row, b in zip(p.stacked_rows(), [*point, 1])])
-    samples_ok = all(orc.solves(rows, s.lam) for s in
-                     orc.random_feasible_sample(ora.vertices, point, samples, seed))
+    # both lists are sorted and repeat no vertex: equal lists are equal sets
+    agree = ora.vertices == tuple(lam.vertex_arrays())
+    samples_ok = orc.samples_feasible(p, point, ora.vertices, samples, seed)
     print(json.dumps({
         "agreement": agree,
         "method": ora.method,

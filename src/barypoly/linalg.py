@@ -1,18 +1,18 @@
 """Exact rational linear algebra kernels.
 
-All combinatorial computations in this package run over ``fractions.Fraction``
-(arbitrary-precision rationals); floating point only appears in the probe
-layer and the seeded polytope generator, which add floats with ``float_sum``.
-Matrices are plain lists of row lists, vectors plain sequences.
-``rref`` is the DD oracle's Fraction elimination, kept apart from the
-enumeration route: the oracle reads tau, N and its free columns off the
-reduced row-echelon form of [V; 1^T | -(p; 1)].  ``bareiss_row`` is the
-integer (fraction-free) row update of rows scaled to integers by
-``integer_rows``: the simplex pivot, and the step of ``eliminate``, the one
-fraction-free Gauss-Jordan loop, under ``cofactors`` (the pattern table's
-wall kernel), ``nullspace_basis`` (validation's N) and ``rank``.  The RREF
-is unique, so the kernel basis read off ``eliminate`` is the one ``rref``
-gives, Fraction for Fraction.
+All combinatorial computations in this package are exact: over
+``fractions.Fraction`` (arbitrary-precision rationals), or over int rows
+scaled from them by ``integer_rows``; floating point only appears in the
+probe layer and the seeded polytope generator, which add floats with
+``float_sum``.  Matrices are plain lists of row lists, vectors plain
+sequences.  ``bareiss_row`` is the integer (fraction-free) row update: the
+simplex pivot, and the step of ``eliminate``, the one fraction-free
+Gauss-Jordan loop, under ``cofactors`` (the pattern table's wall kernel),
+``nullspace_basis`` (validation's N) and ``rank``.  No Fraction elimination
+is left: the RREF is unique, so the kernel basis read off ``eliminate`` is
+the Fraction RREF's, Fraction for Fraction.  The DD oracle scales its system
+with ``integer_rows`` too, but runs its own elimination
+(``oracle._reduced_system``), so it shares none with the enumeration route.
 """
 
 import math
@@ -77,39 +77,6 @@ def float_sum(xs) -> float:
 
 def mat_vec(a: Mat, x: Vec) -> list:
     return [dot(row, x) for row in a]
-
-
-def pivot(rows, r: int, c: int) -> None:
-    """One Gauss-Jordan step in place: scale row r to a 1 in column c, then
-    clear column c from every other row.  rows[r][c] must be nonzero."""
-    inv = 1 / rows[r][c]
-    piv = rows[r] = [x * inv for x in rows[r]]
-    for k, row in enumerate(rows):
-        f = row[c]
-        if f and k != r:
-            rows[k] = [x - f * y for x, y in zip(row, piv)]
-
-
-def rref(a: Mat) -> tuple:
-    """Reduced row-echelon form over Fractions, for the DD oracle. Returns
-    (rref rows, pivot column list).
-
-    Each column pivots on its first nonzero entry at or below the next
-    pivot row.
-    """
-    rows = [list(r) for r in a]
-    pivots = []
-    for c in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if i is None:
-            continue
-        rows[r], rows[i] = rows[i], rows[r]
-        pivot(rows, r, c)
-        pivots.append(c)
-        if r + 1 == len(rows):
-            break
-    return rows, pivots
 
 
 def rank(a: Mat) -> int:

@@ -3,14 +3,15 @@
 The main path enumerates zero patterns in R^n; this oracle instead works in
 the reduced space R^(n-d-1), converting the inequality description
 { c : tau + N c >= 0 } to vertices by the double-description method
-(incremental halfspace insertion on homogenized integer rays).  One RREF of
-[V; 1^T | -(p; 1)] gives tau, N and the free columns, on which N's rows are
-the unit vectors; insertion starts at a k-simplex that contains the reduced
-polytope by construction, and each vertex lam = tau + N c is carried as its
-primitive integer ray (a, D), lam = a / D, until the sorted output.  For
-kernel dimension <= 2 an active-set scan provides a second independent path,
-reading each subset's tight point off integer cross products of the same
-rows with no elimination, and the two must agree.
+(incremental halfspace insertion on homogenized integer rays).  Its own
+primitive-row Gauss-Jordan loop on [V; 1^T | -(p; 1)] scaled to integers
+gives the int rows g_i = L (N_i, tau_i) and the free columns, on which N's
+rows are the unit vectors; insertion starts at a k-simplex that contains
+the reduced polytope by construction, and each vertex lam = tau + N c is
+carried as its primitive integer ray (a, D), lam = a / D, until the sorted
+output.  For kernel dimension <= 2 an active-set scan provides a second
+independent path, reading each subset's tight point off integer cross
+products of the same rows with no elimination, and the two must agree.
 """
 
 import math
@@ -31,7 +32,6 @@ from .errors import (
 from .polytope import Polytope, validate
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -41,56 +41,73 @@ class OracleResult:
 
 
 def _reduced_system(p: Polytope, point) -> tuple:
-    """(tau, N, free) from one RREF R of [V; 1^T | -(p; 1)].
+    """(L, g, free): the int rows g_i = L (N_i, tau_i), off a fraction-free
+    Gauss-Jordan loop on [V; 1^T | -(p; 1)] scaled to integers.
 
-    [V; 1^T] has full row rank, so every pivot lies left of the last column.
-    Pivot row r with pivot column c gives tau[c] = -R[r][n] and
-    N[c] = -R[r][free]; on the free columns tau is 0 and N's rows are e_j.
+    Each column pivots on its first nonzero entry at or below the next pivot
+    row; every other row r becomes a·r - r_c·top, a = top[c], over the gcd
+    of its entries.  Pivot row r then holds a_r at its column c, 0 at the
+    other pivot columns, and is a_r times row r of the RREF: with L the lcm
+    of the a_r, g_c = -(L / a_r)·(the row's free and last entries); on the
+    free columns tau is 0 and g_f = L e_j.  [V; 1^T] has full row rank, so
+    every pivot lies left of the last column.
     """
-    rhs = list(linalg.vec(point)) + [_ONE]
-    red, pivots = linalg.rref([row + [-b] for row, b in zip(p.stacked_rows(), rhs)])
-    if pivots[-1] == p.n:
+    n = p.n
+    _, rows = linalg.integer_rows([row + [-b] for row, b in
+                                   zip(p.stacked_rows(), [*linalg.vec(point), 1])])
+    m, lead = len(rows), []
+    for c in range(n + 1):
+        k = len(lead)
+        if k == m:
+            break
+        i = next((i for i in range(k, m) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[k], rows[i] = rows[i], rows[k]
+        top, a = rows[k], rows[k][c]
+        for j, row in enumerate(rows):
+            f = row[c]
+            if f and j != k:
+                new = [a * x - f * y for x, y in zip(row, top)]
+                div = math.gcd(*new) or 1
+                rows[j] = [x // div for x in new]
+        lead.append(c)
+    if lead[-1] == n:
         raise InternalError("[V; 1^T] lacks full row rank")
-    free = [c for c in range(p.n) if c not in pivots]
-    tau = [_ZERO] * p.n
-    nb = [[_ONE if j == i else _ZERO for j in free] for i in range(p.n)]
-    for r, c in enumerate(pivots):
-        tau[c] = -red[r][p.n]
-        nb[c] = [-red[r][f] for f in free]
-    return tau, nb, free
+    free = [c for c in range(n) if c not in lead]
+    scale = math.lcm(*(row[c] for row, c in zip(rows, lead)))
+    g = [[scale if j == i else 0 for j in free] + [0] for i in range(n)]
+    for row, c in zip(rows, lead):
+        s = -scale // row[c]
+        g[c] = [s * row[f] for f in free] + [s * row[n]]
+    return scale, g, free
 
 
-def _ray(lam) -> tuple:
-    """The primitive integer ray (a_0, ..., a_{n-1}, D) of lam = a / D: D is
-    the lcm of lam's denominators, so D > 0 and gcd(a, D) = 1, which makes
-    the tuple canonical for lam."""
-    den, (nums,) = linalg.integer_rows([lam])
-    return (*nums, den)
+def _primitive(ray) -> tuple:
+    """ray divided by the gcd of its entries: canonical for a / D, D > 0."""
+    div = math.gcd(*ray)
+    return tuple(x // div for x in ray)
 
 
-def solves(rows, lam) -> bool:
-    """Whether lam >= 0 and v.lam = b for each integer row (v; b), tested
-    exactly on lam's ray (a, D): a >= 0 and v.a = b D."""
-    *a, den = _ray(lam)
-    return min(a) >= 0 and all(sum(map(operator.mul, row, a)) == row[-1] * den
-                               for row in rows)
-
-
-def _dd_reduced(tau, nbasis_rows, free):
-    """Vertices lam = tau + N c of { c : tau + N c >= 0 } by double description.
+def _dd_reduced(scale, rows, free):
+    """Vertices lam = tau + N c of { c : tau + N c >= 0 } by double description,
+    from the int rows g_i = L (N_i, tau_i), L = ``scale`` > 0.
 
     Row free[j] of N is e_j, so lam >= 0, sum(lam) = 1 put every feasible c
     in the simplex lam_{free[j]} >= 0, sum_j lam_{free[j]} <= 1, for any
     particular solution tau.  Insertion starts at its corner lam0 = tau -
-    N tau[free] and at lam0 + N e_j, and runs over the other rows on integer
-    rays (a, D), lam = a / D, whose value at row r has the sign of a[r]; an
-    empty result means the system has no solution.
+    N tau[free], the ray (L g_i[k] - sum_j g_i[j] g_{free[j]}[k], L^2), and at
+    lam0 + N e_j, and runs over the other rows on integer rays (a, D),
+    lam = a / D, whose value at row r has the sign of a[r]; an empty result
+    means the system has no solution.
     """
-    n = len(tau)
-    shift = [tau[f] for f in free]
-    corner = tuple(t - linalg.dot(row, shift) for t, row in zip(tau, nbasis_rows))
-    rays = [_ray(corner)] + [_ray([x + row[j] for x, row in zip(corner, nbasis_rows)])
-                             for j in range(len(free))]
+    n, k = len(rows), len(free)
+    shift = [rows[f][k] for f in free]
+    corner = [scale * row[k] - sum(map(operator.mul, row, shift)) for row in rows]
+    den = scale * scale
+    rays = [_primitive((*corner, den))]
+    rays += [_primitive((*(x + scale * row[j] for x, row in zip(corner, rows)), den))
+             for j in range(k)]
     # active-set bitmasks: bit i for row i, bit n for the sum row, which is
     # tight at every simplex vertex but the corner
     tight = sum(1 << i for i in free)
@@ -124,15 +141,14 @@ def _dd_reduced(tau, nbasis_rows, free):
     return sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays)
 
 
-def _scan_reduced(tau, nbasis_rows, k):
+def _scan_reduced(scale, rows, k):
     """Active-set scan over k-subsets of tight rows (independent path, k <= 2).
 
-    With rows g_i = L (N_i, tau_i) scaled to integers, a subset's rows are
+    With the int rows g_i = L (N_i, tau_i), L = ``scale``, a subset's rows are
     tight at x ~ (c, 1): x = (1), (g_i1, -g_i0) or g_i x g_j for k = 0, 1, 2,
     where lam_r = g_r.x / (L x_k) and x_k = 0 marks a singular subset.  Each
     lam >= 0 is kept as its primitive integer ray until the sorted output.
     """
-    scale, rows = linalg.integer_rows([[*row, t] for row, t in zip(nbasis_rows, tau)])
     rays = set()
     for subset in combinations(rows, k):
         if k < 2:
@@ -154,11 +170,11 @@ def dd_vertices(p: Polytope, point) -> OracleResult:
     Raises InfeasibleError for points outside the polytope and
     OracleMismatchError if the two internal routes disagree (kernel dim <= 2).
     """
-    tau, nb, free = _reduced_system(p, point)
-    verts = _dd_reduced(tau, nb, free)
+    scale, rows, free = _reduced_system(p, point)
+    verts = _dd_reduced(scale, rows, free)
     if not verts:
         raise InfeasibleError("point is outside the polytope")
-    if len(free) <= 2 and _scan_reduced(tau, nb, len(free)) != verts:
+    if len(free) <= 2 and _scan_reduced(scale, rows, len(free)) != verts:
         raise OracleMismatchError("double description and active-set scan disagree")
     return OracleResult(vertices=tuple(verts), method="DoubleDescription")
 
@@ -168,26 +184,44 @@ def vertices_agree(a, b) -> bool:
     return set(a) == set(b)
 
 
+def _sample_sums(verts, count: int, seed: int) -> list:
+    """The sampler's integer core: ``count`` seeded convex combinations of the
+    vertex list ``verts``, each as (s, T), the coordinate vector s / T.
+
+    With L the lcm of the vertices' denominators and w the random integer
+    weights, s_i is the sum of w x L·entry and T = (sum of w) x L > 0.
+    """
+    rng = random.Random(seed)
+    den, cols = linalg.integer_rows(list(zip(*verts)))
+    out = []
+    for _ in range(count):
+        raw = [rng.randint(0, 999) for _ in verts]
+        if sum(raw) == 0:
+            raw[0] = 1
+        out.append(([sum(map(operator.mul, raw, col)) for col in cols], sum(raw) * den))
+    return out
+
+
 def random_feasible_sample(verts, point, count: int, seed: int) -> list:
     """Deterministic random convex combinations of the vertex list ``verts``
     of the coordinate polytope at ``point`` (e.g. ``dd_vertices(...).vertices``).
 
     Every output is exactly feasible (rational weights over exact vertices).
     """
-    rng = random.Random(seed)
-    # with L the lcm of the vertices' denominators, a coordinate is
-    # (sum of weight x L·entry) / (weight total x L): one Fraction each
-    den, cols = linalg.integer_rows(list(zip(*verts)))
     pt = linalg.vec(point)
-    out = []
-    for _ in range(count):
-        raw = [rng.randint(0, 999) for _ in verts]
-        if sum(raw) == 0:
-            raw[0] = 1
-        total = sum(raw) * den
-        lam = tuple(Fraction(sum(map(operator.mul, raw, col)), total) for col in cols)
-        out.append(BarycentricVector(lam=lam, point=pt))
-    return out
+    return [BarycentricVector(lam=tuple(Fraction(x, total) for x in sums), point=pt)
+            for sums, total in _sample_sums(verts, count, seed)]
+
+
+def samples_feasible(p: Polytope, point, verts, count: int, seed: int) -> bool:
+    """Whether the ``count`` seeded samples of ``verts`` (``_sample_sums``) are
+    coordinate vectors of ``point``: s >= 0 and [V; 1^T]·s = (p; 1)·T, tested
+    exactly on [V; 1^T | (p; 1)] scaled to integer rows."""
+    _, rows = linalg.integer_rows([row + [b] for row, b in
+                                   zip(p.stacked_rows(), [*linalg.vec(point), 1])])
+    return all(min(sums) >= 0 and all(sum(map(operator.mul, row, sums)) == row[-1] * total
+                                      for row in rows)
+               for sums, total in _sample_sums(verts, count, seed))
 
 
 def random_polytope(d: int, n: int, seed: int) -> Polytope:

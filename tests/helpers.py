@@ -4,6 +4,8 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from barypoly import coordinates as co
 from barypoly import linalg
 from barypoly.coordinates import GammaPolytope
@@ -11,6 +13,7 @@ from barypoly.errors import (
     DimensionMismatchError,
     DuplicateVertexError,
     InconsistentInputsError,
+    InternalError,
     InfeasibleSelectionError,
     LeavesPolytopeError,
     NonExtremeVertexError,
@@ -30,6 +33,42 @@ from barypoly.probes import (
 from barypoly.polytope import Polytope
 from barypoly.simplex import convex_membership
 
+BIG = 1 << 64
+
+
+@st.composite
+def rationals(draw, big):
+    """A small rational, or one whose denominator is within 999 of 2^64."""
+    if big:
+        return Fraction(draw(st.integers(-BIG, BIG)), BIG - draw(st.integers(0, 999)))
+    return Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
+
+
+@st.composite
+def matrices(draw, shape):
+    """A rational m x n matrix of the given shape, with zero rows, zero
+    columns and a row that combines the others drawn in."""
+    m = 1 if shape == "1x1" else draw(st.integers(2, 6))
+    if shape == "wide":
+        n = draw(st.integers(m + 1, 7))
+    elif shape == "tall":
+        n = draw(st.integers(1, m - 1))
+    else:
+        n = m
+    big = draw(st.booleans())
+    a = [[draw(rationals(big)) for _ in range(n)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+        a[i] = [Fraction(0)] * n
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+        for row in a:
+            row[j] = Fraction(0)
+    if m > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        ws = [draw(rationals(big)) for _ in range(m)]
+        a[i] = [sum((w * row[j] for k, (w, row) in enumerate(zip(ws, a)) if k != i),
+                    Fraction(0)) for j in range(n)]
+    return a
+
 
 def mat_mul(a, b):
     """Exact matrix product of two row-list matrices."""
@@ -41,6 +80,71 @@ def random_square_matrix(rng, n, den=12):
             for _ in range(n)]
 
 
+def reference_pivot(rows, r: int, c: int) -> None:
+    """One Gauss-Jordan step in place: scale row r to a 1 in column c, then
+    clear column c from every other row.  rows[r][c] must be nonzero."""
+    inv = 1 / rows[r][c]
+    piv = rows[r] = [x * inv for x in rows[r]]
+    for k, row in enumerate(rows):
+        f = row[c]
+        if f and k != r:
+            rows[k] = [x - f * y for x, y in zip(row, piv)]
+
+
+def reference_rref(a) -> tuple:
+    """Reduced row-echelon form over Fractions: (rref rows, pivot column
+    list), the reference the integer eliminations must equal.
+
+    Each column pivots on its first nonzero entry at or below the next
+    pivot row.
+    """
+    rows = [list(r) for r in a]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        reference_pivot(rows, r, c)
+        pivots.append(c)
+        if r + 1 == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_reduced_system(p: Polytope, point) -> tuple:
+    """The DD oracle's (tau, N, free) as it was read off the Fraction rref R
+    of [V; 1^T | -(p; 1)]: pivot row r with pivot column c gives
+    tau[c] = -R[r][n] and N[c] = -R[r][free]; on the free columns tau is 0
+    and N's rows are e_j.  ``oracle._reduced_system``'s (L, g, free) must
+    give these as g / L.  Raises InternalError for a pivot in the last
+    column."""
+    rhs = list(linalg.vec(point)) + [Fraction(1)]
+    red, pivots = reference_rref([row + [-b] for row, b in zip(p.stacked_rows(), rhs)])
+    if pivots[-1] == p.n:
+        raise InternalError("[V; 1^T] lacks full row rank")
+    free = [c for c in range(p.n) if c not in pivots]
+    tau = [Fraction(0)] * p.n
+    nb = [[Fraction(int(j == i)) for j in free] for i in range(p.n)]
+    for r, c in enumerate(pivots):
+        tau[c] = -red[r][p.n]
+        nb[c] = [-red[r][f] for f in free]
+    return tau, nb, free
+
+
+def fraction_system(scale, rows) -> tuple:
+    """(tau, N) of the oracle's int rows g_i = L (N_i, tau_i), L = ``scale``."""
+    return ([Fraction(row[-1], scale) for row in rows],
+            [[Fraction(x, scale) for x in row[:-1]] for row in rows])
+
+
+def integer_system(tau, nbasis_rows) -> tuple:
+    """(L, g): N and any particular solution tau as the oracle's int rows
+    g_i = L (N_i, tau_i), L the lcm of their denominators."""
+    return linalg.integer_rows([[*row, t] for row, t in zip(nbasis_rows, tau)])
+
+
 def solve_linear(a, b) -> list:
     """Solve the square system a·x = b exactly.
 
@@ -49,7 +153,7 @@ def solve_linear(a, b) -> list:
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise SingularMatrixError("solve_linear expects a square system")
-    rows, pivots = linalg.rref([list(row) + [bb] for row, bb in zip(a, b)])
+    rows, pivots = reference_rref([list(row) + [bb] for row, bb in zip(a, b)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError(f"matrix is singular (rank < {n})")
     return [row[n] for row in rows]
@@ -60,7 +164,7 @@ def reference_rank(a) -> int:
     count of the Fraction rref.  The reference the integer rank must equal."""
     if not a or not a[0]:
         return 0
-    _, pivots = linalg.rref(a)
+    _, pivots = reference_rref(a)
     return len(pivots)
 
 
@@ -72,7 +176,7 @@ def reference_nullspace_basis(a) -> list:
     if not a:
         return []
     ncols = len(a[0])
-    red, pivots = linalg.rref(a)
+    red, pivots = reference_rref(a)
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -257,7 +361,7 @@ def reference_gamma_polytope(p: Polytope, tau, nbasis_rows, lam) -> GammaPolytop
     k = p.kernel_dim()
     rows = linalg.mat(nbasis_rows)
     diffs = [[a - b for a, b in zip(v.lam, tau.lam)] for v in lam.vertices]
-    red, pivots = linalg.rref([row + [diff[i] for diff in diffs]
+    red, pivots = reference_rref([row + [diff[i] for diff in diffs]
                                for i, row in enumerate(rows)])
     if pivots[:k] != list(range(k)):
         raise SingularMatrixError("kernel basis lacks full column rank")
@@ -347,7 +451,7 @@ class _FractionTableau:
         self.ncols = n + m
 
     def pivot(self, r, j):
-        linalg.pivot(self.rows, r, j)
+        reference_pivot(self.rows, r, j)
         self.basis[r] = j
 
     def reduced_costs(self, c):

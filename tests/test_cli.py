@@ -472,13 +472,13 @@ def test_oracle_check_samples_need_no_lp(tmp_path, capsys, monkeypatch):
     (F(0), F(1, 3), F(0), F(1, 2)),         # V·λ = p, λ ≥ 0, Σλ = 5/6
 ], ids=["wrong-point", "negative", "wrong-sum"])
 def test_oracle_check_infeasible_sample(square_file, capsys, monkeypatch, lam):
-    from barypoly import cli
-    from barypoly.coordinates import BarycentricVector
+    # the sampler's integer core hands oracle-check lam as its sums s over
+    # the total T: a wrong point, a negative entry and a wrong sum fail
+    from barypoly import cli, linalg
 
-    point = (F(1, 3), F(1, 2))
-    monkeypatch.setattr(cli.orc, "random_feasible_sample",
-                        lambda verts, q, count, seed: [
-                            BarycentricVector(lam=lam, point=point)])
+    total, (sums,) = linalg.integer_rows([lam])
+    monkeypatch.setattr(cli.orc, "_sample_sums",
+                        lambda verts, count, seed: [(sums, total)])
     code, out = run(capsys, "oracle-check", square_file, "--point=1/3,1/2",
                     "--samples", "1")
     assert code == 3
@@ -823,8 +823,8 @@ def test_sweep_grid_is_bounded(tmp_path, capsys, monkeypatch):
 def test_one_integer_elimination_per_polytope(tmp_path, capsys, monkeypatch):
     # validation's kernel basis gives the rank test, N and dim Λ: analyze at
     # an interior point and a census sweep over interior points each run the
-    # integer loop once on [V; 1ᵀ] and once per wall, and no rref; only
-    # oracle-check runs one, the oracle's own
+    # integer loop once on [V; 1ᵀ] and once per wall; so does oracle-check,
+    # whose oracle runs its own loop, and linalg keeps no rref
     from barypoly import linalg
     from barypoly.fixtures import fixture_document
 
@@ -833,38 +833,36 @@ def test_one_integer_elimination_per_polytope(tmp_path, capsys, monkeypatch):
     pts = tmp_path / "pts.json"
     pts.write_text(json.dumps([["1/2", "1/2", "1/2"], ["1/3", "2/5", "1/2"],
                                ["1/4", "1/4", "3/4"], ["2/3", "1/3", "1/4"]]))
-    rrefs, eliminations, walls = [], [], []
-    real_rref, real_eliminate, real_cofactors = (linalg.rref, linalg.eliminate,
-                                                 linalg.cofactors)
-    monkeypatch.setattr(linalg, "rref", lambda a: rrefs.append(a) or real_rref(a))
+    assert not hasattr(linalg, "rref")
+    eliminations, walls = [], []
+    real_eliminate, real_cofactors = linalg.eliminate, linalg.cofactors
     monkeypatch.setattr(linalg, "eliminate",
                         lambda rows: eliminations.append(rows) or real_eliminate(rows))
     monkeypatch.setattr(linalg, "cofactors",
                         lambda rows: walls.append(rows) or real_cofactors(rows))
 
-    def stacked_eliminations():
-        # the eliminations that are not a wall's: d + 1 rows of n entries
-        return [rows for rows in eliminations if not any(rows is w for w in walls)]
+    def one_stacked_elimination():
+        # of the eliminations since the last check, the one that is not a
+        # wall's has d + 1 rows of n entries, the last row 1ᵀ scaled to
+        # integers, and the rest are the 56 walls'
+        stacked, = [rows for rows in eliminations if not any(rows is w for w in walls)]
+        assert (len(stacked), {len(row) for row in stacked}, len(set(stacked[-1]))) \
+            == (4, {8}, 1)
+        assert len(eliminations) == 1 + len(walls) and len(walls) == 56
+        eliminations.clear()
+        walls.clear()
 
     code, out = run(capsys, "analyze", str(f), "--point", "1/3,2/5,1/2")
-    assert (code, json.loads(out)["location"], len(rrefs)) == (0, "Interior", 0)
-    stacked, = stacked_eliminations()
-    assert (len(stacked), {len(row) for row in stacked}, len(set(stacked[-1]))) \
-        == (4, {8}, 1)  # the last row is 1ᵀ scaled to integers
-    assert len(eliminations) == 1 + len(walls) and len(walls) == 56
-    for log in (rrefs, eliminations, walls):
-        log.clear()
+    assert (code, json.loads(out)["location"]) == (0, "Interior")
+    one_stacked_elimination()
     code, out = run(capsys, "sweep", str(f), "--mode", "census", "--points", str(pts))
     rows = out.splitlines()[1:]
-    assert (code, len(rows), len(rrefs)) == (0, 4, 0)
+    assert (code, len(rows)) == (0, 4)
     assert all(row.endswith(",") for row in rows)  # empty error column
-    stacked, = stacked_eliminations()
-    assert (len(stacked), {len(row) for row in stacked}, len(set(stacked[-1]))) \
-        == (4, {8}, 1)
-    assert len(eliminations) == 1 + len(walls) and len(walls) == 56
-    rrefs.clear()
+    one_stacked_elimination()
     code, out = run(capsys, "oracle-check", str(f), "--point", "1/3,2/5,1/2")
-    assert (code, len(rrefs)) == (0, 1)
+    assert (code, json.loads(out)["agreement"]) == (0, True)
+    one_stacked_elimination()
 
 
 def test_sweep_writes_each_row_as_it_is_computed(square_file, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from barypoly.errors import EmptyInputError, SingularMatrixError
 from helpers import (
     bareiss,
     mat_mul,
+    matrices,
     random_square_matrix,
     reference_nullspace_basis,
     reference_rank,
@@ -18,7 +19,6 @@ from helpers import (
 )
 
 F = Fraction
-BIG = 1 << 64
 
 
 def test_solve_identity():
@@ -148,40 +148,6 @@ def test_cofactors_small_cases():
     assert linalg.cofactors([[1, 2, 3], [1, 2, 3]]) == [0, 0, 0]
 
 
-@st.composite
-def _rationals(draw, big):
-    """A small rational, or one whose denominator is within 999 of 2^64."""
-    if big:
-        return F(draw(st.integers(-BIG, BIG)), BIG - draw(st.integers(0, 999)))
-    return F(draw(st.integers(-9, 9)), draw(st.integers(1, 12)))
-
-
-@st.composite
-def _matrices(draw, shape):
-    """A rational m x n matrix of the given shape, with zero rows, zero
-    columns and a row that combines the others drawn in."""
-    m = 1 if shape == "1x1" else draw(st.integers(2, 6))
-    if shape == "wide":
-        n = draw(st.integers(m + 1, 7))
-    elif shape == "tall":
-        n = draw(st.integers(1, m - 1))
-    else:
-        n = m
-    big = draw(st.booleans())
-    a = [[draw(_rationals(big)) for _ in range(n)] for _ in range(m)]
-    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
-        a[i] = [F(0)] * n
-    for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
-        for row in a:
-            row[j] = F(0)
-    if m > 1 and draw(st.booleans()):
-        i = draw(st.integers(0, m - 1))
-        ws = [draw(_rationals(big)) for _ in range(m)]
-        a[i] = [sum((w * row[j] for k, (w, row) in enumerate(zip(ws, a)) if k != i),
-                    F(0)) for j in range(n)]
-    return a
-
-
 @pytest.mark.parametrize("shape", ["1x1", "wide", "square", "tall"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -189,7 +155,7 @@ def test_kernel_and_rank_equal_the_fraction_references(shape, data):
     # the fraction-free loop's N and rank equal the Fraction rref's, entry
     # for entry: m < n, m = n, m > n and 1 x 1, with zero rows and columns,
     # a dependent row and denominators near 2^64
-    a = data.draw(_matrices(shape))
+    a = data.draw(matrices(shape))
     basis = linalg.nullspace_basis(a)
     assert basis == reference_nullspace_basis(a)
     assert all(type(x) is F for v in basis for x in v)

@@ -6,7 +6,7 @@ import pytest
 
 from barypoly import linalg, oracle, simplex
 from barypoly.coordinates import feasible_tau, lambda_vertices, nullbasis
-from barypoly.errors import InfeasibleError, OracleMismatchError
+from barypoly.errors import InfeasibleError, InternalError, OracleMismatchError
 from barypoly.fixtures import fixture_names, get_fixture
 from barypoly.oracle import (
     _dd_reduced,
@@ -18,9 +18,10 @@ from barypoly.oracle import (
     random_polytope,
     vertices_agree,
 )
-from barypoly.polytope import Location, locate, validate
+from barypoly.polytope import Location, Polytope, locate, validate
 from barypoly.simplex import convex_membership
-from helpers import interior_point
+from helpers import (fraction_system, integer_system, interior_point,
+                     reference_reduced_system)
 
 F = Fraction
 CENTER = (F(1, 2), F(1, 2))
@@ -86,39 +87,56 @@ def test_dd_makes_no_simplex_call(square, prism8, monkeypatch):
 def test_reduced_system_is_tau_and_nullbasis(square, pentagon, prism8):
     for p in (square, pentagon, prism8):
         q = p.centroid()
-        tau, nb, free = _reduced_system(p, q)
+        scale, rows, free = _reduced_system(p, q)
+        tau, nb = fraction_system(scale, rows)
         assert nb == nullbasis(p) and len(free) == p.kernel_dim()
         assert linalg.mat_vec(p.stacked_rows(), tau) == list(q) + [1]
 
 
 def test_dd_reduced_any_particular_solution(square, pentagon, pyramid, prism8):
     # feasible_tau's tau and the kernel's tau give translated reduced
-    # polytopes with the same coordinate vertices
+    # polytopes with the same coordinate vertices, each as int rows over the
+    # lcm of its denominators as well as over the elimination's L
     rng = random.Random(3)
     differ = 0
     for p in (square, pentagon, pyramid, prism8):
         q = interior_point(p, rng)
-        tau, nb, free = _reduced_system(p, q)
+        scale, rows, free = _reduced_system(p, q)
+        tau, nb = fraction_system(scale, rows)
         taus = (feasible_tau(p, q).lam, tuple(tau))
         differ += taus[0] != taus[1]
-        lams = [_dd_reduced(t, nb, free) for t in taus]
-        assert lams[0] == lams[1] == list(dd_vertices(p, q).vertices)
+        lams = [_dd_reduced(*integer_system(t, nb), free) for t in taus]
+        lams.append(_dd_reduced(scale, rows, free))
+        assert lams[0] == lams[1] == lams[2] == list(dd_vertices(p, q).vertices)
     assert differ  # the basepoints differ on some of the polytopes
 
 
 def test_reduced_system_has_unit_rows_on_free_columns():
-    # the RREF's free columns carry N's unit rows and a zero tau, which the
-    # double description's starting simplex reads
+    # the RREF's free columns carry N's unit rows and a zero tau, L e_j and 0
+    # on the int rows g = L (N, tau), which the double description's
+    # starting simplex reads
     rng = random.Random(18)
     polys = [get_fixture(name) for name in fixture_names()]
     polys += [random_polytope(2 + s % 2, rng.randint(4 + s % 2, 8), seed=300 + s)
               for s in range(10)]
     for p in polys:
-        tau, nb, free = _reduced_system(p, interior_point(p, rng))
+        scale, rows, free = _reduced_system(p, interior_point(p, rng))
         assert len(free) == p.kernel_dim()
         for j, f in enumerate(free):
-            assert nb[f] == [int(i == j) for i in range(len(free))]
-            assert tau[f] == 0
+            assert rows[f] == [scale * (i == j) for i in range(len(free))] + [0]
+
+
+def test_reduced_system_pivot_in_the_last_column_is_internal():
+    # four collinear points and a point off their line: [V; 1^T | -(p; 1)]
+    # pivots in its last column, which valid input never reaches
+    line = Polytope(d=2, n=4, vertices=tuple((F(k), F(2 * k)) for k in range(4)),
+                    _kernel_rows=())
+    for route in (_reduced_system, reference_reduced_system):
+        with pytest.raises(InternalError, match="full row rank"):
+            route(line, (F(1), F(0)))
+    scale, rows, free = _reduced_system(line, (F(1), F(2)))
+    tau, nb, ref_free = reference_reduced_system(line, (F(1), F(2)))
+    assert (free, fraction_system(scale, rows)) == (ref_free, (tau, nb))
 
 
 def test_scan_route_mismatch_raises(square, monkeypatch):
@@ -134,9 +152,12 @@ def test_scan_route_agrees_low_kernel_dim(square, pentagon, pyramid):
                  (pyramid, (F(1), F(1), F(1, 2)))):
         k = p.kernel_dim()
         assert k <= 2
-        tau, (_, nb, free) = feasible_tau(p, q).lam, _reduced_system(p, q)
-        scan = _scan_reduced(tau, nb, k)
-        assert scan and scan == _dd_reduced(tau, nb, free)
+        scale, rows, free = _reduced_system(p, q)
+        _, nb = fraction_system(scale, rows)
+        # the scan and double description from feasible_tau's basepoint
+        scale, rows = integer_system(feasible_tau(p, q).lam, nb)
+        scan = _scan_reduced(scale, rows, k)
+        assert scan and scan == _dd_reduced(scale, rows, free)
 
 
 def test_dd_cube_center_degenerate(prism8):

@@ -20,9 +20,13 @@ the same outside points.  The census cells, read off the integer pass's
 vertex keys, must equal the count, affine dimension and n - d test of the
 Fraction vertices (``helpers.reference_census``).  The oracle's integer
 rays must give the list of ``helpers.reference_dd_reduced``, the same
-insertion over Fractions, for d = 2, 3 and 4, and its k <= 2 scan on integer
-cross products must give the list of ``helpers.reference_scan_reduced``,
-which solves each subset over Fractions, from either basepoint tau.  ``semidiff_probe``, which runs the
+insertion over Fractions on the Fraction rref's tau and N, for d = 2, 3 and
+4, and its k <= 2 scan on integer cross products must give the list of
+``helpers.reference_scan_reduced``, which solves each subset over Fractions,
+from either basepoint tau.  The oracle's primitive-row elimination must give
+g / L = the Fraction rref's (N, tau) and free columns on drawn rational
+systems, and oracle-check's integer sample verdict the exact test of the
+Fraction samples.  ``semidiff_probe``, which runs the
 witness half the sweep runs and builds its quotient sets on integers, must
 give ``helpers.reference_semidiff_probe``'s report, and a semidiff sweep row
 the row formatted from that report's witness distances.  The Hausdorff
@@ -70,6 +74,7 @@ from barypoly.errors import (
     BarypolyError,
     InconsistentInputsError,
     InfeasibleError,
+    InternalError,
     SingularPatternError,
 )
 from barypoly.fixtures import get_fixture
@@ -80,8 +85,9 @@ from barypoly.oracle import (
     dd_vertices,
     random_feasible_sample,
     random_polytope,
+    samples_feasible,
 )
-from barypoly.polytope import Location, locate, validate
+from barypoly.polytope import Location, Polytope, locate, validate
 from barypoly.probes import (
     ProbeReport,
     FloatPolytope,
@@ -95,12 +101,18 @@ from barypoly.probes import (
 from barypoly.report import format_float
 from helpers import (
     brute_force_vertices,
+    fraction_system,
+    integer_system,
+    matrices,
+    rationals,
     reference_dd_reduced,
     reference_census,
     reference_continuity_probe,
     reference_gamma_polytope,
     reference_hausdorff_status,
     reference_patterns,
+    reference_reduced_system,
+    reference_rref,
     reference_scan_reduced,
     reference_semidiff_probe,
     reference_validate,
@@ -478,7 +490,7 @@ def test_chamber_wall_points(p, data):
 def test_nullbasis_has_unit_rows_on_free_columns(p):
     # the contract Gamma and the oracle rely on: row f_j of N is e_j, f_j the
     # j-th free column of the RREF of [V; 1^T]
-    _, pivots = linalg.rref(p.stacked_rows())
+    _, pivots = reference_rref(p.stacked_rows())
     free = [c for c in range(p.n) if c not in pivots]
     k, nb = p.kernel_dim(), nullbasis(p)
     assert len(free) == k
@@ -501,7 +513,7 @@ def test_gamma_refuses_inconsistent_inputs_as_the_elimination_did(p, data):
     cases = [(feasible_tau(p, p.vertices[i]), nb)]
     if p.kernel_dim():
         # q is interior, so Lambda(q) spans R^k and some vertex has c_1 != 0
-        _, pivots = linalg.rref(p.stacked_rows())
+        _, pivots = reference_rref(p.stacked_rows())
         r = data.draw(st.sampled_from(pivots))
         bumped = [list(row) for row in nb]
         bumped[r][0] += data.draw(st.sampled_from([-1, F(1, 3), 2]))
@@ -707,8 +719,8 @@ def test_oracle_agrees_with_scan(p, data):
 @PROPERTY
 @given(polytopes(max_n=8, dims=(2, 3, 4)), st.data())
 def test_dd_matches_the_fraction_reference(p, data):
-    # the oracle's integer rays give the Fraction double description's list
-    # at interior points, vertex-pair midpoints, vertices, chamber-wall
+    # the oracle's integer rays give the Fraction double description's list,
+    # run on the Fraction rref's tau and N, at interior points, vertex-pair midpoints, vertices, chamber-wall
     # points, points with ~2^64 denominators, and outside points (empty)
     weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
     big = data.draw(st.lists(st.integers(BIG >> 1, BIG), min_size=p.n, max_size=p.n))
@@ -724,8 +736,8 @@ def test_dd_matches_the_fraction_reference(p, data):
               _combination(p.vertices, big),
               tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))]
     for q in points:
-        tau, nb, free = _reduced_system(p, q)
-        assert _dd_reduced(tau, nb, free) == reference_dd_reduced(tau, nb, free)
+        assert _dd_reduced(*_reduced_system(p, q)) \
+            == reference_dd_reduced(*reference_reduced_system(p, q))
     assert _dd_reduced(*_reduced_system(p, points[-1])) == []
 
 
@@ -751,13 +763,73 @@ def test_scan_matches_the_fraction_reference(d, data):
               _combination([p.vertices[m] for m in idx], weights[:d]),
               _combination(p.vertices, big)]
     for q in points:
-        tau, nb, _ = _reduced_system(p, q)
-        for basepoint in (tau, feasible_tau(p, q).lam):
-            scan = _scan_reduced(basepoint, nb, k)
-            assert scan and scan == reference_scan_reduced(basepoint, nb, k)
+        tau, nb, _ = reference_reduced_system(p, q)
+        basepoint = feasible_tau(p, q).lam
+        for rows, base in ((_reduced_system(p, q)[:2], tau),
+                           (integer_system(basepoint, nb), basepoint)):
+            scan = _scan_reduced(*rows, k)
+            assert scan and scan == reference_scan_reduced(base, nb, k)
     out = tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
-    tau, nb, _ = _reduced_system(p, out)
-    assert _scan_reduced(tau, nb, k) == reference_scan_reduced(tau, nb, k) == []
+    tau, nb, _ = reference_reduced_system(p, out)
+    assert _scan_reduced(*_reduced_system(p, out)[:2], k) \
+        == reference_scan_reduced(tau, nb, k) == []
+
+
+@pytest.mark.parametrize("shape", ["1x1", "wide", "square", "tall"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reduced_system_equals_the_fraction_reference(shape, data):
+    # the oracle's primitive-row loop on [V; 1^T | -(p; 1)] gives g / L = the
+    # Fraction rref's (N, tau) entry for entry and its free columns, or the
+    # same InternalError for a pivot in the last column: V drawn as the
+    # kernel property's matrices (zero rows and columns, a dependent row,
+    # denominators near 2^64), p in V's affine hull or anywhere
+    v = data.draw(matrices(shape))
+    n, big = len(v[0]), data.draw(st.booleans())
+    if data.draw(st.booleans()):
+        ws = [data.draw(rationals(big)) for _ in range(n - 1)]
+        ws.append(1 - sum(ws, F(0)))
+        point = tuple(linalg.dot(row, ws) for row in v)
+    else:
+        point = tuple(data.draw(rationals(big)) for _ in v)
+    p = Polytope(d=len(v), n=n, vertices=tuple(zip(*v)), _kernel_rows=())
+    try:
+        tau, nb, free = reference_reduced_system(p, point)
+    except InternalError:
+        with pytest.raises(InternalError, match="full row rank"):
+            _reduced_system(p, point)
+        return
+    scale, rows, got = _reduced_system(p, point)
+    assert got == free and scale > 0
+    assert all(type(x) is int for row in rows for x in row)
+    assert fraction_system(scale, rows) == (tau, nb)
+
+
+@PROPERTY
+@given(polytopes(), st.data())
+def test_sample_verdict_equals_the_fraction_route(p, data):
+    # oracle-check's verdict on the integer sums s / T equals the exact test
+    # of random_feasible_sample's Fraction vectors, for Lambda's vertices
+    # (feasible), another point's, Lambda's with every first entry pushed
+    # below 0 (infeasible unless count is 0) and Lambda's stretched away from
+    # their mean (solving [V; 1^T] s = (p; 1) T, with negative entries), at
+    # any seed and count
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    q, other = _combination(p.vertices, weights), p.centroid()
+    verts = list(dd_vertices(p, q).vertices)
+    bent = [(v[0] - 2, *v[1:]) for v in verts]
+    mean = [sum(col) / len(verts) for col in zip(*verts)]
+    stretched = [tuple(3 * x - 2 * m for x, m in zip(v, mean)) for v in verts]
+    seed, count = data.draw(st.integers(0, 10**6)), data.draw(st.integers(0, 6))
+    verdicts = []
+    for vs in (verts, list(dd_vertices(p, other).vertices), bent, stretched):
+        fractions = random_feasible_sample(vs, q, count, seed)
+        exact = all(min(s.lam) >= 0
+                    and linalg.mat_vec(p.stacked_rows(), s.lam) == [*q, 1]
+                    for s in fractions)
+        assert samples_feasible(p, q, vs, count, seed) is exact
+        verdicts.append(exact)
+    assert verdicts[0] and verdicts[2] is (count == 0)
 
 
 def test_oracle_agrees_with_scan_kernel_dim_11():

@@ -269,23 +269,31 @@ def test_one_verdict_rule_and_one_step_rule():
     assert "_float_steps" in _names_in("cli", "run_sweep")
 
 
-def test_oracle_reads_one_rref():
-    # the oracle reads tau, N and the free columns, where N's rows are the
-    # unit vectors, off one rref: no kernel basis to transpose, no search for
-    # unit rows, no row-value helper, and double description carries each
-    # vertex as its coordinate vector, which dd_vertices returns as it is
+def test_oracle_runs_its_own_elimination():
+    # the oracle reads the int rows g = L (N, tau) and the free columns, where
+    # N's rows are the unit vectors, off its own primitive-row Gauss-Jordan
+    # loop on integers: none of linalg's eliminations, no Fraction and only
+    # exact (//) division; no kernel basis to transpose, no search for unit
+    # rows, no row-value helper, and double description carries each vertex
+    # as its coordinate vector, which dd_vertices returns as it is
     names = _identifiers(Path(barypoly.__file__).parent / "oracle.py")
     assert sorted(names & {"nullspace_basis", "index", "_row_value"}) == []
-    assert "rref" in _names_in("oracle", "_reduced_system")
+    loop = _names_in("oracle", "_reduced_system")
+    assert {"integer_rows", "gcd", "lcm"} <= loop
+    assert sorted(loop & {"eliminate", "bareiss_row", "cofactors", "nullspace_basis",
+                          "rank", "rref", "pivot", "Fraction", "_ZERO"}) == []
+    assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                   for node in ast.walk(_function("oracle", "_reduced_system")))
     assert sorted(_names_in("oracle", "dd_vertices") & {"dot", "mat_vec", "zip"}) == []
 
 
 def test_oracle_check_runs_on_integers():
     # double description inserts each row on integer rays, so its per-row
     # loop calls no linalg kernel, builds no Fraction and divides only
-    # exactly (by a gcd, with //); oracle-check tests its samples on integer
-    # rows, with no Fraction matrix-vector product
-    from barypoly import linalg
+    # exactly (by a gcd, with //); oracle-check tests its samples as the
+    # sampler's integer sums on integer rows, with no Fraction and no
+    # matrix-vector product, and its agreement as two sorted lists
+    from barypoly import linalg, oracle
 
     kernels = {name for name, obj in vars(linalg).items()
                if inspect.isfunction(obj) and obj.__module__ == linalg.__name__}
@@ -297,7 +305,15 @@ def test_oracle_check_runs_on_integers():
     assert sorted(names & (kernels | {"linalg", "Fraction"})) == []
     assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
                    for node in ast.walk(loop))
-    assert "integer_rows" in _names_in("cli", "run_oracle_check")
+    checks = _names_in("oracle", "samples_feasible")
+    assert {"integer_rows", "_sample_sums"} <= checks
+    for func in ("samples_feasible", "_sample_sums"):
+        assert sorted(_names_in("oracle", func)
+                      & {"Fraction", "random_feasible_sample", "mat_vec", "dot"}) == []
+    run = _names_in("cli", "run_oracle_check")
+    assert "samples_feasible" in run
+    assert sorted(run & {"random_feasible_sample", "vertices_agree", "set"}) == []
+    assert not hasattr(oracle, "solves") and not hasattr(oracle, "_ray")
     assert "mat_vec" not in _identifiers(Path(barypoly.__file__).parent / "cli.py")
 
 
@@ -313,15 +329,15 @@ def test_floats_add_left_to_right():
 
 def test_scan_runs_on_integer_cross_products():
     # the oracle's k <= 2 cross-check reads each tight point off integer
-    # cross products of the scaled rows: no solve, no elimination, no
-    # exception to catch and only exact (//) division; linalg keeps no
-    # square solver, which only this scan called
+    # cross products of the elimination's int rows g, as given (nothing to
+    # scale): no solve, no elimination, no exception to catch and only exact
+    # (//) division; linalg keeps no square solver, which only this scan
+    # called
     from barypoly import linalg
 
     func = _function("oracle", "_scan_reduced")
     names = _names_in("oracle", "_scan_reduced")
-    assert "integer_rows" in names
-    assert sorted(names & {"solve_linear", "rref", "bareiss"}) == []
+    assert sorted(names & {"integer_rows", "solve_linear", "rref", "bareiss"}) == []
     assert not any(isinstance(node, ast.Try) for node in ast.walk(func))
     assert not any(isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
                    for node in ast.walk(func))
@@ -436,8 +452,9 @@ def test_probe_steps_read_the_ray_on_integers():
 
 def test_one_integer_loop_under_the_kernels():
     # the wall cofactors, validation's kernel basis and the rank read one
-    # fraction-free loop, linalg.eliminate; the Fraction rref is left to the
-    # DD oracle, so the oracle's elimination stays apart from the scan's
+    # fraction-free loop, linalg.eliminate, and no src/ module names a
+    # Fraction rref: the DD oracle runs its own primitive-row loop, apart
+    # from the scan's
     src = Path(barypoly.__file__).parent
     naming = []
     for path in sorted(src.glob("*.py")):
@@ -451,7 +468,7 @@ def test_one_integer_loop_under_the_kernels():
                     naming.append(f"{path.stem}.{node.name}")
             elif isinstance(node, ast.alias) and node.name == "rref":
                 naming.append(f"{path.stem}: import")
-    assert naming == ["oracle._reduced_system"]
+    assert naming == []
     for kernel in ("cofactors", "nullspace_basis", "rank"):
         names = _names_in("linalg", kernel)
         assert "eliminate" in names
