@@ -8,79 +8,41 @@ independent double-description oracle, and probes continuity and
 semidifferentiability of the point -> coordinate-set map numerically.
 """
 
-from .coordinates import (
-    BarycentricVector,
-    GammaPolytope,
-    LambdaPolytope,
-    SimplicialCoordinate,
-    caratheodory_decompose,
-    circular_windows,
-    feasible_tau,
-    gamma_polytope,
-    lambda_vertices,
-    nullbasis,
-    segment_interval,
-    simplicial_coords,
-)
-from .fixtures import fixture_names, get_fixture
-from .linalg import affine_dim, nullspace_basis, rank
-from .oracle import OracleResult, dd_vertices, random_feasible_sample
-from .polytope import (
-    Location,
-    PointLocation,
-    Polytope,
-    load_polytope,
-    locate,
-    parse_polytope,
-    validate,
-)
-from .probes import (
-    FloatPolytope,
-    ProbeReport,
-    ProbeStep,
-    continuity_probe,
-    hausdorff,
-    point_polytope_distance,
-    selection_jacobian,
-    semidiff_probe,
-)
+import importlib
+
+# each public name and the module that defines it; ``__getattr__`` imports
+# the module on the name's first access, so ``python -m barypoly analyze``
+# compiles neither the probes nor the fixtures (PEP 562)
+_HOMES = {
+    "coordinates": ("BarycentricVector", "GammaPolytope", "LambdaPolytope",
+                    "SimplicialCoordinate", "caratheodory_decompose",
+                    "circular_windows", "feasible_tau", "gamma_polytope",
+                    "lambda_vertices", "nullbasis", "segment_interval",
+                    "simplicial_coords"),
+    "fixtures": ("fixture_names", "get_fixture"),
+    "linalg": ("affine_dim", "nullspace_basis", "rank"),
+    "oracle": ("OracleResult", "dd_vertices", "random_feasible_sample"),
+    "polytope": ("Location", "PointLocation", "Polytope", "load_polytope", "locate",
+                 "parse_polytope", "validate"),
+    "probes": ("FloatPolytope", "ProbeReport", "ProbeStep", "continuity_probe",
+               "hausdorff", "point_polytope_distance", "selection_jacobian",
+               "semidiff_probe"),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BarycentricVector",
-    "FloatPolytope",
-    "GammaPolytope",
-    "LambdaPolytope",
-    "Location",
-    "OracleResult",
-    "PointLocation",
-    "Polytope",
-    "ProbeReport",
-    "ProbeStep",
-    "SimplicialCoordinate",
-    "affine_dim",
-    "caratheodory_decompose",
-    "circular_windows",
-    "continuity_probe",
-    "dd_vertices",
-    "feasible_tau",
-    "fixture_names",
-    "gamma_polytope",
-    "get_fixture",
-    "hausdorff",
-    "lambda_vertices",
-    "load_polytope",
-    "locate",
-    "nullbasis",
-    "nullspace_basis",
-    "parse_polytope",
-    "point_polytope_distance",
-    "random_feasible_sample",
-    "rank",
-    "segment_interval",
-    "selection_jacobian",
-    "semidiff_probe",
-    "simplicial_coords",
-    "validate",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    module = _HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

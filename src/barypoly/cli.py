@@ -18,14 +18,12 @@ from fractions import Fraction
 
 from . import coordinates as co
 from . import oracle as orc
-from . import probes
 from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismatchError,
                      ParseError)
-from .fixtures import fixture_document, fixture_names
 from .linalg import fr, rational_str
 from .polytope import (Polytope, load_polytope, locate, parse_coordinates,
                        polytope_rows, read_json, validate)
-from .report import AnalysisReport, LambdaVertexEntry, format_float
+from .report import AnalysisReport, LambdaVertexEntry, dumps, format_float
 
 _SEED_ENV = "BARYPOLY_SEED"
 # the most points --grid may build and --samples draw: the table's budget
@@ -92,12 +90,12 @@ def _analysis_report(p: Polytope, point) -> tuple:
 
 def run_validate(path) -> int:
     p = load_polytope(path)
-    print(json.dumps({
+    print(dumps({
         "valid": True,
         "n": p.n,
         "dim": p.d,
         "kernel_dim": p.kernel_dim(),
-    }, indent=2))
+    }))
     return 0
 
 
@@ -107,12 +105,12 @@ def run_analyze(path, point_text) -> int:
     rep, separator = _analysis_report(p, point)
     if rep is None:
         a, b = separator
-        print(json.dumps({
+        print(dumps({
             "error": "Outside",
             "detail": "point is outside the polytope",
             "certificate": {"normal": [rational_str(x) for x in a],
                             "offset": rational_str(b)},
-        }, indent=2))
+        }))
         return 2
     print(rep.to_json())
     return 0
@@ -158,9 +156,11 @@ def _sweep_row(p, mode, point, h, t0, steps):
         keys = co._vertex_keys(rows)
         cells += _census_cells(p, keys)
         if mode == "continuity":
+            from . import probes
             rep = probes.continuity_probe(p, point, h, t0=t0, steps=steps, base=keys)
             cells += [format_float(s.distance) for s in rep.steps]
         elif mode == "semidiff":
+            from . import probes
             # the witness distances alone: the row prints nothing else
             zero_set = _pick_selection(rows)
             *_, witness, _ = probes._semidiff_witness(p, point, zero_set, h, t0, steps,
@@ -204,9 +204,12 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
     probe = mode in ("continuity", "semidiff")
     if probe and h is None:
         raise ParseError(f"--h is required for mode {mode}")
-    if probe and not probes._float_steps(t0_frac, steps):
-        raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 and "
-                         "--t0/2^(steps-1) in [float min, float max]")
+    if probe:
+        # only probe rows import the probes: other commands compile none
+        from . import probes
+        if not probes._float_steps(t0_frac, steps):
+            raise ParseError(f"mode {mode} needs --t0 > 0, --steps >= 3, and --t0 "
+                             "and --t0/2^(steps-1) in [float min, float max]")
     # the file's shape, then what needs only its d, then validation (a hull
     # walk at d = 2, else phase ones only for uncertified vertices)
     rows, d = polytope_rows(read_json(path))
@@ -231,6 +234,7 @@ def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,
 
 
 def run_examples(name) -> int:
+    from .fixtures import fixture_document, fixture_names
     if name is None:
         print("\n".join(fixture_names()))
         return 0
@@ -238,7 +242,7 @@ def run_examples(name) -> int:
         doc = fixture_document(name)
     except KeyError as exc:
         raise ParseError(exc.args[0]) from exc
-    print(json.dumps(doc, indent=2))
+    print(dumps(doc))
     return 0
 
 
@@ -268,7 +272,7 @@ def run_oracle_check(path, point_text, samples) -> int:
     # both lists are sorted and repeat no vertex: equal lists are equal sets
     agree = ora.vertices == tuple(lam.vertex_arrays())
     samples_ok = orc.samples_feasible(p, point, ora.vertices, samples, seed)
-    print(json.dumps({
+    print(dumps({
         "agreement": agree,
         "method": ora.method,
         "vertex_count": len(lam.vertices),
@@ -277,7 +281,7 @@ def run_oracle_check(path, point_text, samples) -> int:
         "samples": samples,
         "samples_feasible": samples_ok,
         "seed": seed,
-    }, indent=2))
+    }))
     return 0 if (agree and samples_ok) else 3
 
 

@@ -28,14 +28,14 @@ Lambda's vertices at a point are read in two passes.  The integer pass
 each with its vertex's support; the vertex count, dim Lambda and the n-d test
 (``_census``) need nothing more, so census rows build no Fraction.
 ``_vertex_rows`` sorts the keys as dense int rows over one denominator, in
-the Fraction order; the probes round those rows to floats, and the Fraction
-pass (``_vertex_list``) builds the rationals from them, only for vertices
-that are printed.
+the Fraction order; the probes round those rows to floats, Γ reads them on
+integers, and the Fraction pass (``_vertex_list``) builds the rationals
+from them, only for vertices that are printed.
 """
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index, itemgetter, mul
 
@@ -81,7 +81,9 @@ class LambdaPolytope:
     """Vertex description of the coordinate polytope at ``point``.
 
     ``theorem_count_match`` records whether the vertex count equals n-d (the
-    classical prediction); it is measured, never assumed.
+    classical prediction); it is measured, never assumed.  ``_rows`` is the
+    integer pass's (M, rows) (``_vertex_rows``): the vertices as int rows
+    over one denominator, in the same order, which ``gamma_polytope`` reads.
     """
 
     point: tuple
@@ -89,6 +91,7 @@ class LambdaPolytope:
     vertex_supports: tuple       # frozenset of 1-based indices per vertex
     dim: int
     theorem_count_match: bool
+    _rows: tuple = field(repr=False, compare=False)
 
     def vertex_arrays(self) -> list:
         return [v.lam for v in self.vertices]
@@ -305,14 +308,13 @@ def _vertex_rows(n: int, keys) -> tuple:
     return scale, rows
 
 
-def _vertex_list(n: int, keys) -> list:
-    """The Fraction pass: (lam, support) per key of ``_vertex_keys``, lam as n
-    Fractions, in the order of ``_vertex_rows``."""
-    scale, rows = _vertex_rows(n, keys)
+def _vertex_list(scale: int, rows) -> list:
+    """The Fraction pass: (lam, support) per int row of ``_vertex_rows``
+    over ``scale``, lam as the row's Fractions, in the rows' order."""
     pairs = []
     for row in rows:
         keep = [j for j, x in enumerate(row) if x]
-        pairs.append((_sigma(n, keep, [row[j] for j in keep], scale),
+        pairs.append((_sigma(len(row), keep, [row[j] for j in keep], scale),
                       frozenset(j + 1 for j in keep)))
     return pairs
 
@@ -373,22 +375,25 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     Reads every nonsingular size-(n-d-1) zero pattern at ``point`` off the
     polytope's pattern table and keeps the distinct feasible solutions, told
     apart and sorted on integers (``_vertex_keys``, ``_vertex_rows``), then
-    builds their Fractions (``_vertex_list``).  A nonsingular pattern's
-    support columns are affinely independent, so every feasible solution is
-    a vertex.  Raises InfeasibleError when the point is outside and
+    builds their Fractions from those int rows (``_vertex_list``), which the
+    result keeps for ``gamma_polytope``.  A nonsingular pattern's support
+    columns are affinely independent, so every feasible solution is a
+    vertex.  Raises InfeasibleError when the point is outside and
     PatternLimitError when the polytope has too many zero patterns; ``dim``
     and the count are ``_census``'s, read off the keys.
     """
     pt = linalg.vec(point)
     keys = _vertices_at(p, pt)
     count, dim, match = _census(p, keys)
-    ordered = _vertex_list(p.n, keys)
+    rows = _vertex_rows(p.n, keys)
+    ordered = _vertex_list(*rows)
     return LambdaPolytope(
         point=pt,
         vertices=tuple(BarycentricVector(lam=lam, point=pt) for lam, _ in ordered),
         vertex_supports=tuple(support for _, support in ordered),
         dim=dim,
         theorem_count_match=match,
+        _rows=rows,
     )
 
 
@@ -402,30 +407,40 @@ def gamma_polytope(p: Polytope, tau: BarycentricVector, nbasis_rows,
     N·c = v - tau holds by construction, so consistency is tested on the
     d + 1 other rows i only, as N_i·v[u] - v_i == N_i·tau[u] - tau_i, over
     the nonzero entries of v[u] (a vertex of Lambda has at most d + 1).
+    The test runs on integers: N is scaled by L to int rows g
+    (``linalg.integer_rows``, unit rows L·e_j), tau by T to ints t, and the
+    vertices are ``lam``'s int rows x over their common denominator M, so
+    it reads g_i·x[u] - L·x_i times T against g_i·t[u] - L·t_i times M, and
+    c_j = (x[u_j]·T - t[u_j]·M) / (M·T).
     Raises SingularMatrixError when N lacks one of the unit rows (a
     rank-deficient N always does) and InconsistentInputsError when some
     v - tau is outside the column span of N.
     """
     k = p.kernel_dim()
     rows = linalg.mat(nbasis_rows)
+    scale, ints = linalg.integer_rows(rows)
     try:
-        units = [rows.index([int(i == j) for i in range(k)]) for j in range(k)]
+        units = [ints.index([scale * (i == j) for i in range(k)]) for j in range(k)]
     except ValueError:
         raise SingularMatrixError(
             "kernel basis lacks a unit row e_j (nullbasis has all k)") from None
-    others = [(row, i) for i, row in enumerate(rows) if i not in units]
+    others = [(row, i) for i, row in enumerate(ints) if i not in units]
 
-    def residuals(x):
+    def residuals(x, f):
         nonzero = [(j, x[u]) for j, u in enumerate(units) if x[u]]
-        return [sum((row[j] * a for j, a in nonzero), -x[i]) for row, i in others]
+        return [f * sum((row[j] * a for j, a in nonzero), -scale * x[i])
+                for row, i in others]
 
-    base = residuals(tau.lam)
+    den, xs = lam._rows
+    tden, (t,) = linalg.integer_rows([tau.lam])
+    base = residuals(t, den)
     gvertices = []
-    for v in lam.vertices:
-        if residuals(v.lam) != base:
+    for x in xs:
+        if residuals(x, tden) != base:
             raise InconsistentInputsError(
                 "vertex - tau is not in the column span of the kernel basis")
-        gvertices.append(tuple(v.lam[u] - tau.lam[u] for u in units))
+        gvertices.append(tuple(Fraction(x[u] * tden - t[u] * den, den * tden)
+                               for u in units))
     hrep = tuple((tuple(row), tau.lam[j]) for j, row in enumerate(rows))
     return GammaPolytope(
         tau=tau,

@@ -2,11 +2,12 @@
 
 Re-parsing a serialized report reproduces the original exactly; floats
 (probe data elsewhere) are written with 17 significant digits, which
-round-trips IEEE doubles.
+round-trips IEEE doubles.  ``dumps`` writes the CLI's indented documents.
 """
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .errors import ParseError
 from .linalg import fr, rational_str
@@ -15,6 +16,57 @@ from .polytope import parse_coordinates
 
 def format_float(x: float) -> str:
     return f"{x:.17g}"
+
+
+def dumps(doc) -> str:
+    """``json.dumps(doc, indent=2)``, byte for byte, for the documents the
+    CLI writes: str, int, bool, None, and lists and dicts (str keys) of
+    them.  It dispatches on the exact type, so it skips the pure-Python
+    encoder's per-value checks; anything else, a float included, raises
+    TypeError."""
+    out = []
+    _write(doc, out, "\n")
+    return "".join(out)
+
+
+def _write(x, out, newline) -> None:
+    """Append ``x``'s JSON to ``out``, its lines after the first starting
+    with ``newline`` (a newline and the indent of ``x``)."""
+    kind = type(x)
+    if kind is str:
+        out.append(encode_basestring_ascii(x))
+    elif kind is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in x.items():
+            if type(key) is not str:
+                raise TypeError(f"key {key!r} is not a str")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write(item, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is int:
+        out.append(str(x))
+    elif kind is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    else:
+        raise TypeError(f"{kind.__name__} is not a document value")
 
 
 def _rvec(xs) -> list:
@@ -80,7 +132,7 @@ class AnalysisReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return dumps(self.to_dict())
 
     def _check_shapes(self) -> None:
         """ValueError unless the lengths fit the polytope's d and n."""

@@ -317,6 +317,27 @@ def test_gamma_inconsistent_inputs(square):
         gamma_polytope(square, tau_wrong, bad_nb, lam)
 
 
+def test_gamma_with_denominators_near_2_64():
+    # a convex pentagon moved off its integer corners by 1/(2^64 - k): the
+    # vertices' common denominator M, tau's T and N's L are all wide, and
+    # the integer test must still give the eliminated Gamma and refuse a
+    # basepoint tau from another point, as the elimination does
+    corners = [(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)]
+    verts = [[x + F(1, 2 ** 64 - 3 * i - l) for l, x in enumerate(c)]
+             for i, c in enumerate(corners)]
+    p = validate([list(col) for col in zip(*verts)], 2)
+    q = (F(1), F(8, 5))
+    tau, nb, lam = feasible_tau(p, q), nullbasis(p), lambda_vertices(p, q)
+    gam = gamma_polytope(p, tau, nb, lam)
+    assert gam == reference_gamma_polytope(p, tau, nb, lam)
+    assert len(gam.vertices) == 5
+    assert max(x.denominator for c in gam.vertices for x in c) > 2 ** 64
+    other = feasible_tau(p, (F(1), F(1)))
+    for route in (gamma_polytope, reference_gamma_polytope):
+        with pytest.raises(InconsistentInputsError):
+            route(p, other, nb, lam)
+
+
 def test_tau_independence_fixtures(square, pentagon, pyramid):
     rng = random.Random(11)
     from barypoly.polytope import locate

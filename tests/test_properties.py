@@ -26,7 +26,9 @@ insertion over Fractions on the Fraction rref's tau and N, for d = 2, 3 and
 from either basepoint tau.  The oracle's primitive-row elimination must give
 g / L = the Fraction rref's (N, tau) and free columns on drawn rational
 systems, and oracle-check's integer sample verdict the exact test of the
-Fraction samples.  ``semidiff_probe``, which runs the
+Fraction samples.  ``report.dumps`` must write the bytes of
+``json.dumps(doc, indent=2)`` for nested documents of any strings, ints,
+bools and None.  ``semidiff_probe``, which runs the
 witness half the sweep runs and builds its quotient sets on integers, must
 give ``helpers.reference_semidiff_probe``'s report, and a semidiff sweep row
 the row formatted from that report's witness distances.  The Hausdorff
@@ -43,6 +45,7 @@ phase ones.
 """
 
 import functools
+import json
 import math
 from fractions import Fraction
 from itertools import combinations, product
@@ -62,6 +65,7 @@ from barypoly.coordinates import (
     _table,
     _vertex_keys,
     _vertex_list,
+    _vertex_rows,
     _vertices_at,
     caratheodory_decompose,
     feasible_tau,
@@ -98,7 +102,7 @@ from barypoly.probes import (
     continuity_probe,
     semidiff_probe,
 )
-from barypoly.report import format_float
+from barypoly.report import dumps, format_float
 from helpers import (
     brute_force_vertices,
     fraction_system,
@@ -146,7 +150,7 @@ def _rationals(p, rows):
 
 def _fractions_at(p, q):
     """Lambda(q)'s sorted Fraction vertices, from both passes of the table."""
-    return [lam for lam, _ in _vertex_list(p.n, _vertices_at(p, q))]
+    return [lam for lam, _ in _vertex_list(*_vertex_rows(p.n, _vertices_at(p, q)))]
 
 
 def _eliminated(p, q):
@@ -1045,3 +1049,33 @@ def test_continuity_probe_matches_the_reference(case):
     assert got.pop("verdict") == want["verdict"] or want["verdict"] == "Inconclusive"
     del want["verdict"]
     assert got == want
+
+
+# any code point, lone surrogates included, with the characters JSON escapes
+# drawn often: quotes, backslashes, control characters, DEL and U+2028
+_TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                          st.sampled_from('"\\/\x00\x08\x1f\x7f\n\t\u2028\U0001f600')))
+_DOCUMENTS = st.recursive(
+    st.one_of(st.none(), st.booleans(), _TEXT,
+              st.integers(-(1 << 200), 1 << 200), st.sampled_from([BIG, -BIG - 1])),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_DOCUMENTS)
+def test_dumps_writes_the_indented_json_bytes(doc):
+    # the CLI's documents skip the pure-Python encoder: the bytes are
+    # json.dumps's, empty lists and dicts and ints beyond 2^64 included
+    assert dumps(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": [0, 2.0]}, [float("nan")], (1, 2),
+                                 {1: "a"}, {"a": F(1, 2)}])
+def test_dumps_refuses_other_values(doc):
+    # no CLI document holds a float: any other value, or a key that is not
+    # a str, raises TypeError, where json.dumps writes a float, a tuple or an
+    # int key its own way
+    with pytest.raises(TypeError):
+        dumps(doc)

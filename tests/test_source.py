@@ -4,6 +4,8 @@ import ast
 import inspect
 from pathlib import Path
 
+import pytest
+
 import barypoly
 
 
@@ -123,6 +125,30 @@ def test_gamma_runs_no_elimination():
              for node in ast.walk(func)
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert sorted(names & {"rref", "mat_vec", "solve_linear", "bareiss"}) == []
+
+
+def test_gamma_reads_the_integer_pass():
+    # Gamma tests each vertex on the integer pass's int rows over their
+    # common denominator, which lambda_vertices keeps on the LambdaPolytope:
+    # the residual test builds no Fraction and takes no Fraction product,
+    # and only lambda_vertices builds a LambdaPolytope, so each has its rows
+    func = _function("coordinates", "gamma_polytope")
+    residuals, = [node for node in ast.walk(func)
+                  if isinstance(node, ast.FunctionDef) and node.name == "residuals"]
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for node in ast.walk(residuals)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert sorted(names & {"Fraction", "fr", "vec", "mat", "dot", "mat_vec"}) == []
+    gamma = _names_in("coordinates", "gamma_polytope")
+    assert {"_rows", "integer_rows"} <= gamma and "vertices" not in gamma
+    src = Path(barypoly.__file__).parent
+    builders = sorted(f"{path.stem}.{top.name}" for path in src.glob("*.py")
+                      for top in ast.parse(path.read_text(), str(path)).body
+                      if isinstance(top, ast.FunctionDef)
+                      and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                              and node.func.id == "LambdaPolytope"
+                              for node in ast.walk(top)))
+    assert builders == ["coordinates.lambda_vertices"]
 
 
 def test_caratheodory_reads_the_basic_solution():
@@ -249,6 +275,42 @@ def test_cli_does_not_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert (lines[0], lines[-1]) == ("False", "0 False")
+
+
+def test_analyze_compiles_no_probe_code(tmp_path):
+    # the package resolves its public names on first access and the CLI
+    # imports the probes and the fixtures only where a command needs them,
+    # so a cold analyze imports neither
+    import subprocess
+    import sys
+
+    f = tmp_path / "square.json"
+    f.write_text('{"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}')
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "barypoly", "analyze",
+                           str(f), "--point=1/3,1/2"], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert "barypoly.cli" in imported
+    assert sorted(imported & {"barypoly.probes", "barypoly.fixtures"}) == []
+
+
+def test_every_public_name_resolves():
+    # each name in __all__ imports from the package, as the module that
+    # defines it gives it, and a star import binds them all
+    import importlib
+
+    for name in barypoly.__all__:
+        scope = {}
+        exec(f"from barypoly import {name}", scope)
+        home = importlib.import_module(f"barypoly.{barypoly._HOME[name]}")
+        assert scope[name] is getattr(home, name)
+    scope = {}
+    exec("from barypoly import *", scope)
+    assert sorted(set(scope) - {"__builtins__"}) == sorted(barypoly.__all__)
+    assert set(barypoly.__all__) <= set(dir(barypoly))
+    with pytest.raises(AttributeError):
+        barypoly.solve_linear
 
 
 def test_one_verdict_rule_and_one_step_rule():
