@@ -72,7 +72,7 @@ def _analysis_report(p: Polytope, point) -> tuple:
     for v, supp in zip(lam.vertices, lam.vertex_supports):
         support = tuple(sorted(supp))
         zeros = tuple(j for j in range(1, p.n + 1) if j not in supp)
-        entries.append(LambdaVertexEntry(lam=v.lam, support=support, zeros=zeros))
+        entries.append(LambdaVertexEntry(v.lam, support, zeros))
     rep = AnalysisReport(
         polytope_dim=p.d,
         polytope_vertices=p.vertices,

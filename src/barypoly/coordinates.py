@@ -35,7 +35,6 @@ from them, only for vertices that are printed.
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import index, itemgetter, mul
 
@@ -51,6 +50,7 @@ from .errors import (
     UnboundedDirectionError,
 )
 from .polytope import Polytope
+from .records import Record
 from .simplex import convex_membership, feasible_point
 
 _ZERO = Fraction(0)
@@ -59,25 +59,19 @@ _ONE = Fraction(1)
 MAX_PATTERNS = 100_000
 
 
-@dataclass(frozen=True)
-class BarycentricVector:
+class BarycentricVector(Record):
     """One feasible coordinate vector: V·lam = point, sum(lam) = 1, lam >= 0."""
 
-    lam: tuple
-    point: tuple
+    _fields = ("lam", "point")
 
 
-@dataclass(frozen=True)
-class SimplicialCoordinate:
+class SimplicialCoordinate(Record):
     """Unique solution with the entries in ``zero_set`` (1-based) forced to 0."""
 
-    zero_set: frozenset
-    sigma: tuple
-    feasible: bool
+    _fields = ("zero_set", "sigma", "feasible")
 
 
-@dataclass(frozen=True)
-class LambdaPolytope:
+class LambdaPolytope(Record):
     """Vertex description of the coordinate polytope at ``point``.
 
     ``theorem_count_match`` records whether the vertex count equals n-d (the
@@ -86,25 +80,28 @@ class LambdaPolytope:
     over one denominator, in the same order, which ``gamma_polytope`` reads.
     """
 
-    point: tuple
-    vertices: tuple              # BarycentricVector, sorted lexicographically
-    vertex_supports: tuple       # frozenset of 1-based indices per vertex
-    dim: int
-    theorem_count_match: bool
-    _rows: tuple = field(repr=False, compare=False)
+    _fields = (
+        "point",
+        "vertices",                  # BarycentricVector, sorted lexicographically
+        "vertex_supports",           # frozenset of 1-based indices per vertex
+        "dim",
+        "theorem_count_match",
+        "_rows",
+    )
 
     def vertex_arrays(self) -> list:
         return [v.lam for v in self.vertices]
 
 
-@dataclass(frozen=True)
-class GammaPolytope:
+class GammaPolytope(Record):
     """Reduced polytope { c : tau + N c >= 0 } in kernel coordinates."""
 
-    tau: BarycentricVector
-    nbasis: tuple                # n rows of length n-d-1
-    hrep_rows: tuple             # (coefficients, offset): offset + coeffs·c >= 0
-    vertices: tuple              # aligned 1:1 with the LambdaPolytope vertices
+    _fields = (
+        "tau",                       # BarycentricVector
+        "nbasis",                    # n rows of length n-d-1
+        "hrep_rows",                 # (coefficients, offset): offset + coeffs·c >= 0
+        "vertices",                  # aligned 1:1 with the LambdaPolytope vertices
+    )
 
 
 def nullbasis(p: Polytope) -> list:
@@ -123,7 +120,7 @@ def feasible_tau(p: Polytope, point) -> BarycentricVector:
     lam = feasible_point(p.stacked_rows(), list(pt) + [_ONE])[0]
     if lam is None:
         raise InfeasibleError("point is outside the polytope")
-    return BarycentricVector(lam=tuple(lam), point=pt)
+    return BarycentricVector(tuple(lam), pt)
 
 
 def circular_windows(n: int, d: int) -> list:
@@ -256,7 +253,7 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     (_, _, xs, den), = _evaluate(own, [(combo, keep, den, local)],
                                  linalg.vec(point))
     sigma = _sigma(p.n, keep, xs, den)
-    return SimplicialCoordinate(zero_set=zeros, sigma=sigma, feasible=min(xs) >= 0)
+    return SimplicialCoordinate(zeros, sigma, min(xs) >= 0)
 
 
 def _feasible_rows(p: Polytope, point):
@@ -389,7 +386,7 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     ordered = _vertex_list(*rows)
     return LambdaPolytope(
         point=pt,
-        vertices=tuple(BarycentricVector(lam=lam, point=pt) for lam, _ in ordered),
+        vertices=tuple(BarycentricVector(lam, pt) for lam, _ in ordered),
         vertex_supports=tuple(support for _, support in ordered),
         dim=dim,
         theorem_count_match=match,

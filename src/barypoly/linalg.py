@@ -18,8 +18,8 @@ with ``integer_rows`` too, but runs its own elimination
 import math
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import DigitLimitError, EmptyInputError
 

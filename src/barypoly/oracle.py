@@ -17,7 +17,6 @@ products of the same rows with no elimination, and the two must agree.
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -30,14 +29,16 @@ from .errors import (
     OracleMismatchError,
 )
 from .polytope import Polytope, validate
+from .records import Record
 
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    vertices: tuple          # coordinate vectors in R^n, sorted lexicographically
-    method: str              # "DoubleDescription"
+class OracleResult(Record):
+    _fields = (
+        "vertices",          # coordinate vectors in R^n, sorted lexicographically
+        "method",            # "DoubleDescription"
+    )
 
 
 def _reduced_system(p: Polytope, point) -> tuple:
@@ -209,7 +210,7 @@ def random_feasible_sample(verts, point, count: int, seed: int) -> list:
     Every output is exactly feasible (rational weights over exact vertices).
     """
     pt = linalg.vec(point)
-    return [BarycentricVector(lam=tuple(Fraction(x, total) for x in sums), point=pt)
+    return [BarycentricVector(tuple(Fraction(x, total) for x in sums), pt)
             for sums, total in _sample_sums(verts, count, seed)]
 
 

@@ -10,11 +10,10 @@ by every other module.
 """
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Sequence
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Sequence
 
 from . import linalg
 from .errors import (
@@ -26,22 +25,25 @@ from .errors import (
     RankDeficientError,
     TooFewVerticesError,
 )
+from .records import Record
 from .simplex import convex_membership, feasible_point
 
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class Polytope:
-    d: int
-    n: int
-    vertices: tuple          # n vertex tuples, each of length d
-    # N's n rows, from validation's one elimination; not part of the value
-    _kernel_rows: tuple = field(repr=False, compare=False)
-    # coordinates' pattern table (walls, rows), built on first use; not part
-    # of the value
-    _pattern_table: list = field(default_factory=list, init=False, repr=False,
-                                 compare=False)
+class Polytope(Record):
+    _fields = (
+        "d",
+        "n",
+        "vertices",          # n vertex tuples, each of length d
+        "_kernel_rows",      # N's n rows, from validation's one elimination
+    )
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # coordinates' pattern table (walls, rows), built on first use; not
+        # a constructor argument
+        object.__setattr__(self, "_pattern_table", [])
 
     def stacked_rows(self) -> list:
         """Rows of [V; 1^T]: d coordinate rows plus the all-ones row."""
@@ -64,13 +66,12 @@ class Location(str, Enum):
     OUTSIDE = "Outside"
 
 
-@dataclass(frozen=True)
-class PointLocation:
-    tag: Location
-    # feasible coordinates for Interior/Boundary
-    barycentric: tuple | None = None
-    # (a, b) with a·v_i <= b for all vertices and a·p > b, for Outside
-    separator: tuple | None = None
+class PointLocation(Record):
+    # barycentric: feasible coordinates, for Interior/Boundary; separator:
+    # (a, b) with a·v_i <= b for all vertices and a·p > b, for Outside; each
+    # None where it does not apply
+    _fields = ("tag", "barycentric", "separator")
+    _defaults = {"barycentric": lambda: None, "separator": lambda: None}
 
 
 def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:

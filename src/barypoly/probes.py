@@ -26,7 +26,6 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import coordinates as co
@@ -38,19 +37,22 @@ from .errors import (
     LeavesPolytopeError,
 )
 from .polytope import Polytope
+from .records import Record
 
 _MAX_ITER = 10_000
 _EPS = sys.float_info.epsilon
 
 
-@dataclass(frozen=True, eq=False)
-class FloatPolytope:
-    """Convex hull of one or more float vectors of length ``ambient_dim``."""
+class FloatPolytope(Record):
+    """Convex hull of one or more float vectors of length ``ambient_dim``;
+    equal only to itself."""
 
-    vertices: tuple
-    ambient_dim: int
+    _fields = ("vertices", "ambient_dim")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if len(self.vertices) == 0:
             raise EmptyInputError("a float polytope needs at least one vertex")
         if any(len(v) != self.ambient_dim for v in self.vertices):
@@ -66,19 +68,18 @@ class FloatPolytope:
                    default=0.0)
 
 
-@dataclass(frozen=True)
-class ProbeStep:
-    t: float
-    distance: float
-    ratio: float
+class ProbeStep(Record):
+    _fields = ("t", "distance", "ratio")
 
 
-@dataclass(frozen=True)
-class ProbeReport:
-    steps: tuple
-    verdict: str              # "Converges" | "Inconclusive" | "Diverges"
-    tolerance: float
-    metadata: dict = field(default_factory=dict)  # basepoint, direction: exact tuples
+class ProbeReport(Record):
+    _fields = (
+        "steps",
+        "verdict",                # "Converges" | "Inconclusive" | "Diverges"
+        "tolerance",
+        "metadata",               # basepoint, direction: exact tuples
+    )
+    _defaults = {"metadata": dict}
 
 
 def _dot(a, b) -> float:
@@ -299,8 +300,7 @@ def _report(steps, tolerance, met, converges, diverges, **metadata) -> ProbeRepo
         verdict = "Converges"
     elif met and diverges:
         verdict = "Diverges"
-    return ProbeReport(steps=tuple(steps), verdict=verdict, tolerance=tolerance,
-                       metadata=metadata)
+    return ProbeReport(tuple(steps), verdict, tolerance, metadata)
 
 
 def _floats(scale, rows) -> tuple:
@@ -362,7 +362,7 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
         d, met = _hausdorff_status(FloatPolytope(_floats(scale, rows), p.n), base,
                                    distance_tol)
         all_met = all_met and met
-        steps_out.append(ProbeStep(t=float(t), distance=d, ratio=d / float(t)))
+        steps_out.append(ProbeStep(float(t), d, d / float(t)))
     dists = [s.distance for s in steps_out]
     tail_ok = _tail_nonincreasing(dists)
     return _report(steps_out, tolerance, all_met,
@@ -458,7 +458,7 @@ def semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16),
         d, met = _hausdorff_status(a, b, distance_tol)
         all_met = all_met and met
         pair.append(d)
-    steps_out = [ProbeStep(t=float(t), distance=w, ratio=r)
+    steps_out = [ProbeStep(float(t), w, r)
                  for t, w, r in zip(ts, witness, pair + [math.nan])]
     diameters = [s.diameter() for s in quotient_sets]
     witness_ok = witness[-1] < tolerance and _tail_nonincreasing(witness)

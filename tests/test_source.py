@@ -280,19 +280,33 @@ def test_cli_does_not_load_numpy(tmp_path):
 def test_analyze_compiles_no_probe_code(tmp_path):
     # the package resolves its public names on first access and the CLI
     # imports the probes and the fixtures only where a command needs them,
-    # so a cold analyze imports neither
+    # so a cold analyze imports neither; its records need no dataclasses
+    # (which imports inspect) and its annotations no typing.  -S keeps site
+    # from importing modules of its own (typing, through a .pth file)
     import subprocess
     import sys
 
     f = tmp_path / "square.json"
     f.write_text('{"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}')
-    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "barypoly", "analyze",
-                           str(f), "--point=1/3,1/2"], capture_output=True, text=True,
-                          timeout=60)
+    proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "barypoly",
+                           "analyze", str(f), "--point=1/3,1/2"], capture_output=True,
+                          text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert "barypoly.cli" in imported
-    assert sorted(imported & {"barypoly.probes", "barypoly.fixtures"}) == []
+    assert sorted(imported & {"barypoly.probes", "barypoly.fixtures", "dataclasses",
+                              "inspect", "typing"}) == []
+
+
+def test_no_dataclasses_or_typing_in_the_package():
+    # the records are barypoly.records.Record classes and the annotations
+    # take Sequence from collections.abc: a cold start imports neither module
+    src = Path(barypoly.__file__).parent
+    found = sorted(f"{path.name}: {name}"
+                   for path in src.glob("*.py")
+                   for name in _imported_names(path.stem)
+                   if name.split(".")[0] in ("dataclasses", "typing"))
+    assert found == []
 
 
 def test_every_public_name_resolves():
