@@ -36,13 +36,6 @@ class Record:
 
     def __init__(self, *args, **kwargs):
         fields = self._fields
-        if not args and len(kwargs) == len(fields):
-            try:
-                for field in fields:
-                    _set(self, field, kwargs[field])
-                return
-            except KeyError:  # an unknown name in place of a field
-                pass
         if kwargs or len(args) != len(fields):
             args = self._bind(args, kwargs)
         i = 0

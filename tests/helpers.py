@@ -1,6 +1,5 @@
 """Shared test utilities: independent mini-oracles and samplers."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -18,7 +17,6 @@ from barypoly.errors import (
     InfeasibleSelectionError,
     LeavesPolytopeError,
     NonExtremeVertexError,
-    ParseError,
     RankDeficientError,
     SingularMatrixError,
     TooFewVerticesError,
@@ -32,8 +30,7 @@ from barypoly.probes import (
     _report,
     _tail_nonincreasing,
 )
-from barypoly.polytope import Polytope, parse_coordinates
-from barypoly.report import AnalysisReport, LambdaVertexEntry
+from barypoly.polytope import Polytope
 from barypoly.simplex import convex_membership
 
 BIG = 1 << 64
@@ -653,84 +650,3 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
                    basepoint=pt, direction=hv, zero_set=sorted(zero_set),
                    diameters=diameters, pairwise_hausdorff=pair,
                    distance_tol=distance_tol)
-
-
-def _parse_rvec(xs) -> tuple:
-    return parse_coordinates(xs, len(xs), "report vector")
-
-
-def _exact(value, kind):
-    """``value`` if its type is ``kind`` itself (a bool is no int)."""
-    if type(value) is not kind:
-        raise ValueError(f"{value!r} is not of type {kind.__name__}")
-    return value
-
-
-def _ascending(indices) -> bool:
-    return all(a < b for a, b in zip(indices, indices[1:]))
-
-
-def _check_shapes(report: AnalysisReport) -> None:
-    """ValueError unless the lengths fit the polytope's d and n."""
-    d, n = report.polytope_dim, len(report.polytope_vertices)
-    k = n - d - 1
-    if any(len(v) != d for v in (*report.polytope_vertices, report.point)):
-        raise ValueError(f"the vertices and the point need dim = {d} entries")
-    if any(len(v) != n for v in (report.tau, *(e.lam for e in report.lambda_vertices))):
-        raise ValueError(f"tau and every lambda need n = {n} entries")
-    if len(report.nbasis) != n or any(len(row) != k for row in report.nbasis):
-        raise ValueError(f"nullspace_basis must be {n} rows of {k}")
-    if (len(report.gamma_vertices) != len(report.lambda_vertices)
-            or any(len(v) != k for v in report.gamma_vertices)):
-        raise ValueError(f"gamma_vertices must be one vector of {k} per lambda")
-    if not 0 <= report.dim <= k:
-        raise ValueError(f"dim {report.dim} is outside 0..{k}")
-    for e in report.lambda_vertices:
-        if not (_ascending(e.support) and _ascending(e.zeros)
-                and sorted(e.support + e.zeros) == list(range(1, n + 1))):
-            raise ValueError("support and zeros must be ascending complements "
-                             f"in 1..{n}")
-
-
-def report_from_dict(doc: dict) -> AnalysisReport:
-    """The report an ``analyze`` document describes: the round-trip
-    reference for ``AnalysisReport.to_dict``.  Each field's type and the
-    lengths are checked; a bad document raises ParseError."""
-    try:
-        if doc["location"] not in ("Interior", "Boundary"):
-            raise ValueError(f"location {doc['location']!r} is not Interior or Boundary")
-        report = AnalysisReport(
-            polytope_dim=_exact(doc["polytope"]["dim"], int),
-            polytope_vertices=tuple(
-                _parse_rvec(v) for v in doc["polytope"]["vertices"]),
-            point=_parse_rvec(doc["point"]),
-            location=doc["location"],
-            tau=_parse_rvec(doc["tau"]),
-            nbasis=tuple(_parse_rvec(row) for row in doc["nullspace_basis"]),
-            lambda_vertices=tuple(
-                LambdaVertexEntry(
-                    lam=_parse_rvec(e["lambda"]),
-                    support=tuple(_exact(i, int) for i in e["support"]),
-                    zeros=tuple(_exact(i, int) for i in e["zeros"]),
-                )
-                for e in doc["lambda_vertices"]
-            ),
-            gamma_vertices=tuple(_parse_rvec(v) for v in doc["gamma_vertices"]),
-            dim=_exact(doc["dim"], int),
-            theorem_count_match=_exact(doc["theorem_count_match"], bool),
-        )
-        _check_shapes(report)
-        return report
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad report document: {exc}") from exc
-
-
-def report_from_json(text: str) -> AnalysisReport:
-    """Parse a report; numbers are read as ``polytope.read_json`` and
-    ``parse_coordinates`` read them, and a bad one raises ParseError."""
-    try:
-        # fr("NaN"), fr("Infinity") and fr("1e99999") raise ValueError
-        doc = json.loads(text, parse_float=linalg.fr, parse_constant=linalg.fr)
-    except (ValueError, RecursionError) as exc:  # and JSONDecodeError
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return report_from_dict(doc)

@@ -9,7 +9,7 @@ import pytest
 
 from barypoly.cli import main
 from barypoly.errors import ParseError
-from helpers import report_from_dict, report_from_json
+from barypoly.report import AnalysisReport
 
 F = Fraction
 
@@ -61,9 +61,9 @@ def test_analyze_square_center(square_file, capsys):
     assert doc["theorem_count_match"] is True
     lams = [tuple(v["lambda"]) for v in doc["lambda_vertices"]]
     assert lams == [("0", "1/2", "0", "1/2"), ("1/2", "0", "1/2", "0")]
-    rep = report_from_dict(doc)
+    rep = AnalysisReport.from_dict(doc)
     assert rep.to_dict() == doc  # lossless round-trip
-    assert report_from_json(out) == rep
+    assert AnalysisReport.from_json(out) == rep
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
@@ -74,7 +74,7 @@ def test_report_non_finite_number(square_file, capsys, value):
     doc = json.loads(out)
     doc["point"][0] = value
     with pytest.raises(ParseError, match="invalid JSON"):
-        report_from_json(json.dumps(doc))
+        AnalysisReport.from_json(json.dumps(doc))
 
 
 def test_report_decimals_are_exact(square_file, capsys):
@@ -82,14 +82,14 @@ def test_report_decimals_are_exact(square_file, capsys):
     code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
     text = out.replace('"point": [\n    "1/2"', '"point": [\n    1e400', 1)
     assert text != out
-    assert report_from_json(text).point == (F(10) ** 400, F(1, 2))
+    assert AnalysisReport.from_json(text).point == (F(10) ** 400, F(1, 2))
 
 
 def test_report_nested_too_deep():
     # deeper than the interpreter's recursion limit: a ParseError, as a bad
     # number is, not a bare RecursionError
     with pytest.raises(ParseError, match="invalid JSON: maximum recursion depth"):
-        report_from_json("[" * 100000 + "]" * 100000)
+        AnalysisReport.from_json("[" * 100000 + "]" * 100000)
 
 
 @pytest.mark.parametrize("value", ["1/0", True])
@@ -100,7 +100,7 @@ def test_report_bad_number(square_file, capsys, value):
     doc = json.loads(out)
     doc["tau"][1] = value
     with pytest.raises(ParseError, match="report vector: bad coordinate"):
-        report_from_json(json.dumps(doc))
+        AnalysisReport.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("exponent", ["1e99999999", "1e-99999999"])
@@ -116,7 +116,7 @@ def test_decimal_exponent_is_bounded(square_file, tmp_path, capsys, entry, expon
         text = out.replace('"point": [\n    "1/2"', f'"point": [\n    {exponent}', 1)
         assert text != out
         with pytest.raises(ParseError, match=f"invalid JSON: {why}"):
-            report_from_json(text)
+            AnalysisReport.from_json(text)
         return
     sweep = ["sweep", square_file, "--mode", "continuity", "--grid", "1"]
     argv = {"--point": ["analyze", square_file, "--point", f"{exponent},1/2"],
@@ -144,7 +144,7 @@ def test_decimal_exponent_at_the_bound_is_exact(square_file, tmp_path, capsys):
     assert out.split("\n")[1] == f"1/{10 ** 4299},1/2,2,1,true,"
     code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
     text = out.replace('"point": [\n    "1/2"', '"point": [\n    -25E+4298', 1)
-    assert report_from_json(text).point == (-25 * F(10) ** 4298, F(1, 2))
+    assert AnalysisReport.from_json(text).point == (-25 * F(10) ** 4298, F(1, 2))
 
 
 def test_analyze_outside_exit_2(square_file, capsys):
@@ -917,7 +917,7 @@ def test_parse_error_details(square_file, tmp_path, capsys, argv, detail):
 
 def test_report_without_fields_is_a_parse_error():
     with pytest.raises(ParseError, match="bad report document"):
-        report_from_dict({})
+        AnalysisReport.from_dict({})
 
 
 @pytest.mark.parametrize("path, value", [
@@ -935,14 +935,14 @@ def test_report_malformed_field_is_a_parse_error(square_file, capsys, path, valu
     # Boundary; a string support is not read as its characters
     code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
     doc = json.loads(out)
-    report_from_dict(doc)
+    AnalysisReport.from_dict(doc)
     *head, last = path
     target = doc
     for key in head:
         target = target[key]
     target[last] = value
     with pytest.raises(ParseError, match="bad report document"):
-        report_from_dict(doc)
+        AnalysisReport.from_dict(doc)
 
 
 @pytest.mark.parametrize("path, value", [
@@ -971,14 +971,14 @@ def test_report_bad_shape_is_a_parse_error(square_file, capsys, path, value):
     # and support and zeros are strictly ascending complements in 1..n
     code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
     doc = json.loads(out)
-    report_from_dict(doc)
+    AnalysisReport.from_dict(doc)
     *head, last = path
     target = doc
     for key in head:
         target = target[key]
     target[last] = value
     with pytest.raises(ParseError, match="bad report document"):
-        report_from_dict(doc)
+        AnalysisReport.from_dict(doc)
 
 
 def test_pick_selection_without_a_feasible_pattern_is_internal(square):

@@ -8,11 +8,9 @@ Exits 0 only when the failures are exactly the two acceptance criteria that
 fail on purpose (the classical n-d vertex count and Hausdorff settling of
 quotient sets are false, see README) and nothing errors; otherwise prints
 the counts and the unexpected names, and exits 1.  After the counts it prints
-the suite's wall time, the line count of the package source under ``src/``,
-how many modules a cold ``python -S -m barypoly analyze`` on the unit square
-imports (and how many of them are ``barypoly`` modules, as ``-X importtime``
-lists them; information only, it never gates) and the suite's three slowest
-tests, read off the report's ``time`` attributes.
+the suite's wall time, the line count of the package source under ``src/``
+and the suite's three slowest tests, read off the report's ``time``
+attributes.
 """
 
 import os
@@ -29,17 +27,13 @@ EXPECTED_FAILURES = {
 }
 
 
-def _env() -> dict:
+def run_suite(xml_path) -> None:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         ["src"] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return env
-
-
-def run_suite(xml_path) -> None:
     subprocess.run([sys.executable, "-m", "pytest", "-q",
                     "--continue-on-collection-errors", f"--junitxml={xml_path}"],
-                   cwd=ROOT, env=_env(), check=False)
+                   cwd=ROOT, env=env, check=False)
 
 
 def outcomes(xml_path) -> dict:
@@ -76,25 +70,6 @@ def source_lines() -> int:
                for path in sorted((ROOT / "src").rglob("*.py")))
 
 
-def cold_imports(tmp) -> str:
-    """How many modules, and how many ``barypoly`` ones, ``python -S -X
-    importtime -m barypoly analyze`` lists for a point of the unit square."""
-    square = Path(tmp) / "square.json"
-    square.write_text('{"dim": 2, "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}')
-    try:
-        proc = subprocess.run([sys.executable, "-S", "-X", "importtime", "-m", "barypoly",
-                               "analyze", str(square), "--point=1/3,1/2"], cwd=ROOT,
-                              env=_env(), capture_output=True, text=True, timeout=60)
-    except subprocess.TimeoutExpired:
-        return "not counted (analyze timed out)"
-    if proc.returncode != 0:
-        return f"not counted (analyze exited {proc.returncode})"
-    modules = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-               if line.startswith("import time:") and not line.endswith("imported package")]
-    own = sum(name.split(".")[0] == "barypoly" for name in modules)
-    return f"{len(modules)} modules, {own} of them barypoly"
-
-
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         xml_path = Path(tmp) / "tier1.xml"
@@ -104,11 +79,9 @@ def main() -> int:
             return 1
         found = outcomes(xml_path)
         wall, slowest = timings(xml_path)
-        imports = cold_imports(tmp)
     print("tier1: " + ", ".join(f"{len(v)} {k}" for k, v in found.items()))
     print(f"tier1: wall time {wall:.1f} s")
     print(f"tier1: src/ is {source_lines()} lines")
-    print(f"tier1: a cold analyze imports {imports}")
     for seconds, name in slowest:
         print(f"tier1: slow {seconds:.2f} s {name}")
     unexpected = sorted(set(found["failed"]) - EXPECTED_FAILURES)
