@@ -15,11 +15,15 @@ A zero pattern keeps d + 1 vertices K, and its coordinates are the simplicial
 ones of K: by Cramer's rule the entry at k in K is a ratio of signed volumes,
 f_{K∖k}(p) / f_{K∖k}(v_k), with f_S(x) = det[1 … 1 1; V_S x].  The numerator
 depends only on the wall S = K∖k, the d vertices opposite k, an affine
-function of p.  So a polytope's table holds C(n, d) walls, each an integer
-cofactor vector built once, and one row per nonsingular pattern naming its
-d + 1 walls, their signs and the denominator |f_{K∖k_0}(v_{k_0})|; at a
-point every wall is read once, with integer multiply-adds, and every row is
-a lookup.  The sign vector of the wall values is the point's chamber key.
+function of p.  One point needs only the C(n, d) wall values there
+(``_wall_values``), and each pattern's denominator is their signed sum
+(``_lone_rows``): a polytope's first read takes its rows that way and keeps
+nothing.  From the second read on, a polytope's table holds C(n, d) walls,
+each an integer cofactor vector built once, and one row per nonsingular
+pattern naming its d + 1 walls, their signs and the denominator
+|f_{K∖k_0}(v_{k_0})|; at a point every wall is read once, with integer
+multiply-adds, and every row is a lookup.  The sign vector of the wall
+values is the point's chamber key.
 Along a ray p + t·h every wall value is affine in t, so ``_ray_keys`` reads
 each wall once at p and once along h, and each step once more on integers.
 
@@ -140,6 +144,15 @@ def _sigma(n, keep, xs, den) -> tuple:
     return tuple(sigma)
 
 
+def _pattern_order(p: Polytope):
+    """(zero set, keep) for every zero pattern, the zero sets (1-based) in
+    lexicographic order: complements reverse that order, so the keep sets
+    (0-based) pair with them in falling order."""
+    zero_sets = itertools.combinations(range(1, p.n + 1), p.kernel_dim())
+    keeps = reversed(list(itertools.combinations(range(p.n), p.d + 1)))
+    return zip(zero_sets, keeps)
+
+
 def _patterns(p: Polytope) -> tuple:
     """(walls, rows): the one loop over zero patterns, on wall functionals.
 
@@ -163,11 +176,7 @@ def _patterns(p: Polytope) -> tuple:
         if any(c):
             cofactors[s] = len(cofactors), c
     rows = {}
-    # complements reverse the lexicographic order: the keep sets in falling
-    # order pair with the zero sets in rising order
-    zero_sets = itertools.combinations(range(1, p.n + 1), p.kernel_dim())
-    keeps = reversed(list(itertools.combinations(range(p.n), p.d + 1)))
-    for combo, keep in zip(zero_sets, keeps):
+    for combo, keep in _pattern_order(p):
         first = cofactors.get(keep[1:])
         det = sum(map(mul, first[1], points[keep[0]])) if first else 0
         if det:
@@ -202,7 +211,7 @@ def _table(p: Polytope) -> tuple:
     built.
     """
     table = p._pattern_table
-    if not table:  # not built yet
+    if len(table) < 2:  # not built yet
         check_pattern_count(p.n, p.d)
         table[:] = _patterns(p)
     return table
@@ -225,6 +234,49 @@ def _read_rows(rows, vals, scale):
     vals = vals + [-v for v in reversed(vals)]  # vals[~w] = -vals[w]
     for combo, keep, den, ids in rows:
         yield combo, keep, itemgetter(*ids)(vals), den * scale
+
+
+def _wall_values(p: Polytope, point) -> list:
+    """Every wall's value at ``point``, one per d-subset S in lexicographic
+    order: det[L′·(v_s - point)], s in S, L′ the lcm of the denominators of
+    the vertices and the point.  That is L′^d·f_S(point) (subtract the row
+    (1, point) from each (1, v_s)), 0 for an affinely dependent S.  Each
+    determinant is expanded along its last row: ``linalg.cofactors`` runs
+    once per (d-1)-vertex prefix, and every wall that extends the prefix
+    costs one integer dot, so C(n-1, d-1) eliminations of (d-1) x d rows
+    where the table runs C(n, d) of d x (d+1).  No Fraction is built."""
+    d = p.d
+    _, (*verts, pt) = linalg.integer_rows([*p.vertices, point])
+    us = [[x - y for x, y in zip(v, pt)] for v in verts]
+    vals = []
+    for prefix in itertools.combinations(range(p.n - 1), d - 1):
+        # c·u = det[u; prefix] = (-1)^(d-1)·det[prefix; u]
+        c = linalg.cofactors([us[j] for j in prefix])
+        if d % 2 == 0:
+            c = [-x for x in c]
+        vals += [sum(map(mul, c, u)) for u in us[prefix[-1] + 1 if prefix else 0:]]
+    return vals
+
+
+def _lone_rows(p: Polytope, point):
+    """Yield the rows (zero set, keep, xs, den) of the table at ``point``, in
+    table order, off ``_wall_values`` alone: no wall is built.  With keep
+    k_0 < … < k_d and f_i the value of the wall keep∖k_i, Cramer's rule
+    gives sigma_keep[i] = (-1)^i·f_i / D, D = Σ (-1)^i·f_i, because the
+    coordinates sum to 1; D is L′^d·det[1^T; V_keep] at every point, so
+    den = |D| is 0 exactly on a singular pattern, and the xs take D's
+    sign."""
+    d, combinations = p.d, itertools.combinations
+    value = dict(zip(combinations(range(p.n), d), _wall_values(p, point))).__getitem__
+    for combo, keep in _pattern_order(p):
+        xs = [*map(value, combinations(keep, d))]
+        xs.reverse()  # combinations(keep, d) drops k_d first and k_0 last
+        xs[1::2] = [-x for x in xs[1::2]]
+        den = sum(xs)
+        if den < 0:
+            yield combo, keep, [-x for x in xs], -den
+        elif den:
+            yield combo, keep, xs, den
 
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
@@ -318,8 +370,16 @@ def _vertex_list(scale: int, rows) -> list:
 
 def _vertices_at(p: Polytope, point) -> dict:
     """The integer pass at ``point``: the vertex keys of Lambda(point) over
-    every feasible row of the table there."""
-    return _vertex_keys(_feasible_rows(p, point))
+    every feasible row there.  The first read of ``p`` takes the rows off
+    the wall values at the point (``_lone_rows``) and builds no table; the
+    second builds the table, and every read from then on is a lookup.  Both
+    raise PatternLimitError (``check_pattern_count``) before any value."""
+    table = p._pattern_table
+    if table:
+        return _vertex_keys(_feasible_rows(p, point))
+    check_pattern_count(p.n, p.d)
+    table.append(None)  # read once: the next read builds the table
+    return _vertex_keys(_feasible(_lone_rows(p, point)))
 
 
 def _ray_keys(p: Polytope, point, h, ts):
@@ -369,15 +429,17 @@ def is_interior(n: int, supports) -> bool:
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     """Enumerate the vertex set of the coordinate polytope at ``point``.
 
-    Reads every nonsingular size-(n-d-1) zero pattern at ``point`` off the
-    polytope's pattern table and keeps the distinct feasible solutions, told
-    apart and sorted on integers (``_vertex_keys``, ``_vertex_rows``), then
-    builds their Fractions from those int rows (``_vertex_list``), which the
-    result keeps for ``gamma_polytope``.  A nonsingular pattern's support
-    columns are affinely independent, so every feasible solution is a
-    vertex.  Raises InfeasibleError when the point is outside and
-    PatternLimitError when the polytope has too many zero patterns; ``dim``
-    and the count are ``_census``'s, read off the keys.
+    Reads every nonsingular size-(n-d-1) zero pattern at ``point``
+    (``_vertices_at``: off the wall values there on a polytope's first
+    read, off its pattern table after) and keeps the distinct feasible
+    solutions, told apart and sorted on integers (``_vertex_keys``,
+    ``_vertex_rows``), then builds their Fractions from those int rows
+    (``_vertex_list``), which the result keeps for ``gamma_polytope``.  A
+    nonsingular pattern's support columns are affinely independent, so
+    every feasible solution is a vertex.  Raises InfeasibleError when the
+    point is outside and PatternLimitError when the polytope has too many
+    zero patterns; ``dim`` and the count are ``_census``'s, read off the
+    keys.
     """
     pt = linalg.vec(point)
     keys = _vertices_at(p, pt)

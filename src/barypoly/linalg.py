@@ -7,8 +7,9 @@ probe layer and the seeded polytope generator, which add floats with
 ``float_sum``.  Matrices are plain lists of row lists, vectors plain
 sequences.  ``bareiss_row`` is the integer (fraction-free) row update: the
 simplex pivot, and the step of ``eliminate``, the one fraction-free
-Gauss-Jordan loop, under ``cofactors`` (the pattern table's wall kernel),
-``nullspace_basis`` (validation's N) and ``rank``.  No Fraction elimination
+Gauss-Jordan loop, under ``cofactors`` (the wall kernel of the pattern
+table and of a lone point's wall values), ``nullspace_basis``
+(validation's N) and ``rank``.  No Fraction elimination
 is left: the RREF is unique, so the kernel basis read off ``eliminate`` is
 the Fraction RREF's, Fraction for Fraction.  The DD oracle scales its system
 with ``integer_rows`` too, but runs its own elimination

@@ -312,9 +312,10 @@ def _floats(scale, rows) -> tuple:
 def _probe_samples(p: Polytope, point, h, t0, steps, base=None):
     """(pt, h, t_k, Lambda(pt)'s vertex keys, (M, rows) of each
     Lambda(pt + t_k·h)): the keys are ``base`` when the caller has read them,
-    else read here by co._vertices_at, and each step's vertices are int rows
-    over M in the Fraction order (``co._vertex_rows``) of the keys that
-    co._ray_keys reads along the ray on integers."""
+    else read here off the pattern table that co._ray_keys builds, and each
+    step's vertices are int rows over M in the Fraction order
+    (``co._vertex_rows``) of the keys that co._ray_keys reads along the ray
+    on integers."""
     pt = linalg.vec(point)
     hv = linalg.vec(h)
     if len(pt) != p.d or len(hv) != p.d:
@@ -325,7 +326,7 @@ def _probe_samples(p: Polytope, point, h, t0, steps, base=None):
                          "in [float min, float max]")
     ts = [t0 / (1 << k) for k in range(steps)]
     if base is None:
-        base = co._vertices_at(p, pt)
+        base = co._vertex_keys(co._feasible_rows(p, pt))
     lams = [co._vertex_rows(p.n, keys) for keys in co._ray_keys(p, pt, hv, ts)]
     if not base:
         raise LeavesPolytopeError("basepoint is outside the polytope")

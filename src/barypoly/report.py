@@ -7,6 +7,7 @@ round-trips IEEE doubles.  ``dumps`` writes the CLI's indented documents.
 
 import json
 from json.encoder import encode_basestring_ascii
+from operator import mul
 
 from .errors import ParseError
 from .linalg import fr, rational_str
@@ -157,6 +158,23 @@ class AnalysisReport(Record):
                 raise ValueError("support and zeros must be ascending complements "
                                  f"in 1..{n}")
 
+    def _check_agreement(self) -> None:
+        """ValueError unless the fields agree (shapes checked): each support
+        is its lambda's nonzero indices, each Gamma vertex c maps to its
+        lambda as tau + N·c, and theorem_count_match is whether the vertex
+        count is n - d."""
+        for i, (e, c) in enumerate(zip(self.lambda_vertices, self.gamma_vertices), 1):
+            if e.support != tuple(j for j, x in enumerate(e.lam, 1) if x):
+                raise ValueError(f"lambda vertex {i}: support and zeros are not "
+                                 "its nonzero and zero indices")
+            if any(t + sum(map(mul, row, c)) != x
+                   for t, row, x in zip(self.tau, self.nbasis, e.lam)):
+                raise ValueError(f"gamma vertex {i}: tau + N·c is not lambda vertex {i}")
+        count = len(self.lambda_vertices)
+        if self.theorem_count_match != (count == len(self.polytope_vertices)
+                                        - self.polytope_dim):
+            raise ValueError(f"theorem_count_match disagrees with {count} vertices")
+
     @classmethod
     def from_dict(cls, doc: dict) -> "AnalysisReport":
         try:
@@ -183,6 +201,7 @@ class AnalysisReport(Record):
                 theorem_count_match=_exact(doc["theorem_count_match"], bool),
             )
             report._check_shapes()
+            report._check_agreement()
             return report
         except (KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad report document: {exc}") from exc

@@ -822,9 +822,11 @@ def test_sweep_grid_is_bounded(tmp_path, capsys, monkeypatch):
 
 def test_one_integer_elimination_per_polytope(tmp_path, capsys, monkeypatch):
     # validation's kernel basis gives the rank test, N and dim Λ: analyze at
-    # an interior point and a census sweep over interior points each run the
-    # integer loop once on [V; 1ᵀ] and once per wall; so does oracle-check,
-    # whose oracle runs its own loop, and linalg keeps no rref
+    # an interior point runs the integer loop once on [V; 1ᵀ] and once per
+    # 2-vertex prefix of its wall values, C(7, 2) = 21 cofactors of 2 x 3
+    # rows; so does oracle-check, whose oracle runs its own loop.  A census
+    # sweep over interior points builds the table: once on [V; 1ᵀ] and once
+    # per wall, C(8, 3) = 56 cofactors of 3 x 4 rows.  linalg keeps no rref
     from barypoly import linalg
     from barypoly.fixtures import fixture_document
 
@@ -841,28 +843,29 @@ def test_one_integer_elimination_per_polytope(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(linalg, "cofactors",
                         lambda rows: walls.append(rows) or real_cofactors(rows))
 
-    def one_stacked_elimination():
+    def one_stacked_elimination(count, shape):
         # of the eliminations since the last check, the one that is not a
-        # wall's has d + 1 rows of n entries, the last row 1ᵀ scaled to
-        # integers, and the rest are the 56 walls'
+        # cofactor's has d + 1 rows of n entries, the last row 1ᵀ scaled to
+        # integers, and the rest are ``count`` cofactors of ``shape`` rows
         stacked, = [rows for rows in eliminations if not any(rows is w for w in walls)]
         assert (len(stacked), {len(row) for row in stacked}, len(set(stacked[-1]))) \
             == (4, {8}, 1)
-        assert len(eliminations) == 1 + len(walls) and len(walls) == 56
+        assert len(eliminations) == 1 + len(walls) and len(walls) == count
+        assert {(len(w), *{len(row) for row in w}) for w in walls} == {shape}
         eliminations.clear()
         walls.clear()
 
     code, out = run(capsys, "analyze", str(f), "--point", "1/3,2/5,1/2")
     assert (code, json.loads(out)["location"]) == (0, "Interior")
-    one_stacked_elimination()
+    one_stacked_elimination(math.comb(7, 2), (2, 3))
     code, out = run(capsys, "sweep", str(f), "--mode", "census", "--points", str(pts))
     rows = out.splitlines()[1:]
     assert (code, len(rows)) == (0, 4)
     assert all(row.endswith(",") for row in rows)  # empty error column
-    one_stacked_elimination()
+    one_stacked_elimination(math.comb(8, 3), (3, 4))
     code, out = run(capsys, "oracle-check", str(f), "--point", "1/3,2/5,1/2")
     assert (code, json.loads(out)["agreement"]) == (0, True)
-    one_stacked_elimination()
+    one_stacked_elimination(math.comb(7, 2), (2, 3))
 
 
 def test_sweep_writes_each_row_as_it_is_computed(square_file, capsys, monkeypatch):
@@ -979,6 +982,53 @@ def test_report_bad_shape_is_a_parse_error(square_file, capsys, path, value):
     target[last] = value
     with pytest.raises(ParseError, match="bad report document"):
         AnalysisReport.from_dict(doc)
+
+
+@pytest.mark.parametrize("path, value", [
+    (("lambda_vertices", 0, "support"), [1, 3]),
+    (("gamma_vertices", 0), ["7"]),
+    (("theorem_count_match",), False),
+], ids=["support-off-lambda", "gamma-off-lambda", "count-match-off-count"])
+def test_report_fields_that_disagree_are_a_parse_error(square_file, capsys, path, value):
+    # each field fits its shape, but the fields disagree: λ = (0, 1/2, 0, 1/2)
+    # with support [1, 3] and zeros [2, 4] (its nonzero entries are 2 and 4),
+    # a first Γ vertex 7 where λ - τ at N's unit row is 1/2, and a count
+    # match false for 2 = n - d vertices
+    code, out = run(capsys, "analyze", square_file, "--point", "1/2,1/2")
+    doc = json.loads(out)
+    assert doc["lambda_vertices"][0]["lambda"] == ["0", "1/2", "0", "1/2"]
+    AnalysisReport.from_dict(doc)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    target[last] = value
+    if last == "support":
+        doc["lambda_vertices"][0]["zeros"] = [2, 4]
+    with pytest.raises(ParseError, match="bad report document"):
+        AnalysisReport.from_dict(doc)
+
+
+def test_report_documents_round_trip(tmp_path, capsys):
+    # the agreement checks accept what analyze writes: interior and boundary
+    # documents of prism8 and of a seeded d = 5 polytope with many Γ vertices
+    from barypoly.fixtures import fixture_document
+    from barypoly.oracle import random_polytope
+    from barypoly.polytope import polytope_document
+
+    for name, doc in (("prism8", fixture_document("prism8")),
+                      ("d5n10", polytope_document(random_polytope(5, 10, seed=24)))):
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(doc))
+        verts = [[F(x) for x in v] for v in doc["vertices"]]
+        centroid = [sum(col) / len(verts) for col in zip(*verts)]
+        midpoint = [(a + b) / 2 for a, b in zip(verts[0], verts[1])]
+        for point in (centroid, midpoint):
+            code, out = run(capsys, "analyze", str(f),
+                            "--point=" + ",".join(map(str, point)))
+            assert code == 0, out
+            rep = AnalysisReport.from_json(out)
+            assert rep.to_json() + "\n" == out
 
 
 def test_pick_selection_without_a_feasible_pattern_is_internal(square):

@@ -191,6 +191,38 @@ def test_lambda_vertices_boundary_polygon(square, pentagon):
     assert lam.dim == 0 and len(lam.vertices) == 1
 
 
+def test_a_first_read_builds_no_table(monkeypatch):
+    # a fresh prism8's first read takes the wall values at the point off
+    # C(7, 2) = 21 cofactors of 2 x 3 translated prefixes and builds no
+    # wall; the second builds the C(8, 3) = 56 walls of 3 x 4 rows, and the
+    # third builds nothing.  A fresh object: the session fixture may already
+    # hold its table
+    from barypoly.fixtures import fixture_document
+    from barypoly.polytope import parse_polytope
+
+    p = parse_polytope(fixture_document("prism8"))
+    calls = []
+    real_cofactors = linalg.cofactors
+    monkeypatch.setattr(linalg, "cofactors",
+                        lambda rows: calls.append(rows) or real_cofactors(rows))
+
+    def shapes():
+        found = {(len(rows), *{len(row) for row in rows}) for rows in calls}
+        counted = len(calls)
+        calls.clear()
+        return counted, found
+
+    points = [(F(1, 3), F(2, 5), F(1, 2)), (F(1, 2),) * 3, (F(1, 4), F(1, 4), F(3, 4))]
+    lams = [lambda_vertices(p, q) for q in points[:1]]
+    assert shapes() == (21, {(2, 3)})
+    lams.append(lambda_vertices(p, points[1]))
+    assert shapes() == (56, {(3, 4)})
+    lams.append(lambda_vertices(p, points[2]))
+    assert shapes() == (0, set())
+    assert [list(lam.vertex_arrays()) for lam in lams] == [
+        sorted(brute_force_vertices(p, q)) for q in points]
+
+
 def test_lambda_vertices_random_properties():
     rng = random.Random(2024)
     for seed in range(8):

@@ -48,7 +48,7 @@ import functools
 import json
 import math
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -61,12 +61,14 @@ from barypoly.coordinates import (
     _census,
     _evaluate,
     _feasible_rows,
+    _lone_rows,
     _sigma,
     _table,
     _vertex_keys,
     _vertex_list,
     _vertex_rows,
     _vertices_at,
+    _wall_values,
     caratheodory_decompose,
     feasible_tau,
     gamma_polytope,
@@ -340,6 +342,65 @@ def test_wall_table_matches_the_elimination(kind, seed, data):
     assert _rationals(p, _evaluate(walls, rows.values(), q)) == expected
     combo, sigma = data.draw(st.sampled_from(expected))
     assert simplicial_coords(p, q, combo).sigma == sigma
+
+
+def _leibniz(rows):
+    """The determinant of a square matrix of Fractions, as a sum over
+    permutations: no elimination."""
+    total = F(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        total += (-1) ** inversions * math.prod(row[j] for row, j in zip(rows, perm))
+    return total
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
+       st.integers(0, 3), st.data())
+def test_lone_rows_match_the_table(kind, seed, data):
+    # the rows read off the wall values at q alone, with no table built,
+    # equal the table's rows at q row for row: the same zero sets in the same
+    # order and the same sigma_Z(q) as rationals, for d = 1..4 and the
+    # 4-cube, whose affinely dependent 4-subsets have value 0 at every q; at
+    # interior points, vertices, on vertex-pair segments, on a wall and
+    # outside.  Each wall value is L'^d·det[v_s - q] (the 4-cube's 1820 are
+    # left to the rows)
+    p = _wall_polytope(kind, seed)
+    q = _wall_point(p, data)
+    walls, rows = _table(p)
+    assert _rationals(p, _lone_rows(p, q)) == _rationals(
+        p, _evaluate(walls, rows.values(), q))
+    values = _wall_values(p, q)
+    assert len(values) == math.comb(p.n, p.d)
+    if kind != "cube4":
+        scale = math.lcm(*(x.denominator for v in (*p.vertices, q) for x in v))
+        assert values == [scale ** p.d * _leibniz([[a - b for a, b in zip(p.vertices[s], q)]
+                                                   for s in subset])
+                          for subset in combinations(range(p.n), p.d)]
+
+
+@PROPERTY
+@given(st.one_of(polytopes(), st.builds(_wall_polytope, st.just("cube4"), st.just(0))),
+       st.data())
+def test_a_first_read_equals_a_table_read(p, data):
+    # lambda_vertices on a fresh object, which reads the point off its wall
+    # values, equals lambda_vertices on an object whose table is built: the
+    # same vertices, supports, dim, n - d test and int rows, and both refuse
+    # an outside point
+    q = _wall_point(p, data)
+    fresh = validate([[v[l] for v in p.vertices] for l in range(p.d)], p.d)
+    _table(p)
+    try:
+        built = lambda_vertices(p, q)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            lambda_vertices(fresh, q)
+        return
+    lone = lambda_vertices(fresh, q)
+    assert fresh._pattern_table == [None]
+    # == compares the vertices, supports, dim and n - d test
+    assert (lone, lone._rows) == (built, built._rows)
 
 
 def _wall_point(p, data):

@@ -75,20 +75,24 @@ def test_phase_one_returns_its_answer():
 
 
 def test_only_coordinates_eliminates_patterns():
-    # coordinates' pattern table is the one caller of the wall kernel,
-    # and the oracle stays an independent route: it never reads that table,
-    # although the table lives on the Polytope object it is given.  The
-    # probes and the CLI read it only at points, through coordinates'
-    # readers, and never see its row layout
+    # coordinates' pattern table and its lone-point read are the callers of
+    # the wall kernel, and the oracle stays an independent route: it never
+    # reads the table or the wall values, although the table lives on the
+    # Polytope object it is given.  The probes and the CLI read it only at
+    # points, through coordinates' readers, and never see its row layout
     src = Path(barypoly.__file__).parent
     names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
-    # _patterns is the one caller of linalg's wall kernel
-    assert {"_patterns", "cofactors"} <= names["coordinates"]
+    # _patterns and _wall_values are the callers of linalg's wall kernel
+    assert {"_patterns", "_wall_values", "cofactors"} <= names["coordinates"]
     assert sorted(mod for mod, found in names.items()
-                  if found & {"_patterns", "cofactors"}) == ["coordinates"]
+                  if found & {"_patterns", "_wall_values", "cofactors"}) == ["coordinates"]
+    tree = ast.parse((src / "coordinates.py").read_text(), "coordinates.py")
+    assert sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                  and "cofactors" in _names_in("coordinates", top.name)) == [
+        "_patterns", "_wall_values"]
     assert "_pattern_table" in names["polytope"]
     table = {"_pattern_table", "_table", "_evaluate", "_feasible_rows",
-             "_vertices_at"}
+             "_vertices_at", "_lone_rows", "_wall_values"}
     assert table <= names["coordinates"] | names["polytope"]
     assert sorted(names["oracle"] & table) == []
     layout = {"_pattern_table", "_table", "_sigma", "_evaluate", "_read_rows"}
@@ -112,6 +116,21 @@ def test_pattern_table_is_built_from_walls():
     evaluate = _names_in("coordinates", "_evaluate")
     assert sorted(evaluate & {"cofactors", "bareiss_row", "rref", "pivot",
                               "_patterns", "_table"}) == []
+
+
+def test_a_lone_point_reads_wall_values():
+    # a first read takes the wall values at the point off one cofactor per
+    # (d-1)-vertex prefix, on integers: _wall_values and _lone_rows build no
+    # Fraction and read neither the table nor its evaluator, and
+    # _vertices_at checks the pattern budget before either runs
+    assert "cofactors" in _names_in("coordinates", "_wall_values")
+    assert "_wall_values" in _names_in("coordinates", "_lone_rows")
+    for function in ("_wall_values", "_lone_rows"):
+        assert sorted(_names_in("coordinates", function)
+                      & {"Fraction", "_ZERO", "_ONE", "fr", "vec", "_sigma", "_table",
+                         "_evaluate", "_read_rows", "_patterns"}) == []
+    reads = _names_in("coordinates", "_vertices_at")
+    assert {"check_pattern_count", "_lone_rows", "_feasible_rows"} <= reads
 
 
 def test_gamma_runs_no_elimination():
