@@ -17,12 +17,12 @@ f_{K∖k}(p) / f_{K∖k}(v_k), with f_S(x) = det[1 … 1 1; V_S x].  The numerat
 depends only on the wall S = K∖k, the d vertices opposite k, an affine
 function of p.  One point needs only the C(n, d) wall values there
 (``_wall_values``), and each pattern's denominator is their signed sum
-(``_lone_rows``): a polytope's first read takes its rows that way and keeps
-nothing.  From the second read on, a polytope's table holds C(n, d) walls,
-each an integer cofactor vector built once, and one row per nonsingular
-pattern naming its d + 1 walls, their signs and the denominator
-|f_{K∖k_0}(v_{k_0})|; at a point every wall is read once, with integer
-multiply-adds, and every row is a lookup.  The sign vector of the wall
+(``_lone_rows``): a point read on a polytope with no table takes its rows
+that way and keeps nothing.  Sweeps, rays and ``simplicial_coords`` build
+the table, which holds C(n, d) walls, each an integer cofactor vector built
+once, and one row per nonsingular pattern naming its d + 1 walls, their
+signs and the denominator |f_{K∖k_0}(v_{k_0})|; at a point every wall is
+read once, with integer multiply-adds, and every row is a lookup.  The sign vector of the wall
 values is the point's chamber key.
 Along a ray p + t·h every wall value is affine in t, so ``_ray_keys`` reads
 each wall once at p and once along h, and each step once more on integers.
@@ -211,7 +211,7 @@ def _table(p: Polytope) -> tuple:
     built.
     """
     table = p._pattern_table
-    if len(table) < 2:  # not built yet
+    if not table:  # not built yet
         check_pattern_count(p.n, p.d)
         table[:] = _patterns(p)
     return table
@@ -370,15 +370,13 @@ def _vertex_list(scale: int, rows) -> list:
 
 def _vertices_at(p: Polytope, point) -> dict:
     """The integer pass at ``point``: the vertex keys of Lambda(point) over
-    every feasible row there.  The first read of ``p`` takes the rows off
-    the wall values at the point (``_lone_rows``) and builds no table; the
-    second builds the table, and every read from then on is a lookup.  Both
-    raise PatternLimitError (``check_pattern_count``) before any value."""
-    table = p._pattern_table
-    if table:
+    every feasible row there: off the pattern table when ``p`` holds one,
+    else off the wall values at the point (``_lone_rows``), building
+    nothing.  Both raise PatternLimitError (``check_pattern_count``) before
+    any value."""
+    if p._pattern_table:
         return _vertex_keys(_feasible_rows(p, point))
     check_pattern_count(p.n, p.d)
-    table.append(None)  # read once: the next read builds the table
     return _vertex_keys(_feasible(_lone_rows(p, point)))
 
 
@@ -430,8 +428,8 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     """Enumerate the vertex set of the coordinate polytope at ``point``.
 
     Reads every nonsingular size-(n-d-1) zero pattern at ``point``
-    (``_vertices_at``: off the wall values there on a polytope's first
-    read, off its pattern table after) and keeps the distinct feasible
+    (``_vertices_at``: off the polytope's pattern table when it holds one,
+    else off the wall values there) and keeps the distinct feasible
     solutions, told apart and sorted on integers (``_vertex_keys``,
     ``_vertex_rows``), then builds their Fractions from those int rows
     (``_vertex_list``), which the result keeps for ``gamma_polytope``.  A

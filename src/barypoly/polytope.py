@@ -41,9 +41,8 @@ class Polytope(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # coordinates' pattern table: [] before any read, [None] after one
-        # read off wall values, (walls, rows) once built; not a constructor
-        # argument
+        # coordinates' pattern table (walls, rows), built on first use; not
+        # a constructor argument
         object.__setattr__(self, "_pattern_table", [])
 
     def stacked_rows(self) -> list:

@@ -191,12 +191,14 @@ def test_lambda_vertices_boundary_polygon(square, pentagon):
     assert lam.dim == 0 and len(lam.vertices) == 1
 
 
-def test_a_first_read_builds_no_table(monkeypatch):
-    # a fresh prism8's first read takes the wall values at the point off
+def test_a_point_read_builds_no_table(monkeypatch):
+    # a point read on a fresh prism8 takes the wall values at the point off
     # C(7, 2) = 21 cofactors of 2 x 3 translated prefixes and builds no
-    # wall; the second builds the C(8, 3) = 56 walls of 3 x 4 rows, and the
-    # third builds nothing.  A fresh object: the session fixture may already
-    # hold its table
+    # wall, the second read too; once a table is built (here by _table, as
+    # a sweep or a ray builds it) a read is a lookup: the build takes the
+    # C(8, 3) = 56 walls of 3 x 4 rows, and the read after it none.  A
+    # fresh object: the session fixture may already hold its table
+    from barypoly.coordinates import _table
     from barypoly.fixtures import fixture_document
     from barypoly.polytope import parse_polytope
 
@@ -216,6 +218,8 @@ def test_a_first_read_builds_no_table(monkeypatch):
     lams = [lambda_vertices(p, q) for q in points[:1]]
     assert shapes() == (21, {(2, 3)})
     lams.append(lambda_vertices(p, points[1]))
+    assert shapes() == (21, {(2, 3)}) and p._pattern_table == []
+    _table(p)
     assert shapes() == (56, {(3, 4)})
     lams.append(lambda_vertices(p, points[2]))
     assert shapes() == (0, set())

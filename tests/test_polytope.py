@@ -251,10 +251,11 @@ def test_locate_interior_is_one_feasibility_solve(monkeypatch):
 def test_pattern_table_is_not_part_of_the_value():
     # the pattern table and the kernel rows a polytope object keeps change no
     # comparison
-    from barypoly.coordinates import lambda_vertices
+    from barypoly.coordinates import _table, lambda_vertices
     from barypoly.fixtures import fixture_document
 
     a, b = (parse_polytope(fixture_document("pentagon")) for _ in range(2))
+    _table(a)
     lambda_vertices(a, a.centroid())
     assert a._pattern_table and not b._pattern_table
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)

@@ -119,7 +119,7 @@ def test_pattern_table_is_built_from_walls():
 
 
 def test_a_lone_point_reads_wall_values():
-    # a first read takes the wall values at the point off one cofactor per
+    # a lone read takes the wall values at the point off one cofactor per
     # (d-1)-vertex prefix, on integers: _wall_values and _lone_rows build no
     # Fraction and read neither the table nor its evaluator, and
     # _vertices_at checks the pattern budget before either runs
