@@ -11,19 +11,17 @@ of the coordinate polytope, and its reduced form { c : tau + N c >= 0 } in
 kernel coordinates.  All arithmetic is exact; index sets are 1-based to match
 the vertex order of the input file.
 
-A zero pattern keeps d + 1 vertices K, and its coordinates are the simplicial
-ones of K: by Cramer's rule the entry at k in K is a ratio of signed volumes,
-f_{K∖k}(p) / f_{K∖k}(v_k), with f_S(x) = det[1 … 1 1; V_S x].  The numerator
-depends only on the wall S = K∖k, the d vertices opposite k, an affine
-function of p.  One point needs only the C(n, d) wall values there
-(``_wall_values``), and each pattern's denominator is their signed sum
-(``_lone_rows``): a point read on a polytope with no table takes its rows
-that way and keeps nothing.  Sweeps, rays and ``simplicial_coords`` build
-the table, which holds C(n, d) walls, each an integer cofactor vector built
-once, and one row per nonsingular pattern naming its d + 1 walls, their
-signs and the denominator |f_{K∖k_0}(v_{k_0})|; at a point every wall is
-read once, with integer multiply-adds, and every row is a lookup.  The sign vector of the wall
-values is the point's chamber key.
+A zero pattern keeps d + 1 vertices K = (k_0 < … < k_d), and by Cramer's
+rule its coordinates are (-1)^i·f_{K∖k_i}(p) / D, with f_S(x) =
+det[1 … 1 1; V_S x] the value of the wall S, affine in p, and D their
+signed sum, since the coordinates sum to 1.  A pattern is combinatorial, the
+ids of its d + 1 walls (``_pattern_order``), and every point read turns the
+C(n, d) wall values there into rows through one reader, ``_read_rows``.  A
+point read on a polytope with no table takes the values off the vertices
+(``_wall_values``), streams the patterns and keeps nothing.  Sweeps, rays
+and ``simplicial_coords`` build the table: every wall as an integer
+cofactor vector, read at a point with integer multiply-adds, and the
+patterns.  The sign vector of the wall values is the point's chamber key.
 Along a ray p + t·h every wall value is affine in t, so ``_ray_keys`` reads
 each wall once at p and once along h, and each step once more on integers.
 
@@ -40,7 +38,7 @@ from them, only for vertices that are printed.
 import itertools
 import math
 from fractions import Fraction
-from operator import index, itemgetter, mul
+from operator import add, index, itemgetter, mul, xor
 
 from . import linalg
 from .errors import (
@@ -120,7 +118,7 @@ def feasible_tau(p: Polytope, point) -> BarycentricVector:
     Deterministic for a given input; raises InfeasibleError when the point is
     outside the polytope.
     """
-    pt = linalg.vec(point)
+    pt = p.as_point(point)
     lam = feasible_point(p.stacked_rows(), list(pt) + [_ONE])[0]
     if lam is None:
         raise InfeasibleError("point is outside the polytope")
@@ -145,48 +143,53 @@ def _sigma(n, keep, xs, den) -> tuple:
 
 
 def _pattern_order(p: Polytope):
-    """(zero set, keep) for every zero pattern, the zero sets (1-based) in
-    lexicographic order: complements reverse that order, so the keep sets
-    (0-based) pair with them in falling order."""
-    zero_sets = itertools.combinations(range(1, p.n + 1), p.kernel_dim())
-    keeps = reversed(list(itertools.combinations(range(p.n), p.d + 1)))
-    return zip(zero_sets, keeps)
+    """Yield (zero set, keep, ids) per zero pattern, the zero sets (1-based)
+    in lexicographic order; ids[i] is the rank w of the wall keep∖k_i among
+    the d-subsets, written ~w = w ^ -1 at odd i.  The keep sets fall, made
+    one at a time as (f, *rest): f falls, and rest runs through the
+    d-subsets above f in falling order, a prefix of those of 1..n-1.  As the
+    rank of s_0 < … < s_{d-1} is C(n, d) - 1 - Σ_j C(n-1-s_j, d-j), the wall
+    rest ranks C(n-1, d-1) above its rank among the d-subsets of 1..n-1, and
+    (f, *rest∖rest_{i-1}) C(n-1, d) - C(n-1-f, d) above that of
+    rest∖rest_{i-1} among the (d-1)-subsets of 1..n-1."""
+    n, d, combinations = p.n, p.d, itertools.combinations
+    low = dict(zip(combinations(range(1, n), d - 1), itertools.count())).__getitem__
+    masks = [-((d - i) % 2) for i in range(d + 1)]
+    rests = []
+    for w, rest in enumerate(combinations(range(1, n), d), math.comb(n - 1, d - 1)):
+        # combinations(rest, d - 1) drops rest_{d-1} first and rest_0 last
+        ids = [*map(xor, [*map(low, combinations(rest, d - 1)), w], masks)]
+        ids.reverse()
+        rests.append((rest, ids))
+    rests.reverse()
+    # ~(w + s) = ~w - s: a shift adds s at even i > 0 and takes it at odd i
+    signs = [0, *((-1) ** i for i in range(1, d + 1))]
+    zero_sets = combinations(range(1, n + 1), n - d - 1)
+    for f in range(n - d - 1, -1, -1):
+        s = math.comb(n - 1, d) - math.comb(n - 1 - f, d)
+        shift = [s * x for x in signs]
+        # f = 0 comes last and shifts nothing: each rest's ids are handed out
+        for rest, ids in itertools.islice(rests, math.comb(n - 1 - f, d)):
+            yield next(zero_sets), (f, *rest), [*map(add, ids, shift)] if f else ids
 
 
 def _patterns(p: Polytope) -> tuple:
-    """(walls, rows): the one loop over zero patterns, on wall functionals.
+    """(walls, rows): the walls, one per d-subset S in lexicographic order,
+    and every zero pattern's row of ``_pattern_order`` keyed by its zero set.
 
-    With L the lcm of the vertex denominators, the wall of d vertices S is
-    the cofactor vector c_S of the rows (1, L·v_s), s in S
-    (``linalg.cofactors``): f_S(x) = c_S·(1, L·x) = det[(1, L·x); (1, L·v_s)].
-    ``walls`` lists w_S = (c_0, L·c_1, …, L·c_d) at S's id, so that
-    w_S·(E, E·x) = E·f_S(x); an affinely dependent S (c_S = 0, possible from
-    d = 4 on) gets no id.  ``rows`` maps each nonsingular zero set (1-based,
-    lexicographic) to (zero set, keep, den, ids).  With keep k_0 < … < k_d,
-    det = f_{keep∖k_0}(v_{k_0}) = det[1^T; L·V_keep] is 0 exactly when the
-    pattern is singular; den = |det|, and ids[i] is the id w of the wall
-    keep∖k_i, or ~w where sign(det)·(-1)^i is negative, so that
-    sigma_keep[i](x) = ±f_{keep∖k_i}(x) / den (Cramer's rule).
+    With L the lcm of the vertex denominators, the wall of S is the cofactor
+    vector c_S of the rows (1, L·v_s), s in S (``linalg.cofactors``):
+    f_S(x) = c_S·(1, L·x) = det[(1, L·x); (1, L·v_s)].  ``walls`` lists
+    w_S = (c_0, L·c_1, …, L·c_d) at S's id, so that w_S·(E, E·x) = E·f_S(x);
+    an affinely dependent S (possible from d = 4 on) keeps its zero vector.
     """
     scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
     points = [(1, *col) for col in zip(*vrows)]
-    cofactors = {}
+    walls = []
     for s in itertools.combinations(range(p.n), p.d):
         c = linalg.cofactors([points[j] for j in s])
-        if any(c):
-            cofactors[s] = len(cofactors), c
-    rows = {}
-    for combo, keep in _pattern_order(p):
-        first = cofactors.get(keep[1:])
-        det = sum(map(mul, first[1], points[keep[0]])) if first else 0
-        if det:
-            opposite = [cofactors[keep[:i] + keep[i + 1:]][0]
-                        for i in range(p.d + 1)]
-            ids = tuple(w if (det > 0) == (i % 2 == 0) else ~w
-                        for i, w in enumerate(opposite))
-            rows[combo] = combo, list(keep), abs(det), ids
-    walls = [(c[0], *(scale * x for x in c[1:])) for _, c in cofactors.values()]
-    return walls, rows
+        walls.append((c[0], *(scale * x for x in c[1:])))
+    return walls, {row[0]: row for row in _pattern_order(p)}
 
 
 def check_pattern_count(n: int, d: int) -> None:
@@ -204,9 +207,9 @@ def check_pattern_count(n: int, d: int) -> None:
 def _table(p: Polytope) -> tuple:
     """(walls, rows) of _patterns(p), built once per ``p`` and kept on it.
 
-    Each sigma_Z is affine on R^d, and its entry at k in keep is a ratio of
-    wall values, f_{keep∖k}(x) / f_{keep∖k}(v_k), so C(n, d) walls carry
-    every row: C(n, d) = C(n, d+1)·(d+1)/(n-d) <= (d+1)·MAX_PATTERNS.
+    Each sigma_Z is affine on R^d, and its entries are signed wall values
+    over their sum (``_read_rows``), so C(n, d) walls carry every row:
+    C(n, d) = C(n, d+1)·(d+1)/(n-d) <= (d+1)·MAX_PATTERNS.
     Raises PatternLimitError (``check_pattern_count``) before any wall is
     built.
     """
@@ -217,23 +220,31 @@ def _table(p: Polytope) -> tuple:
     return table
 
 
-def _evaluate(walls, rows, point):
-    """Yield (zero set, keep, xs, den), sigma_keep = xs / den, for ``rows`` of
-    the pattern table at ``point``, den > 0: with E the lcm of the point's
-    denominators, each of ``walls`` is read once, w·(E, E·point) =
-    E·f(point), and a row's xs are the values at its ids over den·E."""
+def _evaluate(walls, point) -> list:
+    """Every one of ``walls``' values at ``point``: with E the lcm of the
+    point's denominators, w·(E, E·point) = E·f(point)."""
     scale, (ints,) = linalg.integer_rows([point])
     vec = (scale, *ints)
-    return _read_rows(rows, [sum(map(mul, wall, vec)) for wall in walls], scale)
+    return [sum(map(mul, wall, vec)) for wall in walls]
 
 
-def _read_rows(rows, vals, scale):
-    """Yield (zero set, keep, xs, den·scale) for ``rows``, given the walls'
-    values ``vals`` at a point, each ``scale`` > 0 times the wall's value:
-    a row's xs are the values at its ids, negated at ~w."""
+def _read_rows(rows, vals):
+    """The one reader: yield (zero set, keep, xs, den), sigma_keep = xs / den,
+    for ``rows`` of ``_pattern_order``, given every wall's value at a point,
+    each the same positive multiple of f_S there.  The xs are the values at
+    the row's ids, negated at ~w, and den = sum(xs), a multiple of
+    det[1^T; V_keep] at every point: a singular row (den == 0) is skipped,
+    and where den < 0 every sign flips."""
     vals = vals + [-v for v in reversed(vals)]  # vals[~w] = -vals[w]
-    for combo, keep, den, ids in rows:
-        yield combo, keep, itemgetter(*ids)(vals), den * scale
+    negated = vals[::-1]  # negated[w] = -vals[w]
+    for combo, keep, ids in rows:
+        read = itemgetter(*ids)
+        xs = read(vals)
+        den = sum(xs)
+        if den > 0:
+            yield combo, keep, xs, den
+        elif den:
+            yield combo, keep, read(negated), -den
 
 
 def _wall_values(p: Polytope, point) -> list:
@@ -258,27 +269,6 @@ def _wall_values(p: Polytope, point) -> list:
     return vals
 
 
-def _lone_rows(p: Polytope, point):
-    """Yield the rows (zero set, keep, xs, den) of the table at ``point``, in
-    table order, off ``_wall_values`` alone: no wall is built.  With keep
-    k_0 < … < k_d and f_i the value of the wall keep∖k_i, Cramer's rule
-    gives sigma_keep[i] = (-1)^i·f_i / D, D = Σ (-1)^i·f_i, because the
-    coordinates sum to 1; D is L′^d·det[1^T; V_keep] at every point, so
-    den = |D| is 0 exactly on a singular pattern, and the xs take D's
-    sign."""
-    d, combinations = p.d, itertools.combinations
-    value = dict(zip(combinations(range(p.n), d), _wall_values(p, point))).__getitem__
-    for combo, keep in _pattern_order(p):
-        xs = [*map(value, combinations(keep, d))]
-        xs.reverse()  # combinations(keep, d) drops k_d first and k_0 last
-        xs[1::2] = [-x for x in xs[1::2]]
-        den = sum(xs)
-        if den < 0:
-            yield combo, keep, [-x for x in xs], -den
-        elif den:
-            yield combo, keep, xs, den
-
-
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     """The coordinates of ``point`` with ``zero_set`` (n-d-1 integers in 1..n,
     else ValueError) forced to zero, read off row ``zero_set`` of the pattern
@@ -293,26 +283,25 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     if len(zeros) != p.kernel_dim():
         raise ValueError(
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
+    pt = p.as_point(point)
     walls, rows = _table(p)
-    row = rows.get(tuple(sorted(zeros)))
-    if row is None:
-        raise SingularPatternError(
-            f"columns outside {sorted(zeros)} are affinely dependent")
-    # the row alone, on its own d + 1 walls
-    combo, keep, den, ids = row
-    own = [walls[w if w >= 0 else ~w] for w in ids]
-    local = tuple(i if w >= 0 else ~i for i, w in enumerate(ids))
-    (_, _, xs, den), = _evaluate(own, [(combo, keep, den, local)],
-                                 linalg.vec(point))
-    sigma = _sigma(p.n, keep, xs, den)
-    return SimplicialCoordinate(zeros, sigma, min(xs) >= 0)
+    row = rows[tuple(sorted(zeros))]
+    # the row alone: only its own d + 1 walls are read
+    own = [max(w, ~w) for w in row[2]]
+    vals = [0] * len(walls)
+    for w, v in zip(own, _evaluate([walls[w] for w in own], pt)):
+        vals[w] = v
+    for _, keep, xs, den in _read_rows([row], vals):
+        return SimplicialCoordinate(zeros, _sigma(p.n, keep, xs, den), min(xs) >= 0)
+    raise SingularPatternError(
+        f"columns outside {sorted(zeros)} are affinely dependent")
 
 
 def _feasible_rows(p: Polytope, point):
     """(zero set, keep, xs, den) for every row of _table(p) whose
     sigma_keep = xs / den is feasible at ``point``, in table order."""
     walls, rows = _table(p)
-    return _feasible(_evaluate(walls, rows.values(), point))
+    return _feasible(_read_rows(rows.values(), _evaluate(walls, point)))
 
 
 def _feasible(evaluated):
@@ -370,14 +359,16 @@ def _vertex_list(scale: int, rows) -> list:
 
 def _vertices_at(p: Polytope, point) -> dict:
     """The integer pass at ``point``: the vertex keys of Lambda(point) over
-    every feasible row there: off the pattern table when ``p`` holds one,
-    else off the wall values at the point (``_lone_rows``), building
-    nothing.  Both raise PatternLimitError (``check_pattern_count``) before
-    any value."""
+    every feasible row there, read by ``_read_rows`` off the pattern table
+    when ``p`` holds one, else off the wall values at the point
+    (``_wall_values``) with the rows streamed from ``_pattern_order``,
+    building nothing.  Both raise PatternLimitError (``check_pattern_count``)
+    before any value."""
     if p._pattern_table:
         return _vertex_keys(_feasible_rows(p, point))
     check_pattern_count(p.n, p.d)
-    return _vertex_keys(_feasible(_lone_rows(p, point)))
+    return _vertex_keys(_feasible(_read_rows(_pattern_order(p),
+                                             _wall_values(p, point))))
 
 
 def _ray_keys(p: Polytope, point, h, ts):
@@ -386,8 +377,9 @@ def _ray_keys(p: Polytope, point, h, ts):
     is affine along the ray: with E and F the lcms of the denominators of
     ``point`` and ``h``, at = w·(E, E·point) and slope = w[1:]·(F·h) are
     read once per wall, and at t = u/v the wall's value times E·v·F is
-    at·v·F + slope·u·E.  The keys are gcd-canonical, so they are the ones
-    ``_vertices_at`` reads at each point + t·h."""
+    at·v·F + slope·u·E, which ``_read_rows`` reads as it reads any point's.
+    The keys are gcd-canonical, so they are the ones ``_vertices_at`` reads
+    at each point + t·h."""
     walls, rows = _table(p)
     e, (pt,) = linalg.integer_rows([point])
     f, (hv,) = linalg.integer_rows([h])
@@ -396,7 +388,7 @@ def _ray_keys(p: Polytope, point, h, ts):
     for t in ts:
         a, b = t.denominator * f, t.numerator * e
         vals = [x * a + y * b for x, y in zip(at, slope)]
-        yield _vertex_keys(_feasible(_read_rows(rows.values(), vals, e * a)))
+        yield _vertex_keys(_feasible(_read_rows(rows.values(), vals)))
 
 
 def _census(p: Polytope, keys) -> tuple:
@@ -439,7 +431,7 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     zero patterns; ``dim`` and the count are ``_census``'s, read off the
     keys.
     """
-    pt = linalg.vec(point)
+    pt = p.as_point(point)
     keys = _vertices_at(p, pt)
     count, dim, match = _census(p, keys)
     rows = _vertex_rows(p.n, keys)

@@ -41,8 +41,9 @@ class Polytope(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # coordinates' pattern table (walls, rows), built on first use; not
-        # a constructor argument
+        # coordinates' pattern table (walls, rows): the walls' cofactor
+        # vectors and the zero patterns' wall ids, built on first use; not a
+        # constructor argument
         object.__setattr__(self, "_pattern_table", [])
 
     def stacked_rows(self) -> list:
@@ -50,6 +51,13 @@ class Polytope(Record):
         rows = [[v[l] for v in self.vertices] for l in range(self.d)]
         rows.append([_ONE] * self.n)
         return rows
+
+    def as_point(self, point) -> tuple:
+        """``point`` as an exact d-tuple, else DimensionMismatchError."""
+        pt = linalg.vec(point)
+        if len(pt) != self.d:
+            raise DimensionMismatchError(f"point has length {len(pt)}, expected {self.d}")
+        return pt
 
     def centroid(self) -> tuple:
         w = Fraction(1, self.n)
@@ -169,9 +177,7 @@ def locate(p: Polytope, point: Sequence) -> PointLocation:
     gives either a basic feasible lam (Boundary) or the Farkas dual of that
     system as an exact separating functional (Outside).
     """
-    pt = linalg.vec(point)
-    if len(pt) != p.d:
-        raise DimensionMismatchError(f"point has length {len(pt)}, expected {p.d}")
+    pt = p.as_point(point)
     stacked = p.stacked_rows()
     coords = list(zip(stacked[: p.d], pt))
     mu, _ = feasible_point([[x - c for x in row] for row, c in coords],

@@ -17,6 +17,7 @@ from barypoly.coordinates import (
     simplicial_coords,
 )
 from barypoly.errors import (
+    DimensionMismatchError,
     InconsistentInputsError,
     InfeasibleError,
     NotAnIntervalError,
@@ -189,6 +190,20 @@ def test_lambda_vertices_boundary_polygon(square, pentagon):
     mid = tuple((a + b) / 2 for a, b in zip(v1, v2))
     lam = lambda_vertices(pentagon, mid)
     assert lam.dim == 0 and len(lam.vertices) == 1
+
+
+@pytest.mark.parametrize("read", [
+    lambda p, point: lambda_vertices(p, point),
+    lambda p, point: simplicial_coords(p, point, (1,)),
+    lambda p, point: feasible_tau(p, point),
+], ids=["lambda_vertices", "simplicial_coords", "feasible_tau"])
+@pytest.mark.parametrize("point", [(F(1, 2),), (F(1, 2), F(1, 2), 7)],
+                         ids=["short", "long"])
+def test_wrong_length_points_are_refused(square, read, point):
+    # a point whose length is not d is refused, as locate refuses it, and
+    # never read as the point its first d coordinates make
+    with pytest.raises(DimensionMismatchError, match="point has length"):
+        read(square, point)
 
 
 def test_a_point_read_builds_no_table(monkeypatch):

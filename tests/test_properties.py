@@ -61,7 +61,9 @@ from barypoly.coordinates import (
     _census,
     _evaluate,
     _feasible_rows,
-    _lone_rows,
+    _pattern_order,
+    _ray_keys,
+    _read_rows,
     _sigma,
     _table,
     _vertex_keys,
@@ -148,6 +150,17 @@ def _combination(vertices, weights):
 def _rationals(p, rows):
     """(zero set, sigma) per row of (zero set, keep, xs, den)."""
     return [(combo, _sigma(p.n, keep, xs, den)) for combo, keep, xs, den in rows]
+
+
+def _table_read(p, q):
+    """The rows (zero set, keep, xs, den) read off the polytope's table at q."""
+    walls, rows = _table(p)
+    return _read_rows(rows.values(), _evaluate(walls, q))
+
+
+def _lone_read(p, q):
+    """The rows read off the wall values at q, with the patterns streamed."""
+    return _read_rows(_pattern_order(p), _wall_values(p, q))
 
 
 def _fractions_at(p, q):
@@ -267,15 +280,16 @@ def test_pattern_rows_hold_sigma_and_jacobian(p, data):
         assert [x - y for x, y in zip(moved, sigma)] == list(jh)
         jac = _selection_jacobian_exact(p, combo)
         assert list(jh) == [linalg.dot(row, h) for row in jac]
-    # the table holds the reference's rows at 0 with the unit directions:
-    # the same zero sets, and sigma_Z(0) and J_Z, read off the table at 0
+    # the table holds every zero set in lexicographic order, and the reader
+    # gives the reference's rows at 0 with the unit directions: the same
+    # nonsingular zero sets, and sigma_Z(0) and J_Z, read off the table at 0
     # and at the unit vectors, equal as rationals
     units = [tuple(F(int(c == l)) for c in range(p.d)) for l in range(p.d)]
     reference = list(reference_patterns(p, [0] * p.d, *units))
-    walls, rows = _table(p)
-    assert list(rows) == [row[0] for row in reference]
-    at_zero, *at_units = (_rationals(p, _evaluate(walls, rows.values(), x))
+    assert list(_table(p)[1]) == list(combinations(range(1, p.n + 1), p.kernel_dim()))
+    at_zero, *at_units = (_rationals(p, _table_read(p, x))
                           for x in [(F(0),) * p.d, *units])
+    assert [combo for combo, _ in at_zero] == [row[0] for row in reference]
     for i, (combo, keep, den, nums) in enumerate(reference):
         sigma, *jac = (_sigma(p.n, keep, col, den) for col in zip(*nums))
         assert at_zero[i] == (combo, sigma)
@@ -304,8 +318,7 @@ def test_table_rows_match_the_elimination(p, data):
         # past vertex i, away from the centroid: outside, as v_i is extreme
         s = F(data.draw(st.integers(1, 9)), 4)
         q = tuple(v + s * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
-    walls, rows = _table(p)
-    assert _rationals(p, _evaluate(walls, rows.values(), q)) == _eliminated(p, q)
+    assert _rationals(p, _table_read(p, q)) == _eliminated(p, q)
     assert _rationals(p, _feasible_rows(p, q)) == _feasible_eliminated(p, q)
     assert (_fractions_at(p, q) == []) == (kind == "outside")
 
@@ -329,7 +342,8 @@ def _wall_polytope(kind, seed):
 @given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
        st.integers(0, 3), st.data())
 def test_wall_table_matches_the_elimination(kind, seed, data):
-    # the rows the wall table gives at q equal those of a fresh elimination
+    # the rows the reader gives off the wall table at q equal those of a
+    # fresh elimination
     # of every zero pattern at q, reference_patterns: the same zero sets in
     # lexicographic order and the same sigma_Z(q) as rationals, for d = 1..4,
     # at interior points, vertices, on vertex-pair segments, on a wall (the
@@ -337,9 +351,8 @@ def test_wall_table_matches_the_elimination(kind, seed, data):
     # alone by simplicial_coords, on its own d + 1 walls, agrees
     p = _wall_polytope(kind, seed)
     q = _wall_point(p, data)
-    walls, rows = _table(p)
     expected = _eliminated(p, q)
-    assert _rationals(p, _evaluate(walls, rows.values(), q)) == expected
+    assert _rationals(p, _table_read(p, q)) == expected
     combo, sigma = data.draw(st.sampled_from(expected))
     assert simplicial_coords(p, q, combo).sigma == sigma
 
@@ -359,18 +372,17 @@ def _leibniz(rows):
 @given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
        st.integers(0, 3), st.data())
 def test_lone_rows_match_the_table(kind, seed, data):
-    # the rows read off the wall values at q alone, with no table built,
-    # equal the table's rows at q row for row: the same zero sets in the same
-    # order and the same sigma_Z(q) as rationals, for d = 1..4 and the
-    # 4-cube, whose affinely dependent 4-subsets have value 0 at every q; at
-    # interior points, vertices, on vertex-pair segments, on a wall and
-    # outside.  Each wall value is L'^d·det[v_s - q] (the 4-cube's 1820 are
-    # left to the rows)
+    # lone and table reads give the same rows through _read_rows: the rows
+    # read off the wall values at q alone, with the patterns streamed and no
+    # table built, equal the table's rows at q row for row: the same zero
+    # sets in the same order and the same sigma_Z(q) as rationals, for
+    # d = 1..4 and the 4-cube, whose affinely dependent 4-subsets have value
+    # 0 at every q; at interior points, vertices, on vertex-pair segments, on
+    # a wall and outside.  Each wall value is L'^d·det[v_s - q] (the
+    # 4-cube's 1820 are left to the rows)
     p = _wall_polytope(kind, seed)
     q = _wall_point(p, data)
-    walls, rows = _table(p)
-    assert _rationals(p, _lone_rows(p, q)) == _rationals(
-        p, _evaluate(walls, rows.values(), q))
+    assert _rationals(p, _lone_read(p, q)) == _rationals(p, _table_read(p, q))
     values = _wall_values(p, q)
     assert len(values) == math.comb(p.n, p.d)
     if kind != "cube4":
@@ -461,18 +473,73 @@ def test_census_reads_the_integer_pass(p, data):
 
 @pytest.mark.parametrize("kind, seed", [("cube4", 0), ("d4", 1), ("d3", 2)])
 def test_walls_are_the_independent_d_subsets(kind, seed):
-    # one wall per affinely independent d-subset of the vertices: the 4-cube
-    # has dependent ones (four vertices of a square 2-face), whose zero
-    # cofactor vectors get no wall, and no pattern through them has a row
+    # every d-subset of the vertices has a wall, in lexicographic order, and
+    # the wall is zero exactly where the subset is affinely dependent: the
+    # 4-cube has such subsets (four vertices of a square 2-face).  The table
+    # keeps every zero pattern, and exactly the singular ones, whose d + 1
+    # vertices are affinely dependent, read den == 0 and give no row
     p = _wall_polytope(kind, seed)
     walls, rows = _table(p)
-    independent = [s for s in combinations(range(p.n), p.d)
-                   if linalg.affine_dim([p.vertices[k] for k in s]) == p.d - 1]
-    assert len(walls) == len(independent) <= math.comb(p.n, p.d)
-    assert (len(walls) < math.comb(p.n, p.d)) == (kind == "cube4")
-    assert len(rows) == sum(
-        1 for keep in combinations(range(p.n), p.d + 1)
-        if linalg.affine_dim([p.vertices[k] for k in keep]) == p.d)
+    subsets = list(combinations(range(p.n), p.d))
+    dependent = [s for s in subsets
+                 if linalg.affine_dim([p.vertices[k] for k in s]) < p.d - 1]
+    assert len(walls) == len(subsets)
+    assert [s for s, wall in zip(subsets, walls) if not any(wall)] == dependent
+    singular = {combo for combo, keep, _ in rows.values()
+                if linalg.affine_dim([p.vertices[k] for k in keep]) < p.d}
+    assert len(rows) == math.comb(p.n, p.d + 1)
+    assert {combo for combo, *_ in _table_read(p, p.centroid())} == set(rows) - singular
+    assert bool(dependent) == bool(singular) == (kind == "cube4")
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
+       st.integers(0, 3), st.data())
+def test_cramer_sums_are_the_pattern_determinants(kind, seed, data):
+    # each pattern's Cramer sum, the sum of its wall values at q signed by
+    # its ids, which _read_rows takes as the denominator, is
+    # ±E·det[1^T; L·V_keep] at every q: the determinant of the pattern's
+    # fresh elimination in reference_patterns, and 0 on the singular
+    # patterns (the 4-cube's), which the reference skips.  The lone read's
+    # sum, over the values L'^d·det[v_s - q], is the table's times
+    # L'^d / (E·L^d), sign included; at interior points, vertices, on
+    # vertex-pair segments, on a wall and outside
+    p = _wall_polytope(kind, seed)
+    q = _wall_point(p, data)
+    walls, rows = _table(p)
+
+    def sums(vals):
+        return {combo: sum(vals[w] if w >= 0 else -vals[~w] for w in ids)
+                for combo, _, ids in rows.values()}
+
+    table, lone = sums(_evaluate(walls, q)), sums(_wall_values(p, q))
+    dets = {combo: den for combo, _, den, _ in reference_patterns(p, q)}
+    assert {combo: abs(x) for combo, x in table.items()} == {
+        combo: abs(dets.get(combo, 0)) for combo in rows}
+    e = math.lcm(*(x.denominator for x in q))
+    scale = math.lcm(*(x.denominator for v in p.vertices for x in v))
+    wide = math.lcm(scale, e)
+    assert {combo: x * wide ** p.d for combo, x in table.items()} == {
+        combo: x * e * scale ** p.d for combo, x in lone.items()}
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_ray_steps_are_table_reads(data):
+    # on the 4-cube, whose zero walls stay in the table, the vertex keys
+    # _ray_keys reads at each step off the wall values along the ray equal
+    # those of a table read at q + t·h: at the probe steps t0/2^k and at a
+    # t that may cross walls or leave the cube
+    p = _wall_polytope("cube4", 0)
+    q = _wall_point(p, data)
+    h = tuple(F(x, 8) for x in data.draw(st.lists(st.integers(-4, 4), min_size=4,
+                                                  max_size=4)))
+    ts = [F(1, 2) / (1 << k) for k in range(4)] + [F(data.draw(st.integers(1, 64)), 8)]
+    assert list(_ray_keys(p, q, h, ts)) == [
+        _vertex_keys(_feasible_rows(p, tuple(a + t * b for a, b in zip(q, h))))
+        for t in ts]
 
 
 @PROPERTY

@@ -92,10 +92,11 @@ def test_only_coordinates_eliminates_patterns():
         "_patterns", "_wall_values"]
     assert "_pattern_table" in names["polytope"]
     table = {"_pattern_table", "_table", "_evaluate", "_feasible_rows",
-             "_vertices_at", "_lone_rows", "_wall_values"}
+             "_vertices_at", "_read_rows", "_pattern_order", "_wall_values"}
     assert table <= names["coordinates"] | names["polytope"]
     assert sorted(names["oracle"] & table) == []
-    layout = {"_pattern_table", "_table", "_sigma", "_evaluate", "_read_rows"}
+    layout = {"_pattern_table", "_table", "_sigma", "_evaluate", "_read_rows",
+              "_pattern_order"}
     assert {mod: sorted(names[mod] & layout) for mod in ("probes", "cli")} == {
         "probes": [], "cli": []}
 
@@ -104,7 +105,9 @@ def test_pattern_table_is_built_from_walls():
     # the table's one kernel is linalg.cofactors, one call per wall in
     # _patterns; no module defines or calls the per-pattern elimination
     # (bareiss) or its system (_solve_pattern), and the evaluator reads
-    # wall values at a point with no elimination
+    # wall values at a point with no elimination.  _patterns builds the
+    # walls and takes no pattern's determinant or sign: the patterns are
+    # combinatorial (_pattern_order), and the reader sums their wall values
     from barypoly import coordinates, linalg
 
     assert not hasattr(linalg, "bareiss") and not hasattr(coordinates, "_solve_pattern")
@@ -116,21 +119,49 @@ def test_pattern_table_is_built_from_walls():
     evaluate = _names_in("coordinates", "_evaluate")
     assert sorted(evaluate & {"cofactors", "bareiss_row", "rref", "pivot",
                               "_patterns", "_table"}) == []
+    assert sorted(_names_in("coordinates", "_patterns")
+                  & {"mul", "sum", "abs", "det", "_read_rows", "_evaluate"}) == []
+    assert sorted(_names_in("coordinates", "_pattern_order")
+                  & {"cofactors", "mul", "sum", "abs", "det", "vertices",
+                     "integer_rows"}) == []
+
+
+def test_one_reader_forms_every_denominator():
+    # _read_rows is the one function that forms a row's denominator, the
+    # sum of its signed wall values, and the one that reads a pattern's wall
+    # ids; every point read reaches it: a lone read (_vertices_at), a table
+    # read (_feasible_rows), a ray step (_ray_keys) and simplicial_coords
+    from barypoly import coordinates
+
+    assert not hasattr(coordinates, "_lone_rows")
+    path = Path(barypoly.__file__).parent / "coordinates.py"
+    funcs = [node.name for node in ast.parse(path.read_text(), str(path)).body
+             if isinstance(node, ast.FunctionDef)]
+    assigned = {name: {t.id for node in ast.walk(_function("coordinates", name))
+                       if isinstance(node, ast.Assign)
+                       for t in node.targets if isinstance(t, ast.Name)}
+                for name in funcs}
+    assert [name for name in funcs if "den" in assigned[name]] == ["_read_rows"]
+    assert [name for name in funcs
+            if "itemgetter" in _names_in("coordinates", name)] == ["_read_rows"]
+    for reader in ("_vertices_at", "_feasible_rows", "_ray_keys", "simplicial_coords"):
+        assert "_read_rows" in _names_in("coordinates", reader), reader
 
 
 def test_a_lone_point_reads_wall_values():
     # a lone read takes the wall values at the point off one cofactor per
-    # (d-1)-vertex prefix, on integers: _wall_values and _lone_rows build no
+    # (d-1)-vertex prefix, on integers, and streams the patterns through the
+    # one reader: _wall_values, _pattern_order and _read_rows build no
     # Fraction and read neither the table nor its evaluator, and
-    # _vertices_at checks the pattern budget before either runs
+    # _vertices_at checks the pattern budget before any of them runs
     assert "cofactors" in _names_in("coordinates", "_wall_values")
-    assert "_wall_values" in _names_in("coordinates", "_lone_rows")
-    for function in ("_wall_values", "_lone_rows"):
+    for function in ("_wall_values", "_pattern_order", "_read_rows"):
         assert sorted(_names_in("coordinates", function)
                       & {"Fraction", "_ZERO", "_ONE", "fr", "vec", "_sigma", "_table",
-                         "_evaluate", "_read_rows", "_patterns"}) == []
+                         "_pattern_table", "_evaluate", "_patterns"}) == []
     reads = _names_in("coordinates", "_vertices_at")
-    assert {"check_pattern_count", "_lone_rows", "_feasible_rows"} <= reads
+    assert {"check_pattern_count", "_wall_values", "_pattern_order", "_read_rows",
+            "_feasible_rows"} <= reads
 
 
 def test_gamma_runs_no_elimination():
@@ -530,7 +561,7 @@ def test_solid_validation_certifies_before_any_phase_one():
 def test_probe_steps_read_the_ray_on_integers():
     # the walls are read once at the basepoint and once along h, and each
     # step's values are integer multiply-adds of the two: no step builds its
-    # point pt + t·h, and the ray shares _evaluate's row lookup
+    # point pt + t·h, and the ray's values go through the one reader
     func = _function("probes", "_probe_samples")
     loops = [node for node in ast.walk(func)
              if isinstance(node, (ast.For, ast.ListComp, ast.GeneratorExp))]
@@ -540,7 +571,7 @@ def test_probe_steps_read_the_ray_on_integers():
         for loop in loops)
     assert "_ray_keys" in _names_in("probes", "_probe_samples")
     ray = _names_in("coordinates", "_ray_keys")
-    assert "_read_rows" in ray and "_read_rows" in _names_in("coordinates", "_evaluate")
+    assert "_read_rows" in ray
     assert sorted(ray & {"_evaluate", "_vertices_at", "Fraction", "fr", "vec",
                          "_sigma"}) == []
 
