@@ -285,13 +285,12 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
     pt = p.as_point(point)
     walls, rows = _table(p)
-    row = rows[tuple(sorted(zeros))]
-    # the row alone: only its own d + 1 walls are read
-    own = [max(w, ~w) for w in row[2]]
-    vals = [0] * len(walls)
-    for w, v in zip(own, _evaluate([walls[w] for w in own], pt)):
-        vals[w] = v
-    for _, keep, xs, den in _read_rows([row], vals):
+    combo, keep, ids = rows[tuple(sorted(zeros))]
+    # the row alone, on its own d + 1 walls: the reader gets their values
+    # and the row with its ids renumbered 0..d, each keeping its ~ mark
+    vals = _evaluate([walls[max(w, ~w)] for w in ids], pt)
+    own = [i if w >= 0 else ~i for i, w in enumerate(ids)]
+    for _, keep, xs, den in _read_rows([(combo, keep, own)], vals):
         return SimplicialCoordinate(zeros, _sigma(p.n, keep, xs, den), min(xs) >= 0)
     raise SingularPatternError(
         f"columns outside {sorted(zeros)} are affinely dependent")

@@ -17,7 +17,11 @@ falling nearest-vertex bound, each with the largest distance so far as the
 cutoff at which its run stops.  |y| only falls over a run, so a run cut off
 there cannot raise the maximum, which is bit for bit the one of all runs to
 their stops; the distance's flag says that every vertex distance that could
-set it met its stop.
+set it met its stop.  The runs end at the first vertex whose bound is within
+a finite maximum, since that run and every later one would stop at their
+first check; one matrix of squared vertex distances gives the bounds and
+|p_j|² of both directions, and a run's differences are built only when it
+runs.
 A semidiff sweep row runs only the semidiff probe's witness half
 (``_semidiff_witness``), without the consecutive-set Hausdorff series.
 """
@@ -91,8 +95,9 @@ def _dot(a, b) -> float:
 
 
 def _argmin(xs) -> int:
-    """Index of the first smallest entry."""
-    return min(range(len(xs)), key=xs.__getitem__)
+    """Index of the first smallest entry: ``min`` keeps its first entry until
+    a later one is smaller, and ``index`` meets that entry first."""
+    return xs.index(min(xs))
 
 
 def _lstsq(cols, rhs) -> list:
@@ -103,18 +108,21 @@ def _lstsq(cols, rhs) -> list:
     weight 0: the usual relative rank cut-off of least-squares solvers, with
     the largest column norm for the largest singular value.  On full-rank
     columns this is the least-squares solution; on dependent ones it is a
-    basic solution, not the minimum-norm one.
+    basic solution, not the minimum-norm one.  ``cols`` and ``rhs`` are read
+    once, into lists the solve owns, and left as they are.
     """
-    m = len(rhs)
     cols = [list(c) for c in cols]
     r = list(rhs)
-    cut = _EPS * max(len(cols), m) * max((math.hypot(*c) for c in cols), default=0.0)
+    m = len(r)
+    norms = [math.hypot(*c) for c in cols]
+    cut = _EPS * max(len(cols), m) * max(norms, default=0.0)
     pivots = []  # column pivots[k] has its reflection, and R's diagonal, at row k
     for j, c in enumerate(cols):
         k = len(pivots)
         if k == m:
             break
-        s = math.hypot(*c[k:])
+        # no reflection has touched a column before the first pivot
+        s = math.hypot(*c[k:]) if k else norms[j]
         if s <= cut:
             continue
         # the reflection I - beta·v·vᵀ maps c[k:] to (alpha, 0, ..., 0)
@@ -131,7 +139,9 @@ def _lstsq(cols, rhs) -> list:
     u = [0.0] * len(cols)
     for k in reversed(range(len(pivots))):
         j = pivots[k]
-        rest = linalg.float_sum(cols[i][k] * u[i] for i in pivots[k + 1:])
+        rest = 0.0
+        for i in pivots[k + 1:]:
+            rest += cols[i][k] * u[i]
         u[j] = (r[k] - rest) / cols[j][k]
     return u
 
@@ -140,6 +150,12 @@ def _differences(b_rows, x) -> tuple:
     """(p_j, |p_j|²) for p_j = b_j - x: the points ``_min_norm_point`` runs on."""
     pts = [tuple(map(operator.sub, row, x)) for row in b_rows]
     return pts, [_dot(q, q) for q in pts]
+
+
+def _converged(gap, tol, sq) -> bool:
+    """Whether a stop's Frank-Wolfe gap is within ``_min_norm_point``'s
+    threshold max(tol²/2, 1e-15·(1 + max_j |p_j|²))."""
+    return gap <= max(tol * tol / 2.0, 1e-15 * (1.0 + max(sq)))
 
 
 def _min_norm_point(pts, sq, tol: float, cutoff: float = math.nan):
@@ -158,29 +174,35 @@ def _min_norm_point(pts, sq, tol: float, cutoff: float = math.nan):
     fall strictly over a major cycle.  Exact arithmetic reaches only the first
     two, at the optimum; the others are rounding stalls.  Every stop returns
     the smallest |y| found, and converged means that its gap is at most
-    max(tol²/2, 1e-15·(1 + max_j |p_j|²)).  ``_MAX_ITER`` major cycles
-    without a stop return converged False.
+    max(tol²/2, 1e-15·(1 + max_j |p_j|²)) (``_converged``).  ``_MAX_ITER``
+    major cycles without a stop return converged False.
 
     |y|² only falls, so the returned distance is at most |y| at every point
     of the run.  With a ``cutoff``, the run stops as soon as |y| <= cutoff
     and returns (|y|, True): the distance is then known to be at most the
     cutoff, which is all ``_hausdorff_status`` needs.  The default NaN never
-    compares, so the run goes to its own stop.
+    compares, so the run goes to its own stop.  Every dot product is
+    ``_dot``'s left-to-right sum from 0.0, written out in the loops.
     """
-    thresh = max(tol * tol / 2.0, 1e-15 * (1.0 + max(sq)))
-    corral = [_argmin(sq)]
+    j = _argmin(sq)
+    corral = [j]
     w = [1.0]
-    y = pts[corral[0]]
-    yy = _dot(y, y)
+    y = pts[j]
+    yy = sq[j]
     for _ in range(_MAX_ITER):
         dist = math.sqrt(yy)
         if dist <= cutoff:
             return dist, True
-        g = [_dot(q, y) for q in pts]
+        g = []
+        for q in pts:
+            total = 0.0
+            for a, b in zip(q, y):
+                total += a * b
+            g.append(total)
         j = _argmin(g)
         gap = yy - g[j]
         if gap <= 0.0 or j in corral:
-            return dist, gap <= thresh
+            return dist, _converged(gap, tol, sq)
         corral.append(j)
         w.append(0.0)
         while True:
@@ -188,8 +210,8 @@ def _min_norm_point(pts, sq, tol: float, cutoff: float = math.nan):
             # over the corral points c; least squares on the points, not on
             # their Gram matrix, whose condition number is the square
             c0, *rest = [pts[i] for i in corral]
-            u = _lstsq([list(map(operator.sub, ci, c0)) for ci in rest],
-                       [-a for a in c0])
+            u = _lstsq([map(operator.sub, ci, c0) for ci in rest],
+                       tuple(map(operator.neg, c0)))
             v = [1.0 - linalg.float_sum(u)] + u
             # a v_i in (0, 1e-12] counts as zero, except for the entering
             # point: its weight may be that small when the gap is
@@ -205,16 +227,23 @@ def _min_norm_point(pts, sq, tol: float, cutoff: float = math.nan):
                      for wi, vi, si in zip(w, v, small)]
             drop = _argmin(theta)
             if drop == new:
-                return dist, gap <= thresh
+                return dist, _converged(gap, tol, sq)
             w = [max(wi + theta[drop] * (vi - wi), 0.0) for wi, vi in zip(w, v)]
             del corral[drop]
             del w[drop]
         w = v
-        y_next = tuple(_dot(w, col) for col in zip(*[pts[i] for i in corral]))
-        if _dot(y_next, y_next) >= yy:
-            return dist, gap <= thresh
-        y = y_next
-        yy = _dot(y, y)
+        y_next = []
+        for col in zip(*[pts[i] for i in corral]):
+            total = 0.0
+            for a, b in zip(w, col):
+                total += a * b
+            y_next.append(total)
+        total = 0.0
+        for a in y_next:
+            total += a * a
+        if total >= yy:
+            return dist, _converged(gap, tol, sq)
+        y, yy = y_next, total
     return math.sqrt(yy), False
 
 
@@ -252,24 +281,46 @@ def _hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
     """(the largest distance from a vertex of one set to the hull of the
     other, whether every distance that could set it met its stop).
 
-    Vertices run by falling nearest-vertex bound (a stable sort: ties keep
-    their order), each cut off at the largest distance so far while that is
-    finite; a run cut off cannot raise the maximum, so it is bit for bit the
-    one of all runs to their stops.  A NaN distance never raises it.
+    One matrix of |a_i - b_j|² serves both directions: IEEE subtraction is
+    antisymmetric, so it is also |b_j - a_i|², bit for bit.  Vertices run by
+    falling nearest-vertex bound (a stable sort: ties keep their order), each
+    cut off at the largest distance so far while that is finite; a run cut
+    off cannot raise the maximum, so it is bit for bit the one of all runs to
+    their stops.  A NaN distance never raises it.  A run whose bound's root
+    is within a finite maximum would stop at its first check, as would every
+    run after it, whose bound is no larger: the loop ends there (unless a
+    bound is NaN, which leaves the sort partial), and a run's differences
+    b_j - x are built only when it runs.
     """
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
-    runs = []
-    for src, dst in ((a, b), (b, a)):
-        for row in src.vertices:
-            pts, sq = _differences(dst.vertices, _checked_point(row, dst, tol))
-            runs.append((min(sq), pts, sq))
+    av = [tuple(map(float, row)) for row in a.vertices]
+    bv = [tuple(map(float, row)) for row in b.vertices]
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    sq = []
+    for x in av:
+        row = []
+        for q in bv:
+            total = 0.0
+            for s, t in zip(q, x):
+                s -= t
+                total += s * s
+            row.append(total)
+        sq.append(row)
+    runs = [(min(r), x, bv, r) for x, r in zip(av, sq)]
+    runs += [(min(c), x, av, c) for x, c in zip(bv, zip(*sq))]
+    ordered = not any(math.isnan(bound) for bound, *_ in runs)
     runs.sort(key=operator.itemgetter(0), reverse=True)
     worst, ok = 0.0, True
-    for _, pts, sq in runs:
-        d, met = _min_norm_point(pts, sq, tol,
-                                 worst if math.isfinite(worst) else math.nan)
+    for bound, x, dst, dst_sq in runs:
+        cutoff = worst if math.isfinite(worst) else math.nan
+        # the run would return (√bound, True) at its first check
+        if ordered and math.sqrt(bound) <= cutoff:
+            break
+        d, met = _min_norm_point([tuple(map(operator.sub, row, x)) for row in dst],
+                                 dst_sq, tol, cutoff)
         worst = max(worst, d)
         ok = ok and met
     return worst, ok

@@ -1,7 +1,9 @@
 """Shared test utilities: independent mini-oracles and samplers."""
 
 import math
+import operator
 import random
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ from barypoly.probes import (
     FloatPolytope,
     ProbeReport,
     ProbeStep,
-    _point_distance_status,
+    _checked_point,
     _probe_samples,
     _report,
     _tail_nonincreasing,
@@ -541,18 +543,166 @@ def min_norm_sq_reference(points, x) -> Fraction:
     return best
 
 
+# probes' Hausdorff kernel as it was before the runs ended at the first
+# nearest-vertex bound within the maximum and the dot products were written
+# out in its loops, copied with its helpers: the float operations, in their
+# order, that the library's kernel must repeat bit for bit
+_REFERENCE_MAX_ITER = 10_000
+_REFERENCE_EPS = sys.float_info.epsilon
+
+
+def _reference_dot(a, b) -> float:
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
+def _reference_argmin(xs) -> int:
+    """Index of the first smallest entry."""
+    return min(range(len(xs)), key=xs.__getitem__)
+
+
+def reference_lstsq(cols, rhs) -> list:
+    """``probes._lstsq`` as it was: Householder QR least squares, a column
+    within eps·max(n, m)·(largest column norm) of the span before it gets
+    weight 0."""
+    m = len(rhs)
+    cols = [list(c) for c in cols]
+    r = list(rhs)
+    cut = _REFERENCE_EPS * max(len(cols), m) * max((math.hypot(*c) for c in cols),
+                                                   default=0.0)
+    pivots = []  # column pivots[k] has its reflection, and R's diagonal, at row k
+    for j, c in enumerate(cols):
+        k = len(pivots)
+        if k == m:
+            break
+        s = math.hypot(*c[k:])
+        if s <= cut:
+            continue
+        # the reflection I - beta·v·vᵀ maps c[k:] to (alpha, 0, ..., 0)
+        alpha = -s if c[k] >= 0.0 else s
+        v = c[k:]
+        v[0] -= alpha
+        beta = 1.0 / (s * (s + abs(c[k])))
+        for other in cols[j + 1:] + [r]:
+            tail = other[k:]
+            f = beta * _reference_dot(v, tail)
+            other[k:] = [o - f * vi for o, vi in zip(tail, v)]
+        c[k] = alpha
+        pivots.append(j)
+    u = [0.0] * len(cols)
+    for k in reversed(range(len(pivots))):
+        j = pivots[k]
+        rest = linalg.float_sum(cols[i][k] * u[i] for i in pivots[k + 1:])
+        u[j] = (r[k] - rest) / cols[j][k]
+    return u
+
+
+def reference_differences(b_rows, x) -> tuple:
+    """(p_j, |p_j|²) for p_j = b_j - x: the points
+    ``reference_min_norm_point`` runs on."""
+    pts = [tuple(map(operator.sub, row, x)) for row in b_rows]
+    return pts, [_reference_dot(q, q) for q in pts]
+
+
+def reference_min_norm_point(pts, sq, tol: float, cutoff: float = math.nan):
+    """``probes._min_norm_point`` as it was: Wolfe's corral method from x to
+    the hull of the b_j, on ``reference_differences(b_rows, x)``; returns
+    (distance, converged), and (|y|, True) as soon as |y| <= ``cutoff``."""
+    thresh = max(tol * tol / 2.0, 1e-15 * (1.0 + max(sq)))
+    corral = [_reference_argmin(sq)]
+    w = [1.0]
+    y = pts[corral[0]]
+    yy = _reference_dot(y, y)
+    for _ in range(_REFERENCE_MAX_ITER):
+        dist = math.sqrt(yy)
+        if dist <= cutoff:
+            return dist, True
+        g = [_reference_dot(q, y) for q in pts]
+        j = _reference_argmin(g)
+        gap = yy - g[j]
+        if gap <= 0.0 or j in corral:
+            return dist, gap <= thresh
+        corral.append(j)
+        w.append(0.0)
+        while True:
+            # v = (1 - Σu, u) with u minimising |c_0 + Σ u_i (c_i - c_0)|
+            # over the corral points c; least squares on the points, not on
+            # their Gram matrix, whose condition number is the square
+            c0, *rest = [pts[i] for i in corral]
+            u = reference_lstsq([list(map(operator.sub, ci, c0)) for ci in rest],
+                                [-a for a in c0])
+            v = [1.0 - linalg.float_sum(u)] + u
+            # a v_i in (0, 1e-12] counts as zero, except for the entering
+            # point: its weight may be that small when the gap is
+            new = corral.index(j)
+            small = [vi <= 1e-12 for vi in v]
+            small[new] = v[new] <= 0.0
+            if not any(small):
+                break
+            # walk from w toward v up to the first weight that reaches zero
+            # and drop that point; exact arithmetic never drops the entering
+            # point, so a walk that would is a rounding stall
+            theta = [wi / max(wi - min(vi, 0.0), 1e-300) if si else math.inf
+                     for wi, vi, si in zip(w, v, small)]
+            drop = _reference_argmin(theta)
+            if drop == new:
+                return dist, gap <= thresh
+            w = [max(wi + theta[drop] * (vi - wi), 0.0) for wi, vi in zip(w, v)]
+            del corral[drop]
+            del w[drop]
+        w = v
+        y_next = tuple(_reference_dot(w, col) for col in zip(*[pts[i] for i in corral]))
+        if _reference_dot(y_next, y_next) >= yy:
+            return dist, gap <= thresh
+        y = y_next
+        yy = _reference_dot(y, y)
+    return math.sqrt(yy), False
+
+
+def reference_pruned_hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
+    """``probes._hausdorff_status`` as it was: every vertex runs
+    ``reference_min_norm_point``, by falling nearest-vertex bound (a stable
+    sort), cut off at the largest distance so far while that is finite."""
+    if a.ambient_dim != b.ambient_dim:
+        raise DimensionMismatchError(
+            f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
+    runs = []
+    for src, dst in ((a, b), (b, a)):
+        for row in src.vertices:
+            pts, sq = reference_differences(dst.vertices, _checked_point(row, dst, tol))
+            runs.append((min(sq), pts, sq))
+    runs.sort(key=operator.itemgetter(0), reverse=True)
+    worst, ok = 0.0, True
+    for _, pts, sq in runs:
+        d, met = reference_min_norm_point(pts, sq, tol,
+                                          worst if math.isfinite(worst) else math.nan)
+        worst = max(worst, d)
+        ok = ok and met
+    return worst, ok
+
+
+def reference_point_distance_status(x, b: FloatPolytope, tol: float):
+    """(distance from ``x`` to the hull of ``b``, converged), run to its stop
+    on the reference kernel."""
+    return reference_min_norm_point(
+        *reference_differences(b.vertices, _checked_point(x, b, tol)), tol)
+
+
 def reference_hausdorff_status(a: FloatPolytope, b: FloatPolytope, tol: float):
     """``probes._hausdorff_status`` as it was before it skipped the vertex
     distances that cannot raise the maximum: every vertex's distance to the
-    other hull runs to its stop, in vertex order, and the flag says that all
-    of them met it.  The reference the pruned maximum must equal."""
+    other hull runs to its stop on the reference kernel, in vertex order, and
+    the flag says that all of them met it.  The reference the pruned maximum
+    must equal."""
     if a.ambient_dim != b.ambient_dim:
         raise DimensionMismatchError(
             f"ambient dims differ: {a.ambient_dim} vs {b.ambient_dim}")
     worst, ok = 0.0, True
     for src, dst in ((a, b), (b, a)):
         for row in src.vertices:
-            d, met = _point_distance_status(row, dst, tol)
+            d, met = reference_point_distance_status(row, dst, tol)
             worst = max(worst, d)
             ok = ok and met
     return worst, ok
@@ -594,9 +744,11 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
                              distance_tol: float = 1e-9) -> ProbeReport:
     """``probes.semidiff_probe`` as it was before the witness loop became
     ``probes._semidiff_witness``, the quotient sets were built on integers
-    and the Hausdorff distances skipped vertices (its consecutive-set series
-    runs ``reference_hausdorff_status``, and every vertex list comes from
-    ``lambda_vertices``): the reference its reports must equal.
+    and the Hausdorff distances skipped vertices (its witness distances run
+    ``reference_point_distance_status`` and its consecutive-set series
+    ``reference_hausdorff_status``, both on the reference kernel, and every
+    vertex list comes from ``lambda_vertices``): the reference its reports
+    must equal.
 
     Difference-quotient sets S_k = (Lambda(p + t_k h) - sigma_Z(p)) / t_k.
 
@@ -632,7 +784,7 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
                                              for m, s in zip(vert, sigma))
                                        for vert in lam])
         quotient_sets.append(sk)
-        d, met = _point_distance_status(v_float, sk, distance_tol)
+        d, met = reference_point_distance_status(v_float, sk, distance_tol)
         all_met = all_met and met
         witness.append(d)
     pair = []

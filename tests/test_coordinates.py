@@ -122,6 +122,47 @@ def test_simplicial_coords_singular_pattern(prism8):
         simplicial_coords(prism8, (F(1, 2), F(1, 2), F(1, 2)), {5, 6, 7, 8})
 
 
+def test_simplicial_coords_reads_its_own_walls(prism8, monkeypatch):
+    # one row read alone: the reader gets the values of that row's d + 1
+    # walls, not all C(n, d) of them
+    from barypoly import coordinates
+
+    got = []
+    real = coordinates._read_rows
+
+    def spy(rows, vals):
+        got.append(len(vals))
+        return real(rows, vals)
+
+    monkeypatch.setattr(coordinates, "_read_rows", spy)
+    sc = simplicial_coords(prism8, (F(1, 3), F(1, 2), F(2, 3)), {1, 3, 6, 8})
+    assert got == [prism8.d + 1]
+    assert sc.sigma == (0, F(1, 12), 0, F(1, 4), F(5, 12), 0, F(1, 4), 0)
+
+
+def test_simplicial_coords_singular_on_the_4_cube():
+    # the 4-cube's patterns whose 5 kept vertices are affinely dependent
+    # (four of them on a square 2-face) raise, at any point; the others give
+    # the coordinates of the point
+    import itertools
+
+    cube = list(itertools.product((0, 1), repeat=4))
+    p = validate([[v[l] for v in cube] for l in range(4)], 4)
+    point = (F(1, 3), F(2, 5), F(1, 2), F(3, 7))
+    singular = 0
+    for keep in itertools.combinations(range(16), 5):
+        zeros = set(range(1, 17)) - {k + 1 for k in keep}
+        if linalg.affine_dim([cube[k] for k in keep]) < 4:
+            singular += 1
+            with pytest.raises(SingularPatternError):
+                simplicial_coords(p, point, zeros)
+        else:
+            sigma = simplicial_coords(p, point, zeros).sigma
+            assert [sum(w * v[l] for w, v in zip(sigma, cube)) for l in range(4)] \
+                == list(point)
+    assert singular > 0
+
+
 def test_simplicial_coords_bad_zero_set(square):
     with pytest.raises(ValueError):
         simplicial_coords(square, CENTER, {1, 2})

@@ -216,27 +216,47 @@ def test_min_norm_point_collinear_points():
 
 def test_continuity_probe_meets_every_stop(prism8, monkeypatch):
     # Frank-Wolfe with away steps ran out of iterations on one of this row's
-    # 224 distance calls; the corral method meets its gap on all of them.
-    # Every vertex still goes through _min_norm_point, and all but the first
-    # of each step's 28 come back within the largest distance before them,
-    # their cutoff, so they cannot raise it
-    from barypoly import probes
+    # distance calls; the corral method meets its gap on all of them.  Of
+    # each step's 28 vertices, 92 in all over the 8 steps run
+    # _min_norm_point, and all but each step's first come back within the
+    # largest distance before them, their cutoff, so they cannot raise it.
+    # The loop ends at the first vertex whose nearest-vertex bound is within
+    # the maximum: every vertex that made no call has its bound's root
+    # within the returned distance
+    from collections import Counter
 
-    met, bounded = [], []
-    real = probes._min_norm_point
+    from barypoly import probes
+    from helpers import reference_differences
+
+    met, bounded, ran, skipped = [], [], [], []
+    real, real_hausdorff = probes._min_norm_point, probes._hausdorff_status
 
     def traced(pts, sq, tol, *rest):
         dist, ok = real(pts, sq, tol, *rest)
         met.append(ok)
         bounded.append(dist <= rest[0])
+        ran.append(min(sq))
         return dist, ok
 
+    def traced_hausdorff(a, b, tol):
+        start = len(ran)
+        worst, ok = real_hausdorff(a, b, tol)
+        bounds = Counter(min(reference_differences(dst.vertices, tuple(map(float, x)))[1])
+                         for src, dst in ((a, b), (b, a)) for x in src.vertices)
+        left = bounds - Counter(ran[start:])
+        assert left.total() == bounds.total() - (len(ran) - start)
+        skipped.extend((math.sqrt(bound), worst) for bound in left.elements())
+        return worst, ok
+
     monkeypatch.setattr(probes, "_min_norm_point", traced)
+    monkeypatch.setattr(probes, "_hausdorff_status", traced_hausdorff)
     rep = continuity_probe(prism8, (F(1772, 3347), F(1711, 3347), F(1778, 3347)),
                            (F(-1, 128), F(1, 32), F(-3, 256)))
-    assert len(met) == 224
+    assert len(met) == 92
     assert all(met)
-    assert sum(bounded) == 216
+    assert sum(bounded) == 84
+    assert len(skipped) == 8 * 28 - 92
+    assert all(root <= worst for root, worst in skipped)
     assert rep.verdict == "Inconclusive"  # the last distance is ~5e-5 > 1e-7
 
 

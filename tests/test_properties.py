@@ -36,7 +36,14 @@ distance, which skips the vertices that cannot raise its maximum, must give
 ``helpers.reference_hausdorff_status``'s value bit for bit, with its flag True
 wherever the reference's is, on coordinate polytopes along rays, quotient
 sets and raw float vertex sets; ``continuity_probe`` must give the steps of
-``helpers.reference_continuity_probe``.  Both probe references read every
+``helpers.reference_continuity_probe``.  ``_min_norm_point`` and
+``_hausdorff_status`` must give the distance (by ``repr``) and the flag of
+the reference kernel, ``helpers.reference_min_norm_point`` and
+``helpers.reference_pruned_hausdorff_status``, on float point sets of
+dimension 1 to 8 with 1 to 14 points, overflowing and non-finite ones
+included, at every kind of cutoff.  ``simplicial_coords``, which reads its
+row's own d + 1 walls, must give the row that the reader gives off all the
+wall values, and SingularPatternError exactly where that read skips one.  Both probe references read every
 vertex list off the Fraction route, ``lambda_vertices``.  On d = 2 point
 sets ``validate``'s hull walk, and on d = 3 and d = 4 point sets its integer
 certificates with phase ones for the rest, must raise the error, at the
@@ -51,7 +58,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from barypoly import linalg
@@ -100,7 +107,9 @@ from barypoly.probes import (
     ProbeReport,
     FloatPolytope,
     ProbeStep,
+    _differences,
     _hausdorff_status,
+    _min_norm_point,
     _semidiff_witness,
     _selection_jacobian_exact,
     continuity_probe,
@@ -117,7 +126,10 @@ from helpers import (
     reference_census,
     reference_continuity_probe,
     reference_gamma_polytope,
+    reference_differences,
     reference_hausdorff_status,
+    reference_min_norm_point,
+    reference_pruned_hausdorff_status,
     reference_patterns,
     reference_reduced_system,
     reference_rref,
@@ -355,6 +367,34 @@ def test_wall_table_matches_the_elimination(kind, seed, data):
     assert _rationals(p, _table_read(p, q)) == expected
     combo, sigma = data.draw(st.sampled_from(expected))
     assert simplicial_coords(p, q, combo).sigma == sigma
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
+       st.integers(0, 3), st.data())
+def test_simplicial_coords_is_the_full_table_read(kind, seed, data):
+    # a row read alone, on its own d + 1 walls, is the row the reader gives
+    # off all C(n, d) wall values at q: the same sigma_Z(q) and feasibility,
+    # and SingularPatternError exactly for the rows that read skips (the
+    # 4-cube's affinely dependent patterns)
+    p = _wall_polytope(kind, seed)
+    q = _wall_point(p, data)
+    full = {combo: (_sigma(p.n, keep, xs, den), min(xs) >= 0)
+            for combo, keep, xs, den in _table_read(p, q)}
+    combos = list(_table(p)[1])
+    singular = [combo for combo in combos if combo not in full]
+    assert bool(singular) == (kind == "cube4")
+    drawn = data.draw(st.lists(st.sampled_from(combos), min_size=1, max_size=6))
+    if singular:
+        drawn.append(data.draw(st.sampled_from(singular)))
+    for combo in drawn:
+        if combo in full:
+            sc = simplicial_coords(p, q, combo)
+            assert (sc.sigma, sc.feasible) == full[combo]
+        else:
+            with pytest.raises(SingularPatternError):
+                simplicial_coords(p, q, combo)
 
 
 def _leibniz(rows):
@@ -1160,6 +1200,75 @@ def test_hausdorff_matches_the_reference(pair):
         got, want = _hausdorff_status(x, y, tol), reference_hausdorff_status(x, y, tol)
         assert got[0].hex() == want[0].hex()
         assert got[1] or not want[1]
+
+
+@st.composite
+def float_point_sets(draw, dim, max_size=14):
+    """1 to ``max_size`` float points of length ``dim``: random floats at a
+    scale of 1e-200, 1 or 1e200 (where |p_j|² underflows or overflows),
+    collinear points from a few repeated parameters, small integers,
+    entries near ±1e308, whose differences overflow to ±inf, or ±inf and NaN
+    entries, whose bounds can be NaN."""
+    size = draw(st.integers(1, max_size))
+    kind = draw(st.sampled_from(["random", "collinear", "integer", "huge", "nonfinite"]))
+    if kind == "random":
+        scale = draw(st.sampled_from([1e-200, 1.0, 1e200]))
+        coord = st.floats(-1.0, 1.0).map(lambda x: x * scale)
+        return [tuple(draw(st.lists(coord, min_size=dim, max_size=dim)))
+                for _ in range(size)]
+    if kind == "collinear":
+        base, step = (draw(st.lists(st.floats(-4.0, 4.0), min_size=dim, max_size=dim))
+                      for _ in range(2))
+        ts = draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 3.0]),
+                           min_size=size, max_size=size))
+        return [tuple(x + t * s for x, s in zip(base, step)) for t in ts]
+    coord = st.integers(-3, 3).map(float)
+    if kind == "huge":
+        coord = st.one_of(coord, st.sampled_from([1e308, -1e308, 1.7e308, -8.9e307]))
+    elif kind == "nonfinite":
+        coord = st.one_of(coord, st.sampled_from([math.inf, -math.inf, math.nan]))
+    return [tuple(draw(st.lists(coord, min_size=dim, max_size=dim))) for _ in range(size)]
+
+
+KERNEL = settings(max_examples=300, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+TOLS = st.sampled_from([1e-9, 1e-3])
+
+
+@KERNEL
+@given(st.integers(1, 8).flatmap(float_point_sets), st.data(),
+       st.sampled_from(["nan", "zero", "finite", "inf"]), st.floats(0.0, 10.0), TOLS)
+def test_min_norm_point_is_the_reference_kernel(b_rows, data, cutoff, finite, tol):
+    # the corral kernel repeats the reference kernel's float operations in
+    # their order: the same distance, repr for repr, and the same flag, for
+    # every cutoff, with or without an overflow, from a point drawn like the
+    # set's or on the line through two of its points, near or in the hull
+    if data.draw(st.booleans()):
+        (x,) = data.draw(float_point_sets(len(b_rows[0]), max_size=1))
+    else:
+        p, q = data.draw(st.lists(st.sampled_from(b_rows), min_size=2, max_size=2))
+        t = data.draw(st.floats(-1.0, 2.0))
+        x = tuple(u + t * (v - u) for u, v in zip(p, q))
+    cut = {"nan": math.nan, "zero": 0.0, "finite": finite, "inf": math.inf}[cutoff]
+    got = _min_norm_point(*_differences(b_rows, x), tol, cut)
+    want = reference_min_norm_point(*reference_differences(b_rows, x), tol, cut)
+    assert (repr(got[0]), got[1]) == (repr(want[0]), want[1])
+
+
+@KERNEL
+@given(st.integers(1, 8).flatmap(lambda dim: st.tuples(
+    st.just(dim), float_point_sets(dim), float_point_sets(dim))), TOLS)
+@example(sets=(1, [(0.0,)], [(0.0,), (math.nan,)]), tol=1e-9)
+def test_hausdorff_is_the_reference_kernel(sets, tol):
+    # ending the runs at the first bound within the maximum and reading both
+    # directions off one matrix changes no bit of the distance or the flag;
+    # the example's NaN bound leaves the sort partial, where ending the runs
+    # early would skip a run that the reference makes
+    dim, a, b = sets
+    for x, y in ((a, b), (b, a)):
+        x, y = FloatPolytope(tuple(x), dim), FloatPolytope(tuple(y), dim)
+        got, want = _hausdorff_status(x, y, tol), reference_pruned_hausdorff_status(x, y, tol)
+        assert (repr(got[0]), got[1]) == (repr(want[0]), want[1])
 
 
 @PROPERTY

@@ -486,15 +486,26 @@ def test_semidiff_rows_compute_only_what_they_print():
 
 
 def test_hausdorff_runs_each_vertex_with_a_cutoff():
-    # the Hausdorff distance prints only the largest vertex distance: every
-    # vertex runs _min_norm_point with the largest distance so far as its
-    # cutoff, not _point_distance_status, which runs each to its stop
+    # the Hausdorff distance prints only the largest vertex distance: each
+    # vertex that runs calls _min_norm_point with the largest distance so far
+    # as its cutoff, not _point_distance_status, which runs each to its stop,
+    # and the loop over the runs ends at the first vertex whose nearest-vertex
+    # bound is within that maximum.  A run's differences b_j - x
+    # (operator.sub) are built inside that loop, so only the runs that run
+    # build them, and nothing calls _differences
     func = _function("probes", "_hausdorff_status")
     calls = [node for node in ast.walk(func) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "_min_norm_point"]
     assert calls and all(len(call.args) + len(call.keywords) >= 4 for call in calls)
-    assert "_point_distance_status" not in _names_in("probes", "_hausdorff_status")
+    names = _names_in("probes", "_hausdorff_status")
+    assert sorted(names & {"_point_distance_status", "_differences"}) == []
     assert "cutoff" in _names_in("probes", "_min_norm_point")
+    loop = [node for node in func.body if isinstance(node, ast.For)][-1]
+    inside = {node.attr for node in ast.walk(loop) if isinstance(node, ast.Attribute)}
+    before = {node.attr for stmt in func.body[:func.body.index(loop)]
+              for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+    assert any(isinstance(node, ast.Break) for node in ast.walk(loop))
+    assert "sub" in inside and "sub" not in before
 
 
 def test_census_rows_build_no_fraction():
