@@ -21,7 +21,7 @@ from . import oracle as orc
 from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismatchError,
                      ParseError)
 from .linalg import fr, rational_str
-from .polytope import (Polytope, load_polytope, locate, parse_coordinates,
+from .polytope import (Polytope, load_polytope, parse_coordinates,
                        polytope_rows, read_json, validate)
 from .report import AnalysisReport, LambdaVertexEntry, dumps, format_float
 
@@ -59,12 +59,13 @@ def _parse_vector(text, d, what):
 
 
 def _analysis_report(p: Polytope, point) -> tuple:
-    """(report, None) at an inside point, else (None, locate's separator);
-    Interior or Boundary is read off Lambda(p)'s vertices (``is_interior``)."""
+    """(report, None) at an inside point, else (None, the separator that tau's
+    phase one found); Interior or Boundary is read off Lambda(p)'s vertices
+    (``is_interior``)."""
     try:
         tau = co.feasible_tau(p, point)
-    except InfeasibleError:
-        return None, locate(p, point).separator
+    except InfeasibleError as exc:
+        return None, exc.separator
     nb = co.nullbasis(p)
     lam = co.lambda_vertices(p, point)
     gam = co.gamma_polytope(p, tau, nb, lam)

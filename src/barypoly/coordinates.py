@@ -51,7 +51,7 @@ from .errors import (
     SingularPatternError,
     UnboundedDirectionError,
 )
-from .polytope import Polytope
+from .polytope import Polytope, farkas_separator
 from .records import Record
 from .simplex import convex_membership, feasible_point
 
@@ -116,12 +116,14 @@ def feasible_tau(p: Polytope, point) -> BarycentricVector:
     """A feasible coordinate vector at ``point`` (phase-one simplex, Bland).
 
     Deterministic for a given input; raises InfeasibleError when the point is
-    outside the polytope.
+    outside the polytope, with the separator read off the same phase one's
+    Farkas certificate (``farkas_separator``), as ``locate`` reads it.
     """
     pt = p.as_point(point)
-    lam = feasible_point(p.stacked_rows(), list(pt) + [_ONE])[0]
+    lam, y = feasible_point(p.stacked_rows(), list(pt) + [_ONE])
     if lam is None:
-        raise InfeasibleError("point is outside the polytope")
+        raise InfeasibleError("point is outside the polytope",
+                              separator=farkas_separator(p, pt, y))
     return BarycentricVector(tuple(lam), pt)
 
 

@@ -49,8 +49,16 @@ class NonExtremeVertexError(BarypolyError):
 
 
 class InfeasibleError(BarypolyError):
+    """The point is outside the polytope; ``separator`` is (a, b) with
+    a·v_i <= b for every vertex and a·p > b where the raiser read one off its
+    phase one, else None."""
+
     code = "Infeasible"
     exit_code = 2
+
+    def __init__(self, message, separator=None):
+        self.separator = separator
+        super().__init__(message)
 
 
 class SingularPatternError(BarypolyError):

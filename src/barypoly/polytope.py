@@ -175,7 +175,7 @@ def locate(p: Polytope, point: Sequence) -> PointLocation:
     One phase one on these d rows decides Interior, and its lam is the
     strictly positive ``barycentric``.  Otherwise phase one on [V; 1^T]
     gives either a basic feasible lam (Boundary) or the Farkas dual of that
-    system as an exact separating functional (Outside).
+    system as an exact separating functional (Outside, ``farkas_separator``).
     """
     pt = p.as_point(point)
     stacked = p.stacked_rows()
@@ -189,11 +189,18 @@ def locate(p: Polytope, point: Sequence) -> PointLocation:
     lam, y = feasible_point(stacked, list(pt) + [_ONE])
     if y is None:
         return PointLocation(Location.BOUNDARY, barycentric=tuple(lam))
+    return PointLocation(Location.OUTSIDE, separator=farkas_separator(p, pt, y))
+
+
+def farkas_separator(p: Polytope, pt, y) -> tuple:
+    """(a, b) = (y[:d], -y[d]) off a Farkas certificate y of phase one on
+    [V; 1^T] lam = [pt; 1]: a·v_i <= b for every vertex and a·pt > b, else
+    InternalError."""
     a, b = tuple(y[: p.d]), -y[p.d]
     if not (all(linalg.dot(a, v) <= b for v in p.vertices)
             and linalg.dot(a, pt) > b):
         raise InternalError("Farkas certificate does not separate the point")
-    return PointLocation(Location.OUTSIDE, separator=(a, b))
+    return a, b
 
 
 def parse_polytope(doc) -> Polytope:

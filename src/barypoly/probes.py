@@ -248,8 +248,17 @@ def _min_norm_point(pts, sq, tol: float, cutoff: float = math.nan):
 
 
 def point_polytope_distance(x, b: FloatPolytope, tol: float = 1e-9) -> float:
-    """Euclidean distance from ``x`` to the hull of ``b`` within additive tol."""
+    """Euclidean distance from ``x`` to the hull of ``b`` within additive tol;
+    ValueError on an inf or NaN entry in ``x`` or a vertex."""
+    _require_finite(x, *b.vertices)
     return _point_distance_status(x, b, tol)[0]
+
+
+def _require_finite(*rows) -> None:
+    # the public distances only: the probes' floats come from exact
+    # rationals, so their sets never hold inf or NaN
+    if not all(math.isfinite(float(v)) for row in rows for v in row):
+        raise ValueError("coordinates must be finite")
 
 
 def _point_distance_status(x, b: FloatPolytope, tol: float):
@@ -272,8 +281,10 @@ def hausdorff(a: FloatPolytope, b: FloatPolytope, tol: float = 1e-9) -> float:
 
     Correct for convex sets: x -> d(x, hull) is convex, hence maximized at a
     vertex of the other polytope.  Only the vertex distances that can still
-    raise the maximum run to their stop (``_hausdorff_status``).
+    raise the maximum run to their stop (``_hausdorff_status``).  ValueError
+    on an inf or NaN entry in a vertex.
     """
+    _require_finite(*a.vertices, *b.vertices)
     return _hausdorff_status(a, b, tol)[0]
 
 

@@ -490,7 +490,7 @@ def test_oracle_check_infeasible_sample(square_file, capsys, monkeypatch, lam):
 @pytest.mark.parametrize("point, location, tau, solves", [
     ("1/2,0", "Boundary", ["1/2", "1/2", "0", "0"], [3]),
     ("1/3,1/2", "Interior", None, [3]),
-    ("2,2", "Outside", None, [3, 2, 3]),
+    ("2,2", "Outside", None, [3]),
 ], ids=["boundary", "interior", "outside"])
 def test_analyze_phase_one_count(square_file, capsys, monkeypatch,
                                  point, location, tau, solves):
@@ -503,9 +503,8 @@ def test_analyze_phase_one_count(square_file, capsys, monkeypatch,
                             lambda a, b, real=real: rows.append(len(a)) or real(a, b))
     code, out = run(capsys, "analyze", square_file, "--point", point)
     doc = json.loads(out)
-    # inside: tau's one [V; 1] solve, the location read off Lambda's vertex
-    # supports; outside: then locate's d-row and [V; 1] solves, for the
-    # separator
+    # tau's one [V; 1] solve: inside, the location is read off Lambda's
+    # vertex supports; outside, the separator off its Farkas certificate
     assert rows == solves
     if location == "Outside":
         assert (code, doc["error"]) == (2, "Outside")
@@ -514,6 +513,30 @@ def test_analyze_phase_one_count(square_file, capsys, monkeypatch,
     assert doc["location"] == location
     if tau is not None:
         assert doc["tau"] == tau
+
+
+@pytest.mark.parametrize("name, point", [
+    ("square", "2,1/2"), ("pentagon", "0,2"), ("pyramid", "0,0,-1"), ("prism8", "2,0,0")])
+def test_outside_analyze_reads_its_certificate_off_tau(tmp_path, capsys, monkeypatch,
+                                                       name, point):
+    # one phase one, tau's on [V; 1ᵀ]: its Farkas certificate is the separator
+    # locate reads off the same system after its d-row solve
+    from barypoly import coordinates, polytope, simplex
+    from barypoly.fixtures import fixture_document, get_fixture
+    from barypoly.linalg import fr, rational_str
+
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(fixture_document(name)))
+    calls = []
+    for module in (simplex, polytope, coordinates):
+        real = module.feasible_point
+        monkeypatch.setattr(module, "feasible_point",
+                            lambda a, b, real=real: calls.append(len(a)) or real(a, b))
+    code, out = run(capsys, "analyze", str(path), "--point", point)
+    assert code == 2 and len(calls) == 1
+    a, b = polytope.locate(get_fixture(name), [fr(x) for x in point.split(",")]).separator
+    assert json.loads(out)["certificate"] == {"normal": [rational_str(x) for x in a],
+                                              "offset": rational_str(b)}
 
 
 @pytest.mark.parametrize("argv, code", [

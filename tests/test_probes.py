@@ -80,6 +80,18 @@ def test_distance_past_the_float_range_is_inf():
     assert point_polytope_distance(q, fp((0, 0), (1, 0), (0, 1))) == math.inf
 
 
+@pytest.mark.parametrize("call", [
+    lambda: hausdorff(FloatPolytope(((5.0,),), 1), FloatPolytope(((0.0,), (math.nan,)), 1)),
+    lambda: point_polytope_distance((5.0,), FloatPolytope(((0.0,), (math.nan,)), 1)),
+    lambda: point_polytope_distance((math.inf, 0.0), fp((0, 0), (1, 0), (0, 1))),
+], ids=["hausdorff-nan-vertex", "distance-nan-vertex", "distance-inf-point"])
+def test_public_distances_refuse_non_finite_entries(call):
+    # the hull of a point with a NaN coordinate is undefined: both wrappers
+    # raise, as for tol <= 0, where they once returned 5.0 with a stop met
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 def test_distance_interior_point_zero():
     b = fp((0, 0), (1, 0), (1, 1), (0, 1))
     d = point_polytope_distance(np.array([0.3, 0.6]), b, tol=1e-9)
