@@ -136,10 +136,9 @@ def _load_points(path, d):
     return [parse_coordinates(row, d, f"point {i + 1}") for i, row in enumerate(doc)]
 
 
-def _census_cells(p, keys):
-    """vertex_count, dim and theorem_count_match of Lambda at a point, read off
-    its vertex keys (``co._vertex_keys``): the cells build no Fraction."""
-    count, dim, match = co._census(p, keys)
+def _census_cells(count, dim, match):
+    """The vertex_count, dim and theorem_count_match cells of a census
+    (``co._census``): they read no Fraction."""
     return [str(count), str(dim), "true" if match else "false"]
 
 
@@ -151,22 +150,25 @@ def _sweep_row(p, mode, point, h, t0, steps):
     error = ""
     try:
         cells += [rational_str(x) for x in point]
-        # the table is read once at the basepoint: the census cells, the
-        # selection and the probe's basepoint all come from these rows
-        rows = list(co._feasible_rows(p, point))
-        keys = co._vertex_keys(rows)
-        cells += _census_cells(p, keys)
-        if mode == "continuity":
+        if mode == "census":
+            # off every wall the cells are the count of surviving rows
+            cells += _census_cells(*co._census_at(p, point))
+        else:
             from . import probes
-            rep = probes.continuity_probe(p, point, h, t0=t0, steps=steps, base=keys)
-            cells += [format_float(s.distance) for s in rep.steps]
-        elif mode == "semidiff":
-            from . import probes
-            # the witness distances alone: the row prints nothing else
-            zero_set = _pick_selection(rows)
-            *_, witness, _ = probes._semidiff_witness(p, point, zero_set, h, t0, steps,
-                                                      base=keys)
-            cells += [format_float(d) for d in witness]
+            # the table is read once at the basepoint: the census cells, the
+            # selection and the probe's basepoint all come from these rows
+            rows = list(co._feasible_rows(p, point))
+            keys = co._vertex_keys(rows)
+            cells += _census_cells(*co._census(p, keys))
+            if mode == "continuity":
+                rep = probes.continuity_probe(p, point, h, t0=t0, steps=steps, base=keys)
+                cells += [format_float(s.distance) for s in rep.steps]
+            else:
+                # the witness distances alone: the row prints nothing else
+                zero_set = _pick_selection(rows)
+                *_, witness, _ = probes._semidiff_witness(p, point, zero_set, h, t0,
+                                                          steps, base=keys)
+                cells += [format_float(d) for d in witness]
     except BarypolyError as exc:
         error = exc.code
     cells += [""] * (width - len(cells))

@@ -22,6 +22,13 @@ point read on a polytope with no table takes the values off the vertices
 and ``simplicial_coords`` build the table: every wall as an integer
 cofactor vector, read at a point with integer multiply-adds, and the
 patterns.  The sign vector of the wall values is the point's chamber key.
+A row's D has one sign at every point, that of its walls' signed constant
+entries, so the row is feasible exactly where each of its d + 1 wall values
+has the sign D gives it, or is 0.  The table keeps, per wall, int bitsets
+of the rows that need its value >= 0 and of those that need it <= 0; a
+table read ORs the sets that the point's signs rule out and runs the reader
+over the rows left only (``_masked_rows``).  Off every wall those rows are
+distinct vertices, and a census counts them (``_census_at``).
 Along a ray p + t·h every wall value is affine in t, so ``_ray_keys`` reads
 each wall once at p and once along h, and each step once more on integers.
 
@@ -38,7 +45,7 @@ from them, only for vertices that are printed.
 import itertools
 import math
 from fractions import Fraction
-from operator import add, index, itemgetter, mul, xor
+from operator import add, index, invert, itemgetter, mul, xor
 
 from . import linalg
 from .errors import (
@@ -59,6 +66,8 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 # the most zero patterns C(n, n-d-1) a pattern table is built for
 MAX_PATTERNS = 100_000
+# a bin() digit string's translation to 0/1 bytes, which compress() reads
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
 
 
 class BarycentricVector(Record):
@@ -176,14 +185,25 @@ def _pattern_order(p: Polytope):
 
 
 def _patterns(p: Polytope) -> tuple:
-    """(walls, rows): the walls, one per d-subset S in lexicographic order,
-    and every zero pattern's row of ``_pattern_order`` keyed by its zero set.
+    """(walls, rows, order, live, ge, le): the walls, one per d-subset S in
+    lexicographic order, every zero pattern's row of ``_pattern_order``
+    keyed by its zero set and listed in that order, and the row signs as
+    int bitsets, bit r for row r of ``order``.
 
     With L the lcm of the vertex denominators, the wall of S is the cofactor
     vector c_S of the rows (1, L·v_s), s in S (``linalg.cofactors``):
     f_S(x) = c_S·(1, L·x) = det[(1, L·x); (1, L·v_s)].  ``walls`` lists
     w_S = (c_0, L·c_1, …, L·c_d) at S's id, so that w_S·(E, E·x) = E·f_S(x);
     an affinely dependent S (possible from d = 4 on) keeps its zero vector.
+
+    A row's Cramer sum, which ``_read_rows`` takes as its denominator, is
+    ±E·det[1^T; V_keep] at every point: the x parts of its signed walls
+    cancel, so its sign is that of the signed sum of their constant entries
+    c_0, a constant of the table.  ``live`` holds the rows whose sum is not
+    0.  A live row is feasible where each of its xs, the values at its ids
+    (-f_w at ~w), has its sum's sign or is 0, so each wall w has two sets:
+    ge[w] the rows that need f_w >= 0, and le[w] those that need
+    -f_w >= 0, i.e. f_w <= 0.
     """
     scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
     points = [(1, *col) for col in zip(*vrows)]
@@ -191,7 +211,20 @@ def _patterns(p: Polytope) -> tuple:
     for s in itertools.combinations(range(p.n), p.d):
         c = linalg.cofactors([points[j] for j in s])
         walls.append((c[0], *(scale * x for x in c[1:])))
-    return walls, {row[0]: row for row in _pattern_order(p)}
+    consts = [wall[0] for wall in walls]
+    consts += [-c for c in reversed(consts)]  # consts[~w] = -consts[w]
+    # needs[id] for a row's ids, as the reader indexes values: ge at w, le at ~w
+    rows, live, needs = {}, 0, [0] * len(consts)
+    for r, row in enumerate(_pattern_order(p)):
+        rows[row[0]] = row
+        sign = sum(map(consts.__getitem__, row[2]))
+        if sign:
+            bit = 1 << r
+            live |= bit
+            for w in row[2] if sign > 0 else map(invert, row[2]):
+                needs[w] |= bit
+    half = len(walls)  # le[w] = needs[~w]
+    return walls, rows, list(rows.values()), live, needs[:half], needs[half:][::-1]
 
 
 def check_pattern_count(n: int, d: int) -> None:
@@ -207,7 +240,8 @@ def check_pattern_count(n: int, d: int) -> None:
 
 
 def _table(p: Polytope) -> tuple:
-    """(walls, rows) of _patterns(p), built once per ``p`` and kept on it.
+    """(walls, rows, order, live, ge, le) of _patterns(p), built once per
+    ``p`` and kept on it.
 
     Each sigma_Z is affine on R^d, and its entries are signed wall values
     over their sum (``_read_rows``), so C(n, d) walls carry every row:
@@ -249,6 +283,29 @@ def _read_rows(rows, vals):
             yield combo, keep, read(negated), -den
 
 
+def _survivors(table, vals) -> int:
+    """The bitset of the rows of ``table`` (``_table``) that are feasible
+    given every wall's value at a point, ``vals``: the live rows less those
+    that need f_w >= 0 at a wall whose value is negative, or f_w <= 0 at
+    one whose value is positive.  A value of 0 rules out no row."""
+    _, _, _, live, ge, le = table
+    ruled = 0
+    for v, need_ge, need_le in zip(vals, ge, le):
+        if v < 0:
+            ruled |= need_ge
+        elif v:
+            ruled |= need_le
+    return live & ~ruled
+
+
+def _masked_rows(table, vals):
+    """``_read_rows`` over the rows of ``table`` that ``_survivors`` leaves
+    at ``vals``, in table order: every one is feasible."""
+    # the binary digits from bit 0 on, as 0/1 bytes: one linear pass
+    bits = bin(_survivors(table, vals))[:1:-1].encode().translate(_BIT_BYTES)
+    return _read_rows(itertools.compress(table[2], bits), vals)
+
+
 def _wall_values(p: Polytope, point) -> list:
     """Every wall's value at ``point``, one per d-subset S in lexicographic
     order: det[L′·(v_s - point)], s in S, L′ the lcm of the denominators of
@@ -286,7 +343,7 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
         raise ValueError(
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
     pt = p.as_point(point)
-    walls, rows = _table(p)
+    walls, rows, *_ = _table(p)
     combo, keep, ids = rows[tuple(sorted(zeros))]
     # the row alone, on its own d + 1 walls: the reader gets their values
     # and the row with its ids renumbered 0..d, each keeping its ~ mark
@@ -300,9 +357,12 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
 
 def _feasible_rows(p: Polytope, point):
     """(zero set, keep, xs, den) for every row of _table(p) whose
-    sigma_keep = xs / den is feasible at ``point``, in table order."""
-    walls, rows = _table(p)
-    return _feasible(_read_rows(rows.values(), _evaluate(walls, point)))
+    sigma_keep = xs / den is feasible at ``point``, in table order: the
+    reader reads only the rows that the wall values' signs leave
+    (``_masked_rows``), since each row's denominator has a fixed sign and
+    its xs are its walls' values signed as it."""
+    table = _table(p)
+    return _masked_rows(table, _evaluate(table[0], point))
 
 
 def _feasible(evaluated):
@@ -378,10 +438,11 @@ def _ray_keys(p: Polytope, point, h, ts):
     is affine along the ray: with E and F the lcms of the denominators of
     ``point`` and ``h``, at = w·(E, E·point) and slope = w[1:]·(F·h) are
     read once per wall, and at t = u/v the wall's value times E·v·F is
-    at·v·F + slope·u·E, which ``_read_rows`` reads as it reads any point's.
+    at·v·F + slope·u·E, which ``_masked_rows`` reads as it reads any point's.
     The keys are gcd-canonical, so they are the ones ``_vertices_at`` reads
     at each point + t·h."""
-    walls, rows = _table(p)
+    table = _table(p)
+    walls = table[0]
     e, (pt,) = linalg.integer_rows([point])
     f, (hv,) = linalg.integer_rows([h])
     at = [sum(map(mul, wall, (e, *pt))) for wall in walls]
@@ -389,7 +450,7 @@ def _ray_keys(p: Polytope, point, h, ts):
     for t in ts:
         a, b = t.denominator * f, t.numerator * e
         vals = [x * a + y * b for x, y in zip(at, slope)]
-        yield _vertex_keys(_feasible(_read_rows(rows.values(), vals)))
+        yield _vertex_keys(_masked_rows(table, vals))
 
 
 def _census(p: Polytope, keys) -> tuple:
@@ -409,6 +470,25 @@ def _census(p: Polytope, keys) -> tuple:
     outside = [row for j, row in enumerate(p._kernel_rows, 1) if j not in support]
     count = len(keys)
     return count, p.kernel_dim() - linalg.rank(outside), count == p.n - p.d
+
+
+def _census_at(p: Polytope, point) -> tuple:
+    """``_census`` of Lambda at ``point``, read off p's table with the walls
+    evaluated once.  Where no wall value is 0 every surviving row
+    (``_survivors``) has d + 1 positive entries, its own support, so the
+    rows are distinct vertices, and the point is inside P only if it is
+    interior (a facet lies on the wall of d of its vertices): the census is
+    (survivors, n - d - 1, survivors == n - d), InfeasibleError when none
+    survive, with no key built.  On a wall it reads the surviving rows'
+    vertex keys (``_vertex_keys``)."""
+    table = _table(p)
+    vals = _evaluate(table[0], point)
+    if all(vals):
+        count = _survivors(table, vals).bit_count()
+        if not count:
+            raise InfeasibleError("point is outside the polytope")
+        return count, p.kernel_dim(), count == p.n - p.d
+    return _census(p, _vertex_keys(_masked_rows(table, vals)))
 
 
 def is_interior(n: int, supports) -> bool:

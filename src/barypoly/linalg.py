@@ -76,10 +76,6 @@ def float_sum(xs) -> float:
     return total
 
 
-def mat_vec(a: Mat, x: Vec) -> list:
-    return [dot(row, x) for row in a]
-
-
 def rank(a: Mat) -> int:
     """Exact rank: the pivot count of ``eliminate`` on ``a`` scaled to
     integers."""

@@ -77,6 +77,11 @@ def mat_mul(a, b):
     return [[linalg.dot(row, col) for col in zip(*b)] for row in a]
 
 
+def mat_vec(a, x) -> list:
+    """Exact product of a row-list matrix and a vector."""
+    return [linalg.dot(row, x) for row in a]
+
+
 def random_square_matrix(rng, n, den=12):
     return [[Fraction(rng.randint(-24, 24), den) for _ in range(n)]
             for _ in range(n)]
@@ -370,7 +375,7 @@ def reference_gamma_polytope(p: Polytope, tau, nbasis_rows, lam) -> GammaPolytop
     gvertices = []
     for j, diff in enumerate(diffs):
         c = [row[k + j] for row in red[:k]]
-        if linalg.mat_vec(rows, c) != diff:
+        if mat_vec(rows, c) != diff:
             raise InconsistentInputsError(
                 "vertex - tau is not in the column span of the kernel basis")
         gvertices.append(tuple(c))

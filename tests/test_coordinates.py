@@ -33,6 +33,7 @@ from helpers import (
     brute_force_vertices,
     interior_point,
     mat_mul,
+    mat_vec,
     pentagon_edge_region_point,
     reference_gamma_polytope,
     solve_linear,
@@ -71,7 +72,7 @@ def test_nullbasis_simplex_and_pentagon(triangle, pentagon):
     stacked = pentagon.stacked_rows()
     for j in range(2):
         col = [row[j] for row in nb]
-        assert linalg.mat_vec(stacked, col) == [F(0)] * 3
+        assert mat_vec(stacked, col) == [F(0)] * 3
 
 
 def test_feasible_tau_square(square):
@@ -283,6 +284,38 @@ def test_a_point_read_builds_no_table(monkeypatch):
         sorted(brute_force_vertices(p, q)) for q in points]
 
 
+def test_square_row_signs():
+    # the square (0,0), (1,0), (1,1), (0,1), worked by hand.  Its walls
+    # f_S(x, y) = det[(1, x, y); (1, v_a); (1, v_b)] over the pairs
+    # 12, 13, 14, 23, 24, 34 are y, y - x, -x, 1 - x, 1 - x - y and 1 - y.
+    # Zero set {1} keeps v2 v3 v4 with xs (f_34, -f_24, f_23) = (1 - y,
+    # x + y - 1, 1 - x), whose sum is 1; likewise {2}: (f_34, -f_14, f_13),
+    # {3}: (f_24, -f_14, f_12), {4}: (f_23, -f_13, f_12), each summing to 1.
+    # So every row is live, and needs each wall it reads with a + sign >= 0
+    # and each with a - sign <= 0
+    from barypoly.coordinates import _feasible_rows, _patterns, _survivors, _table
+    from barypoly.fixtures import fixture_document
+    from barypoly.polytope import parse_polytope
+
+    p = parse_polytope(fixture_document("square"))
+    walls, rows, order, live, ge, le = _patterns(p)
+    assert walls == [(0, 0, 1), (0, -1, 1), (0, -1, 0), (1, -1, 0), (1, -1, -1), (1, 0, -1)]
+    assert order == list(rows.values()) == [
+        ((1,), (1, 2, 3), [5, ~4, 3]), ((2,), (0, 2, 3), [5, ~2, 1]),
+        ((3,), (0, 1, 3), [4, ~2, 0]), ((4,), (0, 1, 2), [3, ~1, 0])]
+    assert live == 0b1111
+    assert ge == [0b1100, 0b0010, 0, 0b1001, 0b0100, 0b0011]
+    assert le == [0, 0b1000, 0b0110, 0, 0b0001, 0]
+    table = _table(p)
+    # at (1/3, 1/4), E = 12: the values 3, -1, -4, 8, 5, 9 rule out
+    # ge[1] | ge[2] | le[0] | le[3] | le[4] | le[5] = rows {1} and {2}
+    assert _survivors(table, [3, -1, -4, 8, 5, 9]) == 0b1100
+    assert list(_feasible_rows(p, (Fraction(1, 3), Fraction(1, 4)))) == [
+        ((3,), (0, 1, 3), (5, 4, 3), 12), ((4,), (0, 1, 2), (8, 1, 3), 12)]
+    # at the centre, E = 2, the zero walls 13 and 24 rule out nothing
+    assert _survivors(table, [1, 0, -1, 1, 0, 1]) == 0b1111
+
+
 def test_lambda_vertices_random_properties():
     rng = random.Random(2024)
     for seed in range(8):
@@ -448,8 +481,8 @@ def test_tau_independence_fixtures(square, pentagon, pyramid):
         nt = [list(col) for col in zip(*nb)]
         gram = mat_mul(nt, nb)
         diff = [a - b for a, b in zip(tau.lam, tau2.lam)]
-        shift = solve_linear(gram, linalg.mat_vec(nt, diff))
-        assert linalg.mat_vec(nb, shift) == diff
+        shift = solve_linear(gram, mat_vec(nt, diff))
+        assert mat_vec(nb, shift) == diff
         translated = {tuple(a + s for a, s in zip(c, shift)) for c in g1.vertices}
         assert translated == set(g2.vertices)
         # both basepoints induce the same coordinate vertices

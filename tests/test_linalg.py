@@ -11,6 +11,7 @@ from barypoly.errors import EmptyInputError, SingularMatrixError
 from helpers import (
     bareiss,
     mat_mul,
+    mat_vec,
     matrices,
     random_square_matrix,
     reference_nullspace_basis,
@@ -30,7 +31,7 @@ def test_solve_hand_elimination():
     a = [[F(1), F(1)], [F(1), F(-1)]]
     x = solve_linear(a, [F(1), F(0)])
     assert x == [F(1, 2), F(1, 2)]
-    assert linalg.mat_vec(a, x) == [F(1), F(0)]
+    assert mat_vec(a, x) == [F(1), F(0)]
 
 
 def test_solve_singular():
@@ -50,7 +51,7 @@ def test_solve_roundtrip_random():
             x = solve_linear(a, b)
         except SingularMatrixError:
             continue
-        assert linalg.mat_vec(a, x) == b
+        assert mat_vec(a, x) == b
         solved += 1
 
 
@@ -174,7 +175,7 @@ def test_nullspace_unit_square():
     basis = linalg.nullspace_basis(_unit_square_stacked())
     assert len(basis) == 1
     c = basis[0]
-    assert linalg.mat_vec(_unit_square_stacked(), c) == [F(0)] * 3
+    assert mat_vec(_unit_square_stacked(), c) == [F(0)] * 3
     # proportional to (1, -1, 1, -1)
     ref = [F(1), F(-1), F(1), F(-1)]
     scale = c[0] / ref[0]
@@ -198,7 +199,7 @@ def test_nullspace_random_properties():
         r = linalg.rank(a)
         assert len(basis) == n - r
         for c in basis:
-            assert linalg.mat_vec(a, c) == [F(0)] * m
+            assert mat_vec(a, c) == [F(0)] * m
         if basis:
             cols = [list(col) for col in zip(*basis)]
             assert linalg.rank(cols) == len(basis)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from barypoly import linalg, oracle, simplex
+from barypoly import oracle, simplex
 from barypoly.coordinates import feasible_tau, lambda_vertices, nullbasis
 from barypoly.errors import InfeasibleError, InternalError, OracleMismatchError
 from barypoly.fixtures import fixture_names, get_fixture
@@ -20,7 +20,7 @@ from barypoly.oracle import (
 )
 from barypoly.polytope import Location, Polytope, locate, validate
 from barypoly.simplex import convex_membership
-from helpers import (fraction_system, integer_system, interior_point,
+from helpers import (fraction_system, integer_system, interior_point, mat_vec,
                      reference_reduced_system)
 
 F = Fraction
@@ -90,7 +90,7 @@ def test_reduced_system_is_tau_and_nullbasis(square, pentagon, prism8):
         scale, rows, free = _reduced_system(p, q)
         tau, nb = fraction_system(scale, rows)
         assert nb == nullbasis(p) and len(free) == p.kernel_dim()
-        assert linalg.mat_vec(p.stacked_rows(), tau) == list(q) + [1]
+        assert mat_vec(p.stacked_rows(), tau) == list(q) + [1]
 
 
 def test_dd_reduced_any_particular_solution(square, pentagon, pyramid, prism8):

@@ -62,12 +62,15 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from barypoly import linalg
-from barypoly.cli import _analysis_report, _census_cells, _pick_selection, _sweep_row
+from barypoly.cli import _analysis_report, _pick_selection, _sweep_row
 from barypoly.coordinates import (
     BarycentricVector,
     _census,
+    _census_at,
     _evaluate,
+    _feasible,
     _feasible_rows,
+    _masked_rows,
     _pattern_order,
     _ray_keys,
     _read_rows,
@@ -120,6 +123,7 @@ from helpers import (
     brute_force_vertices,
     fraction_system,
     integer_system,
+    mat_vec,
     matrices,
     rationals,
     reference_dd_reduced,
@@ -166,7 +170,7 @@ def _rationals(p, rows):
 
 def _table_read(p, q):
     """The rows (zero set, keep, xs, den) read off the polytope's table at q."""
-    walls, rows = _table(p)
+    walls, rows, *_ = _table(p)
     return _read_rows(rows.values(), _evaluate(walls, q))
 
 
@@ -488,27 +492,95 @@ def _wall_point(p, data):
        st.data())
 def test_census_reads_the_integer_pass(p, data):
     # the census cells, read off the integer pass's vertex keys with no
-    # Fraction, equal the count, affine dimension and n - d test of the
-    # Fraction lambda_vertices at the same point (helpers.reference_census),
-    # on seeded d = 2, 3 polytopes and the 4-cube, whose zero walls leave
-    # patterns out; both refuse an outside point with InfeasibleError, and
-    # the supports lambda_vertices takes from the keys are the nonzero
-    # indices of its Fraction vertices
+    # Fraction, or off the count of surviving rows where the point is on no
+    # wall (_census_at, which a census sweep row prints), equal the count,
+    # affine dimension and n - d test of the Fraction lambda_vertices at the
+    # same point (helpers.reference_census), on seeded d = 2, 3 polytopes
+    # and the 4-cube, whose zero walls leave patterns out; all refuse an
+    # outside point with InfeasibleError, and the supports lambda_vertices
+    # takes from the keys are the nonzero indices of its Fraction vertices
     q = _wall_point(p, data)
     keys = _vertex_keys(_feasible_rows(p, q))
+    row = _sweep_row(p, "census", q, None, F(1, 8), 8).split(",")[p.d:]
     try:
         want = reference_census(p, q)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            _census_cells(p, keys)
+            _census(p, keys)
+        with pytest.raises(InfeasibleError):
+            _census_at(p, q)
+        assert row == ["", "", "", "Infeasible"]
         assert locate(p, q).tag == Location.OUTSIDE
         return
     count, dim, match = want
-    assert _census(p, keys) == want
-    assert _census_cells(p, keys) == [str(count), str(dim), "true" if match else "false"]
+    assert _census(p, keys) == _census_at(p, q) == want
+    assert row == [str(count), str(dim), "true" if match else "false", ""]
     lam = lambda_vertices(p, q)
     assert lam.vertex_supports == tuple(frozenset(j + 1 for j, x in enumerate(v) if x)
                                         for v in lam.vertex_arrays())
+
+
+def _full_read(p, vals):
+    """The feasible rows of every row of p's table at ``vals``, the reader
+    run over all C(n, d + 1) rows."""
+    return list(_feasible(_read_rows(_table(p)[1].values(), vals)))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
+       st.integers(0, 3), st.data())
+def test_masked_read_is_the_full_read(kind, seed, data):
+    # the rows the reader gives over the rows the wall signs leave
+    # (_masked_rows) are the feasible rows of the reader over all rows, row
+    # for row and in table order: for d = 1..4 and the 4-cube, whose zero
+    # walls and singular rows are in the table, at the wall values of
+    # interior points, vertices, vertex-pair segments, walls and outside
+    # points, and at the values at·v·F + slope·u·E of a ray step t = u/v
+    # from there, as _ray_keys forms them
+    p = _wall_polytope(kind, seed)
+    table = _table(p)
+    walls = table[0]
+    q = _wall_point(p, data)
+    h = tuple(F(x, 4) for x in data.draw(st.lists(st.integers(-4, 4), min_size=p.d,
+                                                  max_size=p.d)))
+    t = F(data.draw(st.integers(1, 64)), data.draw(st.integers(1, 16)))
+    e, (pt,) = linalg.integer_rows([q])
+    f, (hv,) = linalg.integer_rows([h])
+    at = [sum(a * b for a, b in zip(wall, (e, *pt))) for wall in walls]
+    slope = [sum(a * b for a, b in zip(wall[1:], hv)) for wall in walls]
+    step = [x * t.denominator * f + y * t.numerator * e for x, y in zip(at, slope)]
+    for vals in (_evaluate(walls, q), step):
+        assert list(_masked_rows(table, vals)) == _full_read(p, vals)
+    assert list(_feasible_rows(p, q)) == _full_read(p, _evaluate(walls, q))
+
+
+@PROPERTY
+@given(st.one_of(polytopes(), st.builds(_wall_polytope, st.sampled_from(["segment", "d4"]),
+                                        st.integers(0, 3))),
+       st.data())
+def test_off_wall_census_counts_the_survivors(p, data):
+    # at a point on no wall, inside or outside, _census_at counts the
+    # surviving rows with no key: it equals _census over the vertex keys of
+    # the full read there, and both raise InfeasibleError outside
+    if data.draw(st.booleans()):
+        weights = data.draw(st.lists(st.integers(1, 99), min_size=p.n, max_size=p.n))
+        q = _combination(p.vertices, weights)
+    else:
+        i = data.draw(st.integers(0, p.n - 1))
+        s = F(data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+        q = tuple(v + s * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
+    vals = _evaluate(_table(p)[0], q)
+    assume(all(vals))
+    keys = _vertex_keys(_full_read(p, vals))
+    try:
+        want = _census(p, keys)
+    except InfeasibleError:
+        with pytest.raises(InfeasibleError):
+            _census_at(p, q)
+        return
+    assert _census_at(p, q) == want
+    assert want[1] == p.kernel_dim()
 
 
 @pytest.mark.parametrize("kind, seed", [("cube4", 0), ("d4", 1), ("d3", 2)])
@@ -519,7 +591,7 @@ def test_walls_are_the_independent_d_subsets(kind, seed):
     # keeps every zero pattern, and exactly the singular ones, whose d + 1
     # vertices are affinely dependent, read den == 0 and give no row
     p = _wall_polytope(kind, seed)
-    walls, rows = _table(p)
+    walls, rows, *_ = _table(p)
     subsets = list(combinations(range(p.n), p.d))
     dependent = [s for s in subsets
                  if linalg.affine_dim([p.vertices[k] for k in s]) < p.d - 1]
@@ -547,7 +619,7 @@ def test_cramer_sums_are_the_pattern_determinants(kind, seed, data):
     # vertex-pair segments, on a wall and outside
     p = _wall_polytope(kind, seed)
     q = _wall_point(p, data)
-    walls, rows = _table(p)
+    walls, rows, *_ = _table(p)
 
     def sums(vals):
         return {combo: sum(vals[w] if w >= 0 else -vals[~w] for w in ids)
@@ -743,7 +815,7 @@ def test_locate_agrees_with_vertex_supports(p, data):
     assert (loc.tag is Location.INTERIOR) == covered
     assert loc.tag is not Location.OUTSIDE
     x = loc.barycentric
-    assert linalg.mat_vec(p.stacked_rows(), x) == list(q) + [1]
+    assert mat_vec(p.stacked_rows(), x) == list(q) + [1]
     assert all(xj > 0 if covered else xj >= 0 for xj in x)
 
 
@@ -997,7 +1069,7 @@ def test_sample_verdict_equals_the_fraction_route(p, data):
     for vs in (verts, list(dd_vertices(p, other).vertices), bent, stretched):
         fractions = random_feasible_sample(vs, q, count, seed)
         exact = all(min(s.lam) >= 0
-                    and linalg.mat_vec(p.stacked_rows(), s.lam) == [*q, 1]
+                    and mat_vec(p.stacked_rows(), s.lam) == [*q, 1]
                     for s in fractions)
         assert samples_feasible(p, q, vs, count, seed) is exact
         verdicts.append(exact)

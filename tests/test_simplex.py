@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from barypoly import simplex
 from barypoly.errors import InternalError
-from barypoly.linalg import dot, mat_vec, rank
+from barypoly.linalg import dot, rank
 from barypoly.simplex import convex_membership, feasible_point
-from helpers import reference_feasible_point
+from helpers import mat_vec, reference_feasible_point
 
 F = Fraction
 

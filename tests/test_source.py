@@ -106,8 +106,9 @@ def test_pattern_table_is_built_from_walls():
     # _patterns; no module defines or calls the per-pattern elimination
     # (bareiss) or its system (_solve_pattern), and the evaluator reads
     # wall values at a point with no elimination.  _patterns builds the
-    # walls and takes no pattern's determinant or sign: the patterns are
-    # combinatorial (_pattern_order), and the reader sums their wall values
+    # walls and takes no pattern's determinant: the patterns are
+    # combinatorial (_pattern_order), the reader sums their wall values, and
+    # a row's sign is the sum of its signed walls' constant entries
     from barypoly import coordinates, linalg
 
     assert not hasattr(linalg, "bareiss") and not hasattr(coordinates, "_solve_pattern")
@@ -120,7 +121,7 @@ def test_pattern_table_is_built_from_walls():
     assert sorted(evaluate & {"cofactors", "bareiss_row", "rref", "pivot",
                               "_patterns", "_table"}) == []
     assert sorted(_names_in("coordinates", "_patterns")
-                  & {"mul", "sum", "abs", "det", "_read_rows", "_evaluate"}) == []
+                  & {"mul", "abs", "det", "_read_rows", "_evaluate"}) == []
     assert sorted(_names_in("coordinates", "_pattern_order")
                   & {"cofactors", "mul", "sum", "abs", "det", "vertices",
                      "integer_rows"}) == []
@@ -130,7 +131,9 @@ def test_one_reader_forms_every_denominator():
     # _read_rows is the one function that forms a row's denominator, the
     # sum of its signed wall values, and the one that reads a pattern's wall
     # ids; every point read reaches it: a lone read (_vertices_at), a table
-    # read (_feasible_rows), a ray step (_ray_keys) and simplicial_coords
+    # read (_feasible_rows), a ray step (_ray_keys), a census read
+    # (_census_at), those three over the rows the wall signs leave
+    # (_masked_rows), and simplicial_coords
     from barypoly import coordinates
 
     assert not hasattr(coordinates, "_lone_rows")
@@ -144,8 +147,10 @@ def test_one_reader_forms_every_denominator():
     assert [name for name in funcs if "den" in assigned[name]] == ["_read_rows"]
     assert [name for name in funcs
             if "itemgetter" in _names_in("coordinates", name)] == ["_read_rows"]
-    for reader in ("_vertices_at", "_feasible_rows", "_ray_keys", "simplicial_coords"):
+    for reader in ("_vertices_at", "_masked_rows", "simplicial_coords"):
         assert "_read_rows" in _names_in("coordinates", reader), reader
+    for reader in ("_feasible_rows", "_ray_keys", "_census_at"):
+        assert "_masked_rows" in _names_in("coordinates", reader), reader
 
 
 def test_a_lone_point_reads_wall_values():
@@ -502,14 +507,16 @@ def test_hausdorff_runs_each_vertex_with_a_cutoff():
 
 def test_census_rows_build_no_fraction():
     # a census row prints Lambda's vertex count and dim, which the integer
-    # pass's vertex keys give: its cells read no Fraction vertex list, and
+    # pass's vertex keys give (or, off every wall, the count of surviving
+    # rows): its cells read no Fraction vertex list, and
     # _sigma, which builds a coordinate vector's Fractions, runs only in the
     # Fraction pass and for simplicial_coords' one row, never in the
     # integer pass or the count
-    cells = _names_in("cli", "_census_cells")
-    assert "_census" in cells
-    assert sorted(cells & {"lambda_vertices", "_vertices_at", "_vertex_list",
-                           "_sigma", "Fraction"}) == []
+    assert {"_census_cells", "_census_at", "_census"} <= _names_in("cli", "_sweep_row")
+    for function in ("_census_cells", "_sweep_row"):
+        assert sorted(_names_in("cli", function)
+                      & {"lambda_vertices", "_vertices_at", "_vertex_list", "_sigma",
+                         "Fraction"}) == []
     path = Path(barypoly.__file__).parent / "coordinates.py"
     tree = ast.parse(path.read_text(), str(path))
     callers = sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
@@ -574,7 +581,7 @@ def test_probe_steps_read_the_ray_on_integers():
         for loop in loops)
     assert "_ray_keys" in _names_in("probes", "_probe_samples")
     ray = _names_in("coordinates", "_ray_keys")
-    assert "_read_rows" in ray
+    assert "_masked_rows" in ray
     assert sorted(ray & {"_evaluate", "_vertices_at", "Fraction", "fr", "vec",
                          "_sigma"}) == []
 
@@ -606,3 +613,71 @@ def test_one_integer_loop_under_the_kernels():
         assert sorted(_names_in("linalg", kernel)
                       & {"Fraction", "_ZERO", "_ONE", "fr", "vec", "mat"}) == []
     assert "bareiss_row" in _names_in("linalg", "eliminate")
+
+
+def test_row_signs_are_built_with_the_table():
+    # the live rows and the per-wall sign bitsets are built in _patterns,
+    # in the pass that lists the rows, and only there; a read ORs the
+    # bitsets of the walls whose values rule rows out (_survivors, one loop
+    # over the walls) and walks the bits left in one linear pass
+    # (_masked_rows), never a bit at a time
+    path = Path(barypoly.__file__).parent / "coordinates.py"
+    tree = ast.parse(path.read_text(), str(path))
+    funcs = [top.name for top in tree.body if isinstance(top, ast.FunctionDef)]
+
+    def nodes(name, kind):
+        return [node for node in ast.walk(_function("coordinates", name))
+                if isinstance(node, kind)]
+
+    assert [name for name in funcs
+            if any(isinstance(node.op, ast.LShift) for node in nodes(name, ast.BinOp))] == [
+        "_patterns"]
+    assert [name for name in funcs if "needs" in _names_in("coordinates", name)] == ["_patterns"]
+    assert {"_patterns", "check_pattern_count"} <= _names_in("coordinates", "_table")
+    assert "_survivors" in _names_in("coordinates", "_masked_rows")
+    assert nodes("_masked_rows", (ast.For, ast.While)) == []
+    assert len(nodes("_survivors", ast.For)) == 1 and nodes("_survivors", ast.While) == []
+    for reader in ("_survivors", "_masked_rows"):
+        assert sorted(_names_in("coordinates", reader) & {"_evaluate", "bit_length"}) == []
+
+
+def test_off_wall_census_builds_no_key():
+    # where no wall value is 0, _census_at counts the surviving rows: that
+    # branch builds no vertex key, takes no gcd and builds no Fraction
+    func = _function("coordinates", "_census_at")
+    branch, = [node for node in ast.walk(func) if isinstance(node, ast.If)
+               and isinstance(node.test, ast.Call) and isinstance(node.test.func, ast.Name)
+               and node.test.func.id == "all"]
+    names = {node.id if isinstance(node, ast.Name) else node.attr
+             for stmt in branch.body for node in ast.walk(stmt)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    assert "bit_count" in names and "_survivors" in names
+    assert sorted(names & {"_vertex_keys", "_census", "_read_rows", "_masked_rows", "gcd",
+                           "Fraction", "_sigma", "_ZERO", "_ONE"}) == []
+    assert sum(isinstance(node, ast.Call) and getattr(node.func, "id", "") == "_evaluate"
+               for node in ast.walk(func)) == 1
+
+
+def test_no_cache_keyed_by_sign_vectors():
+    # a point's chamber is the sign vector of its wall values, and nothing
+    # keeps reads by it: the dicts coordinates builds are the rank lookup of
+    # _pattern_order, the table's rows by zero set and the vertex keys, and
+    # the readers build none
+    path = Path(barypoly.__file__).parent / "coordinates.py"
+    tree = ast.parse(path.read_text(), str(path))
+    builders = sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
+                      and any(isinstance(node, (ast.Dict, ast.DictComp))
+                              or isinstance(node, ast.Call)
+                              and getattr(node.func, "id", "") in ("dict", "defaultdict")
+                              for node in ast.walk(top)))
+    assert builders == ["_pattern_order", "_patterns", "_vertex_keys"]
+    for reader in ("_survivors", "_masked_rows", "_feasible_rows", "_ray_keys", "_census_at"):
+        assert sorted(_names_in("coordinates", reader)
+                      & {"dict", "setdefault", "cache", "lru_cache", "_pattern_table"}) == []
+
+
+def test_src_has_no_matrix_vector_product():
+    # only the tests multiply a matrix by a vector (helpers.mat_vec)
+    src = Path(barypoly.__file__).parent
+    assert sorted(path.stem for path in src.glob("*.py")
+                  if "mat_vec" in path.read_text()) == []

@@ -7,12 +7,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # the check steps the CI workflow ran inline before tools/check_outputs.py
-# held them, in their order
+# held them, in their order, and the checks added since
 STEP_NAMES = [
     "reference outputs", "semidiff witness distances", "continuity distances",
     "probe ties and polygons", "phase-one outputs", "table reads", "lone-point memory",
-    "ray reads on zero walls", "census grids", "plane validation", "solid validation",
-    "kernel basis", "oracle outputs", "documents",
+    "ray reads on zero walls", "census grids", "census grid on the 4-cube",
+    "plane validation", "solid validation", "kernel basis", "oracle outputs", "documents",
 ]
 
 
@@ -33,7 +33,7 @@ def test_check_table_keeps_every_step_and_digest():
     hashing = {name: digests for name, (digests, _) in checks.items() if digests}
     assert sorted(set(checks) - set(hashing)) == ["lone-point memory", "reference outputs"]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for ds in hashing.values() for d in ds)
-    assert sum(map(len, hashing.values())) == 13
+    assert len(hashing) == 13 and sum(map(len, hashing.values())) == 14
     assert len(hashing["ray reads on zero walls"]) == 2
 
 

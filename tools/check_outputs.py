@@ -276,6 +276,17 @@ def census_grids(t):
                          code=True) for name, p in polys.items())]
 
 
+@check("census grid on the 4-cube",
+       "fefae302fa5e82ab821e9f7e0222ed94bd84dd450c0635d5b6546f6b83f93f88")
+def census_grid_on_the_4_cube(t):
+    """A census sweep over a 3-point grid per axis on the 4-cube: 81 points, each on a wall
+    (every 4-cube point is, as its affinely dependent 4-subsets give zero walls), so every
+    row reads the surviving rows' vertex keys. Stdout and exit code must hash to the value
+    they had while every table read still ran the reader over all C(16, 5) rows."""
+    return [cli("sweep", write(t, "cube4", CUBE4)[0], "--mode", "census", "--grid", "3",
+                code=True)]
+
+
 @check("plane validation", "80c5673756a4f7d05463ce9180e6b9940e25e43e07513ad4ca38d0ac258b2235")
 def plane_validation(t):
     """Validate on plane point sets: the pentagon with its centre appended, the square with
