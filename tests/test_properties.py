@@ -11,7 +11,9 @@ elimination; both must refuse the same inconsistent inputs.  Along a ray, the
 vertex lists read off a polytope's pattern table must equal a fresh
 elimination's at every t, and row Z of that elimination must hold sigma_Z
 and J_Z·h exactly; the rows read off the table at a point must equal the
-elimination's there.
+elimination's there.  A table read runs the reader over the rows that the
+wall signs leave, and must give the feasible rows of the reader over all
+rows, row for row; off every wall the census is the count of those rows.
 ``caratheodory_decompose``'s support points must be affinely independent.
 ``locate``, which decides by feasibility alone, must agree with the supports
 of those vertex lists, and so with ``analyze``'s location, which reads them,
