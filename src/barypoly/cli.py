@@ -165,7 +165,7 @@ def _sweep_row(p, mode, point, h, t0, steps):
                 cells += [format_float(s.distance) for s in rep.steps]
             else:
                 # the witness distances alone: the row prints nothing else
-                zero_set = _pick_selection(rows)
+                zero_set = _pick_selection(p.n, rows)
                 *_, witness, _ = probes._semidiff_witness(p, point, zero_set, h, t0,
                                                           steps, base=keys)
                 cells += [format_float(d) for d in witness]
@@ -175,20 +175,16 @@ def _sweep_row(p, mode, point, h, t0, steps):
     return ",".join(cells + [error])
 
 
-def _pick_selection(rows):
-    """First zero pattern (lexicographic) among the feasible ``rows`` of
-    ``co._feasible_rows`` at a point, preferring strictly positive
-    complements."""
-    first_feasible = None
-    for combo, _, xs, _ in rows:
-        if all(xs):  # all d + 1 entries outside the zero set are positive
-            return frozenset(combo)
-        if first_feasible is None:
-            first_feasible = combo
-    if first_feasible is None:
+def _pick_selection(n, rows):
+    """The zero set in 1..n, the complement of the keep set, of the first of
+    the feasible ``rows`` (a list, in the lexicographic order of the zero
+    sets, from ``co._feasible_rows``) whose d + 1 entries are all positive,
+    else of the first row."""
+    if not rows:
         # _census_cells found Lambda(p) non-empty on the same rows
         raise InternalError("no feasible selection pattern at this point")
-    return frozenset(first_feasible)
+    keep = next((keep for keep, xs, _ in rows if all(xs)), rows[0][0])
+    return frozenset(range(1, n + 1)).difference(j + 1 for j in keep)
 
 
 def run_sweep(path, mode, grid=None, points_file=None, t0="1/8", steps=8,

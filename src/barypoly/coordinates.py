@@ -14,9 +14,10 @@ the vertex order of the input file.
 A zero pattern keeps d + 1 vertices K = (k_0 < … < k_d), and by Cramer's
 rule its coordinates are (-1)^i·f_{K∖k_i}(p) / D, with f_S(x) =
 det[1 … 1 1; V_S x] the value of the wall S, affine in p, and D their
-signed sum, since the coordinates sum to 1.  A pattern is combinatorial, the
-ids of its d + 1 walls (``_pattern_order``), and every point read turns the
-C(n, d) wall values there into rows through one reader, ``_read_rows``.  A
+signed sum, since the coordinates sum to 1.  A pattern is combinatorial, K
+and the ids of its d + 1 walls (``_pattern_order``), and every point read
+turns the C(n, d) wall values there into rows through one reader,
+``_read_rows``; a zero set is the complement of K, which no row holds.  A
 point read on a polytope with no table takes the values off the vertices
 (``_wall_values``), streams the patterns and keeps nothing.  Sweeps, rays
 and ``simplicial_coords`` build the table: every wall as an integer
@@ -154,7 +155,7 @@ def _sigma(n, keep, xs, den) -> tuple:
 
 
 def _pattern_order(p: Polytope):
-    """Yield (zero set, keep, ids) per zero pattern, the zero sets (1-based)
+    """Yield (keep, ids) per zero pattern, the zero sets, the complements,
     in lexicographic order; ids[i] is the rank w of the wall keep∖k_i among
     the d-subsets, written ~w = w ^ -1 at odd i.  The keep sets fall, made
     one at a time as (f, *rest): f falls, and rest runs through the
@@ -175,20 +176,19 @@ def _pattern_order(p: Polytope):
     rests.reverse()
     # ~(w + s) = ~w - s: a shift adds s at even i > 0 and takes it at odd i
     signs = [0, *((-1) ** i for i in range(1, d + 1))]
-    zero_sets = combinations(range(1, n + 1), n - d - 1)
     for f in range(n - d - 1, -1, -1):
         s = math.comb(n - 1, d) - math.comb(n - 1 - f, d)
         shift = [s * x for x in signs]
         # f = 0 comes last and shifts nothing: each rest's ids are handed out
         for rest, ids in itertools.islice(rests, math.comb(n - 1 - f, d)):
-            yield next(zero_sets), (f, *rest), [*map(add, ids, shift)] if f else ids
+            yield (f, *rest), [*map(add, ids, shift)] if f else ids
 
 
 def _patterns(p: Polytope) -> tuple:
-    """(walls, rows, order, live, ge, le): the walls, one per d-subset S in
-    lexicographic order, every zero pattern's row of ``_pattern_order``
-    keyed by its zero set and listed in that order, and the row signs as
-    int bitsets, bit r for row r of ``order``.
+    """(walls, order, live, ge, le): the walls, one per d-subset S in
+    lexicographic order, every zero pattern's row (keep, ids) of
+    ``_pattern_order`` listed in that order, and the row signs as int
+    bitsets, bit r for row r of ``order``.
 
     With L the lcm of the vertex denominators, the wall of S is the cofactor
     vector c_S of the rows (1, L·v_s), s in S (``linalg.cofactors``):
@@ -214,17 +214,16 @@ def _patterns(p: Polytope) -> tuple:
     consts = [wall[0] for wall in walls]
     consts += [-c for c in reversed(consts)]  # consts[~w] = -consts[w]
     # needs[id] for a row's ids, as the reader indexes values: ge at w, le at ~w
-    rows, live, needs = {}, 0, [0] * len(consts)
-    for r, row in enumerate(_pattern_order(p)):
-        rows[row[0]] = row
-        sign = sum(map(consts.__getitem__, row[2]))
+    order, live, needs = list(_pattern_order(p)), 0, [0] * len(consts)
+    for r, (_, ids) in enumerate(order):
+        sign = sum(map(consts.__getitem__, ids))
         if sign:
             bit = 1 << r
             live |= bit
-            for w in row[2] if sign > 0 else map(invert, row[2]):
+            for w in ids if sign > 0 else map(invert, ids):
                 needs[w] |= bit
     half = len(walls)  # le[w] = needs[~w]
-    return walls, rows, list(rows.values()), live, needs[:half], needs[half:][::-1]
+    return walls, order, live, needs[:half], needs[half:][::-1]
 
 
 def check_pattern_count(n: int, d: int) -> None:
@@ -240,7 +239,7 @@ def check_pattern_count(n: int, d: int) -> None:
 
 
 def _table(p: Polytope) -> tuple:
-    """(walls, rows, order, live, ge, le) of _patterns(p), built once per
+    """(walls, order, live, ge, le) of _patterns(p), built once per
     ``p`` and kept on it.
 
     Each sigma_Z is affine on R^d, and its entries are signed wall values
@@ -265,7 +264,7 @@ def _evaluate(walls, point) -> list:
 
 
 def _read_rows(rows, vals):
-    """The one reader: yield (zero set, keep, xs, den), sigma_keep = xs / den,
+    """The one reader: yield (keep, xs, den), sigma_keep = xs / den,
     for ``rows`` of ``_pattern_order``, given every wall's value at a point,
     each the same positive multiple of f_S there.  The xs are the values at
     the row's ids, negated at ~w, and den = sum(xs), a multiple of
@@ -273,14 +272,14 @@ def _read_rows(rows, vals):
     and where den < 0 every sign flips."""
     vals = vals + [-v for v in reversed(vals)]  # vals[~w] = -vals[w]
     negated = vals[::-1]  # negated[w] = -vals[w]
-    for combo, keep, ids in rows:
+    for keep, ids in rows:
         read = itemgetter(*ids)
         xs = read(vals)
         den = sum(xs)
         if den > 0:
-            yield combo, keep, xs, den
+            yield keep, xs, den
         elif den:
-            yield combo, keep, read(negated), -den
+            yield keep, read(negated), -den
 
 
 def _survivors(table, vals) -> int:
@@ -288,7 +287,7 @@ def _survivors(table, vals) -> int:
     given every wall's value at a point, ``vals``: the live rows less those
     that need f_w >= 0 at a wall whose value is negative, or f_w <= 0 at
     one whose value is positive.  A value of 0 rules out no row."""
-    _, _, _, live, ge, le = table
+    _, _, live, ge, le = table
     ruled = 0
     for v, need_ge, need_le in zip(vals, ge, le):
         if v < 0:
@@ -303,7 +302,7 @@ def _masked_rows(table, vals):
     at ``vals``, in table order: every one is feasible."""
     # the binary digits from bit 0 on, as 0/1 bytes: one linear pass
     bits = bin(_survivors(table, vals))[:1:-1].encode().translate(_BIT_BYTES)
-    return _read_rows(itertools.compress(table[2], bits), vals)
+    return _read_rows(itertools.compress(table[1], bits), vals)
 
 
 def _wall_values(p: Polytope, point) -> list:
@@ -330,9 +329,9 @@ def _wall_values(p: Polytope, point) -> list:
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     """The coordinates of ``point`` with ``zero_set`` (n-d-1 integers in 1..n,
-    else ValueError) forced to zero, read off row ``zero_set`` of the pattern
-    table; SingularPatternError when the complementary columns are affinely
-    dependent."""
+    else ValueError) forced to zero, read off the walls of its complement,
+    found in the table by rank; SingularPatternError when the complementary
+    columns are affinely dependent."""
     try:
         zeros = frozenset(map(index, zero_set))
     except TypeError as exc:
@@ -343,20 +342,23 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
         raise ValueError(
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
     pt = p.as_point(point)
-    walls, rows, *_ = _table(p)
-    combo, keep, ids = rows[tuple(sorted(zeros))]
-    # the row alone, on its own d + 1 walls: the reader gets their values
-    # and the row with its ids renumbered 0..d, each keeping its ~ mark
-    vals = _evaluate([walls[max(w, ~w)] for w in ids], pt)
-    own = [i if w >= 0 else ~i for i, w in enumerate(ids)]
-    for _, keep, xs, den in _read_rows([(combo, keep, own)], vals):
-        return SimplicialCoordinate(zeros, _sigma(p.n, keep, xs, den), min(xs) >= 0)
+    n, d, walls = p.n, p.d, _table(p)[0]
+    keep = [j for j in range(n) if j + 1 not in zeros]
+    # the row alone: the reader gets the values of its d + 1 walls keep∖k_i,
+    # at ranks C(n, d) - 1 - Σ_j C(n-1-s_j, d-j), and ids 0..d, ~i at odd i
+    top = math.comb(n, d) - 1
+    ranks = [top - sum(map(math.comb, [n - 1 - s for s in rest], range(d, 0, -1)))
+             for rest in itertools.combinations(keep, d)]  # i = d..0
+    vals = _evaluate([walls[w] for w in reversed(ranks)], pt)
+    own = [i ^ -(i % 2) for i in range(d + 1)]
+    for keep, xs, den in _read_rows([(keep, own)], vals):
+        return SimplicialCoordinate(zeros, _sigma(n, keep, xs, den), min(xs) >= 0)
     raise SingularPatternError(
         f"columns outside {sorted(zeros)} are affinely dependent")
 
 
 def _feasible_rows(p: Polytope, point):
-    """(zero set, keep, xs, den) for every row of _table(p) whose
+    """(keep, xs, den) for every row of _table(p) whose
     sigma_keep = xs / den is feasible at ``point``, in table order: the
     reader reads only the rows that the wall values' signs leave
     (``_masked_rows``), since each row's denominator has a fixed sign and
@@ -369,20 +371,20 @@ def _feasible(evaluated):
     """The rows of ``evaluated`` (``_read_rows``) whose xs / den is feasible,
     tested on plain ints (den > 0, every x >= 0) before any Fraction is
     built."""
-    for combo, keep, xs, den in evaluated:
+    for keep, xs, den in evaluated:
         if min(xs) >= 0:
-            yield combo, keep, xs, den
+            yield keep, xs, den
 
 
 def _vertex_keys(rows) -> dict:
     """The integer pass: {key: support} for the distinct vertices of Lambda
-    among the feasible ``rows`` (zero set, keep, xs, den) of ``_feasible_rows``
+    among the feasible ``rows`` (keep, xs, den) of ``_feasible_rows``
     at one point.  With g the gcd of den and the xs, a vertex's key is
     (den/g, (j, x/g) for each x != 0), j 0-based: lam_j = (x/g) / (den/g).  It
     is canonical, so equal keys are equal vertices; the support is the set of
     1-based j in the key.  No Fraction is built."""
     keys = {}
-    for _, keep, xs, den in rows:
+    for keep, xs, den in rows:
         g = math.gcd(den, *xs)
         key = (den // g, *((j, x // g) for j, x in zip(keep, xs) if x))
         if key not in keys:

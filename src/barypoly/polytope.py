@@ -41,9 +41,8 @@ class Polytope(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # coordinates' pattern table (walls, rows): the walls' cofactor
-        # vectors and the zero patterns' wall ids, built on first use; not a
-        # constructor argument
+        # coordinates' pattern table (walls, order, live, ge, le), built on
+        # first use; not a constructor argument
         object.__setattr__(self, "_pattern_table", [])
 
     def stacked_rows(self) -> list:

@@ -1063,4 +1063,4 @@ def test_pick_selection_without_a_feasible_pattern_is_internal(square):
     from barypoly.errors import InternalError
 
     with pytest.raises(InternalError, match="no feasible selection pattern"):
-        cli._pick_selection(_feasible_rows(square, (2, 2)))
+        cli._pick_selection(square.n, list(_feasible_rows(square, (2, 2))))

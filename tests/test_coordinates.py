@@ -298,11 +298,12 @@ def test_square_row_signs():
     from barypoly.polytope import parse_polytope
 
     p = parse_polytope(fixture_document("square"))
-    walls, rows, order, live, ge, le = _patterns(p)
+    walls, order, live, ge, le = _patterns(p)
     assert walls == [(0, 0, 1), (0, -1, 1), (0, -1, 0), (1, -1, 0), (1, -1, -1), (1, 0, -1)]
-    assert order == list(rows.values()) == [
-        ((1,), (1, 2, 3), [5, ~4, 3]), ((2,), (0, 2, 3), [5, ~2, 1]),
-        ((3,), (0, 1, 3), [4, ~2, 0]), ((4,), (0, 1, 2), [3, ~1, 0])]
+    # zero sets {1}..{4}: each row is its keep set, the complement, 0-based
+    assert order == [
+        ((1, 2, 3), [5, ~4, 3]), ((0, 2, 3), [5, ~2, 1]),
+        ((0, 1, 3), [4, ~2, 0]), ((0, 1, 2), [3, ~1, 0])]
     assert live == 0b1111
     assert ge == [0b1100, 0b0010, 0, 0b1001, 0b0100, 0b0011]
     assert le == [0, 0b1000, 0b0110, 0, 0b0001, 0]
@@ -311,7 +312,7 @@ def test_square_row_signs():
     # ge[1] | ge[2] | le[0] | le[3] | le[4] | le[5] = rows {1} and {2}
     assert _survivors(table, [3, -1, -4, 8, 5, 9]) == 0b1100
     assert list(_feasible_rows(p, (Fraction(1, 3), Fraction(1, 4)))) == [
-        ((3,), (0, 1, 3), (5, 4, 3), 12), ((4,), (0, 1, 2), (8, 1, 3), 12)]
+        ((0, 1, 3), (5, 4, 3), 12), ((0, 1, 2), (8, 1, 3), 12)]
     # at the centre, E = 2, the zero walls 13 and 24 rule out nothing
     assert _survivors(table, [1, 0, -1, 1, 0, 1]) == 0b1111
 

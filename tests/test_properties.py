@@ -43,9 +43,10 @@ sets and raw float vertex sets; ``continuity_probe`` must give the steps of
 the reference kernel, ``helpers.reference_min_norm_point`` and
 ``helpers.reference_pruned_hausdorff_status``, on float point sets of
 dimension 1 to 8 with 1 to 14 points, overflowing and non-finite ones
-included, at every kind of cutoff.  ``simplicial_coords``, which reads its
-row's own d + 1 walls, must give the row that the reader gives off all the
-wall values, and SingularPatternError exactly where that read skips one.  Both probe references read every
+included, at every kind of cutoff.  ``simplicial_coords``, which finds its
+keep set's d + 1 walls by their lexicographic rank, must give an independent
+Fraction solve of [V_keep; 1^T]·lam = [q; 1] at every zero set, and
+SingularPatternError exactly where the keep set is affinely dependent.  Both probe references read every
 vertex list off the Fraction route, ``lambda_vertices``.  On d = 2 point
 sets ``validate``'s hull walk, and on d = 3 and d = 4 point sets its integer
 certificates with phase ones for the rest, must raise the error, at the
@@ -95,6 +96,7 @@ from barypoly.errors import (
     InconsistentInputsError,
     InfeasibleError,
     InternalError,
+    SingularMatrixError,
     SingularPatternError,
 )
 from barypoly.fixtures import get_fixture
@@ -142,6 +144,7 @@ from helpers import (
     reference_scan_reduced,
     reference_semidiff_probe,
     reference_validate,
+    solve_linear,
 )
 
 F = Fraction
@@ -165,15 +168,20 @@ def _combination(vertices, weights):
                  for l in range(d))
 
 
+def _zero_set(p, keep):
+    """The zero set of a row's keep set: the 1-based indices it leaves out."""
+    return tuple(j for j in range(1, p.n + 1) if j - 1 not in keep)
+
+
 def _rationals(p, rows):
-    """(zero set, sigma) per row of (zero set, keep, xs, den)."""
-    return [(combo, _sigma(p.n, keep, xs, den)) for combo, keep, xs, den in rows]
+    """(zero set, sigma) per row of (keep, xs, den)."""
+    return [(_zero_set(p, keep), _sigma(p.n, keep, xs, den)) for keep, xs, den in rows]
 
 
 def _table_read(p, q):
-    """The rows (zero set, keep, xs, den) read off the polytope's table at q."""
-    walls, rows, *_ = _table(p)
-    return _read_rows(rows.values(), _evaluate(walls, q))
+    """The rows (keep, xs, den) read off the polytope's table at q."""
+    walls, order, *_ = _table(p)
+    return _read_rows(order, _evaluate(walls, q))
 
 
 def _lone_read(p, q):
@@ -304,7 +312,8 @@ def test_pattern_rows_hold_sigma_and_jacobian(p, data):
     # and at the unit vectors, equal as rationals
     units = [tuple(F(int(c == l)) for c in range(p.d)) for l in range(p.d)]
     reference = list(reference_patterns(p, [0] * p.d, *units))
-    assert list(_table(p)[1]) == list(combinations(range(1, p.n + 1), p.kernel_dim()))
+    assert [_zero_set(p, keep) for keep, _ in _table(p)[1]] == list(
+        combinations(range(1, p.n + 1), p.kernel_dim()))
     at_zero, *at_units = (_rationals(p, _table_read(p, x))
                           for x in [(F(0),) * p.d, *units])
     assert [combo for combo, _ in at_zero] == [row[0] for row in reference]
@@ -375,32 +384,42 @@ def test_wall_table_matches_the_elimination(kind, seed, data):
     assert simplicial_coords(p, q, combo).sigma == sigma
 
 
-@settings(max_examples=30, deadline=None,
+@pytest.mark.parametrize("kind, seed", [
+    ("square", 0), ("pentagon", 0), ("pyramid", 0), ("prism8", 0), ("segment", 0),
+    ("d2", 1), ("d3", 2), ("d4", 3), ("cube4", 0)])
+@settings(max_examples=3, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
-       st.integers(0, 3), st.data())
-def test_simplicial_coords_is_the_full_table_read(kind, seed, data):
-    # a row read alone, on its own d + 1 walls, is the row the reader gives
-    # off all C(n, d) wall values at q: the same sigma_Z(q) and feasibility,
-    # and SingularPatternError exactly for the rows that read skips (the
-    # 4-cube's affinely dependent patterns)
-    p = _wall_polytope(kind, seed)
+@given(st.data())
+def test_simplicial_coords_solves_its_keep_set(kind, seed, data):
+    # simplicial_coords finds the d + 1 walls of a zero set's keep set by
+    # their lexicographic rank, with no row: at every zero set it equals an
+    # independent Fraction solve of [V_keep; 1^T]·lam = [q; 1], feasibility
+    # included, and raises SingularPatternError exactly where the keep set
+    # is affinely dependent (four vertices of a square face of the pyramid,
+    # prism8 or the 4-cube); at interior points, vertices, on vertex-pair
+    # segments, on a wall and outside
+    p = get_fixture(kind) if kind in FIXTURES else _wall_polytope(kind, seed)
     q = _wall_point(p, data)
-    full = {combo: (_sigma(p.n, keep, xs, den), min(xs) >= 0)
-            for combo, keep, xs, den in _table_read(p, q)}
-    combos = list(_table(p)[1])
-    singular = [combo for combo in combos if combo not in full]
-    assert bool(singular) == (kind == "cube4")
-    drawn = data.draw(st.lists(st.sampled_from(combos), min_size=1, max_size=6))
-    if singular:
-        drawn.append(data.draw(st.sampled_from(singular)))
-    for combo in drawn:
-        if combo in full:
-            sc = simplicial_coords(p, q, combo)
-            assert (sc.sigma, sc.feasible) == full[combo]
-        else:
+    singular = 0
+    for combo in combinations(range(1, p.n + 1), p.kernel_dim()):
+        keep = [j for j in range(p.n) if j + 1 not in combo]
+        system = [[p.vertices[j][l] for j in keep] for l in range(p.d)]
+        system.append([F(1)] * len(keep))
+        if linalg.affine_dim([p.vertices[j] for j in keep]) < p.d:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                solve_linear(system, [*q, F(1)])
             with pytest.raises(SingularPatternError):
                 simplicial_coords(p, q, combo)
+            continue
+        lam = solve_linear(system, [*q, F(1)])
+        sigma = [F(0)] * p.n
+        for j, x in zip(keep, lam):
+            sigma[j] = x
+        sc = simplicial_coords(p, q, combo)
+        assert (sc.zero_set, sc.sigma, sc.feasible) == (
+            frozenset(combo), tuple(sigma), min(lam) >= 0)
+    assert bool(singular) == (kind in ("pyramid", "prism8", "cube4"))
 
 
 def _leibniz(rows):
@@ -525,7 +544,7 @@ def test_census_reads_the_integer_pass(p, data):
 def _full_read(p, vals):
     """The feasible rows of every row of p's table at ``vals``, the reader
     run over all C(n, d + 1) rows."""
-    return list(_feasible(_read_rows(_table(p)[1].values(), vals)))
+    return list(_feasible(_read_rows(_table(p)[1], vals)))
 
 
 @settings(max_examples=40, deadline=None,
@@ -593,16 +612,17 @@ def test_walls_are_the_independent_d_subsets(kind, seed):
     # keeps every zero pattern, and exactly the singular ones, whose d + 1
     # vertices are affinely dependent, read den == 0 and give no row
     p = _wall_polytope(kind, seed)
-    walls, rows, *_ = _table(p)
+    walls, order, *_ = _table(p)
     subsets = list(combinations(range(p.n), p.d))
     dependent = [s for s in subsets
                  if linalg.affine_dim([p.vertices[k] for k in s]) < p.d - 1]
     assert len(walls) == len(subsets)
     assert [s for s, wall in zip(subsets, walls) if not any(wall)] == dependent
-    singular = {combo for combo, keep, _ in rows.values()
+    keeps = {keep for keep, _ in order}
+    singular = {keep for keep in keeps
                 if linalg.affine_dim([p.vertices[k] for k in keep]) < p.d}
-    assert len(rows) == math.comb(p.n, p.d + 1)
-    assert {combo for combo, *_ in _table_read(p, p.centroid())} == set(rows) - singular
+    assert len(order) == len(keeps) == math.comb(p.n, p.d + 1)
+    assert {keep for keep, *_ in _table_read(p, p.centroid())} == keeps - singular
     assert bool(dependent) == bool(singular) == (kind == "cube4")
 
 
@@ -621,16 +641,16 @@ def test_cramer_sums_are_the_pattern_determinants(kind, seed, data):
     # vertex-pair segments, on a wall and outside
     p = _wall_polytope(kind, seed)
     q = _wall_point(p, data)
-    walls, rows, *_ = _table(p)
+    walls, order, *_ = _table(p)
 
     def sums(vals):
-        return {combo: sum(vals[w] if w >= 0 else -vals[~w] for w in ids)
-                for combo, _, ids in rows.values()}
+        return {_zero_set(p, keep): sum(vals[w] if w >= 0 else -vals[~w] for w in ids)
+                for keep, ids in order}
 
     table, lone = sums(_evaluate(walls, q)), sums(_wall_values(p, q))
     dets = {combo: den for combo, _, den, _ in reference_patterns(p, q)}
     assert {combo: abs(x) for combo, x in table.items()} == {
-        combo: abs(dets.get(combo, 0)) for combo in rows}
+        combo: abs(dets.get(combo, 0)) for combo in table}
     e = math.lcm(*(x.denominator for x in q))
     scale = math.lcm(*(x.denominator for v in p.vertices for x in v))
     wide = math.lcm(scale, e)
@@ -1112,7 +1132,7 @@ def _outcome(probe, *args, **kwargs):
 
 def _selection(p, q):
     """The sweep's selection at q, from the table's feasible rows there."""
-    return _pick_selection(_feasible_rows(p, q))
+    return _pick_selection(p.n, list(_feasible_rows(p, q)))
 
 
 def _reference_row(p, point, h, t0, steps):
@@ -1211,7 +1231,7 @@ def test_semidiff_probe_matches_the_reference(case, data):
     p, q, h, t0, steps = case
     zero_set = data.draw(st.one_of(
         st.just(_selection(p, q)),
-        st.sampled_from([combo for combo, *_ in _feasible_rows(p, q)]),
+        st.sampled_from([_zero_set(p, keep) for keep, *_ in _feasible_rows(p, q)]),
         st.sampled_from(list(combinations(range(1, p.n + 1), p.kernel_dim())))))
     assert _outcome(semidiff_probe, p, q, zero_set, h, t0=t0, steps=steps) == \
         _outcome(reference_semidiff_probe, p, q, zero_set, h, t0=t0, steps=steps)

@@ -79,7 +79,8 @@ def test_only_coordinates_eliminates_patterns():
     # the wall kernel, and the oracle stays an independent route: it never
     # reads the table or the wall values, although the table lives on the
     # Polytope object it is given.  The probes and the CLI read it only at
-    # points, through coordinates' readers, and never see its row layout
+    # points, through coordinates' readers, and never see its layout; the
+    # CLI's _pick_selection unpacks the rows those readers yield
     src = Path(barypoly.__file__).parent
     names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
     # _patterns and _wall_values are the callers of linalg's wall kernel
@@ -661,8 +662,7 @@ def test_off_wall_census_builds_no_key():
 def test_no_cache_keyed_by_sign_vectors():
     # a point's chamber is the sign vector of its wall values, and nothing
     # keeps reads by it: the dicts coordinates builds are the rank lookup of
-    # _pattern_order, the table's rows by zero set and the vertex keys, and
-    # the readers build none
+    # _pattern_order and the vertex keys, and the readers build none
     path = Path(barypoly.__file__).parent / "coordinates.py"
     tree = ast.parse(path.read_text(), str(path))
     builders = sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
@@ -670,7 +670,7 @@ def test_no_cache_keyed_by_sign_vectors():
                               or isinstance(node, ast.Call)
                               and getattr(node.func, "id", "") in ("dict", "defaultdict")
                               for node in ast.walk(top)))
-    assert builders == ["_pattern_order", "_patterns", "_vertex_keys"]
+    assert builders == ["_pattern_order", "_vertex_keys"]
     for reader in ("_survivors", "_masked_rows", "_feasible_rows", "_ray_keys", "_census_at"):
         assert sorted(_names_in("coordinates", reader)
                       & {"dict", "setdefault", "cache", "lru_cache", "_pattern_table"}) == []
@@ -681,3 +681,34 @@ def test_src_has_no_matrix_vector_product():
     src = Path(barypoly.__file__).parent
     assert sorted(path.stem for path in src.glob("*.py")
                   if "mat_vec" in path.read_text()) == []
+
+
+def test_a_row_is_its_keep_set():
+    # a pattern row is (keep, ids) and a read row (keep, xs, den): no row
+    # holds a zero set, the complement of its keep set.  _pattern_order
+    # builds none, _read_rows yields 3-tuples, the table is (walls, order,
+    # live, ge, le) with its rows listed once, and simplicial_coords finds
+    # its walls by rank, with no row looked up
+    order = _function("coordinates", "_pattern_order")
+    assert [ast.unparse(node) for node in ast.walk(order) if isinstance(node, ast.Call)
+            and ast.unparse(node).startswith("combinations(range(1, n + 1)")] == []
+    yields = [node.value for node in ast.walk(_function("coordinates", "_read_rows"))
+              if isinstance(node, ast.Yield)]
+    assert yields and all(isinstance(v, ast.Tuple) and len(v.elts) == 3 for v in yields)
+    returned, = [node.value for node in ast.walk(_function("coordinates", "_patterns"))
+                 if isinstance(node, ast.Return)]
+    assert [ast.unparse(x) for x in returned.elts[:3]] == ["walls", "order", "live"]
+    assert len(returned.elts) == 5
+    coords = _function("coordinates", "simplicial_coords")
+    assert "comb" in _names_in("coordinates", "simplicial_coords")
+    assert [ast.unparse(node) for node in ast.walk(coords) if isinstance(node, ast.Subscript)
+            and "_table" in ast.unparse(node.value)] == ["_table(p)[0]"]
+    # in the CLI only _pick_selection unpacks a row (keep, xs, den)
+    path = Path(barypoly.__file__).parent / "cli.py"
+    unpacking = sorted(
+        top.name for top in ast.parse(path.read_text(), str(path)).body
+        if isinstance(top, ast.FunctionDef)
+        and any(isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.target, ast.Tuple) and len(node.target.elts) == 3
+                for node in ast.walk(top)))
+    assert unpacking == ["_pick_selection"]

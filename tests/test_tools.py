@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STEP_NAMES = [
     "reference outputs", "semidiff witness distances", "continuity distances",
     "probe ties and polygons", "phase-one outputs", "table reads", "lone-point memory",
-    "ray reads on zero walls", "census grids", "census grid on the 4-cube",
+    "table memory", "ray reads on zero walls", "census grids", "census grid on the 4-cube",
     "plane validation", "solid validation", "kernel basis", "oracle outputs", "documents",
 ]
 
@@ -31,7 +31,8 @@ def test_check_table_keeps_every_step_and_digest():
     checks = _check_outputs().CHECKS
     assert list(checks) == STEP_NAMES
     hashing = {name: digests for name, (digests, _) in checks.items() if digests}
-    assert sorted(set(checks) - set(hashing)) == ["lone-point memory", "reference outputs"]
+    assert sorted(set(checks) - set(hashing)) == [
+        "lone-point memory", "reference outputs", "table memory"]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for ds in hashing.values() for d in ds)
     assert len(hashing) == 13 and sum(map(len, hashing.values())) == 14
     assert len(hashing["ray reads on zero walls"]) == 2

@@ -217,6 +217,12 @@ def lone_point_memory_check(t):
     return [python("-c", "import check_outputs; check_outputs.lone_point_memory()")]
 
 
+def parabola():
+    """The polygon of the parabola points (i, i²), i = 0..84."""
+    verts = [(i, i * i) for i in range(85)]
+    return validate([[v[l] for v in verts] for l in range(2)], 2)
+
+
 def lone_point_memory():
     """Lambda_vertices on the polygon of the parabola points (i, i²), i = 0..84, at
     (42, 1864): C(85, 3) = 98770 zero patterns and 16403 vertices.  A point read on a
@@ -226,8 +232,7 @@ def lone_point_memory():
     now, 16.9 MB while the keep tuples were listed first.  The traced peak of the whole
     read, less the 35 MB the returned vertex lists hold, and what the polytope keeps must
     stay under 20 MB.  Runs in a fresh interpreter, started by the check above."""
-    verts = [(i, i * i) for i in range(85)]
-    p = validate([[v[l] for v in verts] for l in range(2)], 2)
+    p = parabola()
     pt = p.as_point((42, 1864))
     tracemalloc.start()
     keys = coordinates._vertices_at(p, pt)
@@ -248,6 +253,26 @@ def lone_point_memory():
           f"{kept / 1e6:.1f} MB kept on the polytope")
     assert count == 16403
     assert work < 20e6 and kept < 20e6
+
+
+@check("table memory")
+def table_memory_check(t):
+    return [python("-c", "import check_outputs; check_outputs.table_memory()")]
+
+
+def table_memory():
+    """The pattern table of the parabola polygon: C(85, 2) = 3570 walls and C(85, 3) = 98770
+    rows, each a keep set and the ids of its 3 walls.  What the table holds, traced from
+    the start of its build, must stay under 125 MB: 99.5 MB now, 174.2 MB while every row
+    also held its 82-entry zero set and the table a second index of its rows keyed by it.
+    Runs in a fresh interpreter, started by the check above."""
+    p = parabola()
+    tracemalloc.start()
+    table = coordinates._table(p)
+    held = tracemalloc.get_traced_memory()[0]
+    tracemalloc.stop()
+    print(f"{len(table[0])} walls; the table holds {held / 1e6:.1f} MB")
+    assert held < 125e6
 
 
 @check("ray reads on zero walls",
