@@ -19,10 +19,12 @@ and the ids of its d + 1 walls (``_pattern_order``), and every point read
 turns the C(n, d) wall values there into rows through one reader,
 ``_read_rows``; a zero set is the complement of K, which no row holds.  A
 point read on a polytope with no table takes the values off the vertices
-(``_wall_values``), streams the patterns and keeps nothing.  Sweeps, rays
-and ``simplicial_coords`` build the table: every wall as an integer
-cofactor vector, read at a point with integer multiply-adds, and the
-patterns.  The sign vector of the wall values is the point's chamber key.
+(``_wall_values``), streams the patterns and keeps nothing, and
+``simplicial_coords`` there builds its d + 1 walls alone.  Sweeps and rays
+build the table: every wall as an integer cofactor vector, built per
+(d-1)-vertex prefix by one elimination (``_walls``) and read at a point
+with integer multiply-adds, and the patterns.  The sign vector of the wall
+values is the point's chamber key.
 A row's D has one sign at every point, that of its walls' signed constant
 entries, so the row is feasible exactly where each of its d + 1 wall values
 has the sign D gives it, or is 0.  The table keeps, per wall, int bitsets
@@ -184,17 +186,48 @@ def _pattern_order(p: Polytope):
             yield (f, *rest), [*map(add, ids, shift)] if f else ids
 
 
-def _patterns(p: Polytope) -> tuple:
-    """(walls, order, live, ge, le): the walls, one per d-subset S in
-    lexicographic order, every zero pattern's row (keep, ids) of
-    ``_pattern_order`` listed in that order, and the row signs as int
-    bitsets, bit r for row r of ``order``.
+def _wall_points(p: Polytope) -> tuple:
+    """(L, points): L the lcm of the vertex denominators, and the int rows
+    (1, L·v_s) whose cofactor vectors are the walls."""
+    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
+    return scale, [(1, *col) for col in zip(*vrows)]
+
+
+def _wall(scale: int, c) -> tuple:
+    """The wall w_S = (c_0, L·c_1, …, L·c_d) of a cofactor vector c_S."""
+    return (c[0], *(scale * x for x in c[1:]))
+
+
+def _walls(p: Polytope) -> list:
+    """The walls, one per d-subset S in lexicographic order.
 
     With L the lcm of the vertex denominators, the wall of S is the cofactor
-    vector c_S of the rows (1, L·v_s), s in S (``linalg.cofactors``):
-    f_S(x) = c_S·(1, L·x) = det[(1, L·x); (1, L·v_s)].  ``walls`` lists
+    vector c_S of the rows (1, L·v_s), s in S (``_wall_points``):
+    f_S(x) = c_S·(1, L·x) = det[(1, L·x); (1, L·v_s)].  The list holds
     w_S = (c_0, L·c_1, …, L·c_d) at S's id, so that w_S·(E, E·x) = E·f_S(x);
     an affinely dependent S (possible from d = 4 on) keeps its zero vector.
+    ``linalg.cofactor_pencil`` runs once per (d-1)-subset P of 0..n-2, in
+    lexicographic order, C(n-1, d-1) eliminations in all, and gives
+    c_{P+r} = ((k_g·r)·k_f - (k_f·r)·k_g) / D for every r > max P, rising,
+    which is the d-subsets' lexicographic order; L is folded into k_f and
+    k_g once per prefix.  A prefix of rank < d - 1 (possible from d = 5 on)
+    gives zero walls.
+    """
+    scale, points = _wall_points(p)
+    walls = []
+    for prefix in itertools.combinations(range(p.n - 1), p.d - 1):
+        kf, kg, den = linalg.cofactor_pencil([points[j] for j in prefix])
+        lf, lg = _wall(scale, kf), _wall(scale, kg)
+        for r in points[prefix[-1] + 1 if prefix else 0:]:
+            a, b = sum(map(mul, kg, r)), sum(map(mul, kf, r))
+            walls.append(tuple([(a * x - b * y) // den for x, y in zip(lf, lg)]))
+    return walls
+
+
+def _patterns(p: Polytope) -> tuple:
+    """(walls, order, live, ge, le): the walls of ``_walls``, every zero
+    pattern's row (keep, ids) of ``_pattern_order`` listed in that order,
+    and the row signs as int bitsets, bit r for row r of ``order``.
 
     A row's Cramer sum, which ``_read_rows`` takes as its denominator, is
     ±E·det[1^T; V_keep] at every point: the x parts of its signed walls
@@ -205,12 +238,7 @@ def _patterns(p: Polytope) -> tuple:
     ge[w] the rows that need f_w >= 0, and le[w] those that need
     -f_w >= 0, i.e. f_w <= 0.
     """
-    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
-    points = [(1, *col) for col in zip(*vrows)]
-    walls = []
-    for s in itertools.combinations(range(p.n), p.d):
-        c = linalg.cofactors([points[j] for j in s])
-        walls.append((c[0], *(scale * x for x in c[1:])))
+    walls = _walls(p)
     consts = [wall[0] for wall in walls]
     consts += [-c for c in reversed(consts)]  # consts[~w] = -consts[w]
     # needs[id] for a row's ids, as the reader indexes values: ge at w, le at ~w
@@ -312,8 +340,9 @@ def _wall_values(p: Polytope, point) -> list:
     (1, point) from each (1, v_s)), 0 for an affinely dependent S.  Each
     determinant is expanded along its last row: ``linalg.cofactors`` runs
     once per (d-1)-vertex prefix, and every wall that extends the prefix
-    costs one integer dot, so C(n-1, d-1) eliminations of (d-1) x d rows
-    where the table runs C(n, d) of d x (d+1).  No Fraction is built."""
+    costs one integer dot, so C(n-1, d-1) eliminations of (d-1) x d rows,
+    as many as the table's ``_walls`` runs on (d-1) x (d+1) rows.  No
+    Fraction is built."""
     d = p.d
     _, (*verts, pt) = linalg.integer_rows([*p.vertices, point])
     us = [[x - y for x, y in zip(v, pt)] for v in verts]
@@ -329,8 +358,10 @@ def _wall_values(p: Polytope, point) -> list:
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     """The coordinates of ``point`` with ``zero_set`` (n-d-1 integers in 1..n,
-    else ValueError) forced to zero, read off the walls of its complement,
-    found in the table by rank; SingularPatternError when the complementary
+    else ValueError) forced to zero, read off the d + 1 walls of its
+    complement: found in the table by rank when ``p`` holds one, else built
+    alone with ``linalg.cofactors``, so that no table is built (as
+    ``_vertices_at`` reads); SingularPatternError when the complementary
     columns are affinely dependent."""
     try:
         zeros = frozenset(map(index, zero_set))
@@ -342,14 +373,21 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
         raise ValueError(
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
     pt = p.as_point(point)
-    n, d, walls = p.n, p.d, _table(p)[0]
+    n, d = p.n, p.d
     keep = [j for j in range(n) if j + 1 not in zeros]
     # the row alone: the reader gets the values of its d + 1 walls keep∖k_i,
-    # at ranks C(n, d) - 1 - Σ_j C(n-1-s_j, d-j), and ids 0..d, ~i at odd i
-    top = math.comb(n, d) - 1
-    ranks = [top - sum(map(math.comb, [n - 1 - s for s in rest], range(d, 0, -1)))
-             for rest in itertools.combinations(keep, d)]  # i = d..0
-    vals = _evaluate([walls[w] for w in reversed(ranks)], pt)
+    # i = 0..d, and ids 0..d, ~i at odd i
+    rests = list(itertools.combinations(keep, d))[::-1]
+    if p._pattern_table:
+        # the table lists S at rank C(n, d) - 1 - Σ_j C(n-1-s_j, d-j)
+        table, top = _table(p)[0], math.comb(n, d) - 1
+        walls = [table[top - sum(map(math.comb, [n - 1 - s for s in rest],
+                                     range(d, 0, -1)))] for rest in rests]
+    else:
+        scale, points = _wall_points(p)
+        walls = [_wall(scale, linalg.cofactors([points[j] for j in rest]))
+                 for rest in rests]
+    vals = _evaluate(walls, pt)
     own = [i ^ -(i % 2) for i in range(d + 1)]
     for keep, xs, den in _read_rows([(keep, own)], vals):
         return SimplicialCoordinate(zeros, _sigma(n, keep, xs, den), min(xs) >= 0)

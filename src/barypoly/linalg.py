@@ -7,12 +7,13 @@ probe layer and the seeded polytope generator, which add floats with
 ``float_sum``.  Matrices are plain lists of row lists, vectors plain
 sequences.  ``bareiss_row`` is the integer (fraction-free) row update: the
 simplex pivot, and the step of ``eliminate``, the one fraction-free
-Gauss-Jordan loop, under ``cofactors`` (the wall kernel of the pattern
-table and of a lone point's wall values), ``nullspace_basis``
-(validation's N) and ``rank``.  No Fraction elimination
-is left: the RREF is unique, so the kernel basis read off ``eliminate`` is
-the Fraction RREF's, Fraction for Fraction.  The DD oracle scales its system
-with ``integer_rows`` too, but runs its own elimination
+Gauss-Jordan loop, under ``cofactors`` (the wall kernel of a lone point's
+wall values), ``cofactor_pencil`` (the prefix kernel of the pattern table:
+one elimination of m rows gives every cofactor vector of those rows and one
+more), ``nullspace_basis`` (validation's N) and ``rank``.  No Fraction
+elimination is left: the RREF is unique, so the kernel basis read off
+``eliminate`` is the Fraction RREF's, Fraction for Fraction.  The DD oracle
+scales its system with ``integer_rows`` too, but runs its own elimination
 (``oracle._reduced_system``), so it shares none with the enumeration route.
 """
 
@@ -152,6 +153,37 @@ def cofactors(rows) -> list:
     out = [sign * r[free] for r in a]
     out.insert(free, -sign * prev)
     return out
+
+
+def cofactor_pencil(rows) -> tuple:
+    """(k_f, k_g, D) of m int rows of length m + 2, such that for every int
+    row r of length m + 2
+        cofactors(rows + [r]) = ((k_g·r)·k_f - (k_f·r)·k_g) / D,
+    an exact division: one elimination for every row that extends ``rows``.
+
+    At rank m ``eliminate`` leaves two columns f < g free; k_f is D at f,
+    -a_i[f] at pivot column c_i and 0 at g, and k_g the same for g, so they
+    span the rows' kernel.  det[y; rows; r] is (-1)^m times the sign of the
+    column order (pivots, f, g) times the parity times
+    ((y·k_f)(r·k_g) - (y·k_g)(r·k_f)) / D, so k_f and k_g are swapped where
+    that sign is -1.  Every column left of f pivots, and every one left of
+    g but f, so m - f pivots lie right of f and m - g + 1 right of g: the
+    sign is the parity times (-1)^(m + f + g + 1).  Rank < m gives zero
+    vectors over D = 1, hence zeros.
+    """
+    m = len(rows)
+    a, pivots, prev, parity = eliminate(rows)
+    if len(pivots) < m:
+        return [0] * (m + 2), [0] * (m + 2), 1
+    f, g = [c for c in range(m + 2) if c not in pivots]
+    kf, kg = [-r[f] for r in a], [-r[g] for r in a]
+    kf.insert(f, prev)
+    kf.insert(g, 0)
+    kg.insert(f, 0)
+    kg.insert(g, prev)
+    if (parity < 0) ^ (m + f + g + 1) % 2:
+        return kg, kf, prev
+    return kf, kg, prev
 
 
 def nullspace_basis(a: Mat) -> list:

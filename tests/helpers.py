@@ -352,6 +352,22 @@ def reference_patterns(p: Polytope, pt, *hs):
             yield combo, keep, det * pscale, nums
 
 
+def reference_walls(p: Polytope) -> list:
+    """The pattern table's walls as they were built before the prefix
+    kernel, one ``linalg.cofactors`` call per d-subset S in lexicographic
+    order: w_S = (c_0, L·c_1, …, L·c_d), c_S the cofactor vector of the rows
+    (1, L·v_s), s in S.  The reference ``coordinates._table(p)[0]`` must
+    equal entry for entry."""
+    from itertools import combinations
+    scale, vrows = linalg.integer_rows(p.stacked_rows()[:-1])
+    points = [(1, *col) for col in zip(*vrows)]
+    walls = []
+    for s in combinations(range(p.n), p.d):
+        c = linalg.cofactors([points[j] for j in s])
+        walls.append((c[0], *(scale * x for x in c[1:])))
+    return walls
+
+
 def reference_census(p: Polytope, point) -> tuple:
     """(vertex count, dim, count == n - d) of Lambda(point) from the distinct
     Fraction vertices of ``lambda_vertices``, dim as their affine dimension:

@@ -696,28 +696,29 @@ def test_probe_rows_with_a_tiny_direction(square_file, tmp_path, capsys, mode):
 
 def test_sweep_rows_share_one_pattern_table(monkeypatch):
     # one pattern table per polytope object: a 5-point census sweep on a
-    # freshly parsed prism8 builds its C(8, 3) = 56 walls once (a scan per
-    # point made 350 eliminations), and continuity and semidiff rows on it
-    # build none
+    # freshly parsed prism8 builds its C(8, 3) = 56 walls once, off
+    # C(7, 2) = 21 prefix eliminations (a scan per point made 350
+    # eliminations), and continuity and semidiff rows on it build none
     from barypoly import cli, linalg
     from barypoly.fixtures import fixture_document
     from barypoly.polytope import parse_polytope
 
     p = parse_polytope(fixture_document("prism8"))
-    walls = []
-    real_cofactors = linalg.cofactors
-    monkeypatch.setattr(linalg, "cofactors",
-                        lambda rows: walls.append(rows) or real_cofactors(rows))
+    prefixes = []
+    real_pencil = linalg.cofactor_pencil
+    monkeypatch.setattr(linalg, "cofactor_pencil",
+                        lambda rows: prefixes.append(rows) or real_pencil(rows))
     pts = [(F(1, 2),) * 3, (F(1, 3), F(2, 5), F(1, 2)), (F(1, 4), F(1, 4), F(3, 4)),
            (F(1, 2), F(0), F(1, 2)), (F(2), F(0), F(0))]
     h = (F(1, 64), F(-1, 32), F(1, 128))
     rows = [cli._sweep_row(p, "census", pt, None, F(1, 8), 8) for pt in pts]
-    assert len(walls) == math.comb(8, 3) == 56
+    assert len(prefixes) == math.comb(7, 2) == 21
+    assert len(p._pattern_table[0]) == math.comb(8, 3) == 56
     assert [row.rsplit(",", 1)[1] for row in rows] == ["", "", "", "", "Infeasible"]
     for mode in ("continuity", "semidiff"):
         row = cli._sweep_row(p, mode, pts[1], h, F(1, 8), 8)
         assert row.endswith(",")  # no error
-    assert len(walls) == 56
+    assert len(prefixes) == 21
 
 
 def test_main_builds_no_parser(square_file, capsys, monkeypatch):
@@ -849,7 +850,8 @@ def test_one_integer_elimination_per_polytope(tmp_path, capsys, monkeypatch):
     # 2-vertex prefix of its wall values, C(7, 2) = 21 cofactors of 2 x 3
     # rows; so does oracle-check, whose oracle runs its own loop.  A census
     # sweep over interior points builds the table: once on [V; 1ᵀ] and once
-    # per wall, C(8, 3) = 56 cofactors of 3 x 4 rows.  linalg keeps no rref
+    # per 2-vertex prefix of its C(8, 3) = 56 walls, C(7, 2) = 21 cofactor
+    # pencils of 2 x 4 rows.  linalg keeps no rref
     from barypoly import linalg
     from barypoly.fixtures import fixture_document
 
@@ -859,36 +861,40 @@ def test_one_integer_elimination_per_polytope(tmp_path, capsys, monkeypatch):
     pts.write_text(json.dumps([["1/2", "1/2", "1/2"], ["1/3", "2/5", "1/2"],
                                ["1/4", "1/4", "3/4"], ["2/3", "1/3", "1/4"]]))
     assert not hasattr(linalg, "rref")
-    eliminations, walls = [], []
-    real_eliminate, real_cofactors = linalg.eliminate, linalg.cofactors
+    eliminations, kernels = [], []
+    real_eliminate = linalg.eliminate
     monkeypatch.setattr(linalg, "eliminate",
                         lambda rows: eliminations.append(rows) or real_eliminate(rows))
-    monkeypatch.setattr(linalg, "cofactors",
-                        lambda rows: walls.append(rows) or real_cofactors(rows))
+    for name in ("cofactors", "cofactor_pencil"):
+        monkeypatch.setattr(linalg, name, lambda rows, name=name, real=getattr(linalg, name):
+                            kernels.append((name, rows)) or real(rows))
 
-    def one_stacked_elimination(count, shape):
+    def one_stacked_elimination(kernel, count, shape):
         # of the eliminations since the last check, the one that is not a
-        # cofactor's has d + 1 rows of n entries, the last row 1ᵀ scaled to
-        # integers, and the rest are ``count`` cofactors of ``shape`` rows
-        stacked, = [rows for rows in eliminations if not any(rows is w for w in walls)]
+        # wall kernel's has d + 1 rows of n entries, the last row 1ᵀ scaled
+        # to integers, and the rest are ``count`` calls of ``kernel`` on
+        # ``shape`` rows
+        stacked, = [rows for rows in eliminations
+                    if not any(rows is w for _, w in kernels)]
         assert (len(stacked), {len(row) for row in stacked}, len(set(stacked[-1]))) \
             == (4, {8}, 1)
-        assert len(eliminations) == 1 + len(walls) and len(walls) == count
-        assert {(len(w), *{len(row) for row in w}) for w in walls} == {shape}
+        assert len(eliminations) == 1 + len(kernels) and len(kernels) == count
+        assert {(name, len(w), *{len(row) for row in w})
+                for name, w in kernels} == {(kernel, *shape)}
         eliminations.clear()
-        walls.clear()
+        kernels.clear()
 
     code, out = run(capsys, "analyze", str(f), "--point", "1/3,2/5,1/2")
     assert (code, json.loads(out)["location"]) == (0, "Interior")
-    one_stacked_elimination(math.comb(7, 2), (2, 3))
+    one_stacked_elimination("cofactors", math.comb(7, 2), (2, 3))
     code, out = run(capsys, "sweep", str(f), "--mode", "census", "--points", str(pts))
     rows = out.splitlines()[1:]
     assert (code, len(rows)) == (0, 4)
     assert all(row.endswith(",") for row in rows)  # empty error column
-    one_stacked_elimination(math.comb(8, 3), (3, 4))
+    one_stacked_elimination("cofactor_pencil", math.comb(7, 2), (2, 4))
     code, out = run(capsys, "oracle-check", str(f), "--point", "1/3,2/5,1/2")
     assert (code, json.loads(out)["agreement"]) == (0, True)
-    one_stacked_elimination(math.comb(7, 2), (2, 3))
+    one_stacked_elimination("cofactors", math.comb(7, 2), (2, 3))
 
 
 def test_sweep_writes_each_row_as_it_is_computed(square_file, capsys, monkeypatch):

@@ -252,32 +252,33 @@ def test_a_point_read_builds_no_table(monkeypatch):
     # a point read on a fresh prism8 takes the wall values at the point off
     # C(7, 2) = 21 cofactors of 2 x 3 translated prefixes and builds no
     # wall, the second read too; once a table is built (here by _table, as
-    # a sweep or a ray builds it) a read is a lookup: the build takes the
-    # C(8, 3) = 56 walls of 3 x 4 rows, and the read after it none.  A
-    # fresh object: the session fixture may already hold its table
+    # a sweep or a ray builds it) a read is a lookup: the build takes its
+    # C(8, 3) = 56 walls off C(7, 2) = 21 cofactor pencils of 2 x 4 prefix
+    # rows, and the read after it none.  A fresh object: the session
+    # fixture may already hold its table
     from barypoly.coordinates import _table
     from barypoly.fixtures import fixture_document
     from barypoly.polytope import parse_polytope
 
     p = parse_polytope(fixture_document("prism8"))
     calls = []
-    real_cofactors = linalg.cofactors
-    monkeypatch.setattr(linalg, "cofactors",
-                        lambda rows: calls.append(rows) or real_cofactors(rows))
+    for name in ("cofactors", "cofactor_pencil"):
+        monkeypatch.setattr(linalg, name, lambda rows, name=name, real=getattr(linalg, name):
+                            calls.append((name, rows)) or real(rows))
 
     def shapes():
-        found = {(len(rows), *{len(row) for row in rows}) for rows in calls}
+        found = {(name, len(rows), *{len(row) for row in rows}) for name, rows in calls}
         counted = len(calls)
         calls.clear()
         return counted, found
 
     points = [(F(1, 3), F(2, 5), F(1, 2)), (F(1, 2),) * 3, (F(1, 4), F(1, 4), F(3, 4))]
     lams = [lambda_vertices(p, q) for q in points[:1]]
-    assert shapes() == (21, {(2, 3)})
+    assert shapes() == (21, {("cofactors", 2, 3)})
     lams.append(lambda_vertices(p, points[1]))
-    assert shapes() == (21, {(2, 3)}) and p._pattern_table == []
-    _table(p)
-    assert shapes() == (56, {(3, 4)})
+    assert shapes() == (21, {("cofactors", 2, 3)}) and p._pattern_table == []
+    assert len(_table(p)[0]) == 56
+    assert shapes() == (21, {("cofactor_pencil", 2, 4)})
     lams.append(lambda_vertices(p, points[2]))
     assert shapes() == (0, set())
     assert [list(lam.vertex_arrays()) for lam in lams] == [

@@ -149,6 +149,70 @@ def test_cofactors_small_cases():
     assert linalg.cofactors([[1, 2, 3], [1, 2, 3]]) == [0, 0, 0]
 
 
+def _pencil_at(pencil, r) -> list:
+    """((k_g·r)·k_f - (k_f·r)·k_g) / D of a ``cofactor_pencil``, with the
+    division checked exact."""
+    kf, kg, den = pencil
+    a, b = sum(x * y for x, y in zip(kg, r)), sum(x * y for x, y in zip(kf, r))
+    nums = [a * x - b * y for x, y in zip(kf, kg)]
+    assert all(x % den == 0 for x in nums)
+    return [x // den for x in nums]
+
+
+@st.composite
+def _pencil_rows(draw):
+    """m = 0..5 int rows of length m + 2, small or near ±2^64, with zero rows,
+    zero columns and a row that combines the others drawn in."""
+    m = draw(st.integers(0, 5))
+    big = 1 << 64 if draw(st.booleans()) else 4
+    rows = [[draw(st.integers(-big, big)) for _ in range(m + 2)] for _ in range(m)]
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=2)) if m else ():
+        rows[i] = [0] * (m + 2)
+    for j in draw(st.sets(st.integers(0, m + 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    if m > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, m - 1))
+        ws = [draw(st.integers(-3, 3)) for _ in range(m)]
+        rows[i] = [sum(w * row[j] for k, (w, row) in enumerate(zip(ws, rows)) if k != i)
+                   for j in range(m + 2)]
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pencil_rows(), st.data())
+def test_cofactor_pencil_extends_its_rows(rows, data):
+    # one elimination of m rows gives the cofactor vector of rows + [r] for
+    # every r: r drawn at random (a nonzero vector where rows + [r] has
+    # full rank) and from the row space (zeros), with zero rows and
+    # columns, a dependent row and entries near ±2^64
+    m = len(rows)
+    pencil = linalg.cofactor_pencil(rows)
+    assert all(isinstance(x, int) for k in pencil[:2] for x in k) and pencil[2]
+    big = data.draw(st.sampled_from([4, 1 << 64]))
+    r = [data.draw(st.integers(-big, big)) for _ in range(m + 2)]
+    ws = [data.draw(st.integers(-big, big)) for _ in range(m)]
+    spanned = [sum(w * row[j] for w, row in zip(ws, rows)) for j in range(m + 2)]
+    for extra in (r, spanned):
+        assert _pencil_at(pencil, extra) == linalg.cofactors(rows + [extra])
+    assert not any(_pencil_at(pencil, spanned))
+
+
+def test_cofactor_pencil_small_cases():
+    # m = 0: no rows, both columns free, k_f = (1, 0) and k_g = (0, 1) over
+    # D = 1, so the wall of one point (x_0, x_1) is (x_1, -x_0)
+    assert linalg.cofactor_pencil([]) == ([1, 0], [0, 1], 1)
+    assert _pencil_at(linalg.cofactor_pencil([]), [1, 5]) == linalg.cofactors([[1, 5]]) \
+        == [5, -1]
+    # m = 1, the point (1, 0, 0): the line to (1, 1, 0) is the wall of
+    # cofactors_small_cases, and a repeated point gives zeros
+    pencil = linalg.cofactor_pencil([[1, 0, 0]])
+    assert _pencil_at(pencil, [1, 1, 0]) == [0, 0, 1]
+    assert _pencil_at(pencil, [2, 0, 0]) == [0, 0, 0]
+    # rank < m: zero vectors over D = 1, so every extension is zero
+    assert linalg.cofactor_pencil([[1, 2, 3, 4], [2, 4, 6, 8]]) == ([0] * 4, [0] * 4, 1)
+
+
 @pytest.mark.parametrize("shape", ["1x1", "wide", "square", "tall"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())

@@ -553,32 +553,33 @@ def test_semidiff_leaves_polytope(square):
 def test_probes_read_one_pattern_table(monkeypatch):
     # each polytope object builds the walls of its pattern table once, and
     # the probes read Lambda at the basepoint and at every step off it: no
-    # phase one, and C(8, 3) = 56 walls for a first prism8 continuity row,
-    # none for a second one (a scan at the basepoint and at each of 8 steps
-    # made 630 eliminations a row).  Fresh objects: the session fixtures may
-    # already hold their tables.
+    # phase one, and C(8, 3) = 56 walls off C(7, 2) = 21 cofactor pencils
+    # for a first prism8 continuity row, none for a second one (a scan at
+    # the basepoint and at each of 8 steps made 630 eliminations a row).
+    # Fresh objects: the session fixtures may already hold their tables.
     from barypoly import coordinates, linalg, polytope, simplex
     from barypoly.fixtures import fixture_document
 
     prism8, square, pyramid = (polytope.parse_polytope(fixture_document(name))
                                for name in ("prism8", "square", "pyramid"))
-    phase_ones, walls = [], []
-    real_fp, real_cofactors = simplex.feasible_point, linalg.cofactors
+    phase_ones, prefixes = [], []
+    real_fp, real_pencil = simplex.feasible_point, linalg.cofactor_pencil
     for mod in (simplex, coordinates, polytope):
         monkeypatch.setattr(mod, "feasible_point",
                             lambda *a: phase_ones.append(a) or real_fp(*a))
-    monkeypatch.setattr(linalg, "cofactors",
-                        lambda rows: walls.append(rows) or real_cofactors(rows))
+    monkeypatch.setattr(linalg, "cofactor_pencil",
+                        lambda rows: prefixes.append(rows) or real_pencil(rows))
     continuity_probe(prism8, (F(1, 2),) * 3, (F(1, 64), F(-1, 32), F(1, 128)))
-    assert len(walls) == math.comb(8, 3) == 56
+    assert len(prefixes) == math.comb(7, 2) == 21
     continuity_probe(prism8, (F(1, 3), F(2, 5), F(1, 2)), (F(0), F(1, 16), F(0)))
-    assert len(walls) == 56
-    walls.clear()
-    # the square's C(4, 2) = 6 walls; sigma_Z(p) and J_Z·h are read off row Z
+    assert len(prefixes) == 21
+    prefixes.clear()
+    # the square's C(4, 2) = 6 walls off C(3, 1) = 3 prefixes; sigma_Z(p)
+    # and J_Z·h are read off row Z
     semidiff_probe(square, CENTER, {4}, (F(1), F(0)), t0=F(1, 16), steps=3)
-    assert len(walls) == 6
+    assert len(prefixes) == 3 and len(square._pattern_table[0]) == 6
     semidiff_probe(square, CENTER, {3}, (F(0), F(1)), t0=F(1, 16), steps=3)
-    assert len(walls) == 6
+    assert len(prefixes) == 3
     # boundary basepoints: on a square's edge, and on the pyramid's base,
     # where the vertex supports cover 4 of the 5 indices
     with pytest.raises(LeavesPolytopeError, match="basepoint must be interior"):

@@ -144,6 +144,7 @@ from helpers import (
     reference_scan_reduced,
     reference_semidiff_probe,
     reference_validate,
+    reference_walls,
     solve_linear,
 )
 
@@ -354,14 +355,45 @@ def test_table_rows_match_the_elimination(p, data):
 def _wall_polytope(kind, seed):
     """A segment, the 4-cube {0,1}^4 (16 vertices, C(16, 11) = 4368 zero
     patterns, and affinely dependent 4-subsets: four vertices of a square
-    2-face) or a seeded polytope with d = 2, 3 or 4."""
+    2-face), the square × tetrahedron in R^5 (16 vertices, 816 of its
+    C(16, 5) = 4368 5-subsets affinely dependent, and whole 4-vertex
+    prefixes of them too) or a seeded polytope with d = 2, 3, 4 or 5."""
     if kind == "segment":
         return validate([[F(-1, 3), F(5, 2)]], 1)
-    if kind == "cube4":
-        cube = list(product((0, 1), repeat=4))
-        return validate([[v[l] for v in cube] for l in range(4)], 4)
-    d, n = {"d2": (2, 7), "d3": (3, 8), "d4": (4, 7)}[kind]
+    if kind in ("cube4", "sqtet"):
+        tet = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        verts = (list(product((0, 1), repeat=4)) if kind == "cube4" else
+                 [(*s, *t) for s in product((0, 1), repeat=2) for t in tet])
+        d = len(verts[0])
+        return validate([[v[l] for v in verts] for l in range(d)], d)
+    d, n = {"d2": (2, 7), "d3": (3, 8), "d4": (4, 7), "d5": (5, 9)}[kind]
     return random_polytope(d, n, seed=seed)
+
+
+def _fresh(p):
+    """A copy of ``p`` that holds no pattern table."""
+    return Polytope(p.d, p.n, p.vertices, p._kernel_rows)
+
+
+@pytest.mark.parametrize("kind, seed", [
+    *((name, 0) for name in ("square", "pentagon", "pyramid", "prism8")),
+    ("segment", 0), ("cube4", 0), ("sqtet", 0),
+    *((f"d{d}", seed) for d in (2, 3, 4, 5) for seed in range(3))])
+def test_walls_are_the_per_wall_cofactors(kind, seed):
+    # the walls built prefix by prefix, one cofactor pencil per (d-1)-vertex
+    # prefix, are the walls of one cofactors call per d-subset
+    # (reference_walls), entry for entry: on the fixtures, a segment (d = 1,
+    # an empty prefix), seeded d = 2..5 polytopes, the 4-cube and the square
+    # × tetrahedron, where rank-deficient prefixes give zero walls
+    p = _fresh(get_fixture(kind) if kind in FIXTURES else _wall_polytope(kind, seed))
+    walls = _table(p)[0]
+    assert walls == reference_walls(p)
+    assert len(walls) == math.comb(p.n, p.d)
+    if kind == "sqtet":
+        assert sum(not any(wall) for wall in walls) == 816
+        # 48 of the C(15, 4) = 1365 prefixes are affinely dependent
+        assert sum(linalg.affine_dim([p.vertices[j] for j in prefix]) < 3
+                   for prefix in combinations(range(p.n - 1), 4)) == 48
 
 
 @settings(max_examples=30, deadline=None,
@@ -397,8 +429,12 @@ def test_simplicial_coords_solves_its_keep_set(kind, seed, data):
     # included, and raises SingularPatternError exactly where the keep set
     # is affinely dependent (four vertices of a square face of the pyramid,
     # prism8 or the 4-cube); at interior points, vertices, on vertex-pair
-    # segments, on a wall and outside
+    # segments, on a wall and outside.  It reads the same on a polytope that
+    # holds a table and on a fresh one, which builds its d + 1 walls alone
+    # and keeps no table
     p = get_fixture(kind) if kind in FIXTURES else _wall_polytope(kind, seed)
+    fresh = _fresh(p)
+    _table(p)
     q = _wall_point(p, data)
     singular = 0
     for combo in combinations(range(1, p.n + 1), p.kernel_dim()):
@@ -409,17 +445,20 @@ def test_simplicial_coords_solves_its_keep_set(kind, seed, data):
             singular += 1
             with pytest.raises(SingularMatrixError):
                 solve_linear(system, [*q, F(1)])
-            with pytest.raises(SingularPatternError):
-                simplicial_coords(p, q, combo)
+            for poly in (p, fresh):
+                with pytest.raises(SingularPatternError):
+                    simplicial_coords(poly, q, combo)
             continue
         lam = solve_linear(system, [*q, F(1)])
         sigma = [F(0)] * p.n
         for j, x in zip(keep, lam):
             sigma[j] = x
-        sc = simplicial_coords(p, q, combo)
-        assert (sc.zero_set, sc.sigma, sc.feasible) == (
-            frozenset(combo), tuple(sigma), min(lam) >= 0)
+        for poly in (p, fresh):
+            sc = simplicial_coords(poly, q, combo)
+            assert (sc.zero_set, sc.sigma, sc.feasible) == (
+                frozenset(combo), tuple(sigma), min(lam) >= 0)
     assert bool(singular) == (kind in ("pyramid", "prism8", "cube4"))
+    assert fresh._pattern_table == []
 
 
 def _leibniz(rows):

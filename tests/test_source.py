@@ -75,22 +75,28 @@ def test_phase_one_returns_its_answer():
 
 
 def test_only_coordinates_eliminates_patterns():
-    # coordinates' pattern table and its lone-point read are the callers of
-    # the wall kernel, and the oracle stays an independent route: it never
-    # reads the table or the wall values, although the table lives on the
-    # Polytope object it is given.  The probes and the CLI read it only at
-    # points, through coordinates' readers, and never see its layout; the
-    # CLI's _pick_selection unpacks the rows those readers yield
+    # coordinates' pattern table, its lone-point read and a lone
+    # simplicial_coords are the callers of the wall kernels, and the oracle
+    # stays an independent route: it never reads the table or the wall
+    # values, although the table lives on the Polytope object it is given.
+    # The probes and the CLI read it only at points, through coordinates'
+    # readers, and never see its layout; the CLI's _pick_selection unpacks
+    # the rows those readers yield
     src = Path(barypoly.__file__).parent
     names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
-    # _patterns and _wall_values are the callers of linalg's wall kernel
-    assert {"_patterns", "_wall_values", "cofactors"} <= names["coordinates"]
+    # the table's _walls runs linalg's prefix kernel, _wall_values and a
+    # simplicial_coords on a polytope with no table its wall kernel
+    kernels = {"cofactors", "cofactor_pencil"}
+    assert {"_patterns", "_walls", "_wall_values", *kernels} <= names["coordinates"]
     assert sorted(mod for mod, found in names.items()
-                  if found & {"_patterns", "_wall_values", "cofactors"}) == ["coordinates"]
+                  if found & {"_patterns", "_walls", "_wall_values", *kernels}) == [
+        "coordinates"]
     tree = ast.parse((src / "coordinates.py").read_text(), "coordinates.py")
-    assert sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
-                  and "cofactors" in _names_in("coordinates", top.name)) == [
-        "_patterns", "_wall_values"]
+    assert {top.name: sorted(_names_in("coordinates", top.name) & kernels)
+            for top in tree.body if isinstance(top, ast.FunctionDef)
+            and _names_in("coordinates", top.name) & kernels} == {
+        "_walls": ["cofactor_pencil"], "_wall_values": ["cofactors"],
+        "simplicial_coords": ["cofactors"]}
     assert "_pattern_table" in names["polytope"]
     table = {"_pattern_table", "_table", "_evaluate", "_feasible_rows",
              "_vertices_at", "_read_rows", "_pattern_order", "_wall_values"}
@@ -103,11 +109,12 @@ def test_only_coordinates_eliminates_patterns():
 
 
 def test_pattern_table_is_built_from_walls():
-    # the table's one kernel is linalg.cofactors, one call per wall in
-    # _patterns; no module defines or calls the per-pattern elimination
-    # (bareiss) or its system (_solve_pattern), and the evaluator reads
-    # wall values at a point with no elimination.  _patterns builds the
-    # walls and takes no pattern's determinant: the patterns are
+    # the table's one kernel is linalg.cofactor_pencil, one call per
+    # (d-1)-vertex prefix in _walls, which _patterns calls; neither calls
+    # cofactors, the kernel of one wall.  No module defines or calls the
+    # per-pattern elimination (bareiss) or its system (_solve_pattern), and
+    # the evaluator reads wall values at a point with no elimination.
+    # _patterns takes the walls and no pattern's determinant: the patterns are
     # combinatorial (_pattern_order), the reader sums their wall values, and
     # a row's sign is the sum of its signed walls' constant entries
     from barypoly import coordinates, linalg
@@ -117,7 +124,9 @@ def test_pattern_table_is_built_from_walls():
     found = {path.stem: sorted(_identifiers(path) & {"bareiss", "_solve_pattern"})
              for path in sorted(src.glob("*.py"))}
     assert {mod: names for mod, names in found.items() if names} == {}
-    assert "cofactors" in _names_in("coordinates", "_patterns")
+    walls, patterns = (_names_in("coordinates", f) for f in ("_walls", "_patterns"))
+    assert "cofactor_pencil" in walls and "_walls" in patterns
+    assert "cofactors" not in walls | patterns
     evaluate = _names_in("coordinates", "_evaluate")
     assert sorted(evaluate & {"cofactors", "bareiss_row", "rref", "pivot",
                               "_patterns", "_table"}) == []

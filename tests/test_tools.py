@@ -13,6 +13,7 @@ STEP_NAMES = [
     "probe ties and polygons", "phase-one outputs", "table reads", "lone-point memory",
     "table memory", "ray reads on zero walls", "census grids", "census grid on the 4-cube",
     "plane validation", "solid validation", "kernel basis", "oracle outputs", "documents",
+    "zero walls in R^5",
 ]
 
 
@@ -34,7 +35,7 @@ def test_check_table_keeps_every_step_and_digest():
     assert sorted(set(checks) - set(hashing)) == [
         "lone-point memory", "reference outputs", "table memory"]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for ds in hashing.values() for d in ds)
-    assert len(hashing) == 13 and sum(map(len, hashing.values())) == 14
+    assert len(hashing) == 14 and sum(map(len, hashing.values())) == 15
     assert len(hashing["ray reads on zero walls"]) == 2
 
 

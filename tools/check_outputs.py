@@ -36,6 +36,9 @@ FIXTURES = ("square", "pentagon", "pyramid", "prism8")
 COPLANAR = {"dim": 3, "vertices": [[0, 0, 1], [1, 0, 2], [0, 1, 3], [1, 1, 4], [2, 1, 5]]}
 CUBE = list(itertools.product((0, 1), repeat=4))
 CUBE4 = validate([[v[l] for v in CUBE] for l in range(4)], 4)
+SQTET = [(*s, *t) for s in itertools.product((0, 1), repeat=2)
+         for t in [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+SQUARE_TETRAHEDRON = validate([[v[l] for v in SQTET] for l in range(5)], 5)
 # a convex pentagon moved off its integer corners by 1/(2^64 - k)
 WIDE = {"dim": 2, "vertices": [[str(x + Fraction(1, 2 ** 64 - 3 * i - l)) for l, x in enumerate(c)]
                                for i, c in enumerate([(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])]}
@@ -409,6 +412,28 @@ def documents(t):
             + validations(t, polys)
             + b"".join(cli("analyze", t / f"{name}.json", f"--point={arg(q)}", code=True)
                        for name, q in points)]
+
+
+@check("zero walls in R^5",
+       "2341911661499256432a002adf77bf7143f8f015d3abf8cfa0e3055485f084c5")
+def zero_walls_in_r5(t):
+    """A census sweep and analyze calls on the square × tetrahedron in R^5, whose walls of
+    the affinely dependent 5-subsets are zero (816 of C(16, 5) = 4368), and whole 4-vertex
+    prefixes among them (48 of C(15, 4) = 1365): at the centroid, a seeded interior point,
+    a vertex-pair midpoint, a facet point and a vertex, and the sweep also past that
+    vertex. Stdout and exit codes must hash to the value they had while every wall had an
+    elimination of its own."""
+    p = SQUARE_TETRAHEDRON
+    c, v, w = p.centroid(), p.vertices[0], p.vertices[1]
+    rng = random.Random(5)
+    weights = [rng.randint(1, 99) for _ in p.vertices]
+    seeded = [sum(k * u[l] for k, u in zip(weights, p.vertices)) / sum(weights)
+              for l in range(p.d)]
+    points = [arg(q) for q in (c, seeded, tuple((a + b) / 2 for a, b in zip(v, w)),
+                               facet_point(p), v)]
+    path, pts = write(t, "sqtet", p, points + [arg(2 * a - b for a, b in zip(v, c))])
+    return [cli("sweep", path, "--mode", "census", "--points", pts, code=True)
+            + b"".join(cli("analyze", path, f"--point={q}", code=True) for q in points)]
 
 
 def main() -> int:
