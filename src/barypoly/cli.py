@@ -6,6 +6,8 @@ inputs and flags, on every supported Python version: floats are added left
 to right (linalg.float_sum), not with sum, whose rounding changed in 3.12.
 Exit codes: 0 ok, 1 input/validation error, 2 point outside the polytope,
 3 internal invariant failure (oracle disagreement or InternalError).
+analyze writes its document (``report.analysis_document``, the layout
+``AnalysisReport`` writes too) straight from the integer pass.
 """
 
 import argparse
@@ -23,7 +25,7 @@ from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismat
 from .linalg import fr, rational_str
 from .polytope import (Polytope, load_polytope, parse_coordinates,
                        polytope_rows, read_json, validate)
-from .report import AnalysisReport, LambdaVertexEntry, dumps, format_float
+from .report import analysis_document, dumps, format_float, lambda_entries, ratio_rows
 
 _SEED_ENV = "BARYPOLY_SEED"
 # the most points --grid may build and --samples draw: the table's budget
@@ -59,34 +61,25 @@ def _parse_vector(text, d, what):
 
 
 def _analysis_report(p: Polytope, point) -> tuple:
-    """(report, None) at an inside point, else (None, the separator that tau's
-    phase one found); Interior or Boundary is read off Lambda(p)'s vertices
-    (``is_interior``)."""
+    """(the analyze document, None) at an inside point, else (None, the
+    separator that tau's phase one found).  The document is written from the
+    integer pass, with no Fraction and no record per vertex: Lambda's
+    vertices are int rows over one M (``co._lambda_rows``), Gamma's int rows
+    over M·T (``co._gamma_rows``), each entry reduced by one gcd as it is
+    written (``lambda_entries``, ``ratio_rows``); Interior or Boundary is
+    read off the vertex supports (``is_interior``)."""
     try:
         tau = co.feasible_tau(p, point)
     except InfeasibleError as exc:
         return None, exc.separator
     nb = co.nullbasis(p)
-    lam = co.lambda_vertices(p, point)
-    gam = co.gamma_polytope(p, tau, nb, lam)
-    entries = []
-    for v, supp in zip(lam.vertices, lam.vertex_supports):
-        support = tuple(sorted(supp))
-        zeros = tuple(j for j in range(1, p.n + 1) if j not in supp)
-        entries.append(LambdaVertexEntry(v.lam, support, zeros))
-    rep = AnalysisReport(
-        polytope_dim=p.d,
-        polytope_vertices=p.vertices,
-        point=tuple(point),
-        location="Interior" if co.is_interior(p.n, lam.vertex_supports) else "Boundary",
-        tau=tau.lam,
-        nbasis=gam.nbasis,
-        lambda_vertices=tuple(entries),
-        gamma_vertices=gam.vertices,
-        dim=lam.dim,
-        theorem_count_match=lam.theorem_count_match,
-    )
-    return rep, None
+    keys, (_, dim, match), (scale, rows) = co._lambda_rows(p, tau.point)
+    gden, grows = co._gamma_rows(p.kernel_dim(), nb, tau.lam, (scale, rows))
+    doc = analysis_document(
+        p.d, p.vertices, tau.point,
+        "Interior" if co.is_interior(p.n, keys.values()) else "Boundary",
+        tau.lam, nb, lambda_entries(scale, rows), ratio_rows(gden, grows), dim, match)
+    return doc, None
 
 
 def run_validate(path) -> int:
@@ -103,8 +96,8 @@ def run_validate(path) -> int:
 def run_analyze(path, point_text) -> int:
     p = load_polytope(path)
     point = _parse_vector(point_text, p.d, "point")
-    rep, separator = _analysis_report(p, point)
-    if rep is None:
+    doc, separator = _analysis_report(p, point)
+    if doc is None:
         a, b = separator
         print(dumps({
             "error": "Outside",
@@ -113,7 +106,7 @@ def run_analyze(path, point_text) -> int:
                             "offset": rational_str(b)},
         }))
         return 2
-    print(rep.to_json())
+    print(dumps(doc))
     return 0
 
 

@@ -40,9 +40,12 @@ Lambda's vertices at a point are read in two passes.  The integer pass
 each with its vertex's support; the vertex count, dim Lambda and the n-d test
 (``_census``) need nothing more, so census rows build no Fraction.
 ``_vertex_rows`` sorts the keys as dense int rows over one denominator, in
-the Fraction order; the probes round those rows to floats, Γ reads them on
-integers, and the Fraction pass (``_vertex_list``) builds the rationals
-from them, only for vertices that are printed.
+the Fraction order; the probes round those rows to floats, Γ's integer core
+(``_gamma_rows``) reads them on integers, and analyze writes its document
+straight off them, one gcd per printed entry.  Only ``lambda_vertices`` and
+``gamma_polytope``, thin wrappers over the same integer cores
+(``_lambda_rows``, ``_gamma_rows``), build the rationals (``_vertex_list``),
+for the callers that want Fractions.
 """
 
 import itertools
@@ -359,10 +362,19 @@ def _wall_values(p: Polytope, point) -> list:
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     """The coordinates of ``point`` with ``zero_set`` (n-d-1 integers in 1..n,
     else ValueError) forced to zero, read off the d + 1 walls of its
-    complement: found in the table by rank when ``p`` holds one, else built
-    alone with ``linalg.cofactors``, so that no table is built (as
-    ``_vertices_at`` reads); SingularPatternError when the complementary
-    columns are affinely dependent."""
+    complement (``_simplicial_at``); SingularPatternError when the
+    complementary columns are affinely dependent."""
+    zeros, ((sigma, feasible),) = _simplicial_at(p, zero_set, [point])
+    return SimplicialCoordinate(zeros, sigma, feasible)
+
+
+def _simplicial_at(p: Polytope, zero_set, points) -> tuple:
+    """(the zero set, [(sigma, feasible) at each of ``points``]) for
+    ``simplicial_coords``, off the d + 1 walls keep∖k_i of the zero set's
+    complement, built once: by rank off the table when ``p`` holds one,
+    else alone with ``linalg.cofactors``, building no table (as
+    ``_vertices_at`` reads), off the keep set's own vertices, whose lcm
+    scales the d + 1 walls alike and leaves sigma as it is."""
     try:
         zeros = frozenset(map(index, zero_set))
     except TypeError as exc:
@@ -372,27 +384,32 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     if len(zeros) != p.kernel_dim():
         raise ValueError(
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
-    pt = p.as_point(point)
+    pts = [p.as_point(point) for point in points]
     n, d = p.n, p.d
     keep = [j for j in range(n) if j + 1 not in zeros]
     # the row alone: the reader gets the values of its d + 1 walls keep∖k_i,
     # i = 0..d, and ids 0..d, ~i at odd i
-    rests = list(itertools.combinations(keep, d))[::-1]
     if p._pattern_table:
         # the table lists S at rank C(n, d) - 1 - Σ_j C(n-1-s_j, d-j)
         table, top = _table(p)[0], math.comb(n, d) - 1
         walls = [table[top - sum(map(math.comb, [n - 1 - s for s in rest],
-                                     range(d, 0, -1)))] for rest in rests]
+                                     range(d, 0, -1)))]
+                 for rest in itertools.combinations(keep, d)]
     else:
-        scale, points = _wall_points(p)
-        walls = [_wall(scale, linalg.cofactors([points[j] for j in rest]))
-                 for rest in rests]
-    vals = _evaluate(walls, pt)
-    own = [i ^ -(i % 2) for i in range(d + 1)]
-    for keep, xs, den in _read_rows([(keep, own)], vals):
-        return SimplicialCoordinate(zeros, _sigma(n, keep, xs, den), min(xs) >= 0)
-    raise SingularPatternError(
-        f"columns outside {sorted(zeros)} are affinely dependent")
+        scale, ints = linalg.integer_rows([p.vertices[j] for j in keep])
+        walls = [_wall(scale, linalg.cofactors(list(rest)))
+                 for rest in itertools.combinations([(1, *row) for row in ints], d)]
+    walls.reverse()
+    own = [(keep, [i ^ -(i % 2) for i in range(d + 1)])]
+    read = []
+    for pt in pts:
+        for _, xs, den in _read_rows(own, _evaluate(walls, pt)):
+            read.append((_sigma(n, keep, xs, den), min(xs) >= 0))
+            break
+        else:
+            raise SingularPatternError(
+                f"columns outside {sorted(zeros)} are affinely dependent")
+    return zeros, read
 
 
 def _feasible_rows(p: Polytope, point):
@@ -538,24 +555,14 @@ def is_interior(n: int, supports) -> bool:
 
 
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
-    """Enumerate the vertex set of the coordinate polytope at ``point``.
-
-    Reads every nonsingular size-(n-d-1) zero pattern at ``point``
-    (``_vertices_at``: off the polytope's pattern table when it holds one,
-    else off the wall values there) and keeps the distinct feasible
-    solutions, told apart and sorted on integers (``_vertex_keys``,
-    ``_vertex_rows``), then builds their Fractions from those int rows
-    (``_vertex_list``), which the result keeps for ``gamma_polytope``.  A
-    nonsingular pattern's support columns are affinely independent, so
-    every feasible solution is a vertex.  Raises InfeasibleError when the
+    """Enumerate the vertex set of the coordinate polytope at ``point``: the
+    Fractions (``_vertex_list``) of ``_lambda_rows``' int rows, which the
+    result keeps for ``gamma_polytope``.  Raises InfeasibleError when the
     point is outside and PatternLimitError when the polytope has too many
-    zero patterns; ``dim`` and the count are ``_census``'s, read off the
-    keys.
+    zero patterns.
     """
     pt = p.as_point(point)
-    keys = _vertices_at(p, pt)
-    count, dim, match = _census(p, keys)
-    rows = _vertex_rows(p.n, keys)
+    _, (_, dim, match), rows = _lambda_rows(p, pt)
     ordered = _vertex_list(*rows)
     return LambdaPolytope(
         point=pt,
@@ -567,9 +574,37 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     )
 
 
+def _lambda_rows(p: Polytope, pt) -> tuple:
+    """The integer core of ``lambda_vertices`` at the exact point ``pt``:
+    (keys, census, (M, rows)), the vertex keys and supports of the feasible
+    nonsingular zero patterns there (``_vertices_at``), their ``_census``,
+    and ``_vertex_rows``' int rows in the Fraction order.  A nonsingular
+    pattern's support columns are affinely independent, so every feasible
+    solution is a vertex."""
+    keys = _vertices_at(p, pt)
+    return keys, _census(p, keys), _vertex_rows(p.n, keys)
+
+
 def gamma_polytope(p: Polytope, tau: BarycentricVector, nbasis_rows,
                    lam: LambdaPolytope) -> GammaPolytope:
-    """Reduced polytope of ``lam`` in the kernel coordinates of ``nbasis_rows``.
+    """Reduced polytope of ``lam`` in the kernel coordinates of ``nbasis_rows``:
+    the Fractions of ``_gamma_rows``' int rows, which raises its errors."""
+    rows = linalg.mat(nbasis_rows)
+    den, gvertices = _gamma_rows(p.kernel_dim(), rows, tau.lam, lam._rows)
+    hrep = tuple((tuple(row), tau.lam[j]) for j, row in enumerate(rows))
+    return GammaPolytope(
+        tau=tau,
+        nbasis=tuple(tuple(r) for r in rows),
+        hrep_rows=hrep,
+        vertices=tuple(tuple(Fraction(x, den) for x in row) for row in gvertices),
+    )
+
+
+def _gamma_rows(k: int, rows, tau_lam, lam_rows) -> tuple:
+    """The integer core of ``gamma_polytope``: (M·T, Γ's vertices as int rows
+    over M·T), in the order of ``lam_rows``, the (M, rows) of Lambda's
+    vertices (``_vertex_rows``), for the kernel basis ``rows`` (n Fraction
+    rows of length k) and tau's entries ``tau_lam``.
 
     ``nullbasis`` reads N off the RREF's free columns, so N has a row
     u_j equal to e_j for each j = 1..k, and the only solution of
@@ -579,15 +614,13 @@ def gamma_polytope(p: Polytope, tau: BarycentricVector, nbasis_rows,
     the nonzero entries of v[u] (a vertex of Lambda has at most d + 1).
     The test runs on integers: N is scaled by L to int rows g
     (``linalg.integer_rows``, unit rows L·e_j), tau by T to ints t, and the
-    vertices are ``lam``'s int rows x over their common denominator M, so
-    it reads g_i·x[u] - L·x_i times T against g_i·t[u] - L·t_i times M, and
+    vertices are int rows x over their common denominator M, so it reads
+    g_i·x[u] - L·x_i times T against g_i·t[u] - L·t_i times M, and
     c_j = (x[u_j]·T - t[u_j]·M) / (M·T).
     Raises SingularMatrixError when N lacks one of the unit rows (a
     rank-deficient N always does) and InconsistentInputsError when some
     v - tau is outside the column span of N.
     """
-    k = p.kernel_dim()
-    rows = linalg.mat(nbasis_rows)
     scale, ints = linalg.integer_rows(rows)
     try:
         units = [ints.index([scale * (i == j) for i in range(k)]) for j in range(k)]
@@ -601,23 +634,17 @@ def gamma_polytope(p: Polytope, tau: BarycentricVector, nbasis_rows,
         return [f * sum((row[j] * a for j, a in nonzero), -scale * x[i])
                 for row, i in others]
 
-    den, xs = lam._rows
-    tden, (t,) = linalg.integer_rows([tau.lam])
+    den, xs = lam_rows
+    tden, (t,) = linalg.integer_rows([tau_lam])
     base = residuals(t, den)
+    shifts = [t[u] * den for u in units]
     gvertices = []
     for x in xs:
         if residuals(x, tden) != base:
             raise InconsistentInputsError(
                 "vertex - tau is not in the column span of the kernel basis")
-        gvertices.append(tuple(Fraction(x[u] * tden - t[u] * den, den * tden)
-                               for u in units))
-    hrep = tuple((tuple(row), tau.lam[j]) for j, row in enumerate(rows))
-    return GammaPolytope(
-        tau=tau,
-        nbasis=tuple(tuple(r) for r in rows),
-        hrep_rows=hrep,
-        vertices=tuple(gvertices),
-    )
+        gvertices.append([x[u] * tden - y for u, y in zip(units, shifts)])
+    return den * tden, gvertices
 
 
 def segment_interval(tau: BarycentricVector, n_col) -> tuple:

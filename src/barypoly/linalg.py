@@ -15,6 +15,9 @@ elimination is left: the RREF is unique, so the kernel basis read off
 ``eliminate`` is the Fraction RREF's, Fraction for Fraction.  The DD oracle
 scales its system with ``integer_rows`` too, but runs its own elimination
 (``oracle._reduced_system``), so it shares none with the enumeration route.
+Exact values are written as 'p/q' by ``rational_str``, and an int over an
+int denominator by ``ratio_str``, with one gcd and no Fraction; both raise
+DigitLimitError past Python's int-to-str digit limit.
 """
 
 import math
@@ -51,8 +54,23 @@ def rational_str(x) -> str:
     try:
         return str(x)
     except ValueError as exc:
-        raise DigitLimitError(f"an output value has more than "
-                              f"{sys.get_int_max_str_digits()} digits") from exc
+        raise _digit_limit() from exc
+
+
+def ratio_str(num: int, den: int) -> str:
+    """``rational_str(Fraction(num, den))`` of ints, den > 0, byte for byte:
+    reduced by one gcd, with no Fraction built; DigitLimitError at the same
+    limit."""
+    g = math.gcd(num, den)
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError as exc:
+        raise _digit_limit() from exc
+
+
+def _digit_limit() -> DigitLimitError:
+    return DigitLimitError(f"an output value has more than "
+                           f"{sys.get_int_max_str_digits()} digits")
 
 
 def vec(xs) -> tuple:

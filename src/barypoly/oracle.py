@@ -180,11 +180,6 @@ def dd_vertices(p: Polytope, point) -> OracleResult:
     return OracleResult(vertices=tuple(verts), method="DoubleDescription")
 
 
-def vertices_agree(a, b) -> bool:
-    """Exact set equality of two coordinate-vector collections."""
-    return set(a) == set(b)
-
-
 def _sample_sums(verts, count: int, seed: int) -> list:
     """The sampler's integer core: ``count`` seeded convex combinations of the
     vertex list ``verts``, each as (s, T), the coordinate vector s / T.

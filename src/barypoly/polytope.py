@@ -149,19 +149,27 @@ def _plane_hull(points) -> set:
 
 
 def _certified(points) -> set:
-    """Indices of distinct integer points that one linear functional proves
-    extreme: i is certified when a_i = n·v_i - Σ_j v_j (n times the direction
-    from the centroid) has a_i·v_i > a_i·v_j for every j != i.  The unique
-    maximiser of a linear functional over distinct points is extreme; a point
-    left out may be extreme or not.  O(n²·d) integer multiply-adds."""
+    """Indices of distinct integer points that a linear functional proves
+    extreme: i is certified when some a has a·v_i > a·v_j for every j != i,
+    as the unique maximiser of a linear functional over distinct points is
+    extreme.  The first a is a_i = n·v_i - Σ_j v_j (n times the direction
+    from the centroid); where it fails at some v_j, the first such j, it is
+    corrected to a + (v_i - v_j) (a perceptron step, which raises
+    a·(v_i - v_j) by |v_i - v_j|² > 0), at most 4n times.  A point left out
+    may be extreme or not.  Each test is O(n·d) integer multiply-adds."""
     n = len(points)
     total = [sum(xs) for xs in zip(*points)]
     sure = set()
     for i, v in enumerate(points):
         a = [n * x - s for x, s in zip(v, total)]
-        top = sum(map(mul, a, v))
-        if all(sum(map(mul, a, q)) < top for q in points[:i] + points[i + 1:]):
-            sure.add(i)
+        others = points[:i] + points[i + 1:]
+        for _ in range(4 * n + 1):
+            top = sum(map(mul, a, v))
+            q = next((q for q in others if sum(map(mul, a, q)) >= top), None)
+            if q is None:
+                sure.add(i)
+                break
+            a = [x + y - z for x, y, z in zip(a, v, q)]
     return sure
 
 

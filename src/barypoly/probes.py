@@ -436,11 +436,11 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
 
 def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
     """Exact n x d Jacobian of the simplicial-coordinate map for ``zero_set``:
-    sigma_Z is affine, so column l is sigma_Z(e_l) - sigma_Z(0)."""
-    base = co.simplicial_coords(p, [0] * p.d, zero_set).sigma
-    units = [co.simplicial_coords(p, [int(c == l) for c in range(p.d)], zero_set).sigma
-             for l in range(p.d)]
-    return [[u[i] - b for u in units] for i, b in enumerate(base)]
+    sigma_Z is affine, so column l is sigma_Z(e_l) - sigma_Z(0), read off
+    the keep set's d + 1 walls, built once (``co._simplicial_at``)."""
+    units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
+    _, ((base, _), *read) = co._simplicial_at(p, zero_set, [[0] * p.d, *units])
+    return [[u[i] - b for u, _ in read] for i, b in enumerate(base)]
 
 
 def selection_jacobian(p: Polytope, zero_set) -> list:

@@ -3,6 +3,10 @@
 Re-parsing a serialized report reproduces the original exactly; floats
 (probe data elsewhere) are written with 17 significant digits, which
 round-trips IEEE doubles.  ``dumps`` writes the CLI's indented documents.
+``analysis_document`` holds the analyze document's keys and their order:
+``AnalysisReport.to_dict`` fills it from the report's Fractions, the CLI
+from the integer pass's int rows (``lambda_entries``, ``ratio_rows``), with
+no Fraction and no record per vertex.
 """
 
 import json
@@ -10,7 +14,7 @@ from json.encoder import encode_basestring_ascii
 from operator import mul
 
 from .errors import ParseError
-from .linalg import fr, rational_str
+from .linalg import fr, ratio_str, rational_str
 from .polytope import parse_coordinates
 from .records import Record
 
@@ -30,6 +34,10 @@ def dumps(doc) -> str:
     return "".join(out)
 
 
+# the leaves a list may hold alone, and their writers
+_LEAVES = {str: encode_basestring_ascii, int: str}
+
+
 def _write(x, out, newline) -> None:
     """Append ``x``'s JSON to ``out``, its lines after the first starting
     with ``newline`` (a newline and the indent of ``x``)."""
@@ -41,6 +49,11 @@ def _write(x, out, newline) -> None:
             out.append("[]")
             return
         inner = newline + "  "
+        kinds = set(map(type, x))
+        if len(kinds) == 1 and (leaf := _LEAVES.get(kinds.pop())):
+            # a vector of strs or of ints: one join
+            out.append("[" + inner + ("," + inner).join(map(leaf, x)) + newline + "]")
+            return
         sep = "[" + inner
         for item in x:
             out.append(sep)
@@ -89,6 +102,46 @@ def _ascending(indices) -> bool:
     return all(a < b for a, b in zip(indices, indices[1:]))
 
 
+def analysis_document(polytope_dim, polytope_vertices, point, location, tau, nbasis,
+                      lambda_vertices, gamma_vertices, dim, theorem_count_match) -> dict:
+    """The analyze document, its keys in their order.  The vectors both
+    routes hold as Fractions (the vertices, the point, tau and the rows of
+    N) are written here; the vertex lists come written, each Lambda vertex
+    a (lambda, support, zeros) triple of lists and each Gamma vertex a list
+    of 'p/q' strings: ``AnalysisReport.to_dict`` writes them from its
+    Fractions, the CLI from the integer pass (``lambda_entries``,
+    ``ratio_rows``)."""
+    return {
+        "polytope": {"dim": polytope_dim,
+                     "vertices": [_rvec(v) for v in polytope_vertices]},
+        "point": _rvec(point),
+        "location": location,
+        "tau": _rvec(tau),
+        "nullspace_basis": [_rvec(row) for row in nbasis],
+        "lambda_vertices": [{"lambda": lam, "support": support, "zeros": zeros}
+                            for lam, support, zeros in lambda_vertices],
+        "gamma_vertices": gamma_vertices,
+        "dim": dim,
+        "theorem_count_match": theorem_count_match,
+    }
+
+
+def ratio_rows(scale: int, rows) -> list:
+    """The 'p/q' strings of int rows over one denominator ``scale`` > 0,
+    each entry reduced by one gcd (``ratio_str``)."""
+    return [[ratio_str(x, scale) if x else "0" for x in row] for row in rows]
+
+
+def lambda_entries(scale: int, rows) -> list:
+    """(lambda, support, zeros) per int row of Lambda's vertices over one
+    denominator ``scale`` (``coordinates._vertex_rows``): the row written by
+    ``ratio_rows``, and the 1-based indices of its nonzero and zero
+    entries."""
+    return [(lam, [j for j, x in enumerate(row, 1) if x],
+             [j for j, x in enumerate(row, 1) if not x])
+            for lam, row in zip(ratio_rows(scale, rows), rows)]
+
+
 class LambdaVertexEntry(Record):
     _fields = (
         "lam",
@@ -112,27 +165,11 @@ class AnalysisReport(Record):
     )
 
     def to_dict(self) -> dict:
-        return {
-            "polytope": {
-                "dim": self.polytope_dim,
-                "vertices": [_rvec(v) for v in self.polytope_vertices],
-            },
-            "point": _rvec(self.point),
-            "location": self.location,
-            "tau": _rvec(self.tau),
-            "nullspace_basis": [_rvec(row) for row in self.nbasis],
-            "lambda_vertices": [
-                {
-                    "lambda": _rvec(e.lam),
-                    "support": list(e.support),
-                    "zeros": list(e.zeros),
-                }
-                for e in self.lambda_vertices
-            ],
-            "gamma_vertices": [_rvec(v) for v in self.gamma_vertices],
-            "dim": self.dim,
-            "theorem_count_match": self.theorem_count_match,
-        }
+        return analysis_document(
+            self.polytope_dim, self.polytope_vertices, self.point, self.location,
+            self.tau, self.nbasis,
+            [(_rvec(e.lam), list(e.support), list(e.zeros)) for e in self.lambda_vertices],
+            [_rvec(v) for v in self.gamma_vertices], self.dim, self.theorem_count_match)
 
     def to_json(self) -> str:
         return dumps(self.to_dict())

@@ -33,6 +33,7 @@ from barypoly.probes import (
     _tail_nonincreasing,
 )
 from barypoly.polytope import Polytope
+from barypoly.report import AnalysisReport, LambdaVertexEntry
 from barypoly.simplex import convex_membership
 
 BIG = 1 << 64
@@ -823,3 +824,41 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
                    basepoint=pt, direction=hv, zero_set=sorted(zero_set),
                    diameters=diameters, pairwise_hausdorff=pair,
                    distance_tol=distance_tol)
+
+
+def reference_selection_jacobian(p, zero_set) -> list:
+    """The exact n x d selection Jacobian by d + 1 ``simplicial_coords``
+    calls, at 0 and at each unit vector e_l: column l is
+    sigma_Z(e_l) - sigma_Z(0).  On a polytope with no table each call builds
+    the keep set's walls anew; ``probes._selection_jacobian_exact``, which
+    must equal it, builds them once."""
+    base = co.simplicial_coords(p, [0] * p.d, zero_set).sigma
+    units = [co.simplicial_coords(p, [int(c == l) for c in range(p.d)], zero_set).sigma
+             for l in range(p.d)]
+    return [[u[i] - b for u in units] for i, b in enumerate(base)]
+
+
+def vertices_agree(a, b) -> bool:
+    """Exact set equality of two coordinate-vector collections."""
+    return set(a) == set(b)
+
+
+def reference_report(p, point) -> AnalysisReport:
+    """The analyze report of the public Fraction route: tau, N, Lambda's
+    Fraction vertices (``lambda_vertices``) and Gamma's (``gamma_polytope``),
+    each vertex's support and zeros read off its entries, and Interior where
+    every index is nonzero at some vertex.  ``analyze``, which writes its
+    document straight off the integer pass, must print its ``to_json()``."""
+    pt = p.as_point(point)
+    tau, nb = co.feasible_tau(p, pt), co.nullbasis(p)
+    lam = co.lambda_vertices(p, pt)
+    gam = co.gamma_polytope(p, tau, nb, lam)
+    entries = tuple(LambdaVertexEntry(v.lam, tuple(j for j, x in enumerate(v.lam, 1) if x),
+                                      tuple(j for j, x in enumerate(v.lam, 1) if not x))
+                    for v in lam.vertices)
+    return AnalysisReport(
+        polytope_dim=p.d, polytope_vertices=p.vertices, point=pt,
+        location="Interior" if all(map(any, zip(*lam.vertex_arrays()))) else "Boundary",
+        tau=tau.lam, nbasis=gam.nbasis, lambda_vertices=entries,
+        gamma_vertices=gam.vertices, dim=lam.dim,
+        theorem_count_match=lam.theorem_count_match)

@@ -31,10 +31,9 @@ from barypoly.oracle import (
     dd_vertices,
     random_feasible_sample,
     random_polytope,
-    vertices_agree,
 )
 from barypoly.probes import continuity_probe, selection_jacobian, semidiff_probe
-from helpers import interior_point, pentagon_edge_region_point
+from helpers import interior_point, pentagon_edge_region_point, vertices_agree
 
 F = Fraction
 CENTER = (F(1, 2), F(1, 2))

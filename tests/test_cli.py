@@ -443,13 +443,14 @@ def test_oracle_check_runs_the_oracle_once(square_file, capsys, monkeypatch):
 
 def test_oracle_check_samples_need_no_lp(tmp_path, capsys, monkeypatch):
     # samples are tested exactly, so every phase one left is validation's:
-    # one for the tetrahedron's fifth vertex, which no integer functional
-    # certifies (the plane's hull walk and the certified vertices have none)
+    # one for the tetrahedron's fifth vertex, just past its slanted face,
+    # which the centroid functional and its 4n corrections leave (the
+    # plane's hull walk and the certified vertices have none)
     from barypoly import coordinates, polytope, simplex
 
     solid_file = tmp_path / "tetrahedron-plus.json"
     solid_file.write_text(json.dumps({"dim": 3, "vertices": [
-        [0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4], ["3/2", "3/2", "11/10"]]}))
+        [0, 0, 0], [4, 0, 0], [0, 4, 0], [0, 0, 4], ["3/2", "3/2", "101/100"]]}))
     rows = []
     for module in (simplex, polytope, coordinates):
         real = module.feasible_point
@@ -677,6 +678,34 @@ def test_output_past_the_int_digit_limit(square_file, tmp_path, capsys):
     assert sys.get_int_max_str_digits() == limit
     code, out = run(capsys, "analyze", square_file, "--point=1" + "0" * limit + ",0")
     assert (code, json.loads(out)["error"]) == (1, "ParseError")
+
+
+# a convex pentagon moved off its integer corners by 1/(2^64 - k)
+WIDE = {"dim": 2, "vertices": [[str(x + F(1, 2 ** 64 - 3 * i - l)) for l, x in enumerate(c)]
+                               for i, c in enumerate([(0, 0), (2, 0), (3, 2), (1, 4), (-1, 2)])]}
+
+
+def test_entries_past_the_int_digit_limit(tmp_path, capsys):
+    # the point prints, its denominator 3**8990 has 4290 digits, but over the
+    # pentagon's ~2^64 denominators Lambda's and Gamma's entries have more
+    # than the limit: analyze, which writes them off the integer pass, gives
+    # the typed error as the Fraction route's writer did
+    from barypoly.coordinates import feasible_tau, gamma_polytope, lambda_vertices, nullbasis
+    from barypoly.polytope import load_polytope
+
+    limit = sys.get_int_max_str_digits()
+    f = tmp_path / "wide.json"
+    f.write_text(json.dumps(WIDE))
+    x = 1 + F(1, 3 ** 8990)
+    assert len(str(x.denominator)) == 4290 < limit
+    code, out = run(capsys, "analyze", str(f), f"--point={x},8/5")
+    assert (code, json.loads(out)) == (1, {
+        "error": "TooManyDigits", "detail": f"an output value has more than {limit} digits"})
+    p = load_polytope(str(f))
+    lam = lambda_vertices(p, (x, F(8, 5)))
+    gam = gamma_polytope(p, feasible_tau(p, (x, F(8, 5))), nullbasis(p), lam)
+    for vertices in ([v.lam for v in lam.vertices], gam.vertices):
+        assert max(y.denominator for v in vertices for y in v) >= 10 ** limit
 
 
 @pytest.mark.parametrize("mode", ["continuity", "semidiff"])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barypoly import linalg
-from barypoly.errors import EmptyInputError, SingularMatrixError
+from barypoly.errors import DigitLimitError, EmptyInputError, SingularMatrixError
 from helpers import (
     bareiss,
     mat_mul,
@@ -335,3 +335,26 @@ def test_float_sum_adds_left_to_right():
     assert linalg.float_sum([]) == 0.0
     assert linalg.float_sum([1.44e308, 1.44e308]) == math.inf
     assert math.isnan(linalg.float_sum([math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30), st.integers(0, 10 ** 6))
+def test_ratio_str_writes_the_fraction(num, den, g):
+    # one gcd and no Fraction: the bytes of rational_str(Fraction(num, den)),
+    # also where a common factor g reduces or den divides num
+    for a, b in ((num, den), (num * g, den * g), (num * den, den)):
+        if b:
+            assert linalg.ratio_str(a, b) == linalg.rational_str(Fraction(a, b))
+
+
+def test_ratio_str_stops_at_the_digit_limit():
+    # DigitLimitError where rational_str(Fraction(...)) raises it, in the
+    # numerator or the denominator, and the reduced value is written when the
+    # gcd brings it under the limit
+    limit = 10 ** 4300
+    for num, den in ((1, limit), (limit, 1), (limit + 1, 3)):
+        for write in (lambda: linalg.ratio_str(num, den),
+                      lambda: linalg.rational_str(Fraction(num, den))):
+            with pytest.raises(DigitLimitError, match="more than 4300 digits"):
+                write()
+    assert linalg.ratio_str(limit, 10 * limit) == "1/10"

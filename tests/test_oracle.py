@@ -16,12 +16,11 @@ from barypoly.oracle import (
     random_feasible_sample,
     random_interior_point,
     random_polytope,
-    vertices_agree,
 )
 from barypoly.polytope import Location, Polytope, locate, validate
 from barypoly.simplex import convex_membership
 from helpers import (fraction_system, integer_system, interior_point, mat_vec,
-                     reference_reduced_system)
+                     reference_reduced_system, vertices_agree)
 
 F = Fraction
 CENTER = (F(1, 2), F(1, 2))

@@ -19,6 +19,7 @@ from barypoly.oracle import random_polytope
 from barypoly.polytope import (
     Location,
     Polytope,
+    _certified,
     load_polytope,
     locate,
     parse_polytope,
@@ -73,8 +74,10 @@ def _count_phase_ones(monkeypatch):
 
 def test_plane_validation_runs_no_phase_one(monkeypatch):
     # the plane's extreme-point test is a hull walk; from d = 3 on a phase
-    # one runs only for the vertices no integer functional certifies: none on
-    # the pyramid and prism8, vertices 3, 5, 6 and 7 of a seeded census d3n8
+    # one runs only for the vertices that neither the centroid functional nor
+    # its 4n corrections certify: none on the pyramid and prism8, and none on
+    # a seeded census d3n8, where the functional misses vertices 3, 5, 6 and
+    # 7 and 22, 4, 2 and 1 corrections certify them
     calls = _count_phase_ones(monkeypatch)
     for name, d, n in (("pentagon", 2, 0), ("pyramid", 3, 0), ("prism8", 3, 0)):
         calls.clear()
@@ -83,20 +86,24 @@ def test_plane_validation_runs_no_phase_one(monkeypatch):
         assert len(calls) == n
     calls.clear()
     census = random_polytope(3, 8, seed=9032)
-    assert len(calls) == 4
-    assert calls == [census.vertices[i] for i in (2, 4, 5, 6)]
+    points = list(zip(*linalg.integer_rows(census.stacked_rows()[:-1])[1]))
+    assert calls == [] and _certified(points) == set(range(8))
 
 
 # a tetrahedron and a fifth point above the centre of its slanted face
 TETRAHEDRON = [(0, 0, 0), (4, 0, 0), (0, 4, 0), (0, 0, 4)]
 
 
-@pytest.mark.parametrize("z, extreme", [(F(11, 10), True), (F(9, 10), False)])
+@pytest.mark.parametrize("z, extreme", [
+    (F(11, 10), True), (F(9, 10), False), (F(101, 100), True)])
 def test_solid_validation_falls_back_to_a_phase_one(monkeypatch, z, extreme):
     # (3/2, 3/2, z) maximises no functional n·v_5 - Σ v_j over the five
-    # points (vertex 2 beats it), so it alone runs a phase one: past the
-    # face x + y + z = 4 (z = 11/10) it is extreme, below it (z = 9/10) it
-    # is the first vertex in the hull of the others
+    # points (vertex 2 beats it).  Past the face x + y + z = 4 it is
+    # extreme: at z = 11/10 16 corrections certify it, within 4n = 20, but
+    # at z = 101/100, nearer the face, the corrections run out (it needs
+    # 45) and it runs a phase one.  Below the face (z = 9/10) it is the
+    # first vertex in the hull of the others, which no functional
+    # certifies, so it runs the phase one that reports it
     calls = _count_phase_ones(monkeypatch)
     pts = TETRAHEDRON + [(F(3, 2), F(3, 2), z)]
     rows = [[F(v[l]) for v in pts] for l in range(3)]
@@ -106,7 +113,7 @@ def test_solid_validation_falls_back_to_a_phase_one(monkeypatch, z, extreme):
         with pytest.raises(NonExtremeVertexError) as exc:
             validate(rows, 3)
         assert exc.value.index == 5
-    assert calls == [pts[4]]
+    assert calls == ([] if z == F(11, 10) else [pts[4]])
 
 
 def test_validate_collinear_rank_deficient():

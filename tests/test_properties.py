@@ -54,18 +54,22 @@ vertex index, or give the kernel rows of ``helpers.reference_validate``'s
 phase ones.
 """
 
+import contextlib
 import functools
+import io
 import json
 import math
+import tempfile
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from barypoly import linalg
-from barypoly.cli import _analysis_report, _pick_selection, _sweep_row
+from barypoly.cli import _analysis_report, _pick_selection, _sweep_row, main
 from barypoly.coordinates import (
     BarycentricVector,
     _census,
@@ -109,7 +113,7 @@ from barypoly.oracle import (
     random_polytope,
     samples_feasible,
 )
-from barypoly.polytope import Location, Polytope, locate, validate
+from barypoly.polytope import Location, Polytope, locate, polytope_document, validate
 from barypoly.probes import (
     ProbeReport,
     FloatPolytope,
@@ -140,8 +144,10 @@ from helpers import (
     reference_pruned_hausdorff_status,
     reference_patterns,
     reference_reduced_system,
+    reference_report,
     reference_rref,
     reference_scan_reduced,
+    reference_selection_jacobian,
     reference_semidiff_probe,
     reference_validate,
     reference_walls,
@@ -458,6 +464,34 @@ def test_simplicial_coords_solves_its_keep_set(kind, seed, data):
             assert (sc.zero_set, sc.sigma, sc.feasible) == (
                 frozenset(combo), tuple(sigma), min(lam) >= 0)
     assert bool(singular) == (kind in ("pyramid", "prism8", "cube4"))
+    assert fresh._pattern_table == []
+
+
+@settings(max_examples=20, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
+       st.integers(0, 3), st.data())
+def test_selection_jacobian_reads_its_walls_once(kind, seed, data):
+    # the Jacobian reads its keep set's d + 1 walls, built once, at 0 and at
+    # each e_l: at drawn zero sets it equals the d + 1 simplicial_coords
+    # calls of helpers.reference_selection_jacobian on a fresh polytope, on
+    # a polytope that holds a table and on a fresh one, which builds its
+    # walls off the keep set's own vertices and keeps no table, and raises
+    # SingularPatternError where the reference does (the 4-cube)
+    p = _wall_polytope(kind, seed)
+    fresh = _fresh(p)
+    _table(p)
+    combos = list(combinations(range(1, p.n + 1), p.kernel_dim()))
+    for combo in data.draw(st.lists(st.sampled_from(combos), min_size=1, max_size=4)):
+        try:
+            want = reference_selection_jacobian(_fresh(p), combo)
+        except SingularPatternError:
+            for poly in (p, fresh):
+                with pytest.raises(SingularPatternError):
+                    _selection_jacobian_exact(poly, combo)
+            continue
+        for poly in (p, fresh):
+            assert _selection_jacobian_exact(poly, combo) == want
     assert fresh._pattern_table == []
 
 
@@ -895,8 +929,35 @@ def test_analyze_location_agrees_with_locate(p, data):
               p.vertices[i],
               _combination([p.vertices[k] for k in idx], weights[:p.d])]
     for q in points:
-        report, _ = _analysis_report(p, q)
-        assert report.location == locate(p, q).tag.value
+        doc, _ = _analysis_report(p, q)
+        assert doc["location"] == locate(p, q).tag.value
+
+
+@PROPERTY
+@given(polytopes(max_n=8, dims=(2, 3, 4)), st.data())
+def test_analyze_prints_the_fraction_report(p, data):
+    # analyze writes its document straight off the integer pass, with no
+    # Fraction vertex: its stdout is the report of the public Fraction route
+    # (helpers.reference_report), written by to_json(), at an interior
+    # point, a vertex-pair midpoint, a vertex and a point in the hull of d
+    # vertices (on a facet when they span one)
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    idx = data.draw(st.lists(st.integers(0, p.n - 1), min_size=p.d, max_size=p.d,
+                             unique=True))
+    points = [_combination(p.vertices, weights),
+              tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j])),
+              p.vertices[i],
+              _combination([p.vertices[k] for k in idx], weights[:p.d])]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.json"
+        path.write_text(json.dumps(polytope_document(p)))
+        for q in points:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["analyze", str(path), "--point=" + ",".join(map(str, q))])
+            assert (code, out.getvalue()) == (0, reference_report(p, q).to_json() + "\n")
 
 
 _GRID = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 2]))

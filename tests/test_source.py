@@ -84,8 +84,9 @@ def test_only_coordinates_eliminates_patterns():
     # the rows those readers yield
     src = Path(barypoly.__file__).parent
     names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
-    # the table's _walls runs linalg's prefix kernel, _wall_values and a
-    # simplicial_coords on a polytope with no table its wall kernel
+    # the table's _walls runs linalg's prefix kernel, _wall_values and the
+    # keep-set walls of a simplicial_coords or a selection Jacobian on a
+    # polytope with no table (_simplicial_at) its wall kernel
     kernels = {"cofactors", "cofactor_pencil"}
     assert {"_patterns", "_walls", "_wall_values", *kernels} <= names["coordinates"]
     assert sorted(mod for mod, found in names.items()
@@ -96,7 +97,7 @@ def test_only_coordinates_eliminates_patterns():
             for top in tree.body if isinstance(top, ast.FunctionDef)
             and _names_in("coordinates", top.name) & kernels} == {
         "_walls": ["cofactor_pencil"], "_wall_values": ["cofactors"],
-        "simplicial_coords": ["cofactors"]}
+        "_simplicial_at": ["cofactors"]}
     assert "_pattern_table" in names["polytope"]
     table = {"_pattern_table", "_table", "_evaluate", "_feasible_rows",
              "_vertices_at", "_read_rows", "_pattern_order", "_wall_values"}
@@ -143,7 +144,8 @@ def test_one_reader_forms_every_denominator():
     # ids; every point read reaches it: a lone read (_vertices_at), a table
     # read (_feasible_rows), a ray step (_ray_keys), a census read
     # (_census_at), those three over the rows the wall signs leave
-    # (_masked_rows), and simplicial_coords
+    # (_masked_rows), and the keep-set read of simplicial_coords and the
+    # selection Jacobian (_simplicial_at)
     from barypoly import coordinates
 
     assert not hasattr(coordinates, "_lone_rows")
@@ -157,7 +159,7 @@ def test_one_reader_forms_every_denominator():
     assert [name for name in funcs if "den" in assigned[name]] == ["_read_rows"]
     assert [name for name in funcs
             if "itemgetter" in _names_in("coordinates", name)] == ["_read_rows"]
-    for reader in ("_vertices_at", "_masked_rows", "simplicial_coords"):
+    for reader in ("_vertices_at", "_masked_rows", "_simplicial_at"):
         assert "_read_rows" in _names_in("coordinates", reader), reader
     for reader in ("_feasible_rows", "_ray_keys", "_census_at"):
         assert "_masked_rows" in _names_in("coordinates", reader), reader
@@ -196,16 +198,20 @@ def test_gamma_reads_the_integer_pass():
     # Gamma tests each vertex on the integer pass's int rows over their
     # common denominator, which lambda_vertices keeps on the LambdaPolytope:
     # the residual test builds no Fraction and takes no Fraction product,
-    # and only lambda_vertices builds a LambdaPolytope, so each has its rows
-    func = _function("coordinates", "gamma_polytope")
+    # its core returns int rows, which gamma_polytope alone turns into
+    # Fractions, and only lambda_vertices builds a LambdaPolytope, so each
+    # has its rows
+    func = _function("coordinates", "_gamma_rows")
     residuals, = [node for node in ast.walk(func)
                   if isinstance(node, ast.FunctionDef) and node.name == "residuals"]
     names = {node.id if isinstance(node, ast.Name) else node.attr
              for node in ast.walk(residuals)
              if isinstance(node, (ast.Name, ast.Attribute))}
     assert sorted(names & {"Fraction", "fr", "vec", "mat", "dot", "mat_vec"}) == []
+    core = _names_in("coordinates", "_gamma_rows")
+    assert "integer_rows" in core and sorted(core & {"Fraction", "vertices"}) == []
     gamma = _names_in("coordinates", "gamma_polytope")
-    assert {"_rows", "integer_rows"} <= gamma and "vertices" not in gamma
+    assert {"_rows", "_gamma_rows"} <= gamma and "vertices" not in gamma
     src = Path(barypoly.__file__).parent
     builders = sorted(f"{path.stem}.{top.name}" for path in src.glob("*.py")
                       for top in ast.parse(path.read_text(), str(path)).body
@@ -268,6 +274,28 @@ def test_analyze_reads_the_certificate_off_tau():
     assert "feasible_tau" in names and "separator" in names
     assert "locate" not in names
     assert "barypoly.polytope.locate" not in _imported_names("cli")
+
+
+def test_analyze_writes_off_the_integer_pass():
+    # analyze's document is written from the int rows of Lambda's vertices
+    # and Gamma's: no Fraction vertex list, no per-vertex record, and none
+    # of the Fraction wrappers over the integer cores; the document's keys
+    # live in report.analysis_document, which AnalysisReport.to_dict fills
+    # too
+    names = _names_in("cli", "_analysis_report")
+    assert {"_lambda_rows", "_gamma_rows", "analysis_document"} <= names
+    assert sorted(names & {"_vertex_list", "_sigma", "Fraction", "LambdaVertexEntry",
+                           "lambda_vertices", "gamma_polytope", "AnalysisReport"}) == []
+    for function in ("lambda_entries", "ratio_rows"):
+        assert sorted(_names_in("report", function) & {"Fraction", "fr", "rational_str"}) == []
+    doc = _function("report", "analysis_document")
+    assert [k.value for node in ast.walk(doc) if isinstance(node, ast.Dict)
+            for k in node.keys][:3] == ["polytope", "point", "location"]
+    path = Path(barypoly.__file__).parent / "report.py"
+    report, = [node for node in ast.parse(path.read_text(), str(path)).body
+               if isinstance(node, ast.ClassDef) and node.name == "AnalysisReport"]
+    assert "analysis_document" in {node.id for node in ast.walk(report)
+                                   if isinstance(node, ast.Name)}
 
 
 def test_one_interior_rule():
@@ -520,8 +548,8 @@ def test_census_rows_build_no_fraction():
     # pass's vertex keys give (or, off every wall, the count of surviving
     # rows): its cells read no Fraction vertex list, and
     # _sigma, which builds a coordinate vector's Fractions, runs only in the
-    # Fraction pass and for simplicial_coords' one row, never in the
-    # integer pass or the count
+    # Fraction pass and for the keep-set read's one row (_simplicial_at),
+    # never in the integer pass or the count
     assert {"_census_cells", "_census_at", "_census"} <= _names_in("cli", "_sweep_row")
     for function in ("_census_cells", "_sweep_row"):
         assert sorted(_names_in("cli", function)
@@ -532,7 +560,7 @@ def test_census_rows_build_no_fraction():
     callers = sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
                      and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                              and node.func.id == "_sigma" for node in ast.walk(top)))
-    assert callers == ["_vertex_list", "simplicial_coords"]
+    assert callers == ["_simplicial_at", "_vertex_list"]
     for function in ("_vertex_keys", "_census"):
         assert sorted(_names_in("coordinates", function) & {"_sigma", "Fraction"}) == []
     src = Path(barypoly.__file__).parent
@@ -696,8 +724,9 @@ def test_a_row_is_its_keep_set():
     # a pattern row is (keep, ids) and a read row (keep, xs, den): no row
     # holds a zero set, the complement of its keep set.  _pattern_order
     # builds none, _read_rows yields 3-tuples, the table is (walls, order,
-    # live, ge, le) with its rows listed once, and simplicial_coords finds
-    # its walls by rank, with no row looked up
+    # live, ge, le) with its rows listed once, and the keep-set read of
+    # simplicial_coords (_simplicial_at) finds its walls by rank, with no row
+    # looked up
     order = _function("coordinates", "_pattern_order")
     assert [ast.unparse(node) for node in ast.walk(order) if isinstance(node, ast.Call)
             and ast.unparse(node).startswith("combinations(range(1, n + 1)")] == []
@@ -708,8 +737,8 @@ def test_a_row_is_its_keep_set():
                  if isinstance(node, ast.Return)]
     assert [ast.unparse(x) for x in returned.elts[:3]] == ["walls", "order", "live"]
     assert len(returned.elts) == 5
-    coords = _function("coordinates", "simplicial_coords")
-    assert "comb" in _names_in("coordinates", "simplicial_coords")
+    coords = _function("coordinates", "_simplicial_at")
+    assert "comb" in _names_in("coordinates", "_simplicial_at")
     assert [ast.unparse(node) for node in ast.walk(coords) if isinstance(node, ast.Subscript)
             and "_table" in ast.unparse(node.value)] == ["_table(p)[0]"]
     # in the CLI only _pick_selection unpacks a row (keep, xs, den)

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 STEP_NAMES = [
     "reference outputs", "semidiff witness distances", "continuity distances",
     "probe ties and polygons", "phase-one outputs", "table reads", "lone-point memory",
-    "table memory", "ray reads on zero walls", "census grids", "census grid on the 4-cube",
+    "document memory", "table memory", "ray reads on zero walls", "census grids", "census grid on the 4-cube",
     "plane validation", "solid validation", "kernel basis", "oracle outputs", "documents",
     "zero walls in R^5",
 ]
@@ -33,7 +33,7 @@ def test_check_table_keeps_every_step_and_digest():
     assert list(checks) == STEP_NAMES
     hashing = {name: digests for name, (digests, _) in checks.items() if digests}
     assert sorted(set(checks) - set(hashing)) == [
-        "lone-point memory", "reference outputs", "table memory"]
+        "document memory", "lone-point memory", "reference outputs", "table memory"]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for ds in hashing.values() for d in ds)
     assert len(hashing) == 14 and sum(map(len, hashing.values())) == 15
     assert len(hashing["ray reads on zero walls"]) == 2

@@ -258,6 +258,30 @@ def lone_point_memory():
     assert work < 20e6 and kept < 20e6
 
 
+@check("document memory")
+def document_memory_check(t):
+    return [python("-c", "import check_outputs; check_outputs.document_memory()")]
+
+
+def document_memory():
+    """analyze's document on the polygon of the parabola points (i, i²), i = 0..84, at
+    (42, 1864), 16403 vertices: written off the integer pass (cli._analysis_report), with
+    no Fraction and no record per vertex, its traced peak must stay under 110 MB: 93.7 MB
+    now, 127.1 MB while the CLI built the report's Fraction vertices first.  Runs in a
+    fresh interpreter, started by the check above."""
+    from barypoly import cli
+
+    p = parabola()
+    tracemalloc.start()
+    doc, _ = cli._analysis_report(p, p.as_point((42, 1864)))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    count = len(doc["lambda_vertices"])
+    print(f"{count} vertices; traced peak {peak / 1e6:.1f} MB")
+    assert count == 16403
+    assert peak < 110e6
+
+
 @check("table memory")
 def table_memory_check(t):
     return [python("-c", "import check_outputs; check_outputs.table_memory()")]
@@ -336,8 +360,9 @@ def plane_validation(t):
 @check("solid validation", "766d1aac3e153780387ec3b27dcb726a0329c84f9680ccc844080d25949a82b6")
 def solid_validation(t):
     """Validate on solid point sets: prism8 with its centroid appended and listed first, the
-    pyramid with an apex-edge midpoint appended, a tetrahedron with a fifth point that no
-    integer functional certifies (extreme at z = 11/10, inside at z = 9/10), five coplanar
+    pyramid with an apex-edge midpoint appended, a tetrahedron with a fifth point that the
+    centroid functional does not certify (extreme at z = 11/10, certified by 16 of the
+    functional's 4n corrections; inside at z = 9/10, where no functional can), five coplanar
     points, a repeated vertex, and seeded d3n100 and d4n40 polytopes. The NonExtremeVertex
     indices, the errors and the accepted polytopes, with exit codes, must hash to the value
     they had while every vertex was tested by a phase one."""
