@@ -20,10 +20,11 @@ turns the C(n, d) wall values there into rows through one reader,
 ``_read_rows``; a zero set is the complement of K, which no row holds.  A
 point read on a polytope with no table takes the values off the vertices
 (``_wall_values``), streams the patterns and keeps nothing, and
-``simplicial_coords`` there builds its d + 1 walls alone.  Sweeps and rays
-build the table: every wall as an integer cofactor vector, built per
-(d-1)-vertex prefix by one elimination (``_walls``) and read at a point
-with integer multiply-adds, and the patterns.  The sign vector of the wall
+``simplicial_coords`` reads its one row so on any polytope, off the d + 1
+wall values of its keep set's own vertices.  Sweeps and rays build the
+table: every wall as an integer cofactor vector, built per (d-1)-vertex
+prefix by one elimination (``_walls``) and read at a point with integer
+multiply-adds, and the patterns.  The sign vector of the wall
 values is the point's chamber key.
 A row's D has one sign at every point, that of its walls' signed constant
 entries, so the row is feasible exactly where each of its d + 1 wall values
@@ -92,9 +93,7 @@ class LambdaPolytope(Record):
     """Vertex description of the coordinate polytope at ``point``.
 
     ``theorem_count_match`` records whether the vertex count equals n-d (the
-    classical prediction); it is measured, never assumed.  ``_rows`` is the
-    integer pass's (M, rows) (``_vertex_rows``): the vertices as int rows
-    over one denominator, in the same order, which ``gamma_polytope`` reads.
+    classical prediction); it is measured, never assumed.
     """
 
     _fields = (
@@ -103,7 +102,6 @@ class LambdaPolytope(Record):
         "vertex_supports",           # frozenset of 1-based indices per vertex
         "dim",
         "theorem_count_match",
-        "_rows",
     )
 
     def vertex_arrays(self) -> list:
@@ -336,21 +334,21 @@ def _masked_rows(table, vals):
     return _read_rows(itertools.compress(table[1], bits), vals)
 
 
-def _wall_values(p: Polytope, point) -> list:
-    """Every wall's value at ``point``, one per d-subset S in lexicographic
-    order: det[L′·(v_s - point)], s in S, L′ the lcm of the denominators of
-    the vertices and the point.  That is L′^d·f_S(point) (subtract the row
-    (1, point) from each (1, v_s)), 0 for an affinely dependent S.  Each
-    determinant is expanded along its last row: ``linalg.cofactors`` runs
-    once per (d-1)-vertex prefix, and every wall that extends the prefix
-    costs one integer dot, so C(n-1, d-1) eliminations of (d-1) x d rows,
-    as many as the table's ``_walls`` runs on (d-1) x (d+1) rows.  No
-    Fraction is built."""
-    d = p.d
-    _, (*verts, pt) = linalg.integer_rows([*p.vertices, point])
+def _wall_values(vertices, point) -> list:
+    """Every wall's value at ``point``, one per d-subset S of the n
+    ``vertices`` in lexicographic order: det[L′·(v_s - point)], s in S, L′ the lcm of the
+    denominators of the vertices and the point.  That is L′^d·f_S(point)
+    (subtract the row (1, point) from each (1, v_s)), 0 for an affinely
+    dependent S.  Each determinant is expanded along its last row:
+    ``linalg.cofactors`` runs once per (d-1)-vertex prefix, and every wall
+    that extends the prefix costs one integer dot, so C(n-1, d-1)
+    eliminations of (d-1) x d rows, as many as the table's ``_walls`` runs
+    on (d-1) x (d+1) rows.  No Fraction is built."""
+    d = len(point)
+    _, (*verts, pt) = linalg.integer_rows([*vertices, point])
     us = [[x - y for x, y in zip(v, pt)] for v in verts]
     vals = []
-    for prefix in itertools.combinations(range(p.n - 1), d - 1):
+    for prefix in itertools.combinations(range(len(us) - 1), d - 1):
         # c·u = det[u; prefix] = (-1)^(d-1)·det[prefix; u]
         c = linalg.cofactors([us[j] for j in prefix])
         if d % 2 == 0:
@@ -361,20 +359,15 @@ def _wall_values(p: Polytope, point) -> list:
 
 def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     """The coordinates of ``point`` with ``zero_set`` (n-d-1 integers in 1..n,
-    else ValueError) forced to zero, read off the d + 1 walls of its
-    complement (``_simplicial_at``); SingularPatternError when the
-    complementary columns are affinely dependent."""
-    zeros, ((sigma, feasible),) = _simplicial_at(p, zero_set, [point])
-    return SimplicialCoordinate(zeros, sigma, feasible)
+    else ValueError) forced to zero; SingularPatternError when the
+    complementary columns are affinely dependent.
 
-
-def _simplicial_at(p: Polytope, zero_set, points) -> tuple:
-    """(the zero set, [(sigma, feasible) at each of ``points``]) for
-    ``simplicial_coords``, off the d + 1 walls keep∖k_i of the zero set's
-    complement, built once: by rank off the table when ``p`` holds one,
-    else alone with ``linalg.cofactors``, building no table (as
-    ``_vertices_at`` reads), off the keep set's own vertices, whose lcm
-    scales the d + 1 walls alike and leaves sigma as it is."""
+    The zero set's complement K = (k_0 < … < k_d) is one row of the reader:
+    ``_wall_values`` on K's own vertices gives its C(d + 1, d) walls in
+    lexicographic order, keep∖k_d … keep∖k_0, so reversed the wall keep∖k_i
+    sits at i, the row's id (~i at odd i).  The lcm of K's vertices and the
+    point scales the d + 1 values alike and leaves sigma as it is.  No table
+    is read or built."""
     try:
         zeros = frozenset(map(index, zero_set))
     except TypeError as exc:
@@ -384,32 +377,14 @@ def _simplicial_at(p: Polytope, zero_set, points) -> tuple:
     if len(zeros) != p.kernel_dim():
         raise ValueError(
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
-    pts = [p.as_point(point) for point in points]
-    n, d = p.n, p.d
-    keep = [j for j in range(n) if j + 1 not in zeros]
-    # the row alone: the reader gets the values of its d + 1 walls keep∖k_i,
-    # i = 0..d, and ids 0..d, ~i at odd i
-    if p._pattern_table:
-        # the table lists S at rank C(n, d) - 1 - Σ_j C(n-1-s_j, d-j)
-        table, top = _table(p)[0], math.comb(n, d) - 1
-        walls = [table[top - sum(map(math.comb, [n - 1 - s for s in rest],
-                                     range(d, 0, -1)))]
-                 for rest in itertools.combinations(keep, d)]
-    else:
-        scale, ints = linalg.integer_rows([p.vertices[j] for j in keep])
-        walls = [_wall(scale, linalg.cofactors(list(rest)))
-                 for rest in itertools.combinations([(1, *row) for row in ints], d)]
-    walls.reverse()
-    own = [(keep, [i ^ -(i % 2) for i in range(d + 1)])]
-    read = []
-    for pt in pts:
-        for _, xs, den in _read_rows(own, _evaluate(walls, pt)):
-            read.append((_sigma(n, keep, xs, den), min(xs) >= 0))
-            break
-        else:
-            raise SingularPatternError(
-                f"columns outside {sorted(zeros)} are affinely dependent")
-    return zeros, read
+    pt = p.as_point(point)
+    keep = [j for j in range(p.n) if j + 1 not in zeros]
+    vals = _wall_values([p.vertices[j] for j in keep], pt)
+    vals.reverse()
+    own = [(keep, [i ^ -(i % 2) for i in range(p.d + 1)])]
+    for _, xs, den in _read_rows(own, vals):
+        return SimplicialCoordinate(zeros, _sigma(p.n, keep, xs, den), min(xs) >= 0)
+    raise SingularPatternError(f"columns outside {sorted(zeros)} are affinely dependent")
 
 
 def _feasible_rows(p: Polytope, point):
@@ -486,7 +461,7 @@ def _vertices_at(p: Polytope, point) -> dict:
         return _vertex_keys(_feasible_rows(p, point))
     check_pattern_count(p.n, p.d)
     return _vertex_keys(_feasible(_read_rows(_pattern_order(p),
-                                             _wall_values(p, point))))
+                                             _wall_values(p.vertices, point))))
 
 
 def _ray_keys(p: Polytope, point, h, ts):
@@ -557,7 +532,7 @@ def is_interior(n: int, supports) -> bool:
 def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
     """Enumerate the vertex set of the coordinate polytope at ``point``: the
     Fractions (``_vertex_list``) of ``_lambda_rows``' int rows, which the
-    result keeps for ``gamma_polytope``.  Raises InfeasibleError when the
+    result does not keep.  Raises InfeasibleError when the
     point is outside and PatternLimitError when the polytope has too many
     zero patterns.
     """
@@ -570,7 +545,6 @@ def lambda_vertices(p: Polytope, point) -> LambdaPolytope:
         vertex_supports=tuple(support for _, support in ordered),
         dim=dim,
         theorem_count_match=match,
-        _rows=rows,
     )
 
 
@@ -588,9 +562,12 @@ def _lambda_rows(p: Polytope, pt) -> tuple:
 def gamma_polytope(p: Polytope, tau: BarycentricVector, nbasis_rows,
                    lam: LambdaPolytope) -> GammaPolytope:
     """Reduced polytope of ``lam`` in the kernel coordinates of ``nbasis_rows``:
-    the Fractions of ``_gamma_rows``' int rows, which raises its errors."""
+    the Fractions of ``_gamma_rows``' int rows, which raises its errors.
+    ``lam``'s vertices, scaled by the lcm of their reduced denominators
+    (``linalg.integer_rows``), are ``_vertex_rows``' (M, rows), in order."""
     rows = linalg.mat(nbasis_rows)
-    den, gvertices = _gamma_rows(p.kernel_dim(), rows, tau.lam, lam._rows)
+    den, gvertices = _gamma_rows(p.kernel_dim(), rows, tau.lam,
+                                 linalg.integer_rows(lam.vertex_arrays()))
     hrep = tuple((tuple(row), tau.lam[j]) for j, row in enumerate(rows))
     return GammaPolytope(
         tau=tau,

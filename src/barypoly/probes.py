@@ -62,11 +62,6 @@ class FloatPolytope(Record):
         if any(len(v) != self.ambient_dim for v in self.vertices):
             raise DimensionMismatchError(f"a vertex's length is not {self.ambient_dim}")
 
-    @classmethod
-    def from_exact(cls, points) -> "FloatPolytope":
-        verts = tuple(tuple(float(x) for x in pt) for pt in points)
-        return cls(vertices=verts, ambient_dim=len(verts[0]) if verts else 0)
-
     def diameter(self) -> float:
         return max((math.dist(a, b) for a, b in itertools.combinations(self.vertices, 2)),
                    default=0.0)
@@ -436,11 +431,12 @@ def continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: int = 8,
 
 def _selection_jacobian_exact(p: Polytope, zero_set) -> list:
     """Exact n x d Jacobian of the simplicial-coordinate map for ``zero_set``:
-    sigma_Z is affine, so column l is sigma_Z(e_l) - sigma_Z(0), read off
-    the keep set's d + 1 walls, built once (``co._simplicial_at``)."""
+    sigma_Z is affine, so column l is sigma_Z(e_l) - sigma_Z(0), d + 1
+    ``co.simplicial_coords`` reads."""
     units = [[int(c == l) for c in range(p.d)] for l in range(p.d)]
-    _, ((base, _), *read) = co._simplicial_at(p, zero_set, [[0] * p.d, *units])
-    return [[u[i] - b for u, _ in read] for i, b in enumerate(base)]
+    base, *read = (co.simplicial_coords(p, x, zero_set).sigma
+                   for x in [[0] * p.d, *units])
+    return [[u[i] - b for u in read] for i, b in enumerate(base)]
 
 
 def selection_jacobian(p: Polytope, zero_set) -> list:

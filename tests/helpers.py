@@ -21,6 +21,7 @@ from barypoly.errors import (
     NonExtremeVertexError,
     RankDeficientError,
     SingularMatrixError,
+    SingularPatternError,
     TooFewVerticesError,
 )
 from barypoly.probes import (
@@ -37,6 +38,14 @@ from barypoly.report import AnalysisReport, LambdaVertexEntry
 from barypoly.simplex import convex_membership
 
 BIG = 1 << 64
+
+
+def float_polytope(points) -> FloatPolytope:
+    """The FloatPolytope of exact ``points``, each entry rounded by
+    ``float``; its dimension is read off the first point, 0 when there is
+    none (which the constructor refuses)."""
+    verts = tuple(tuple(float(x) for x in pt) for pt in points)
+    return FloatPolytope(vertices=verts, ambient_dim=len(verts[0]) if verts else 0)
 
 
 @st.composite
@@ -745,11 +754,11 @@ def reference_continuity_probe(p: Polytope, point, h, t0=Fraction(1, 8), steps: 
     route (``lambda_vertices``): the report whose steps its steps must
     equal."""
     pt, hv, ts, _, _ = _probe_samples(p, point, h, t0, steps)
-    base = FloatPolytope.from_exact(co.lambda_vertices(p, pt).vertex_arrays())
+    base = float_polytope(co.lambda_vertices(p, pt).vertex_arrays())
     steps_out = []
     all_met = True
     for t, lam in zip(ts, _step_vertices(p, pt, hv, ts)):
-        d, met = reference_hausdorff_status(FloatPolytope.from_exact(lam), base,
+        d, met = reference_hausdorff_status(float_polytope(lam), base,
                                             distance_tol)
         all_met = all_met and met
         steps_out.append(ProbeStep(t=float(t), distance=d, ratio=d / float(t)))
@@ -802,9 +811,8 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
     witness = []
     all_met = True
     for t, lam in zip(ts, _step_vertices(p, pt, hv, ts)):
-        sk = FloatPolytope.from_exact([tuple((m - s) / t
-                                             for m, s in zip(vert, sigma))
-                                       for vert in lam])
+        sk = float_polytope([tuple((m - s) / t for m, s in zip(vert, sigma))
+                             for vert in lam])
         quotient_sets.append(sk)
         d, met = reference_point_distance_status(v_float, sk, distance_tol)
         all_met = all_met and met
@@ -827,15 +835,25 @@ def reference_semidiff_probe(p: Polytope, point, zero_set, h, t0=Fraction(1, 16)
 
 
 def reference_selection_jacobian(p, zero_set) -> list:
-    """The exact n x d selection Jacobian by d + 1 ``simplicial_coords``
-    calls, at 0 and at each unit vector e_l: column l is
-    sigma_Z(e_l) - sigma_Z(0).  On a polytope with no table each call builds
-    the keep set's walls anew; ``probes._selection_jacobian_exact``, which
-    must equal it, builds them once."""
-    base = co.simplicial_coords(p, [0] * p.d, zero_set).sigma
-    units = [co.simplicial_coords(p, [int(c == l) for c in range(p.d)], zero_set).sigma
-             for l in range(p.d)]
-    return [[u[i] - b for u in units] for i, b in enumerate(base)]
+    """The exact n x d selection Jacobian by Fraction solves: sigma_Z(q)
+    solves [V_keep; 1^T]·lam = [q; 1], so column l is the solution of
+    [V_keep; 1^T]·x = [e_l; 0], scattered to the keep rows, 0 on the zero
+    set.  Raises SingularPatternError where the keep set is affinely
+    dependent, as ``probes._selection_jacobian_exact``, which must equal
+    it, does."""
+    keep = [j for j in range(p.n) if j + 1 not in zero_set]
+    system = [[p.vertices[j][l] for j in keep] for l in range(p.d)]
+    system.append([Fraction(1)] * len(keep))
+    jac = [[Fraction(0)] * p.d for _ in range(p.n)]
+    for l in range(p.d):
+        try:
+            column = solve_linear(system, [Fraction(int(c == l)) for c in range(p.d + 1)])
+        except SingularMatrixError:
+            raise SingularPatternError(
+                f"columns outside {sorted(zero_set)} are affinely dependent") from None
+        for j, x in zip(keep, column):
+            jac[j][l] = x
+    return jac
 
 
 def vertices_agree(a, b) -> bool:

@@ -27,7 +27,7 @@ from barypoly.errors import (
     UnboundedDirectionError,
 )
 from barypoly.oracle import dd_vertices, random_feasible_sample, random_polytope
-from barypoly.polytope import validate
+from barypoly.polytope import Polytope, validate
 from barypoly.simplex import convex_membership
 from helpers import (
     brute_force_vertices,
@@ -124,21 +124,27 @@ def test_simplicial_coords_singular_pattern(prism8):
 
 
 def test_simplicial_coords_reads_its_own_walls(prism8, monkeypatch):
-    # one row read alone: the reader gets the values of that row's d + 1
-    # walls, not all C(n, d) of them
+    # one row read alone, by one route: _wall_values runs on the keep set's
+    # own d + 1 vertices, and the reader gets the values of that row's d + 1
+    # walls, not all C(n, d) of them, on a polytope that holds a table and on
+    # one that holds none, which builds none
     from barypoly import coordinates
 
     got = []
-    real = coordinates._read_rows
-
-    def spy(rows, vals):
-        got.append(len(vals))
-        return real(rows, vals)
-
-    monkeypatch.setattr(coordinates, "_read_rows", spy)
-    sc = simplicial_coords(prism8, (F(1, 3), F(1, 2), F(2, 3)), {1, 3, 6, 8})
-    assert got == [prism8.d + 1]
-    assert sc.sigma == (0, F(1, 12), 0, F(1, 4), F(5, 12), 0, F(1, 4), 0)
+    real_values, real_read = coordinates._wall_values, coordinates._read_rows
+    monkeypatch.setattr(coordinates, "_wall_values", lambda vertices, point: got.append(
+        ("values", list(vertices))) or real_values(vertices, point))
+    monkeypatch.setattr(coordinates, "_read_rows", lambda rows, vals: got.append(
+        ("read", len(vals))) or real_read(rows, vals))
+    fresh = Polytope(prism8.d, prism8.n, prism8.vertices, prism8._kernel_rows)
+    coordinates._table(prism8)
+    keep = [prism8.vertices[j] for j in (1, 3, 4, 6)]
+    for p in (prism8, fresh):
+        got.clear()
+        sc = simplicial_coords(p, (F(1, 3), F(1, 2), F(2, 3)), {1, 3, 6, 8})
+        assert got == [("values", keep), ("read", prism8.d + 1)]
+        assert sc.sigma == (0, F(1, 12), 0, F(1, 4), F(5, 12), 0, F(1, 4), 0)
+    assert fresh._pattern_table == []
 
 
 def test_simplicial_coords_singular_on_the_4_cube():

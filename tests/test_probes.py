@@ -27,13 +27,14 @@ from barypoly.probes import (
     semidiff_probe,
 )
 from barypoly.polytope import validate
+from helpers import float_polytope
 
 F = Fraction
 CENTER = (F(1, 2), F(1, 2))
 
 
 def fp(*pts):
-    return FloatPolytope.from_exact([tuple(map(F, p)) for p in pts])
+    return float_polytope([tuple(map(F, p)) for p in pts])
 
 
 def wolfe(b_rows, x, tol=1e-9):
@@ -347,9 +348,12 @@ def test_float_polytope_without_vertices():
 
 
 def test_float_polytope_from_no_exact_points():
-    # from_exact read the dim off a first vertex that is not there (IndexError)
+    # the rounding helper reads the dim off a first vertex that may not be
+    # there, and the constructor refuses the empty set (not an IndexError);
+    # the package keeps no such constructor
     with pytest.raises(EmptyInputError):
-        FloatPolytope.from_exact([])
+        float_polytope([])
+    assert not hasattr(FloatPolytope, "from_exact")
 
 
 def test_hausdorff_pseudometric_random():
@@ -556,30 +560,38 @@ def test_probes_read_one_pattern_table(monkeypatch):
     # phase one, and C(8, 3) = 56 walls off C(7, 2) = 21 cofactor pencils
     # for a first prism8 continuity row, none for a second one (a scan at
     # the basepoint and at each of 8 steps made 630 eliminations a row).
+    # sigma_Z(p) and sigma_Z(p + h) of a semidiff row are read off the keep
+    # set's own d + 1 walls, one cofactors call per (d-1)-vertex prefix of
+    # its d + 1 vertices, and not off the table.
     # Fresh objects: the session fixtures may already hold their tables.
     from barypoly import coordinates, linalg, polytope, simplex
     from barypoly.fixtures import fixture_document
 
     prism8, square, pyramid = (polytope.parse_polytope(fixture_document(name))
                                for name in ("prism8", "square", "pyramid"))
-    phase_ones, prefixes = [], []
+    phase_ones, prefixes, keep_walls = [], [], []
     real_fp, real_pencil = simplex.feasible_point, linalg.cofactor_pencil
+    real_cofactors = linalg.cofactors
     for mod in (simplex, coordinates, polytope):
         monkeypatch.setattr(mod, "feasible_point",
                             lambda *a: phase_ones.append(a) or real_fp(*a))
     monkeypatch.setattr(linalg, "cofactor_pencil",
                         lambda rows: prefixes.append(rows) or real_pencil(rows))
+    monkeypatch.setattr(linalg, "cofactors",
+                        lambda rows: keep_walls.append(rows) or real_cofactors(rows))
     continuity_probe(prism8, (F(1, 2),) * 3, (F(1, 64), F(-1, 32), F(1, 128)))
     assert len(prefixes) == math.comb(7, 2) == 21
     continuity_probe(prism8, (F(1, 3), F(2, 5), F(1, 2)), (F(0), F(1, 16), F(0)))
-    assert len(prefixes) == 21
+    assert len(prefixes) == 21 and keep_walls == []
     prefixes.clear()
     # the square's C(4, 2) = 6 walls off C(3, 1) = 3 prefixes; sigma_Z(p)
-    # and J_Z·h are read off row Z
+    # and sigma_Z(p + h) each off the C(2, 1) = 2 one-vertex prefixes of
+    # the keep set's 3 vertices, 1 x 2 rows
     semidiff_probe(square, CENTER, {4}, (F(1), F(0)), t0=F(1, 16), steps=3)
     assert len(prefixes) == 3 and len(square._pattern_table[0]) == 6
+    assert [(len(rows), len(rows[0])) for rows in keep_walls] == [(1, 2)] * 4
     semidiff_probe(square, CENTER, {3}, (F(0), F(1)), t0=F(1, 16), steps=3)
-    assert len(prefixes) == 3
+    assert len(prefixes) == 3 and len(keep_walls) == 8
     # boundary basepoints: on a square's edge, and on the pyramid's base,
     # where the vertex supports cover 4 of the 5 indices
     with pytest.raises(LeavesPolytopeError, match="basepoint must be interior"):

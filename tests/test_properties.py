@@ -43,10 +43,12 @@ sets and raw float vertex sets; ``continuity_probe`` must give the steps of
 the reference kernel, ``helpers.reference_min_norm_point`` and
 ``helpers.reference_pruned_hausdorff_status``, on float point sets of
 dimension 1 to 8 with 1 to 14 points, overflowing and non-finite ones
-included, at every kind of cutoff.  ``simplicial_coords``, which finds its
-keep set's d + 1 walls by their lexicographic rank, must give an independent
-Fraction solve of [V_keep; 1^T]·lam = [q; 1] at every zero set, and
-SingularPatternError exactly where the keep set is affinely dependent.  Both probe references read every
+included, at every kind of cutoff.  ``simplicial_coords``, which reads its
+keep set's d + 1 wall values at the point as every lone read does, must give
+the one solution of [V_keep; 1^T]·lam = [q; 1] at every zero set, and
+SingularPatternError exactly where the keep set is affinely dependent; the
+selection Jacobian must equal ``helpers.reference_selection_jacobian``'s
+Fraction solves.  Both probe references read every
 vertex list off the Fraction route, ``lambda_vertices``.  On d = 2 point
 sets ``validate``'s hull walk, and on d = 3 and d = 4 point sets its integer
 certificates with phase ones for the rest, must raise the error, at the
@@ -77,6 +79,7 @@ from barypoly.coordinates import (
     _evaluate,
     _feasible,
     _feasible_rows,
+    _lambda_rows,
     _masked_rows,
     _pattern_order,
     _ray_keys,
@@ -100,7 +103,6 @@ from barypoly.errors import (
     InconsistentInputsError,
     InfeasibleError,
     InternalError,
-    SingularMatrixError,
     SingularPatternError,
 )
 from barypoly.fixtures import get_fixture
@@ -129,6 +131,7 @@ from barypoly.probes import (
 from barypoly.report import dumps, format_float
 from helpers import (
     brute_force_vertices,
+    float_polytope,
     fraction_system,
     integer_system,
     mat_vec,
@@ -151,7 +154,6 @@ from helpers import (
     reference_semidiff_probe,
     reference_validate,
     reference_walls,
-    solve_linear,
 )
 
 F = Fraction
@@ -193,7 +195,7 @@ def _table_read(p, q):
 
 def _lone_read(p, q):
     """The rows read off the wall values at q, with the patterns streamed."""
-    return _read_rows(_pattern_order(p), _wall_values(p, q))
+    return _read_rows(_pattern_order(p), _wall_values(p.vertices, q))
 
 
 def _fractions_at(p, q):
@@ -422,69 +424,85 @@ def test_wall_table_matches_the_elimination(kind, seed, data):
     assert simplicial_coords(p, q, combo).sigma == sigma
 
 
+@functools.cache
+def _keep_sets(kind, seed):
+    """(zero set, keep, whether the keep set is affinely independent) for
+    every zero set of a fixture or a ``_wall_polytope``, in lexicographic
+    order; nothing here depends on the point."""
+    p = get_fixture(kind) if kind in FIXTURES else _wall_polytope(kind, seed)
+    rows = []
+    for combo in combinations(range(1, p.n + 1), p.kernel_dim()):
+        keep = [j for j in range(p.n) if j + 1 not in combo]
+        rows.append((combo, keep, linalg.affine_dim([p.vertices[j] for j in keep]) == p.d))
+    return rows
+
+
 @pytest.mark.parametrize("kind, seed", [
     ("square", 0), ("pentagon", 0), ("pyramid", 0), ("prism8", 0), ("segment", 0),
-    ("d2", 1), ("d3", 2), ("d4", 3), ("cube4", 0)])
+    ("d2", 1), ("d3", 2), ("d4", 3), ("d5", 4), ("cube4", 0), ("sqtet", 0)])
 @settings(max_examples=3, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_simplicial_coords_solves_its_keep_set(kind, seed, data):
-    # simplicial_coords finds the d + 1 walls of a zero set's keep set by
-    # their lexicographic rank, with no row: at every zero set it equals an
-    # independent Fraction solve of [V_keep; 1^T]·lam = [q; 1], feasibility
-    # included, and raises SingularPatternError exactly where the keep set
-    # is affinely dependent (four vertices of a square face of the pyramid,
-    # prism8 or the 4-cube); at interior points, vertices, on vertex-pair
-    # segments, on a wall and outside.  It reads the same on a polytope that
-    # holds a table and on a fresh one, which builds its d + 1 walls alone
-    # and keeps no table
+    # at every zero set, simplicial_coords gives the one solution of
+    # [V_keep; 1^T]·lam = [q; 1]: sigma is 0 on the zero set, and its keep
+    # entries satisfy the system exactly (times E·M, E the lcm of the
+    # denominators of V and q and M that of lam's, every product is of
+    # ints), on a keep set that is affinely independent, so that the
+    # solution is unique; feasible says whether it is >= 0.  It raises
+    # SingularPatternError exactly where the keep set is affinely dependent,
+    # so the system is singular (four vertices of a square face of the
+    # pyramid, prism8, the 4-cube or the square × tetrahedron); for
+    # d = 1..5, at interior points, vertices, on vertex-pair segments, on a
+    # wall and outside.  A polytope that holds a table and a fresh one, which
+    # keeps none, share one route, so the zero sets alternate between them
     p = get_fixture(kind) if kind in FIXTURES else _wall_polytope(kind, seed)
     fresh = _fresh(p)
     _table(p)
     q = _wall_point(p, data)
+    columns = [(*v, F(1)) for v in p.vertices]
+    scale = math.lcm(*(x.denominator for v in (*columns, q) for x in v))
+    columns = [[x.numerator * (scale // x.denominator) for x in v] for v in columns]
+    rhs = [x * scale for x in (*q, 1)]
     singular = 0
-    for combo in combinations(range(1, p.n + 1), p.kernel_dim()):
-        keep = [j for j in range(p.n) if j + 1 not in combo]
-        system = [[p.vertices[j][l] for j in keep] for l in range(p.d)]
-        system.append([F(1)] * len(keep))
-        if linalg.affine_dim([p.vertices[j] for j in keep]) < p.d:
+    for i, (combo, keep, independent) in enumerate(_keep_sets(kind, seed)):
+        poly = (p, fresh)[i % 2]
+        if not independent:
             singular += 1
-            with pytest.raises(SingularMatrixError):
-                solve_linear(system, [*q, F(1)])
-            for poly in (p, fresh):
-                with pytest.raises(SingularPatternError):
-                    simplicial_coords(poly, q, combo)
+            with pytest.raises(SingularPatternError):
+                simplicial_coords(poly, q, combo)
             continue
-        lam = solve_linear(system, [*q, F(1)])
-        sigma = [F(0)] * p.n
-        for j, x in zip(keep, lam):
-            sigma[j] = x
-        for poly in (p, fresh):
-            sc = simplicial_coords(poly, q, combo)
-            assert (sc.zero_set, sc.sigma, sc.feasible) == (
-                frozenset(combo), tuple(sigma), min(lam) >= 0)
-    assert bool(singular) == (kind in ("pyramid", "prism8", "cube4"))
+        sc = simplicial_coords(poly, q, combo)
+        assert sc.zero_set == frozenset(combo)
+        assert [sc.sigma[j - 1] for j in combo] == [0] * len(combo)
+        lam = [sc.sigma[j] for j in keep]
+        den = math.lcm(*(x.denominator for x in lam))
+        ints = [x.numerator * (den // x.denominator) for x in lam]
+        assert [sum(x * columns[j][l] for j, x in zip(keep, ints))
+                for l in range(p.d + 1)] == [den * b for b in rhs]
+        assert sc.feasible == (min(lam) >= 0)
+    assert bool(singular) == (kind in ("pyramid", "prism8", "cube4", "sqtet"))
     assert fresh._pattern_table == []
 
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
+@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4", "d5", "sqtet"]),
        st.integers(0, 3), st.data())
-def test_selection_jacobian_reads_its_walls_once(kind, seed, data):
-    # the Jacobian reads its keep set's d + 1 walls, built once, at 0 and at
-    # each e_l: at drawn zero sets it equals the d + 1 simplicial_coords
-    # calls of helpers.reference_selection_jacobian on a fresh polytope, on
-    # a polytope that holds a table and on a fresh one, which builds its
-    # walls off the keep set's own vertices and keeps no table, and raises
-    # SingularPatternError where the reference does (the 4-cube)
+def test_selection_jacobian_reads_its_keep_set(kind, seed, data):
+    # the Jacobian is d + 1 simplicial_coords reads of its keep set, at 0
+    # and at each e_l: at drawn zero sets it equals the Fraction solves of
+    # helpers.reference_selection_jacobian, for d = 1..5, on a polytope that
+    # holds a table and on a fresh one, which keeps no table, and raises
+    # SingularPatternError where the reference's system is singular (the
+    # 4-cube and the square × tetrahedron)
     p = _wall_polytope(kind, seed)
     fresh = _fresh(p)
     _table(p)
     combos = list(combinations(range(1, p.n + 1), p.kernel_dim()))
     for combo in data.draw(st.lists(st.sampled_from(combos), min_size=1, max_size=4)):
         try:
-            want = reference_selection_jacobian(_fresh(p), combo)
+            want = reference_selection_jacobian(p, combo)
         except SingularPatternError:
             for poly in (p, fresh):
                 with pytest.raises(SingularPatternError):
@@ -521,7 +539,7 @@ def test_lone_rows_match_the_table(kind, seed, data):
     p = _wall_polytope(kind, seed)
     q = _wall_point(p, data)
     assert _rationals(p, _lone_read(p, q)) == _rationals(p, _table_read(p, q))
-    values = _wall_values(p, q)
+    values = _wall_values(p.vertices, q)
     assert len(values) == math.comb(p.n, p.d)
     if kind != "cube4":
         scale = math.lcm(*(x.denominator for v in (*p.vertices, q) for x in v))
@@ -536,8 +554,9 @@ def test_lone_rows_match_the_table(kind, seed, data):
 def test_a_lone_read_equals_a_table_read(p, data):
     # lambda_vertices on a fresh object, which reads the point off its wall
     # values, equals lambda_vertices on an object whose table is built: the
-    # same vertices, supports, dim, n - d test and int rows, and both refuse
-    # an outside point
+    # same vertices, supports, dim and n - d test, and both refuse an
+    # outside point.  The integer pass's int rows are the vertices scaled by
+    # the lcm of their denominators, as gamma_polytope reads them
     q = _wall_point(p, data)
     fresh = validate([[v[l] for v in p.vertices] for l in range(p.d)], p.d)
     _table(p)
@@ -550,7 +569,8 @@ def test_a_lone_read_equals_a_table_read(p, data):
     lone = lambda_vertices(fresh, q)
     assert fresh._pattern_table == []
     # == compares the vertices, supports, dim and n - d test
-    assert (lone, lone._rows) == (built, built._rows)
+    assert lone == built
+    assert _lambda_rows(fresh, q)[2] == linalg.integer_rows(lone.vertex_arrays())
 
 
 def _wall_point(p, data):
@@ -720,7 +740,7 @@ def test_cramer_sums_are_the_pattern_determinants(kind, seed, data):
         return {_zero_set(p, keep): sum(vals[w] if w >= 0 else -vals[~w] for w in ids)
                 for keep, ids in order}
 
-    table, lone = sums(_evaluate(walls, q)), sums(_wall_values(p, q))
+    table, lone = sums(_evaluate(walls, q)), sums(_wall_values(p.vertices, q))
     dets = {combo: den for combo, _, den, _ in reference_patterns(p, q)}
     assert {combo: abs(x) for combo, x in table.items()} == {
         combo: abs(dets.get(combo, 0)) for combo in table}
@@ -1364,7 +1384,7 @@ def hausdorff_pairs(draw):
         s, t = draw(st.lists(st.sampled_from(ts), min_size=2, max_size=2, unique=True))
         a, b = (_fractions_at(p, [x + u * y for x, y in zip(q, h)]) for u in (s, t))
         assume(a and b)
-        sets = FloatPolytope.from_exact(a), FloatPolytope.from_exact(b)
+        sets = float_polytope(a), float_polytope(b)
     elif kind == "quotient":
         sk = _quotient_sets(*draw(st.sampled_from(SEMIDIFF_ROWS)))
         i, j = draw(st.lists(st.integers(0, len(sk) - 1), min_size=2, max_size=2,

@@ -35,7 +35,7 @@ SAMPLES = {
     "SimplicialCoordinate": (SimplicialCoordinate, (
         frozenset({2, 4}), (F(1, 2), F(0), F(1, 2), F(0)), True)),
     "LambdaPolytope": (LambdaPolytope, (
-        CENTRE, (TAU,), (frozenset({1, 3}),), 0, False, (2, ((1, 0, 1, 0),)))),
+        CENTRE, (TAU,), (frozenset({1, 3}),), 0, False)),
     "GammaPolytope": (GammaPolytope, (
         TAU, ((F(-1),), (F(1),), (F(-1),), (F(1),)),
         (((F(-1),), F(1, 2)), ((F(1),), F(0))), ((F(0),),))),

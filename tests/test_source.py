@@ -84,9 +84,9 @@ def test_only_coordinates_eliminates_patterns():
     # the rows those readers yield
     src = Path(barypoly.__file__).parent
     names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
-    # the table's _walls runs linalg's prefix kernel, _wall_values and the
-    # keep-set walls of a simplicial_coords or a selection Jacobian on a
-    # polytope with no table (_simplicial_at) its wall kernel
+    # the table's _walls runs linalg's prefix kernel, and _wall_values, which
+    # reads a lone point and the keep set of a simplicial_coords, its wall
+    # kernel
     kernels = {"cofactors", "cofactor_pencil"}
     assert {"_patterns", "_walls", "_wall_values", *kernels} <= names["coordinates"]
     assert sorted(mod for mod, found in names.items()
@@ -96,8 +96,7 @@ def test_only_coordinates_eliminates_patterns():
     assert {top.name: sorted(_names_in("coordinates", top.name) & kernels)
             for top in tree.body if isinstance(top, ast.FunctionDef)
             and _names_in("coordinates", top.name) & kernels} == {
-        "_walls": ["cofactor_pencil"], "_wall_values": ["cofactors"],
-        "_simplicial_at": ["cofactors"]}
+        "_walls": ["cofactor_pencil"], "_wall_values": ["cofactors"]}
     assert "_pattern_table" in names["polytope"]
     table = {"_pattern_table", "_table", "_evaluate", "_feasible_rows",
              "_vertices_at", "_read_rows", "_pattern_order", "_wall_values"}
@@ -144,8 +143,8 @@ def test_one_reader_forms_every_denominator():
     # ids; every point read reaches it: a lone read (_vertices_at), a table
     # read (_feasible_rows), a ray step (_ray_keys), a census read
     # (_census_at), those three over the rows the wall signs leave
-    # (_masked_rows), and the keep-set read of simplicial_coords and the
-    # selection Jacobian (_simplicial_at)
+    # (_masked_rows), and the keep-set read of simplicial_coords, which the
+    # selection Jacobian calls
     from barypoly import coordinates
 
     assert not hasattr(coordinates, "_lone_rows")
@@ -159,7 +158,7 @@ def test_one_reader_forms_every_denominator():
     assert [name for name in funcs if "den" in assigned[name]] == ["_read_rows"]
     assert [name for name in funcs
             if "itemgetter" in _names_in("coordinates", name)] == ["_read_rows"]
-    for reader in ("_vertices_at", "_masked_rows", "_simplicial_at"):
+    for reader in ("_vertices_at", "_masked_rows", "simplicial_coords"):
         assert "_read_rows" in _names_in("coordinates", reader), reader
     for reader in ("_feasible_rows", "_ray_keys", "_census_at"):
         assert "_masked_rows" in _names_in("coordinates", reader), reader
@@ -181,6 +180,33 @@ def test_a_lone_point_reads_wall_values():
             "_feasible_rows"} <= reads
 
 
+def test_simplicial_coords_has_one_route():
+    # simplicial_coords reads its keep set's wall values at the point as
+    # every lone read does (_wall_values), whether or not the polytope holds
+    # a table: it reads no table, looks no wall up by rank and builds no
+    # wall of its own; the selection Jacobian calls it at 0 and at each e_l,
+    # and no module keeps a second keep-set reader
+    coords = _names_in("coordinates", "simplicial_coords")
+    assert {"_wall_values", "_read_rows"} <= coords
+    assert sorted(coords & {"_table", "_pattern_table", "_evaluate", "cofactors",
+                            "comb", "_wall"}) == []
+    assert "simplicial_coords" in _names_in("probes", "_selection_jacobian_exact")
+    src = Path(barypoly.__file__).parent
+    assert sorted(path.stem for path in src.glob("*.py")
+                  if "_simplicial_at" in _identifiers(path)) == []
+    # the pattern table is read by _table and _vertices_at alone, and
+    # linalg.cofactors has one caller in the package
+    def users(name):
+        return sorted(f"{path.stem}.{top.name}" for path in sorted(src.glob("*.py"))
+                      for top in ast.parse(path.read_text(), str(path)).body
+                      if isinstance(top, ast.FunctionDef)
+                      and any(name in (getattr(node, "id", None), getattr(node, "attr", None))
+                              for node in ast.walk(top)))
+
+    assert users("_pattern_table") == ["coordinates._table", "coordinates._vertices_at"]
+    assert users("cofactors") == ["coordinates._wall_values"]
+
+
 def test_gamma_runs_no_elimination():
     # Gamma reads each vertex off N's unit rows and checks the other d + 1
     # rows: no solve, no elimination, no product with all n rows
@@ -196,11 +222,11 @@ def test_gamma_runs_no_elimination():
 
 def test_gamma_reads_the_integer_pass():
     # Gamma tests each vertex on the integer pass's int rows over their
-    # common denominator, which lambda_vertices keeps on the LambdaPolytope:
-    # the residual test builds no Fraction and takes no Fraction product,
-    # its core returns int rows, which gamma_polytope alone turns into
-    # Fractions, and only lambda_vertices builds a LambdaPolytope, so each
-    # has its rows
+    # common denominator: gamma_polytope scales a LambdaPolytope's vertices
+    # to them (integer_rows), and the LambdaPolytope, which only
+    # lambda_vertices builds, keeps no second copy; the residual test builds
+    # no Fraction and takes no Fraction product, and its core returns int
+    # rows, which gamma_polytope alone turns into Fractions
     func = _function("coordinates", "_gamma_rows")
     residuals, = [node for node in ast.walk(func)
                   if isinstance(node, ast.FunctionDef) and node.name == "residuals"]
@@ -211,7 +237,10 @@ def test_gamma_reads_the_integer_pass():
     core = _names_in("coordinates", "_gamma_rows")
     assert "integer_rows" in core and sorted(core & {"Fraction", "vertices"}) == []
     gamma = _names_in("coordinates", "gamma_polytope")
-    assert {"_rows", "_gamma_rows"} <= gamma and "vertices" not in gamma
+    assert {"integer_rows", "vertex_arrays", "_gamma_rows"} <= gamma
+    assert sorted(gamma & {"_rows", "vertices", "_vertex_rows"}) == []
+    from barypoly.coordinates import LambdaPolytope
+    assert [field for field in LambdaPolytope._fields if field.startswith("_")] == []
     src = Path(barypoly.__file__).parent
     builders = sorted(f"{path.stem}.{top.name}" for path in src.glob("*.py")
                       for top in ast.parse(path.read_text(), str(path)).body
@@ -548,7 +577,7 @@ def test_census_rows_build_no_fraction():
     # pass's vertex keys give (or, off every wall, the count of surviving
     # rows): its cells read no Fraction vertex list, and
     # _sigma, which builds a coordinate vector's Fractions, runs only in the
-    # Fraction pass and for the keep-set read's one row (_simplicial_at),
+    # Fraction pass and for the keep-set read's one row (simplicial_coords),
     # never in the integer pass or the count
     assert {"_census_cells", "_census_at", "_census"} <= _names_in("cli", "_sweep_row")
     for function in ("_census_cells", "_sweep_row"):
@@ -560,7 +589,7 @@ def test_census_rows_build_no_fraction():
     callers = sorted(top.name for top in tree.body if isinstance(top, ast.FunctionDef)
                      and any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                              and node.func.id == "_sigma" for node in ast.walk(top)))
-    assert callers == ["_simplicial_at", "_vertex_list"]
+    assert callers == ["_vertex_list", "simplicial_coords"]
     for function in ("_vertex_keys", "_census"):
         assert sorted(_names_in("coordinates", function) & {"_sigma", "Fraction"}) == []
     src = Path(barypoly.__file__).parent
@@ -724,9 +753,7 @@ def test_a_row_is_its_keep_set():
     # a pattern row is (keep, ids) and a read row (keep, xs, den): no row
     # holds a zero set, the complement of its keep set.  _pattern_order
     # builds none, _read_rows yields 3-tuples, the table is (walls, order,
-    # live, ge, le) with its rows listed once, and the keep-set read of
-    # simplicial_coords (_simplicial_at) finds its walls by rank, with no row
-    # looked up
+    # live, ge, le) with its rows listed once
     order = _function("coordinates", "_pattern_order")
     assert [ast.unparse(node) for node in ast.walk(order) if isinstance(node, ast.Call)
             and ast.unparse(node).startswith("combinations(range(1, n + 1)")] == []
@@ -737,10 +764,6 @@ def test_a_row_is_its_keep_set():
                  if isinstance(node, ast.Return)]
     assert [ast.unparse(x) for x in returned.elts[:3]] == ["walls", "order", "live"]
     assert len(returned.elts) == 5
-    coords = _function("coordinates", "_simplicial_at")
-    assert "comb" in _names_in("coordinates", "_simplicial_at")
-    assert [ast.unparse(node) for node in ast.walk(coords) if isinstance(node, ast.Subscript)
-            and "_table" in ast.unparse(node.value)] == ["_table(p)[0]"]
     # in the CLI only _pick_selection unpacks a row (keep, xs, den)
     path = Path(barypoly.__file__).parent / "cli.py"
     unpacking = sorted(

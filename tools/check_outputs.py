@@ -233,8 +233,11 @@ def lone_point_memory():
     on the polytope, where the pattern table it once built held 103 MB.  The integer pass
     alone (_vertices_at, whose result is the vertex keys) must peak under 14 MB: 10.7 MB
     now, 16.9 MB while the keep tuples were listed first.  The traced peak of the whole
-    read, less the 35 MB the returned vertex lists hold, and what the polytope keeps must
-    stay under 20 MB.  Runs in a fresh interpreter, started by the check above."""
+    read, less the 20 MB the returned vertex lists hold (35 MB while the result also kept
+    the integer pass's int rows, which the read now drops), and what the polytope keeps
+    must stay under 20 MB.  simplicial_coords and selection_jacobian read their keep set's
+    own walls and build no table either.  Runs in a fresh interpreter, started by the
+    check above."""
     p = parabola()
     pt = p.as_point((42, 1864))
     tracemalloc.start()
@@ -252,10 +255,19 @@ def lone_point_memory():
     kept = tracemalloc.get_traced_memory()[0]
     work = peak - (held - kept)  # the peak less the result's own size
     print(f"{count} vertices; traced peak {peak / 1e6:.1f} MB, "
+          f"{(held - kept) / 1e6:.1f} MB the result, "
           f"{work / 1e6:.1f} MB besides the result, "
           f"{kept / 1e6:.1f} MB kept on the polytope")
     assert count == 16403
     assert work < 20e6 and kept < 20e6
+    from barypoly import probes
+
+    zero_set = [j for j in range(1, 86) if j not in (1, 43, 85)]
+    sc = coordinates.simplicial_coords(p, pt, zero_set)
+    jacobian = probes.selection_jacobian(p, zero_set)
+    print(f"keep set (1, 43, 85): sigma feasible {sc.feasible}, "
+          f"J {len(jacobian)} x {len(jacobian[0])}, no table")
+    assert p._pattern_table == []
 
 
 @check("document memory")
