@@ -22,7 +22,7 @@ from . import coordinates as co
 from . import oracle as orc
 from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismatchError,
                      ParseError)
-from .linalg import fr, rational_str
+from .linalg import fr, integer_rows, rational_str
 from .polytope import (Polytope, load_polytope, parse_coordinates,
                        polytope_rows, read_json, validate)
 from .report import analysis_document, dumps, format_float, lambda_entries, ratio_rows
@@ -254,22 +254,23 @@ def run_oracle_check(path, point_text, samples) -> int:
         raise ParseError(f"{_SEED_ENV} must be an integer, got {seed_text!r}") from exc
     co.check_pattern_count(len(rows[0]), d)
     p = validate(rows, d)
-    lam = co.lambda_vertices(p, point)
+    _, _, (scale, lam_rows) = co._lambda_rows(p, point)
     try:
         ora = orc.dd_vertices(p, point)
     except InfeasibleError as exc:
         # the enumeration found the point inside: the routes disagree
         raise OracleMismatchError(
-            f"oracle found no vertex, enumeration found {len(lam.vertices)}") from exc
-    # both lists are sorted and repeat no vertex: equal lists are equal sets
-    agree = ora.vertices == tuple(lam.vertex_arrays())
+            f"oracle found no vertex, enumeration found {len(lam_rows)}") from exc
+    # both sorted, no repeats: equal exactly when the oracle's scaled to ints is (M, rows)
+    ora_rows = integer_rows(ora.vertices)
+    agree = ora_rows == (scale, lam_rows)
     samples_ok = orc.samples_feasible(p, point, ora.vertices, samples, seed)
     print(dumps({
         "agreement": agree,
         "method": ora.method,
-        "vertex_count": len(lam.vertices),
-        "lambda_vertices": [[rational_str(x) for x in v] for v in lam.vertex_arrays()],
-        "oracle_vertices": [[rational_str(x) for x in v] for v in ora.vertices],
+        "vertex_count": len(lam_rows),
+        "lambda_vertices": ratio_rows(scale, lam_rows),
+        "oracle_vertices": ratio_rows(*ora_rows),
         "samples": samples,
         "samples_feasible": samples_ok,
         "seed": seed,

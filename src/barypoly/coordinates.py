@@ -18,14 +18,13 @@ signed sum, since the coordinates sum to 1.  A pattern is combinatorial, K
 and the ids of its d + 1 walls (``_pattern_order``), and every point read
 turns the C(n, d) wall values there into rows through one reader,
 ``_read_rows``; a zero set is the complement of K, which no row holds.  A
-point read on a polytope with no table takes the values off the vertices
-(``_wall_values``), streams the patterns and keeps nothing, and
-``simplicial_coords`` reads its one row so on any polytope, off the d + 1
-wall values of its keep set's own vertices.  Sweeps and rays build the
-table: every wall as an integer cofactor vector, built per (d-1)-vertex
-prefix by one elimination (``_walls``) and read at a point with integer
-multiply-adds, and the patterns.  The sign vector of the wall
-values is the point's chamber key.
+single-point read has one route, table or not: Lambda takes the values off
+the vertices (``_wall_values``), streams the patterns and keeps nothing, and
+``simplicial_coords`` reads its keep set's d + 1 as one cofactor vector.
+Sweep rows and rays build the table: every wall as an integer cofactor
+vector, built per (d-1)-vertex prefix by one elimination (``_walls``) and
+read at a point with integer multiply-adds, and the nonsingular patterns'
+rows.  The sign vector of the wall values is the point's chamber key.
 A row's D has one sign at every point, that of its walls' signed constant
 entries, so the row is feasible exactly where each of its d + 1 wall values
 has the sign D gives it, or is 0.  The table keeps, per wall, int bitsets
@@ -226,15 +225,15 @@ def _walls(p: Polytope) -> list:
 
 
 def _patterns(p: Polytope) -> tuple:
-    """(walls, order, live, ge, le): the walls of ``_walls``, every zero
-    pattern's row (keep, ids) of ``_pattern_order`` listed in that order,
-    and the row signs as int bitsets, bit r for row r of ``order``.
+    """(walls, order, ge, le): the walls of ``_walls``, the row (keep, ids)
+    of every nonsingular zero pattern of ``_pattern_order`` listed in that
+    order, and the row signs as int bitsets, bit r for row r of ``order``.
 
     A row's Cramer sum, which ``_read_rows`` takes as its denominator, is
     ±E·det[1^T; V_keep] at every point: the x parts of its signed walls
     cancel, so its sign is that of the signed sum of their constant entries
-    c_0, a constant of the table.  ``live`` holds the rows whose sum is not
-    0.  A live row is feasible where each of its xs, the values at its ids
+    c_0, a constant of the table, 0 for a singular pattern, which is never
+    read.  A row is feasible where each of its xs, the values at its ids
     (-f_w at ~w), has its sum's sign or is 0, so each wall w has two sets:
     ge[w] the rows that need f_w >= 0, and le[w] those that need
     -f_w >= 0, i.e. f_w <= 0.
@@ -243,16 +242,16 @@ def _patterns(p: Polytope) -> tuple:
     consts = [wall[0] for wall in walls]
     consts += [-c for c in reversed(consts)]  # consts[~w] = -consts[w]
     # needs[id] for a row's ids, as the reader indexes values: ge at w, le at ~w
-    order, live, needs = list(_pattern_order(p)), 0, [0] * len(consts)
-    for r, (_, ids) in enumerate(order):
+    order, needs = [], [0] * len(consts)
+    for keep, ids in _pattern_order(p):
         sign = sum(map(consts.__getitem__, ids))
         if sign:
-            bit = 1 << r
-            live |= bit
+            bit = 1 << len(order)
+            order.append((keep, ids))
             for w in ids if sign > 0 else map(invert, ids):
                 needs[w] |= bit
     half = len(walls)  # le[w] = needs[~w]
-    return walls, order, live, needs[:half], needs[half:][::-1]
+    return walls, order, needs[:half], needs[half:][::-1]
 
 
 def check_pattern_count(n: int, d: int) -> None:
@@ -268,8 +267,7 @@ def check_pattern_count(n: int, d: int) -> None:
 
 
 def _table(p: Polytope) -> tuple:
-    """(walls, order, live, ge, le) of _patterns(p), built once per
-    ``p`` and kept on it.
+    """(walls, order, ge, le) of _patterns(p), built once per ``p`` and kept on it.
 
     Each sigma_Z is affine on R^d, and its entries are signed wall values
     over their sum (``_read_rows``), so C(n, d) walls carry every row:
@@ -313,17 +311,17 @@ def _read_rows(rows, vals):
 
 def _survivors(table, vals) -> int:
     """The bitset of the rows of ``table`` (``_table``) that are feasible
-    given every wall's value at a point, ``vals``: the live rows less those
-    that need f_w >= 0 at a wall whose value is negative, or f_w <= 0 at
-    one whose value is positive.  A value of 0 rules out no row."""
-    _, _, live, ge, le = table
+    given every wall's value at a point, ``vals``: all rows less those that
+    need f_w >= 0 at a wall whose value is negative, or f_w <= 0 at one
+    whose value is positive.  A value of 0 rules out no row."""
+    _, order, ge, le = table
     ruled = 0
     for v, need_ge, need_le in zip(vals, ge, le):
         if v < 0:
             ruled |= need_ge
         elif v:
             ruled |= need_le
-    return live & ~ruled
+    return ((1 << len(order)) - 1) & ~ruled
 
 
 def _masked_rows(table, vals):
@@ -362,12 +360,12 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
     else ValueError) forced to zero; SingularPatternError when the
     complementary columns are affinely dependent.
 
-    The zero set's complement K = (k_0 < … < k_d) is one row of the reader:
-    ``_wall_values`` on K's own vertices gives its C(d + 1, d) walls in
-    lexicographic order, keep∖k_d … keep∖k_0, so reversed the wall keep∖k_i
-    sits at i, the row's id (~i at odd i).  The lcm of K's vertices and the
-    point scales the d + 1 values alike and leaves sigma as it is.  No table
-    is read or built."""
+    Cramer's rule on the complement K = (k_0 < … < k_d), with no table: for
+    u_k = L′·(v_k - point) as ints, L′ the lcm of the denominators, and c the
+    cofactor vector of the d x (d+1) rows with columns u_{k_j}, sigma_{k_j}
+    is c_j / sum(c).  c_j = (-1)^j·det[u_s], s in K∖k_j, is the value of the
+    wall K∖k_j, and sum(c) = L′^d·det[1^T; V_K] is 0 exactly where K is
+    affinely dependent; a negative sum flips every sign."""
     try:
         zeros = frozenset(map(index, zero_set))
     except TypeError as exc:
@@ -379,12 +377,14 @@ def simplicial_coords(p: Polytope, point, zero_set) -> SimplicialCoordinate:
             f"zero set must have size n-d-1 = {p.kernel_dim()}, got {len(zeros)}")
     pt = p.as_point(point)
     keep = [j for j in range(p.n) if j + 1 not in zeros]
-    vals = _wall_values([p.vertices[j] for j in keep], pt)
-    vals.reverse()
-    own = [(keep, [i ^ -(i % 2) for i in range(p.d + 1)])]
-    for _, xs, den in _read_rows(own, vals):
-        return SimplicialCoordinate(zeros, _sigma(p.n, keep, xs, den), min(xs) >= 0)
-    raise SingularPatternError(f"columns outside {sorted(zeros)} are affinely dependent")
+    _, (*verts, x) = linalg.integer_rows([*(p.vertices[j] for j in keep), pt])
+    xs = linalg.cofactors([[v[l] - x[l] for v in verts] for l in range(p.d)])
+    den = sum(xs)
+    if not den:
+        raise SingularPatternError(f"columns outside {sorted(zeros)} are affinely dependent")
+    if den < 0:
+        xs, den = [-c for c in xs], -den
+    return SimplicialCoordinate(zeros, _sigma(p.n, keep, xs, den), min(xs) >= 0)
 
 
 def _feasible_rows(p: Polytope, point):
@@ -451,14 +451,10 @@ def _vertex_list(scale: int, rows) -> list:
 
 
 def _vertices_at(p: Polytope, point) -> dict:
-    """The integer pass at ``point``: the vertex keys of Lambda(point) over
-    every feasible row there, read by ``_read_rows`` off the pattern table
-    when ``p`` holds one, else off the wall values at the point
-    (``_wall_values``) with the rows streamed from ``_pattern_order``,
-    building nothing.  Both raise PatternLimitError (``check_pattern_count``)
-    before any value."""
-    if p._pattern_table:
-        return _vertex_keys(_feasible_rows(p, point))
+    """The integer pass at ``point``, table or not: the vertex keys of
+    Lambda(point) over the feasible rows that ``_read_rows`` reads off the wall
+    values there (``_wall_values``), streamed from ``_pattern_order``, building
+    nothing.  Raises PatternLimitError (``check_pattern_count``) before any value."""
     check_pattern_count(p.n, p.d)
     return _vertex_keys(_feasible(_read_rows(_pattern_order(p),
                                              _wall_values(p.vertices, point))))

@@ -7,8 +7,8 @@ probe layer and the seeded polytope generator, which add floats with
 ``float_sum``.  Matrices are plain lists of row lists, vectors plain
 sequences.  ``bareiss_row`` is the integer (fraction-free) row update: the
 simplex pivot, and the step of ``eliminate``, the one fraction-free
-Gauss-Jordan loop, under ``cofactors`` (the wall kernel of a lone read's
-wall values, at all n vertices or at a keep set's d + 1),
+Gauss-Jordan loop, under ``cofactors`` (the kernel of a lone read's wall
+values, and of sigma_Z's Cramer vector, one call per keep set),
 ``cofactor_pencil`` (the prefix kernel of the pattern table: one
 elimination of m rows gives every cofactor vector of those rows and one
 more), ``nullspace_basis`` (validation's N) and ``rank``.  No Fraction

@@ -8,10 +8,10 @@ primitive-row Gauss-Jordan loop on [V; 1^T | -(p; 1)] scaled to integers
 gives the int rows g_i = L (N_i, tau_i) and the free columns, on which N's
 rows are the unit vectors; insertion starts at a k-simplex that contains
 the reduced polytope by construction, and each vertex lam = tau + N c is
-carried as its primitive integer ray (a, D), lam = a / D, until the sorted
-output.  For kernel dimension <= 2 an active-set scan provides a second
-independent path, reading each subset's tight point off integer cross
-products of the same rows with no elimination, and the two must agree.
+carried as its primitive integer ray (a, D), lam = a / D.  For kernel
+dimension <= 2 an active-set scan gives a second independent set of rays,
+off integer cross products of the same rows with no elimination, and the
+two sets must be equal; the sorted Fractions are built once, from them.
 """
 
 import math
@@ -99,8 +99,8 @@ def _dd_reduced(scale, rows, free):
     particular solution tau.  Insertion starts at its corner lam0 = tau -
     N tau[free], the ray (L g_i[k] - sum_j g_i[j] g_{free[j]}[k], L^2), and at
     lam0 + N e_j, and runs over the other rows on integer rays (a, D),
-    lam = a / D, whose value at row r has the sign of a[r]; an empty result
-    means the system has no solution.
+    lam = a / D, whose value at row r has the sign of a[r]: the set of the
+    vertices' primitive rays, empty when the system has no solution.
     """
     n, k = len(rows), len(free)
     shift = [rows[f][k] for f in free]
@@ -139,7 +139,7 @@ def _dd_reduced(scale, rows, free):
             merged[ray] = merged.get(ray, 0) | m
         rays = list(merged)
         act = [merged[ray] for ray in rays]
-    return sorted(tuple(Fraction(x, ray[n]) for x in ray[:n]) for ray in rays)
+    return set(rays)
 
 
 def _scan_reduced(scale, rows, k):
@@ -147,8 +147,8 @@ def _scan_reduced(scale, rows, k):
 
     With the int rows g_i = L (N_i, tau_i), L = ``scale``, a subset's rows are
     tight at x ~ (c, 1): x = (1), (g_i1, -g_i0) or g_i x g_j for k = 0, 1, 2,
-    where lam_r = g_r.x / (L x_k) and x_k = 0 marks a singular subset.  Each
-    lam >= 0 is kept as its primitive integer ray until the sorted output.
+    where lam_r = g_r.x / (L x_k) and x_k = 0 marks a singular subset: the
+    set of the lam >= 0 as primitive rays (a, D), as ``_dd_reduced`` gives.
     """
     rays = set()
     for subset in combinations(rows, k):
@@ -161,22 +161,24 @@ def _scan_reduced(scale, rows, k):
         vals = [sum(map(operator.mul, g, x)) for g in rows]
         if den and all(v * den >= 0 for v in vals):
             common = math.gcd(den, *vals) if den > 0 else -math.gcd(den, *vals)
-            rays.add((den // common, *(v // common for v in vals)))
-    return sorted(tuple(Fraction(v, den) for v in vals) for den, *vals in rays)
+            rays.add((*(v // common for v in vals), den // common))
+    return rays
 
 
 def dd_vertices(p: Polytope, point) -> OracleResult:
     """Vertex set of the coordinate polytope via the reduced-space route.
 
     Raises InfeasibleError for points outside the polytope and
-    OracleMismatchError if the two internal routes disagree (kernel dim <= 2).
+    OracleMismatchError if the two internal routes' sets of primitive rays
+    differ (kernel dim k = n-d-1 <= 2).
     """
     scale, rows, free = _reduced_system(p, point)
-    verts = _dd_reduced(scale, rows, free)
-    if not verts:
+    rays = _dd_reduced(scale, rows, free)
+    if not rays:
         raise InfeasibleError("point is outside the polytope")
-    if len(free) <= 2 and _scan_reduced(scale, rows, len(free)) != verts:
+    if len(free) <= 2 and _scan_reduced(scale, rows, len(free)) != rays:
         raise OracleMismatchError("double description and active-set scan disagree")
+    verts = sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in rays)
     return OracleResult(vertices=tuple(verts), method="DoubleDescription")
 
 

@@ -41,7 +41,7 @@ class Polytope(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # coordinates' pattern table (walls, order, live, ge, le), built on
+        # coordinates' pattern table (walls, order, ge, le), built on
         # first use; not a constructor argument
         object.__setattr__(self, "_pattern_table", [])
 

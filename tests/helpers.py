@@ -162,6 +162,12 @@ def integer_system(tau, nbasis_rows) -> tuple:
     return linalg.integer_rows([[*row, t] for row, t in zip(nbasis_rows, tau)])
 
 
+def ray_fractions(rays) -> list:
+    """The sorted Fraction vertices a / D of the oracle's primitive integer
+    rays (a, D), as ``dd_vertices`` lists them."""
+    return sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in rays)
+
+
 def solve_linear(a, b) -> list:
     """Solve the square system a·x = b exactly.
 

@@ -423,7 +423,7 @@ def test_oracle_check_empty_oracle_is_a_mismatch(square_file, capsys, monkeypatc
     # vertex disagrees with it: exit 3, not the outside code 2
     from barypoly import oracle
 
-    monkeypatch.setattr(oracle, "_dd_reduced", lambda nb, tau, k: [])
+    monkeypatch.setattr(oracle, "_dd_reduced", lambda nb, tau, k: set())
     code, out = run(capsys, "oracle-check", square_file, "--point", "1/2,1/2")
     assert code == 3
     assert json.loads(out)["error"] == "OracleMismatch"

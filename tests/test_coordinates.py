@@ -124,25 +124,28 @@ def test_simplicial_coords_singular_pattern(prism8):
 
 
 def test_simplicial_coords_reads_its_own_walls(prism8, monkeypatch):
-    # one row read alone, by one route: _wall_values runs on the keep set's
-    # own d + 1 vertices, and the reader gets the values of that row's d + 1
-    # walls, not all C(n, d) of them, on a polytope that holds a table and on
-    # one that holds none, which builds none
+    # one row read alone, by one route: one cofactors call on the d x (d+1)
+    # rows whose column j is L'·(v_{k_j} - q), the keep set's own walls'
+    # values, and no wall value of any other vertex and no row reader, on a
+    # polytope that holds a table and on one that holds none, which builds
+    # none
     from barypoly import coordinates
 
     got = []
-    real_values, real_read = coordinates._wall_values, coordinates._read_rows
-    monkeypatch.setattr(coordinates, "_wall_values", lambda vertices, point: got.append(
-        ("values", list(vertices))) or real_values(vertices, point))
-    monkeypatch.setattr(coordinates, "_read_rows", lambda rows, vals: got.append(
-        ("read", len(vals))) or real_read(rows, vals))
+    real_cofactors = linalg.cofactors
+    monkeypatch.setattr(linalg, "cofactors", lambda rows: got.append(
+        ("cofactors", [list(row) for row in rows])) or real_cofactors(rows))
+    for name in ("_wall_values", "_read_rows"):
+        monkeypatch.setattr(coordinates, name, lambda *a, name=name: got.append(name))
     fresh = Polytope(prism8.d, prism8.n, prism8.vertices, prism8._kernel_rows)
     coordinates._table(prism8)
+    q = (F(1, 3), F(1, 2), F(2, 3))
     keep = [prism8.vertices[j] for j in (1, 3, 4, 6)]
+    rows = [[6 * (v[l] - q[l]) for v in keep] for l in range(3)]
     for p in (prism8, fresh):
         got.clear()
-        sc = simplicial_coords(p, (F(1, 3), F(1, 2), F(2, 3)), {1, 3, 6, 8})
-        assert got == [("values", keep), ("read", prism8.d + 1)]
+        sc = simplicial_coords(p, q, {1, 3, 6, 8})
+        assert got == [("cofactors", rows)]
         assert sc.sigma == (0, F(1, 12), 0, F(1, 4), F(5, 12), 0, F(1, 4), 0)
     assert fresh._pattern_table == []
 
@@ -257,11 +260,11 @@ def test_wrong_length_points_are_refused(square, read, point):
 def test_a_point_read_builds_no_table(monkeypatch):
     # a point read on a fresh prism8 takes the wall values at the point off
     # C(7, 2) = 21 cofactors of 2 x 3 translated prefixes and builds no
-    # wall, the second read too; once a table is built (here by _table, as
-    # a sweep or a ray builds it) a read is a lookup: the build takes its
-    # C(8, 3) = 56 walls off C(7, 2) = 21 cofactor pencils of 2 x 4 prefix
-    # rows, and the read after it none.  A fresh object: the session
-    # fixture may already hold its table
+    # wall, the second read too; a table built on the object (here by
+    # _table, as a sweep or a ray builds it) takes its C(8, 3) = 56 walls
+    # off C(7, 2) = 21 cofactor pencils of 2 x 4 prefix rows, and a point
+    # read after it still reads the wall values, by the one route.  A fresh
+    # object: the session fixture may already hold its table
     from barypoly.coordinates import _table
     from barypoly.fixtures import fixture_document
     from barypoly.polytope import parse_polytope
@@ -286,7 +289,7 @@ def test_a_point_read_builds_no_table(monkeypatch):
     assert len(_table(p)[0]) == 56
     assert shapes() == (21, {("cofactor_pencil", 2, 4)})
     lams.append(lambda_vertices(p, points[2]))
-    assert shapes() == (0, set())
+    assert shapes() == (21, {("cofactors", 2, 3)})
     assert [list(lam.vertex_arrays()) for lam in lams] == [
         sorted(brute_force_vertices(p, q)) for q in points]
 
@@ -298,20 +301,19 @@ def test_square_row_signs():
     # Zero set {1} keeps v2 v3 v4 with xs (f_34, -f_24, f_23) = (1 - y,
     # x + y - 1, 1 - x), whose sum is 1; likewise {2}: (f_34, -f_14, f_13),
     # {3}: (f_24, -f_14, f_12), {4}: (f_23, -f_13, f_12), each summing to 1.
-    # So every row is live, and needs each wall it reads with a + sign >= 0
-    # and each with a - sign <= 0
+    # So no row is singular, the table lists all four, and each needs every
+    # wall it reads with a + sign >= 0 and each with a - sign <= 0
     from barypoly.coordinates import _feasible_rows, _patterns, _survivors, _table
     from barypoly.fixtures import fixture_document
     from barypoly.polytope import parse_polytope
 
     p = parse_polytope(fixture_document("square"))
-    walls, order, live, ge, le = _patterns(p)
+    walls, order, ge, le = _patterns(p)
     assert walls == [(0, 0, 1), (0, -1, 1), (0, -1, 0), (1, -1, 0), (1, -1, -1), (1, 0, -1)]
     # zero sets {1}..{4}: each row is its keep set, the complement, 0-based
     assert order == [
         ((1, 2, 3), [5, ~4, 3]), ((0, 2, 3), [5, ~2, 1]),
         ((0, 1, 3), [4, ~2, 0]), ((0, 1, 2), [3, ~1, 0])]
-    assert live == 0b1111
     assert ge == [0b1100, 0b0010, 0, 0b1001, 0b0100, 0b0011]
     assert le == [0, 0b1000, 0b0110, 0, 0b0001, 0]
     table = _table(p)

@@ -560,9 +560,8 @@ def test_probes_read_one_pattern_table(monkeypatch):
     # phase one, and C(8, 3) = 56 walls off C(7, 2) = 21 cofactor pencils
     # for a first prism8 continuity row, none for a second one (a scan at
     # the basepoint and at each of 8 steps made 630 eliminations a row).
-    # sigma_Z(p) and sigma_Z(p + h) of a semidiff row are read off the keep
-    # set's own d + 1 walls, one cofactors call per (d-1)-vertex prefix of
-    # its d + 1 vertices, and not off the table.
+    # sigma_Z(p) and sigma_Z(p + h) of a semidiff row are each one cofactors
+    # call on the d x (d+1) translated keep set, and not read off the table.
     # Fresh objects: the session fixtures may already hold their tables.
     from barypoly import coordinates, linalg, polytope, simplex
     from barypoly.fixtures import fixture_document
@@ -585,13 +584,13 @@ def test_probes_read_one_pattern_table(monkeypatch):
     assert len(prefixes) == 21 and keep_walls == []
     prefixes.clear()
     # the square's C(4, 2) = 6 walls off C(3, 1) = 3 prefixes; sigma_Z(p)
-    # and sigma_Z(p + h) each off the C(2, 1) = 2 one-vertex prefixes of
-    # the keep set's 3 vertices, 1 x 2 rows
+    # and sigma_Z(p + h) each off one cofactor vector of 2 x 3 rows, the
+    # keep set's 3 vertices translated
     semidiff_probe(square, CENTER, {4}, (F(1), F(0)), t0=F(1, 16), steps=3)
     assert len(prefixes) == 3 and len(square._pattern_table[0]) == 6
-    assert [(len(rows), len(rows[0])) for rows in keep_walls] == [(1, 2)] * 4
+    assert [(len(rows), len(rows[0])) for rows in keep_walls] == [(2, 3)] * 2
     semidiff_probe(square, CENTER, {3}, (F(0), F(1)), t0=F(1, 16), steps=3)
-    assert len(prefixes) == 3 and len(keep_walls) == 8
+    assert len(prefixes) == 3 and len(keep_walls) == 4
     # boundary basepoints: on a square's edge, and on the pyramid's base,
     # where the vertex supports cover 4 of the 5 indices
     with pytest.raises(LeavesPolytopeError, match="basepoint must be interior"):

@@ -21,7 +21,7 @@ and the double-description oracle must give the same vertex lists and refuse
 the same outside points.  The census cells, read off the integer pass's
 vertex keys, must equal the count, affine dimension and n - d test of the
 Fraction vertices (``helpers.reference_census``).  The oracle's integer
-rays must give the list of ``helpers.reference_dd_reduced``, the same
+rays, as Fractions, must give the list of ``helpers.reference_dd_reduced``, the same
 insertion over Fractions on the Fraction rref's tau and N, for d = 2, 3 and
 4, and its k <= 2 scan on integer cross products must give the list of
 ``helpers.reference_scan_reduced``, which solves each subset over Fractions,
@@ -44,7 +44,7 @@ the reference kernel, ``helpers.reference_min_norm_point`` and
 ``helpers.reference_pruned_hausdorff_status``, on float point sets of
 dimension 1 to 8 with 1 to 14 points, overflowing and non-finite ones
 included, at every kind of cutoff.  ``simplicial_coords``, which reads its
-keep set's d + 1 wall values at the point as every lone read does, must give
+keep set's Cramer vector off one cofactor call, must give
 the one solution of [V_keep; 1^T]·lam = [q; 1] at every zero set, and
 SingularPatternError exactly where the keep set is affinely dependent; the
 selection Jacobian must equal ``helpers.reference_selection_jacobian``'s
@@ -138,6 +138,7 @@ from helpers import (
     matrices,
     rationals,
     reference_dd_reduced,
+    ray_fractions,
     reference_census,
     reference_continuity_probe,
     reference_gamma_polytope,
@@ -200,7 +201,8 @@ def _lone_read(p, q):
 
 def _fractions_at(p, q):
     """Lambda(q)'s sorted Fraction vertices, from both passes of the table."""
-    return [lam for lam, _ in _vertex_list(*_vertex_rows(p.n, _vertices_at(p, q)))]
+    keys = _vertex_keys(_feasible_rows(p, q))
+    return [lam for lam, _ in _vertex_list(*_vertex_rows(p.n, keys))]
 
 
 def _eliminated(p, q):
@@ -250,7 +252,7 @@ def test_interior_points(p, data):
 @PROPERTY
 @given(polytopes(), st.data())
 def test_ray_table_matches_the_scan(p, data):
-    # Lambda(q + t·h) read off the polytope's table by _vertices_at equals
+    # Lambda(q + t·h) read off the polytope's table by _feasible_rows equals
     # the distinct feasible rows of a fresh elimination at q + t·h, and is
     # empty exactly where those are: at 0 and the probe steps t0/2^k, at
     # chamber walls (zeros of some sigma_Z(q + t·h)), between walls, and past
@@ -548,6 +550,23 @@ def test_lone_rows_match_the_table(kind, seed, data):
                           for subset in combinations(range(p.n), p.d)]
 
 
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from(["segment", "d2", "d3", "cube4", "d4"]),
+       st.integers(0, 3), st.data())
+def test_a_point_read_ignores_the_table(kind, seed, data):
+    # _vertices_at reads the wall values at q on an object that holds a
+    # table too, and gives the vertex keys and supports of the table's
+    # feasible rows there, for d = 1..4 and the 4-cube; at interior points,
+    # vertices, on vertex-pair segments, on a wall and outside (no key), in
+    # the same order: the table lists the streamed rows less the singular
+    p = _wall_polytope(kind, seed)
+    _table(p)
+    q = _wall_point(p, data)
+    assert list(_vertices_at(p, q).items()) == list(
+        _vertex_keys(_feasible_rows(p, q)).items())
+
+
 @PROPERTY
 @given(st.one_of(polytopes(), st.builds(_wall_polytope, st.just("cube4"), st.just(0))),
        st.data())
@@ -701,9 +720,10 @@ def test_off_wall_census_counts_the_survivors(p, data):
 def test_walls_are_the_independent_d_subsets(kind, seed):
     # every d-subset of the vertices has a wall, in lexicographic order, and
     # the wall is zero exactly where the subset is affinely dependent: the
-    # 4-cube has such subsets (four vertices of a square 2-face).  The table
-    # keeps every zero pattern, and exactly the singular ones, whose d + 1
-    # vertices are affinely dependent, read den == 0 and give no row
+    # 4-cube has such subsets (four vertices of a square 2-face).  The
+    # streamed patterns are every zero pattern, and exactly the singular
+    # ones, whose d + 1 vertices are affinely dependent, read den == 0 and
+    # give no row; the table lists the others once each, and reads them all
     p = _wall_polytope(kind, seed)
     walls, order, *_ = _table(p)
     subsets = list(combinations(range(p.n), p.d))
@@ -711,10 +731,14 @@ def test_walls_are_the_independent_d_subsets(kind, seed):
                  if linalg.affine_dim([p.vertices[k] for k in s]) < p.d - 1]
     assert len(walls) == len(subsets)
     assert [s for s, wall in zip(subsets, walls) if not any(wall)] == dependent
-    keeps = {keep for keep, _ in order}
+    streamed = [keep for keep, _ in _pattern_order(p)]
+    keeps = set(streamed)
     singular = {keep for keep in keeps
                 if linalg.affine_dim([p.vertices[k] for k in keep]) < p.d}
-    assert len(order) == len(keeps) == math.comb(p.n, p.d + 1)
+    assert len(streamed) == len(keeps) == math.comb(p.n, p.d + 1)
+    assert {keep for keep, *_ in _lone_read(p, p.centroid())} == keeps - singular
+    assert [keep for keep, _ in order] == [keep for keep in streamed
+                                           if keep not in singular]
     assert {keep for keep, *_ in _table_read(p, p.centroid())} == keeps - singular
     assert bool(dependent) == bool(singular) == (kind == "cube4")
 
@@ -1122,9 +1146,9 @@ def test_dd_matches_the_fraction_reference(p, data):
               _combination(p.vertices, big),
               tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))]
     for q in points:
-        assert _dd_reduced(*_reduced_system(p, q)) \
+        assert ray_fractions(_dd_reduced(*_reduced_system(p, q))) \
             == reference_dd_reduced(*reference_reduced_system(p, q))
-    assert _dd_reduced(*_reduced_system(p, points[-1])) == []
+    assert _dd_reduced(*_reduced_system(p, points[-1])) == set()
 
 
 @PROPERTY
@@ -1153,12 +1177,12 @@ def test_scan_matches_the_fraction_reference(d, data):
         basepoint = feasible_tau(p, q).lam
         for rows, base in ((_reduced_system(p, q)[:2], tau),
                            (integer_system(basepoint, nb), basepoint)):
-            scan = _scan_reduced(*rows, k)
+            scan = ray_fractions(_scan_reduced(*rows, k))
             assert scan and scan == reference_scan_reduced(base, nb, k)
     out = tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))
     tau, nb, _ = reference_reduced_system(p, out)
-    assert _scan_reduced(*_reduced_system(p, out)[:2], k) \
-        == reference_scan_reduced(tau, nb, k) == []
+    assert _scan_reduced(*_reduced_system(p, out)[:2], k) == set()
+    assert reference_scan_reduced(tau, nb, k) == []
 
 
 @pytest.mark.parametrize("shape", ["1x1", "wide", "square", "tall"])

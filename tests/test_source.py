@@ -75,8 +75,8 @@ def test_phase_one_returns_its_answer():
 
 
 def test_only_coordinates_eliminates_patterns():
-    # coordinates' pattern table, its lone-point read and a lone
-    # simplicial_coords are the callers of the wall kernels, and the oracle
+    # coordinates' pattern table, its lone-point read and simplicial_coords
+    # are the callers of the wall kernels, and the oracle
     # stays an independent route: it never reads the table or the wall
     # values, although the table lives on the Polytope object it is given.
     # The probes and the CLI read it only at points, through coordinates'
@@ -85,8 +85,8 @@ def test_only_coordinates_eliminates_patterns():
     src = Path(barypoly.__file__).parent
     names = {path.stem: _identifiers(path) for path in sorted(src.glob("*.py"))}
     # the table's _walls runs linalg's prefix kernel, and _wall_values, which
-    # reads a lone point and the keep set of a simplicial_coords, its wall
-    # kernel
+    # reads a lone point, and simplicial_coords, whose keep set's Cramer
+    # vector is one cofactor vector, its wall kernel
     kernels = {"cofactors", "cofactor_pencil"}
     assert {"_patterns", "_walls", "_wall_values", *kernels} <= names["coordinates"]
     assert sorted(mod for mod, found in names.items()
@@ -96,11 +96,13 @@ def test_only_coordinates_eliminates_patterns():
     assert {top.name: sorted(_names_in("coordinates", top.name) & kernels)
             for top in tree.body if isinstance(top, ast.FunctionDef)
             and _names_in("coordinates", top.name) & kernels} == {
-        "_walls": ["cofactor_pencil"], "_wall_values": ["cofactors"]}
+        "_walls": ["cofactor_pencil"], "_wall_values": ["cofactors"],
+        "simplicial_coords": ["cofactors"]}
     assert "_pattern_table" in names["polytope"]
     table = {"_pattern_table", "_table", "_evaluate", "_feasible_rows",
              "_vertices_at", "_read_rows", "_pattern_order", "_wall_values"}
-    assert table <= names["coordinates"] | names["polytope"]
+    defined = {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    assert table <= names["coordinates"] | names["polytope"] | defined
     assert sorted(names["oracle"] & table) == []
     layout = {"_pattern_table", "_table", "_sigma", "_evaluate", "_read_rows",
               "_pattern_order"}
@@ -138,13 +140,13 @@ def test_pattern_table_is_built_from_walls():
 
 
 def test_one_reader_forms_every_denominator():
-    # _read_rows is the one function that forms a row's denominator, the
-    # sum of its signed wall values, and the one that reads a pattern's wall
-    # ids; every point read reaches it: a lone read (_vertices_at), a table
-    # read (_feasible_rows), a ray step (_ray_keys), a census read
-    # (_census_at), those three over the rows the wall signs leave
-    # (_masked_rows), and the keep-set read of simplicial_coords, which the
-    # selection Jacobian calls
+    # _read_rows is the one function that forms a pattern row's denominator,
+    # the sum of its signed wall values, and the one that reads a pattern's
+    # wall ids; every point read of Lambda reaches it: a lone read
+    # (_vertices_at), a table read (_feasible_rows), a ray step (_ray_keys),
+    # a census read (_census_at), those three over the rows the wall signs
+    # leave (_masked_rows).  simplicial_coords, which reads no pattern,
+    # forms the one other denominator, the sum of its Cramer vector
     from barypoly import coordinates
 
     assert not hasattr(coordinates, "_lone_rows")
@@ -155,10 +157,11 @@ def test_one_reader_forms_every_denominator():
                        if isinstance(node, ast.Assign)
                        for t in node.targets if isinstance(t, ast.Name)}
                 for name in funcs}
-    assert [name for name in funcs if "den" in assigned[name]] == ["_read_rows"]
+    assert [name for name in funcs if "den" in assigned[name]] == [
+        "_read_rows", "simplicial_coords"]
     assert [name for name in funcs
             if "itemgetter" in _names_in("coordinates", name)] == ["_read_rows"]
-    for reader in ("_vertices_at", "_masked_rows", "simplicial_coords"):
+    for reader in ("_vertices_at", "_masked_rows"):
         assert "_read_rows" in _names_in("coordinates", reader), reader
     for reader in ("_feasible_rows", "_ray_keys", "_census_at"):
         assert "_masked_rows" in _names_in("coordinates", reader), reader
@@ -169,33 +172,38 @@ def test_a_lone_point_reads_wall_values():
     # (d-1)-vertex prefix, on integers, and streams the patterns through the
     # one reader: _wall_values, _pattern_order and _read_rows build no
     # Fraction and read neither the table nor its evaluator, and
-    # _vertices_at checks the pattern budget before any of them runs
+    # _vertices_at checks the pattern budget before any of them runs; it has
+    # this one route, whether or not the polytope holds a table
     assert "cofactors" in _names_in("coordinates", "_wall_values")
     for function in ("_wall_values", "_pattern_order", "_read_rows"):
         assert sorted(_names_in("coordinates", function)
                       & {"Fraction", "_ZERO", "_ONE", "fr", "vec", "_sigma", "_table",
                          "_pattern_table", "_evaluate", "_patterns"}) == []
     reads = _names_in("coordinates", "_vertices_at")
-    assert {"check_pattern_count", "_wall_values", "_pattern_order", "_read_rows",
-            "_feasible_rows"} <= reads
+    assert {"check_pattern_count", "_wall_values", "_pattern_order", "_read_rows"} <= reads
+    assert sorted(reads & {"_pattern_table", "_feasible_rows", "_table",
+                           "_masked_rows"}) == []
 
 
 def test_simplicial_coords_has_one_route():
-    # simplicial_coords reads its keep set's wall values at the point as
-    # every lone read does (_wall_values), whether or not the polytope holds
-    # a table: it reads no table, looks no wall up by rank and builds no
-    # wall of its own; the selection Jacobian calls it at 0 and at each e_l,
-    # and no module keeps a second keep-set reader
+    # simplicial_coords reads its keep set's Cramer vector off one
+    # linalg.cofactors call, whether or not the polytope holds a table: it
+    # reads no table, no wall values of the whole vertex list and no
+    # pattern row, looks no wall up by rank and builds no wall; the
+    # selection Jacobian calls it at 0 and at each e_l, and no module keeps
+    # a second keep-set reader
     coords = _names_in("coordinates", "simplicial_coords")
-    assert {"_wall_values", "_read_rows"} <= coords
-    assert sorted(coords & {"_table", "_pattern_table", "_evaluate", "cofactors",
-                            "comb", "_wall"}) == []
+    assert "cofactors" in coords
+    assert sum(isinstance(node, ast.Call) and ast.unparse(node.func) == "linalg.cofactors"
+               for node in ast.walk(_function("coordinates", "simplicial_coords"))) == 1
+    assert sorted(coords & {"_wall_values", "_read_rows", "_table", "_pattern_table",
+                            "_evaluate", "comb", "_wall"}) == []
     assert "simplicial_coords" in _names_in("probes", "_selection_jacobian_exact")
     src = Path(barypoly.__file__).parent
     assert sorted(path.stem for path in src.glob("*.py")
                   if "_simplicial_at" in _identifiers(path)) == []
-    # the pattern table is read by _table and _vertices_at alone, and
-    # linalg.cofactors has one caller in the package
+    # the pattern table is read by _table alone, and linalg.cofactors has
+    # two callers in the package, the lone read's walls and sigma_Z
     def users(name):
         return sorted(f"{path.stem}.{top.name}" for path in sorted(src.glob("*.py"))
                       for top in ast.parse(path.read_text(), str(path)).body
@@ -203,8 +211,9 @@ def test_simplicial_coords_has_one_route():
                       and any(name in (getattr(node, "id", None), getattr(node, "attr", None))
                               for node in ast.walk(top)))
 
-    assert users("_pattern_table") == ["coordinates._table", "coordinates._vertices_at"]
-    assert users("cofactors") == ["coordinates._wall_values"]
+    assert users("_pattern_table") == ["coordinates._table"]
+    assert users("cofactors") == ["coordinates._wall_values",
+                                  "coordinates.simplicial_coords"]
 
 
 def test_gamma_runs_no_elimination():
@@ -482,7 +491,9 @@ def test_oracle_check_runs_on_integers():
     # loop calls no linalg kernel, builds no Fraction and divides only
     # exactly (by a gcd, with //); oracle-check tests its samples as the
     # sampler's integer sums on integer rows, with no Fraction and no
-    # matrix-vector product, and its agreement as two sorted lists
+    # matrix-vector product, and its agreement as the oracle's sorted list
+    # scaled to ints against the integer pass's (M, rows), written off the
+    # ints, with no Fraction vertex list built for Lambda
     from barypoly import linalg, oracle
 
     kernels = {name for name, obj in vars(linalg).items()
@@ -502,7 +513,9 @@ def test_oracle_check_runs_on_integers():
                       & {"Fraction", "random_feasible_sample", "mat_vec", "dot"}) == []
     run = _names_in("cli", "run_oracle_check")
     assert "samples_feasible" in run
-    assert sorted(run & {"random_feasible_sample", "vertices_agree", "set"}) == []
+    assert {"_lambda_rows", "integer_rows", "ratio_rows"} <= run
+    assert sorted(run & {"random_feasible_sample", "vertices_agree", "set",
+                         "lambda_vertices", "vertex_arrays", "rational_str"}) == []
     assert not hasattr(oracle, "solves") and not hasattr(oracle, "_ray")
     assert "mat_vec" not in _identifiers(Path(barypoly.__file__).parent / "cli.py")
 
@@ -683,11 +696,11 @@ def test_one_integer_loop_under_the_kernels():
 
 
 def test_row_signs_are_built_with_the_table():
-    # the live rows and the per-wall sign bitsets are built in _patterns,
-    # in the pass that lists the rows, and only there; a read ORs the
-    # bitsets of the walls whose values rule rows out (_survivors, one loop
-    # over the walls) and walks the bits left in one linear pass
-    # (_masked_rows), never a bit at a time
+    # the rows and the per-wall sign bitsets are built in _patterns, in the
+    # pass that lists the rows, and only there; a read ORs the bitsets of
+    # the walls whose values rule rows out (_survivors, one loop over the
+    # walls, whose one shift is the mask of all rows) and walks the bits
+    # left in one linear pass (_masked_rows), never a bit at a time
     path = Path(barypoly.__file__).parent / "coordinates.py"
     tree = ast.parse(path.read_text(), str(path))
     funcs = [top.name for top in tree.body if isinstance(top, ast.FunctionDef)]
@@ -698,7 +711,9 @@ def test_row_signs_are_built_with_the_table():
 
     assert [name for name in funcs
             if any(isinstance(node.op, ast.LShift) for node in nodes(name, ast.BinOp))] == [
-        "_patterns"]
+        "_patterns", "_survivors"]
+    assert len([node for node in nodes("_survivors", ast.BinOp)
+                if isinstance(node.op, ast.LShift)]) == 1
     assert [name for name in funcs if "needs" in _names_in("coordinates", name)] == ["_patterns"]
     assert {"_patterns", "check_pattern_count"} <= _names_in("coordinates", "_table")
     assert "_survivors" in _names_in("coordinates", "_masked_rows")
@@ -753,7 +768,7 @@ def test_a_row_is_its_keep_set():
     # a pattern row is (keep, ids) and a read row (keep, xs, den): no row
     # holds a zero set, the complement of its keep set.  _pattern_order
     # builds none, _read_rows yields 3-tuples, the table is (walls, order,
-    # live, ge, le) with its rows listed once
+    # ge, le) with its rows listed once
     order = _function("coordinates", "_pattern_order")
     assert [ast.unparse(node) for node in ast.walk(order) if isinstance(node, ast.Call)
             and ast.unparse(node).startswith("combinations(range(1, n + 1)")] == []
@@ -762,8 +777,8 @@ def test_a_row_is_its_keep_set():
     assert yields and all(isinstance(v, ast.Tuple) and len(v.elts) == 3 for v in yields)
     returned, = [node.value for node in ast.walk(_function("coordinates", "_patterns"))
                  if isinstance(node, ast.Return)]
-    assert [ast.unparse(x) for x in returned.elts[:3]] == ["walls", "order", "live"]
-    assert len(returned.elts) == 5
+    assert [ast.unparse(x) for x in returned.elts[:2]] == ["walls", "order"]
+    assert len(returned.elts) == 4
     # in the CLI only _pick_selection unpacks a row (keep, xs, den)
     path = Path(barypoly.__file__).parent / "cli.py"
     unpacking = sorted(

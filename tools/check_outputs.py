@@ -304,14 +304,23 @@ def table_memory():
     rows, each a keep set and the ids of its 3 walls.  What the table holds, traced from
     the start of its build, must stay under 125 MB: 99.5 MB now, 174.2 MB while every row
     also held its 82-entry zero set and the table a second index of its rows keyed by it.
-    Runs in a fresh interpreter, started by the check above."""
+    The polygon has no singular row, so the table lists all of them.  On that object, which
+    now holds the table, the point read at (42, 1864) (_vertices_at, off the wall values)
+    and the table read there (_feasible_rows) must give the same 16403 vertex keys.  Runs
+    in a fresh interpreter, started by the check above."""
     p = parabola()
     tracemalloc.start()
     table = coordinates._table(p)
     held = tracemalloc.get_traced_memory()[0]
     tracemalloc.stop()
-    print(f"{len(table[0])} walls; the table holds {held / 1e6:.1f} MB")
+    print(f"{len(table[0])} walls, {len(table[1])} rows; the table holds {held / 1e6:.1f} MB")
+    assert len(table[1]) == 98770
     assert held < 125e6
+    pt = p.as_point((42, 1864))
+    lone = coordinates._vertices_at(p, pt)
+    read = coordinates._vertex_keys(coordinates._feasible_rows(p, pt))
+    print(f"(42, 1864): {len(lone)} keys off the wall values, {len(read)} off the table")
+    assert len(lone) == 16403 and lone == read
 
 
 @check("ray reads on zero walls",
