@@ -22,7 +22,7 @@ from . import coordinates as co
 from . import oracle as orc
 from .errors import (BarypolyError, InfeasibleError, InternalError, OracleMismatchError,
                      ParseError)
-from .linalg import fr, integer_rows, rational_str
+from .linalg import fr, rational_str
 from .polytope import (Polytope, load_polytope, parse_coordinates,
                        polytope_rows, read_json, validate)
 from .report import analysis_document, dumps, format_float, lambda_entries, ratio_rows
@@ -256,21 +256,22 @@ def run_oracle_check(path, point_text, samples) -> int:
     p = validate(rows, d)
     _, _, (scale, lam_rows) = co._lambda_rows(p, point)
     try:
-        ora = orc.dd_vertices(p, point)
+        ora_rows = orc._dd_rows(p, point)
     except InfeasibleError as exc:
         # the enumeration found the point inside: the routes disagree
         raise OracleMismatchError(
             f"oracle found no vertex, enumeration found {len(lam_rows)}") from exc
-    # both sorted, no repeats: equal exactly when the oracle's scaled to ints is (M, rows)
-    ora_rows = integer_rows(ora.vertices)
+    # both (M, rows), sorted, no repeats: equal exactly when the lists are
     agree = ora_rows == (scale, lam_rows)
-    samples_ok = orc.samples_feasible(p, point, ora.vertices, samples, seed)
+    samples_ok = orc.samples_feasible(p, point, ora_rows, samples, seed)
+    lam_text = ratio_rows(scale, lam_rows)
     print(dumps({
         "agreement": agree,
-        "method": ora.method,
+        "method": orc.METHOD,
         "vertex_count": len(lam_rows),
-        "lambda_vertices": ratio_rows(scale, lam_rows),
-        "oracle_vertices": ratio_rows(*ora_rows),
+        "lambda_vertices": lam_text,
+        # the oracle's own rows are written only where they differ
+        "oracle_vertices": lam_text if agree else ratio_rows(*ora_rows),
         "samples": samples,
         "samples_feasible": samples_ok,
         "seed": seed,

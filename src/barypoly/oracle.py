@@ -11,7 +11,9 @@ the reduced polytope by construction, and each vertex lam = tau + N c is
 carried as its primitive integer ray (a, D), lam = a / D.  For kernel
 dimension <= 2 an active-set scan gives a second independent set of rays,
 off integer cross products of the same rows with no elimination, and the
-two sets must be equal; the sorted Fractions are built once, from them.
+two sets must be equal.  ``_dd_rows`` writes the rays as sorted int rows over
+one denominator, which ``oracle-check`` and the sampler read as they are;
+``dd_vertices`` builds the Fractions from them.
 """
 
 import math
@@ -32,12 +34,13 @@ from .polytope import Polytope, validate
 from .records import Record
 
 _ZERO = Fraction(0)
+METHOD = "DoubleDescription"
 
 
 class OracleResult(Record):
     _fields = (
         "vertices",          # coordinate vectors in R^n, sorted lexicographically
-        "method",            # "DoubleDescription"
+        "method",            # METHOD, "DoubleDescription"
     )
 
 
@@ -165,8 +168,12 @@ def _scan_reduced(scale, rows, k):
     return rays
 
 
-def dd_vertices(p: Polytope, point) -> OracleResult:
-    """Vertex set of the coordinate polytope via the reduced-space route.
+def _dd_rows(p: Polytope, point) -> tuple:
+    """The oracle's integer core: (M, rows), its vertices as int rows over M,
+    the lcm of the primitive rays' D, each ray a scaled to a·(M / D), and the
+    rows sorted, which over one M > 0 is the order of their Fractions.  A
+    primitive ray's entries a_i / D reduce to denominators whose lcm is D, so
+    (M, rows) is ``linalg.integer_rows`` of ``dd_vertices``' list.
 
     Raises InfeasibleError for points outside the polytope and
     OracleMismatchError if the two internal routes' sets of primitive rays
@@ -178,22 +185,37 @@ def dd_vertices(p: Polytope, point) -> OracleResult:
         raise InfeasibleError("point is outside the polytope")
     if len(free) <= 2 and _scan_reduced(scale, rows, len(free)) != rays:
         raise OracleMismatchError("double description and active-set scan disagree")
-    verts = sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in rays)
-    return OracleResult(vertices=tuple(verts), method="DoubleDescription")
+    den = math.lcm(*(ray[-1] for ray in rays))
+    out = []
+    for ray in rays:
+        f = den // ray[-1]
+        out.append([x * f for x in ray[:-1]])
+    out.sort()
+    return den, out
 
 
-def _sample_sums(verts, count: int, seed: int) -> list:
+def dd_vertices(p: Polytope, point) -> OracleResult:
+    """Vertex set of the coordinate polytope via the reduced-space route: the
+    Fractions of ``_dd_rows``' int rows, which raises its errors."""
+    den, rows = _dd_rows(p, point)
+    return OracleResult(vertices=tuple(tuple(Fraction(x, den) for x in row) for row in rows),
+                        method=METHOD)
+
+
+def _sample_sums(vertex_rows, count: int, seed: int) -> list:
     """The sampler's integer core: ``count`` seeded convex combinations of the
-    vertex list ``verts``, each as (s, T), the coordinate vector s / T.
+    vertices (L, rows), each vertex row / L, each combination as (s, T), the
+    coordinate vector s / T.
 
-    With L the lcm of the vertices' denominators and w the random integer
-    weights, s_i is the sum of w x L·entry and T = (sum of w) x L > 0.
+    With w the random integer weights, s_i is the sum of w x row entry and
+    T = (sum of w) x L > 0.
     """
+    den, rows = vertex_rows
     rng = random.Random(seed)
-    den, cols = linalg.integer_rows(list(zip(*verts)))
+    cols = list(zip(*rows))
     out = []
     for _ in range(count):
-        raw = [rng.randint(0, 999) for _ in verts]
+        raw = [rng.randint(0, 999) for _ in rows]
         if sum(raw) == 0:
             raw[0] = 1
         out.append(([sum(map(operator.mul, raw, col)) for col in cols], sum(raw) * den))
@@ -208,18 +230,19 @@ def random_feasible_sample(verts, point, count: int, seed: int) -> list:
     """
     pt = linalg.vec(point)
     return [BarycentricVector(tuple(Fraction(x, total) for x in sums), pt)
-            for sums, total in _sample_sums(verts, count, seed)]
+            for sums, total in _sample_sums(linalg.integer_rows(verts), count, seed)]
 
 
-def samples_feasible(p: Polytope, point, verts, count: int, seed: int) -> bool:
-    """Whether the ``count`` seeded samples of ``verts`` (``_sample_sums``) are
-    coordinate vectors of ``point``: s >= 0 and [V; 1^T]·s = (p; 1)·T, tested
-    exactly on [V; 1^T | (p; 1)] scaled to integer rows."""
+def samples_feasible(p: Polytope, point, vertex_rows, count: int, seed: int) -> bool:
+    """Whether the ``count`` seeded samples of the vertices (L, rows)
+    (``_sample_sums``) are coordinate vectors of ``point``: s >= 0 and
+    [V; 1^T]·s = (p; 1)·T, tested exactly on [V; 1^T | (p; 1)] scaled to
+    integer rows."""
     _, rows = linalg.integer_rows([row + [b] for row, b in
                                    zip(p.stacked_rows(), [*linalg.vec(point), 1])])
     return all(min(sums) >= 0 and all(sum(map(operator.mul, row, sums)) == row[-1] * total
                                       for row in rows)
-               for sums, total in _sample_sums(verts, count, seed))
+               for sums, total in _sample_sums(vertex_rows, count, seed))
 
 
 def random_polytope(d: int, n: int, seed: int) -> Polytope:

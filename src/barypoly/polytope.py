@@ -5,8 +5,8 @@ full-dimensional: the stacked matrix [V; 1^T] has rank d+1, equivalently its
 kernel has dimension n-d-1.  Every listed vertex must be an extreme point of
 the hull: in the plane an integer hull walk tests that; in other dimensions
 one integer functional per vertex certifies most of them, and the rest get one
-phase one each.  Vertex order in the input fixes the 1-based index order used
-by every other module.
+phase one each, in index order up to the first that is not extreme.  Vertex
+order in the input fixes the 1-based index order used by every other module.
 """
 
 import json
@@ -89,9 +89,10 @@ def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:
     Raises TooFewVerticesError, DuplicateVertexError, RankDeficientError (N
     has more than n-d-1 columns) or NonExtremeVertexError at the first
     vertex (1-based index) in the hull of the others: by one hull walk in
-    the plane (``_plane_hull``); in other dimensions by one phase one per
-    vertex that ``_certified`` leaves, in index order.  A certified vertex
-    is extreme, so it can never be the first hit.
+    the plane (``_plane_hull``); in other dimensions vertex by vertex in
+    index order, by one phase one for each vertex that ``_certified`` leaves,
+    stopping at the first hit.  A certified vertex is extreme, so it can
+    never be the first hit.
     """
     rows = linalg.mat(v_rows)
     if len(rows) != d or any(len(r) != len(rows[0]) for r in rows):
@@ -116,9 +117,9 @@ def validate(v_rows: Sequence[Sequence], d: int) -> Polytope:
         hull = _plane_hull(points)
         inner = (i for i in range(n) if i not in hull)
     else:
-        sure = _certified(points)
-        inner = (i for i in range(n) if i not in sure and convex_membership(
-            verts[:i] + verts[i + 1:], verts[i]) is not None)
+        total = [sum(xs) for xs in zip(*points)]
+        inner = (i for i in range(n) if not _certified(points, total, i)
+                 and convex_membership(verts[:i] + verts[i + 1:], verts[i]) is not None)
     first = next(inner, None)
     if first is not None:
         raise NonExtremeVertexError(first + 1)
@@ -148,29 +149,25 @@ def _plane_hull(points) -> set:
     return hull
 
 
-def _certified(points) -> set:
-    """Indices of distinct integer points that a linear functional proves
-    extreme: i is certified when some a has a·v_i > a·v_j for every j != i,
-    as the unique maximiser of a linear functional over distinct points is
-    extreme.  The first a is a_i = n·v_i - Σ_j v_j (n times the direction
-    from the centroid); where it fails at some v_j, the first such j, it is
-    corrected to a + (v_i - v_j) (a perceptron step, which raises
-    a·(v_i - v_j) by |v_i - v_j|² > 0), at most 4n times.  A point left out
-    may be extreme or not.  Each test is O(n·d) integer multiply-adds."""
-    n = len(points)
-    total = [sum(xs) for xs in zip(*points)]
-    sure = set()
-    for i, v in enumerate(points):
-        a = [n * x - s for x, s in zip(v, total)]
-        others = points[:i] + points[i + 1:]
-        for _ in range(4 * n + 1):
-            top = sum(map(mul, a, v))
-            q = next((q for q in others if sum(map(mul, a, q)) >= top), None)
-            if q is None:
-                sure.add(i)
-                break
-            a = [x + y - z for x, y, z in zip(a, v, q)]
-    return sure
+def _certified(points, total, i: int) -> bool:
+    """Whether a linear functional proves the distinct integer point i
+    extreme: some a has a·v_i > a·v_j for every j != i, as the unique
+    maximiser of a linear functional over distinct points is extreme.  The
+    first a is n·v_i - Σ_j v_j, ``total`` being Σ_j v_j (n times the
+    direction from the centroid); where it fails at some v_j, the first such
+    j, it is corrected to a + (v_i - v_j) (a perceptron step, which raises
+    a·(v_i - v_j) by |v_i - v_j|² > 0), at most 4n times.  False may mean
+    extreme or not.  Each test is O(n·d) integer multiply-adds."""
+    n, v = len(points), points[i]
+    a = [n * x - s for x, s in zip(v, total)]
+    others = points[:i] + points[i + 1:]
+    for _ in range(4 * n + 1):
+        top = sum(map(mul, a, v))
+        q = next((q for q in others if sum(map(mul, a, q)) >= top), None)
+        if q is None:
+            return True
+        a = [x + y - z for x, y, z in zip(a, v, q)]
+    return False
 
 
 def locate(p: Polytope, point: Sequence) -> PointLocation:

@@ -1,5 +1,6 @@
 """Shared test utilities: independent mini-oracles and samplers."""
 
+import itertools
 import math
 import operator
 import random
@@ -15,10 +16,12 @@ from barypoly.errors import (
     DimensionMismatchError,
     DuplicateVertexError,
     InconsistentInputsError,
+    InfeasibleError,
     InternalError,
     InfeasibleSelectionError,
     LeavesPolytopeError,
     NonExtremeVertexError,
+    OracleMismatchError,
     RankDeficientError,
     SingularMatrixError,
     SingularPatternError,
@@ -166,6 +169,48 @@ def ray_fractions(rays) -> list:
     """The sorted Fraction vertices a / D of the oracle's primitive integer
     rays (a, D), as ``dd_vertices`` lists them."""
     return sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in rays)
+
+
+def reference_dd_vertices(p: Polytope, point) -> tuple:
+    """The oracle's Fraction route as ``dd_vertices`` ran it before its int
+    rows: the same system, rays and cross-check, each primitive ray (a, D)
+    built into its Fractions a / D and the tuples sorted."""
+    from barypoly import oracle
+
+    scale, rows, free = oracle._reduced_system(p, point)
+    rays = oracle._dd_reduced(scale, rows, free)
+    if not rays:
+        raise InfeasibleError("point is outside the polytope")
+    if len(free) <= 2 and oracle._scan_reduced(scale, rows, len(free)) != rays:
+        raise OracleMismatchError("double description and active-set scan disagree")
+    return tuple(sorted(tuple(Fraction(x, ray[-1]) for x in ray[:-1]) for ray in rays))
+
+
+def reference_sample_sums(verts, count: int, seed: int) -> list:
+    """The sampler on the Fraction vertex list ``verts``, as it ran before it
+    took int rows: its columns scaled to ints over the lcm L of every
+    denominator, then ``count`` seeded weight vectors w, each giving (s, T),
+    s_i the sum of w x L·entry and T = (sum of w) x L."""
+    rng = random.Random(seed)
+    den, cols = linalg.integer_rows(list(zip(*verts)))
+    out = []
+    for _ in range(count):
+        raw = [rng.randint(0, 999) for _ in verts]
+        if sum(raw) == 0:
+            raw[0] = 1
+        out.append(([sum(map(operator.mul, raw, col)) for col in cols], sum(raw) * den))
+    return out
+
+
+def facet_point(p: Polytope) -> tuple:
+    """The centroid of the first d vertices whose wall has every vertex on
+    one side: a point in the relative interior of a facet."""
+    _, rows = linalg.integer_rows([[1, *v] for v in p.vertices])
+    for s in itertools.combinations(range(p.n), p.d):
+        c = linalg.cofactors([rows[j] for j in s])
+        signs = {(x > 0) - (x < 0) for x in (linalg.dot(c, r) for r in rows)}
+        if any(c) and not {-1, 1} <= signs:
+            return tuple(sum(col) / p.d for col in zip(*(p.vertices[j] for j in s)))
 
 
 def solve_linear(a, b) -> list:

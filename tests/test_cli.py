@@ -9,6 +9,7 @@ import pytest
 
 from barypoly.cli import main
 from barypoly.errors import ParseError
+from barypoly.fixtures import fixture_document
 from barypoly.report import AnalysisReport
 
 F = Fraction
@@ -433,12 +434,38 @@ def test_oracle_check_runs_the_oracle_once(square_file, capsys, monkeypatch):
     from barypoly import cli
 
     calls = []
-    real = cli.orc.dd_vertices
-    monkeypatch.setattr(cli.orc, "dd_vertices",
+    real = cli.orc._dd_rows
+    monkeypatch.setattr(cli.orc, "_dd_rows",
                         lambda p, q: calls.append(q) or real(p, q))
     code, _ = run(capsys, "oracle-check", square_file, "--point", "1/3,1/2")
     assert code == 0
     assert len(calls) == 1
+
+
+def test_oracle_check_writes_the_oracles_own_rows_on_a_mismatch(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the agreed list is written once for both keys; an oracle that drops a
+    # vertex disagrees, and oracle_vertices is then written from its own rows
+    from barypoly import cli
+
+    pentagon = tmp_path / "pentagon.json"
+    pentagon.write_text(json.dumps(fixture_document("pentagon")))
+    real = cli.orc._dd_rows
+    dropped = []
+
+    def drop_one(p, q):
+        den, rows = real(p, q)
+        dropped.append(rows.pop(1))
+        return den, rows
+
+    monkeypatch.setattr(cli.orc, "_dd_rows", drop_one)
+    code, out = run(capsys, "oracle-check", str(pentagon), "--point=0,0", "--samples", "3")
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["agreement"] is False and doc["samples_feasible"] is True
+    assert doc["vertex_count"] == 5 == len(doc["lambda_vertices"])
+    assert doc["oracle_vertices"] == doc["lambda_vertices"][:1] + doc["lambda_vertices"][2:]
+    assert len(dropped) == 1
 
 
 def test_oracle_check_samples_need_no_lp(tmp_path, capsys, monkeypatch):

@@ -87,7 +87,30 @@ def test_plane_validation_runs_no_phase_one(monkeypatch):
     calls.clear()
     census = random_polytope(3, 8, seed=9032)
     points = list(zip(*linalg.integer_rows(census.stacked_rows()[:-1])[1]))
-    assert calls == [] and _certified(points) == set(range(8))
+    total = [sum(xs) for xs in zip(*points)]
+    assert calls == [] and all(_certified(points, total, i) for i in range(8))
+
+
+def test_cloud_validation_stops_at_the_first_hit(monkeypatch):
+    # validation tries each vertex's certificate and, where it fails, that
+    # vertex's phase one before it goes on: a cloud whose vertex 1 is the
+    # centroid of the others runs one certificate and one phase one, not a
+    # certificate per point first
+    from barypoly import polytope
+
+    calls = _count_phase_ones(monkeypatch)
+    certificates = []
+    real = polytope._certified
+    monkeypatch.setattr(polytope, "_certified",
+                        lambda pts, total, i: certificates.append(i) or real(pts, total, i))
+    rng = random.Random(60)
+    cloud = [tuple(F(rng.randint(-1000, 1000), 97) for _ in range(3)) for _ in range(60)]
+    centre = tuple(sum(col) / len(cloud) for col in zip(*cloud))
+    pts = [centre] + cloud
+    with pytest.raises(NonExtremeVertexError) as exc:
+        validate([[v[l] for v in pts] for l in range(3)], 3)
+    assert exc.value.index == 1
+    assert certificates == [0] and calls == [centre]
 
 
 # a tetrahedron and a fifth point above the centre of its slanted face

@@ -25,9 +25,11 @@ rays, as Fractions, must give the list of ``helpers.reference_dd_reduced``, the 
 insertion over Fractions on the Fraction rref's tau and N, for d = 2, 3 and
 4, and its k <= 2 scan on integer cross products must give the list of
 ``helpers.reference_scan_reduced``, which solves each subset over Fractions,
-from either basepoint tau.  The oracle's primitive-row elimination must give
-g / L = the Fraction rref's (N, tau) and free columns on drawn rational
-systems, and oracle-check's integer sample verdict the exact test of the
+from either basepoint tau.  The oracle's sorted int rows must be its Fraction
+list (``helpers.reference_dd_vertices``) scaled to ints, and the sampler on
+them must draw ``helpers.reference_sample_sums``' values.  The oracle's
+primitive-row elimination must give g / L = the Fraction rref's (N, tau) and
+free columns on drawn rational systems, and oracle-check's integer sample verdict the exact test of the
 Fraction samples.  ``report.dumps`` must write the bytes of
 ``json.dumps(doc, indent=2)`` for nested documents of any strings, ints,
 bools and None.  ``semidiff_probe``, which runs the
@@ -108,7 +110,9 @@ from barypoly.errors import (
 from barypoly.fixtures import get_fixture
 from barypoly.oracle import (
     _dd_reduced,
+    _dd_rows,
     _reduced_system,
+    _sample_sums,
     _scan_reduced,
     dd_vertices,
     random_feasible_sample,
@@ -131,6 +135,7 @@ from barypoly.probes import (
 from barypoly.report import dumps, format_float
 from helpers import (
     brute_force_vertices,
+    facet_point,
     float_polytope,
     fraction_system,
     integer_system,
@@ -138,6 +143,8 @@ from helpers import (
     matrices,
     rationals,
     reference_dd_reduced,
+    reference_dd_vertices,
+    reference_sample_sums,
     ray_fractions,
     reference_census,
     reference_continuity_probe,
@@ -1237,9 +1244,62 @@ def test_sample_verdict_equals_the_fraction_route(p, data):
         exact = all(min(s.lam) >= 0
                     and mat_vec(p.stacked_rows(), s.lam) == [*q, 1]
                     for s in fractions)
-        assert samples_feasible(p, q, vs, count, seed) is exact
+        assert samples_feasible(p, q, linalg.integer_rows(vs), count, seed) is exact
         verdicts.append(exact)
     assert verdicts[0] and verdicts[2] is (count == 0)
+
+
+FIXTURE_POLYTOPES = tuple(get_fixture(name) for name in ("square", "pentagon", "pyramid",
+                                                         "prism8"))
+
+
+@st.composite
+def oracle_polytopes(draw):
+    """A fixture, or a seeded polytope with d = 2..5 and k = n - d - 1 = 0..6."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(FIXTURE_POLYTOPES))
+    d, k = draw(st.integers(2, 5)), draw(st.integers(0, 6))
+    return random_polytope(d, d + 1 + k, seed=draw(st.integers(0, 10**6)))
+
+
+@PROPERTY
+@given(oracle_polytopes(), st.data())
+def test_dd_rows_are_the_fraction_route_scaled(p, data):
+    # the oracle's int rows are its Fraction list scaled to ints over one
+    # denominator, in the same order (helpers.reference_dd_vertices), and
+    # dd_vertices builds that list off them; both refuse the same points,
+    # and the sampler on the rows draws the Fraction sampler's values, at an
+    # interior point, a vertex-pair midpoint, a facet point, a vertex and an
+    # outside point, at any seed and count
+    weights = data.draw(st.lists(st.integers(1, 999), min_size=p.n, max_size=p.n))
+    i, j = data.draw(st.lists(st.integers(0, p.n - 1), min_size=2, max_size=2,
+                              unique=True))
+    t = F(data.draw(st.integers(1, 64)), 64)
+    seed, count = data.draw(st.integers(0, 10**6)), data.draw(st.integers(0, 6))
+    points = [_combination(p.vertices, weights),
+              tuple((x + y) / 2 for x, y in zip(p.vertices[i], p.vertices[j])),
+              facet_point(p), p.vertices[i],
+              tuple(v + t * (v - c) for v, c in zip(p.vertices[i], p.centroid()))]
+    refused = []
+    for q in points:
+        try:
+            ref = reference_dd_vertices(p, q)
+        except InfeasibleError:
+            refused.append(q)
+            for route in (_dd_rows, dd_vertices):
+                with pytest.raises(InfeasibleError, match="outside the polytope"):
+                    route(p, q)
+            continue
+        rows = _dd_rows(p, q)
+        assert rows == linalg.integer_rows(ref)
+        assert all(type(x) is int for row in rows[1] for x in row)
+        assert dd_vertices(p, q).vertices == ref
+        sums = reference_sample_sums(ref, count, seed)
+        assert _sample_sums(rows, count, seed) == sums
+        samples = random_feasible_sample(ref, q, count, seed)
+        assert [s.lam for s in samples] == [tuple(F(x, total) for x in s) for s, total in sums]
+        assert all(s.point == q for s in samples)
+    assert refused == points[-1:]
 
 
 def test_oracle_agrees_with_scan_kernel_dim_11():

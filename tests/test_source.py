@@ -491,9 +491,9 @@ def test_oracle_check_runs_on_integers():
     # loop calls no linalg kernel, builds no Fraction and divides only
     # exactly (by a gcd, with //); oracle-check tests its samples as the
     # sampler's integer sums on integer rows, with no Fraction and no
-    # matrix-vector product, and its agreement as the oracle's sorted list
-    # scaled to ints against the integer pass's (M, rows), written off the
-    # ints, with no Fraction vertex list built for Lambda
+    # matrix-vector product, and its agreement as the oracle's sorted int
+    # rows against the integer pass's (M, rows), written off the ints, with
+    # no Fraction vertex list built for Lambda
     from barypoly import linalg, oracle
 
     kernels = {name for name, obj in vars(linalg).items()
@@ -513,11 +513,30 @@ def test_oracle_check_runs_on_integers():
                       & {"Fraction", "random_feasible_sample", "mat_vec", "dot"}) == []
     run = _names_in("cli", "run_oracle_check")
     assert "samples_feasible" in run
-    assert {"_lambda_rows", "integer_rows", "ratio_rows"} <= run
+    assert {"_lambda_rows", "_dd_rows", "ratio_rows"} <= run
     assert sorted(run & {"random_feasible_sample", "vertices_agree", "set",
                          "lambda_vertices", "vertex_arrays", "rational_str"}) == []
     assert not hasattr(oracle, "solves") and not hasattr(oracle, "_ray")
     assert "mat_vec" not in _identifiers(Path(barypoly.__file__).parent / "cli.py")
+
+
+def test_oracle_check_never_leaves_the_int_rows():
+    # the oracle's integer core hands oracle-check and the sampler sorted int
+    # rows over one denominator: no Fraction on the way, no rescaling, and
+    # dd_vertices is the one place that builds the oracle's Fractions; the
+    # two routes stay independent, oracle importing nothing of coordinates
+    # but its result type
+    run = _names_in("cli", "run_oracle_check")
+    assert sorted(run & {"integer_rows", "dd_vertices", "Fraction", "vertices"}) == []
+    for func in ("_dd_rows", "_sample_sums"):
+        assert sorted(_names_in("oracle", func)
+                      & {"Fraction", "_ZERO", "fr", "vec", "mat", "integer_rows"}) == []
+    assert {"_dd_rows", "Fraction"} <= _names_in("oracle", "dd_vertices")
+    assert sorted(name for name in _imported_names("oracle")
+                  if name.startswith("barypoly.coordinates")) == [
+        "barypoly.coordinates.BarycentricVector"]
+    assert "DoubleDescription" in _identifiers(Path(barypoly.__file__).parent / "oracle.py")
+    assert "DoubleDescription" not in _identifiers(Path(barypoly.__file__).parent / "cli.py")
 
 
 def test_floats_add_left_to_right():

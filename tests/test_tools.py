@@ -12,8 +12,8 @@ STEP_NAMES = [
     "reference outputs", "semidiff witness distances", "continuity distances",
     "probe ties and polygons", "phase-one outputs", "table reads", "lone-point memory",
     "document memory", "table memory", "ray reads on zero walls", "census grids", "census grid on the 4-cube",
-    "plane validation", "solid validation", "kernel basis", "oracle outputs", "documents",
-    "zero walls in R^5",
+    "plane validation", "solid validation", "cloud validation", "kernel basis",
+    "oracle outputs", "documents", "zero walls in R^5",
 ]
 
 
@@ -35,7 +35,7 @@ def test_check_table_keeps_every_step_and_digest():
     assert sorted(set(checks) - set(hashing)) == [
         "document memory", "lone-point memory", "reference outputs", "table memory"]
     assert all(re.fullmatch("[0-9a-f]{64}", d) for ds in hashing.values() for d in ds)
-    assert len(hashing) == 14 and sum(map(len, hashing.values())) == 15
+    assert len(hashing) == 15 and sum(map(len, hashing.values())) == 16
     assert len(hashing["ray reads on zero walls"]) == 2
 
 

@@ -400,6 +400,40 @@ def solid_validation(t):
         "d3n100": random_polytope(3, 100, seed=11), "d4n40": random_polytope(4, 40, seed=11)})]
 
 
+def cloud(d, n, seed) -> list:
+    """n seeded points of R^d with coordinates k/97, |k| <= 1000."""
+    rng = random.Random(seed)
+    return [tuple(Fraction(rng.randint(-1000, 1000), 97) for _ in range(d)) for _ in range(n)]
+
+
+def centroid(points) -> tuple:
+    return tuple(sum(col) / len(points) for col in zip(*points))
+
+
+def vertices_document(points) -> dict:
+    return {"dim": len(points[0]), "vertices": [[str(x) for x in v] for v in points]}
+
+
+@check("cloud validation",
+       "7f20ed03bdd700d8ab0e9d3e45f3df66dc72f47f8f20e9b076f25d1ee6fc8112")
+def cloud_validation(t):
+    """Validate on seeded 3-D and 4-D point sets of up to 120 points: a k/97 cloud led by the
+    centroid of its points, seeded polytopes followed by their centroid, and seeded
+    polytopes with a facet point put among their vertices. The NonExtremeVertex indices,
+    with exit codes, must hash to the value they had while every vertex's certificate ran
+    before the first phase one."""
+    docs = {}
+    for d, n, seed in ((3, 120, 31), (4, 80, 32)):
+        points = cloud(d, n - 1, seed)
+        docs[f"d{d}-cloud-centre-first"] = [centroid(points)] + points
+        p = random_polytope(d, n - 1, seed=seed)
+        docs[f"d{d}-centre-last"] = list(p.vertices) + [centroid(p.vertices)]
+        p = random_polytope(d, n // 2, seed=seed)
+        verts = list(p.vertices)
+        docs[f"d{d}-facet-point"] = verts[:n // 4] + [facet_point(p)] + verts[n // 4:]
+    return [validations(t, {name: vertices_document(v) for name, v in docs.items()})]
+
+
 @check("kernel basis", "8d38c8592be31b31ce99cfc7f42f79cb4cdff310f6839690d65b4aaab5e05af3")
 def kernel_basis(t):
     """Analyze at an interior point, a vertex-pair midpoint and a facet point of the four
